@@ -12,8 +12,8 @@ check:
 	./scripts/check.sh
 
 race:
-	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/prof/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/...
-	go test -race -run 'ConcurrentSafe|Trace|Parallel' ./internal/core/
+	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/prof/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
+	go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation' ./internal/core/
 	go test -race -run 'Parallel' ./internal/embed/
 
 fmt:

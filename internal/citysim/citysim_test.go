@@ -2,6 +2,7 @@ package citysim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"deepod/internal/roadnet"
@@ -161,6 +162,51 @@ func TestSpeedGridder(t *testing.T) {
 	}
 	if _, err := NewSpeedGridder(tf, 300, 0); err == nil {
 		t.Fatal("zero period accepted")
+	}
+}
+
+// TestSpeedGridderConcurrent is the -race test of MatrixAt: goroutines that
+// start on distinct departures and walk every period race on first touches
+// (serve's External hook does this from every connection goroutine), and
+// must all converge on one slice per period — the identity the traffic-code
+// memo and traffic.mergedEntry key on — with the sequential values.
+func TestSpeedGridderConcurrent(t *testing.T) {
+	tf := testTraffic(t)
+	sg, err := NewSpeedGridder(tf, 300, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSpeedGridder(tf, 300, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, periods = 8, 96
+	got := make([][]*float64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		got[g] = make([]*float64, periods)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < periods; i++ {
+				p := (i + g*periods/goroutines) % periods
+				got[g][p] = &sg.External(float64(p)*sg.PeriodSec + float64(g)).SpeedGrid[0]
+			}
+		}(g)
+	}
+	wg.Wait()
+	for p := 0; p < periods; p++ {
+		m := sg.MatrixAt(float64(p) * sg.PeriodSec)
+		for g := range got {
+			if got[g][p] != &m[0] {
+				t.Fatalf("period %d: goroutine %d got a different slice", p, g)
+			}
+		}
+		for i, v := range ref.MatrixAt(float64(p) * sg.PeriodSec) {
+			if math.Float64bits(v) != math.Float64bits(m[i]) {
+				t.Fatalf("period %d cell %d: %v under contention, %v alone", p, i, m[i], v)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package citysim
 
 import (
 	"fmt"
+	"sync"
 
 	"deepod/internal/geo"
 	"deepod/internal/roadnet"
@@ -24,6 +25,9 @@ type SpeedGridder struct {
 	// PeriodSec is how often a new matrix is produced (the paper's Δt).
 	PeriodSec float64
 
+	// cache holds one matrix per period index. Handed-out matrices are
+	// read-only and identify their period (see MatrixAt).
+	mu    sync.RWMutex
 	cache map[int][]float64
 }
 
@@ -65,14 +69,21 @@ func (sg *SpeedGridder) Rows() int { return sg.grid.Rows }
 func (sg *SpeedGridder) Cols() int { return sg.grid.Cols }
 
 // MatrixAt returns the speed matrix (row-major Rows×Cols, m/s, 0 for empty
-// cells) nearest before time sec. Matrices are cached per period index.
+// cells) nearest before time sec. Matrices are cached per period index with
+// store-if-absent semantics: every caller of a period, racing first touches
+// included, gets the same slice, which must not be written to — consumers
+// (traffic.FeatureSource, the traffic-code memo in internal/core) key on
+// its identity. Safe for concurrent use.
 func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
 	period := int(sec / sg.PeriodSec)
-	if m, ok := sg.cache[period]; ok {
+	sg.mu.RLock()
+	m, ok := sg.cache[period]
+	sg.mu.RUnlock()
+	if ok {
 		return m
 	}
 	at := float64(period) * sg.PeriodSec
-	m := make([]float64, sg.grid.NumCells())
+	m = make([]float64, sg.grid.NumCells())
 	for ci, edges := range sg.cellEdges {
 		if len(edges) == 0 {
 			continue
@@ -82,6 +93,11 @@ func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
 			s += sg.traffic.Speed(e, at)
 		}
 		m[ci] = s / float64(len(edges))
+	}
+	sg.mu.Lock()
+	defer sg.mu.Unlock()
+	if first, ok := sg.cache[period]; ok {
+		return first // a racing first touch won; both computed the same values
 	}
 	sg.cache[period] = m
 	return m

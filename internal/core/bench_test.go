@@ -57,3 +57,73 @@ func BenchmarkEstimateBatchPerSample(b *testing.B) {
 		})
 	}
 }
+
+// Traffic-code memo benchmarks: what one estimate costs when its speed
+// matrix is shared with earlier ones (hit), was never seen (miss + insert —
+// compare with the parent commit's Estimate, which ran the CNN always) and
+// is absent, and what a fused batch costs when its rows share one matrix or
+// carry sixteen. Matrices are beijing-s sized (18×16, gridOf); fresh ones
+// are made outside the timer.
+
+var benchSink float64
+
+func BenchmarkEstimateTrafficCode(b *testing.B) {
+	m, ods := benchModel(b)
+	od := ods[0]
+	b.Run("shared", func(b *testing.B) {
+		od.External = gridOf(18, 16, 0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += m.Estimate(&od)
+		}
+	})
+	b.Run("never-seen", func(b *testing.B) {
+		// A few thousand fresh matrices, remade off the clock when used up,
+		// so every estimate misses and inserts (and the memo's bounds are
+		// crossed now and then, as they would be).
+		fresh := make([]*traj.ExternalFeatures, 4096)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%len(fresh) == 0 {
+				b.StopTimer()
+				for j := range fresh {
+					fresh[j] = gridOf(18, 16, i+j)
+				}
+				b.StartTimer()
+			}
+			od.External = fresh[i%len(fresh)]
+			benchSink += m.Estimate(&od)
+		}
+	})
+	b.Run("no-external", func(b *testing.B) {
+		od.External = nil
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += m.Estimate(&od)
+		}
+	})
+}
+
+func BenchmarkEstimateBatchFusedTrafficCode(b *testing.B) {
+	m, ods := benchModel(b)
+	batch := append([]traj.MatchedOD(nil), ods[:16]...)
+	b.Run("B16-shared", func(b *testing.B) {
+		ext := gridOf(18, 16, 0)
+		for i := range batch {
+			batch[i].External = ext
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += m.EstimateBatchFused(batch)[0]
+		}
+	})
+	b.Run("B16-distinct", func(b *testing.B) {
+		for i := range batch {
+			batch[i].External = gridOf(18, 16, i)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += m.EstimateBatchFused(batch)[0]
+		}
+	})
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"deepod/internal/citysim"
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
 	"deepod/internal/traj"
@@ -90,28 +91,28 @@ func (m *Model) encodeTrajectory(tp *nn.Tape, t *traj.Trajectory) *nn.Node {
 
 // encodeExternal implements the External Features Encoder (§4.5 /
 // Formula 18): a one-hot weather vector and a CNN-compressed speed matrix
-// are concatenated and passed through a two-layer MLP into ocode.
+// are concatenated and passed through a two-layer MLP into ocode. On an
+// eval tape Z⁸ comes from externalZ8Row (the memoised traffic code); a
+// training tape carries the CNN itself, for its gradients.
 func (m *Model) encodeExternal(tp *nn.Tape, ext *traj.ExternalFeatures) *nn.Node {
-	wea := tp.Alloc(16)
+	if tp.Eval {
+		z8 := tp.Alloc(citysim.WeatherTypes + m.cfg.Dtraf)
+		m.externalZ8Row(ext, z8.Data)
+		return m.extMLP.Forward(tp, tp.Const(z8)) // Formula 18
+	}
+	// A nil bundle (external features unavailable for this record) keeps
+	// the zero one-hot, and without a speed matrix the traffic code is
+	// zero too. Keeps the model usable on partial data.
+	wea := tp.Alloc(citysim.WeatherTypes)
 	var dtraf *nn.Node
-	if ext == nil {
-		// External features unavailable for this record: zero one-hot,
-		// zero traffic code. Keeps the model usable on partial data.
-		dtraf = tp.Const(tp.Alloc(m.cfg.Dtraf))
-	} else {
-		if ext.Weather < 0 || ext.Weather >= 16 {
-			panic(fmt.Sprintf("core: weather type %d out of range", ext.Weather))
+	if ext != nil {
+		if checkExternal(ext) {
+			dtraf = m.trafficCNN(tp, ext)
 		}
 		wea.Data[ext.Weather] = 1
-		grid := tp.Alloc(1, ext.GridRows, ext.GridCols)
-		for i, v := range ext.SpeedGrid {
-			grid.Data[i] = v / maxSpeedNorm
-		}
-		c1 := m.extConv1.Forward(tp, tp.Const(grid))
-		c2 := m.extConv2.Forward(tp, c1)
-		c3 := m.extConv3.Forward(tp, c2)
-		pooled := tp.GlobalAvgPool(c3)
-		dtraf = tp.ReLU(m.extProj.Forward(tp, pooled))
+	}
+	if dtraf == nil {
+		dtraf = tp.Const(tp.Alloc(m.cfg.Dtraf))
 	}
 	z8 := tp.Concat(tp.Const(wea), dtraf)
 	return m.extMLP.Forward(tp, z8) // Formula 18

@@ -141,12 +141,12 @@ func (m *Model) EstimateBatchF32Ctx(ctx context.Context, ods []traj.MatchedOD) [
 	span.SetInt("f32", 1)
 	defer span.End()
 
-	sc := fusedScratches.Get().(*fusedScratch)
-	defer fusedScratches.Put(sc)
-	sc.arena.Reset()
+	ar := fusedArenas.Get().(*tensor.Arena)
+	defer fusedArenas.Put(ar)
+	ar.Reset()
 
 	_, encSpan := obs.StartSpan(bctx, "encode")
-	z9 := m.odFeatureMatrix(sc, ods)
+	z9 := m.odFeatureMatrix(ar, ods)
 	encSpan.End()
 	_, estSpan := obs.StartSpan(bctx, "estimate")
 	out := m.f32.forward(z9, m.timeScale)
@@ -178,10 +178,10 @@ func (m *Model) EnableF32(threshold float64) error {
 	}
 	head := m.buildF32Head()
 	ref := m.EstimateBatchFused(calib)
-	sc := fusedScratches.Get().(*fusedScratch)
-	sc.arena.Reset()
-	got := head.forward(m.odFeatureMatrix(sc, calib), m.timeScale)
-	fusedScratches.Put(sc)
+	ar := fusedArenas.Get().(*tensor.Arena)
+	ar.Reset()
+	got := head.forward(m.odFeatureMatrix(ar, calib), m.timeScale)
+	fusedArenas.Put(ar)
 	var sumAbs, sumRef float64
 	for i := range ref {
 		sumAbs += math.Abs(got[i] - ref[i])

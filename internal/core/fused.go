@@ -15,24 +15,18 @@ import (
 // The fused batched inference path: an admission batch of B matched ODs is
 // encoded as one [B×odDim] feature matrix and pushed through the OD encoder
 // MLP and the estimator head as matrix-matrix products, instead of B
-// independent tape walks. Per-sample work that has no batched kernel (the
-// external-features conv stack) still runs on an eval tape, but every MLP —
-// extMLP, odMLP, estMLP — runs through tensor.AffineBatchInto, which keeps
+// independent tape walks. The external-features conv stack has no batched
+// kernel; its code comes row by row from the memo behind externalZ8Row. Every
+// MLP — extMLP, odMLP, estMLP — runs through tensor.AffineBatchInto, which keeps
 // reductions sequential per output element, so the fused result is
 // Float64bits-identical to EstimateBatch. Flight-recorder replay
 // (internal/replay, which pins MaxBatch=1) therefore reproduces fused-engine
 // recordings with zero unexplained diffs.
 
-// fusedScratch is the reusable state of one fused forward: an eval tape for
-// the per-sample conv encoder and an arena for the [B×d] activation
-// matrices. Pooled like evalTapes so steady-state batches allocate only
-// their output slice.
-type fusedScratch struct {
-	tp    *nn.Tape
-	arena tensor.Arena
-}
-
-var fusedScratches = sync.Pool{New: func() any { return &fusedScratch{tp: nn.NewEvalTape()} }}
+// fusedArenas recycles the arenas that hold one fused forward's [B×d]
+// activation matrices. Pooled like evalTapes so steady-state batches
+// allocate only their output slice.
+var fusedArenas = sync.Pool{New: func() any { return new(tensor.Arena) }}
 
 // EstimateBatchFused estimates many OD inputs through the fused [B×d] path.
 // Results are bit-identical to EstimateBatch for every batch size.
@@ -55,13 +49,12 @@ func (m *Model) EstimateBatchFusedCtx(ctx context.Context, ods []traj.MatchedOD)
 	span.SetInt("fused", 1)
 	defer span.End()
 
-	sc := fusedScratches.Get().(*fusedScratch)
-	defer fusedScratches.Put(sc)
-	ar := &sc.arena
+	ar := fusedArenas.Get().(*tensor.Arena)
+	defer fusedArenas.Put(ar)
 	ar.Reset()
 
 	_, encSpan := obs.StartSpan(bctx, "encode")
-	z9 := m.odFeatureMatrix(sc, ods)
+	z9 := m.odFeatureMatrix(ar, ods)
 	code := m.odMLP.ForwardBatch(ar, z9)
 	encSpan.End()
 
@@ -85,15 +78,14 @@ func (m *Model) EstimateBatchFusedCtx(ctx context.Context, ods []traj.MatchedOD)
 // rows are produced by extMLP.ForwardBatch over a [B×z8] matrix; everything
 // else is a pure copy of embedding rows and scalar features, so every value
 // equals the per-sample tape path bit for bit.
-func (m *Model) odFeatureMatrix(sc *fusedScratch, ods []traj.MatchedOD) *tensor.Tensor {
-	ar := &sc.arena
+func (m *Model) odFeatureMatrix(ar *tensor.Arena, ods []traj.MatchedOD) *tensor.Tensor {
 	b := len(ods)
 	var ocode *tensor.Tensor // [B, D6m], nil under N-ex
 	if !m.cfg.NoExternal {
 		z8w := citysim.WeatherTypes + m.cfg.Dtraf
 		z8 := ar.New(b, z8w)
 		for i := range ods {
-			m.externalZ8Row(sc.tp, ods[i].External, z8.Data[i*z8w:(i+1)*z8w])
+			m.externalZ8Row(ods[i].External, z8.Data[i*z8w:(i+1)*z8w])
 		}
 		ocode = m.extMLP.ForwardBatch(ar, z8)
 	}
@@ -141,29 +133,4 @@ func (m *Model) embedRow(e *nn.Embedding, id int, dst []float64) int {
 	}
 	copy(dst[:e.Dim], e.W.Value.Data[id*e.Dim:(id+1)*e.Dim])
 	return e.Dim
-}
-
-// externalZ8Row fills one Z⁸ row — [WeatherTypes one-hot | Dtraf traffic
-// code] — mirroring encodeExternal value for value. row arrives zeroed (an
-// arena allocation), which is exactly the nil-External encoding. The conv
-// stack has no batched kernel, so it runs per sample on the scratch tape.
-func (m *Model) externalZ8Row(tp *nn.Tape, ext *traj.ExternalFeatures, row []float64) {
-	if ext == nil {
-		return
-	}
-	if ext.Weather < 0 || ext.Weather >= citysim.WeatherTypes {
-		panic(fmt.Sprintf("core: weather type %d out of range", ext.Weather))
-	}
-	row[ext.Weather] = 1
-	tp.Reset()
-	grid := tp.Alloc(1, ext.GridRows, ext.GridCols)
-	for i, v := range ext.SpeedGrid {
-		grid.Data[i] = v / maxSpeedNorm
-	}
-	c1 := m.extConv1.Forward(tp, tp.Const(grid))
-	c2 := m.extConv2.Forward(tp, c1)
-	c3 := m.extConv3.Forward(tp, c2)
-	pooled := tp.GlobalAvgPool(c3)
-	dtraf := tp.ReLU(m.extProj.Forward(tp, pooled))
-	copy(row[citysim.WeatherTypes:], dtraf.Value.Data)
 }

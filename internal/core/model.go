@@ -46,6 +46,10 @@ type Model struct {
 	extConv1, extConv2, extConv3 *nn.Conv2DLayer
 	extProj                      *nn.Linear
 	extMLP                       *nn.MLP2
+	// traf memoises the traffic code per speed matrix for the eval paths
+	// (see trafficcode.go). It belongs to the model, so a reload — a new
+	// model — starts empty; Train empties it after every optimizer step.
+	traf trafficMemo
 
 	// MLP1 (Formula 19) and MLP2 (Formula 20).
 	odMLP  *nn.MLP2

@@ -4,11 +4,12 @@ import (
 	"deepod/internal/obs"
 )
 
-// Training metrics (see the obs package doc for the full naming scheme).
-// Resolved once at init so the hot loops touch only atomics: Train
-// observes per-step phase durations. The online encode/estimate stages
-// are obs spans (EstimateCtx), so they both feed tte_span_seconds and
-// join request traces.
+// Training and traffic-code metrics (see the obs package doc for the full
+// naming scheme). Resolved once at init so the hot loops touch only atomics:
+// Train observes per-step phase durations, the traffic-code memo counts one
+// hit or miss per estimate that carries a speed matrix. The online
+// encode/estimate stages are obs spans (EstimateCtx), so they both feed
+// tte_span_seconds and join request traces.
 var (
 	embedPhaseHist    = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "embed_pretrain")
 	forwardPhaseHist  = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "forward")
@@ -16,6 +17,10 @@ var (
 	evalPhaseHist     = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "eval")
 	trainEpochGauge   = obs.Default().Gauge("tte_train_epoch")
 	trainSamplesTotal = obs.Default().Counter("tte_train_samples_total")
+
+	trafficCodeHits    = obs.Default().Counter("tte_core_traffic_code_total", "result", "hit")
+	trafficCodeMisses  = obs.Default().Counter("tte_core_traffic_code_total", "result", "miss")
+	trafficCodeEntries = obs.Default().Gauge("tte_core_traffic_code_entries")
 )
 
 func init() {
@@ -23,5 +28,7 @@ func init() {
 	r.Help("tte_train_phase_seconds", "Offline training phase durations: embed_pretrain (once), forward/backward (per optimizer step), eval (per validation pass).")
 	r.Help("tte_train_epoch", "Current training epoch (last value wins across runs).")
 	r.Help("tte_train_samples_total", "Cumulative training samples consumed by optimizer steps.")
+	r.Help("tte_core_traffic_code_total", "Traffic-code lookups by the eval paths: hit (memoised code copied) or miss (traffic CNN ran).")
+	r.Help("tte_core_traffic_code_entries", "Speed matrices in the traffic-code memo of the model that last changed it (last value wins across models).")
 	r.Help(obs.SpanFamily, "Pipeline stage durations: decode, match, encode, estimate and mapmatch.* sub-stages.")
 }

@@ -1,0 +1,169 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+
+	"deepod/internal/citysim"
+	"deepod/internal/nn"
+	"deepod/internal/traj"
+)
+
+// The traffic code Dtraf = ReLU(extProj(GAP(conv3(conv2(conv1(grid/16))))))
+// of §4.5 is a pure function of (weights, speed matrix), and the matrix is
+// refreshed only every Δt = 5 min (or once per traffic-store snapshot), so
+// every request of a period feeds the CNN the same input. externalZ8Row —
+// the one entry both eval paths use (encodeExternal on an eval tape, the
+// fused and f32 batch paths row by row) — therefore memoises the code per
+// matrix on the model. A hit copies the very floats a miss computed, so
+// every path stays Float64bits-identical with or without the memo. Training
+// tapes never consult it: they need the CNN on the tape for its gradients.
+
+// Memo bounds. The entry bound covers the 8064 five-minute periods of a
+// 28-day horizon twice over; the byte bound covers them at beijing-s
+// (18×16 cells, 19 MB of matrices the SpeedGridder holds anyway) while
+// capping what a large grid or a stream of dead live-merged matrices can
+// pin. When either is reached the memo drops everything — a refill costs
+// one CNN forward per live matrix, an LRU list would cost every hit.
+const (
+	trafficMemoMaxEntries = 1 << 14
+	// trafficMemoMaxBytes bounds the bytes the memo keeps alive: per entry
+	// the matrix its key pins plus the code.
+	trafficMemoMaxBytes = 32 << 20
+	// trafficMemoChunk is the number of codes per arena chunk: the slack is
+	// at most one chunk, with no append-doubling over the codes.
+	trafficMemoChunk = 64
+)
+
+// trafficKey identifies a speed matrix by the identity of its backing
+// array, the same data-pointer identity traffic.mergedEntry relies on
+// (traj.ExternalFeatures.SpeedGrid is read-only once handed out). The
+// pointer keeps the array alive, so its address cannot be reused while the
+// entry lives. len(SpeedGrid) is rows*cols by checkExternal, so the shape
+// carries it.
+type trafficKey struct {
+	grid       *float64
+	rows, cols int32
+}
+
+// trafficMemo maps matrices to their codes: an index into a chunked arena
+// of Dtraf-wide codes. The zero value is an empty memo.
+type trafficMemo struct {
+	mu     sync.RWMutex
+	index  map[trafficKey]int32
+	chunks [][]float64
+	bytes  int
+}
+
+// load copies the code of k into dst, reporting whether it was there. It
+// takes the read lock only and allocates nothing.
+func (tm *trafficMemo) load(k trafficKey, dst []float64) bool {
+	tm.mu.RLock()
+	i, ok := tm.index[k]
+	if ok {
+		off := int(i) % trafficMemoChunk * len(dst)
+		copy(dst, tm.chunks[int(i)/trafficMemoChunk][off:off+len(dst)])
+	}
+	tm.mu.RUnlock()
+	return ok
+}
+
+// store records code under k unless a racing miss already did (both
+// computed the same floats). A full memo is dropped whole first.
+func (tm *trafficMemo) store(k trafficKey, code []float64) {
+	cost := 8 * (int(k.rows)*int(k.cols) + len(code)) // the pinned matrix plus the code
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	if _, ok := tm.index[k]; ok {
+		return
+	}
+	if len(tm.index) >= trafficMemoMaxEntries || tm.bytes+cost > trafficMemoMaxBytes {
+		tm.index, tm.chunks, tm.bytes = nil, nil, 0
+	}
+	if tm.index == nil {
+		tm.index = make(map[trafficKey]int32)
+	}
+	n := len(tm.index)
+	if n%trafficMemoChunk == 0 {
+		tm.chunks = append(tm.chunks, make([]float64, trafficMemoChunk*len(code)))
+	}
+	off := n % trafficMemoChunk * len(code)
+	copy(tm.chunks[n/trafficMemoChunk][off:off+len(code)], code)
+	tm.index[k] = int32(n)
+	tm.bytes += cost
+	trafficCodeEntries.Set(float64(n + 1))
+}
+
+// invalidate empties the memo; Train calls it after every optimizer step,
+// because the codes are a function of the weights the step just moved.
+func (tm *trafficMemo) invalidate() {
+	tm.mu.Lock()
+	if len(tm.index) > 0 {
+		tm.index, tm.chunks, tm.bytes = nil, nil, 0
+		trafficCodeEntries.Set(0)
+	}
+	tm.mu.Unlock()
+}
+
+// checkExternal is the one validation of an external-feature bundle,
+// shared by the training graph and the eval helper. It reports whether ext
+// carries a speed matrix; a bundle without one (weather only) encodes a
+// zero traffic code, like a nil bundle.
+func checkExternal(ext *traj.ExternalFeatures) bool {
+	if ext.Weather < 0 || ext.Weather >= citysim.WeatherTypes {
+		panic(fmt.Sprintf("core: ExternalFeatures.Weather %d out of range [0,%d)", ext.Weather, citysim.WeatherTypes))
+	}
+	if ext.GridRows < 0 || ext.GridCols < 0 || len(ext.SpeedGrid) != ext.GridRows*ext.GridCols {
+		panic(fmt.Sprintf("core: ExternalFeatures.SpeedGrid has %d cells, GridRows×GridCols is %d×%d",
+			len(ext.SpeedGrid), ext.GridRows, ext.GridCols))
+	}
+	return len(ext.SpeedGrid) > 0
+}
+
+// trafficCNN builds the traffic code of a checked, non-empty speed matrix
+// on tp: the training graph, and the miss branch of externalZ8Row.
+func (m *Model) trafficCNN(tp *nn.Tape, ext *traj.ExternalFeatures) *nn.Node {
+	grid := tp.Alloc(1, ext.GridRows, ext.GridCols)
+	for i, v := range ext.SpeedGrid {
+		grid.Data[i] = v / maxSpeedNorm
+	}
+	c1 := m.extConv1.Forward(tp, tp.Const(grid))
+	c2 := m.extConv2.Forward(tp, c1)
+	c3 := m.extConv3.Forward(tp, c2)
+	pooled := tp.GlobalAvgPool(c3)
+	return tp.ReLU(m.extProj.Forward(tp, pooled))
+}
+
+// externalZ8Row fills one Z⁸ row — [WeatherTypes one-hot | Dtraf traffic
+// code] — for inference. row arrives zeroed, which is exactly the
+// nil-External encoding. The code comes from the model's memo; a miss runs
+// the CNN on a pooled eval tape and records the result. Concurrent misses
+// on one fresh matrix may each run it — they compute identical floats, so
+// there is no single-flight. Safe for concurrent use.
+func (m *Model) externalZ8Row(ext *traj.ExternalFeatures, row []float64) {
+	if ext == nil {
+		return
+	}
+	hasGrid := checkExternal(ext)
+	row[ext.Weather] = 1
+	if !hasGrid {
+		return
+	}
+	code := row[citysim.WeatherTypes:]
+	k := trafficKey{grid: &ext.SpeedGrid[0], rows: int32(ext.GridRows), cols: int32(ext.GridCols)}
+	// A matrix the byte bound could never hold is computed every time (and
+	// is the only way a shape could overflow the key's int32s).
+	memoise := len(ext.SpeedGrid) <= trafficMemoMaxBytes/8-len(code)
+	if memoise && m.traf.load(k, code) {
+		trafficCodeHits.Inc()
+		return
+	}
+	tp := evalTapes.Get().(*nn.Tape)
+	tp.Reset()
+	copy(code, m.trafficCNN(tp, ext).Value.Data)
+	evalTapes.Put(tp)
+	trafficCodeMisses.Inc()
+	if memoise {
+		m.traf.store(k, code)
+	}
+}

@@ -1,0 +1,521 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"deepod/internal/citysim"
+	"deepod/internal/dataset"
+	"deepod/internal/metrics"
+	"deepod/internal/nn"
+	"deepod/internal/roadnet"
+	"deepod/internal/traj"
+)
+
+// referenceEstimate is the memo-less reference: the forward on a training
+// tape, which carries the traffic CNN itself and never touches the memo.
+func referenceEstimate(m *Model, od *traj.MatchedOD) float64 {
+	tp := nn.NewTape()
+	sec := m.estMLP.Forward(tp, m.encodeOD(tp, od)).Value.Data[0] * m.timeScale
+	if sec < 0 {
+		sec = 0
+	}
+	return sec
+}
+
+func wantBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d estimates, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: OD %d: %v (bits %x), reference %v (bits %x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// memoWorld is testWorld with every speed matrix blown up to 12×10 cells,
+// sharing preserved. testWorld's 5×5 matrices reach conv3 as one cell per
+// channel, which the channel norm maps to zero whatever the weights: the
+// traffic code would be all zeros and these tests would prove nothing.
+func memoWorld(t testing.TB, orders int) (*roadnet.Graph, []traj.TripRecord) {
+	t.Helper()
+	g, recs := testWorld(t, orders)
+	const rows, cols = 12, 10
+	big := map[*float64]*traj.ExternalFeatures{}
+	for i := range recs {
+		e := recs[i].Matched.External
+		if e == nil {
+			continue
+		}
+		b := big[&e.SpeedGrid[0]]
+		if b == nil {
+			b = &traj.ExternalFeatures{Weather: e.Weather, SpeedGrid: make([]float64, rows*cols), GridRows: rows, GridCols: cols}
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					src := e.SpeedGrid[r*e.GridRows/rows*e.GridCols+c*e.GridCols/cols]
+					b.SpeedGrid[r*cols+c] = src * (1 + float64((r*7+c*3)%5)/10)
+				}
+			}
+			big[&e.SpeedGrid[0]] = b
+		}
+		recs[i].Matched.External = b
+	}
+	return g, recs
+}
+
+// trainedTinyModel trains the tiny configuration for one epoch, so the
+// traffic CNN's weights are not their initial values.
+func trainedTinyModel(t testing.TB, orders int) (*Model, []traj.TripRecord) {
+	t.Helper()
+	g, recs := memoWorld(t, orders)
+	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig()
+	cfg.Epochs = 1
+	m, err := New(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Train(split.Train, split.Valid, TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return m, recs
+}
+
+// mixedODs returns the records' ODs with their External rewritten into a
+// mix a serving batch can hold: matrices shared by several ODs (four of the
+// world's periods), matrices of their own (a private copy, so another
+// identity with the same content), a weather-only bundle and nil.
+func mixedODs(t testing.TB, recs []traj.TripRecord) []traj.MatchedOD {
+	t.Helper()
+	var shared []*traj.ExternalFeatures
+	seen := map[*float64]bool{}
+	for i := range recs {
+		if e := recs[i].Matched.External; e != nil && !seen[&e.SpeedGrid[0]] && len(shared) < 4 {
+			seen[&e.SpeedGrid[0]] = true
+			shared = append(shared, e)
+		}
+	}
+	if len(shared) < 4 {
+		t.Fatalf("only %d distinct speed matrices in the test world", len(shared))
+	}
+	ods := make([]traj.MatchedOD, len(recs))
+	for i := range recs {
+		ods[i] = recs[i].Matched
+		switch i % 5 {
+		case 0, 1:
+			ods[i].External = shared[i%4]
+		case 2:
+			own := *shared[i%4]
+			own.SpeedGrid = append([]float64(nil), own.SpeedGrid...)
+			own.SpeedGrid[i%len(own.SpeedGrid)] += float64(i) / 8
+			ods[i].External = &own
+		case 3:
+			ods[i].External = &traj.ExternalFeatures{Weather: i % citysim.WeatherTypes}
+		case 4:
+			ods[i].External = nil
+		}
+	}
+	return ods
+}
+
+var memoBatchSizes = []int{1, 2, 7, 16, 33}
+
+// TestTrafficCodeHitMissReference pins the tentpole contract: on every eval
+// path an estimate computed on a memo miss, the same estimate served from a
+// hit, and the memo-less reference are Float64bits-equal, for batches that
+// mix shared, distinct, weather-only and nil External.
+func TestTrafficCodeHitMissReference(t *testing.T) {
+	m, recs := trainedTinyModel(t, 60)
+	ods := mixedODs(t, recs)
+	want := make([]float64, len(ods))
+	for i := range ods {
+		want[i] = referenceEstimate(m, &ods[i])
+	}
+
+	m.traf.invalidate()
+	hits, misses := trafficCodeHits.Value(), trafficCodeMisses.Value()
+	wantBits(t, "per-sample, cold memo", m.EstimateBatch(ods), want)
+	withGrid, distinct := 0, map[*float64]bool{}
+	for i := range ods {
+		if e := ods[i].External; e != nil && len(e.SpeedGrid) > 0 {
+			withGrid++
+			distinct[&e.SpeedGrid[0]] = true
+		}
+	}
+	if got := trafficCodeMisses.Value() - misses; got != uint64(len(distinct)) {
+		t.Fatalf("%d misses for %d distinct matrices", got, len(distinct))
+	}
+	if got := trafficCodeHits.Value() - hits; got != uint64(withGrid-len(distinct)) {
+		t.Fatalf("%d hits, want %d", got, withGrid-len(distinct))
+	}
+	if got := trafficCodeEntries.Value(); got != float64(len(distinct)) || len(m.traf.index) != len(distinct) {
+		t.Fatalf("entries gauge %v, index %d, want %d", got, len(m.traf.index), len(distinct))
+	}
+	nonZero := false
+	for _, chunk := range m.traf.chunks {
+		for _, v := range chunk {
+			nonZero = nonZero || v != 0
+		}
+	}
+	if !nonZero {
+		t.Fatal("every memoised code is all zeros; the test proves nothing")
+	}
+	misses = trafficCodeMisses.Value()
+	wantBits(t, "per-sample, warm memo", m.EstimateBatch(ods), want)
+	if got := trafficCodeMisses.Value() - misses; got != 0 {
+		t.Fatalf("%d misses on a warm memo", got)
+	}
+
+	for _, b := range memoBatchSizes {
+		for _, warm := range []bool{false, true} {
+			if !warm {
+				m.traf.invalidate()
+			}
+			what := fmt.Sprintf("fused B=%d warm=%v", b, warm)
+			wantBits(t, what, m.EstimateBatchFused(ods[:b]), want[:b])
+		}
+	}
+
+	// f32: the quantized head sits after the external encoder, so its
+	// memo-less reference is the same call with the memo emptied before
+	// every OD (a batch of one answers like the OD inside a batch).
+	if err := m.EnableF32(0); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want32 := make([]float64, len(ods))
+	for i := range ods {
+		m.traf.invalidate()
+		want32[i] = m.EstimateF32Ctx(ctx, &ods[i])
+	}
+	for _, b := range memoBatchSizes {
+		m.traf.invalidate()
+		wantBits(t, fmt.Sprintf("f32 B=%d cold", b), m.EstimateBatchF32Ctx(ctx, ods[:b]), want32[:b])
+		wantBits(t, fmt.Sprintf("f32 B=%d warm", b), m.EstimateBatchF32Ctx(ctx, ods[:b]), want32[:b])
+	}
+}
+
+// TestTrafficCodeInvalidatedByTrain: one optimizer step changes the code of
+// an unchanged matrix, and the memo must not outlive the step.
+func TestTrafficCodeInvalidatedByTrain(t *testing.T) {
+	g, recs := memoWorld(t, 60)
+	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(tinyConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := split.Valid[0].Matched.External
+	z8 := func() []float64 {
+		row := make([]float64, citysim.WeatherTypes+m.cfg.Dtraf)
+		m.externalZ8Row(ext, row)
+		return row
+	}
+	before := z8()
+	if len(m.traf.index) != 1 {
+		t.Fatalf("memo holds %d entries after one lookup", len(m.traf.index))
+	}
+	if _, err := m.Train(split.Train, split.Valid, TrainOptions{MaxSteps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	after := z8()
+	fresh := m.trafficCNN(nn.NewTape(), ext).Value.Data
+	changed := false
+	for i, v := range after[citysim.WeatherTypes:] {
+		if math.Float64bits(v) != math.Float64bits(fresh[i]) {
+			t.Fatalf("code[%d] after a Train step is %v, the step's weights give %v", i, v, fresh[i])
+		}
+		changed = changed || v != before[citysim.WeatherTypes+i]
+	}
+	if !changed {
+		t.Fatal("one Train step left the traffic code unchanged; the test proves nothing")
+	}
+}
+
+// TestTrafficCodeTrainCurveExact: every validation MAE a tiny Train reports
+// — evaluate() runs through the memo — equals the MAE of memo-less
+// reference estimates under the weights of that step, bit for bit, for one
+// and two workers. A memo that survived an optimizer step would serve the
+// previous step's codes here.
+func TestTrafficCodeTrainCurveExact(t *testing.T) {
+	g, recs := memoWorld(t, 80)
+	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := tinyConfig()
+		cfg.Epochs = 2
+		cfg.TrainWorkers = workers
+		m, err := New(cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actual := make([]float64, len(split.Valid))
+		for i := range split.Valid {
+			actual[i] = split.Valid[i].TravelSec
+		}
+		points := 0
+		stats, err := m.Train(split.Train, split.Valid, TrainOptions{EvalEvery: 1, Progress: func(_, step int, mae float64) {
+			points++
+			pred := make([]float64, len(split.Valid))
+			for i := range split.Valid {
+				pred[i] = referenceEstimate(m, &split.Valid[i].Matched)
+			}
+			if want := metrics.MAE(actual, pred); math.Float64bits(mae) != math.Float64bits(want) {
+				t.Errorf("workers=%d step %d: Train measured val MAE %v, memo-less reference %v", workers, step, mae, want)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if points != len(stats.Curve) || points < 3 {
+			t.Fatalf("workers=%d: %d curve points checked of %d", workers, points, len(stats.Curve))
+		}
+	}
+}
+
+// TestTrafficCodeConcurrent runs 64 goroutines over four shared matrices
+// against a cold memo (run under -race): racing misses store once, and
+// every answer equals the reference.
+func TestTrafficCodeConcurrent(t *testing.T) {
+	m, recs := trainedTinyModel(t, 60)
+	ods := mixedODs(t, recs)
+	var sharedODs []traj.MatchedOD
+	matrices := map[*float64]bool{}
+	for i := range ods {
+		if i%5 < 2 {
+			sharedODs = append(sharedODs, ods[i])
+			matrices[&ods[i].External.SpeedGrid[0]] = true
+		}
+	}
+	want := make([]float64, len(sharedODs))
+	for i := range sharedODs {
+		want[i] = referenceEstimate(m, &sharedODs[i])
+	}
+	m.traf.invalidate()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < 4; r++ {
+				var got []float64
+				if (g+r)%2 == 0 {
+					got = m.EstimateBatchFused(sharedODs)
+				} else {
+					got = m.EstimateBatch(sharedODs)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("goroutine %d round %d OD %d: %v, reference %v", g, r, i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if len(m.traf.index) != len(matrices) {
+		t.Fatalf("memo holds %d entries for %d shared matrices", len(m.traf.index), len(matrices))
+	}
+}
+
+// TestTrafficCodePerModel: two models given one matrix keep their own
+// codes — the memo is the model's, not the matrix's.
+func TestTrafficCodePerModel(t *testing.T) {
+	g, _ := testWorld(t, 20)
+	ext := gridOf(12, 10, 0)
+	codes := make([][]float64, 2)
+	for i := range codes {
+		cfg := tinyConfig()
+		cfg.Seed += int64(i)
+		m, err := New(cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ { // miss, then hit
+			row := make([]float64, citysim.WeatherTypes+cfg.Dtraf)
+			m.externalZ8Row(ext, row)
+			codes[i] = row[citysim.WeatherTypes:]
+			for k, v := range m.trafficCNN(nn.NewTape(), ext).Value.Data {
+				if math.Float64bits(v) != math.Float64bits(codes[i][k]) {
+					t.Fatalf("model %d pass %d: code[%d] = %v, its own CNN gives %v", i, pass, k, codes[i][k], v)
+				}
+			}
+		}
+		if len(m.traf.index) != 1 {
+			t.Fatalf("model %d holds %d entries", i, len(m.traf.index))
+		}
+	}
+	same := true
+	for k := range codes[0] {
+		same = same && codes[0][k] == codes[1][k]
+	}
+	if same {
+		t.Fatal("two differently seeded models produced the same code; the test proves nothing")
+	}
+}
+
+// gridOf returns a fresh rows×cols matrix, distinct in identity and content.
+func gridOf(rows, cols, salt int) *traj.ExternalFeatures {
+	g := make([]float64, rows*cols)
+	for i := range g {
+		g[i] = float64((i+salt)%13) + 1
+	}
+	return &traj.ExternalFeatures{SpeedGrid: g, GridRows: rows, GridCols: cols}
+}
+
+// TestTrafficCodeBounds: more distinct matrices than either constant allows
+// never push the entry count or the retained bytes past it, and what a
+// drop-all let go of becomes collectable.
+func TestTrafficCodeBounds(t *testing.T) {
+	g, _ := testWorld(t, 20)
+	m, err := New(tinyConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, citysim.WeatherTypes+m.cfg.Dtraf)
+	check := func() {
+		t.Helper()
+		if n := len(m.traf.index); n > trafficMemoMaxEntries || m.traf.bytes > trafficMemoMaxBytes {
+			t.Fatalf("memo holds %d entries (bound %d), %d bytes (bound %d)",
+				n, trafficMemoMaxEntries, m.traf.bytes, trafficMemoMaxBytes)
+		}
+	}
+
+	// The entry bound, with matrices too small for the byte bound to act.
+	for i := 0; i < trafficMemoMaxEntries+10; i++ {
+		m.externalZ8Row(gridOf(2, 2, i), row)
+		check()
+	}
+	if n := len(m.traf.index); n != 10 {
+		t.Fatalf("%d entries after overrunning the entry bound by 10, want a dropped memo refilled to 10", n)
+	}
+	if want := 10 * 8 * (4 + m.cfg.Dtraf); m.traf.bytes != want {
+		t.Fatalf("retained bytes %d, want %d", m.traf.bytes, want)
+	}
+
+	// The byte bound, with 1 MiB matrices; finalizers watch them go.
+	m.traf.invalidate()
+	const big = 34
+	freed := make(chan struct{}, big)
+	for i := 0; i < big; i++ {
+		ext := gridOf(256, 512, i)
+		runtime.SetFinalizer(&ext.SpeedGrid[0], func(*float64) { freed <- struct{}{} })
+		m.externalZ8Row(ext, row)
+		check()
+	}
+	if n := len(m.traf.index); n >= big || n == 0 {
+		t.Fatalf("%d of %d 1 MiB matrices retained under a %d MiB bound", n, big, trafficMemoMaxBytes>>20)
+	}
+	dropped := big - len(m.traf.index)
+	deadline := time.After(30 * time.Second)
+	for n := 0; n < dropped; {
+		runtime.GC()
+		select {
+		case <-freed:
+			n++
+		case <-deadline:
+			t.Fatalf("%d of %d dropped matrices collected", n, dropped)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	select {
+	case <-freed:
+		t.Fatal("a matrix the memo still holds was collected")
+	default:
+	}
+	runtime.KeepAlive(m)
+
+	// A matrix the byte bound could never hold is computed, not stored.
+	if testing.Short() {
+		return
+	}
+	entries, retained := len(m.traf.index), m.traf.bytes
+	huge := gridOf(2048, 2049, 0)
+	m.externalZ8Row(huge, row)
+	if len(m.traf.index) != entries || m.traf.bytes != retained {
+		t.Fatalf("a %d-byte matrix was memoised", 8*len(huge.SpeedGrid))
+	}
+}
+
+// TestExternalValidation covers the one shared validation on the three
+// paths that reach it (eval tape, fused rows, training tape): a bundle
+// whose SpeedGrid disagrees with its shape, or whose weather is out of
+// range, panics with a message naming the field and the sizes; nil and
+// weather-only bundles encode a zero traffic code.
+func TestExternalValidation(t *testing.T) {
+	g, recs := testWorld(t, 20)
+	m, err := New(tinyConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	od := recs[0].Matched
+	paths := map[string]func(){
+		"eval":  func() { m.Estimate(&od) },
+		"fused": func() { m.EstimateBatchFused([]traj.MatchedOD{od, od}) },
+		"train": func() { referenceEstimate(m, &od) },
+	}
+	bad := map[string]struct {
+		ext  traj.ExternalFeatures
+		want []string
+	}{
+		"long grid":    {traj.ExternalFeatures{SpeedGrid: make([]float64, 13), GridRows: 3, GridCols: 4}, []string{"ExternalFeatures.SpeedGrid", "13 cells", "3×4"}},
+		"short grid":   {traj.ExternalFeatures{SpeedGrid: make([]float64, 11), GridRows: 3, GridCols: 4}, []string{"ExternalFeatures.SpeedGrid", "11 cells", "3×4"}},
+		"no grid":      {traj.ExternalFeatures{GridRows: 3, GridCols: 4}, []string{"ExternalFeatures.SpeedGrid", "0 cells", "3×4"}},
+		"negative dim": {traj.ExternalFeatures{SpeedGrid: make([]float64, 12), GridRows: -3, GridCols: -4}, []string{"ExternalFeatures.SpeedGrid", "-3×-4"}},
+		"weather":      {traj.ExternalFeatures{Weather: citysim.WeatherTypes}, []string{"ExternalFeatures.Weather", fmt.Sprint(citysim.WeatherTypes)}},
+	}
+	for name, tc := range bad {
+		for path, run := range paths {
+			ext := tc.ext
+			od.External = &ext
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					for _, w := range tc.want {
+						if !strings.Contains(msg, w) {
+							t.Errorf("%s on the %s path: panic %q does not mention %q", name, path, msg, w)
+						}
+					}
+				}()
+				run()
+			}()
+		}
+	}
+
+	row := make([]float64, citysim.WeatherTypes+m.cfg.Dtraf)
+	m.externalZ8Row(nil, row)
+	for i := range row {
+		if row[i] != 0 {
+			t.Fatalf("nil External: z8[%d] = %v", i, row[i])
+		}
+	}
+	m.externalZ8Row(&traj.ExternalFeatures{Weather: 3}, row)
+	for i := range row {
+		if (i == 3 && row[i] != 1) || (i != 3 && row[i] != 0) {
+			t.Fatalf("weather-only External: z8[%d] = %v", i, row[i])
+		}
+	}
+	if len(m.traf.index) != 0 {
+		t.Fatalf("bundles without a matrix left %d memo entries", len(m.traf.index))
+	}
+}

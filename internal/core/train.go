@@ -178,6 +178,7 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 				nn.ClipGradNorm(m.ps, m.cfg.ClipNorm)
 			}
 			opt.Step(m.ps)
+			m.traf.invalidate() // evaluate() must see this step's weights
 			step++
 			if opts.EvalEvery > 0 && step%opts.EvalEvery == 0 {
 				record(epoch, step)

@@ -174,6 +174,14 @@ type ODInput struct {
 // weather type (index into N_wea one-hot categories) and the current
 // traffic condition as a grid speed matrix (row-major Rows×Cols, m/s; 0 for
 // cells with no observations).
+//
+// SpeedGrid is read-only once the bundle has been handed to a consumer, and
+// len(SpeedGrid) must be GridRows*GridCols (or 0: no traffic condition).
+// Producers share one slice among every request of a period
+// (citysim.SpeedGridder) or snapshot (traffic.FeatureSource), and consumers
+// key caches on the identity of its backing array (&SpeedGrid[0]): the
+// traffic-code memo in internal/core, the merge cache in internal/traffic.
+// New traffic means a new slice, never a write into one already published.
 type ExternalFeatures struct {
 	Weather   int
 	SpeedGrid []float64

@@ -23,8 +23,8 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/prof/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/...
-go test -race -run 'ConcurrentSafe|Trace|Parallel' ./internal/core/
+go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/prof/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
+go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation' ./internal/core/
 go test -race -run 'Parallel' ./internal/embed/
 
 echo "== tracebench gate (disabled-tracing span overhead)"
@@ -45,8 +45,9 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer + internal/obs spans)"
+echo "== bench smoke (internal/infer + internal/obs spans + internal/core estimates: traffic-code memo hit/miss, fused)"
 go test -run '^$' -bench=. -benchtime=200ms ./internal/infer/
+go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms ./internal/core/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
 
 echo "== servebench batch sweep (uncached QPS vs MaxBatch, fused vs matvec; gate CPU-aware)"
