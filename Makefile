@@ -23,7 +23,7 @@ bench:
 	go test -run '^$$' -bench=. ./internal/infer/
 
 tracebench:
-	go test -run 'TestUntracedSpanOverhead' -v ./internal/obs/
+	go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' -v ./internal/obs/
 	go test -run '^$$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' ./internal/obs/
 
 qualitybench:

@@ -172,3 +172,22 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 		t.Fatal("invalid config accepted by TrainWithStats")
 	}
 }
+
+// TestMatchODAllocs: the request path's matching allocates its two
+// mapmatch.point spans and nothing else — no candidate slice, no dedup map,
+// no sort closure, no label strings.
+func TestMatchODAllocs(t *testing.T) {
+	c := testCity(t)
+	matcher, err := NewMatcher(c.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	od := c.Split.Test[0].OD
+	if a := testing.AllocsPerRun(200, func() {
+		if _, err := MatchOD(matcher, od); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 2 {
+		t.Fatalf("MatchOD allocates %v times per call, want <= 2", a)
+	}
+}

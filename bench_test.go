@@ -8,6 +8,7 @@ package deepod
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -355,6 +356,35 @@ func BenchmarkExtRouteComparison(b *testing.B) {
 		}
 		if i == 0 {
 			b.Log("\n" + res.String())
+		}
+	}
+}
+
+// BenchmarkMatchOD is the request path's map matching — both endpoints of
+// one OD through MatchOD — on the repo benchmark's city.
+func BenchmarkMatchOD(b *testing.B) {
+	city, err := BuildCity("beijing-s", CityOptions{Orders: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMatcher(city.Graph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bounds := city.Graph.Bounds()
+	rng := rand.New(rand.NewSource(1))
+	pt := func() Point {
+		return Point{X: bounds.Min.X + rng.Float64()*bounds.Width(), Y: bounds.Min.Y + rng.Float64()*bounds.Height()}
+	}
+	ods := make([]ODInput, 2048)
+	for i := range ods {
+		ods[i] = ODInput{Origin: pt(), Dest: pt(), DepartSec: 36000}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MatchOD(m, ods[i%len(ods)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -247,7 +247,10 @@ type serveDetail struct {
 }
 
 type job struct {
-	od       traj.ODInput
+	od traj.ODInput
+	// key holds the cache cells and slot, computed once in do (zero with
+	// caching off); finish files the answer under it at the worker's epoch.
+	key      cacheKey
 	enqueued time.Time
 	// ctx is the requesting caller's context; it carries the trace so the
 	// worker's batch/match/model spans join the request's tree.
@@ -591,8 +594,9 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 	e.requests.Inc()
 	inst := e.cur.Load()
 	d.gen = inst.gen
+	var key cacheKey
 	if e.cache != nil {
-		key := e.keyOf(od)
+		key = e.keyOf(od)
 		d.epoch = key.epoch
 		_, cspan := e.reg.StartSpan(ctx, "infer.cache")
 		sec, ok := e.cache.get(key, inst.gen, e.now())
@@ -608,7 +612,7 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 
 	_, qspan := e.reg.StartSpan(ctx, "infer.queue")
 	qspan.SetInt("queue_depth", len(e.queue))
-	j := &job{od: od, enqueued: e.now(), ctx: ctx, qspan: qspan, done: make(chan outcome, 1)}
+	j := &job{od: od, key: key, enqueued: e.now(), ctx: ctx, qspan: qspan, done: make(chan outcome, 1)}
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
@@ -798,8 +802,12 @@ func (e *Engine) worker() {
 func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) {
 	if e.cache != nil {
 		// Tagged with the batch's generation: if a Swap landed mid-batch
-		// this entry is already stale and will never be served.
-		e.cache.put(e.keyOf(p.j.od), sec, inst.gen, e.now())
+		// this entry is already stale and will never be served. Filed under
+		// the epoch read beside the features, so a regime shift during the
+		// forward cannot put an old-features answer under the new epoch.
+		key := p.j.key
+		key.epoch = p.epoch
+		e.cache.put(key, sec, inst.gen, e.now())
 	}
 	p.bspan.End()
 	p.j.done <- outcome{sec: sec, snapID: inst.snap.ID, predID: e.stamp(p.j.od, sec, inst),

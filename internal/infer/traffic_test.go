@@ -123,6 +123,47 @@ func TestTrafficEpochInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestTrafficEpochShiftDuringForward: an answer is filed in the cache under
+// the epoch the worker read beside the features, not under whatever the
+// epoch is once the forward returns. Here the regime shifts inside Estimate;
+// the old-features answer must not be served to the next request, which
+// arrives under the new epoch.
+func TestTrafficEpochShiftDuringForward(t *testing.T) {
+	src := &stubTraffic{}
+	src.speed.Store(math.Float64bits(10))
+	var shifted atomic.Bool
+	snap := &Snapshot{ID: "live", Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
+		if shifted.CompareAndSwap(false, true) {
+			src.epoch.Add(1)
+			src.speed.Store(math.Float64bits(4))
+		}
+		return m.External.SpeedGrid[0]
+	}}
+	cfg := testConfig(t, snap)
+	cfg.Traffic = src
+	e := newTestEngine(t, cfg)
+
+	in := od(1, 1, 5, 5, 600)
+	r1, err := e.Do(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Cached || r1.Seconds != 10 {
+		t.Fatalf("first estimate = %+v, want 10 computed from the pre-shift features", r1)
+	}
+	r2, err := e.Do(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Cached || r2.Seconds != 4 {
+		t.Fatalf("post-shift request = %+v, want a fresh 4: the pre-shift answer was filed under the new epoch", r2)
+	}
+	// The pre-shift answer sits under epoch 0 and the fresh one under epoch 1.
+	if r3, err := e.Do(context.Background(), in); err != nil || !r3.Cached || r3.Seconds != 4 {
+		t.Fatalf("third request = %+v, %v, want the cached 4", r3, err)
+	}
+}
+
 func TestTrafficVersionReporting(t *testing.T) {
 	e := newTestEngine(t, testConfig(t, constSnapshot("m1", 42)))
 	if v := e.Version(); v["traffic"] != "disabled" {

@@ -1,6 +1,8 @@
 package mapmatch
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,21 +41,33 @@ func TestMatchPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A point exactly on an edge must match that edge (or its twin) with
-	// the right fraction.
-	target := roadnet.EdgeID(5)
-	p := g.PointAlongEdge(target, 0.3)
-	e, frac, err := m.MatchPoint(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := g.EdgePoints(e)
-	_, _, d := geo.ProjectOnSegment(p, a, b)
-	if d > 1 {
-		t.Fatalf("matched edge %d is %v m from the query point", e, d)
-	}
-	if frac < 0 || frac > 1 {
-		t.Fatalf("fraction out of range: %v", frac)
+	// A point exactly on an edge must match the twin the tie rule names: of
+	// the edge and its reverse at exactly equal distance, the lower-numbered
+	// one (roadnet.EdgeIndex.NearestEdge), with the fraction along that twin.
+	for _, target := range []roadnet.EdgeID{5, 6, 40, 41} {
+		p := g.PointAlongEdge(target, 0.3)
+		e, frac, err := m.MatchPoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantFrac := target, 0.3
+		a, b := g.EdgePoints(target)
+		_, _, dt := geo.ProjectOnSegment(p, a, b)
+		for _, tw := range g.Out(g.Edges[target].To) {
+			if g.Edges[tw].To != g.Edges[target].From {
+				continue
+			}
+			_, _, dtw := geo.ProjectOnSegment(p, b, a)
+			if dtw < dt || (dtw == dt && tw < target) {
+				want, wantFrac = tw, 0.7
+			}
+		}
+		if e != want {
+			t.Fatalf("point on edge %d matched edge %d, want %d", target, e, want)
+		}
+		if math.Abs(frac-wantFrac) > 1e-9 {
+			t.Fatalf("point on edge %d matched at fraction %v of edge %d, want %v", target, frac, e, wantFrac)
+		}
 	}
 }
 
@@ -162,5 +176,47 @@ func TestMatchRejectsBadInput(t *testing.T) {
 	}
 	if _, err := m.Match(&traj.Raw{Points: []traj.GPSPoint{{T: 5}, {T: 0}}}); err == nil {
 		t.Fatal("time-reversed trajectory accepted")
+	}
+}
+
+// TestMatchGolden pins Matcher.Match — the Viterbi path over
+// EdgeIndex.Nearest(p, 6) that produces the training trajectories — to a
+// hash recorded before OD endpoint matching moved off Nearest(p, 1): the
+// endpoint tie rule must not reach the training data.
+func TestMatchGolden(t *testing.T) {
+	g := testGraph(t)
+	m, err := New(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	last := roadnet.VertexID(g.NumVertices() - 1)
+	for i, od := range [][2]roadnet.VertexID{{0, last}, {3, last - 3}, {last / 2, 1}, {last - 1, 7}} {
+		p, err := roadnet.ShortestPath(g, od[0], od[1], 0, roadnet.FreeFlowCost(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := driveRoute(g, p.Edges, 8, rand.New(rand.NewSource(int64(100+i))))
+		got, err := m.Match(&raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(uint64(len(got.Path)))
+		for _, s := range got.Path {
+			put(uint64(s.Edge))
+			put(math.Float64bits(s.Enter))
+			put(math.Float64bits(s.Exit))
+		}
+		put(math.Float64bits(got.RStart))
+		put(math.Float64bits(got.REnd))
+	}
+	const want uint64 = 0xcecc2a813315806e // recorded at the parent of this test
+	if got := h.Sum64(); got != want {
+		t.Fatalf("Match golden hash = %#x, want %#x: the Viterbi matcher's output changed", got, want)
 	}
 }

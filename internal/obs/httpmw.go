@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -59,6 +58,9 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 	reg.Help("tte_http_in_flight", "HTTP requests currently being served.")
 	latency := reg.Histogram("tte_http_request_seconds", DefBuckets, "route", route)
 	inFlight := reg.Gauge("tte_http_in_flight")
+	// One requests_total counter per status class, resolved when the class
+	// first occurs on this route, so a class that never did is not exported.
+	var byClass [len(statusClasses)]atomic.Pointer[Counter]
 	var accessN atomic.Uint64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -91,7 +93,13 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 			latency.recordExemplar(d.Seconds(), tr.id)
 		}
 		code := sw.Status()
-		reg.Counter("tte_http_requests_total", "route", route, "code", statusClass(code)).Inc()
+		ci := statusClass(code)
+		requests := byClass[ci].Load()
+		if requests == nil {
+			requests = reg.Counter("tte_http_requests_total", "route", route, "code", statusClasses[ci])
+			byClass[ci].Store(requests)
+		}
+		requests.Inc()
 		if root != nil {
 			root.SetInt("status", code)
 			root.SetInt("bytes", int(sw.bytes))
@@ -166,10 +174,14 @@ func (w *statusWriter) Status() int {
 	return w.status
 }
 
-// statusClass maps 204 -> "2xx", 404 -> "4xx", etc.
-func statusClass(code int) string {
+// statusClasses are the values of tte_http_requests_total's code label.
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx", "other"}
+
+// statusClass maps a status code to its index in statusClasses:
+// 204 -> "2xx", 404 -> "4xx", anything outside 100..599 -> "other".
+func statusClass(code int) int {
 	if code < 100 || code > 599 {
-		return "other"
+		return len(statusClasses) - 1
 	}
-	return strconv.Itoa(code/100) + "xx"
+	return code/100 - 1
 }

@@ -10,9 +10,9 @@
 // Everything is safe for concurrent use. Metric mutation is lock-free
 // (atomics); metric creation takes a registry lock once per (name, labels)
 // identity, so hot paths should hold on to the returned *Counter /
-// *Gauge / *Histogram rather than re-resolving them per event — though
-// re-resolving is only a read-locked map lookup and is fine for
-// request-rate paths.
+// *Gauge / *Histogram rather than re-resolving them per event: re-resolving
+// takes only read locks, but sorts and joins the label list every time.
+// StartSpan and the HTTP middleware keep their handles for that reason.
 //
 // Spans serve two layers at once: every End records into the aggregate
 // tte_span_seconds{span} histogram exactly as before, and when the context
@@ -58,6 +58,10 @@ const SpanFamily = "tte_span_seconds"
 
 type spanCtxKey struct{}
 
+// clockBase is what span starts are measured from: time.Since on a fixed
+// base is one monotonic clock read, time.Now reads the wall clock as well.
+var clockBase = time.Now()
+
 // Span measures one timed stage of a pipeline. A Span is started with
 // StartSpan and finished exactly once with End; End records the duration
 // into the registry histogram tte_span_seconds{span="<name>"} and, if a
@@ -69,9 +73,14 @@ type spanCtxKey struct{}
 // no-ops, so the same instrumentation runs on every request at negligible
 // cost and only traced requests pay for attribute storage.
 type Span struct {
+	// Context is the context the span was started under. The span is itself
+	// the context StartSpan returns (see Value), so starting one allocates
+	// the span and nothing else.
+	context.Context
+
 	name   string
 	parent string
-	start  time.Time
+	start  time.Duration // since clockBase
 	hist   *Histogram
 	done   atomic.Bool
 
@@ -88,19 +97,28 @@ type Span struct {
 	errMsg string
 }
 
+// Value makes the span the innermost span of every context derived from it.
+func (s *Span) Value(key any) any {
+	if key == (spanCtxKey{}) {
+		return s
+	}
+	return s.Context.Value(key)
+}
+
 // StartSpan begins a named span recording into reg's tte_span_seconds
 // family. The returned context carries the span so nested StartSpan calls
 // link to their parent, and — when ctx carries a Trace — the span joins
 // the trace's tree.
 func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	s := &Span{
-		name:      name,
-		start:     time.Now(),
-		hist:      r.Histogram(SpanFamily, DefBuckets, "span", name),
-		parentIdx: -1,
-	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	s := &Span{
+		Context:   ctx,
+		name:      name,
+		start:     time.Since(clockBase),
+		hist:      r.spanHist(name),
+		parentIdx: -1,
 	}
 	p, _ := ctx.Value(spanCtxKey{}).(*Span)
 	if p != nil {
@@ -109,7 +127,19 @@ func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context,
 	if t := TraceFrom(ctx); t != nil {
 		t.register(s, p)
 	}
-	return context.WithValue(ctx, spanCtxKey{}, s), s
+	return s, s
+}
+
+// spanHist resolves a span name to its tte_span_seconds{span=name} histogram
+// once per registry; after that a span costs one lock-free map load instead
+// of a label sort/join and three registry locks.
+func (r *Registry) spanHist(name string) *Histogram {
+	if h, ok := r.spanHists.Load(name); ok {
+		return h.(*Histogram)
+	}
+	h := r.Histogram(SpanFamily, DefBuckets, "span", name)
+	r.spanHists.Store(name, h)
+	return h
 }
 
 // StartSpan is Registry.StartSpan on the default registry.
@@ -123,7 +153,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // is fine (the infer queue span is ended by the worker that picks the job
 // up).
 func (s *Span) End() time.Duration {
-	d := time.Since(s.start)
+	d := time.Since(clockBase) - s.start
 	if !s.done.CompareAndSwap(false, true) {
 		return d
 	}
@@ -159,17 +189,25 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
+// setTyped is SetAttr for the typed setters: it asks whether the span is
+// traced before v is boxed, so an untraced span allocates nothing here.
+func setTyped[T any](s *Span, key string, v T) {
+	if s != nil && s.trace != nil {
+		s.SetAttr(key, v)
+	}
+}
+
 // SetInt attaches an integer attribute (batch size, queue depth, status).
-func (s *Span) SetInt(key string, v int) { s.SetAttr(key, v) }
+func (s *Span) SetInt(key string, v int) { setTyped(s, key, v) }
 
 // SetFloat attaches a float attribute (queue wait ms, cache age).
-func (s *Span) SetFloat(key string, v float64) { s.SetAttr(key, v) }
+func (s *Span) SetFloat(key string, v float64) { setTyped(s, key, v) }
 
 // SetBool attaches a boolean attribute (cache hit).
-func (s *Span) SetBool(key string, v bool) { s.SetAttr(key, v) }
+func (s *Span) SetBool(key string, v bool) { setTyped(s, key, v) }
 
 // SetStr attaches a string attribute (shed reason, checkpoint hash).
-func (s *Span) SetStr(key, v string) { s.SetAttr(key, v) }
+func (s *Span) SetStr(key, v string) { setTyped(s, key, v) }
 
 // Fail records err on the span and flags the whole trace as errored so
 // tail sampling always retains it. No-op for nil errors or untraced spans.

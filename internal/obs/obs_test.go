@@ -2,10 +2,12 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -234,5 +236,67 @@ func TestInstrumentMiddleware(t *testing.T) {
 	}
 	if len(lines) != 3 {
 		t.Fatalf("request log lines = %d", len(lines))
+	}
+}
+
+// TestMiddlewareStatusClasses: each class's counter is resolved when the
+// class first occurs, so the counts are right for every class and a class
+// that never occurred is not in /metrics.
+func TestMiddlewareStatusClasses(t *testing.T) {
+	r := NewRegistry()
+	h := Instrument(r, "/x", nil, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		code, _ := strconv.Atoi(req.URL.Query().Get("code"))
+		w.WriteHeader(code)
+	}))
+	for _, code := range []int{200, 204, 404, 503, 200, 700, 429} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", fmt.Sprintf("/x?code=%d", code), nil))
+	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for class, want := range map[string]int{"2xx": 3, "4xx": 2, "5xx": 1, "other": 1} {
+		line := fmt.Sprintf(`tte_http_requests_total{code=%q,route="/x"} %d`, class, want)
+		if !strings.Contains(body, line) {
+			t.Errorf("/metrics lacks %s\n%s", line, body)
+		}
+	}
+	for _, class := range []string{"1xx", "3xx"} {
+		if strings.Contains(body, fmt.Sprintf("code=%q", class)) {
+			t.Errorf("/metrics lists class %s, which never occurred\n%s", class, body)
+		}
+	}
+}
+
+// TestSpanIsItsContext: the context StartSpan returns is the span. It must
+// still behave as a child of the context it was started under — values,
+// deadline and cancellation — and answer nested StartSpan calls as parent.
+func TestSpanIsItsContext(t *testing.T) {
+	r := NewRegistry()
+	type key struct{}
+	deadline := time.Now().Add(time.Hour)
+	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, 42), deadline)
+	sctx, s := r.StartSpan(parent, "outer")
+	defer s.End()
+	if sctx.Value(key{}) != 42 {
+		t.Fatal("span context lost its parent's value")
+	}
+	if d, ok := sctx.Deadline(); !ok || !d.Equal(deadline) {
+		t.Fatalf("span context deadline = %v, %v", d, ok)
+	}
+	child, stop := context.WithCancel(sctx)
+	defer stop()
+	_, inner := r.StartSpan(child, "inner")
+	inner.End()
+	if inner.parent != "outer" {
+		t.Fatalf("nested span's parent = %q, want outer", inner.parent)
+	}
+	cancel()
+	select {
+	case <-child.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelling the parent did not reach a context derived from the span")
+	}
+	if sctx.Err() != context.Canceled {
+		t.Fatalf("span context Err = %v", sctx.Err())
 	}
 }

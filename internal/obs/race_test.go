@@ -171,3 +171,55 @@ func TestConcurrentTracing(t *testing.T) {
 		t.Fatal("no error traces retained")
 	}
 }
+
+// TestSpanHandleCacheConcurrent races the span-name -> histogram cache the
+// way a cold server does: 64 goroutines starting spans under one shared name
+// and under names nobody has used yet, on one registry. Every span must land
+// in the family's own child — the one Registry.Histogram resolves — exactly
+// once, and a second registry must get its own handles. Run with -race.
+func TestSpanHandleCacheConcurrent(t *testing.T) {
+	r, other := NewRegistry(), NewRegistry()
+	const (
+		workers = 64
+		iters   = 200
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				_, s := r.StartSpan(context.Background(), "shared")
+				s.End()
+				// A name per (worker pair, iteration): two goroutines race
+				// to create each one.
+				_, s = r.StartSpan(context.Background(), fmt.Sprintf("new-%d-%d", w/2, i))
+				s.End()
+			}
+			_, s := other.StartSpan(context.Background(), "shared")
+			s.End()
+		}(w)
+	}
+	wg.Wait()
+
+	if got := r.Histogram(SpanFamily, DefBuckets, "span", "shared").Count(); got != workers*iters {
+		t.Fatalf("shared span observations = %d, want %d", got, workers*iters)
+	}
+	for w := 0; w < workers/2; w++ {
+		for i := 0; i < iters; i++ {
+			name := fmt.Sprintf("new-%d-%d", w, i)
+			if got := r.Histogram(SpanFamily, DefBuckets, "span", name).Count(); got != 2 {
+				t.Fatalf("span %s observations = %d, want 2", name, got)
+			}
+		}
+	}
+	if got := other.Histogram(SpanFamily, DefBuckets, "span", "shared").Count(); got != workers {
+		t.Fatalf("second registry's shared span observations = %d, want %d", got, workers)
+	}
+	if r.spanHist("shared") == other.spanHist("shared") {
+		t.Fatal("two registries share a span histogram handle")
+	}
+	if r.spanHist("shared") != r.Histogram(SpanFamily, DefBuckets, "span", "shared") {
+		t.Fatal("cached span handle is not the family's child")
+	}
+}

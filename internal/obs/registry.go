@@ -16,6 +16,9 @@ import (
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+
+	// spanHists caches span name -> *Histogram for StartSpan (see spanHist).
+	spanHists sync.Map
 }
 
 type family struct {
@@ -77,12 +80,17 @@ func (r *Registry) family(name, kind string, _ []string) *family {
 		r.mu.Unlock()
 	}
 	if kind != "" {
-		f.mu.Lock()
-		if f.kind == "" {
-			f.kind = kind
-		}
+		f.mu.RLock()
 		k := f.kind
-		f.mu.Unlock()
+		f.mu.RUnlock()
+		if k == "" { // first metric of a family Help created: settle its kind
+			f.mu.Lock()
+			if f.kind == "" {
+				f.kind = kind
+			}
+			k = f.kind
+			f.mu.Unlock()
+		}
 		if k != kind {
 			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, k, kind))
 		}

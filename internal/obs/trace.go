@@ -168,12 +168,13 @@ func (t *Trace) snapshot(d time.Duration, reason string) *TraceRecord {
 		SpansDropped: dropped,
 		Spans:        make([]SpanRecord, len(spans)),
 	}
+	base := t.start.Sub(clockBase)
 	for i, s := range spans {
 		s.mu.Lock()
 		sr := SpanRecord{
 			Name:       s.name,
 			Parent:     s.parentIdx,
-			StartUS:    s.start.Sub(t.start).Microseconds(),
+			StartUS:    (s.start - base).Microseconds(),
 			DurationUS: s.dur.Microseconds(),
 			Error:      s.errMsg,
 		}

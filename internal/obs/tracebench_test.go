@@ -90,3 +90,29 @@ func TestUntracedSpanOverhead(t *testing.T) {
 	}
 	t.Logf("disabled-tracing overhead: %v per span", best)
 }
+
+// TestUntracedSpanAllocs bounds the whole untraced span — StartSpan, the
+// attribute setters, End — by what it allocates: the Span, which is also the
+// context it returns, and nothing else (no label strings, no context node,
+// no boxed attribute values). A count repeats on any machine; the
+// nanoseconds of BenchmarkSpanUntraced do not.
+func TestUntracedSpanAllocs(t *testing.T) {
+	reg := NewRegistry()
+	type reqKey struct{}
+	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), reqKey{}, "request"))
+	defer cancel()
+	outer, root := reg.StartSpan(ctx, "gate.outer")
+	defer root.End()
+	for name, c := range map[string]context.Context{"background": context.Background(), "request": ctx, "nested": outer} {
+		if a := testing.AllocsPerRun(1000, func() {
+			_, s := reg.StartSpan(c, "gate")
+			s.SetInt("batch", 4096)
+			s.SetFloat("wait_ms", 1.5)
+			s.SetBool("hit", false)
+			s.SetStr("snapshot", name)
+			s.End()
+		}); a > 1 {
+			t.Errorf("untraced span under a %s context allocates %v times, want <= 1", name, a)
+		}
+	}
+}

@@ -71,7 +71,10 @@ type Candidate struct {
 
 // Nearest returns up to k candidate segments ordered by distance, searching
 // outward ring by ring until candidates are found (or the grid is
-// exhausted).
+// exhausted). The order among candidates at exactly equal distance — the two
+// directed twins of a two-way street always are — is whatever sort.Slice
+// leaves and is unspecified; NearestEdge, which must name one twin, therefore
+// does not use it.
 func (idx *EdgeIndex) Nearest(p geo.Point, k int) []Candidate {
 	if k <= 0 {
 		k = 1
@@ -171,11 +174,33 @@ func (idx *EdgeIndex) NearestInto(p geo.Point, k int, s *NearestScratch) []Candi
 	return s.cands
 }
 
-// NearestEdge returns the closest segment to p.
+// NearestEdge returns the closest segment to p: one walk over the first ring
+// of cells around p that holds any segment (the rings Nearest searches),
+// keeping the running minimum. Among segments at exactly equal distance (the
+// two directed twins of a two-way street) the first one seen wins — rows
+// ascending, then columns, then a cell's segments in EdgeID order — which is
+// NearestInto(p, 1, s)[0] for every p. A segment listed in several cells
+// cannot change a minimum, so nothing is deduplicated or allocated.
 func (idx *EdgeIndex) NearestEdge(p geo.Point) (Candidate, error) {
-	c := idx.Nearest(p, 1)
-	if len(c) == 0 {
+	rows, cols := idx.grid.Rows, idx.grid.Cols
+	r0, c0 := idx.grid.Cell(p)
+	var best Candidate
+	found := false
+	for radius := 1; radius <= max(rows, cols) && !found; radius++ {
+		for r := max(r0-radius, 0); r <= min(r0+radius, rows-1); r++ {
+			for c := max(c0-radius, 0); c <= min(c0+radius, cols-1); c++ {
+				for _, eid := range idx.cells[r*cols+c] {
+					a, b := idx.g.EdgePoints(eid)
+					proj, t, d := geo.ProjectOnSegment(p, a, b)
+					if !found || d < best.Dist {
+						best, found = Candidate{Edge: eid, Frac: t, Dist: d, Proj: proj}, true
+					}
+				}
+			}
+		}
+	}
+	if !found {
 		return Candidate{}, fmt.Errorf("roadnet: no edge found near point %+v", p)
 	}
-	return c[0], nil
+	return best, nil
 }

@@ -269,8 +269,9 @@ func TestEdgeIndexNearest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Query exactly on an edge midpoint: that edge (or its reverse twin)
-	// must be the nearest.
+	// Query exactly on an edge midpoint: the nearer of that edge and its
+	// reverse twin, and at exactly equal distance the lower-numbered one (a
+	// cell lists its segments in EdgeID order and the first seen wins).
 	for trial := 0; trial < 20; trial++ {
 		e := EdgeID(trial * 7 % g.NumEdges())
 		mid := g.PointAlongEdge(e, 0.5)
@@ -278,8 +279,20 @@ func TestEdgeIndexNearest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Dist > 1 {
-			t.Fatalf("nearest edge to a midpoint is %v m away", c.Dist)
+		want := e
+		a, b := g.EdgePoints(e)
+		_, _, de := geo.ProjectOnSegment(mid, a, b)
+		for _, tw := range g.Out(g.Edges[e].To) {
+			if g.Edges[tw].To != g.Edges[e].From {
+				continue
+			}
+			_, _, dt := geo.ProjectOnSegment(mid, b, a)
+			if dt < de || (dt == de && tw < e) {
+				want = tw
+			}
+		}
+		if c.Edge != want {
+			t.Fatalf("nearest edge to the midpoint of %d is %d (%v m away), want %d", e, c.Edge, c.Dist, want)
 		}
 	}
 	// k-nearest is ordered.

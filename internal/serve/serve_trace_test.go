@@ -153,8 +153,19 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 			t.Fatalf("%s parent = %d, want infer.batch (%d)", name, parentOf(name), idx["infer.batch"])
 		}
 	}
-	if parentOf("mapmatch.point") != idx["infer.match"] {
-		t.Fatalf("mapmatch.point parent = %d, want infer.match (%d)", parentOf("mapmatch.point"), idx["infer.match"])
+	// Both endpoints: one mapmatch.point span each, cheap but never dropped.
+	points := 0
+	for _, sp := range tr.Spans {
+		if sp.Name != "mapmatch.point" {
+			continue
+		}
+		points++
+		if sp.Parent != idx["infer.match"] {
+			t.Fatalf("mapmatch.point parent = %d, want infer.match (%d)", sp.Parent, idx["infer.match"])
+		}
+	}
+	if points != 2 {
+		t.Fatalf("trace has %d mapmatch.point spans, want 2 (origin and destination); spans: %+v", points, tr.Spans)
 	}
 	for _, name := range []string{"encode", "estimate"} {
 		if parentOf(name) != idx["infer.model"] {

@@ -27,8 +27,8 @@ go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./i
 go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation' ./internal/core/
 go test -race -run 'Parallel' ./internal/embed/
 
-echo "== tracebench gate (disabled-tracing span overhead)"
-go test -run 'TestUntracedSpanOverhead' ./internal/obs/
+echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
+go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
 
 echo "== quality gate (disabled quality-monitor stamp overhead)"
 go test -run 'TestPredictionStampDisabledOverhead' ./internal/infer/
@@ -45,10 +45,12 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer + internal/obs spans + internal/core estimates: traffic-code memo hit/miss, fused)"
+echo "== bench smoke (internal/infer + internal/obs spans + internal/core estimates: traffic-code memo hit/miss, fused + OD endpoint matching)"
 go test -run '^$' -bench=. -benchtime=200ms ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms ./internal/core/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
+go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
+go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
 
 echo "== servebench batch sweep (uncached QPS vs MaxBatch, fused vs matvec; gate CPU-aware)"
 go run ./cmd/ttebench -servebench -servebench-batch-only -servebench-duration 1s \
