@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the PR gate (see scripts/check.sh).
 
-.PHONY: build test check race fmt bench tracebench qualitybench slobench servebench batchsweep trainbench ingestbench flightbench replaybench telemetrybench
+.PHONY: build test check race fmt bench tracebench qualitybench slobench flightbench replaybench telemetrybench
 
 build:
 	go build ./...
@@ -20,7 +20,10 @@ fmt:
 	gofmt -w .
 
 bench:
-	go test -run '^$$' -bench=. ./internal/infer/
+	go run ./bench -workload estimate-cold
+	go run ./bench -workload estimate-hot
+	go run ./bench -workload estimate-live
+	go run ./bench -workload train
 
 tracebench:
 	go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' -v ./internal/obs/
@@ -32,19 +35,6 @@ qualitybench:
 slobench:
 	go test -run 'TestSLORequestAccountingOverhead' -v ./internal/infer/
 	go test -run '^$$' -bench 'BenchmarkEvaluatorTick|BenchmarkManagerSet' ./internal/slo/
-
-servebench:
-	go run ./cmd/ttebench -servebench -servebench-telemetry-gate 3 -servebench-fused-gate 1.02
-
-batchsweep:
-	go run ./cmd/ttebench -servebench -servebench-batch-only -servebench-fused-gate 1.02 \
-		-servebench-out BENCH_serve_sweep.json
-
-trainbench:
-	go run ./cmd/ttebench -trainbench -trainbench-gate 2
-
-ingestbench:
-	go run ./cmd/ttebench -ingestbench -ingestbench-gate-probes 50000 -ingestbench-gate-degrade 0.2
 
 flightbench:
 	go test -run 'TestFlightDisabledOverhead' -v ./internal/infer/

@@ -1,6 +1,7 @@
-// Command ttebench runs the benchmark harness: it regenerates the tables
+// Command ttebench drives internal/experiments: it regenerates the tables
 // and figures of the paper's evaluation section (§6) on the synthetic
-// cities and prints them in the paper's layout.
+// cities and prints them in the paper's layout. Load testing is not its
+// job; that is `go run ./bench`.
 //
 // Usage:
 //
@@ -8,44 +9,8 @@
 //	ttebench -scale small         # full-strength three-city run (slow)
 //	ttebench -exp table4,fig9     # a subset
 //
-// Experiments: table2 table3 table4 table5 table6 table7 fig5a fig8 fig9
-// fig11 fig12 fig13 fig14a fig14b embedstudy ext-route (table3 prints
-// Figure 10 as well).
-//
-// With -servebench, ttebench instead load-tests the serving path: the
-// direct per-request pipeline vs the inference engine (internal/infer)
-// with and without its estimate cache, with the online quality monitor,
-// and with the full telemetry stack (history sampler + exemplars + push
-// exporter + 1% tracing, internal/telemetry) on a repeated-OD workload. It
-// prints QPS / p50 / p99 per mode, then drives a synthetic error spike
-// through the SLO engine (internal/slo) and reports burn-rate alert
-// detection/resolution latency plus monitoring overhead, and writes the
-// report to -servebench-out (default BENCH_serve.json).
-// -servebench-profile-dir keeps the alert-triggered profile bundles;
-// -servebench-telemetry-gate fails the run when the telemetry stack costs
-// more than the given % of bare-engine QPS (>= 4-CPU machines only);
-// -servebench-dashboard-out writes the rendered /debug/dashboard HTML.
-// The run ends with an uncached QPS-vs-MaxBatch sweep (1/4/16/64, fused
-// [B×d] forward vs a per-sample matvec baseline); -servebench-fused-gate
-// fails the run when the fused forward is below the given × matvec
-// throughput at MaxBatch 16 (>= 4-CPU machines only), and
-// -servebench-batch-only runs just that sweep — the shape scripts/check.sh
-// uses.
-//
-// With -ingestbench, ttebench measures the live-traffic pipeline: a
-// citysim-generated GPS probe firehose is replayed through incremental map
-// matching into the edge-speed store, alone (write-only), against an
-// uncached estimate workload baseline (read-only), and with both contending
-// (combined). It reports sustained probes/s, estimate QPS and the read-QPS
-// degradation the firehose costs, and writes the report to -ingestbench-out
-// (default BENCH_ingest.json). -ingestbench-gate-probes and
-// -ingestbench-gate-degrade enforce CI floors on machines with >= 4 CPUs.
-//
-// With -trainbench, ttebench measures offline-training throughput
-// (steps/sec, samples/sec, ns and allocs per sample) at several
-// -train-workers counts on one TinyScale city and writes the report to
-// -trainbench-out (default BENCH_train.json). -trainbench-gate enforces a
-// minimum 4-worker/1-worker samples/sec ratio on machines with >= 4 CPUs.
+// -exp takes names from the experiments table below (table3 prints
+// Figure 10 as well); an unknown name fails with the valid ones listed.
 package main
 
 import (
@@ -58,171 +23,114 @@ import (
 	"deepod/internal/experiments"
 )
 
+// experiment is one runnable entry of the paper's evaluation section.
+type experiment struct {
+	name string
+	fn   func(s *experiments.Suite) (fmt.Stringer, error)
+}
+
+// firstCity is the city the single-city figures run on.
+func firstCity(s *experiments.Suite) string { return s.Scale.CityList()[0] }
+
+// experimentTable lists every experiment in the order "all" runs them.
+// Name validation, selection and dispatch all read it.
+var experimentTable = []experiment{
+	{"table2", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable2(s.Scale) }},
+	{"fig5a", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure5a(s.Scale) }},
+	{"table3", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable3Figure10(s) }},
+	{"table4", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable4(s) }},
+	{"table5", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable5(s) }},
+	{"table6", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable6(s) }},
+	{"table7", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable7(s) }},
+	{"fig8", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure8(s.Scale, nil) }},
+	{"fig9", func(s *experiments.Suite) (fmt.Stringer, error) {
+		return experiments.RunFigure9(s.Scale, firstCity(s), nil)
+	}},
+	{"fig11", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure11(s, firstCity(s)) }},
+	{"fig12", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure12(s, firstCity(s), 50) }},
+	{"fig13", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure13(s, firstCity(s), 50) }},
+	{"fig14a", func(s *experiments.Suite) (fmt.Stringer, error) {
+		return experiments.RunFigure14a(s.Scale, firstCity(s), nil)
+	}},
+	{"fig14b", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure14b(s, firstCity(s)) }},
+	{"embedstudy", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunEmbedStudy(s.Scale) }},
+	{"ext-route", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunExtRoute(s) }},
+}
+
+// names returns the experiments' names, space separated.
+func names(es []experiment) string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.name
+	}
+	return strings.Join(out, " ")
+}
+
+// selectExperiments resolves an -exp value ("all" or a comma-separated
+// list) to table entries, in table order. An unknown or empty element is
+// an error naming the valid experiments.
+func selectExperiments(list string) ([]experiment, error) {
+	if list == "all" {
+		return experimentTable, nil
+	}
+	known := map[string]bool{}
+	for _, e := range experimentTable {
+		known[e.name] = true
+	}
+	want := map[string]bool{}
+	for _, raw := range strings.Split(list, ",") {
+		name := strings.TrimSpace(raw)
+		if !known[name] {
+			return nil, fmt.Errorf("unknown experiment %q in -exp %q (want 'all' or any of: %s)", name, list, names(experimentTable))
+		}
+		want[name] = true
+	}
+	var sel []experiment
+	for _, e := range experimentTable {
+		if want[e.name] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
+
+// scaleByName resolves a -scale value.
+func scaleByName(name string) (experiments.Scale, error) {
+	switch name {
+	case "tiny":
+		return experiments.TinyScale(), nil
+	case "shape":
+		return experiments.ShapeScale(), nil
+	case "small":
+		return experiments.SmallScale(), nil
+	}
+	return experiments.Scale{}, fmt.Errorf("unknown scale %q (want tiny, shape or small)", name)
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ttebench: ")
-	var (
-		scaleName = flag.String("scale", "tiny", "experiment scale: tiny, shape or small")
-		expList   = flag.String("exp", "all", "comma-separated experiment list or 'all'")
-
-		servebench    = flag.Bool("servebench", false, "run the serving load benchmark instead of the paper experiments")
-		sbCity        = flag.String("servebench-city", "chengdu-s", "city preset for -servebench")
-		sbDuration    = flag.Duration("servebench-duration", 3*time.Second, "measurement window per serving mode")
-		sbConcurrency = flag.Int("servebench-conc", 32, "concurrent closed-loop clients")
-		sbDistinct    = flag.Int("servebench-ods", 200, "distinct OD pairs cycled by the workload")
-		sbOrders      = flag.Int("servebench-orders", 400, "orders synthesized for the workload city")
-		sbSeed        = flag.Int64("servebench-seed", 1, "workload random seed")
-		sbOut         = flag.String("servebench-out", "BENCH_serve.json", "JSON report path")
-		sbProfileDir  = flag.String("servebench-profile-dir", "", "write profiles captured during the alert-spike scenario here (empty = in-memory only)")
-		sbTelGate     = flag.Float64("servebench-telemetry-gate", 0, "fail when engine+telemetry costs more than this % of bare-engine QPS (0 disables; skipped on <4-CPU machines)")
-		sbDashOut     = flag.String("servebench-dashboard-out", "", "write the telemetry-mode server's rendered /debug/dashboard HTML here")
-		sbBatchOnly   = flag.Bool("servebench-batch-only", false, "run only the uncached QPS-vs-MaxBatch sweep and its fused gate (the cheap per-PR shape)")
-		sbFusedGate   = flag.Float64("servebench-fused-gate", 0, "fail when the fused [B×d] forward is below this × matvec throughput at MaxBatch 16 (0 disables; skipped on <4-CPU machines)")
-
-		ingestbench   = flag.Bool("ingestbench", false, "run the live-traffic ingestion benchmark instead of the paper experiments")
-		ibCity        = flag.String("ingestbench-city", "chengdu-s", "city preset for -ingestbench")
-		ibOrders      = flag.Int("ingestbench-orders", 400, "orders synthesized for the benchmark city (estimate workload)")
-		ibVehicles    = flag.Int("ingestbench-vehicles", 300, "simulated probe vehicles")
-		ibPeriod      = flag.Float64("ingestbench-period-sec", 5, "probe report period per vehicle, sim seconds")
-		ibSpan        = flag.Float64("ingestbench-span-sec", 300, "sim seconds of probe traffic pre-generated and replayed in a loop")
-		ibDuration    = flag.Duration("ingestbench-duration", 3*time.Second, "measurement window per phase")
-		ibWorkers     = flag.Int("ingestbench-workers", 0, "ingest map-matching workers (0 = GOMAXPROCS)")
-		ibConc        = flag.Int("ingestbench-conc", 16, "concurrent closed-loop estimate clients")
-		ibODs         = flag.Int("ingestbench-ods", 200, "distinct OD pairs cycled by the read workload")
-		ibRate        = flag.Float64("ingestbench-rate", 50000, "combined-phase firehose pacing, probes/s (0 = unpaced)")
-		ibSeed        = flag.Int64("ingestbench-seed", 1, "workload random seed")
-		ibOut         = flag.String("ingestbench-out", "BENCH_ingest.json", "JSON report path")
-		ibGateProbes  = flag.Float64("ingestbench-gate-probes", 0, "fail below this sustained write-only probes/s (0 disables; skipped on <4-CPU machines)")
-		ibGateDegrade = flag.Float64("ingestbench-gate-degrade", 0, "fail when combined read QPS degrades more than this fraction vs read-only (0 disables; skipped on <4-CPU machines)")
-
-		trainbench = flag.Bool("trainbench", false, "run the training throughput benchmark instead of the paper experiments")
-		tbCity     = flag.String("trainbench-city", "chengdu-s", "city preset for -trainbench")
-		tbOrders   = flag.Int("trainbench-orders", 300, "orders synthesized for the benchmark city")
-		tbSteps    = flag.Int("trainbench-steps", 30, "optimizer steps measured per worker count")
-		tbBatch    = flag.Int("trainbench-batch", 32, "mini-batch size")
-		tbWorkers  = flag.String("trainbench-workers", "", "comma-separated worker counts (default \"1,2,GOMAXPROCS\")")
-		tbSeed     = flag.Int64("trainbench-seed", 1, "city random seed")
-		tbOut      = flag.String("trainbench-out", "BENCH_train.json", "JSON report path")
-		tbGate     = flag.Float64("trainbench-gate", 0, "fail below this 4-worker/1-worker samples/sec ratio (0 disables; skipped on <4-CPU machines)")
-	)
+	scaleName := flag.String("scale", "tiny", "experiment scale: tiny, shape or small")
+	expList := flag.String("exp", "all", "comma-separated experiment list or 'all'")
 	flag.Parse()
 
-	if *trainbench {
-		workers, err := parseWorkerList(*tbWorkers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = runTrainBench(trainBenchOptions{
-			City:    *tbCity,
-			Orders:  *tbOrders,
-			Steps:   *tbSteps,
-			Batch:   *tbBatch,
-			Workers: workers,
-			Seed:    *tbSeed,
-			Out:     *tbOut,
-			Gate:    *tbGate,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+	sc, err := scaleByName(*scaleName)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *ingestbench {
-		err := runIngestBench(ingestBenchOptions{
-			City:         *ibCity,
-			Orders:       *ibOrders,
-			Vehicles:     *ibVehicles,
-			PeriodSec:    *ibPeriod,
-			SpanSec:      *ibSpan,
-			Duration:     *ibDuration,
-			Workers:      *ibWorkers,
-			Concurrency:  *ibConc,
-			DistinctODs:  *ibODs,
-			CombinedRate: *ibRate,
-			Seed:         *ibSeed,
-			Out:          *ibOut,
-			GateProbes:   *ibGateProbes,
-			GateDegrade:  *ibGateDegrade,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+	selected, err := selectExperiments(*expList)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *servebench {
-		err := runServeBench(serveBenchOptions{
-			City:          *sbCity,
-			Duration:      *sbDuration,
-			Concurrency:   *sbConcurrency,
-			DistinctODs:   *sbDistinct,
-			Orders:        *sbOrders,
-			Seed:          *sbSeed,
-			Out:           *sbOut,
-			ProfileDir:    *sbProfileDir,
-			TelemetryGate: *sbTelGate,
-			DashboardOut:  *sbDashOut,
-			BatchOnly:     *sbBatchOnly,
-			FusedGate:     *sbFusedGate,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	var sc experiments.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = experiments.TinyScale()
-	case "shape":
-		sc = experiments.ShapeScale()
-	case "small":
-		sc = experiments.SmallScale()
-	default:
-		log.Fatalf("unknown scale %q (want tiny, shape or small)", *scaleName)
-	}
-
-	want := map[string]bool{}
-	all := *expList == "all"
-	for _, e := range strings.Split(*expList, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	selected := func(name string) bool { return all || want[name] }
 
 	suite := experiments.NewSuite(sc)
-	run := func(name string, f func() (fmt.Stringer, error)) {
-		if !selected(name) {
-			return
-		}
+	for _, e := range selected {
 		start := time.Now()
-		res, err := f()
+		res, err := e.fn(suite)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", e.name, err)
 		}
 		fmt.Println(res.String())
-		fmt.Printf("[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s took %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("table2", func() (fmt.Stringer, error) { return experiments.RunTable2(sc) })
-	run("fig5a", func() (fmt.Stringer, error) { return experiments.RunFigure5a(sc) })
-	run("table3", func() (fmt.Stringer, error) { return experiments.RunTable3Figure10(suite) })
-	run("table4", func() (fmt.Stringer, error) { return experiments.RunTable4(suite) })
-	run("table5", func() (fmt.Stringer, error) { return experiments.RunTable5(suite) })
-	run("table6", func() (fmt.Stringer, error) { return experiments.RunTable6(suite) })
-	run("table7", func() (fmt.Stringer, error) { return experiments.RunTable7(suite) })
-	run("fig8", func() (fmt.Stringer, error) { return experiments.RunFigure8(sc, nil) })
-	run("fig9", func() (fmt.Stringer, error) {
-		return experiments.RunFigure9(sc, sc.CityList()[0], nil)
-	})
-	run("fig11", func() (fmt.Stringer, error) { return experiments.RunFigure11(suite, sc.CityList()[0]) })
-	run("fig12", func() (fmt.Stringer, error) { return experiments.RunFigure12(suite, sc.CityList()[0], 50) })
-	run("fig13", func() (fmt.Stringer, error) { return experiments.RunFigure13(suite, sc.CityList()[0], 50) })
-	run("fig14a", func() (fmt.Stringer, error) {
-		return experiments.RunFigure14a(sc, sc.CityList()[0], nil)
-	})
-	run("fig14b", func() (fmt.Stringer, error) { return experiments.RunFigure14b(suite, sc.CityList()[0]) })
-	run("embedstudy", func() (fmt.Stringer, error) { return experiments.RunEmbedStudy(sc) })
-	run("ext-route", func() (fmt.Stringer, error) { return experiments.RunExtRoute(suite) })
 }

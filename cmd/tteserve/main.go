@@ -144,8 +144,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 256, "engine admission queue depth (full queue sheds 429)")
 		maxBatch     = flag.Int("batch", 16, "max requests per worker micro-batch; batches of 2+ are served by one fused [B×d] forward, bit-identical to per-request estimates")
-		useF32       = flag.Bool("f32", false, "serve the checkpoint through the quantized float32 head; refused unless its accuracy gate passes on the checkpoint's calibration set (requires -model)")
-		f32Threshold = flag.Float64("f32-threshold", core.DefaultF32Threshold, "max relative MAE delta (f32 vs f64) the float32 head may show before being refused")
 		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max queue wait before shedding 503")
 		cacheEntries = flag.Int("cache", 8192, "estimate cache capacity in entries (0 = disabled)")
 		cacheTTL     = flag.Duration("cache-ttl", 5*time.Minute, "estimate cache entry lifetime")
@@ -215,18 +213,14 @@ func main() {
 	if err != nil {
 		fatal("building city", err)
 	}
-	ckptOpts := infer.CheckpointOptions{Float32: *useF32, F32Threshold: *f32Threshold}
 	var snap *infer.Snapshot
 	if *modelPath != "" {
-		snap, err = infer.LoadCheckpointOpts(context.Background(), *modelPath, c.Graph, ckptOpts)
+		snap, err = infer.LoadCheckpoint(*modelPath, c.Graph)
 		if err != nil {
 			fatal("loading checkpoint", err)
 		}
-		logger.Info("model loaded", "model", snap.ID, "path", *modelPath, "f32", *useF32)
+		logger.Info("model loaded", "model", snap.ID, "path", *modelPath)
 	} else {
-		if *useF32 {
-			fatal("flag error", fmt.Errorf("-f32 requires -model: the gate replays the checkpoint's calibration set"))
-		}
 		logger.Info("training model at startup", "orders", *orders, "train_workers", *trainWork)
 		cfg := deepod.SmallConfig()
 		cfg.TrainWorkers = *trainWork
@@ -524,7 +518,7 @@ func main() {
 			if *modelPath == "" {
 				return nil, fmt.Errorf("server was started without -model; nothing to reload from")
 			}
-			next, err := infer.LoadCheckpointOpts(ctx, *modelPath, c.Graph, ckptOpts)
+			next, err := infer.LoadCheckpointCtx(ctx, *modelPath, c.Graph)
 			if err != nil {
 				eng.RecordReloadFailure(err)
 				return nil, err

@@ -72,14 +72,6 @@ func main() {
 		// saving: it travels with the checkpoint as the drift reference for
 		// the serving-time quality monitor.
 		m.SetRefDist(deepod.ErrorRefDist(&modelEstimator{m}, c.Split.Test))
-		// A slice of test ODs also travels with the checkpoint as the
-		// calibration set the float32 serving head is gated against at
-		// load time (tteserve -f32).
-		calib := make([]deepod.MatchedOD, len(c.Split.Test))
-		for i := range c.Split.Test {
-			calib[i] = c.Split.Test[i].Matched
-		}
-		m.SetCalibration(calib)
 		if *save != "" {
 			f, err := os.Create(*save)
 			if err != nil {

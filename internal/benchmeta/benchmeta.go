@@ -1,9 +1,8 @@
 // Package benchmeta captures the benchmark-host environment that every
-// BENCH_*.json report embeds, so reports from different machines (and CI
+// benchmark report embeds, so reports from different machines (and CI
 // runs) stay comparable and gate decisions are explainable after the
-// fact. All four bench tools (trainbench, servebench, ingestbench,
-// ttereplay) share this one struct instead of hand-rolling their own
-// subsets with drifting field names.
+// fact. bench/ and ttereplay share this one struct instead of
+// hand-rolling their own subsets with drifting field names.
 package benchmeta
 
 import "runtime"

@@ -12,9 +12,9 @@ import (
 
 // ProbeConfig parameterizes the GPS probe firehose simulator: a fleet of
 // vehicles cruising the city through the congestion field, each reporting a
-// noisy position every PeriodSec. It feeds `ttebench -ingestbench` and the
-// traffic end-to-end tests with the same workload shape a real probe feed
-// would have.
+// noisy position every PeriodSec. It feeds bench/'s estimate-live workload
+// and the traffic end-to-end tests with the same workload shape a real
+// probe feed would have.
 type ProbeConfig struct {
 	// Vehicles is the fleet size.
 	Vehicles int

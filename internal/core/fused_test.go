@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"math"
 	"testing"
 
@@ -95,80 +93,5 @@ func TestEstimateBatchFusedVariants(t *testing.T) {
 			}
 			fusedBitExact(t, m, ods, fusedSizes)
 		})
-	}
-}
-
-// TestF32GateAdmitsAndRejects covers the quantized head end-to-end: on a
-// trained model with a stored calibration set, the default 0.1% gate must
-// admit the head and the f32 estimates must stay within the gate's bound of
-// the float64 path; an absurdly tight threshold must reject the head with a
-// clear error and leave the model serving float64.
-func TestF32GateAdmitsAndRejects(t *testing.T) {
-	g, recs := testWorld(t, 60)
-	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyConfig()
-	cfg.Epochs = 1
-	m, err := New(cfg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Train(split.Train, split.Valid, TrainOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	calib := make([]traj.MatchedOD, len(split.Test))
-	for i := range split.Test {
-		calib[i] = split.Test[i].Matched
-	}
-	m.SetCalibration(calib)
-
-	// Calibration must survive a checkpoint round trip (gob field added
-	// after the format shipped, so absence must also load — covered by the
-	// admit path below running on the loaded model).
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(loaded.Calibration()); got != len(calib) {
-		t.Fatalf("loaded %d calibration ODs, want %d", got, len(calib))
-	}
-
-	if err := loaded.EnableF32(1e-12); err == nil {
-		t.Fatal("1e-12 threshold admitted the f32 head; expected rejection")
-	}
-	if loaded.F32Enabled() {
-		t.Fatal("rejected head left installed")
-	}
-
-	if err := loaded.EnableF32(0); err != nil {
-		t.Fatalf("default gate rejected the f32 head: %v", err)
-	}
-	if !loaded.F32Enabled() || loaded.F32MAEDelta() <= 0 || loaded.F32MAEDelta() > DefaultF32Threshold {
-		t.Fatalf("f32 head state: enabled=%v delta=%v", loaded.F32Enabled(), loaded.F32MAEDelta())
-	}
-
-	// Served f32 estimates track float64 within the gate's own bound, and
-	// a batch of one answers identically to the same OD inside a batch —
-	// under quantization the batch size must never change the answer.
-	ods := calib[:min(len(calib), 16)]
-	ref := loaded.EstimateBatchFused(ods)
-	got := loaded.EstimateBatchF32Ctx(context.Background(), ods)
-	var sumAbs, sumRef float64
-	for i := range ref {
-		sumAbs += math.Abs(got[i] - ref[i])
-		sumRef += math.Abs(ref[i])
-	}
-	if sumRef > 0 && sumAbs/sumRef > 10*DefaultF32Threshold {
-		t.Fatalf("f32 serve drifted %.3g relative MAE from float64", sumAbs/sumRef)
-	}
-	single := loaded.EstimateF32Ctx(context.Background(), &ods[3])
-	if math.Float64bits(single) != math.Float64bits(got[3]) {
-		t.Fatalf("f32 single-request %v != same OD batched %v", single, got[3])
 	}
 }

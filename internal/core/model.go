@@ -10,7 +10,6 @@ import (
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
 	"deepod/internal/timeslot"
-	"deepod/internal/traj"
 )
 
 // Model is the DeepOD network of Figure 3: the three modules M_O (OD
@@ -64,15 +63,6 @@ type Model struct {
 	// training time — the drift reference for internal/quality. Nil for
 	// models trained before it existed or never evaluated.
 	refDist *metrics.RefDist
-
-	// calib is the calibration OD set persisted with the checkpoint — the
-	// test set of the float32 admission gate (see EnableF32). Nil for
-	// checkpoints that predate it; the gate then synthesizes probes.
-	calib []traj.MatchedOD
-
-	// f32 is the quantized serving head, installed by EnableF32 only after
-	// it passes the accuracy gate. Nil means float64 serving.
-	f32 *f32Head
 
 	// stepDim is the per-step input size of the LSTM.
 	stepDim int

@@ -8,11 +8,12 @@ import (
 	"deepod/internal/metrics"
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
-	"deepod/internal/traj"
 )
 
 // savedModel is the on-disk format: the configuration, the target scale and
-// every parameter tensor by name (encoding/gob).
+// every parameter tensor by name (encoding/gob). Older checkpoints also
+// carry a Calib field (a calibration OD set); gob skips a stream field the
+// receiver lacks, so they load unchanged.
 type savedModel struct {
 	Config    Config
 	TimeScale float64
@@ -23,9 +24,6 @@ type savedModel struct {
 	// its absence, so checkpoints written before this field load fine and
 	// leave it nil.
 	RefDist *metrics.RefDist
-	// Calib is the calibration OD set for the float32 admission gate
-	// (SetCalibration). Absent in older checkpoints, like RefDist.
-	Calib []traj.MatchedOD
 }
 
 // Save serializes the trained model to w. The road network itself is not
@@ -38,7 +36,6 @@ func (m *Model) Save(w io.Writer) error {
 		NumEdges:  m.g.NumEdges(),
 		Params:    m.ps.Save(),
 		RefDist:   m.refDist,
-		Calib:     m.calib,
 	}
 	if err := gob.NewEncoder(w).Encode(&s); err != nil {
 		return fmt.Errorf("core: encoding model: %w", err)
@@ -65,8 +62,5 @@ func Load(r io.Reader, g *roadnet.Graph) (*Model, error) {
 	}
 	m.SetTimeScale(s.TimeScale)
 	m.SetRefDist(s.RefDist)
-	if len(s.Calib) > 0 {
-		m.SetCalibration(s.Calib)
-	}
 	return m, nil
 }

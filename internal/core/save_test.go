@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
+	"reflect"
 	"testing"
 
 	"deepod/internal/dataset"
 	"deepod/internal/metrics"
+	"deepod/internal/nn"
 	"deepod/internal/roadnet"
+	"deepod/internal/traj"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -82,6 +87,75 @@ func TestLoadWithoutRefDist(t *testing.T) {
 	loaded.SetRefDist(&metrics.RefDist{Uppers: []float64{2, 1}, Counts: make([]uint64, 3)})
 	if loaded.RefDist() != nil {
 		t.Fatal("invalid reference distribution accepted")
+	}
+}
+
+// Checkpoints written while the format carried a calibration OD set (a
+// Calib field after RefDist) must keep loading and answer exactly as the
+// model that was saved; what Save writes back no longer has the field.
+func TestLoadCheckpointWithCalibField(t *testing.T) {
+	m, recs := trainedTinyModel(t, 60)
+	g := m.g
+	m.SetRefDist(metrics.RefDistOf([]float64{5, 12, 40, 200}, nil))
+
+	old := struct {
+		Config    Config
+		TimeScale float64
+		NumEdges  int
+		Params    nn.Snapshot
+		RefDist   *metrics.RefDist
+		Calib     []traj.MatchedOD
+	}{m.cfg, m.timeScale, g.NumEdges(), m.ps.Save(), m.refDist, nil}
+	for i := range recs[:16] {
+		old.Calib = append(old.Calib, recs[i].Matched)
+	}
+	var oldBuf bytes.Buffer
+	if err := gob.NewEncoder(&oldBuf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(oldBuf.Bytes(), []byte("Calib")) {
+		t.Fatal("the old-format stream carries no calibration set; the test proves nothing")
+	}
+	loaded, err := Load(&oldBuf, g)
+	if err != nil {
+		t.Fatalf("old-format checkpoint refused: %v", err)
+	}
+	for i := range old.Calib {
+		od := &old.Calib[i]
+		if a, b := m.Estimate(od), loaded.Estimate(od); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("old-format checkpoint diverges on OD %d: %v vs %v", i, a, b)
+		}
+	}
+
+	// Save → Load → Save is stable. The parameter map reaches gob in map
+	// order, so the bytes themselves differ from run to run (they always
+	// have); the length and the decoded content may not.
+	var first, second bytes.Buffer
+	if err := loaded.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(first.Bytes(), []byte("Calib")) {
+		t.Fatal("Save still writes a Calib field")
+	}
+	reloaded, err := Load(bytes.NewReader(first.Bytes()), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reloaded.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if second.Len() != first.Len() {
+		t.Fatalf("second save is %d bytes, first was %d", second.Len(), first.Len())
+	}
+	var a, b savedModel
+	if err := gob.NewDecoder(&first).Decode(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&second).Decode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("Save → Load → Save changed the checkpoint's content")
 	}
 }
 

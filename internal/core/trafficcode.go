@@ -14,8 +14,8 @@ import (
 // refreshed only every Δt = 5 min (or once per traffic-store snapshot), so
 // every request of a period feeds the CNN the same input. externalZ8Row —
 // the one entry both eval paths use (encodeExternal on an eval tape, the
-// fused and f32 batch paths row by row) — therefore memoises the code per
-// matrix on the model. A hit copies the very floats a miss computed, so
+// fused batch path row by row) — therefore memoises the code per matrix on
+// the model. A hit copies the very floats a miss computed, so
 // every path stays Float64bits-identical with or without the memo. Training
 // tapes never consult it: they need the CNN on the tape for its gradients.
 

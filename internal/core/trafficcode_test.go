@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -188,23 +187,6 @@ func TestTrafficCodeHitMissReference(t *testing.T) {
 		}
 	}
 
-	// f32: the quantized head sits after the external encoder, so its
-	// memo-less reference is the same call with the memo emptied before
-	// every OD (a batch of one answers like the OD inside a batch).
-	if err := m.EnableF32(0); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	want32 := make([]float64, len(ods))
-	for i := range ods {
-		m.traf.invalidate()
-		want32[i] = m.EstimateF32Ctx(ctx, &ods[i])
-	}
-	for _, b := range memoBatchSizes {
-		m.traf.invalidate()
-		wantBits(t, fmt.Sprintf("f32 B=%d cold", b), m.EstimateBatchF32Ctx(ctx, ods[:b]), want32[:b])
-		wantBits(t, fmt.Sprintf("f32 B=%d warm", b), m.EstimateBatchF32Ctx(ctx, ods[:b]), want32[:b])
-	}
 }
 
 // TestTrafficCodeInvalidatedByTrain: one optimizer step changes the code of

@@ -49,12 +49,10 @@ type Snapshot struct {
 	LoadedAt time.Time
 }
 
-// ModelSnapshot wraps a trained core model as a serving snapshot. When the
-// model carries an admitted float32 head (core.Model.EnableF32), both entry
-// points route through it; otherwise the float64 paths serve, with the
+// ModelSnapshot wraps a trained core model as a serving snapshot, with the
 // fused batch forward behind EstimateBatch.
 func ModelSnapshot(id string, m *core.Model) *Snapshot {
-	s := &Snapshot{
+	return &Snapshot{
 		ID:            id,
 		Estimate:      m.EstimateCtx,
 		EstimateBatch: m.EstimateBatchFusedCtx,
@@ -66,26 +64,6 @@ func ModelSnapshot(id string, m *core.Model) *Snapshot {
 		RefDist:  m.RefDist(),
 		LoadedAt: time.Now(),
 	}
-	if m.F32Enabled() {
-		s.Estimate = m.EstimateF32Ctx
-		s.EstimateBatch = m.EstimateBatchF32Ctx
-		s.Meta["f32"] = true
-		s.Meta["f32_mae_delta"] = m.F32MAEDelta()
-	}
-	return s
-}
-
-// CheckpointOptions tunes snapshot construction from a checkpoint file.
-type CheckpointOptions struct {
-	// Float32 requests the quantized float32 serving head. The head is
-	// admitted only if its accuracy gate passes on the checkpoint's
-	// calibration set (core.Model.EnableF32); otherwise the load FAILS with
-	// the gate's error — an operator asking for f32 must never silently get
-	// float64.
-	Float32 bool
-	// F32Threshold overrides the gate's maximum relative MAE delta
-	// (<= 0 means core.DefaultF32Threshold, 0.1%).
-	F32Threshold float64
 }
 
 // LoadCheckpoint reads a checkpoint written by core.Model.Save, validates
@@ -101,11 +79,6 @@ func LoadCheckpoint(path string, g *roadnet.Graph) (*Snapshot, error) {
 // and resulting hash, so reload traces show how long the disk read and
 // weight validation took.
 func LoadCheckpointCtx(ctx context.Context, path string, g *roadnet.Graph) (*Snapshot, error) {
-	return LoadCheckpointOpts(ctx, path, g, CheckpointOptions{})
-}
-
-// LoadCheckpointOpts is LoadCheckpointCtx with options (the float32 head).
-func LoadCheckpointOpts(ctx context.Context, path string, g *roadnet.Graph, opts CheckpointOptions) (*Snapshot, error) {
 	_, span := obs.StartSpan(ctx, "infer.snapshot_load")
 	defer span.End()
 	span.SetStr("checkpoint", path)
@@ -121,14 +94,6 @@ func LoadCheckpointOpts(ctx context.Context, path string, g *roadnet.Graph, opts
 		err = fmt.Errorf("infer: loading checkpoint %s: %w", path, err)
 		span.Fail(err)
 		return nil, err
-	}
-	if opts.Float32 {
-		if err := m.EnableF32(opts.F32Threshold); err != nil {
-			err = fmt.Errorf("infer: refusing float32 snapshot for %s: %w", path, err)
-			span.Fail(err)
-			return nil, err
-		}
-		span.SetInt("f32", 1)
 	}
 	s := ModelSnapshot(hex.EncodeToString(sum[:])[:12], m)
 	s.Meta["checkpoint"] = path

@@ -1,12 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -18,10 +25,8 @@ import (
 	"deepod/internal/traj"
 )
 
-// newTracedEngineServer assembles the real serving stack — HTTP layer,
-// inference engine, map matcher, and an (untrained) DeepOD model — with
-// tracing on, so tests can follow one request's spans across every layer.
-func newTracedEngineServer(t *testing.T) (*Server, *obs.TraceStore, string) {
+// tinyGraphModel builds a 4×4 city and an (untrained) DeepOD model over it.
+func tinyGraphModel(t *testing.T) (*roadnet.Graph, *core.Model) {
 	t.Helper()
 	gcfg := roadnet.SmallCity("trace-e2e", 7)
 	gcfg.Rows, gcfg.Cols = 4, 4
@@ -38,6 +43,15 @@ func newTracedEngineServer(t *testing.T) (*Server, *obs.TraceStore, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, m
+}
+
+// newTracedEngineServer assembles the real serving stack — HTTP layer,
+// inference engine, map matcher, and an (untrained) DeepOD model — with
+// tracing on, so tests can follow one request's spans across every layer.
+func newTracedEngineServer(t *testing.T) (*Server, *obs.TraceStore, string) {
+	t.Helper()
+	g, m := tinyGraphModel(t)
 	matcher, err := mapmatch.New(g, mapmatch.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -437,5 +451,75 @@ func TestReadyzEngineLifecycle(t *testing.T) {
 	body = check(http.StatusOK)
 	if body["model"] != "m2" {
 		t.Fatalf("recovered body = %v", body)
+	}
+}
+
+// TestCheckpointVersionSurface pins what a checkpoint load shows operators:
+// both loader entry points name the same bytes the same way, answer as the
+// model that was saved with exactly three Meta keys, and GET /version shows
+// them.
+func TestCheckpointVersionSurface(t *testing.T) {
+	g, m := tinyGraphModel(t)
+	path := filepath.Join(t.TempDir(), "model.bin")
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+
+	plain, err := infer.LoadCheckpoint(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCtx, err := infer.LoadCheckpointCtx(context.Background(), path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.ID != hex.EncodeToString(sum[:])[:12] || withCtx.ID != plain.ID {
+		t.Fatalf("snapshot IDs %q / %q, want the checkpoint's SHA-256 prefix", plain.ID, withCtx.ID)
+	}
+	wantMeta := map[string]any{"weights": m.NumWeights(), "edges": g.NumEdges(), "checkpoint": path}
+	if !reflect.DeepEqual(plain.Meta, wantMeta) || !reflect.DeepEqual(withCtx.Meta, wantMeta) {
+		t.Fatalf("Meta = %v / %v, want %v", plain.Meta, withCtx.Meta, wantMeta)
+	}
+	od := traj.MatchedOD{OriginEdge: 0, DestEdge: roadnet.EdgeID(g.NumEdges() - 1), RStart: 0.3, REnd: 0.7, DepartSec: 600}
+	want := math.Float64bits(m.Estimate(&od))
+	for _, snap := range []*infer.Snapshot{plain, withCtx} {
+		if got := snap.Estimate(context.Background(), &od); math.Float64bits(got) != want {
+			t.Fatalf("loaded snapshot answers %v, saved model %v", got, m.Estimate(&od))
+		}
+	}
+
+	cells, err := roadnet.NewEdgeIndex(g, 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := infer.New(infer.Config{
+		Match: func(context.Context, traj.ODInput) (traj.MatchedOD, error) {
+			return od, nil
+		},
+		Snapshot: plain,
+		Workers:  1, QueueDepth: 4, MaxBatch: 4,
+		Cells:    cells,
+		Slotter:  m.Slotter(),
+		Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	s := newInferServer(t, eng.Do, func(c *Config) { c.Version = eng.Version })
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/version", nil))
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || body["model"] != plain.ID || body["checkpoint"] != path ||
+		body["weights"] != float64(m.NumWeights()) || body["edges"] != float64(g.NumEdges()) {
+		t.Fatalf("GET /version = %d %v", rec.Code, body)
 	}
 }

@@ -167,67 +167,6 @@ func TestArenaFromSliceViews(t *testing.T) {
 	a.FromSlice(batch.Data, 5, 3)
 }
 
-// TestAffineBatchF32MatchesReference checks the float32 serving kernel
-// against a naive float32 dot product (same sequential order, float32
-// accumulation throughout) and the NaN clamp of its activation.
-func TestAffineBatchF32MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		bsz, in, out := 1+rng.Intn(50), 1+rng.Intn(70), 1+rng.Intn(70)
-		x := make([]float32, bsz*in)
-		w := make([]float32, out*in)
-		bias := make([]float32, out)
-		for i := range x {
-			x[i] = float32(rng.NormFloat64())
-		}
-		for i := range w {
-			w[i] = float32(rng.NormFloat64())
-		}
-		for i := range bias {
-			bias[i] = float32(rng.NormFloat64())
-		}
-		dst := make([]float32, bsz*out)
-		AffineBatchF32Into(dst, x, w, bias, bsz, in, out)
-		for r := 0; r < bsz; r++ {
-			for i := 0; i < out; i++ {
-				var s float32
-				for j := 0; j < in; j++ {
-					s += w[i*in+j] * x[r*in+j]
-				}
-				want := s + bias[i]
-				if got := dst[r*out+i]; math.Float32bits(got) != math.Float32bits(want) {
-					t.Fatalf("trial %d [B=%d in=%d out=%d] row %d elem %d: %v != %v",
-						trial, bsz, in, out, r, i, got, want)
-				}
-			}
-		}
-	}
-	v := []float32{-2, 0, 3, float32(math.NaN())}
-	ReLUInPlaceF32(v)
-	for i, want := range []float32{0, 0, 3, 0} {
-		if v[i] != want {
-			t.Fatalf("ReLUInPlaceF32[%d] = %v, want %v", i, v[i], want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("undersized f32 dst did not panic")
-		}
-	}()
-	AffineBatchF32Into(make([]float32, 3), make([]float32, 4), make([]float32, 4), make([]float32, 2), 2, 2, 2)
-}
-
-// TestF32FromF64 pins the quantization helper: plain float32 rounding.
-func TestF32FromF64(t *testing.T) {
-	src := []float64{0, 1.0 / 3.0, -1e40, 1e-60, math.Inf(1)}
-	got := F32FromF64(src)
-	for i, v := range src {
-		if want := float32(v); math.Float32bits(got[i]) != math.Float32bits(want) {
-			t.Fatalf("elem %d: %v, want %v", i, got[i], want)
-		}
-	}
-}
-
 func fusedBatchShapes() [][3]int {
 	return [][3]int{{4, 67, 32}, {16, 67, 32}, {64, 67, 32}}
 }
@@ -271,30 +210,6 @@ func BenchmarkAffineMatVecLoop(b *testing.B) {
 				for r := 0; r < bsz; r++ {
 					MatVecAddInto(dst, w, rows[r], bias)
 				}
-			}
-		})
-	}
-}
-
-func BenchmarkAffineBatchF32Into(b *testing.B) {
-	for _, dims := range fusedBatchShapes() {
-		bsz, in, out := dims[0], dims[1], dims[2]
-		b.Run(fmt.Sprintf("B%d_%dx%d", bsz, in, out), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := make([]float32, bsz*in)
-			w := make([]float32, out*in)
-			bias := make([]float32, out)
-			for i := range x {
-				x[i] = float32(rng.NormFloat64())
-			}
-			for i := range w {
-				w[i] = float32(rng.NormFloat64())
-			}
-			dst := make([]float32, bsz*out)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				AffineBatchF32Into(dst, x, w, bias, bsz, in, out)
 			}
 		})
 	}

@@ -52,21 +52,13 @@ go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100
 go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
 go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
 
-echo "== servebench batch sweep (uncached QPS vs MaxBatch, fused vs matvec; gate CPU-aware)"
-go run ./cmd/ttebench -servebench -servebench-batch-only -servebench-duration 1s \
-    -servebench-conc 16 -servebench-orders 200 -servebench-ods 100 \
-    -servebench-out BENCH_serve_sweep.json -servebench-fused-gate 1.02
-
-echo "== trainbench smoke (data-parallel training throughput; gate CPU-aware)"
-go run ./cmd/ttebench -trainbench -trainbench-orders 200 -trainbench-steps 10 \
-    -trainbench-workers 1,2,4 -trainbench-gate 2
-
-echo "== ingestbench smoke (probe firehose throughput + read degradation; gates CPU-aware)"
-go run ./cmd/ttebench -ingestbench -ingestbench-duration 2s -ingestbench-orders 200 \
-    -ingestbench-vehicles 150 -ingestbench-gate-probes 50000 -ingestbench-gate-degrade 0.2
+echo "== load harness smoke (go run ./bench, 2 s a workload: every HTTP answer bit-equal to the model's, zero failed operations; rates are bench -compare's job)"
+for w in estimate-cold estimate-hot estimate-live train; do
+    go run ./bench -workload "$w" -seconds 2
+done
 
 echo "== replay smoke (record a serve session, replay against the same checkpoint: zero unexplained diffs)"
 go run ./cmd/ttereplay -smoke -smoke-orders 200 -smoke-requests 48 \
-    -gate-unexplained 0 -out BENCH_replay.json
+    -gate-unexplained 0 -out "${TMPDIR:-/tmp}/BENCH_replay.json"
 
 echo "ok"
