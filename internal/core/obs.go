@@ -12,6 +12,8 @@ import (
 // tte_span_seconds and join request traces.
 var (
 	embedPhaseHist    = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "embed_pretrain")
+	embedWalksHist    = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "embed_walks")
+	embedSkipGramHist = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "embed_skipgram")
 	forwardPhaseHist  = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "forward")
 	backwardPhaseHist = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "backward")
 	evalPhaseHist     = obs.Default().Histogram("tte_train_phase_seconds", obs.DefBuckets, "phase", "eval")
@@ -25,7 +27,7 @@ var (
 
 func init() {
 	r := obs.Default()
-	r.Help("tte_train_phase_seconds", "Offline training phase durations: embed_pretrain (once), forward/backward (per optimizer step), eval (per validation pass).")
+	r.Help("tte_train_phase_seconds", "Offline training phase durations: embed_pretrain (once; the line graph plus, per embedded graph, embed_walks and embed_skipgram), forward/backward (per optimizer step), eval (per validation pass).")
 	r.Help("tte_train_epoch", "Current training epoch (last value wins across runs).")
 	r.Help("tte_train_samples_total", "Cumulative training samples consumed by optimizer steps.")
 	r.Help("tte_core_traffic_code_total", "Traffic-code lookups by the eval paths: hit (memoised code copied) or miss (traffic CNN ran).")

@@ -309,11 +309,16 @@ func (m *Model) runEmbed(g embed.Graph, dim int, rng *rand.Rand) (*tensor.Tensor
 		wcfg.WalksPerNode *= 4
 		scfg.Window = 1
 	}
+	walkStart := time.Now()
 	walks, err := embed.GenerateWalksParallel(g, wcfg, rng, m.cfg.TrainWorkers)
 	if err != nil {
 		return nil, err
 	}
-	return embed.TrainSkipGramParallel(g.NumNodes(), walks, scfg, rng, m.cfg.TrainWorkers)
+	sgStart := time.Now()
+	embedWalksHist.Observe(sgStart.Sub(walkStart).Seconds())
+	vecs, err := embed.TrainSkipGramParallel(g.NumNodes(), walks, scfg, rng, m.cfg.TrainWorkers)
+	embedSkipGramHist.Observe(time.Since(sgStart).Seconds())
+	return vecs, err
 }
 
 // evalTapes recycles eval tapes (and their arenas) across EstimateCtx calls,

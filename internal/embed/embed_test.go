@@ -24,6 +24,22 @@ func newRing(n int) *ringGraph {
 	return g
 }
 
+// newChordedRing is a ring whose nodes also link two ahead and one back, with
+// unequal weights, so a node2vec walk meets all three of sampleNext's bias
+// cases (return to prev, neighbour of prev, neither); the plain ring has one
+// out-link a node and its walks never draw.
+func newChordedRing(n int) *ringGraph {
+	g := &ringGraph{n: n, adj: make([][]roadnet.WeightedLink, n)}
+	for i := 0; i < n; i++ {
+		g.adj[i] = []roadnet.WeightedLink{
+			{To: (i + 1) % n, Weight: 1},
+			{To: (i + 2) % n, Weight: 0.5},
+			{To: (i + n - 1) % n, Weight: 0.25},
+		}
+	}
+	return g
+}
+
 func (g *ringGraph) NumNodes() int                      { return g.n }
 func (g *ringGraph) Links(u int) []roadnet.WeightedLink { return g.adj[u] }
 

@@ -70,7 +70,7 @@ func TrainSkipGramParallel(numNodes int, walks [][]int, cfg SkipGramConfig, rng 
 	if err := checkSkipGramConfig(numNodes, cfg); err != nil {
 		return nil, err
 	}
-	cum, err := negTable(numNodes, walks)
+	neg, err := negTable(numNodes, walks)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func TrainSkipGramParallel(numNodes int, walks [][]int, cfg SkipGramConfig, rng 
 				copy(outs[w].Data, out.Data)
 				wrng := rand.New(rand.NewSource(seeds[w]))
 				shard := func(i int) bool { return i%workers == w }
-				trainSkipGramEpoch(ins[w], outs[w], walks, cfg, cum, lr, wrng, shard)
+				trainSkipGramEpoch(ins[w], outs[w], walks, cfg, neg, lr, wrng, shard)
 			}(w)
 		}
 		wg.Wait()

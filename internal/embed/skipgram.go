@@ -33,8 +33,17 @@ func checkSkipGramConfig(numNodes int, cfg SkipGramConfig) error {
 	return nil
 }
 
-// negTable builds the cumulative unigram^(3/4) negative-sampling table.
-func negTable(numNodes int, walks [][]int) ([]float64, error) {
+// negSampler draws nodes in proportion to unigram^(3/4): cum is the
+// cumulative table, and guide[b] is the smallest i with cum[i] >= b/K for
+// K = len(cum), so a draw starts its search at most a step or two from its
+// answer instead of bisecting the whole table.
+type negSampler struct {
+	cum   []float64
+	guide []int32
+}
+
+// negTable builds the negative sampler from the walk corpus.
+func negTable(numNodes int, walks [][]int) (*negSampler, error) {
 	counts := make([]float64, numNodes)
 	for _, w := range walks {
 		for _, n := range w {
@@ -55,23 +64,42 @@ func negTable(numNodes int, walks [][]int) ([]float64, error) {
 		run += c / total
 		cum[i] = run
 	}
-	return cum, nil
+	return newNegSampler(cum), nil
 }
 
-// sampleNegFrom draws a node from the cumulative table by binary search.
-func sampleNegFrom(cum []float64, rng *rand.Rand) int {
-	r := rng.Float64()
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
+// newNegSampler builds the guide over a non-decreasing, non-empty cum.
+func newNegSampler(cum []float64) *negSampler {
+	k := len(cum)
+	guide := make([]int32, k+1) // r*K can round up to K
+	i := 0
+	for b := range guide {
+		t := float64(b) / float64(k)
+		for i < k-1 && cum[i] < t {
+			i++
 		}
+		guide[b] = int32(i)
 	}
-	return lo
+	return &negSampler{cum: cum, guide: guide}
 }
+
+// find returns the smallest i with cum[i] >= r, or the last index when there
+// is none: what a binary search over cum returns. The guide only chooses where
+// to start; the two loops reach the answer from any start, so the rounding of
+// r*K and of the guide's b/K cannot change it.
+func (s *negSampler) find(r float64) int {
+	cum := s.cum
+	i := int(s.guide[int(r*float64(len(cum)))])
+	for i > 0 && cum[i-1] >= r {
+		i--
+	}
+	for i < len(cum)-1 && cum[i] < r {
+		i++
+	}
+	return i
+}
+
+// sample draws one node, consuming exactly one rng.Float64.
+func (s *negSampler) sample(rng *rand.Rand) int { return s.find(rng.Float64()) }
 
 // TrainSkipGram learns node embeddings from a walk corpus using skip-gram
 // with negative sampling (the objective behind node2vec and DeepWalk).
@@ -80,7 +108,7 @@ func TrainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Ra
 	if err := checkSkipGramConfig(numNodes, cfg); err != nil {
 		return nil, err
 	}
-	cum, err := negTable(numNodes, walks)
+	neg, err := negTable(numNodes, walks)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +119,7 @@ func TrainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Ra
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LR * (1 - float64(epoch)/float64(cfg.Epochs)*0.9)
-		trainSkipGramEpoch(in, out, walks, cfg, cum, lr, rng, nil)
+		trainSkipGramEpoch(in, out, walks, cfg, neg, lr, rng, nil)
 	}
 	return in, nil
 }
@@ -99,41 +127,8 @@ func TrainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Ra
 // trainSkipGramEpoch runs one skip-gram epoch over walks, updating in/out
 // in place. When shard is non-nil, only walks whose index satisfies shard
 // are consumed (the data-parallel walk partition).
-func trainSkipGramEpoch(in, out *tensor.Tensor, walks [][]int, cfg SkipGramConfig, cum []float64, lr float64, rng *rand.Rand, shard func(walkIdx int) bool) {
-	dim := cfg.Dim
-	gradIn := make([]float64, dim)
-
-	trainPair := func(center, context int) {
-		vi := in.Data[center*dim : (center+1)*dim]
-		for i := range gradIn {
-			gradIn[i] = 0
-		}
-		// One positive + Negatives negative targets.
-		for s := 0; s <= cfg.Negatives; s++ {
-			target, label := context, 1.0
-			if s > 0 {
-				target = sampleNegFrom(cum, rng)
-				if target == context {
-					continue
-				}
-				label = 0
-			}
-			vo := out.Data[target*dim : (target+1)*dim]
-			var dot float64
-			for i := 0; i < dim; i++ {
-				dot += vi[i] * vo[i]
-			}
-			g := (sigmoidApprox(dot) - label) * lr
-			for i := 0; i < dim; i++ {
-				gradIn[i] += g * vo[i]
-				vo[i] -= g * vi[i]
-			}
-		}
-		for i := 0; i < dim; i++ {
-			vi[i] -= gradIn[i]
-		}
-	}
-
+func trainSkipGramEpoch(in, out *tensor.Tensor, walks [][]int, cfg SkipGramConfig, neg *negSampler, lr float64, rng *rand.Rand, shard func(walkIdx int) bool) {
+	gradIn := make([]float64, cfg.Dim)
 	for wi, walk := range walks {
 		if shard != nil && !shard(wi) {
 			continue
@@ -151,38 +146,78 @@ func trainSkipGramEpoch(in, out *tensor.Tensor, walks [][]int, cfg SkipGramConfi
 				if x == ci {
 					continue
 				}
-				trainPair(center, walk[x])
+				trainPair(in.Data, out.Data, gradIn, center, walk[x], cfg.Negatives, neg, lr, rng)
 			}
 		}
 	}
 }
 
-// sigmoidApprox is the shared σ(x) table; built once at package init.
-var sigmoidApprox = sigmoidTable()
+// trainPair is one SGD update for a (center, context) pair: the positive
+// target and up to negatives sampled ones move their output vectors, then the
+// summed gradient moves the center's input vector. gradIn is scratch of the
+// embedding dimension. The three vectors are re-sliced to one length so the
+// loops carry no bounds checks; the arithmetic and its order are the
+// historical ones (dot is one ascending chain, gradIn reads vo[i] before vo[i]
+// is updated), which TestSkipGramGoldenBits pins.
+func trainPair(in, out, gradIn []float64, center, context, negatives int, neg *negSampler, lr float64, rng *rand.Rand) {
+	dim := len(gradIn)
+	vi := in[center*dim : (center+1)*dim : (center+1)*dim]
+	grad := gradIn[:len(vi)]
+	for i := range grad {
+		grad[i] = 0
+	}
+	// One positive + negatives negative targets.
+	for s := 0; s <= negatives; s++ {
+		target, label := context, 1.0
+		if s > 0 {
+			target = neg.sample(rng)
+			if target == context {
+				continue
+			}
+			label = 0
+		}
+		vo := out[target*dim : (target+1)*dim : (target+1)*dim][:len(vi)]
+		var dot float64
+		for i, v := range vi {
+			dot += v * vo[i]
+		}
+		g := (sigmoidApprox(dot) - label) * lr
+		for i, v := range vi {
+			grad[i] += g * vo[i]
+			vo[i] -= g * v
+		}
+	}
+	for i, gv := range grad {
+		vi[i] -= gv
+	}
+}
 
-// sigmoidTable returns a σ(x) approximation backed by a precomputed table
-// over [-6, 6] (the standard word2vec trick — exp dominates skip-gram
-// training otherwise; gradients are noisy anyway, so table resolution is
-// ample).
-func sigmoidTable() func(float64) float64 {
-	const (
-		bound = 6.0
-		bins  = 1024
-	)
-	table := make([]float64, bins+1)
-	for i := range table {
-		x := -bound + 2*bound*float64(i)/bins
-		table[i] = 1 / (1 + math.Exp(-x))
+// sigmoidBound and sigmoidBins shape the σ(x) table: 1024 bins over [-6, 6]
+// (the standard word2vec trick — exp dominates skip-gram training otherwise;
+// gradients are noisy anyway, so table resolution is ample).
+const (
+	sigmoidBound = 6.0
+	sigmoidBins  = 1024
+)
+
+// sigmoidTab is built once at package init.
+var sigmoidTab = func() (t [sigmoidBins + 1]float64) {
+	for i := range t {
+		x := -sigmoidBound + 2*sigmoidBound*float64(i)/sigmoidBins
+		t[i] = 1 / (1 + math.Exp(-x))
 	}
-	return func(x float64) float64 {
-		if x >= bound {
-			return 1
-		}
-		if x <= -bound {
-			return 0
-		}
-		return table[int((x+bound)/(2*bound)*bins)]
+	return t
+}()
+
+// sigmoidApprox looks σ(x) up in sigmoidTab; small enough to inline.
+func sigmoidApprox(x float64) float64 {
+	if x >= sigmoidBound {
+		return 1
 	}
+	if x <= -sigmoidBound {
+		return 0
+	}
+	return sigmoidTab[int((x+sigmoidBound)/(2*sigmoidBound)*sigmoidBins)]
 }
 
 // Method selects which embedding algorithm initializes a matrix.

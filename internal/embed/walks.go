@@ -79,12 +79,17 @@ func biasedWalk(g Graph, start int, cfg WalkConfig, rng *rand.Rand) []int {
 	walk = append(walk, start)
 	prev := -1
 	cur := start
+	// Scratch for sampleNext's link weights, kept across the walk's steps;
+	// out-degrees are a handful, so it normally never leaves the stack.
+	var buf [16]float64
+	weights := buf[:0]
 	for len(walk) < cfg.WalkLength {
 		links := g.Links(cur)
 		if len(links) == 0 {
 			break
 		}
-		next := sampleNext(g, prev, cur, links, cfg, rng)
+		var next int
+		next, weights = sampleNext(g, prev, cur, links, cfg, rng, weights)
 		walk = append(walk, next)
 		prev, cur = cur, next
 	}
@@ -92,18 +97,16 @@ func biasedWalk(g Graph, start int, cfg WalkConfig, rng *rand.Rand) []int {
 }
 
 // sampleNext draws the next node with node2vec bias: weight/p to return to
-// prev, weight to move to a neighbor of prev, weight/q otherwise.
-func sampleNext(g Graph, prev, cur int, links []roadnet.WeightedLink, cfg WalkConfig, rng *rand.Rand) int {
-	var prevNbrs map[int]bool
+// prev, weight to move to a neighbor of prev, weight/q otherwise. It returns
+// the weights scratch (possibly grown) for the next step to reuse.
+func sampleNext(g Graph, prev, cur int, links []roadnet.WeightedLink, cfg WalkConfig, rng *rand.Rand, weights []float64) (int, []float64) {
+	var prevLinks []roadnet.WeightedLink
 	if prev >= 0 && (cfg.P != 1 || cfg.Q != 1) {
-		prevNbrs = make(map[int]bool)
-		for _, l := range g.Links(prev) {
-			prevNbrs[l.To] = true
-		}
+		prevLinks = g.Links(prev)
 	}
 	total := 0.0
-	weights := make([]float64, len(links))
-	for i, l := range links {
+	weights = weights[:0]
+	for _, l := range links {
 		w := l.Weight
 		if w <= 0 {
 			w = 1e-6
@@ -112,21 +115,31 @@ func sampleNext(g Graph, prev, cur int, links []roadnet.WeightedLink, cfg WalkCo
 			switch {
 			case l.To == prev:
 				w /= cfg.P
-			case prevNbrs != nil && prevNbrs[l.To]:
+			case linksTo(prevLinks, l.To):
 				// distance 1 from prev: unbiased
 			default:
 				w /= cfg.Q
 			}
 		}
-		weights[i] = w
+		weights = append(weights, w)
 		total += w
 	}
 	r := rng.Float64() * total
 	for i, w := range weights {
 		r -= w
 		if r <= 0 {
-			return links[i].To
+			return links[i].To, weights
 		}
 	}
-	return links[len(links)-1].To
+	return links[len(links)-1].To, weights
+}
+
+// linksTo reports whether any of links points at node.
+func linksTo(links []roadnet.WeightedLink, node int) bool {
+	for _, l := range links {
+		if l.To == node {
+			return true
+		}
+	}
+	return false
 }

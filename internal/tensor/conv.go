@@ -47,7 +47,15 @@ func conv2DOutShape(x, k *Tensor, padH, padW, strideH, strideW int) (oc, oh, ow 
 // innermost loop runs over two pre-sliced rows — the sum order (and therefore
 // every output bit) is identical to the naive bounds-checked tap loop this
 // replaces, which matters for checkpoint replay.
+//
+// Width-1 kernels over unpadded, unstrided columns (every tie.conv*) go to
+// conv2DColumnForward: this loop nest would run its innermost loop over one
+// element per output.
 func conv2DForward(out, x, k *Tensor, padH, padW, strideH, strideW int) {
+	if k.Shape[3] == 1 && strideW == 1 && padW == 0 {
+		conv2DColumnForward(out, x, k, padH, strideH)
+		return
+	}
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	oc, kh, kw := k.Shape[0], k.Shape[2], k.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
@@ -55,23 +63,11 @@ func conv2DForward(out, x, k *Tensor, padH, padW, strideH, strideW int) {
 		kbase := o * c * kh * kw
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*strideH - padH
-			kyLo, kyHi := 0, kh
-			if iy0 < 0 {
-				kyLo = -iy0
-			}
-			if iy0+kyHi > h {
-				kyHi = h - iy0
-			}
+			kyLo, kyHi := validTaps(iy0, kh, h)
 			outRow := out.Data[(o*oh+oy)*ow : (o*oh+oy+1)*ow]
 			for ox := 0; ox < ow; ox++ {
 				ix0 := ox*strideW - padW
-				kxLo, kxHi := 0, kw
-				if ix0 < 0 {
-					kxLo = -ix0
-				}
-				if ix0+kxHi > w {
-					kxHi = w - ix0
-				}
+				kxLo, kxHi := validTaps(ix0, kw, w)
 				if kyLo >= kyHi || kxLo >= kxHi {
 					outRow[ox] = 0
 					continue
@@ -90,6 +86,50 @@ func conv2DForward(out, x, k *Tensor, padH, padW, strideH, strideW int) {
 					}
 				}
 				outRow[ox] = s
+			}
+		}
+	}
+}
+
+// validTaps returns the kernel taps [lo, hi) of a k-tap window starting at
+// input index i0 that fall inside an axis of n elements.
+func validTaps(i0, k, n int) (lo, hi int) {
+	hi = k
+	if i0 < 0 {
+		lo = -i0
+	}
+	if i0+hi > n {
+		hi = n - i0
+	}
+	return lo, hi
+}
+
+// conv2DColumnForward is conv2DForward for kw == 1, strideW == 1, padW == 0,
+// where an output row is a sum of scaled input rows: the column is the
+// innermost loop and one kernel weight is held across it. Each output element
+// still starts at zero and adds its taps in (ci, ky) ascending order, so every
+// bit equals the generic kernel's.
+func conv2DColumnForward(out, x, k *Tensor, padH, strideH int) {
+	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	oc, kh := k.Shape[0], k.Shape[2]
+	oh := out.Shape[1]
+	for o := 0; o < oc; o++ {
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*strideH - padH
+			kyLo, kyHi := validTaps(iy0, kh, h)
+			outRow := out.Data[(o*oh+oy)*w : (o*oh+oy+1)*w : (o*oh+oy+1)*w]
+			for j := range outRow {
+				outRow[j] = 0
+			}
+			for ci := 0; ci < c; ci++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					kv := k.Data[(o*c+ci)*kh+ky]
+					xoff := (ci*h + iy0 + ky) * w
+					xrow := x.Data[xoff : xoff+w : xoff+w][:len(outRow)]
+					for j, xv := range xrow {
+						outRow[j] += xv * kv
+					}
+				}
 			}
 		}
 	}
@@ -122,6 +162,10 @@ func Conv2DBackwardInto(a *Arena, x, k, gradOut *Tensor, padH, padW, strideH, st
 // in-bounds taps are visited in the same (o, oy, ox, ci, ky, kx) order as the
 // naive loop, so both gradients accumulate bit-identically.
 func conv2DBackward(gradX, gradK, x, k, gradOut *Tensor, padH, padW, strideH, strideW int) {
+	if k.Shape[3] == 1 && strideW == 1 && padW == 0 {
+		conv2DColumnBackward(gradX, gradK, x, k, gradOut, padH, strideH)
+		return
+	}
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	oc, kh, kw := k.Shape[0], k.Shape[2], k.Shape[3]
 	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
@@ -129,13 +173,7 @@ func conv2DBackward(gradX, gradK, x, k, gradOut *Tensor, padH, padW, strideH, st
 		kbase := o * c * kh * kw
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*strideH - padH
-			kyLo, kyHi := 0, kh
-			if iy0 < 0 {
-				kyLo = -iy0
-			}
-			if iy0+kyHi > h {
-				kyHi = h - iy0
-			}
+			kyLo, kyHi := validTaps(iy0, kh, h)
 			gRow := gradOut.Data[(o*oh+oy)*ow : (o*oh+oy+1)*ow]
 			for ox := 0; ox < ow; ox++ {
 				g := gRow[ox]
@@ -143,13 +181,7 @@ func conv2DBackward(gradX, gradK, x, k, gradOut *Tensor, padH, padW, strideH, st
 					continue
 				}
 				ix0 := ox*strideW - padW
-				kxLo, kxHi := 0, kw
-				if ix0 < 0 {
-					kxLo = -ix0
-				}
-				if ix0+kxHi > w {
-					kxHi = w - ix0
-				}
+				kxLo, kxHi := validTaps(ix0, kw, w)
 				if kyLo >= kyHi || kxLo >= kxHi {
 					continue
 				}
@@ -169,6 +201,41 @@ func conv2DBackward(gradX, gradK, x, k, gradOut *Tensor, padH, padW, strideH, st
 							gkrow[j] += g * xrow[j]
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// conv2DColumnBackward is conv2DBackward for the shapes conv2DColumnForward
+// takes. gradK[o,ci,ky] is held in a local across the output row and still
+// accumulates over (oy, ox) ascending; gradX[ci,iy,ix] still accumulates over
+// (o, oy, ky) ascending; zero output gradients are still skipped, not added:
+// both gradients equal the generic kernel's bit for bit.
+func conv2DColumnBackward(gradX, gradK, x, k, gradOut *Tensor, padH, strideH int) {
+	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	oc, kh := k.Shape[0], k.Shape[2]
+	oh := gradOut.Shape[1]
+	for o := 0; o < oc; o++ {
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*strideH - padH
+			kyLo, kyHi := validTaps(iy0, kh, h)
+			gRow := gradOut.Data[(o*oh+oy)*w : (o*oh+oy+1)*w : (o*oh+oy+1)*w]
+			for ci := 0; ci < c; ci++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					ki := (o*c+ci)*kh + ky
+					kv, gk := k.Data[ki], gradK.Data[ki]
+					xoff := (ci*h + iy0 + ky) * w
+					xrow := x.Data[xoff : xoff+w : xoff+w][:len(gRow)]
+					gxrow := gradX.Data[xoff : xoff+w : xoff+w][:len(gRow)]
+					for j, g := range gRow {
+						if g == 0 {
+							continue
+						}
+						gxrow[j] += g * kv
+						gk += g * xrow[j]
+					}
+					gradK.Data[ki] = gk
 				}
 			}
 		}

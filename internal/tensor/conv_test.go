@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,15 +190,17 @@ func naiveConv2DBackward(x, k, gradOut *Tensor, padH, padW, strideH, strideW int
 
 // TestConv2DMatchesNaiveBitExact sweeps shapes, paddings and strides —
 // including the model's 3×3/stride-2 traffic CNN and 3×1/pad-1 time-interval
-// encoder shapes, heavy padding and kernels larger than the padded overhang —
-// and requires bitwise equality between the hoisted kernels and the naive
-// reference for both the forward output and both gradients.
+// encoder shapes, heavy padding and kernels larger than the padded overhang,
+// then every kw==1 shape the column kernels take — and requires bitwise
+// equality between the kernels and the naive reference for both the forward
+// output and both gradients.
 func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	cases := []struct {
+	type convCase struct {
 		c, h, w, oc, kh, kw    int
 		padH, padW, strH, strW int
-	}{
+	}
+	cases := []convCase{
 		{1, 24, 24, 4, 3, 3, 1, 1, 2, 2}, // ext.conv1 shape
 		{4, 12, 12, 8, 3, 3, 1, 1, 2, 2}, // ext.conv2 shape
 		{8, 6, 6, 8, 3, 3, 1, 1, 2, 2},   // ext.conv3 shape
@@ -208,6 +211,31 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 		{1, 1, 1, 2, 3, 3, 1, 1, 1, 1}, // single-pixel input
 		{3, 7, 5, 2, 5, 5, 2, 2, 2, 3}, // large kernel, mixed strides
 		{2, 3, 3, 2, 3, 3, 3, 3, 1, 1}, // rows/cols fully in padding
+		// kw == 1 but padded or strided columns: not the column kernels'
+		// shape (their output rows would be the wrong width).
+		{4, 5, 16, 8, 3, 1, 1, 1, 1, 1},
+		{4, 5, 16, 8, 3, 1, 1, 0, 1, 2},
+		{1, 3, 1, 4, 3, 1, 1, 1, 2, 2},
+	}
+	// The column kernels (kw == 1, strideW == 1, padW == 0) over every
+	// combination of the shapes the time-interval encoder can hand them.
+	for _, h := range []int{1, 2, 3, 16} {
+		for _, c := range []int{1, 4, 8} {
+			for _, oc := range []int{1, 4, 8} {
+				for _, kh := range []int{1, 3} {
+					for _, padH := range []int{0, 1} {
+						for _, strH := range []int{1, 2} {
+							for _, w := range []int{1, 16} {
+								if h+2*padH < kh {
+									continue // empty output
+								}
+								cases = append(cases, convCase{c, h, w, oc, kh, 1, padH, 0, strH, 1})
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 	for _, tc := range cases {
 		x := New(tc.c, tc.h, tc.w)
@@ -232,7 +260,9 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 		for i := range gradOut.Data {
 			gradOut.Data[i] = rng.NormFloat64()
 		}
-		gradOut.Data[0] = 0 // exercise the g==0 skip
+		for i := 0; i < len(gradOut.Data); i += 3 {
+			gradOut.Data[i] = 0 // exercise the g==0 skip, as ReLU's backward does
+		}
 		wantGX, wantGK := naiveConv2DBackward(x, k, gradOut, tc.padH, tc.padW, tc.strH, tc.strW)
 		gotGX, gotGK := Conv2DBackward(x, k, gradOut, tc.padH, tc.padW, tc.strH, tc.strW)
 		for i := range wantGX.Data {
@@ -244,6 +274,63 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 			if math.Float64bits(gotGK.Data[i]) != math.Float64bits(wantGK.Data[i]) {
 				t.Fatalf("%+v: gradK bit mismatch at %d", tc, i)
 			}
+		}
+	}
+}
+
+// TestConv2DBackwardSkipsZeroGradients: an output gradient of exactly zero
+// contributes nothing, not 0·x — with an infinite activation or weight the
+// product would be NaN. Both the generic and the column kernel keep the skip.
+func TestConv2DBackwardSkipsZeroGradients(t *testing.T) {
+	for _, kw := range []int{1, 3} {
+		x := New(2, 4, 4)
+		k := New(3, 2, 3, kw)
+		x.Fill(math.Inf(1))
+		k.Fill(math.Inf(-1))
+		gradOut := New(conv2DOutShape(x, k, 1, kw/2, 1, 1))
+		gx, gk := Conv2DBackward(x, k, gradOut, 1, kw/2, 1, 1)
+		for _, g := range [][]float64{gx.Data, gk.Data} {
+			for i, v := range g {
+				if v != 0 {
+					t.Fatalf("kw=%d: gradient[%d] = %v from an all-zero output gradient", kw, i, v)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkConv2DColumn runs the time-interval encoder's three convolutions
+// (kw == 1, the column kernels) forward and backward, at one slot and at
+// four; a training sample runs them once per trajectory step.
+func BenchmarkConv2DColumn(b *testing.B) {
+	const dt = 16 // SmallConfig's slot-embedding width
+	for _, span := range []int{1, 4} {
+		for _, s := range []struct {
+			name            string
+			c, oc, kh, padH int
+		}{{"tie1", 1, 4, 3, 1}, {"tie2", 4, 8, 3, 1}, {"tie3", 8, 1, 1, 0}} {
+			rng := rand.New(rand.NewSource(1))
+			x := randTensor(rng, s.c, span, dt)
+			k := randTensor(rng, s.oc, s.c, s.kh, 1)
+			gradOut := randTensor(rng, s.oc, span, dt)
+			for i := 0; i < len(gradOut.Data); i += 2 {
+				gradOut.Data[i] = 0 // what ReLU's backward hands down
+			}
+			var a Arena
+			b.Run(fmt.Sprintf("%s_span%d/forward", s.name, span), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					a.Reset()
+					Conv2DInto(&a, x, k, s.padH, 0, 1, 1)
+				}
+			})
+			b.Run(fmt.Sprintf("%s_span%d/backward", s.name, span), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					a.Reset()
+					Conv2DBackwardInto(&a, x, k, gradOut, s.padH, 0, 1, 1)
+				}
+			})
 		}
 	}
 }

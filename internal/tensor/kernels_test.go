@@ -27,6 +27,40 @@ func TestMatVecAddMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestMatVecAddIntoRowExact pins the four-rows-at-a-time kernel, on both
+// sides of its m%4 tail, to the definition: every output is its own row's dot
+// product summed strictly in column order, plus its bias — and AffineBatchInto
+// row r is still that kernel on row r.
+func TestMatVecAddIntoRowExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, m := range []int{1, 3, 4, 5, 16, 31, 32} {
+		for _, n := range []int{1, 7, 64} {
+			w := randTensor(rng, m, n)
+			bias := randTensor(rng, m)
+			xs := randTensor(rng, 3, n)
+			batched := New(3, m)
+			AffineBatchInto(batched, xs, w, bias)
+			dst := New(m)
+			for r := 0; r < 3; r++ {
+				x := xs.Row(r)
+				MatVecAddInto(dst, w, x, bias)
+				for i := 0; i < m; i++ {
+					var s float64
+					for j := 0; j < n; j++ {
+						s += w.Data[i*n+j] * x.Data[j]
+					}
+					if want := s + bias.Data[i]; math.Float64bits(dst.Data[i]) != math.Float64bits(want) {
+						t.Fatalf("%dx%d row %d: %v, want %v", m, n, i, dst.Data[i], want)
+					}
+					if got := batched.Data[r*m+i]; math.Float64bits(got) != math.Float64bits(dst.Data[i]) {
+						t.Fatalf("%dx%d: AffineBatchInto[%d,%d] = %v, MatVecAddInto %v", m, n, r, i, got, dst.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulMatchesReference checks the blocked transposed-B kernel against
 // a naive triple loop on asymmetric shapes crossing block boundaries.
 func TestMatMulMatchesReference(t *testing.T) {

@@ -259,7 +259,9 @@ func MatVecAdd(w, x, b *Tensor) *Tensor {
 
 // MatVecAddInto computes W x + b into dst without allocating. Each output
 // element is the sequential column sum plus b[i], exactly matching the
-// unfused MatVec-then-Add composition bit for bit.
+// unfused MatVec-then-Add composition bit for bit. Four rows run at a time,
+// each in its own accumulator: one row's add chain waits on itself, four
+// independent ones overlap, and no row's summation order changes.
 func MatVecAddInto(dst, w, x, b *Tensor) {
 	if w.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatVecAdd wants a matrix, got shape %v", w.Shape))
@@ -271,14 +273,27 @@ func MatVecAddInto(dst, w, x, b *Tensor) {
 	if dst.Size() != m {
 		panic(fmt.Sprintf("tensor: MatVecAddInto dst has %d elements, want %d", dst.Size(), m))
 	}
-	xd := x.Data[:n]
-	for i := 0; i < m; i++ {
+	xd, bd, dd := x.Data[:n], b.Data[:m], dst.Data[:m]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		rows := w.Data[i*n : (i+4)*n]
+		r0, r1, r2, r3 := rows[:len(xd)], rows[n:][:len(xd)], rows[2*n:][:len(xd)], rows[3*n:][:len(xd)]
+		var s0, s1, s2, s3 float64
+		for j, xv := range xd {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		dd[i], dd[i+1], dd[i+2], dd[i+3] = s0+bd[i], s1+bd[i+1], s2+bd[i+2], s3+bd[i+3]
+	}
+	for ; i < m; i++ {
 		row := w.Data[i*n : (i+1)*n : (i+1)*n]
 		var s float64
 		for j, v := range row {
 			s += v * xd[j]
 		}
-		dst.Data[i] = s + b.Data[i]
+		dd[i] = s + bd[i]
 	}
 }
 
@@ -313,14 +328,14 @@ func AddOuterInPlace(dst, y, x *Tensor) {
 	if dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: AddOuterInPlace shape mismatch dst %v y %d x %d", dst.Shape, m, n))
 	}
-	for i := 0; i < m; i++ {
-		yi := y.Data[i]
+	xd := x.Data[:n]
+	for i, yi := range y.Data[:m] {
 		if yi == 0 {
 			continue
 		}
-		row := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] += yi * x.Data[j]
+		row := dst.Data[i*n : (i+1)*n : (i+1)*n][:len(xd)]
+		for j, xv := range xd {
+			row[j] += yi * xv
 		}
 	}
 }
@@ -332,14 +347,14 @@ func AddMatVecTInPlace(dst, w, y *Tensor) {
 	if dst.Size() != n || y.Size() != m {
 		panic(fmt.Sprintf("tensor: AddMatVecTInPlace size mismatch dst %d W %v y %d", dst.Size(), w.Shape, y.Size()))
 	}
-	for i := 0; i < m; i++ {
-		yi := y.Data[i]
+	dd := dst.Data[:n]
+	for i, yi := range y.Data[:m] {
 		if yi == 0 {
 			continue
 		}
-		row := w.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			dst.Data[j] += yi * row[j]
+		row := w.Data[i*n : (i+1)*n : (i+1)*n][:len(dd)]
+		for j, v := range row {
+			dd[j] += yi * v
 		}
 	}
 }

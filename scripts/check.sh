@@ -24,8 +24,11 @@ go test ./...
 
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/prof/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
-go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation' ./internal/core/
-go test -race -run 'Parallel' ./internal/embed/
+go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
+go test -race -run 'Parallel|GoldenBits' ./internal/embed/
+
+echo "== fuzz smoke (guided negative sampler against the binary search it replaced, 5 s)"
+go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 
 echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
@@ -45,12 +48,14 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer + internal/obs spans + internal/core estimates: traffic-code memo hit/miss, fused + OD endpoint matching)"
+echo "== bench smoke (internal/infer + internal/obs spans + internal/core estimates: traffic-code memo hit/miss, fused + OD endpoint matching; the pre-training and training kernels)"
 go test -run '^$' -bench=. -benchtime=200ms ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms ./internal/core/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
 go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
 go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
+go test -run '^$' -bench 'BenchmarkTrainSkipGram|BenchmarkNegSample|BenchmarkGenerateWalks' -benchtime=100ms -benchmem ./internal/embed/
+go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkMatVecAdd$' -benchtime=100ms ./internal/tensor/
 
 echo "== load harness smoke (go run ./bench, 2 s a workload: every HTTP answer bit-equal to the model's, zero failed operations; rates are bench -compare's job)"
 for w in estimate-cold estimate-hot estimate-live train; do
