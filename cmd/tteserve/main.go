@@ -140,8 +140,7 @@ func main() {
 		logEvery  = flag.Int("log-every", 1, "sample success access logs: log every Nth 2xx/3xx request (errors always log)")
 		logSpans  = flag.Bool("log-spans", false, "log every pipeline span (verbose)")
 
-		direct       = flag.Bool("direct", false, "bypass the inference engine: one synchronous match+estimate per request")
-		workers      = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "bound on concurrent engine executions, and the worker pool's size (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 256, "engine admission queue depth (full queue sheds 429)")
 		maxBatch     = flag.Int("batch", 16, "max requests per worker micro-batch; batches of 2+ are served by one fused [B×d] forward, bit-identical to per-request estimates")
 		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max queue wait before shedding 503")
@@ -149,7 +148,7 @@ func main() {
 		cacheTTL     = flag.Duration("cache-ttl", 5*time.Minute, "estimate cache entry lifetime")
 		cacheCell    = flag.Float64("cache-cell", 250, "spatial quantization cell for cache keys, meters")
 
-		trafficOn      = flag.Bool("traffic", false, "live traffic: POST /probes GPS firehose → incremental map matching → edge-speed store feeding serving-time features (engine path only)")
+		trafficOn      = flag.Bool("traffic", false, "live traffic: POST /probes GPS firehose → incremental map matching → edge-speed store feeding serving-time features")
 		trafficWorkers = flag.Int("traffic-workers", 1, "probe map-matching workers (vehicles are hash-partitioned across them)")
 		trafficWindowS = flag.Float64("traffic-window-sec", 60, "edge-speed aggregation window, sim seconds")
 		trafficWindows = flag.Int("traffic-windows", 5, "speed windows retained per edge (ring)")
@@ -167,12 +166,12 @@ func main() {
 
 		runtimeEvery = flag.Duration("runtime-stats", 10*time.Second, "runtime stats (goroutines, heap, GC) sampling period; 0 disables")
 
-		qualityOn      = flag.Bool("quality", true, "online model-quality monitoring: stamp predictions, accept POST /feedback, serve GET /debug/quality (engine path only)")
+		qualityOn      = flag.Bool("quality", true, "online model-quality monitoring: stamp predictions, accept POST /feedback, serve GET /debug/quality")
 		qualityWindow  = flag.Duration("quality-window", time.Minute, "quality metric aggregation window")
 		pendingTTL     = flag.Duration("pending-ttl", 10*time.Minute, "how long a stamped prediction waits for feedback before expiring")
 		driftThreshold = flag.Float64("drift-threshold", 0.2, "PSI above which the error distribution counts as drifted")
 
-		recorderOn        = flag.Bool("recorder", false, "flight recorder: capture a wide event per served estimate, GET /debug/recorder (engine path only)")
+		recorderOn        = flag.Bool("recorder", false, "flight recorder: capture a wide event per served estimate, GET /debug/recorder")
 		recorderDir       = flag.String("recorder-dir", "", "mirror captured wide events to JSONL segment files in this directory (empty = in-memory only)")
 		recorderSample    = flag.Float64("recorder-sample", 0.01, "probability of capturing a normal (non-error, non-slow) estimate; errors and shed requests are always captured")
 		recorderCap       = flag.Int("recorder-capacity", 4096, "in-memory wide-event ring size, events")
@@ -382,181 +381,169 @@ func main() {
 	}
 
 	scfg.External = c.Grid.External
-	if *direct {
-		logger.Info("engine disabled (-direct): serving synchronous per-request path")
-		if *qualityOn {
-			logger.Info("quality monitoring needs the engine path for prediction stamping; disabled under -direct")
+	cells, err := roadnet.NewEdgeIndex(c.Graph, *cacheCell)
+	if err != nil {
+		fatal("building cache quantizer", err)
+	}
+	var mon *quality.Monitor
+	if *qualityOn {
+		mon = quality.New(quality.Config{
+			Window:         *qualityWindow,
+			PendingTTL:     *pendingTTL,
+			DriftThreshold: *driftThreshold,
+			Reference:      snap.RefDist,
+			ReferenceModel: snap.ID,
+			Cells:          cells, // same quantizer as the estimate cache
+			Slotter:        snap.Slotter,
+			Logger:         logger,
+			Alerts:         alertSinkOrNil(alertMgr),
+		})
+		if snap.RefDist == nil {
+			logger.Info("quality: no reference error distribution in the model; drift detection off until a reload provides one")
 		}
-		if *trafficOn {
-			logger.Info("live traffic needs the engine path to bind serving-time features; disabled under -direct")
-		}
-		scfg.Match = match
-		scfg.Estimate = snap.Estimate
-	} else {
-		cells, err := roadnet.NewEdgeIndex(c.Graph, *cacheCell)
+	}
+	// Live traffic pipeline: probes posted to /probes flow through
+	// incremental map matching into the edge-speed store; the engine
+	// reads the merged live/prior speed field at estimate time.
+	var liveTraffic *traffic.FeatureSource
+	if *trafficOn {
+		store, err := traffic.NewStore(c.Graph, traffic.StoreConfig{
+			WindowSec: *trafficWindowS,
+			Windows:   *trafficWindows,
+			Decay:     *trafficDecay,
+		})
 		if err != nil {
-			fatal("building cache quantizer", err)
+			fatal("building traffic store", err)
 		}
-		var mon *quality.Monitor
-		if *qualityOn {
-			mon = quality.New(quality.Config{
-				Window:         *qualityWindow,
-				PendingTTL:     *pendingTTL,
-				DriftThreshold: *driftThreshold,
-				Reference:      snap.RefDist,
-				ReferenceModel: snap.ID,
-				Cells:          cells, // same quantizer as the estimate cache
-				Slotter:        snap.Slotter,
-				Logger:         logger,
-				Alerts:         alertSinkOrNil(alertMgr),
-			})
-			if snap.RefDist == nil {
-				logger.Info("quality: no reference error distribution in the model; drift detection off until a reload provides one")
-			}
-		}
-		// Live traffic pipeline: probes posted to /probes flow through
-		// incremental map matching into the edge-speed store; the engine
-		// reads the merged live/prior speed field at estimate time.
-		var liveTraffic *traffic.FeatureSource
-		if *trafficOn {
-			store, err := traffic.NewStore(c.Graph, traffic.StoreConfig{
-				WindowSec: *trafficWindowS,
-				Windows:   *trafficWindows,
-				Decay:     *trafficDecay,
-			})
-			if err != nil {
-				fatal("building traffic store", err)
-			}
-			ing, err := traffic.NewIngestor(matcher, store, traffic.IngestConfig{
-				Workers: *trafficWorkers,
-				Tracker: mapmatch.TrackerConfig{SessionTTLSec: *trafficTTLS},
-			})
-			if err != nil {
-				fatal("building traffic ingestor", err)
-			}
-			defer ing.Close()
-			liveTraffic, err = traffic.NewFeatureSource(c.Graph, store, c.Grid.External, traffic.FeatureConfig{
-				CellMeters:    *trafficCell,
-				MinCoverage:   *trafficMinCov,
-				StaleAfterSec: *trafficStaleS,
-			})
-			if err != nil {
-				fatal("building traffic feature source", err)
-			}
-			scfg.Probes = ing
-			scfg.TrafficStatus = ing.Status
-			scfg.ProbeMaxBodyBytes = *trafficMaxBody
-			logger.Info("live traffic ingestion on",
-				"workers", *trafficWorkers,
-				"window_sec", *trafficWindowS,
-				"windows", *trafficWindows,
-				"stale_sec", *trafficStaleS,
-				"min_coverage", *trafficMinCov,
-			)
-		}
-		// Flight recorder: one wide event per served estimate, policy-
-		// sampled, mirrored to disk with -recorder-dir so a recorded
-		// session can be replayed offline by ttereplay.
-		var flight *recorder.Recorder
-		if *recorderOn {
-			flight, err = recorder.New(recorder.Config{
-				Capacity:      *recorderCap,
-				SlowestN:      *recorderSlowest,
-				SampleRate:    *recorderSample,
-				Cells:         cells, // same quantizer as the estimate cache
-				Slotter:       snap.Slotter,
-				Dir:           *recorderDir,
-				SegmentEvents: *recorderSegEvents,
-				MaxSegments:   *recorderSegments,
-				Meta:          map[string]string{"city": c.Name, "model": snap.ID},
-			})
-			if err != nil {
-				fatal("building flight recorder", err)
-			}
-			defer flight.Close()
-			scfg.Recorder = flight
-			logger.Info("flight recorder on",
-				"sample", *recorderSample,
-				"capacity", *recorderCap,
-				"dir", *recorderDir,
-			)
-		}
-		engCfg := infer.Config{
-			Match:        match,
-			Snapshot:     snap,
-			Workers:      *workers,
-			QueueDepth:   *queueDepth,
-			MaxBatch:     *maxBatch,
-			QueueTimeout: *queueTimeout,
-			CacheEntries: *cacheEntries,
-			CacheTTL:     *cacheTTL,
-			Cells:        cells,
-			Slotter:      snap.Slotter,
-			Recorder:     recorderOrNil(mon),
-		}
-		if flight != nil {
-			// Assigned conditionally so a nil *recorder.Recorder never
-			// becomes a non-nil FlightRecorder interface.
-			engCfg.Flight = flight
-		}
-		if liveTraffic != nil {
-			// Assigned conditionally so a nil *FeatureSource never becomes
-			// a non-nil TrafficSource interface.
-			engCfg.Traffic = liveTraffic
-		}
-		eng, err := infer.New(engCfg)
+		ing, err := traffic.NewIngestor(matcher, store, traffic.IngestConfig{
+			Workers: *trafficWorkers,
+			Tracker: mapmatch.TrackerConfig{SessionTTLSec: *trafficTTLS},
+		})
 		if err != nil {
-			fatal("building engine", err)
+			fatal("building traffic ingestor", err)
 		}
-		defer eng.Close()
-		scfg.Infer = eng.Do
-		scfg.Version = eng.Version
-		scfg.Ready = eng.Readiness
-		scfg.Quality = mon
-
-		reload := func(ctx context.Context) (map[string]any, error) {
-			if *modelPath == "" {
-				return nil, fmt.Errorf("server was started without -model; nothing to reload from")
-			}
-			next, err := infer.LoadCheckpointCtx(ctx, *modelPath, c.Graph)
-			if err != nil {
-				eng.RecordReloadFailure(err)
-				return nil, err
-			}
-			prev, err := eng.SwapCtx(ctx, next)
-			if err != nil {
-				eng.RecordReloadFailure(err)
-				return nil, err
-			}
-			if mon != nil {
-				// Pending predictions from the old model still join (their
-				// entries carry the old generation); only the drift baseline
-				// follows the new checkpoint.
-				mon.SetReference(next.RefDist, next.ID)
-			}
-			logger.InfoContext(ctx, "model reloaded", "model", next.ID, "previous", prev.ID)
-			return map[string]any{"model": next.ID, "previous": prev.ID}, nil
+		defer ing.Close()
+		liveTraffic, err = traffic.NewFeatureSource(c.Graph, store, c.Grid.External, traffic.FeatureConfig{
+			CellMeters:    *trafficCell,
+			MinCoverage:   *trafficMinCov,
+			StaleAfterSec: *trafficStaleS,
+		})
+		if err != nil {
+			fatal("building traffic feature source", err)
 		}
-		scfg.Reload = reload
-
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				if _, err := reload(context.Background()); err != nil {
-					logger.Error("SIGHUP reload failed", "err", err)
-				}
-			}
-		}()
-		logger.Info("engine ready",
-			"workers", eng.Version()["workers"],
-			"queue", *queueDepth,
-			"batch", *maxBatch,
-			"cache_entries", *cacheEntries,
-			"cache_ttl", *cacheTTL,
-			"cache_cell_m", *cacheCell,
+		scfg.Probes = ing
+		scfg.TrafficStatus = ing.Status
+		scfg.ProbeMaxBodyBytes = *trafficMaxBody
+		logger.Info("live traffic ingestion on",
+			"workers", *trafficWorkers,
+			"window_sec", *trafficWindowS,
+			"windows", *trafficWindows,
+			"stale_sec", *trafficStaleS,
+			"min_coverage", *trafficMinCov,
 		)
 	}
+	// Flight recorder: one wide event per served estimate, policy-
+	// sampled, mirrored to disk with -recorder-dir so a recorded
+	// session can be replayed offline by ttereplay.
+	var flight *recorder.Recorder
+	if *recorderOn {
+		flight, err = recorder.New(recorder.Config{
+			Capacity:      *recorderCap,
+			SlowestN:      *recorderSlowest,
+			SampleRate:    *recorderSample,
+			Cells:         cells, // same quantizer as the estimate cache
+			Slotter:       snap.Slotter,
+			Dir:           *recorderDir,
+			SegmentEvents: *recorderSegEvents,
+			MaxSegments:   *recorderSegments,
+			Meta:          map[string]string{"city": c.Name, "model": snap.ID},
+		})
+		if err != nil {
+			fatal("building flight recorder", err)
+		}
+		defer flight.Close()
+		scfg.Recorder = flight
+		logger.Info("flight recorder on",
+			"sample", *recorderSample,
+			"capacity", *recorderCap,
+			"dir", *recorderDir,
+		)
+	}
+	engCfg := infer.Config{
+		Match:        match,
+		Snapshot:     snap,
+		Workers:      *workers,
+		QueueDepth:   *queueDepth,
+		MaxBatch:     *maxBatch,
+		QueueTimeout: *queueTimeout,
+		CacheEntries: *cacheEntries,
+		CacheTTL:     *cacheTTL,
+		Cells:        cells,
+		Slotter:      snap.Slotter,
+		Recorder:     recorderOrNil(mon),
+	}
+	if flight != nil {
+		// Assigned conditionally so a nil *recorder.Recorder never
+		// becomes a non-nil FlightRecorder interface.
+		engCfg.Flight = flight
+	}
+	if liveTraffic != nil {
+		// Assigned conditionally so a nil *FeatureSource never becomes
+		// a non-nil TrafficSource interface.
+		engCfg.Traffic = liveTraffic
+	}
+	eng, err := infer.New(engCfg)
+	if err != nil {
+		fatal("building engine", err)
+	}
+	defer eng.Close()
+	scfg.Infer = eng.Do
+	scfg.Version = eng.Version
+	scfg.Ready = eng.Readiness
+	scfg.Quality = mon
+
+	reload := func(ctx context.Context) (map[string]any, error) {
+		if *modelPath == "" {
+			return nil, fmt.Errorf("server was started without -model; nothing to reload from")
+		}
+		next, err := infer.LoadCheckpointCtx(ctx, *modelPath, c.Graph)
+		if err != nil {
+			eng.RecordReloadFailure(err)
+			return nil, err
+		}
+		prev, err := eng.SwapCtx(ctx, next)
+		if err != nil {
+			eng.RecordReloadFailure(err)
+			return nil, err
+		}
+		if mon != nil {
+			// Pending predictions from the old model still join (their
+			// entries carry the old generation); only the drift baseline
+			// follows the new checkpoint.
+			mon.SetReference(next.RefDist, next.ID)
+		}
+		logger.InfoContext(ctx, "model reloaded", "model", next.ID, "previous", prev.ID)
+		return map[string]any{"model": next.ID, "previous": prev.ID}, nil
+	}
+	scfg.Reload = reload
+
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go func() {
+		for range hup {
+			if _, err := reload(context.Background()); err != nil {
+				logger.Error("SIGHUP reload failed", "err", err)
+			}
+		}
+	}()
+	logger.Info("engine ready",
+		"workers", eng.Version()["workers"],
+		"queue", *queueDepth,
+		"batch", *maxBatch,
+		"cache_entries", *cacheEntries,
+		"cache_ttl", *cacheTTL,
+		"cache_cell_m", *cacheCell,
+	)
 
 	srv, err := serve.New(scfg)
 	if err != nil {

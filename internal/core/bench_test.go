@@ -7,10 +7,11 @@ import (
 	"deepod/internal/traj"
 )
 
-// Inference benchmarks: the fused [B×d] batch path against B per-sample
-// tape walks, at the admission batch sizes the serving sweep uses. Run with
-// -benchmem: the fused path's advantage is as much the collapsed per-node
-// tape bookkeeping as the kernel shape.
+// Inference benchmarks: the one eval forward at B = 1 (Estimate) and at the
+// admission batch sizes a saturated engine drains. Run with -benchmem: the
+// forward itself allocates nothing in steady state.
+
+var benchSink float64
 
 func benchModel(b *testing.B) (*Model, []traj.MatchedOD) {
 	b.Helper()
@@ -26,25 +27,18 @@ func benchModel(b *testing.B) (*Model, []traj.MatchedOD) {
 	return m, ods
 }
 
-func BenchmarkEstimateBatchFused(b *testing.B) {
+func BenchmarkEstimate(b *testing.B) {
 	m, ods := benchModel(b)
-	for _, bs := range []int{4, 16, 64} {
-		if bs > len(ods) {
-			continue
-		}
-		batch := ods[:bs]
-		b.Run(fmt.Sprintf("B%d", bs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.EstimateBatchFused(batch)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += m.Estimate(&ods[i%len(ods)])
 	}
 }
 
-func BenchmarkEstimateBatchPerSample(b *testing.B) {
+func BenchmarkEstimateBatchFused(b *testing.B) {
 	m, ods := benchModel(b)
-	for _, bs := range []int{4, 16, 64} {
+	for _, bs := range []int{1, 4, 16, 64} {
 		if bs > len(ods) {
 			continue
 		}
@@ -52,7 +46,7 @@ func BenchmarkEstimateBatchPerSample(b *testing.B) {
 		b.Run(fmt.Sprintf("B%d", bs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.EstimateBatch(batch)
+				benchSink += m.EstimateBatchFused(batch)[0]
 			}
 		})
 	}
@@ -61,11 +55,9 @@ func BenchmarkEstimateBatchPerSample(b *testing.B) {
 // Traffic-code memo benchmarks: what one estimate costs when its speed
 // matrix is shared with earlier ones (hit), was never seen (miss + insert —
 // compare with the parent commit's Estimate, which ran the CNN always) and
-// is absent, and what a fused batch costs when its rows share one matrix or
+// is absent, and what a batch costs when its rows share one matrix or
 // carry sixteen. Matrices are beijing-s sized (18×16, gridOf); fresh ones
 // are made outside the timer.
-
-var benchSink float64
 
 func BenchmarkEstimateTrafficCode(b *testing.B) {
 	m, ods := benchModel(b)

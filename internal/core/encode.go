@@ -91,15 +91,10 @@ func (m *Model) encodeTrajectory(tp *nn.Tape, t *traj.Trajectory) *nn.Node {
 
 // encodeExternal implements the External Features Encoder (§4.5 /
 // Formula 18): a one-hot weather vector and a CNN-compressed speed matrix
-// are concatenated and passed through a two-layer MLP into ocode. On an
-// eval tape Z⁸ comes from externalZ8Row (the memoised traffic code); a
-// training tape carries the CNN itself, for its gradients.
+// are concatenated and passed through a two-layer MLP into ocode. The tape
+// carries the CNN itself, for its gradients; inference reads the memoised
+// traffic code instead (externalZ8Row, behind the eval forward of fused.go).
 func (m *Model) encodeExternal(tp *nn.Tape, ext *traj.ExternalFeatures) *nn.Node {
-	if tp.Eval {
-		z8 := tp.Alloc(citysim.WeatherTypes + m.cfg.Dtraf)
-		m.externalZ8Row(ext, z8.Data)
-		return m.extMLP.Forward(tp, tp.Const(z8)) // Formula 18
-	}
 	// A nil bundle (external features unavailable for this record) keeps
 	// the zero one-hot, and without a speed matrix the traffic code is
 	// zero too. Keeps the model usable on partial data.

@@ -12,24 +12,47 @@ import (
 	"deepod/internal/traj"
 )
 
-// The fused batched inference path: an admission batch of B matched ODs is
-// encoded as one [B×odDim] feature matrix and pushed through the OD encoder
-// MLP and the estimator head as matrix-matrix products, instead of B
-// independent tape walks. The external-features conv stack has no batched
-// kernel; its code comes row by row from the memo behind externalZ8Row. Every
-// MLP — extMLP, odMLP, estMLP — runs through tensor.AffineBatchInto, which keeps
-// reductions sequential per output element, so the fused result is
-// Float64bits-identical to EstimateBatch. Flight-recorder replay
-// (internal/replay, which pins MaxBatch=1) therefore reproduces fused-engine
-// recordings with zero unexplained diffs.
+// The eval forward. Online estimation (Algorithm 1: M_O then M_E) has one
+// implementation at every batch size: B matched ODs are encoded as one
+// [B×odDim] feature matrix and pushed through the OD encoder MLP and the
+// estimator head as matrix-matrix products on a pooled arena — no autodiff
+// tape. Estimate is the B = 1 case of the same kernel. The external-features
+// conv stack has no batched kernel; its code comes row by row from the memo
+// behind externalZ8Row. Every MLP — extMLP, odMLP, estMLP — runs through
+// tensor.AffineBatchInto, which reduces each output element sequentially, so
+// row r of a batch is Float64bits-identical to the same OD estimated alone
+// and to the training tape's forward (fused_test.go holds that reference).
+// Flight-recorder replay (internal/replay, which pins MaxBatch=1) therefore
+// reproduces batched-engine recordings with zero unexplained diffs.
 
-// fusedArenas recycles the arenas that hold one fused forward's [B×d]
-// activation matrices. Pooled like evalTapes so steady-state batches
-// allocate only their output slice.
+// fusedArenas recycles the arenas that hold one forward's [B×d] activation
+// matrices, so a steady-state estimate allocates nothing for them. Arenas
+// are model-independent: they carry no parameter state.
 var fusedArenas = sync.Pool{New: func() any { return new(tensor.Arena) }}
 
-// EstimateBatchFused estimates many OD inputs through the fused [B×d] path.
-// Results are bit-identical to EstimateBatch for every batch size.
+// Estimate runs the online estimation of Algorithm 1: encode the OD input
+// with M_O and decode the travel time with M_E. The result is in seconds.
+// The two stages record into tte_span_seconds{span="encode"|"estimate"}.
+// Safe for concurrent use.
+func (m *Model) Estimate(od *traj.MatchedOD) float64 {
+	return m.EstimateCtx(context.Background(), od)
+}
+
+// EstimateCtx is Estimate with trace context: when ctx carries a trace
+// (a request through internal/serve and internal/infer), the encode and
+// estimate stages appear as sibling child spans in the request's tree.
+// The aggregate histograms are recorded either way.
+func (m *Model) EstimateCtx(ctx context.Context, od *traj.MatchedOD) float64 {
+	ar := fusedArenas.Get().(*tensor.Arena)
+	ar.Reset()
+	y := m.forward(ctx, ar, 1, func(int) *traj.MatchedOD { return od })
+	sec := m.seconds(y.Data[0])
+	fusedArenas.Put(ar)
+	return sec
+}
+
+// EstimateBatchFused estimates many OD inputs in one [B×d] forward (Table 5
+// times 1000 of these). Element i is bit-identical to Estimate(&ods[i]).
 func (m *Model) EstimateBatchFused(ods []traj.MatchedOD) []float64 {
 	return m.EstimateBatchFusedCtx(context.Background(), ods)
 }
@@ -37,12 +60,11 @@ func (m *Model) EstimateBatchFused(ods []traj.MatchedOD) []float64 {
 // EstimateBatchFusedCtx is EstimateBatchFused with trace context: the batch
 // is one "estimate_batch" span (count and fused attributes) whose children
 // are a single batched encode stage and a single batched estimate stage.
-// Batches of one fall back to the per-sample path — there is nothing to
-// fuse and the tape path avoids the matrix bookkeeping. Safe for concurrent
-// use.
+// Safe for concurrent use.
 func (m *Model) EstimateBatchFusedCtx(ctx context.Context, ods []traj.MatchedOD) []float64 {
-	if len(ods) <= 1 {
-		return m.EstimateBatchCtx(ctx, ods)
+	out := make([]float64, len(ods))
+	if len(ods) == 0 {
+		return out
 	}
 	bctx, span := obs.StartSpan(ctx, "estimate_batch")
 	span.SetInt("count", len(ods))
@@ -52,46 +74,53 @@ func (m *Model) EstimateBatchFusedCtx(ctx context.Context, ods []traj.MatchedOD)
 	ar := fusedArenas.Get().(*tensor.Arena)
 	defer fusedArenas.Put(ar)
 	ar.Reset()
-
-	_, encSpan := obs.StartSpan(bctx, "encode")
-	z9 := m.odFeatureMatrix(ar, ods)
-	code := m.odMLP.ForwardBatch(ar, z9)
-	encSpan.End()
-
-	_, estSpan := obs.StartSpan(bctx, "estimate")
-	y := m.estMLP.ForwardBatch(ar, code)
-	estSpan.End()
-
-	out := make([]float64, len(ods))
+	y := m.forward(bctx, ar, len(ods), func(i int) *traj.MatchedOD { return &ods[i] })
 	for i := range out {
-		sec := y.Data[i] * m.timeScale
-		if sec < 0 {
-			sec = 0
-		}
-		out[i] = sec
+		out[i] = m.seconds(y.Data[i])
 	}
 	return out
 }
 
-// odFeatureMatrix assembles the Z⁹ feature matrix for a batch: one row per
-// OD, laid out exactly as encodeOD concatenates its parts. The external code
-// rows are produced by extMLP.ForwardBatch over a [B×z8] matrix; everything
-// else is a pure copy of embedding rows and scalar features, so every value
-// equals the per-sample tape path bit for bit.
-func (m *Model) odFeatureMatrix(ar *tensor.Arena, ods []traj.MatchedOD) *tensor.Tensor {
-	b := len(ods)
-	var ocode *tensor.Tensor // [B, D6m], nil under N-ex
+// forward is the eval forward over n ODs, at(i) being row i: the encode
+// stage builds Z⁹ and runs MLP1, the estimate stage runs MLP2. It returns
+// the estimator's [n×1] output in model units, carved out of ar.
+func (m *Model) forward(ctx context.Context, ar *tensor.Arena, n int, at func(int) *traj.MatchedOD) *tensor.Tensor {
+	_, encSpan := obs.StartSpan(ctx, "encode")
+	code := m.odMLP.ForwardBatch(ar, m.odFeatureMatrix(ar, n, at)) // Formula 19
+	encSpan.End()
+	_, estSpan := obs.StartSpan(ctx, "estimate")
+	y := m.estMLP.ForwardBatch(ar, code) // Formula 20
+	estSpan.End()
+	return y
+}
+
+// seconds scales the estimator's output to seconds, clamped at zero.
+func (m *Model) seconds(y float64) float64 {
+	sec := y * m.timeScale
+	if sec < 0 {
+		sec = 0
+	}
+	return sec
+}
+
+// odFeatureMatrix assembles the Z⁹ feature matrix for n ODs: one row per
+// OD, laid out exactly as encodeOD concatenates its parts on the training
+// tape. The external code rows are produced by extMLP.ForwardBatch over a
+// [n×z8] matrix; everything else is a pure copy of embedding rows and scalar
+// features, so every value equals the training forward bit for bit.
+func (m *Model) odFeatureMatrix(ar *tensor.Arena, n int, at func(int) *traj.MatchedOD) *tensor.Tensor {
+	var ocode *tensor.Tensor // [n, D6m], nil under N-ex
 	if !m.cfg.NoExternal {
 		z8w := citysim.WeatherTypes + m.cfg.Dtraf
-		z8 := ar.New(b, z8w)
-		for i := range ods {
-			m.externalZ8Row(ods[i].External, z8.Data[i*z8w:(i+1)*z8w])
+		z8 := ar.New(n, z8w)
+		for i := 0; i < n; i++ {
+			m.externalZ8Row(at(i).External, z8.Data[i*z8w:(i+1)*z8w])
 		}
-		ocode = m.extMLP.ForwardBatch(ar, z8)
+		ocode = m.extMLP.ForwardBatch(ar, z8) // Formula 18
 	}
-	z9 := ar.New(b, m.odDim)
-	for i := range ods {
-		od := &ods[i]
+	z9 := ar.New(n, m.odDim)
+	for i := 0; i < n; i++ {
+		od := at(i)
 		row := z9.Data[i*m.odDim : (i+1)*m.odDim]
 		off := 0
 		if m.cfg.NoSpatial {

@@ -1,70 +1,72 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
-	"deepod/internal/dataset"
+	"deepod/internal/nn"
 	"deepod/internal/traj"
 )
 
-// fusedBitExact asserts EstimateBatchFused == EstimateBatch by Float64bits
-// for every batch size in sizes, slicing ods from the front.
-func fusedBitExact(t *testing.T, m *Model, ods []traj.MatchedOD, sizes []int) {
+// referenceEstimate is the train/serve reference: the OD branch built on a
+// training tape exactly as Train's forward builds it (encodeOD +
+// estMLP.Forward, the traffic CNN on the tape, no memo). The eval forward
+// shares no code with it above the tensor kernels, so bit-equality between
+// the two is what says serving computes what training trained.
+func referenceEstimate(m *Model, od *traj.MatchedOD) float64 {
+	tp := nn.NewTape()
+	sec := m.estMLP.Forward(tp, m.encodeOD(tp, od)).Value.Data[0] * m.timeScale
+	if sec < 0 {
+		sec = 0
+	}
+	return sec
+}
+
+// estimateEach is Estimate over ods one by one: the eval forward at B = 1.
+func estimateEach(m *Model, ods []traj.MatchedOD) []float64 {
+	out := make([]float64, len(ods))
+	for i := range ods {
+		out[i] = m.Estimate(&ods[i])
+	}
+	return out
+}
+
+// forwardBitExact asserts Estimate and EstimateBatchFused equal the
+// training-tape reference by Float64bits at every batch size in sizes,
+// slicing ods from the front, on a cold memo and again on the warm one.
+func forwardBitExact(t *testing.T, m *Model, ods []traj.MatchedOD, sizes []int) {
 	t.Helper()
+	want := make([]float64, len(ods))
+	for i := range ods {
+		want[i] = referenceEstimate(m, &ods[i])
+	}
 	for _, n := range sizes {
 		if n > len(ods) {
-			continue
+			t.Fatalf("B=%d wants more than the %d ODs of the test world", n, len(ods))
 		}
-		batch := ods[:n]
-		want := m.EstimateBatch(batch)
-		got := m.EstimateBatchFused(batch)
-		if len(got) != len(want) {
-			t.Fatalf("B=%d: fused returned %d estimates, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("B=%d trip %d: fused %v (bits %x) != per-sample %v (bits %x)",
-					n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		for _, memo := range []string{"cold", "warm"} {
+			if memo == "cold" {
+				m.traf.invalidate()
 			}
+			wantBits(t, fmt.Sprintf("EstimateBatchFused B=%d, %s memo", n, memo), m.EstimateBatchFused(ods[:n]), want[:n])
 		}
 	}
+	m.traf.invalidate()
+	wantBits(t, "Estimate, cold memo", estimateEach(m, ods), want)
+	wantBits(t, "Estimate, warm memo", estimateEach(m, ods), want)
 }
 
 var fusedSizes = []int{0, 1, 2, 3, 5, 16, 33}
 
-// TestEstimateBatchFusedBitExact pins the tentpole contract on a trained
-// model: the fused [B×d] path must reproduce the per-sample path bit for
-// bit at every batch size — including trips that carry External features,
-// so the batched extMLP is exercised against the tape extMLP. Replay's
-// zero-unexplained guarantee over fused-engine recordings rides on this.
+// TestEstimateBatchFusedBitExact pins the serving contract on a trained
+// model: the one eval forward reproduces the training forward bit for bit
+// at every batch size, over ODs whose External is a shared matrix, a matrix
+// of their own, weather only, or nil — so the batched extMLP and the
+// memoised traffic code are both held against the CNN on the tape. Replay's
+// zero-unexplained guarantee over batched-engine recordings rides on this.
 func TestEstimateBatchFusedBitExact(t *testing.T) {
-	g, recs := testWorld(t, 60)
-	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyConfig()
-	cfg.Epochs = 1
-	m, err := New(cfg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Train(split.Train, split.Valid, TrainOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	ods := make([]traj.MatchedOD, 0, len(recs))
-	withExt := 0
-	for i := range recs {
-		ods = append(ods, recs[i].Matched)
-		if recs[i].Matched.External != nil {
-			withExt++
-		}
-	}
-	if withExt == 0 {
-		t.Fatal("no test trips carry External features; batched extMLP untested")
-	}
-	fusedBitExact(t, m, ods, fusedSizes)
+	m, recs := trainedTinyModel(t, 60)
+	forwardBitExact(t, m, mixedODs(t, recs), fusedSizes)
 }
 
 // TestEstimateBatchFusedVariants covers the ablation configurations, which
@@ -73,11 +75,8 @@ func TestEstimateBatchFusedBitExact(t *testing.T) {
 // embedding + remainder). Untrained weights suffice — bit-exactness is a
 // property of the kernels, not the parameter values.
 func TestEstimateBatchFusedVariants(t *testing.T) {
-	g, recs := testWorld(t, 40)
-	ods := make([]traj.MatchedOD, len(recs))
-	for i := range recs {
-		ods[i] = recs[i].Matched
-	}
+	g, recs := memoWorld(t, 40)
+	ods := mixedODs(t, recs)
 	for name, mut := range map[string]func(*Config){
 		"NoSpatial":  func(c *Config) { c.NoSpatial = true },
 		"NoExternal": func(c *Config) { c.NoExternal = true },
@@ -91,7 +90,7 @@ func TestEstimateBatchFusedVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fusedBitExact(t, m, ods, fusedSizes)
+			forwardBitExact(t, m, ods, fusedSizes)
 		})
 	}
 }

@@ -14,10 +14,10 @@ func concurrencyMismatch(i int, got, want float64) error {
 }
 
 // TestEstimateConcurrentSafe asserts the inference path is goroutine-safe:
-// many goroutines calling Estimate / EstimateBatch on one shared model must
-// produce exactly the serial results, with no data races (run under -race;
-// internal/infer's worker pool depends on this). Safety rests on Estimate
-// building a private eval tape per call and treating parameters as
+// many goroutines calling Estimate / EstimateBatchFused on one shared model
+// must produce exactly the serial results, with no data races (run under
+// -race; internal/infer's callers and worker pool depend on this). Safety
+// rests on every call taking a private arena and treating parameters as
 // read-only — this test pins that contract.
 func TestEstimateConcurrentSafe(t *testing.T) {
 	g, recs := testWorld(t, 80)
@@ -79,7 +79,7 @@ func TestEstimateConcurrentSafe(t *testing.T) {
 }
 
 // TestEstimateBatchConcurrentSafe covers the batched entry point the same
-// way: concurrent EstimateBatch calls over shared inputs must equal the
+// way: concurrent EstimateBatchFused calls over shared inputs must equal the
 // serial per-trip results.
 func TestEstimateBatchConcurrentSafe(t *testing.T) {
 	g, recs := testWorld(t, 60)
@@ -101,7 +101,7 @@ func TestEstimateBatchConcurrentSafe(t *testing.T) {
 	for i := range split.Test {
 		ods[i] = split.Test[i].Matched
 	}
-	want := m.EstimateBatch(ods)
+	want := estimateEach(m, ods)
 
 	const workers = 6
 	var wg sync.WaitGroup
@@ -111,7 +111,7 @@ func TestEstimateBatchConcurrentSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 3; r++ {
-				got := m.EstimateBatch(ods)
+				got := m.EstimateBatchFused(ods)
 				for i := range got {
 					if got[i] != want[i] {
 						select {

@@ -10,8 +10,9 @@ import (
 )
 
 // TestEstimateSpansJoinTrace checks the online-estimation stages surface
-// as spans in a request trace: estimate_batch under the caller's span,
-// with each trip's encode and estimate stages under the batch.
+// as spans in a request trace: one estimate's encode and estimate stages
+// directly under the caller's span, and a batch's single encode and
+// estimate stages under its estimate_batch span.
 func TestEstimateSpansJoinTrace(t *testing.T) {
 	gcfg := roadnet.SmallCity("trace", 3)
 	gcfg.Rows, gcfg.Cols = 4, 4
@@ -30,10 +31,10 @@ func TestEstimateSpansJoinTrace(t *testing.T) {
 
 	ctx, tr := obs.StartTrace(context.Background(), "core-estimate", "/test")
 	rctx, root := obs.StartSpan(ctx, "root")
-	secs := m.EstimateBatchCtx(rctx, ods)
+	secs := append(m.EstimateBatchFusedCtx(rctx, ods), m.EstimateCtx(rctx, &ods[0]))
 	d := root.End()
-	if len(secs) != 2 {
-		t.Fatalf("EstimateBatchCtx returned %d estimates", len(secs))
+	if len(secs) != 3 {
+		t.Fatalf("got %d estimates, want 3", len(secs))
 	}
 	for i, sec := range secs {
 		if sec < 0 {
@@ -47,20 +48,17 @@ func TestEstimateSpansJoinTrace(t *testing.T) {
 	}
 	rec := ts.Traces(obs.TraceFilter{})[0]
 
-	// Expected tree: root → estimate_batch → (encode, estimate) × 2.
-	if len(rec.Spans) != 6 {
-		t.Fatalf("got %d spans, want 6: %+v", len(rec.Spans), rec.Spans)
+	// Expected tree: root → (estimate_batch → (encode, estimate), encode, estimate).
+	want := []struct {
+		name   string
+		parent int
+	}{{"root", -1}, {"estimate_batch", 0}, {"encode", 1}, {"estimate", 1}, {"encode", 0}, {"estimate", 0}}
+	if len(rec.Spans) != len(want) {
+		t.Fatalf("got %d spans, want %d: %+v", len(rec.Spans), len(want), rec.Spans)
 	}
-	if rec.Spans[0].Name != "root" || rec.Spans[0].Parent != -1 {
-		t.Fatalf("span 0 = %+v, want root", rec.Spans[0])
-	}
-	if rec.Spans[1].Name != "estimate_batch" || rec.Spans[1].Parent != 0 {
-		t.Fatalf("span 1 = %+v, want estimate_batch under root", rec.Spans[1])
-	}
-	for i, want := range []string{"encode", "estimate", "encode", "estimate"} {
-		sp := rec.Spans[2+i]
-		if sp.Name != want || sp.Parent != 1 {
-			t.Fatalf("span %d = %+v, want %s under estimate_batch", 2+i, sp, want)
+	for i, w := range want {
+		if sp := rec.Spans[i]; sp.Name != w.name || sp.Parent != w.parent {
+			t.Fatalf("span %d = %+v, want %s under span %d", i, sp, w.name, w.parent)
 		}
 	}
 	var count any

@@ -13,10 +13,9 @@ import (
 // of §4.5 is a pure function of (weights, speed matrix), and the matrix is
 // refreshed only every Δt = 5 min (or once per traffic-store snapshot), so
 // every request of a period feeds the CNN the same input. externalZ8Row —
-// the one entry both eval paths use (encodeExternal on an eval tape, the
-// fused batch path row by row) — therefore memoises the code per matrix on
-// the model. A hit copies the very floats a miss computed, so
-// every path stays Float64bits-identical with or without the memo. Training
+// where the eval forward gets every Z⁸ row — therefore memoises the code per
+// matrix on the model. A hit copies the very floats a miss computed, so an
+// estimate is Float64bits-identical with or without the memo. Training
 // tapes never consult it: they need the CNN on the tape for its gradients.
 
 // Memo bounds. The entry bound covers the 8064 five-minute periods of a
@@ -119,6 +118,11 @@ func checkExternal(ext *traj.ExternalFeatures) bool {
 	}
 	return len(ext.SpeedGrid) > 0
 }
+
+// evalTapes recycles the eval tapes (and their arenas) a memo miss runs the
+// traffic CNN on — the one piece of inference without an arena kernel.
+// Tapes are model-independent: they carry no parameter state.
+var evalTapes = sync.Pool{New: func() any { return nn.NewEvalTape() }}
 
 // trafficCNN builds the traffic code of a checked, non-empty speed matrix
 // on tp: the training graph, and the miss branch of externalZ8Row.

@@ -17,17 +17,6 @@ import (
 	"deepod/internal/traj"
 )
 
-// referenceEstimate is the memo-less reference: the forward on a training
-// tape, which carries the traffic CNN itself and never touches the memo.
-func referenceEstimate(m *Model, od *traj.MatchedOD) float64 {
-	tp := nn.NewTape()
-	sec := m.estMLP.Forward(tp, m.encodeOD(tp, od)).Value.Data[0] * m.timeScale
-	if sec < 0 {
-		sec = 0
-	}
-	return sec
-}
-
 func wantBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -145,7 +134,7 @@ func TestTrafficCodeHitMissReference(t *testing.T) {
 
 	m.traf.invalidate()
 	hits, misses := trafficCodeHits.Value(), trafficCodeMisses.Value()
-	wantBits(t, "per-sample, cold memo", m.EstimateBatch(ods), want)
+	wantBits(t, "B=1, cold memo", estimateEach(m, ods), want)
 	withGrid, distinct := 0, map[*float64]bool{}
 	for i := range ods {
 		if e := ods[i].External; e != nil && len(e.SpeedGrid) > 0 {
@@ -172,7 +161,7 @@ func TestTrafficCodeHitMissReference(t *testing.T) {
 		t.Fatal("every memoised code is all zeros; the test proves nothing")
 	}
 	misses = trafficCodeMisses.Value()
-	wantBits(t, "per-sample, warm memo", m.EstimateBatch(ods), want)
+	wantBits(t, "B=1, warm memo", estimateEach(m, ods), want)
 	if got := trafficCodeMisses.Value() - misses; got != 0 {
 		t.Fatalf("%d misses on a warm memo", got)
 	}
@@ -302,7 +291,7 @@ func TestTrafficCodeConcurrent(t *testing.T) {
 				if (g+r)%2 == 0 {
 					got = m.EstimateBatchFused(sharedODs)
 				} else {
-					got = m.EstimateBatch(sharedODs)
+					got = estimateEach(m, sharedODs)
 				}
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -440,7 +429,7 @@ func TestTrafficCodeBounds(t *testing.T) {
 }
 
 // TestExternalValidation covers the one shared validation on the three
-// paths that reach it (eval tape, fused rows, training tape): a bundle
+// paths that reach it (one estimate, a batch, the training tape): a bundle
 // whose SpeedGrid disagrees with its shape, or whose weather is out of
 // range, panics with a message naming the field and the sizes; nil and
 // weather-only bundles encode a zero traffic code.
@@ -452,8 +441,8 @@ func TestExternalValidation(t *testing.T) {
 	}
 	od := recs[0].Matched
 	paths := map[string]func(){
-		"eval":  func() { m.Estimate(&od) },
-		"fused": func() { m.EstimateBatchFused([]traj.MatchedOD{od, od}) },
+		"one":   func() { m.Estimate(&od) },
+		"batch": func() { m.EstimateBatchFused([]traj.MatchedOD{od, od}) },
 		"train": func() { referenceEstimate(m, &od) },
 	}
 	bad := map[string]struct {

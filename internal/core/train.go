@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 	"deepod/internal/embed"
 	"deepod/internal/metrics"
 	"deepod/internal/nn"
-	"deepod/internal/obs"
 	"deepod/internal/roadnet"
 	"deepod/internal/tensor"
 	"deepod/internal/traj"
@@ -319,58 +317,4 @@ func (m *Model) runEmbed(g embed.Graph, dim int, rng *rand.Rand) (*tensor.Tensor
 	vecs, err := embed.TrainSkipGramParallel(g.NumNodes(), walks, scfg, rng, m.cfg.TrainWorkers)
 	embedSkipGramHist.Observe(time.Since(sgStart).Seconds())
 	return vecs, err
-}
-
-// evalTapes recycles eval tapes (and their arenas) across EstimateCtx calls,
-// so a single estimate does a handful of allocations instead of one per
-// intermediate tensor. Tapes are model-independent; sharing the pool across
-// models is safe because a tape carries no parameter state.
-var evalTapes = sync.Pool{New: func() any { return nn.NewEvalTape() }}
-
-// Estimate runs the online estimation of Algorithm 1: encode the OD input
-// with M_O and decode the travel time with M_E. The result is in seconds.
-// The two stages record into tte_span_seconds{span="encode"|"estimate"}.
-// Safe for concurrent use.
-func (m *Model) Estimate(od *traj.MatchedOD) float64 {
-	return m.EstimateCtx(context.Background(), od)
-}
-
-// EstimateCtx is Estimate with trace context: when ctx carries a trace
-// (a request through internal/serve and internal/infer), the encode and
-// estimate stages appear as sibling child spans in the request's tree.
-// The aggregate histograms are recorded either way.
-func (m *Model) EstimateCtx(ctx context.Context, od *traj.MatchedOD) float64 {
-	tp := evalTapes.Get().(*nn.Tape)
-	tp.Reset()
-	_, encSpan := obs.StartSpan(ctx, "encode")
-	code := m.encodeOD(tp, od)
-	encSpan.End()
-	_, estSpan := obs.StartSpan(ctx, "estimate")
-	y := m.estMLP.Forward(tp, code)
-	estSpan.End()
-	sec := y.Value.Data[0] * m.timeScale
-	evalTapes.Put(tp)
-	if sec < 0 {
-		sec = 0
-	}
-	return sec
-}
-
-// EstimateBatch estimates many OD inputs (Table 5 times 1000 of these).
-func (m *Model) EstimateBatch(ods []traj.MatchedOD) []float64 {
-	return m.EstimateBatchCtx(context.Background(), ods)
-}
-
-// EstimateBatchCtx is EstimateBatch with trace context: the batch becomes
-// an "estimate_batch" span (with a count attribute) whose children are the
-// per-trip encode/estimate stages.
-func (m *Model) EstimateBatchCtx(ctx context.Context, ods []traj.MatchedOD) []float64 {
-	bctx, span := obs.StartSpan(ctx, "estimate_batch")
-	span.SetInt("count", len(ods))
-	defer span.End()
-	out := make([]float64, len(ods))
-	for i := range ods {
-		out[i] = m.EstimateCtx(bctx, &ods[i])
-	}
-	return out
 }

@@ -3,13 +3,18 @@
 // turns the paper's cheap online estimation (Algorithm 1: OD encoder +
 // estimator MLP only) into a production serving path:
 //
-//   - Admission control: a bounded queue in front of a fixed worker pool.
-//     When the queue is full the request is shed immediately
+//   - Admission control: Workers execution slots behind a bounded queue. A
+//     miss that finds a slot free and nothing queued is served on the
+//     caller's own goroutine as a batch of one; otherwise it queues for the
+//     worker pool. When the queue is full the request is shed immediately
 //     (ErrOverloaded → 429); when it waits longer than QueueTimeout it is
 //     abandoned (ErrQueueTimeout → 503). Requests never hang.
 //   - Micro-batching: each worker drains up to MaxBatch queued requests at
 //     once and serves the whole batch against a single snapshot load, so a
 //     hot reload can never split one batch across two models.
+//   - Containment: a panic out of map matching, the traffic source or the
+//     model fails the request it was serving (ErrInternal → 500) and
+//     nothing else; a poisoned batch is re-served member by member.
 //   - Caching: a sharded LRU+TTL cache keyed by (origin cell, dest cell,
 //     time slot). The spatial cells come from roadnet's uniform grid index
 //     and the slot from timeslot.Slotter — the same quantizations the model
@@ -23,13 +28,14 @@
 // Every stage is instrumented in internal/obs:
 //
 //	tte_infer_queue_depth            gauge, queued requests
-//	tte_infer_queue_wait_seconds     histogram, admission → worker pickup
-//	tte_infer_batch_size             histogram, requests per worker batch
+//	tte_infer_queue_wait_seconds     histogram, admission → pickup (0 when the caller serves itself)
+//	tte_infer_batch_size             histogram, requests per execution
 //	tte_infer_cache_events_total     counter {event=hit|miss|evict_lru|evict_ttl|evict_stale}
 //	tte_infer_cache_entries          gauge, live cache entries
 //	tte_infer_requests_total         counter, valid requests (shed-rate SLO denominator)
 //	tte_infer_shed_total             counter {reason=queue_full|queue_timeout}
 //	tte_infer_reloads_total          counter, snapshot swaps
+//	tte_infer_panics_total           counter, panics contained by the execution guard
 package infer
 
 import (
@@ -60,6 +66,10 @@ var (
 	ErrInvalidInput = errors.New("infer: invalid OD input")
 	// ErrClosed means Do was called after Close.
 	ErrClosed = errors.New("infer: engine closed")
+	// ErrInternal means map matching, the traffic source or the model
+	// panicked while serving this request (serve → 500). The panic is
+	// contained: the engine keeps serving.
+	ErrInternal = errors.New("infer: internal error")
 )
 
 // MatchError wraps a map-matching failure so serve can answer 422 (the
@@ -119,13 +129,15 @@ type ServeEvent struct {
 	// the entry was computed).
 	TrafficEpoch uint64
 	TrafficLive  bool
-	// QueueWait is admission-to-pickup time (zero on cache hits and
-	// queue-full sheds; QueueTimeout on timeout sheds).
+	// QueueWait is admission-to-pickup time (zero on cache hits, on
+	// requests served on the caller's goroutine and on queue-full sheds;
+	// QueueTimeout on timeout sheds).
 	QueueWait time.Duration
 	// Latency is the full Do duration as the caller saw it.
 	Latency time.Duration
 	// Err is the Do error: nil, ErrOverloaded, ErrQueueTimeout,
-	// ErrInvalidInput, ErrClosed, a *MatchError, or a context error.
+	// ErrInvalidInput, ErrClosed, ErrInternal, a *MatchError, or a context
+	// error.
 	Err error
 }
 
@@ -139,7 +151,7 @@ type FlightRecorder interface {
 // Config assembles an Engine.
 type Config struct {
 	// Match snaps an OD input onto road segments. Required. It is called
-	// from worker goroutines and must be safe for concurrent use
+	// from caller and worker goroutines and must be safe for concurrent use
 	// (mapmatch.Matcher.MatchPoint is read-only after construction). The
 	// context is the requesting caller's — it carries the trace so match
 	// spans land in the right tree; Match should not treat its cancellation
@@ -148,7 +160,10 @@ type Config struct {
 	// Snapshot is the initial serving model. Required.
 	Snapshot *Snapshot
 
-	// Workers is the number of serving goroutines (default GOMAXPROCS).
+	// Workers is the bound on concurrent executions (default GOMAXPROCS):
+	// callers serving their own request and pool workers serving drained
+	// batches together never run more than this many at once. The pool has
+	// this many goroutines.
 	Workers int
 	// QueueDepth bounds the admission queue (default 256). A full queue
 	// sheds new requests with ErrOverloaded.
@@ -156,7 +171,7 @@ type Config struct {
 	// MaxBatch caps how many queued requests one worker drains per batch
 	// (default 16).
 	MaxBatch int
-	// QueueTimeout bounds how long an admitted request may wait for a
+	// QueueTimeout bounds how long a queued request may wait for a
 	// worker before it is abandoned with ErrQueueTimeout (default 2s).
 	QueueTimeout time.Duration
 
@@ -229,7 +244,7 @@ type outcome struct {
 	snapID string
 	predID string
 	err    error
-	// Flight-recorder facts known only worker-side.
+	// Flight-recorder facts known only to the execution.
 	wait  time.Duration
 	gen   uint64
 	epoch uint64
@@ -249,7 +264,8 @@ type serveDetail struct {
 type job struct {
 	od traj.ODInput
 	// key holds the cache cells and slot, computed once in do (zero with
-	// caching off); finish files the answer under it at the worker's epoch.
+	// caching off); finish files the answer under it at the execution's
+	// epoch.
 	key      cacheKey
 	enqueued time.Time
 	// ctx is the requesting caller's context; it carries the trace so the
@@ -277,17 +293,28 @@ type Engine struct {
 	now   func() time.Time
 	cur   atomic.Pointer[installed]
 	gen   atomic.Uint64
-	queue chan *job
 	cache *estimateCache
+
+	// queue holds the admitted jobs no execution has started: a worker
+	// takes its slot before it dequeues, so len(queue) counts exactly them.
+	queue chan *job
+	// slots is the execution semaphore, one token per Config.Workers. A
+	// caller serving its own request and a worker serving a drained batch
+	// each hold one for as long as they execute.
+	slots chan struct{}
+	// wake carries at most one token, "the queue may hold work": every
+	// enqueue leaves it, an idle worker takes it and drains until a drain
+	// comes back empty. Close closes it.
+	wake chan struct{}
 
 	// reloadErr holds the message of the most recent failed reload attempt
 	// (RecordReloadFailure); a successful Swap clears it. /readyz reports
 	// 503 while it is set.
 	reloadErr atomic.Pointer[string]
 
-	mu     sync.RWMutex // guards closed against concurrent enqueue
+	mu     sync.RWMutex // guards closed against concurrent admission
 	closed bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // the workers and every caller-run execution
 
 	depthGauge  *obs.Gauge
 	queueWait   *obs.Histogram
@@ -296,6 +323,7 @@ type Engine struct {
 	shedFull    *obs.Counter
 	shedTimeout *obs.Counter
 	reloads     *obs.Counter
+	panics      *obs.Counter
 }
 
 // batchSizeBuckets cover 1..MaxBatch for typical settings.
@@ -339,18 +367,21 @@ func New(cfg Config) (*Engine, error) {
 	}
 	reg := cfg.Registry
 	reg.Help("tte_infer_queue_depth", "Requests waiting in the inference admission queue.")
-	reg.Help("tte_infer_queue_wait_seconds", "Time from admission to worker pickup.")
-	reg.Help("tte_infer_batch_size", "Requests served per worker micro-batch.")
+	reg.Help("tte_infer_queue_wait_seconds", "Time from admission to pickup; 0 for a request served on its caller's goroutine.")
+	reg.Help("tte_infer_batch_size", "Requests served per execution: 1 on the caller's goroutine, a drained micro-batch on a worker.")
 	reg.Help("tte_infer_cache_events_total", "Estimate cache events: hit, miss, evict_lru, evict_ttl, evict_stale.")
 	reg.Help("tte_infer_cache_entries", "Live entries in the estimate cache.")
 	reg.Help("tte_infer_requests_total", "Valid estimate requests admitted to the engine (cache hits included).")
 	reg.Help("tte_infer_shed_total", "Requests shed by admission control, by reason.")
 	reg.Help("tte_infer_reloads_total", "Model snapshot hot swaps since start.")
+	reg.Help("tte_infer_panics_total", "Panics out of map matching, the traffic source or the model that the execution guard turned into ErrInternal.")
 	e := &Engine{
 		cfg:   cfg,
 		reg:   reg,
 		now:   cfg.Now,
 		queue: make(chan *job, cfg.QueueDepth),
+		slots: make(chan struct{}, cfg.Workers),
+		wake:  make(chan struct{}, 1),
 
 		depthGauge:  reg.Gauge("tte_infer_queue_depth"),
 		queueWait:   reg.Histogram("tte_infer_queue_wait_seconds", obs.DefBuckets),
@@ -359,6 +390,7 @@ func New(cfg Config) (*Engine, error) {
 		shedFull:    reg.Counter("tte_infer_shed_total", "reason", "queue_full"),
 		shedTimeout: reg.Counter("tte_infer_shed_total", "reason", "queue_timeout"),
 		reloads:     reg.Counter("tte_infer_reloads_total"),
+		panics:      reg.Counter("tte_infer_panics_total"),
 	}
 	if cfg.CacheEntries > 0 {
 		e.cache = newEstimateCache(cfg.CacheEntries, cfg.CacheShards, cfg.CacheTTL, reg)
@@ -541,12 +573,13 @@ func (e *Engine) trafficEpoch() uint64 {
 	return e.cfg.Traffic.Epoch()
 }
 
-// Do serves one estimate: cache lookup, admission, then a worker batch
-// answers it. It returns ErrOverloaded / ErrQueueTimeout when shed, a
-// *MatchError when the OD cannot be snapped to the network, or the
-// context's error if the caller gave up first. When ctx carries a trace,
-// every stage shows up as a span: infer.cache (hit attr), infer.queue
-// (depth, wait, shed reason), and the worker-side infer.batch /
+// Do serves one estimate: cache lookup, admission, then an execution — the
+// caller's own when the engine is idle, a worker batch otherwise — answers
+// it. It returns ErrOverloaded / ErrQueueTimeout when shed, a *MatchError
+// when the OD cannot be snapped to the network, ErrInternal when serving it
+// panicked, or the context's error if the caller gave up first. When ctx
+// carries a trace, every stage shows up as a span: infer.cache (hit attr),
+// infer.queue (depth, wait, shed reason), and the execution's infer.batch /
 // infer.match / infer.model tree. With a flight recorder configured,
 // every call — success, shed, or error — leaves one wide event behind.
 func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
@@ -612,7 +645,6 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 
 	_, qspan := e.reg.StartSpan(ctx, "infer.queue")
 	qspan.SetInt("queue_depth", len(e.queue))
-	j := &job{od: od, key: key, enqueued: e.now(), ctx: ctx, qspan: qspan, done: make(chan outcome, 1)}
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
@@ -621,7 +653,26 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 		return Result{}, d, ErrClosed
 	}
 	select {
+	case e.slots <- struct{}{}:
+		if len(e.queue) == 0 {
+			// A free slot and nothing to overtake: the queue would only put
+			// a goroutine hand-over in front of the same work.
+			e.wg.Add(1)
+			e.mu.RUnlock()
+			return e.serveInline(ctx, od, key, qspan).result(&d)
+		}
+		// Queued work goes first. The worker its enqueuer woke is waiting
+		// for this slot.
+		<-e.slots
+	default:
+	}
+	j := &job{od: od, key: key, enqueued: e.now(), ctx: ctx, qspan: qspan, done: make(chan outcome, 1)}
+	select {
 	case e.queue <- j:
+		select {
+		case e.wake <- struct{}{}:
+		default:
+		}
 		e.mu.RUnlock()
 		e.depthGauge.Set(float64(len(e.queue)))
 	default:
@@ -665,8 +716,8 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 	}
 }
 
-// result converts a worker outcome, folding its authoritative detail facts
-// (queue wait, generation, traffic regime) into d.
+// result converts an execution's outcome, folding its authoritative detail
+// facts (queue wait, generation, traffic regime) into d.
 func (out outcome) result(d *serveDetail) (Result, serveDetail, error) {
 	d.wait = out.wait
 	d.gen = out.gen
@@ -689,132 +740,234 @@ func (e *Engine) stamp(od traj.ODInput, sec float64, inst *installed) string {
 	return e.cfg.Recorder.RecordPrediction(od, sec, inst.snap.ID, inst.gen)
 }
 
-// pendingJob is a batch member that survived admission and map matching
-// and is waiting for its model answer.
+// pendingJob is one request in execution: on the caller's goroutine, or as
+// a member of a worker's batch.
 type pendingJob struct {
-	j       *job
-	matched traj.MatchedOD
+	od  traj.ODInput
+	key cacheKey
+	// ctx is the requesting caller's context; it carries the trace so the
+	// execution's batch/match/model spans join the request's tree.
+	ctx context.Context
+	// done delivers a queued job's outcome; nil when the caller executes.
+	done    chan<- outcome
 	wait    time.Duration
+	matched traj.MatchedOD
 	bctx    context.Context
 	bspan   *obs.Span
 	epoch   uint64
 	live    bool
 }
 
-// worker serves batches until the queue closes. The snapshot is loaded
-// once per batch: every request in a batch is answered by the same model,
-// and a concurrent Swap only affects subsequent batches.
-//
-// Each batch runs in two phases: per-request map matching and traffic
-// overrides first, then one model call for every request that survived.
-// When the snapshot provides EstimateBatch and more than one request is
-// pending, that call is the fused [B×d] forward; the fused result is
-// bit-identical to per-request Estimate calls (see core.EstimateBatchFused),
-// so batching never changes an answer.
+// serveInline answers the caller's own request as a batch of one on the
+// caller's goroutine, under the slot do took: the same snapshot load, spans
+// and observations as a worker picking it up after no wait at all.
+func (e *Engine) serveInline(ctx context.Context, od traj.ODInput, key cacheKey, qspan *obs.Span) outcome {
+	defer e.release()
+	qspan.SetFloat("wait_ms", 0)
+	qspan.End()
+	e.queueWait.Observe(0)
+	e.batchSize.Observe(1)
+	inst := e.cur.Load()
+	// On the heap: Snapshot.Estimate is handed a pointer into it.
+	p := &pendingJob{od: od, key: key, ctx: ctx}
+	if err := e.prepare(inst, p, 1); err != nil {
+		return p.fail(inst, err)
+	}
+	return e.model(inst, p)
+}
+
+// release returns a caller-run execution's slot and lets Close go.
+func (e *Engine) release() {
+	<-e.slots
+	e.wg.Done()
+}
+
+// worker serves the queue until Close. It holds a slot whenever it holds
+// dequeued jobs, so the pool and the callers serving themselves share the
+// one bound, and it sleeps on wake only after a drain came back empty.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	batch := make([]*job, 0, e.cfg.MaxBatch)
 	pending := make([]pendingJob, 0, e.cfg.MaxBatch)
 	ods := make([]traj.MatchedOD, 0, e.cfg.MaxBatch)
-	for first := range e.queue {
-		batch = append(batch[:0], first)
-	drain:
-		for len(batch) < e.cfg.MaxBatch {
-			select {
-			case j, ok := <-e.queue:
-				if !ok {
+	for open := true; open; {
+		_, open = <-e.wake // closed by Close: one last drain, then out
+		for {
+			e.slots <- struct{}{}
+			batch = batch[:0]
+		drain:
+			for len(batch) < e.cfg.MaxBatch {
+				select {
+				case j := <-e.queue:
+					batch = append(batch, j)
+				default:
 					break drain
 				}
-				batch = append(batch, j)
-			default:
-				break drain
 			}
-		}
-		e.depthGauge.Set(float64(len(e.queue)))
-		e.batchSize.Observe(float64(len(batch)))
-		inst := e.cur.Load()
-		now := e.now()
-		pending = pending[:0]
-		for _, j := range batch {
-			wait := now.Sub(j.enqueued)
-			e.queueWait.Observe(wait.Seconds())
-			j.qspan.SetFloat("wait_ms", float64(wait)/float64(time.Millisecond))
-			j.qspan.End()
-			j.picked.Store(true)
-			if j.abandoned.Load() {
-				continue // caller already answered 503/ctx error
+			if len(batch) > 0 {
+				e.serveBatch(batch, pending[:0], ods[:0])
 			}
-			bctx, bspan := e.reg.StartSpan(j.ctx, "infer.batch")
-			bspan.SetInt("batch_size", len(batch))
-			bspan.SetStr("snapshot", inst.snap.ID)
-			epoch := e.trafficEpoch()
-			mctx, mspan := e.reg.StartSpan(bctx, "infer.match")
-			matched, err := e.cfg.Match(mctx, j.od)
-			if err != nil {
-				mspan.Fail(err)
-				mspan.End()
-				bspan.End()
-				j.done <- outcome{err: &MatchError{Err: err},
-					wait: wait, gen: inst.gen, epoch: epoch}
-				continue
-			}
-			mspan.End()
-			live := false
-			if e.cfg.Traffic != nil {
-				// The live view is authoritative at estimate time; it falls
-				// back to the training-time prior internally when cold or
-				// stale, so matched never loses its features entirely.
-				matched.External, live = e.cfg.Traffic.External(j.od.DepartSec)
-			}
-			pending = append(pending, pendingJob{j: j, matched: matched,
-				wait: wait, bctx: bctx, bspan: bspan, epoch: epoch, live: live})
-		}
-		if len(pending) > 1 && inst.snap.EstimateBatch != nil {
-			// Fused path: one [B×d] forward answers the whole batch. The
-			// model span hangs off the first pending request's trace; every
-			// request's own infer.batch span records that it was answered
-			// fused and at what batch size.
-			ods = ods[:0]
-			for i := range pending {
-				ods = append(ods, pending[i].matched)
-			}
-			ectx, espan := e.reg.StartSpan(pending[0].bctx, "infer.model")
-			espan.SetInt("fused", len(ods))
-			secs := inst.snap.EstimateBatch(ectx, ods)
-			espan.End()
-			for i := range pending {
-				pending[i].bspan.SetInt("fused", len(ods))
-				e.finish(&pending[i], secs[i], inst)
-			}
-		} else {
-			for i := range pending {
-				p := &pending[i]
-				ectx, espan := e.reg.StartSpan(p.bctx, "infer.model")
-				sec := inst.snap.Estimate(ectx, &p.matched)
-				espan.End()
-				e.finish(p, sec, inst)
+			<-e.slots
+			if len(batch) == 0 {
+				break
 			}
 		}
 	}
 }
 
-// finish caches, records and delivers one model answer.
-func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) {
+// serveBatch answers one drained batch. The snapshot is loaded once: every
+// request in a batch is answered by the same model, and a concurrent Swap
+// only affects subsequent batches.
+//
+// A batch runs in two phases: per-request map matching and traffic
+// overrides first, then one model call for every request that survived.
+// When the snapshot provides EstimateBatch and more than one request is
+// pending, that call is the fused [B×d] forward; its result is bit-identical
+// to per-request Estimate calls (see core.EstimateBatchFused), so batching
+// never changes an answer. pending and ods are the worker's scratch, with
+// room for MaxBatch.
+func (e *Engine) serveBatch(batch []*job, pending []pendingJob, ods []traj.MatchedOD) {
+	e.depthGauge.Set(float64(len(e.queue)))
+	e.batchSize.Observe(float64(len(batch)))
+	inst := e.cur.Load()
+	now := e.now()
+	for _, j := range batch {
+		wait := now.Sub(j.enqueued)
+		e.queueWait.Observe(wait.Seconds())
+		j.qspan.SetFloat("wait_ms", float64(wait)/float64(time.Millisecond))
+		j.qspan.End()
+		j.picked.Store(true)
+		if j.abandoned.Load() {
+			continue // caller already answered 503/ctx error
+		}
+		pending = append(pending, pendingJob{od: j.od, key: j.key, ctx: j.ctx, done: j.done, wait: wait})
+		p := &pending[len(pending)-1]
+		if err := e.prepare(inst, p, len(batch)); err != nil {
+			j.done <- p.fail(inst, err)
+			pending = pending[:len(pending)-1]
+		}
+	}
+	if len(pending) > 1 && inst.snap.EstimateBatch != nil {
+		// Fused path: one [B×d] forward answers the whole batch. The model
+		// span hangs off the first pending request's trace; every request's
+		// own infer.batch span records that it was answered fused and at
+		// what batch size.
+		for i := range pending {
+			ods = append(ods, pending[i].matched)
+		}
+		if secs, err := e.estimateBatch(inst, pending[0].bctx, ods); err == nil {
+			for i := range pending {
+				pending[i].bspan.SetInt("fused", len(ods))
+				pending[i].done <- e.finish(&pending[i], secs[i], inst)
+			}
+			return
+		}
+		// The forward panicked on some member: serve each alone, so only
+		// the poisoned one fails.
+	}
+	for i := range pending {
+		pending[i].done <- e.model(inst, &pending[i])
+	}
+}
+
+// prepare runs the per-request half of an execution — map matching and the
+// traffic override — under the request's infer.batch span. A request it
+// returns an error for ends there (see fail).
+func (e *Engine) prepare(inst *installed, p *pendingJob, batchSize int) error {
+	p.bctx, p.bspan = e.reg.StartSpan(p.ctx, "infer.batch")
+	p.bspan.SetInt("batch_size", batchSize)
+	p.bspan.SetStr("snapshot", inst.snap.ID)
+	return e.match(p)
+}
+
+// model answers one prepared request with a forward of its own.
+func (e *Engine) model(inst *installed, p *pendingJob) outcome {
+	sec, err := e.estimate(inst, p)
+	if err != nil {
+		return p.fail(inst, err)
+	}
+	return e.finish(p, sec, inst)
+}
+
+// fail is the outcome of a request whose execution ended in err.
+func (p *pendingJob) fail(inst *installed, err error) outcome {
+	p.bspan.End()
+	return outcome{err: err, wait: p.wait, gen: inst.gen, epoch: p.epoch, live: p.live}
+}
+
+// match, estimate and estimateBatch are the three places an execution
+// calls out of the engine; each defers contained.
+
+func (e *Engine) match(p *pendingJob) (err error) {
+	p.epoch = e.trafficEpoch()
+	mctx, mspan := e.reg.StartSpan(p.bctx, "infer.match")
+	defer e.contained(&err, mspan)
+	p.matched, err = e.cfg.Match(mctx, p.od)
+	if err != nil {
+		mspan.Fail(err)
+		mspan.End()
+		return &MatchError{Err: err}
+	}
+	mspan.End()
+	if e.cfg.Traffic != nil {
+		// The live view is authoritative at estimate time; it falls back to
+		// the training-time prior internally when cold or stale, so matched
+		// never loses its features entirely.
+		p.matched.External, p.live = e.cfg.Traffic.External(p.od.DepartSec)
+	}
+	return nil
+}
+
+func (e *Engine) estimate(inst *installed, p *pendingJob) (sec float64, err error) {
+	ectx, espan := e.reg.StartSpan(p.bctx, "infer.model")
+	defer e.contained(&err, espan)
+	sec = inst.snap.Estimate(ectx, &p.matched)
+	espan.End()
+	return sec, nil
+}
+
+func (e *Engine) estimateBatch(inst *installed, ctx context.Context, ods []traj.MatchedOD) (secs []float64, err error) {
+	ectx, espan := e.reg.StartSpan(ctx, "infer.model")
+	espan.SetInt("fused", len(ods))
+	defer e.contained(&err, espan)
+	secs = inst.snap.EstimateBatch(ectx, ods)
+	espan.End()
+	return secs, nil
+}
+
+// contained is the execution guard, the process's only recover. Match, the
+// traffic source and the model run on pool goroutines, where net/http's own
+// recover never looks, and on callers that hold an execution slot; a panic
+// out of any of them fails the request being served with ErrInternal, is
+// counted, and leaves the slot, the worker and the rest of a batch serving.
+func (e *Engine) contained(err *error, span *obs.Span) {
+	if r := recover(); r != nil {
+		e.panics.Inc()
+		*err = fmt.Errorf("%w: %v", ErrInternal, r)
+		span.Fail(*err)
+		span.End()
+	}
+}
+
+// finish caches and stamps one model answer.
+func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) outcome {
 	if e.cache != nil {
-		// Tagged with the batch's generation: if a Swap landed mid-batch
-		// this entry is already stale and will never be served. Filed under
-		// the epoch read beside the features, so a regime shift during the
-		// forward cannot put an old-features answer under the new epoch.
-		key := p.j.key
+		// Tagged with the execution's generation: if a Swap landed since its
+		// snapshot load this entry is already stale and will never be
+		// served. Filed under the epoch read beside the features, so a
+		// regime shift during the forward cannot put an old-features answer
+		// under the new epoch.
+		key := p.key
 		key.epoch = p.epoch
 		e.cache.put(key, sec, inst.gen, e.now())
 	}
 	p.bspan.End()
-	p.j.done <- outcome{sec: sec, snapID: inst.snap.ID, predID: e.stamp(p.j.od, sec, inst),
+	return outcome{sec: sec, snapID: inst.snap.ID, predID: e.stamp(p.od, sec, inst),
 		wait: p.wait, gen: inst.gen, epoch: p.epoch, live: p.live}
 }
 
-// Close stops admission, waits for queued work to finish and stops the
+// Close stops admission, waits for every admitted request — queued, in a
+// batch or on its caller's goroutine — to be answered, and stops the
 // workers. Do returns ErrClosed afterwards.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -823,7 +976,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	close(e.queue)
+	close(e.wake)
 	e.mu.Unlock()
 	e.wg.Wait()
 }

@@ -27,13 +27,14 @@ type Snapshot struct {
 	ID string
 	// Estimate answers a matched OD on this snapshot's weights. It must be
 	// safe for concurrent callers (core.Model.Estimate is; see the -race
-	// test in internal/core). The context carries the request's trace so
-	// model-internal spans (encode, estimate) join the request tree.
+	// test in internal/core): requests served on their callers' goroutines
+	// and batches of one reach it. The context carries the request's trace
+	// so model-internal spans (encode, estimate) join the request tree.
 	Estimate func(ctx context.Context, od *traj.MatchedOD) float64
-	// EstimateBatch answers a whole drained admission batch in one fused
-	// [B×d] forward (core.EstimateBatchFusedCtx, bit-identical to per-OD
-	// Estimate calls). Nil snapshots fall back to per-request Estimate —
-	// stub snapshots in tests and recordings that predate the fused path.
+	// EstimateBatch answers a drained admission batch of two or more in one
+	// [B×d] forward (core.EstimateBatchFusedCtx, the kernel Estimate runs at
+	// B = 1, so bit-identical to per-OD Estimate calls). With it nil every
+	// request goes through Estimate — stub snapshots in tests.
 	EstimateBatch func(ctx context.Context, ods []traj.MatchedOD) []float64
 	// Meta carries operator-facing facts merged into /version output
 	// (weight count, checkpoint path, ...).
@@ -49,8 +50,8 @@ type Snapshot struct {
 	LoadedAt time.Time
 }
 
-// ModelSnapshot wraps a trained core model as a serving snapshot, with the
-// fused batch forward behind EstimateBatch.
+// ModelSnapshot wraps a trained core model as a serving snapshot: the one
+// eval forward behind both Estimate and EstimateBatch.
 func ModelSnapshot(id string, m *core.Model) *Snapshot {
 	return &Snapshot{
 		ID:            id,

@@ -56,7 +56,7 @@ type Attr struct {
 }
 
 // maxTraceSpans caps how many spans one trace records, so a pathological
-// request (say, an EstimateBatch over thousands of inputs) cannot balloon
+// request (say, thousands of Estimate calls under one trace) cannot balloon
 // a single trace record. Spans past the cap still feed their histograms;
 // they just aren't attached to the tree, and the drop is counted on the
 // trace.

@@ -53,7 +53,7 @@
 // When Config.Infer is set, /estimate routes through the inference engine
 // and its admission-control errors map onto HTTP: ErrOverloaded → 429 and
 // ErrQueueTimeout → 503 (both with Retry-After), MatchError → 422,
-// ErrInvalidInput → 400.
+// ErrInvalidInput → 400, ErrInternal (a panic the engine contained) → 500.
 package serve
 
 import (
@@ -84,8 +84,9 @@ import (
 const DefaultMaxBodyBytes = 1 << 20
 
 // Config assembles a Server from its dependencies. Exactly one estimate
-// path must be wired: either Infer (the engine path) or Match+Estimate
-// (the direct path).
+// path must be wired: either Infer (the engine, what tteserve always wires)
+// or Match+Estimate (called synchronously by the handler: the seam for stub
+// estimators in tests).
 type Config struct {
 	// City names the served city (reported by /healthz).
 	City string
@@ -114,8 +115,8 @@ type Config struct {
 	Reload func(ctx context.Context) (map[string]any, error)
 	// Ready reports whether the server should receive traffic, with a
 	// detail payload for /readyz (infer.Engine.Readiness). Optional; when
-	// nil /readyz always answers 200 (the direct path has no load/reload
-	// lifecycle to gate on).
+	// nil /readyz always answers 200 (without an engine there is no
+	// load/reload lifecycle to gate on).
 	Ready func() (bool, map[string]any)
 	// External resolves the external features (weather, speed grid) for a
 	// departure time. Optional; nil means no external features.
@@ -342,9 +343,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// and the middleware's root span), not off each other: decode, match
 	// and the engine stages are siblings under the route's root span.
 	ctx := r.Context()
+	scratch := codecBufs.Get().(*[]byte)
+	defer codecBufs.Put(scratch)
 	_, decodeSpan := s.reg.StartSpan(ctx, "decode")
 	var req EstimateRequest
-	err := json.NewDecoder(r.Body).Decode(&req)
+	err := decodeEstimate(r.Body, *scratch, &req)
 	decodeSpan.End()
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -376,7 +379,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			writeInferError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, EstimateResponse{
+		writeEstimate(w, scratch, &EstimateResponse{
 			TravelSeconds: res.Seconds,
 			TravelHuman:   humanDuration(res.Seconds),
 			Cached:        res.Cached,
@@ -397,7 +400,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	matchSpan.End()
 
 	sec := s.cfg.Estimate(ctx, &matched) // encode + estimate spans recorded by core
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	writeEstimate(w, scratch, &EstimateResponse{
 		TravelSeconds: sec,
 		TravelHuman:   humanDuration(sec),
 	})
@@ -590,6 +593,8 @@ func writeInferError(w http.ResponseWriter, err error) {
 		// The client is gone; the status is for the access log.
 		writeError(w, http.StatusServiceUnavailable, "request cancelled")
 	default:
+		// infer.ErrInternal — a panic the engine contained — and anything
+		// unclassified.
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("estimation failed: %v", err))
 	}
 }

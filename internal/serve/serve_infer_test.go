@@ -109,7 +109,8 @@ func TestInferErrorMapping(t *testing.T) {
 		{"match failure", &infer.MatchError{Err: errors.New("no segment")}, http.StatusUnprocessableEntity, ""},
 		{"invalid input", infer.ErrInvalidInput, http.StatusBadRequest, ""},
 		{"cancelled", context.Canceled, http.StatusServiceUnavailable, ""},
-		{"internal", errors.New("boom"), http.StatusInternalServerError, ""},
+		{"contained panic", fmt.Errorf("%w: boom", infer.ErrInternal), http.StatusInternalServerError, ""},
+		{"unclassified", errors.New("boom"), http.StatusInternalServerError, ""},
 	}
 	for _, tc := range cases {
 		s := newInferServer(t, func(context.Context, traj.ODInput) (infer.Result, error) {
@@ -121,6 +122,12 @@ func TestInferErrorMapping(t *testing.T) {
 		}
 		if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
 			t.Fatalf("%s: Retry-After = %q, want %q", tc.name, got, tc.retryAfter)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("%s: error body %q", tc.name, rec.Body)
 		}
 	}
 }

@@ -61,7 +61,9 @@ const affineBlock = 32
 // b [out], broadcasting the bias over the batch — the batched form of
 // MatVecAddInto behind every fused linear layer. Row r of dst is bit-
 // identical to MatVecAddInto(dst_r, W, X_r, b): the reduction over the in
-// axis is strictly sequential per output element.
+// axis is strictly sequential per output element. As there, four outputs run
+// at a time, each in its own accumulator, so four add chains overlap and no
+// element's summation order changes.
 func AffineBatchInto(dst, x, w, b *Tensor) {
 	if x.Dims() != 2 || w.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: AffineBatch wants matrices, got x %v w %v", x.Shape, w.Shape))
@@ -82,7 +84,20 @@ func AffineBatchInto(dst, x, w, b *Tensor) {
 			for r := rr; r < rEnd; r++ {
 				xr := x.Data[r*in : (r+1)*in : (r+1)*in]
 				orow := dst.Data[r*out : (r+1)*out : (r+1)*out]
-				for i := ii; i < iEnd; i++ {
+				i := ii
+				for ; i+4 <= iEnd; i += 4 {
+					rows := w.Data[i*in : (i+4)*in]
+					w0, w1, w2, w3 := rows[:len(xr)], rows[in:][:len(xr)], rows[2*in:][:len(xr)], rows[3*in:][:len(xr)]
+					var s0, s1, s2, s3 float64
+					for j, xv := range xr {
+						s0 += w0[j] * xv
+						s1 += w1[j] * xv
+						s2 += w2[j] * xv
+						s3 += w3[j] * xv
+					}
+					orow[i], orow[i+1], orow[i+2], orow[i+3] = s0+bd[i], s1+bd[i+1], s2+bd[i+2], s3+bd[i+3]
+				}
+				for ; i < iEnd; i++ {
 					wrow := w.Data[i*in : (i+1)*in : (i+1)*in]
 					var s float64
 					for j, v := range wrow {

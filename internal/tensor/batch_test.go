@@ -168,7 +168,7 @@ func TestArenaFromSliceViews(t *testing.T) {
 }
 
 func fusedBatchShapes() [][3]int {
-	return [][3]int{{4, 67, 32}, {16, 67, 32}, {64, 67, 32}}
+	return [][3]int{{1, 67, 32}, {4, 67, 32}, {16, 67, 32}, {64, 67, 32}}
 }
 
 func BenchmarkAffineBatchInto(b *testing.B) {

@@ -27,8 +27,10 @@ go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./i
 go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 
-echo "== fuzz smoke (guided negative sampler against the binary search it replaced, 5 s)"
+echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the /estimate decoder and encoder against encoding/json; 5 s each)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
+go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz FuzzEncodeEstimate -fuzztime 5s ./internal/serve/
 
 echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
@@ -48,9 +50,11 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer + internal/obs spans + internal/core estimates: traffic-code memo hit/miss, fused + OD endpoint matching; the pre-training and training kernels)"
-go test -run '^$' -bench=. -benchtime=200ms ./internal/infer/
-go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms ./internal/core/
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; the affine kernel; OD endpoint matching; the pre-training and training kernels)"
+go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
+go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
+go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
+go test -run '^$' -bench 'BenchmarkAffineBatchInto' -benchtime=100ms ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
 go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
 go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
