@@ -12,9 +12,9 @@ check:
 	./scripts/check.sh
 
 race:
-	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/prof/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
-	go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation' ./internal/core/
-	go test -race -run 'Parallel' ./internal/embed/
+	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
+	go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
+	go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 
 fmt:
 	gofmt -w .
@@ -44,4 +44,3 @@ replaybench:
 
 telemetrybench:
 	go test -run 'TestTelemetryDisabledOverhead' -v ./internal/obs/
-	go test -race -run 'TestExporterRoundTrip|TestExporterFlappingSink' -v ./internal/telemetry/

@@ -19,24 +19,19 @@
 //	GET  /debug/traces → tail-sampled request traces as JSON
 //	GET  /debug/slo    → SLO status: per-objective SLI, error budget, burn rates
 //	GET  /debug/alerts → firing alerts and transition history
-//	GET  /debug/profiles → alert-triggered profile bundles (list + pprof download)
 //	POST /probes       → NDJSON GPS probe firehose feeding the live traffic store (with -traffic)
 //	GET  /debug/traffic → live traffic pipeline state: probes, coverage, epoch (with -traffic)
 //	GET  /debug/recorder → flight-recorder wide events + segment downloads (with -recorder)
 //	GET  /debug/metrics/history → queryable in-process metric history (with -telemetry)
-//	GET  /debug/dashboard → unified ops view: SLO, alerts, quality, traffic, sparklines
 //
 // With -telemetry (default on) a history sampler ticks the metrics
 // registry every -telemetry-interval into per-series bounded rings (a raw
 // tier plus a coarse long-horizon tier), queryable at
-// /debug/metrics/history?series=...&range=...&agg=... and charted on
-// /debug/dashboard. With -exemplars, histogram observations on traced
-// requests carry their trace ID: /metrics?exemplars=1 exposes them in
-// OpenMetrics exemplar syntax and /debug/metrics/history returns them
-// next to each series, resolvable at /debug/traces?trace=<id>. With
-// -export-endpoint the sampled history is pushed as OTLP-shaped JSON
-// batches every -export-interval with bounded queueing, exponential
-// backoff and shed-on-overflow.
+// /debug/metrics/history?series=...&range=...&agg=.... With -exemplars,
+// histogram observations on traced requests carry their trace ID:
+// /metrics?exemplars=1 exposes them in OpenMetrics exemplar syntax and
+// /debug/metrics/history returns them next to each series, resolvable at
+// /debug/traces?trace=<id>.
 //
 // With -recorder, every served estimate is offered to the flight recorder:
 // errors and shed requests are always captured, the slowest N per window
@@ -55,9 +50,8 @@
 // With -slo (default on) the SLO engine evaluates burn-rate alert rules
 // over the built-in objectives (availability, latency, shed rate of
 // /estimate) every -slo-interval; -slo-config swaps in custom objectives
-// and rules, -burn-fast tunes the default page rule, and firing alerts
-// capture CPU/heap/goroutine profiles (-profile-on-alert, -profile-dir).
-// The quality monitor's drift alert routes through the same manager.
+// and rules, and -burn-fast tunes the default page rule. The quality
+// monitor's drift alert routes through the same manager.
 //
 // Every request is traced: the trace ID is taken from X-Trace-Id (or
 // generated), echoed in the response, stamped on every log line, and the
@@ -67,7 +61,8 @@
 //
 // SIGHUP triggers the same reload as POST /reload. Errors are JSON:
 // {"error": "..."}. With -debug-addr, net/http/pprof is served on a
-// separate mux so profiling is never exposed on the public listener.
+// separate mux so profiling is never exposed on the public listener: that
+// is where CPU, heap and goroutine profiles come from.
 // SIGINT/SIGTERM drain in-flight requests before exit.
 package main
 
@@ -89,7 +84,6 @@ import (
 	"deepod/internal/infer"
 	"deepod/internal/mapmatch"
 	"deepod/internal/obs"
-	"deepod/internal/prof"
 	"deepod/internal/quality"
 	"deepod/internal/recorder"
 	"deepod/internal/roadnet"
@@ -179,18 +173,14 @@ func main() {
 		recorderSegEvents = flag.Int("recorder-segment-events", 4096, "rotate the on-disk segment file after this many events")
 		recorderSegments  = flag.Int("recorder-segments", 8, "segment files retained on disk (oldest deleted beyond this)")
 
-		telemetryOn       = flag.Bool("telemetry", true, "history sampler: in-process metric history at /debug/metrics/history and dashboard sparklines")
+		telemetryOn       = flag.Bool("telemetry", true, "history sampler: in-process metric history at /debug/metrics/history")
 		telemetryInterval = flag.Duration("telemetry-interval", 10*time.Second, "history sampling period (raw tier)")
 		exemplarsOn       = flag.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1 and in /debug/metrics/history)")
-		exportEndpoint    = flag.String("export-endpoint", "", "push sampled metric history as OTLP-shaped JSON to this HTTP endpoint (empty = disabled)")
-		exportInterval    = flag.Duration("export-interval", 15*time.Second, "metric history push period")
 
 		sloOn       = flag.Bool("slo", true, "SLO engine: burn-rate alerting over the built-in objectives, GET /debug/slo and /debug/alerts")
 		sloConfig   = flag.String("slo-config", "", "JSON file with custom SLO objectives and burn rules (empty = built-in defaults)")
 		sloInterval = flag.Duration("slo-interval", 10*time.Second, "SLO evaluation period (a -slo-config interval_sec overrides)")
 		burnFast    = flag.Float64("burn-fast", 14.4, "fast-window burn-rate threshold for the default page rule")
-		profOnAlert = flag.Bool("profile-on-alert", true, "capture a CPU/heap/goroutine profile bundle when an alert fires")
-		profileDir  = flag.String("profile-dir", "", "mirror captured profiles to this directory (empty = in-memory only)")
 	)
 	flag.Parse()
 
@@ -274,15 +264,10 @@ func main() {
 	})
 
 	// Telemetry history: the sampler ticks the default registry into
-	// bounded per-series rings; the exporter (when an endpoint is given)
-	// pushes the deltas out with backoff and bounded queueing. Exemplars
-	// are process-global: once on, traced requests stamp their trace ID
-	// onto histogram observations.
+	// bounded per-series rings. Exemplars are process-global: once on,
+	// traced requests stamp their trace ID onto histogram observations.
 	obs.SetExemplars(*exemplarsOn)
-	var (
-		history  *telemetry.History
-		exporter *telemetry.Exporter
-	)
+	var history *telemetry.History
 	if *telemetryOn {
 		history, err = telemetry.NewHistory(telemetry.Config{
 			Interval: *telemetryInterval,
@@ -293,47 +278,16 @@ func main() {
 		}
 		history.Start()
 		defer history.Close()
-		if *exportEndpoint != "" {
-			hostname, _ := os.Hostname()
-			exporter, err = telemetry.NewExporter(telemetry.ExportConfig{
-				Endpoint: *exportEndpoint,
-				Interval: *exportInterval,
-				History:  history,
-				Instance: hostname,
-				Logger:   logger,
-			})
-			if err != nil {
-				fatal("building telemetry exporter", err)
-			}
-			exporter.Start()
-			defer exporter.Close()
-			logger.Info("telemetry export on", "endpoint", *exportEndpoint, "interval", *exportInterval)
-		}
-	} else if *exportEndpoint != "" {
-		logger.Info("-export-endpoint needs -telemetry; export disabled")
 	}
 
 	// The SLO/alerting layer is assembled before the engine branch so the
 	// quality monitor can route its drift alert through the same manager.
 	var (
 		alertMgr *slo.Manager
-		profiler *prof.Profiler
 		sloEval  *slo.Evaluator
 	)
 	if *sloOn {
 		alertMgr = slo.NewManager(slo.ManagerConfig{Logger: logger})
-		profiler, err = prof.New(prof.Config{Dir: *profileDir, Logger: logger})
-		if err != nil {
-			fatal("building profiler", err)
-		}
-		defer profiler.Close()
-		if *profOnAlert {
-			alertMgr.Subscribe(func(ev slo.Event) {
-				if ev.State == slo.StateFiring {
-					profiler.TriggerAsync("alert:"+ev.Name, ev.Labels)
-				}
-			})
-		}
 		objectives := slo.DefaultObjectives()
 		rules := slo.DefaultRules(*burnFast)
 		interval := *sloInterval
@@ -375,9 +329,7 @@ func main() {
 		Traces:         traces,
 		SLO:            sloEval,
 		Alerts:         alertMgr,
-		Profiles:       profiler,
 		History:        history,
-		Exporter:       exporter,
 	}
 
 	scfg.External = c.Grid.External

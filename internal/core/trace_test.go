@@ -42,7 +42,7 @@ func TestEstimateSpansJoinTrace(t *testing.T) {
 		}
 	}
 
-	ts := obs.NewTraceStore(obs.NewRegistry(), obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := obs.NewTraceStore(obs.NewRegistry(), obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	if kept, _ := ts.Offer(tr, d); !kept {
 		t.Fatal("trace not retained at SampleRate=1")
 	}

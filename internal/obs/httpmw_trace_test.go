@@ -12,7 +12,7 @@ import (
 func tracedMiddleware(t *testing.T) (*TraceStore, http.Handler) {
 	t.Helper()
 	reg := NewRegistry()
-	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	h := Middleware{Registry: reg, Traces: ts}.Wrap("/estimate",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			_, s := StartSpan(r.Context(), "work")
@@ -71,7 +71,7 @@ func TestMiddlewareAdoptsClientTraceID(t *testing.T) {
 
 func TestMiddlewareRetainsErrorTraces(t *testing.T) {
 	reg := NewRegistry()
-	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 0, Seed: 1})
+	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 0})
 	h := Middleware{Registry: reg, Traces: ts}.Wrap("/estimate",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Query().Get("fail") == "1" {
@@ -111,7 +111,7 @@ func TestMiddlewareStructuredLogs(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(NewTraceHandler(slog.NewTextHandler(&buf, nil)))
 	reg := NewRegistry()
-	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 0, Seed: 1})
+	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 0})
 	status := http.StatusOK
 	h := Middleware{Registry: reg, Logger: logger, AccessLogEvery: 3, Traces: ts}.Wrap("/estimate",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,8 @@
 // class, a tail-sampling trace store served at GET /debug/traces, a
 // slog.Handler decorator that stamps log lines with the trace ID, and a
 // runtime stats sampler (goroutines, heap, GC) feeding registry gauges.
+// Its TailSampler and Ring are the one tail-sampling policy and the one
+// bounded buffer the other observability packages build on.
 //
 // Everything is safe for concurrent use. Metric mutation is lock-free
 // (atomics); metric creation takes a registry lock once per (name, labels)

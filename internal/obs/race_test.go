@@ -100,7 +100,7 @@ func TestConcurrentRegistry(t *testing.T) {
 // concurrently. Run with -race.
 func TestConcurrentTracing(t *testing.T) {
 	r := NewRegistry()
-	ts := NewTraceStore(r, TraceStoreConfig{Capacity: 64, SlowestN: 4, Window: time.Second, SampleRate: 0.5, Seed: 7})
+	ts := NewTraceStore(r, TraceStoreConfig{Capacity: 64, SlowestN: 4, Window: time.Second, SampleRate: 0.5})
 	const (
 		workers = 8
 		iters   = 300

@@ -1,0 +1,28 @@
+package obs
+
+import "testing"
+
+func TestRing(t *testing.T) {
+	r := NewRing[int](3)
+	if r.Cap() != 3 || r.Len() != 0 {
+		t.Fatalf("cap=%d len=%d", r.Cap(), r.Len())
+	}
+	evicted := 0
+	for i := 1; i <= 5; i++ {
+		if r.Push(i) {
+			evicted++
+		}
+	}
+	if r.Len() != 3 || evicted != 2 {
+		t.Fatalf("len = %d evicted = %d, want 3 and 2", r.Len(), evicted)
+	}
+	if got := r.Slice(); got[0] != 3 || got[1] != 4 || got[2] != 5 {
+		t.Fatalf("slice = %v, want [3 4 5]", got)
+	}
+	if r.At(0) != 3 || r.At(2) != 5 {
+		t.Fatalf("At order wrong: %d %d", r.At(0), r.At(2))
+	}
+	if NewRing[int](0).Cap() != 1 {
+		t.Fatal("capacity below 1 not clamped")
+	}
+}

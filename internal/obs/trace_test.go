@@ -224,13 +224,13 @@ func TestTailSamplingSlowestN(t *testing.T) {
 }
 
 func TestTailSamplingRates(t *testing.T) {
-	all := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 42})
+	all := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	for i := 0; i < 20; i++ {
 		if kept, reason := all.Offer(finishedTrace(fmt.Sprintf("s%d", i), false), time.Millisecond); !kept || reason != "sample" {
 			t.Fatalf("SampleRate=1 dropped trace %d (reason %q)", i, reason)
 		}
 	}
-	none := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 0, Seed: 42})
+	none := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 0})
 	for i := 0; i < 20; i++ {
 		if kept, _ := none.Offer(finishedTrace(fmt.Sprintf("n%d", i), false), time.Millisecond); kept {
 			t.Fatalf("SampleRate=0 kept trace %d", i)
@@ -240,7 +240,7 @@ func TestTailSamplingRates(t *testing.T) {
 
 func TestTraceStoreRingAndFilters(t *testing.T) {
 	reg := NewRegistry()
-	ts := NewTraceStore(reg, TraceStoreConfig{Capacity: 4, SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := NewTraceStore(reg, TraceStoreConfig{Capacity: 4, SlowestN: -1, SampleRate: 1})
 	mk := func(id, route string, errored bool, d time.Duration) {
 		_, tr := StartTrace(context.Background(), TraceID(id), route)
 		if errored {
@@ -284,7 +284,7 @@ func TestTraceStoreRingAndFilters(t *testing.T) {
 }
 
 func TestTraceStoreHandler(t *testing.T) {
-	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	_, tr := StartTrace(context.Background(), "h1", "/estimate")
 	tr.noteError()
 	ts.Offer(tr, 25*time.Millisecond)

@@ -42,7 +42,7 @@ func BenchmarkSpanTraced(b *testing.B) {
 // BenchmarkTraceStoreOffer measures the tail-sampling decision for a trace
 // that is not retained — the common case under load.
 func BenchmarkTraceStoreOffer(b *testing.B) {
-	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 0, Seed: 1})
+	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 0})
 	_, tr := StartTrace(context.Background(), "bench", "/estimate")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,39 +21,24 @@ type TraceStoreConfig struct {
 	// Window is the rotation period for the slowest-N set. Default 10s.
 	Window time.Duration
 	// SampleRate is the probability a normal (non-error, non-slow) trace
-	// is retained. Taken literally: 0 keeps none, 1 keeps all.
+	// is retained. Taken literally: 0 keeps none, 1 keeps all. Sampling is
+	// a deterministic hash of the trace's sequence number.
 	SampleRate float64
-	// Seed seeds the sampling RNG; 0 uses the clock. Tests pin it.
-	Seed int64
 	// Now overrides the clock for window rotation (tests).
 	Now func() time.Time
 }
 
-// TraceStore retains finished traces under a tail-sampling policy:
-//
-//   - every error trace is kept,
-//   - the slowest-N traces per rotating window are kept,
-//   - plus a probabilistic sample of normal traffic,
-//
-// all in a fixed-size ring buffer so memory is bounded no matter the
-// request rate. GET /debug/traces (see Handler) serves the retained set
-// as JSON for diagnosis without an external collector.
+// TraceStore retains finished traces under the TailSampler policy (every
+// error, the slowest N per window, a hash sample of the rest) in a
+// fixed-size ring buffer, so memory is bounded no matter the request rate.
+// GET /debug/traces (see Handler) serves the retained set as JSON for
+// diagnosis without an external collector.
 type TraceStore struct {
-	cfg TraceStoreConfig
-	now func() time.Time
+	tail *TailSampler
 
-	completed  *Counter
-	keptError  *Counter
-	keptSlow   *Counter
-	keptSample *Counter
-
-	mu       sync.Mutex
-	ring     []*TraceRecord
-	next     int // ring index the next kept trace lands in
-	total    int // traces ever kept (ring occupancy = min(total, cap))
-	rng      *rand.Rand
-	winStart time.Time
-	winSlow  []time.Duration // durations of slow-retained traces this window, ascending
+	mu          sync.Mutex
+	ring        *Ring[*TraceRecord]
+	overwritten int // retained traces the ring has since evicted
 }
 
 // NewTraceStore builds a store registering its counters in reg (nil uses
@@ -67,31 +50,16 @@ func NewTraceStore(reg *Registry, cfg TraceStoreConfig) *TraceStore {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 512
 	}
-	if cfg.SlowestN == 0 {
-		cfg.SlowestN = 16
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Second
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	reg.Help("tte_trace_completed_total", "Traces finished, whether retained or not.")
 	reg.Help("tte_trace_retained_total", "Traces retained by tail sampling, by reason.")
 	return &TraceStore{
-		cfg:        cfg,
-		now:        now,
-		completed:  reg.Counter("tte_trace_completed_total"),
-		keptError:  reg.Counter("tte_trace_retained_total", "reason", "error"),
-		keptSlow:   reg.Counter("tte_trace_retained_total", "reason", "slow"),
-		keptSample: reg.Counter("tte_trace_retained_total", "reason", "sample"),
-		ring:       make([]*TraceRecord, cfg.Capacity),
-		rng:        rand.New(rand.NewSource(seed)),
+		tail: NewTailSampler(reg, "tte_trace_completed_total", "tte_trace_retained_total",
+			cfg.SlowestN, cfg.Window, cfg.SampleRate, now),
+		ring: NewRing[*TraceRecord](cfg.Capacity),
 	}
 }
 
@@ -102,58 +70,16 @@ func (ts *TraceStore) Offer(t *Trace, d time.Duration) (kept bool, reason string
 	if ts == nil || t == nil {
 		return false, ""
 	}
-	ts.completed.Inc()
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	// Feed the slow-window tracker for every trace so "slowest this
-	// window" means slowest among all traffic, not just non-errors.
-	slow := ts.slowLocked(d)
-	switch {
-	case t.Errored():
-		reason = "error"
-		ts.keptError.Inc()
-	case slow:
-		reason = "slow"
-		ts.keptSlow.Inc()
-	case ts.cfg.SampleRate > 0 && ts.rng.Float64() < ts.cfg.SampleRate:
-		reason = "sample"
-		ts.keptSample.Inc()
-	default:
+	if _, reason = ts.tail.Offer(t.Errored(), d); reason == "" {
 		return false, ""
 	}
-	ts.ring[ts.next] = t.snapshot(d, reason)
-	ts.next = (ts.next + 1) % len(ts.ring)
-	ts.total++
+	rec := t.snapshot(d, reason)
+	ts.mu.Lock()
+	if ts.ring.Push(rec) {
+		ts.overwritten++
+	}
+	ts.mu.Unlock()
 	return true, reason
-}
-
-// slowLocked reports whether d ranks among the slowest-N durations seen in
-// the current window, rotating the window as needed. While the window's
-// set is not yet full any trace qualifies (the first arrivals are, by
-// definition, the slowest seen so far); once full, d must beat the current
-// minimum, which it then evicts.
-func (ts *TraceStore) slowLocked(d time.Duration) bool {
-	if ts.cfg.SlowestN <= 0 {
-		return false
-	}
-	now := ts.now()
-	if ts.winStart.IsZero() || now.Sub(ts.winStart) >= ts.cfg.Window {
-		ts.winStart = now
-		ts.winSlow = ts.winSlow[:0]
-	}
-	i := sort.Search(len(ts.winSlow), func(i int) bool { return ts.winSlow[i] >= d })
-	if len(ts.winSlow) < ts.cfg.SlowestN {
-		ts.winSlow = append(ts.winSlow, 0)
-		copy(ts.winSlow[i+1:], ts.winSlow[i:])
-		ts.winSlow[i] = d
-		return true
-	}
-	if i == 0 {
-		return false // not slower than the current minimum
-	}
-	copy(ts.winSlow[:i-1], ts.winSlow[1:i]) // evict the minimum
-	ts.winSlow[i-1] = d
-	return true
 }
 
 // TraceFilter selects retained traces; zero values mean "no constraint".
@@ -172,17 +98,10 @@ type TraceFilter struct {
 func (ts *TraceStore) Traces(f TraceFilter) []*TraceRecord {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	n := ts.total
-	if n > len(ts.ring) {
-		n = len(ts.ring)
-	}
 	minMS := float64(f.MinDur) / float64(time.Millisecond)
-	out := make([]*TraceRecord, 0, n)
-	for k := 0; k < n; k++ {
-		rec := ts.ring[((ts.next-1-k)%len(ts.ring)+len(ts.ring))%len(ts.ring)]
-		if rec == nil {
-			continue
-		}
+	out := make([]*TraceRecord, 0, ts.ring.Len())
+	for i := ts.ring.Len() - 1; i >= 0; i-- {
+		rec := ts.ring.At(i)
 		if f.TraceID != "" && rec.TraceID != f.TraceID {
 			continue
 		}
@@ -245,22 +164,23 @@ func (ts *TraceStore) Handler() http.Handler {
 		// reads a trace: total_seen is every finished trace offered,
 		// dropped the ones tail sampling let go, overwritten the retained
 		// ones the ring has since evicted.
-		retained := ts.keptError.Value() + ts.keptSlow.Value() + ts.keptSample.Value()
+		// Kept before seen: an outcome is counted seen before it is kept,
+		// so dropped cannot go negative under concurrent offers.
+		kErr, kSlow, kSample := ts.tail.Kept()
+		retained := kErr + kSlow + kSample
+		seen := ts.tail.Seen()
 		ts.mu.Lock()
-		overwritten := 0
-		if ts.total > len(ts.ring) {
-			overwritten = ts.total - len(ts.ring)
-		}
+		overwritten := ts.overwritten
 		ts.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(map[string]any{
 			"count":       len(recs),
-			"completed":   ts.completed.Value(),
-			"total_seen":  ts.completed.Value(),
+			"completed":   seen,
+			"total_seen":  seen,
 			"retained":    retained,
-			"dropped":     ts.completed.Value() - retained,
+			"dropped":     seen - retained,
 			"overwritten": overwritten,
 			"traces":      recs,
 		})

@@ -16,7 +16,7 @@ import (
 // trace list under load reads as "sampled away", not "no traffic".
 func TestTraceStoreHandlerDropAccounting(t *testing.T) {
 	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{
-		Capacity: 4, SlowestN: -1, SampleRate: 1, Seed: 1,
+		Capacity: 4, SlowestN: -1, SampleRate: 1,
 	})
 	// 10 offered at rate 1 → 10 retained into a 4-slot ring → 6 overwritten.
 	for i := 0; i < 10; i++ {
@@ -24,7 +24,7 @@ func TestTraceStoreHandlerDropAccounting(t *testing.T) {
 		ts.Offer(tr, time.Millisecond)
 	}
 	// Sampling off: the next 5 complete but are dropped.
-	ts.cfg.SampleRate = 0
+	ts.tail.threshold = 0
 	for i := 0; i < 5; i++ {
 		_, tr := StartTrace(context.Background(), NewTraceID(), "/estimate")
 		ts.Offer(tr, time.Millisecond)

@@ -30,7 +30,7 @@ func filterStoreGet(t *testing.T, h http.Handler, url string) (code int, count i
 // An empty store must answer a well-formed zero envelope, with or without
 // filters — the first thing an operator curls after boot.
 func TestTraceStoreHandlerEmptyStore(t *testing.T) {
-	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 0, Seed: 1})
+	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 0})
 	h := ts.Handler()
 	for _, url := range []string{
 		"/debug/traces",
@@ -49,7 +49,7 @@ func TestTraceStoreHandlerEmptyStore(t *testing.T) {
 }
 
 func TestTraceStoreHandlerLimitEdgeCases(t *testing.T) {
-	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	for _, id := range []string{"l1", "l2", "l3"} {
 		_, tr := StartTrace(context.Background(), TraceID(id), "/estimate")
 		ts.Offer(tr, time.Millisecond)
@@ -74,7 +74,7 @@ func TestTraceStoreHandlerLimitEdgeCases(t *testing.T) {
 }
 
 func TestTraceStoreHandlerBadMinDur(t *testing.T) {
-	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	_, tr := StartTrace(context.Background(), "m1", "/estimate")
 	ts.Offer(tr, time.Millisecond)
 	h := ts.Handler()
@@ -93,7 +93,7 @@ func TestTraceStoreHandlerBadMinDur(t *testing.T) {
 
 // Combined filters are conjunctive: route AND errors AND minDur AND limit.
 func TestTraceStoreHandlerCombinedRouteErrors(t *testing.T) {
-	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := NewTraceStore(NewRegistry(), TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	mk := func(id, route string, errored bool, d time.Duration) {
 		_, tr := StartTrace(context.Background(), TraceID(id), route)
 		if errored {

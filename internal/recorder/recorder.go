@@ -12,7 +12,7 @@
 // exactly which (input, model, regime) tuple produced the bad answer, and
 // the replay harness (internal/replay, cmd/ttereplay) re-executes it.
 //
-// Capture is policy-driven, mirroring the trace store's tail sampling:
+// Capture is decided by obs.TailSampler, the policy the trace store uses:
 //
 //   - 100% of errors and shed requests (the events an investigation needs),
 //   - the slowest-N requests per rotating window (the tail-latency set),
@@ -40,7 +40,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deepod/internal/geo"
@@ -86,7 +85,7 @@ type Event struct {
 	LatencyNs   int64   `json:"latency_ns"`
 	EstimateSec float64 `json:"estimate_sec"`
 	// Err is the error class ("" = served): invalid_input, overloaded,
-	// queue_timeout, match, canceled, closed, or error.
+	// queue_timeout, match, canceled, closed, internal, or error.
 	Err string `json:"err,omitempty"`
 	// Shed marks admission-control rejections (overloaded, queue_timeout).
 	Shed bool `json:"shed,omitempty"`
@@ -149,12 +148,11 @@ type Config struct {
 }
 
 // shard is one lock stripe of the ring. Shards are chosen by sequence
-// number, so concurrent captures contend on different locks.
+// number, so concurrent captures contend on different locks. ring is nil
+// when the recorder keeps no events in memory.
 type shard struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	total int
+	mu   sync.Mutex
+	ring *obs.Ring[Event]
 }
 
 // Recorder captures wide events under the tail-sampling policy. Construct
@@ -163,21 +161,11 @@ type shard struct {
 type Recorder struct {
 	cfg    Config
 	now    func() time.Time
-	seq    atomic.Uint64
+	tail   *obs.TailSampler // shared across shards: "slowest this window" means slowest among all traffic
 	shards []*shard
 	mask   uint64
 	disk   *segmentWriter // nil without Config.Dir
 
-	// Slow-window tracker, shared across shards like the trace store's:
-	// "slowest this window" must mean slowest among all traffic.
-	slowMu   sync.Mutex
-	winStart time.Time
-	winSlow  []time.Duration
-
-	seen        *obs.Counter
-	keptError   *obs.Counter
-	keptSlow    *obs.Counter
-	keptSample  *obs.Counter
 	overwritten *obs.Counter
 	entries     *obs.Gauge
 }
@@ -198,12 +186,6 @@ func New(cfg Config) (*Recorder, error) {
 	for shards < cfg.Shards {
 		shards <<= 1
 	}
-	if cfg.SlowestN == 0 {
-		cfg.SlowestN = 16
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Second
-	}
 	if cfg.SegmentEvents <= 0 {
 		cfg.SegmentEvents = 4096
 	}
@@ -222,23 +204,20 @@ func New(cfg Config) (*Recorder, error) {
 	reg.Help("tte_recorder_overwritten_total", "Ring slots overwritten by newer captures.")
 	reg.Help("tte_recorder_events", "Wide events live in the in-memory ring.")
 	r := &Recorder{
-		cfg:         cfg,
-		now:         cfg.Now,
+		cfg: cfg,
+		now: cfg.Now,
+		tail: obs.NewTailSampler(reg, "tte_recorder_events_seen_total", "tte_recorder_captured_total",
+			cfg.SlowestN, cfg.Window, cfg.SampleRate, cfg.Now),
 		mask:        uint64(shards - 1),
-		seen:        reg.Counter("tte_recorder_events_seen_total"),
-		keptError:   reg.Counter("tte_recorder_captured_total", "reason", "error"),
-		keptSlow:    reg.Counter("tte_recorder_captured_total", "reason", "slow"),
-		keptSample:  reg.Counter("tte_recorder_captured_total", "reason", "sample"),
 		overwritten: reg.Counter("tte_recorder_overwritten_total"),
 		entries:     reg.Gauge("tte_recorder_events"),
 	}
-	per := cfg.Capacity / shards
-	if cfg.Capacity > 0 && per == 0 {
-		per = 1
-	}
 	r.shards = make([]*shard, shards)
 	for i := range r.shards {
-		r.shards[i] = &shard{ring: make([]Event, per)}
+		r.shards[i] = &shard{}
+		if cfg.Capacity > 0 {
+			r.shards[i].ring = obs.NewRing[Event](cfg.Capacity / shards)
+		}
 	}
 	if cfg.Dir != "" {
 		w, err := newSegmentWriter(cfg.Dir, cfg.SegmentEvents, cfg.MaxSegments, cfg.Meta, reg, cfg.Now)
@@ -265,6 +244,8 @@ func ClassifyError(err error) (class string, shed bool) {
 		return "invalid_input", false
 	case errors.Is(err, infer.ErrClosed):
 		return "closed", false
+	case errors.Is(err, infer.ErrInternal):
+		return "internal", false
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return "canceled", false
 	default:
@@ -276,49 +257,15 @@ func ClassifyError(err error) (class string, shed bool) {
 	}
 }
 
-// splitmix64 is the deterministic sampling hash: cheap, stateless, and
-// uniform over sequence numbers, so "sample 1%" keeps a stable pseudo-
-// random 1% of the stream on every identical run.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// sampleThreshold converts a rate in [0,1] to a uint64 comparison bound.
-func sampleThreshold(rate float64) uint64 {
-	if rate <= 0 {
-		return 0
-	}
-	if rate >= 1 {
-		return math.MaxUint64
-	}
-	return uint64(rate * float64(math.MaxUint64))
-}
-
 // RecordServe captures one finished request under the policy. It is the
 // infer.FlightRecorder implementation and must stay cheap: a policy
 // decision for every event, quantization and storage only for kept ones.
 func (r *Recorder) RecordServe(ctx context.Context, ev infer.ServeEvent) {
-	r.seen.Inc()
-	seq := r.seq.Add(1)
 	class, shed := ClassifyError(ev.Err)
-
-	var reason string
-	switch {
-	case class != "":
-		// Every error and shed request is captured: these are exactly the
-		// events an incident investigation replays.
-		reason = "error"
-		r.keptError.Inc()
-	case r.slow(ev.Latency):
-		reason = "slow"
-		r.keptSlow.Inc()
-	case sampleThreshold(r.cfg.SampleRate) != 0 && splitmix64(seq) <= sampleThreshold(r.cfg.SampleRate):
-		reason = "sample"
-		r.keptSample.Inc()
-	default:
+	// Every error and shed request is captured: these are exactly the
+	// events an incident investigation replays.
+	seq, reason := r.tail.Offer(class != "", ev.Latency)
+	if reason == "" {
 		return
 	}
 
@@ -346,51 +293,19 @@ func (r *Recorder) RecordServe(ctx context.Context, ev infer.ServeEvent) {
 	}
 
 	sh := r.shards[seq&r.mask]
-	sh.mu.Lock()
-	if len(sh.ring) > 0 {
-		if sh.total >= len(sh.ring) {
+	if sh.ring != nil {
+		sh.mu.Lock()
+		if sh.ring.Push(e) {
 			r.overwritten.Inc()
 		} else {
 			r.entries.Add(1)
 		}
-		sh.ring[sh.next] = e
-		sh.next = (sh.next + 1) % len(sh.ring)
-		sh.total++
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
 
 	if r.disk != nil {
 		r.disk.offer(e)
 	}
-}
-
-// slow reports whether d ranks among the slowest-N latencies in the
-// current window, rotating the window as needed (same policy as
-// obs.TraceStore.slowLocked).
-func (r *Recorder) slow(d time.Duration) bool {
-	if r.cfg.SlowestN <= 0 {
-		return false
-	}
-	r.slowMu.Lock()
-	defer r.slowMu.Unlock()
-	now := r.now()
-	if r.winStart.IsZero() || now.Sub(r.winStart) >= r.cfg.Window {
-		r.winStart = now
-		r.winSlow = r.winSlow[:0]
-	}
-	i := sort.Search(len(r.winSlow), func(i int) bool { return r.winSlow[i] >= d })
-	if len(r.winSlow) < r.cfg.SlowestN {
-		r.winSlow = append(r.winSlow, 0)
-		copy(r.winSlow[i+1:], r.winSlow[i:])
-		r.winSlow[i] = d
-		return true
-	}
-	if i == 0 {
-		return false
-	}
-	copy(r.winSlow[:i-1], r.winSlow[1:i])
-	r.winSlow[i-1] = d
-	return true
 }
 
 func (r *Recorder) cell(p geo.Point) int {
@@ -439,14 +354,12 @@ func (f Filter) match(e *Event) bool {
 func (r *Recorder) Events(f Filter) []Event {
 	var out []Event
 	for _, sh := range r.shards {
-		sh.mu.Lock()
-		n := sh.total
-		if n > len(sh.ring) {
-			n = len(sh.ring)
+		if sh.ring == nil {
+			continue
 		}
-		for k := 0; k < n; k++ {
-			e := sh.ring[((sh.next-1-k)%len(sh.ring)+len(sh.ring))%len(sh.ring)]
-			if f.match(&e) {
+		sh.mu.Lock()
+		for i := 0; i < sh.ring.Len(); i++ {
+			if e := sh.ring.At(i); f.match(&e) {
 				out = append(out, e)
 			}
 		}
@@ -476,20 +389,14 @@ func (s Stats) Captured() uint64 { return s.CapturedError + s.CapturedSlow + s.C
 
 // Stats reads the recorder's counters.
 func (r *Recorder) Stats() Stats {
-	s := Stats{
-		Seen:           r.seen.Value(),
-		CapturedError:  r.keptError.Value(),
-		CapturedSlow:   r.keptSlow.Value(),
-		CapturedSample: r.keptSample.Value(),
-		Overwritten:    r.overwritten.Value(),
-	}
+	s := Stats{Seen: r.tail.Seen(), Overwritten: r.overwritten.Value()}
+	s.CapturedError, s.CapturedSlow, s.CapturedSample = r.tail.Kept()
 	for _, sh := range r.shards {
-		sh.mu.Lock()
-		n := sh.total
-		if n > len(sh.ring) {
-			n = len(sh.ring)
+		if sh.ring == nil {
+			continue
 		}
-		s.RingEvents += n
+		sh.mu.Lock()
+		s.RingEvents += sh.ring.Len()
 		sh.mu.Unlock()
 	}
 	if r.disk != nil {

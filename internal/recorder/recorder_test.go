@@ -3,6 +3,7 @@ package recorder
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +65,7 @@ func TestPolicyErrorsAlwaysCaptured(t *testing.T) {
 		{infer.ErrQueueTimeout, "queue_timeout", true},
 		{infer.ErrInvalidInput, "invalid_input", false},
 		{infer.ErrClosed, "closed", false},
+		{fmt.Errorf("%w: worker panic", infer.ErrInternal), "internal", false},
 		{context.Canceled, "canceled", false},
 		{&infer.MatchError{Err: errors.New("no edge")}, "match", false},
 		{errors.New("surprise"), "error", false},

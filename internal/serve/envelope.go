@@ -14,8 +14,7 @@ import (
 // comes out as {"generated_at": ..., "error": "..."}. The inner handlers
 // keep their existing payload shapes (the stamp is spliced into the
 // object, so typed consumers just ignore an unknown field), and non-JSON
-// success bodies (segment downloads, raw pprof blobs, the dashboard HTML)
-// pass through byte-for-byte.
+// success bodies (recorder segment downloads) pass through byte-for-byte.
 func envelope(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		bw := &bufferedResponse{header: make(http.Header)}

@@ -19,8 +19,6 @@
 //	GET  /debug/quality model-quality state (when Config.Quality set)
 //	GET  /debug/slo     SLO status: per-objective SLI, budget, burn rates (when Config.SLO set)
 //	GET  /debug/alerts  firing alerts + transition history (when Config.Alerts set)
-//	GET  /debug/profiles captured profile bundles; /debug/profiles/<id>/<kind>
-//	     downloads raw pprof data (when Config.Profiles set)
 //	GET  /debug/traffic live traffic-store state: probes, coverage, epoch
 //	     (when Config.TrafficStatus set)
 //	GET  /debug/recorder flight-recorder wide events (filters: generation,
@@ -29,15 +27,11 @@
 //	     Config.Recorder set)
 //	GET  /debug/metrics/history queryable in-process metric history:
 //	     ?series=&range=&step=&agg= (when Config.History set)
-//	GET  /debug/dashboard unified ops view — SLO, alerts, quality, traffic,
-//	     recorder, telemetry history sparklines — as self-contained HTML, or
-//	     JSON with ?format=json
 //
 // Every /debug/* JSON response is wrapped by a shared envelope: a
 // generated_at timestamp is spliced in as the first field, Content-Type is
 // uniformly application/json, and errors share the {"error": "..."} shape.
-// Non-JSON debug bodies (segment and pprof downloads, dashboard HTML) pass
-// through verbatim.
+// Non-JSON debug bodies (segment downloads) pass through verbatim.
 //
 // Every route is wrapped with obs.Middleware (request counters by status
 // class, latency histograms, in-flight gauge, request logging), /estimate
@@ -70,7 +64,6 @@ import (
 	"deepod/internal/geo"
 	"deepod/internal/infer"
 	"deepod/internal/obs"
-	"deepod/internal/prof"
 	"deepod/internal/quality"
 	"deepod/internal/recorder"
 	"deepod/internal/slo"
@@ -153,10 +146,6 @@ type Config struct {
 	// Alerts, when non-nil, serves the alert manager's firing set and
 	// transition history at GET /debug/alerts.
 	Alerts *slo.Manager
-	// Profiles, when non-nil, serves captured profile bundles at GET
-	// /debug/profiles (list), GET /debug/profiles/<id>/<kind> (raw pprof
-	// download) and POST /debug/profiles/capture (on-demand capture).
-	Profiles *prof.Profiler
 	// Probes, when non-nil, accepts the GPS probe firehose at POST /probes
 	// (NDJSON, one probe per line). Implemented by traffic.Ingestor. A nil
 	// sink leaves the route answering 501 — ingestion disabled.
@@ -176,13 +165,9 @@ type Config struct {
 	// engine (infer.Config.Flight); the server only exposes it.
 	Recorder *recorder.Recorder
 	// History, when non-nil, serves the telemetry sampler's in-process
-	// time series at GET /debug/metrics/history and feeds the dashboard's
-	// sparklines. The sampler's lifecycle (Start/Close) belongs to the
-	// caller; the server only exposes it.
+	// time series at GET /debug/metrics/history. The sampler's lifecycle
+	// (Start/Close) belongs to the caller; the server only exposes it.
 	History *telemetry.History
-	// Exporter, when non-nil, surfaces the push exporter's delivery stats
-	// on the dashboard. Lifecycle belongs to the caller.
-	Exporter *telemetry.Exporter
 }
 
 // ProbeSink ingests a parsed probe batch, returning how many probes were
@@ -239,8 +224,8 @@ func New(cfg Config) (*Server, error) {
 	// Debug routes are served outside the obs middleware — inspecting the
 	// process should not show up in request metrics or create traces — but
 	// wrapped in envelope() so every JSON response carries generated_at and
-	// the uniform error shape. Raw bodies (segment/pprof downloads, the
-	// dashboard HTML) pass through the envelope untouched.
+	// the uniform error shape. Raw bodies (segment downloads) pass through
+	// the envelope untouched.
 	if cfg.Traces != nil {
 		s.mux.Handle("/debug/traces", envelope(cfg.Traces.Handler()))
 	}
@@ -252,13 +237,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Alerts != nil {
 		s.mux.Handle("/debug/alerts", envelope(cfg.Alerts.Handler()))
-	}
-	if cfg.Profiles != nil {
-		// The trailing-slash pattern also routes the per-capture download
-		// paths (/debug/profiles/<id>/<kind>) to the profiler.
-		h := envelope(cfg.Profiles.Handler())
-		s.mux.Handle("/debug/profiles", h)
-		s.mux.Handle("/debug/profiles/", h)
 	}
 	if cfg.TrafficStatus != nil {
 		s.mux.Handle("/debug/traffic", envelope(http.HandlerFunc(s.handleTrafficDebug)))
@@ -273,7 +251,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.History != nil {
 		s.mux.Handle("/debug/metrics/history", envelope(cfg.History.Handler()))
 	}
-	s.mux.Handle("/debug/dashboard", envelope(http.HandlerFunc(s.handleDashboard)))
 	return s, nil
 }
 

@@ -91,7 +91,7 @@ func newTracedEngineServer(t *testing.T) (*Server, *obs.TraceStore, string) {
 	}
 	t.Cleanup(eng.Close)
 
-	ts := obs.NewTraceStore(reg, obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := obs.NewTraceStore(reg, obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	s, err := New(Config{
 		City:     "trace-city",
 		Infer:    eng.Do,

@@ -17,7 +17,6 @@ import (
 	"deepod/internal/infer"
 	"deepod/internal/metrics"
 	"deepod/internal/obs"
-	"deepod/internal/prof"
 	"deepod/internal/quality"
 	"deepod/internal/slo"
 	"deepod/internal/timeslot"
@@ -27,9 +26,9 @@ import (
 // TestSLOEndToEnd is the acceptance path for the alerting layer, driven
 // through a real engine and the real HTTP surface on a manual clock: a
 // synthetic error spike fires the fast-burn alert within one evaluation
-// tick, the firing alert triggers a profile capture, quality drift routes
-// through the same manager, and after recovery the alert resolves — with
-// /debug/slo, /debug/alerts and /debug/profiles agreeing at every step.
+// tick, quality drift routes through the same manager, and after recovery
+// the alert resolves — with /debug/slo and /debug/alerts agreeing at every
+// step.
 func TestSLOEndToEnd(t *testing.T) {
 	clk := &e2eClock{t: time.Unix(1_700_000_000, 0)}
 	reg := obs.NewRegistry()
@@ -38,25 +37,6 @@ func TestSLOEndToEnd(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(lockedWriter{&logMu, &logBuf}, nil))
 
 	mgr := slo.NewManager(slo.ManagerConfig{Registry: reg, Logger: logger, Now: clk.now})
-
-	profiler, err := prof.New(prof.Config{
-		Dir:         t.TempDir(),
-		CPUDuration: 5 * time.Millisecond,
-		Cooldown:    time.Nanosecond,
-		Registry:    reg,
-		Now:         clk.now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer profiler.Close()
-	// The anomaly trigger: firing alerts capture a profile bundle tagged
-	// with the alert name, exactly as tteserve wires it.
-	mgr.Subscribe(func(ev slo.Event) {
-		if ev.State == slo.StateFiring {
-			profiler.TriggerAsync("alert:"+ev.Name, ev.Labels)
-		}
-	})
 
 	// Quality monitoring routed through the same manager: live errors far
 	// from the training-time reference must surface as quality:drift.
@@ -128,7 +108,6 @@ func TestSLOEndToEnd(t *testing.T) {
 		Registry: reg,
 		SLO:      ev,
 		Alerts:   mgr,
-		Profiles: profiler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,24 +149,6 @@ func TestSLOEndToEnd(t *testing.T) {
 		t.Fatalf("spike alert = %+v", active[0])
 	}
 
-	// The firing edge triggered an async capture; wait for it to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(profiler.List()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("alert fired but no profile was captured")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	caps := profiler.List()
-	if caps[0].Trigger != "alert:slo:availability:fast" {
-		t.Fatalf("capture trigger = %q", caps[0].Trigger)
-	}
-	for _, kind := range prof.Kinds {
-		if caps[0].Sizes[kind] == 0 {
-			t.Fatalf("capture missing %s profile: %+v", kind, caps[0])
-		}
-	}
-
 	// Operator surfaces during the incident.
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -212,19 +173,6 @@ func TestSLOEndToEnd(t *testing.T) {
 	}
 	if len(alerts.Firing) != 1 {
 		t.Fatalf("/debug/alerts firing = %+v", alerts.Firing)
-	}
-	var profiles struct {
-		Captures []prof.Capture `json:"captures"`
-	}
-	if err := json.Unmarshal(get("/debug/profiles").Body.Bytes(), &profiles); err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles.Captures) != 1 {
-		t.Fatalf("/debug/profiles = %+v", profiles)
-	}
-	dl := get("/debug/profiles/" + profiles.Captures[0].ID + "/heap")
-	if dl.Body.Len() == 0 {
-		t.Fatal("heap profile download empty")
 	}
 	// The page was logged at error level.
 	logMu.Lock()
@@ -294,7 +242,6 @@ func TestSLOEndToEnd(t *testing.T) {
 		"tte_slo_evaluations_total":      false,
 		"tte_alerts_firing":              false,
 		"tte_alert_transitions_total":    false,
-		"tte_prof_captures_total":        false,
 		"tte_slo_error_budget_remaining": false,
 	}
 	for _, s := range reg.Snapshot() {

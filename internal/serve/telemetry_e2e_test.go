@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,10 +45,10 @@ func TestEnvelopeStampsJSON(t *testing.T) {
 }
 
 func TestEnvelopePassesRawBodiesThrough(t *testing.T) {
-	raw := []byte("raw pprof bytes \x00\x01 not json")
+	raw := []byte("raw segment bytes \x00\x01 not json")
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", `attachment; filename="cpu.pb.gz"`)
+		w.Header().Set("Content-Disposition", `attachment; filename="seg-000001.jsonl"`)
 		_, _ = w.Write(raw)
 	})
 	rec := httptest.NewRecorder()
@@ -57,7 +56,7 @@ func TestEnvelopePassesRawBodiesThrough(t *testing.T) {
 	if rec.Body.String() != string(raw) {
 		t.Fatalf("raw body altered: %q", rec.Body.String())
 	}
-	if got := rec.Header().Get("Content-Disposition"); !strings.Contains(got, "cpu.pb.gz") {
+	if got := rec.Header().Get("Content-Disposition"); !strings.Contains(got, "seg-000001.jsonl") {
 		t.Fatalf("headers not replayed: %q", got)
 	}
 }
@@ -128,44 +127,16 @@ func TestDebugRoutesCarryGeneratedAt(t *testing.T) {
 	}
 }
 
-// exportSink is an in-process OTLP-shaped collector.
-type exportSink struct {
-	mu     sync.Mutex
-	bodies [][]byte
-}
-
-func (s *exportSink) handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		s.mu.Lock()
-		s.bodies = append(s.bodies, body)
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusOK)
-	})
-}
-
-func (s *exportSink) all() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []byte
-	for _, b := range s.bodies {
-		out = append(out, b...)
-	}
-	return out
-}
-
 // TestTelemetryEndToEnd drives the full telemetry loop through the HTTP
 // layer: traced /estimate requests record exemplars on the route latency
-// histogram, the history sampler harvests them into queryable series, the
-// exemplar's trace ID resolves to the retained trace in /debug/traces,
-// the push exporter delivers the history to an in-process sink, and the
-// dashboard aggregates all of it in JSON and HTML modes.
+// histogram, the history sampler harvests them into queryable series, and
+// the exemplar's trace ID resolves to the retained trace in /debug/traces.
 func TestTelemetryEndToEnd(t *testing.T) {
 	obs.SetExemplars(true)
 	defer obs.SetExemplars(false)
 
 	reg := obs.NewRegistry()
-	ts := obs.NewTraceStore(reg, obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1, Seed: 1})
+	ts := obs.NewTraceStore(reg, obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 
 	now := time.Unix(1_700_000_000, 0)
 	var mu sync.Mutex
@@ -182,21 +153,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink := &exportSink{}
-	sinkSrv := httptest.NewServer(sink.handler())
-	defer sinkSrv.Close()
-	exp, err := telemetry.NewExporter(telemetry.ExportConfig{
-		Endpoint: sinkSrv.URL,
-		Interval: time.Hour, // collected by hand below
-		History:  hist,
-		Registry: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp.Start()
-	defer exp.Close()
-
 	s, err := New(Config{
 		City: "telemetry-city",
 		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
@@ -206,7 +162,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		Registry: reg,
 		Traces:   ts,
 		History:  hist,
-		Exporter: exp,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,106 +232,5 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	if tres.Count != 1 || tres.Traces[0].TraceID != traceID || tres.Traces[0].Route != "/estimate" {
 		t.Fatalf("trace lookup = %+v", tres)
-	}
-
-	// The exporter pushes the sampled history to the sink.
-	exp.Collect()
-	deadline := time.After(5 * time.Second)
-	for exp.Stats().BatchesOK == 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("export never delivered: %+v", exp.Stats())
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	exported := string(sink.all())
-	for _, want := range []string{"resourceMetrics", "tte_http_requests_total", "tte_http_request_seconds:p99"} {
-		if !strings.Contains(exported, want) {
-			t.Fatalf("exported batches missing %q", want)
-		}
-	}
-
-	// Dashboard JSON aggregates history + export state.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/dashboard?format=json", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("dashboard json = %d: %s", rec.Code, rec.Body)
-	}
-	var dash struct {
-		GeneratedAt time.Time              `json:"generated_at"`
-		City        string                 `json:"city"`
-		History     *telemetry.Stats       `json:"history"`
-		Export      *telemetry.ExportStats `json:"export"`
-		Sparks      []DashboardSpark       `json:"sparks"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &dash); err != nil {
-		t.Fatal(err)
-	}
-	if dash.City != "telemetry-city" || dash.GeneratedAt.IsZero() {
-		t.Fatalf("dashboard = %+v", dash)
-	}
-	if dash.History == nil || dash.History.Series == 0 {
-		t.Fatalf("dashboard history stats = %+v", dash.History)
-	}
-	if dash.Export == nil || dash.Export.BatchesOK == 0 {
-		t.Fatalf("dashboard export stats = %+v", dash.Export)
-	}
-	if len(dash.Sparks) == 0 {
-		t.Fatalf("dashboard has no sparklines")
-	}
-
-	// HTML mode is self-contained: the data is embedded in the page.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/dashboard", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("dashboard html = %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/html") {
-		t.Fatalf("dashboard Content-Type = %q", ct)
-	}
-	page := rec.Body.String()
-	for _, want := range []string{"tteserve ops dashboard", "const DATA = {", "telemetry-city", "</html>"} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("dashboard page missing %q", want)
-		}
-	}
-	if strings.Contains(page[strings.Index(page, "const DATA"):strings.Index(page, "const root")], "</script>") {
-		t.Fatal("embedded JSON can break out of its script tag")
-	}
-}
-
-func TestDashboardMethodAndErrors(t *testing.T) {
-	s, _ := newTestServer(t)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/debug/dashboard", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST dashboard = %d", rec.Code)
-	}
-	var out struct {
-		GeneratedAt time.Time `json:"generated_at"`
-		Error       string    `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("error not enveloped JSON: %v: %s", err, rec.Body)
-	}
-	if out.Error == "" || out.GeneratedAt.IsZero() {
-		t.Fatalf("enveloped error = %+v", out)
-	}
-
-	// Without History/Exporter the dashboard still renders the basics.
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/dashboard?format=json", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("minimal dashboard = %d: %s", rec.Code, rec.Body)
-	}
-	var dash map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &dash); err != nil {
-		t.Fatal(err)
-	}
-	if dash["city"] != "test-city" {
-		t.Fatalf("minimal dashboard = %v", dash)
-	}
-	if _, ok := dash["history"]; ok {
-		t.Fatal("unwired history present in dashboard")
 	}
 }

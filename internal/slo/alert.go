@@ -37,8 +37,7 @@ type Alert struct {
 	Value float64 `json:"value"`
 }
 
-// Event is one state transition, delivered to subscribers and retained in
-// the history ring.
+// Event is one state transition, logged and retained in the history ring.
 type Event struct {
 	Alert
 	State State     `json:"state"`
@@ -72,20 +71,16 @@ type ManagerConfig struct {
 // deduplicating firing/resolved state machine. Sources (the SLO evaluator,
 // the quality monitor's drift detector) report the current truth of their
 // condition with Set; the manager turns edges into notifications, keeps
-// the firing set and a bounded history, and fans transitions out to
-// subscribers (the anomaly-triggered profiler). All methods are safe for
-// concurrent use; subscribers run outside the manager lock and must not
-// block for long.
+// the firing set and a bounded history. All methods are safe for
+// concurrent use.
 type Manager struct {
 	cfg ManagerConfig
 	now func() time.Time
 
 	mu      sync.Mutex
 	active  map[string]*ActiveAlert
-	history []Event // ring, oldest first
-	head    int
-	total   int
-	subs    []func(Event)
+	history *obs.Ring[Event]
+	total   int // transitions ever, including ones the ring has dropped
 
 	firingGauge *obs.Gauge
 	firedTotal  *obs.Counter
@@ -110,19 +105,11 @@ func NewManager(cfg ManagerConfig) *Manager {
 		cfg:         cfg,
 		now:         cfg.Now,
 		active:      make(map[string]*ActiveAlert),
+		history:     obs.NewRing[Event](cfg.HistorySize),
 		firingGauge: reg.Gauge("tte_alerts_firing"),
 		firedTotal:  reg.Counter("tte_alert_transitions_total", "state", "firing"),
 		resolvTotal: reg.Counter("tte_alert_transitions_total", "state", "resolved"),
 	}
-}
-
-// Subscribe registers fn to receive every state transition. Subscribers
-// are invoked synchronously (outside the manager lock) in registration
-// order; slow work belongs in a goroutine on the subscriber's side.
-func (m *Manager) Subscribe(fn func(Event)) {
-	m.mu.Lock()
-	m.subs = append(m.subs, fn)
-	m.mu.Unlock()
 }
 
 // Set reports the current truth of a's condition. Edges transition the
@@ -146,10 +133,9 @@ func (m *Manager) Set(a Alert, firing bool) {
 		delete(m.active, a.Name)
 		ev = &Event{Alert: a, State: StateResolved, At: now}
 	}
-	var subs []func(Event)
 	if ev != nil {
-		m.pushHistoryLocked(*ev)
-		subs = append(subs, m.subs...)
+		m.history.Push(*ev)
+		m.total++
 	}
 	m.firingGauge.Set(float64(len(m.active)))
 	m.mu.Unlock()
@@ -163,9 +149,6 @@ func (m *Manager) Set(a Alert, firing bool) {
 		m.resolvTotal.Inc()
 	}
 	m.notify(*ev)
-	for _, fn := range subs {
-		fn(*ev)
-	}
 }
 
 // SetAlert is the narrow level-triggered entry point other packages bind
@@ -196,16 +179,6 @@ func (m *Manager) notify(ev Event) {
 	}
 }
 
-func (m *Manager) pushHistoryLocked(ev Event) {
-	if len(m.history) < m.cfg.HistorySize {
-		m.history = append(m.history, ev)
-	} else {
-		m.history[m.head] = ev
-		m.head = (m.head + 1) % len(m.history)
-	}
-	m.total++
-}
-
 // Active returns the firing alerts, sorted by name.
 func (m *Manager) Active() []ActiveAlert {
 	m.mu.Lock()
@@ -222,9 +195,9 @@ func (m *Manager) Active() []ActiveAlert {
 func (m *Manager) History() []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Event, 0, len(m.history))
-	for i := len(m.history) - 1; i >= 0; i-- {
-		out = append(out, m.history[(m.head+i)%len(m.history)])
+	out := make([]Event, 0, m.history.Len())
+	for i := m.history.Len() - 1; i >= 0; i-- {
+		out = append(out, m.history.At(i))
 	}
 	return out
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"deepod/internal/obs"
-	"deepod/internal/telemetry"
 )
 
 // Config assembles an Evaluator.
@@ -44,7 +43,7 @@ type Config struct {
 }
 
 // point is one cumulative (good, total) observation. The history itself
-// lives in a telemetry.Ring — the same bounded ring the metric history
+// lives in a obs.Ring — the same bounded ring the metric history
 // sampler uses, replacing the private ring this package once grew.
 type point struct {
 	t           time.Time
@@ -54,7 +53,7 @@ type point struct {
 // before returns the newest point with t <= cutoff, or the oldest point
 // when every retained point is newer (young history: burn-since-oldest).
 // ok is false only when the ring is empty.
-func before(r *telemetry.Ring[point], cutoff time.Time) (point, bool) {
+func before(r *obs.Ring[point], cutoff time.Time) (point, bool) {
 	if r.Len() == 0 {
 		return point{}, false
 	}
@@ -77,7 +76,7 @@ type ruleState struct {
 // objectiveState is one objective's live evaluation record.
 type objectiveState struct {
 	obj       Objective
-	hist      *telemetry.Ring[point]
+	hist      *obs.Ring[point]
 	rules     []ruleState
 	good      float64 // cumulative at last eval
 	total     float64
@@ -179,7 +178,7 @@ func New(cfg Config) (*Evaluator, error) {
 		o := cfg.Objectives[i]
 		st := &objectiveState{
 			obj:       o,
-			hist:      telemetry.NewRing[point](cfg.MaxPoints),
+			hist:      obs.NewRing[point](cfg.MaxPoints),
 			rules:     make([]ruleState, len(cfg.Rules)),
 			sli:       math.NaN(),
 			remaining: math.NaN(),
@@ -247,8 +246,8 @@ func (e *Evaluator) Tick() {
 	samples := e.cfg.Source.Snapshot()
 	e.evaluate.Inc()
 
-	// Manager calls happen outside e.mu: the manager notifies subscribers
-	// and logs, and nothing it does may re-enter the evaluator.
+	// Manager calls happen outside e.mu: the manager logs, and nothing it
+	// does may re-enter the evaluator.
 	type setCall struct {
 		a      Alert
 		firing bool

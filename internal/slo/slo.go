@@ -20,8 +20,7 @@
 //     (good, total) points to a bounded per-objective history ring, derives
 //     windowed burn rates by differencing, and drives the Manager.
 //   - Manager (alert.go): deduplicating firing/resolved state machine with
-//     slog notifications, a bounded event history, subscriber hooks (the
-//     anomaly-triggered profiler subscribes) and tte_alert_* metrics.
+//     slog notifications, a bounded event history and tte_alert_* metrics.
 //
 // Exported metric families:
 //

@@ -328,30 +328,28 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestManagerDedupAndSubscribe(t *testing.T) {
+func TestManagerDedup(t *testing.T) {
 	clock := newManualClock()
 	m := NewManager(ManagerConfig{Registry: obs.NewRegistry(), Now: clock.now})
-	var events []Event
-	m.Subscribe(func(ev Event) { events = append(events, ev) })
 
 	a := Alert{Name: "x", Severity: "page", Value: 1}
 	m.Set(a, false) // clear on unknown: no-op
-	if len(events) != 0 {
-		t.Fatalf("clear on unknown produced %d events", len(events))
+	if n := len(m.History()); n != 0 {
+		t.Fatalf("clear on unknown produced %d transitions", n)
 	}
 	m.Set(a, true)
 	m.Set(a, true) // dedup
 	m.Set(a, true)
-	if len(events) != 1 || events[0].State != StateFiring {
-		t.Fatalf("events after 3 firing sets = %+v, want one firing", events)
+	if hist := m.History(); len(hist) != 1 || hist[0].State != StateFiring {
+		t.Fatalf("transitions after 3 firing sets = %+v, want one firing", hist)
 	}
 	act := m.Active()
 	if len(act) != 1 || act[0].Sets != 3 {
 		t.Fatalf("active = %+v, want sets=3", act)
 	}
 	m.Set(a, false)
-	if len(events) != 2 || events[1].State != StateResolved {
-		t.Fatalf("events after clear = %+v", events)
+	if hist := m.History(); len(hist) != 2 || hist[0].State != StateResolved {
+		t.Fatalf("transitions after clear = %+v", hist)
 	}
 	if len(m.Active()) != 0 {
 		t.Fatal("alert still active after clear")

@@ -1,3 +1,9 @@
+// Package telemetry turns the point-in-time observability surfaces
+// (internal/obs metrics, the trace store) into an operable history: a
+// sampler that ticks the registry into per-series bounded rings with a raw
+// and a downsampled tier, and a query endpoint over them. Everything is
+// stdlib-only and bounded — a process retains a fixed memory budget of
+// history no matter how long it runs or how hot it is scraped.
 package telemetry
 
 import (
@@ -64,8 +70,8 @@ type series struct {
 	kind   string   // "counter" | "gauge"
 	labels []string // alternating sorted pairs
 
-	raw    *Ring[Point]
-	coarse *Ring[Point]
+	raw    *obs.Ring[Point]
+	coarse *obs.Ring[Point]
 	// Coarse-tier accumulation across CoarseEvery raw pushes.
 	accN    int
 	accSum  float64
@@ -75,15 +81,15 @@ type series struct {
 // exRing keeps a histogram child's most recent exemplars plus the newest
 // timestamp already harvested, so each tick only appends new ones.
 type exRing struct {
-	ring *Ring[obs.Exemplar]
+	ring *obs.Ring[obs.Exemplar]
 	seen float64
 }
 
 // History ticks an obs registry into bounded per-series rings: a raw tier
 // at Interval and a coarse tier downsampled by CoarseEvery, both queryable
-// through Query / the /debug/metrics/history handler and drainable by the
-// push exporter via CollectSince. Construct with NewHistory, start the
-// loop with Start, stop with Close; Tick runs one sample synchronously.
+// through Query and the /debug/metrics/history handler. Construct with
+// NewHistory, start the loop with Start, stop with Close; Tick runs one
+// sample synchronously.
 type History struct {
 	cfg Config
 	now func() time.Time
@@ -157,9 +163,6 @@ func NewHistory(cfg Config) (*History, error) {
 	}
 	return h, nil
 }
-
-// Interval returns the sampling period.
-func (h *History) Interval() time.Duration { return h.cfg.Interval }
 
 // Start launches the sampling loop. Safe to call once; Close stops it.
 func (h *History) Start() {
@@ -333,8 +336,8 @@ func (h *History) recordTracked(family, name, kind string, labels []string, v fl
 			family: family,
 			kind:   kind,
 			labels: append([]string(nil), labels...),
-			raw:    NewRing[Point](h.cfg.RawPoints),
-			coarse: NewRing[Point](h.cfg.CoarsePoints),
+			raw:    obs.NewRing[Point](h.cfg.RawPoints),
+			coarse: obs.NewRing[Point](h.cfg.CoarsePoints),
 		}
 		h.series[id] = sr
 		h.order = append(h.order, id)
@@ -363,7 +366,7 @@ func (h *History) harvestExemplars(s obs.Sample) {
 	id := seriesID(s.Name, s.Labels)
 	er := h.exes[id]
 	if er == nil {
-		er = &exRing{ring: NewRing[obs.Exemplar](h.cfg.ExemplarsPerSeries)}
+		er = &exRing{ring: obs.NewRing[obs.Exemplar](h.cfg.ExemplarsPerSeries)}
 		h.exes[id] = er
 	}
 	fresh := make([]obs.Exemplar, 0, 4)
@@ -507,45 +510,7 @@ func (h *History) SeriesIDs() []string {
 	return out
 }
 
-// SeriesDelta is one series' raw-tier points newer than an export cursor.
-type SeriesDelta struct {
-	ID     string
-	Name   string
-	Kind   string
-	Labels []string
-	Points []Point
-}
-
-// CollectSince drains raw-tier points with T > since for every series and
-// returns them with the next cursor (the newest timestamp seen, or since
-// when nothing is newer). The exporter calls this on its own interval.
-func (h *History) CollectSince(since int64) ([]SeriesDelta, int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	next := since
-	var out []SeriesDelta
-	for _, id := range h.order {
-		sr := h.series[id]
-		var pts []Point
-		for i := 0; i < sr.raw.Len(); i++ {
-			if p := sr.raw.At(i); p.T > since {
-				pts = append(pts, p)
-				if p.T > next {
-					next = p.T
-				}
-			}
-		}
-		if len(pts) > 0 {
-			out = append(out, SeriesDelta{
-				ID: sr.id, Name: sr.name, Kind: sr.kind,
-				Labels: sr.labels, Points: pts,
-			})
-		}
-	}
-	return out, next
-}
-
-// Stats summarizes the sampler for the ops dashboard.
+// Stats summarizes the sampler for the history catalog.
 type Stats struct {
 	IntervalSeconds float64   `json:"interval_seconds"`
 	Series          int       `json:"series"`

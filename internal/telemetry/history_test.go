@@ -11,25 +11,6 @@ import (
 	"deepod/internal/obs"
 )
 
-func TestRing(t *testing.T) {
-	r := NewRing[int](3)
-	if r.Cap() != 3 || r.Len() != 0 {
-		t.Fatalf("cap=%d len=%d", r.Cap(), r.Len())
-	}
-	for i := 1; i <= 5; i++ {
-		r.Push(i)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
-	}
-	if got := r.Slice(); got[0] != 3 || got[1] != 4 || got[2] != 5 {
-		t.Fatalf("slice = %v, want [3 4 5]", got)
-	}
-	if r.At(0) != 3 || r.At(2) != 5 {
-		t.Fatalf("At order wrong: %d %d", r.At(0), r.At(2))
-	}
-}
-
 // fakeClock steps a deterministic clock by the history interval per call
 // site that wants a new tick time.
 type fakeClock struct{ t time.Time }

@@ -1,0 +1,186 @@
+package deepod
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The README drift tests hold README's metric-family table and its
+// tteserve flags to the code, in both directions: nothing the code exposes
+// goes undocumented, and nothing documented is gone from the code.
+
+var (
+	// familyLit is a metric family name as a complete Go string literal.
+	familyLit = regexp.MustCompile(`"(tte_[a-z0-9_]+)"`)
+	// familyCell is a family (or a `tte_go_*`-style prefix) named in the
+	// first cell of a metric-table row.
+	familyCell = regexp.MustCompile("`(tte_[a-z0-9_]+)(\\*?)`")
+	// flagDef is a flag definition: flag.Int("name", ...), fs.String(...).
+	flagDef = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)\("([a-z][a-z0-9-]*)"`)
+	// flagRef is a flag named in README prose or tables: `-name` or
+	// `-prefix-*`.
+	flagRef = regexp.MustCompile("`-([a-z][a-z0-9-]*)(\\*?)")
+	// flagArg is a flag on a command line.
+	flagArg = regexp.MustCompile(`\s-([a-z][a-z0-9-]*)`)
+)
+
+// builtinFlags are flags README may name that no command defines: the
+// flag package's help and the go tool's own.
+var builtinFlags = map[string]bool{"h": true, "help": true, "race": true, "short": true, "run": true, "bench": true, "fuzz": true}
+
+func readREADME(t *testing.T) string {
+	t.Helper()
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// sourceFiles returns the contents of every non-test Go file under the
+// given roots.
+func sourceFiles(t *testing.T, roots ...string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			out[path] = string(b)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// hasPrefixed reports whether any of names starts with prefix.
+func hasPrefixed(names map[string]bool, prefix string) bool {
+	for n := range names {
+		if strings.HasPrefix(n, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// extendsAny reports whether name starts with any of prefixes.
+func extendsAny(name string, prefixes map[string]bool) bool {
+	for p := range prefixes {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestREADMEMetricFamilies(t *testing.T) {
+	code := map[string]bool{}
+	for _, src := range sourceFiles(t, ".") {
+		for _, m := range familyLit.FindAllStringSubmatch(src, -1) {
+			code[m[1]] = true
+		}
+	}
+	if len(code) == 0 {
+		t.Fatal("no tte_* family found in the code")
+	}
+
+	exact, prefixes := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(readREADME(t), "\n") {
+		if !strings.HasPrefix(line, "| `tte_") {
+			continue
+		}
+		first := strings.SplitN(line, "|", 3)[1]
+		for _, m := range familyCell.FindAllStringSubmatch(first, -1) {
+			if m[2] == "*" {
+				prefixes[m[1]] = true
+			} else {
+				exact[m[1]] = true
+			}
+		}
+	}
+	if len(exact) == 0 {
+		t.Fatal("README has no metric-family table")
+	}
+
+	for name := range code {
+		if !exact[name] && !extendsAny(name, prefixes) {
+			t.Errorf("family %s is registered in the code but has no row in README's metric table", name)
+		}
+	}
+	for name := range exact {
+		if !code[name] {
+			t.Errorf("README's metric table lists %s, which no code registers", name)
+		}
+	}
+	for p := range prefixes {
+		if !hasPrefixed(code, p) {
+			t.Errorf("README's metric table lists %s*, which matches no registered family", p)
+		}
+	}
+}
+
+func TestREADMETteserveFlags(t *testing.T) {
+	serveSrc := sourceFiles(t, filepath.Join("cmd", "tteserve"))
+	serveFlags := map[string]bool{}
+	for _, src := range serveSrc {
+		for _, m := range flagDef.FindAllStringSubmatch(src, -1) {
+			serveFlags[m[1]] = true
+		}
+	}
+	if len(serveFlags) == 0 {
+		t.Fatal("no tteserve flag found")
+	}
+	// Flags of every command in the repo: README may name any of them.
+	known := map[string]bool{}
+	for name := range builtinFlags {
+		known[name] = true
+	}
+	for _, src := range sourceFiles(t, "cmd", "bench") {
+		for _, m := range flagDef.FindAllStringSubmatch(src, -1) {
+			known[m[1]] = true
+		}
+	}
+
+	readme := readREADME(t)
+	for name := range serveFlags {
+		if !strings.Contains(readme, "`-"+name+"`") {
+			t.Errorf("tteserve flag -%s is not documented in README as `-%s`", name, name)
+		}
+	}
+	for _, m := range flagRef.FindAllStringSubmatch(readme, -1) {
+		name, prefix := m[1], m[2] == "*"
+		if prefix && !hasPrefixed(known, name) || !prefix && !known[name] {
+			t.Errorf("README names flag -%s%s, which no command defines", name, m[2])
+		}
+	}
+	// Command lines that run tteserve may pass only its own flags.
+	for _, line := range strings.Split(readme, "\n") {
+		i := strings.Index(line, "tteserve -")
+		if i < 0 {
+			continue
+		}
+		for _, m := range flagArg.FindAllStringSubmatch(line[i:], -1) {
+			if !serveFlags[m[1]] {
+				t.Errorf("README runs tteserve with -%s, which it does not define: %q", m[1], line)
+			}
+		}
+	}
+}
