@@ -13,7 +13,7 @@ check:
 
 race:
 	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
-	go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
+	go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 	go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 
 fmt:

@@ -7,7 +7,6 @@ package deepod
 // full-strength tables. Use -v / -benchtime=1x to see the rendered output.
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -273,62 +272,6 @@ func BenchmarkEstimateBaselines(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkTrainStep measures one optimizer step (batch forward+backward)
-// of DeepOD — the ablation bench for the gradient-accumulation design
-// choice of DESIGN.md §4.1, across batch sizes.
-func BenchmarkTrainStep(b *testing.B) {
-	city, err := BuildCity("chengdu-s", CityOptions{Orders: 200, HorizonDays: 14})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, batch := range []int{8, 32, 128} {
-		batch := batch
-		for _, workers := range []int{1, 2} {
-			workers := workers
-			b.Run(fmt.Sprintf("%s/workers%d", sizeName(batch), workers), func(b *testing.B) {
-				cfg := tinyBenchConfig()
-				cfg.BatchSize = batch
-				cfg.Epochs = 1 << 20 // MaxSteps terminates the run
-				cfg.TrainWorkers = workers
-				b.ReportAllocs()
-				m, err := TrainWithMaxSteps(cfg, city, b.N)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = m
-			})
-		}
-	}
-}
-
-func sizeName(n int) string {
-	switch n {
-	case 8:
-		return "batch8"
-	case 32:
-		return "batch32"
-	case 128:
-		return "batch128"
-	}
-	return "batch"
-}
-
-func tinyBenchConfig() Config {
-	c := SmallConfig()
-	c.Ds, c.Dt = 8, 8
-	c.D1m, c.D2m, c.D3m, c.D4m = 16, 8, 16, 8
-	c.D5m, c.D6m, c.D7m, c.D9m = 16, 8, 16, 16
-	c.Dh, c.Dtraf = 16, 8
-	c.EmbedWalks, c.EmbedEpochs = 1, 1
-	return c
-}
-
-// TrainWithMaxSteps trains a model for at most maxSteps optimizer steps
-// (benchmark helper).
-func TrainWithMaxSteps(cfg Config, city *City, maxSteps int) (*Model, error) {
-	return Train(cfg, city, &TrainOptions{MaxSteps: maxSteps})
 }
 
 // BenchmarkEmbedMethodStudy regenerates the §5 embedding-method comparison

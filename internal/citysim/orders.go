@@ -71,8 +71,8 @@ func NewGenerator(t *Traffic, grid *SpeedGridder, cfg OrderConfig) (*Generator, 
 	b := t.Graph().Bounds()
 	for i := 0; i < cfg.Hotspots; i++ {
 		gen.spots = append(gen.spots, geo.Point{
-			X: b.Min.X + gen.rng.Float64()*b.Width(),
-			Y: b.Min.Y + gen.rng.Float64()*b.Height(),
+			X: b.Min.X + float64(gen.rng.Float64()*b.Width()),
+			Y: b.Min.Y + float64(gen.rng.Float64()*b.Height()),
 		})
 	}
 	return gen, nil
@@ -92,7 +92,7 @@ func (gen *Generator) sampleEndpoint() (roadnet.EdgeID, float64) {
 			Y: s.Y + gen.rng.NormFloat64()*b.Height()/10,
 		}
 	} else {
-		p = geo.Point{X: b.Min.X + gen.rng.Float64()*b.Width(), Y: b.Min.Y + gen.rng.Float64()*b.Height()}
+		p = geo.Point{X: b.Min.X + float64(gen.rng.Float64()*b.Width()), Y: b.Min.Y + float64(gen.rng.Float64()*b.Height())}
 	}
 	// Snap: pick the nearest edge by scanning a random sample of edges —
 	// cheap and sufficient for synthesis (map matching uses a real index).
@@ -107,7 +107,7 @@ func (gen *Generator) sampleEndpoint() (roadnet.EdgeID, float64) {
 		}
 	}
 	// Keep fractions interior so position ratios are informative.
-	bestFrac = 0.1 + 0.8*bestFrac
+	bestFrac = 0.1 + float64(0.8*bestFrac)
 	return best, bestFrac
 }
 
@@ -115,9 +115,9 @@ func (gen *Generator) sampleEndpoint() (roadnet.EdgeID, float64) {
 // horizon: weekday rush hours are the most popular departure times.
 func (gen *Generator) sampleDeparture() float64 {
 	for {
-		t := gen.rng.Float64() * gen.traffic.Horizon()
+		t := float64(gen.rng.Float64() * gen.traffic.Horizon())
 		day := int(t / timeslot.SecondsPerDay)
-		secOfDay := t - float64(day)*timeslot.SecondsPerDay
+		secOfDay := t - float64(float64(day)*timeslot.SecondsPerDay)
 		demand := 0.15 + dayProfile(secOfDay, day%7 >= 5)
 		if gen.rng.Float64() < demand {
 			return t
@@ -240,8 +240,8 @@ func (gen *Generator) trace(tr traj.Trajectory) traj.Raw {
 	var pts []traj.GPSPoint
 	noise := func(p geo.Point) geo.Point {
 		return geo.Point{
-			X: p.X + gen.rng.NormFloat64()*gen.cfg.GPSNoiseMeters,
-			Y: p.Y + gen.rng.NormFloat64()*gen.cfg.GPSNoiseMeters,
+			X: p.X + float64(gen.rng.NormFloat64()*gen.cfg.GPSNoiseMeters),
+			Y: p.Y + float64(gen.rng.NormFloat64()*gen.cfg.GPSNoiseMeters),
 		}
 	}
 	start, end := tr.DepartureTime(), tr.Path[len(tr.Path)-1].Exit

@@ -91,7 +91,7 @@ func (ps *ProbeStream) Window(fromSec, toSec float64) []VehicleProbe {
 			// the vehicle's clock at the window, staggered so the fleet
 			// doesn't report in lockstep.
 			v.onTrip = false
-			v.nextT = fromSec + ps.rng.Float64()*ps.cfg.PeriodSec
+			v.nextT = fromSec + float64(ps.rng.Float64()*ps.cfg.PeriodSec)
 		}
 		for v.nextT < toSec {
 			if !v.onTrip {
@@ -115,8 +115,8 @@ func (ps *ProbeStream) Window(fromSec, toSec float64) []VehicleProbe {
 			out = append(out, VehicleProbe{
 				Vehicle: v.id,
 				Pos: geo.Point{
-					X: p.X + ps.rng.NormFloat64()*ps.cfg.NoiseMeters,
-					Y: p.Y + ps.rng.NormFloat64()*ps.cfg.NoiseMeters,
+					X: p.X + float64(ps.rng.NormFloat64()*ps.cfg.NoiseMeters),
+					Y: p.Y + float64(ps.rng.NormFloat64()*ps.cfg.NoiseMeters),
 				},
 				T: v.nextT,
 			})

@@ -90,7 +90,7 @@ func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
 		}
 		var s float64
 		for _, e := range edges {
-			s += sg.traffic.Speed(e, at)
+			s += float64(sg.traffic.Speed(e, at))
 		}
 		m[ci] = s / float64(len(edges))
 	}

@@ -65,8 +65,8 @@ func NewTraffic(g *roadnet.Graph, horizon float64, seed int64) (*Traffic, error)
 	t.edgeFactor = make([]float64, g.NumEdges())
 	t.entryWait = make([]float64, g.NumEdges())
 	for i := range t.edgePhase {
-		t.edgePhase[i] = rng.Float64() * 2 * math.Pi
-		sens := 0.5 + 0.3*rng.Float64()
+		t.edgePhase[i] = float64(rng.Float64()) * 2 * math.Pi
+		sens := 0.5 + float64(0.3*float64(rng.Float64()))
 		if g.Edges[i].Class == roadnet.Arterial {
 			sens += 0.25 // arterials feel rush hour more
 		}
@@ -85,7 +85,7 @@ func NewTraffic(g *roadnet.Graph, horizon float64, seed int64) (*Traffic, error)
 		// Base intersection wait when turning onto this segment: crossing
 		// onto an arterial takes longer (signals), and every intersection
 		// has its own character.
-		wait := 1 + 5*rng.Float64()
+		wait := 1 + float64(5*float64(rng.Float64()))
 		if g.Edges[i].Class == roadnet.Arterial {
 			wait += 3
 		}
@@ -132,7 +132,7 @@ func weatherSlowdown(w int) float64 {
 	if w < 8 {
 		return 1
 	}
-	return 1 - 0.04*float64(w-7) // up to 32% slowdown in the worst weather
+	return 1 - float64(0.04*float64(w-7)) // up to 32% slowdown in the worst weather
 }
 
 // dayProfile is the time-of-day congestion intensity in [0, 1]: two rush
@@ -146,14 +146,14 @@ func dayProfile(secOfDay float64, weekend bool) float64 {
 	if weekend {
 		return 0.45 * gauss(14, 4)
 	}
-	return 0.9*gauss(8.5, 1.4) + 0.8*gauss(18, 1.7) + 0.25*gauss(13, 3)
+	return float64(0.9*gauss(8.5, 1.4)) + float64(0.8*gauss(18, 1.7)) + float64(0.25*gauss(13, 3))
 }
 
 // Congestion returns the speed multiplier of edge e at time sec, in
 // (0.15, 1].
 func (t *Traffic) Congestion(e roadnet.EdgeID, sec float64) float64 {
 	day := int(sec / timeslot.SecondsPerDay)
-	secOfDay := sec - float64(day)*timeslot.SecondsPerDay
+	secOfDay := sec - float64(float64(day)*timeslot.SecondsPerDay)
 	weekend := day%7 >= 5
 
 	intensity := dayProfile(secOfDay, weekend)
@@ -162,12 +162,12 @@ func (t *Traffic) Congestion(e roadnet.EdgeID, sec float64) float64 {
 	a, b := t.g.EdgePoints(e)
 	mid := geo.Lerp(a, b, 0.5)
 	rel := 1 - math.Min(1, geo.Dist(mid, t.center)/t.halfSpan)
-	spatial := 0.6 + 0.4*rel
+	spatial := 0.6 + float64(0.4*rel)
 
 	// Smooth per-edge ripple, period ~40 min, amplitude 0.1.
-	ripple := 0.1 * math.Sin(2*math.Pi*sec/2400+t.edgePhase[e])
+	ripple := float64(0.1 * math.Sin(float64(2*math.Pi*sec/2400)+t.edgePhase[e]))
 
-	drop := (intensity*t.edgeSens[int(e)]*spatial + ripple) // fraction of speed lost
+	drop := (float64(intensity*t.edgeSens[int(e)]*spatial) + ripple) // fraction of speed lost
 	if drop < 0 {
 		drop = 0
 	}
@@ -190,9 +190,9 @@ func (t *Traffic) Speed(e roadnet.EdgeID, sec float64) float64 {
 // route-shape structure only network-aware models can capture.
 func (t *Traffic) EntryWait(e roadnet.EdgeID, sec float64) float64 {
 	day := int(sec / timeslot.SecondsPerDay)
-	secOfDay := sec - float64(day)*timeslot.SecondsPerDay
+	secOfDay := sec - float64(float64(day)*timeslot.SecondsPerDay)
 	intensity := dayProfile(secOfDay, day%7 >= 5)
-	return t.entryWait[e] * (0.4 + 1.6*intensity) * weatherSlowdownInv(t.Weather(sec))
+	return t.entryWait[e] * (0.4 + float64(1.6*intensity)) * weatherSlowdownInv(t.Weather(sec))
 }
 
 // weatherSlowdownInv lengthens waits in bad weather.
@@ -221,7 +221,7 @@ func (t *Traffic) TraverseTime(e roadnet.EdgeID, fromFrac, toFrac, enterSec floa
 	const stepSec = 30.0
 	for remaining > 1e-9 {
 		v := t.Speed(e, now)
-		d := v * stepSec
+		d := float64(v * stepSec)
 		if d >= remaining {
 			return now + remaining/v - enterSec
 		}

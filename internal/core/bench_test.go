@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"deepod/internal/dataset"
+	"deepod/internal/nn"
 	"deepod/internal/traj"
 )
 
@@ -118,4 +121,49 @@ func BenchmarkEstimateBatchFusedTrafficCode(b *testing.B) {
 			benchSink += m.EstimateBatchFused(batch)[0]
 		}
 	})
+}
+
+// BenchmarkTrainStep times optimizer steps and nothing else: one mini-batch
+// forward and backward on the worker pool, the gradient reduce, clipping and
+// the Adam update. The model (SmallConfig dimensions, speed matrices of
+// memoWorld's 12×10 cells) is built and its embeddings pre-trained once, off
+// the clock; the batches are drawn off the clock too. Run with -benchmem.
+func BenchmarkTrainStep(b *testing.B) {
+	g, recs := memoWorld(b, 200)
+	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := SmallConfig()
+	m, err := New(cfg, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mean float64
+	for i := range split.Train {
+		mean += split.Train[i].TravelSec
+	}
+	m.SetTimeScale(mean / float64(len(split.Train)))
+	if err := m.pretrainEmbeddings(split.Train); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, bs := range []int{1, 8, 32} {
+		batches := make([][]int, 64)
+		for i := range batches {
+			batches[i] = rng.Perm(len(split.Train))[:bs]
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("B%d/workers%d", bs, workers), func(b *testing.B) {
+				pool := newTrainPool(m.ps, workers)
+				defer pool.close()
+				opt := nn.NewAdam(cfg.LRInitial)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.trainStep(pool, opt, split.Train, batches[i%len(batches)], true, cfg.AuxWeight)
+				}
+			})
+		}
+	}
 }

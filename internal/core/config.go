@@ -98,12 +98,11 @@ type Config struct {
 	EmbedWalks, EmbedEpochs int
 
 	// TrainWorkers shards each mini-batch (and validation sweeps, and the
-	// node2vec pre-training) across this many workers. Each worker owns a
-	// reusable tape and a private gradient buffer; buffers are reduced in
-	// fixed worker-index order, so a given seed + worker count is
-	// bit-reproducible. 0 or 1 means serial, which reproduces the
-	// historical single-goroutine results exactly. See DESIGN.md
-	// "Training performance".
+	// node2vec pre-training) across this many workers. Each worker trains
+	// its shard as one graph on a reusable tape, into a private gradient
+	// buffer; buffers are reduced in fixed worker-index order, so a given
+	// seed + worker count is bit-reproducible. 0 or 1 means serial: one
+	// graph over the whole batch. See DESIGN.md "Training performance".
 	TrainWorkers int
 
 	// Seed drives parameter init and batch shuffling.

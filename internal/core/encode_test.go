@@ -6,11 +6,13 @@ import (
 
 	"deepod/internal/dataset"
 	"deepod/internal/nn"
+	"deepod/internal/traj"
 )
 
 // TestTrainEvalForwardConsistency: the training tape (recording gradients)
 // and the eval tape must compute identical forward values for M_O, M_E and
-// M_T — a guard against eval-mode shortcuts diverging from training math.
+// M_T over a whole shard — a guard against eval-mode shortcuts diverging
+// from training math.
 func TestTrainEvalForwardConsistency(t *testing.T) {
 	g, recs := testWorld(t, 100)
 	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
@@ -23,22 +25,16 @@ func TestTrainEvalForwardConsistency(t *testing.T) {
 	}
 	// Untrained weights suffice: consistency is a structural property.
 	m.SetTimeScale(300)
+	shard := make([]*traj.TripRecord, len(split.Test))
 	for i := range split.Test {
-		rec := &split.Test[i]
-		trainTape := nn.NewTape()
-		evalTape := nn.NewEvalTape()
-		codeT := m.encodeOD(trainTape, &rec.Matched)
-		codeE := m.encodeOD(evalTape, &rec.Matched)
-		for k := range codeT.Value.Data {
-			if codeT.Value.Data[k] != codeE.Value.Data[k] {
-				t.Fatalf("record %d: code differs between train and eval tapes at %d", i, k)
-			}
-		}
-		stT := m.encodeTrajectory(trainTape, &rec.Trajectory)
-		stE := m.encodeTrajectory(evalTape, &rec.Trajectory)
-		for k := range stT.Value.Data {
-			if stT.Value.Data[k] != stE.Value.Data[k] {
-				t.Fatalf("record %d: stcode differs between tapes at %d", i, k)
+		shard[i] = &split.Test[i]
+	}
+	codeT, stT, yT := m.shardForward(nn.NewTape(), shard, true)
+	codeE, stE, yE := m.shardForward(nn.NewEvalTape(), shard, true)
+	for name, pair := range map[string][2]*nn.Node{"code": {codeT, codeE}, "stcode": {stT, stE}, "yhat": {yT, yE}} {
+		for k, v := range pair[0].Value.Data {
+			if math.Float64bits(v) != math.Float64bits(pair[1].Value.Data[k]) {
+				t.Fatalf("%s differs between train and eval tapes at %d", name, k)
 			}
 		}
 	}
@@ -56,15 +52,12 @@ func TestCodeDimensionsTied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := nn.NewEvalTape()
-	rec := &split.Train[0]
-	code := m.encodeOD(tp, &rec.Matched)
-	stcode := m.encodeTrajectory(tp, &rec.Trajectory)
-	if code.Value.Size() != stcode.Value.Size() {
-		t.Fatalf("code size %d != stcode size %d", code.Value.Size(), stcode.Value.Size())
+	code, stcode, _ := m.shardForward(nn.NewEvalTape(), []*traj.TripRecord{&split.Train[0]}, true)
+	if !code.Value.SameShape(stcode.Value) {
+		t.Fatalf("code shape %v != stcode shape %v", code.Value.Shape, stcode.Value.Shape)
 	}
-	if code.Value.Size() != m.cfg.D8m() {
-		t.Fatalf("code size %d != D8m %d", code.Value.Size(), m.cfg.D8m())
+	if code.Value.Shape[1] != m.cfg.D8m() {
+		t.Fatalf("code width %d != D8m %d", code.Value.Shape[1], m.cfg.D8m())
 	}
 }
 
@@ -76,16 +69,16 @@ func TestTimeIntervalEncoderSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := nn.NewEvalTape()
-	// Within one slot.
-	v1 := m.encodeTimeInterval(tp, 60, 120)
-	// Across many slots (clamped).
-	v2 := m.encodeTimeInterval(tp, 0, 10*3600)
-	if v1.Value.Size() != m.cfg.D2m || v2.Value.Size() != m.cfg.D2m {
-		t.Fatalf("tcode sizes %d/%d, want %d", v1.Value.Size(), v2.Value.Size(), m.cfg.D2m)
+	steps := []*traj.Step{
+		{Enter: 60, Exit: 120},      // within one slot
+		{Enter: 0, Exit: 10 * 3600}, // across many slots (clamped)
 	}
-	for _, v := range append(v1.Value.Data, v2.Value.Data...) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+	v := m.encodeTimeIntervals(nn.NewEvalTape(), steps)
+	if v.Value.Shape[0] != 2 || v.Value.Shape[1] != m.cfg.D2m {
+		t.Fatalf("tcode shape %v, want [2 %d]", v.Value.Shape, m.cfg.D2m)
+	}
+	for _, x := range v.Value.Data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
 			t.Fatal("tcode contains invalid values")
 		}
 	}

@@ -17,11 +17,12 @@ import (
 // [B×odDim] feature matrix and pushed through the OD encoder MLP and the
 // estimator head as matrix-matrix products on a pooled arena — no autodiff
 // tape. Estimate is the B = 1 case of the same kernel. The external-features
-// conv stack has no batched kernel; its code comes row by row from the memo
-// behind externalZ8Row. Every MLP — extMLP, odMLP, estMLP — runs through
+// conv stack runs only on a memo miss; its code comes row by row from the
+// memo behind externalZ8Row. Every MLP — extMLP, odMLP, estMLP — runs through
 // tensor.AffineBatchInto, which reduces each output element sequentially, so
 // row r of a batch is Float64bits-identical to the same OD estimated alone
-// and to the training tape's forward (fused_test.go holds that reference).
+// and to the training forward's row for it (encode.go; fused_test.go and
+// batch_test.go hold that reference).
 // Flight-recorder replay (internal/replay, which pins MaxBatch=1) therefore
 // reproduces batched-engine recordings with zero unexplained diffs.
 
@@ -104,7 +105,7 @@ func (m *Model) seconds(y float64) float64 {
 }
 
 // odFeatureMatrix assembles the Z⁹ feature matrix for n ODs: one row per
-// OD, laid out exactly as encodeOD concatenates its parts on the training
+// OD, laid out exactly as encodeODs concatenates its parts on the training
 // tape. The external code rows are produced by extMLP.ForwardBatch over a
 // [n×z8] matrix; everything else is a pure copy of embedding rows and scalar
 // features, so every value equals the training forward bit for bit.

@@ -8,14 +8,15 @@ import (
 	"deepod/internal/traj"
 )
 
-// referenceEstimate is the train/serve reference: the OD branch built on a
-// training tape exactly as Train's forward builds it (encodeOD +
-// estMLP.Forward, the traffic CNN on the tape, no memo). The eval forward
-// shares no code with it above the tensor kernels, so bit-equality between
-// the two is what says serving computes what training trained.
+// referenceEstimate is the train/serve reference: the OD branch of the
+// training forward over a batch of one (shardForward: encodeODs + estMLP,
+// the traffic CNN on the tape, no memo). The eval forward shares no code
+// with it above the tensor kernels, so bit-equality between the two is what
+// says serving computes what training trained.
 func referenceEstimate(m *Model, od *traj.MatchedOD) float64 {
-	tp := nn.NewTape()
-	sec := m.estMLP.Forward(tp, m.encodeOD(tp, od)).Value.Data[0] * m.timeScale
+	rec := &traj.TripRecord{Matched: *od}
+	_, _, yhat := m.shardForward(nn.NewTape(), []*traj.TripRecord{rec}, false)
+	sec := yhat.Value.Data[0] * m.timeScale
 	if sec < 0 {
 		sec = 0
 	}

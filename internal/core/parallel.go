@@ -7,14 +7,14 @@ import (
 )
 
 // trainPool is a persistent set of data-parallel training workers. Each
-// worker owns a reusable tape whose leaf gradients are routed into a private
+// worker owns a reusable tape, on which it builds one graph over its shard
+// of the mini-batch, and whose leaf gradients are routed into a private
 // GradBuffer; after a batch, reduce folds the buffers into the shared
 // parameter gradients in fixed worker-index order. That fixed order is the
-// determinism contract: a given seed + worker count always sums per-sample
-// gradients in the same floating-point order, and one worker reproduces the
-// historical serial loop bit for bit (a zeroed buffer accumulated in sample
-// order and then added once to the zeroed shared gradient performs the
-// exact same additions the serial path did).
+// determinism contract: a given seed + worker count always sums the shard
+// gradients in the same floating-point order, and one worker is the serial
+// path (its zeroed buffer, added once to the zeroed shared gradient, is
+// exactly the whole batch's gradient).
 type trainPool struct {
 	ps    *nn.ParamSet
 	n     int

@@ -16,7 +16,8 @@ import (
 // where the eval forward gets every Z⁸ row — therefore memoises the code per
 // matrix on the model. A hit copies the very floats a miss computed, so an
 // estimate is Float64bits-identical with or without the memo. Training
-// tapes never consult it: they need the CNN on the tape for its gradients.
+// tapes never consult it: they need the CNN on the tape for its gradients,
+// and a mini-batch of records rarely shares a matrix.
 
 // Memo bounds. The entry bound covers the 8064 five-minute periods of a
 // 28-day horizon twice over; the byte bound covers them at beijing-s
@@ -124,12 +125,18 @@ func checkExternal(ext *traj.ExternalFeatures) bool {
 // Tapes are model-independent: they carry no parameter state.
 var evalTapes = sync.Pool{New: func() any { return nn.NewEvalTape() }}
 
-// trafficCNN builds the traffic code of a checked, non-empty speed matrix
-// on tp: the training graph, and the miss branch of externalZ8Row.
-func (m *Model) trafficCNN(tp *nn.Tape, ext *traj.ExternalFeatures) *nn.Node {
-	grid := tp.Alloc(1, ext.GridRows, ext.GridCols)
-	for i, v := range ext.SpeedGrid {
-		grid.Data[i] = v / maxSpeedNorm
+// trafficCNN builds the [len(exts), Dtraf] traffic codes of checked,
+// non-empty speed matrices of one shape on tp, the matrices as one
+// [N, 1, H, W] batch: the training graph, and (N = 1) the miss branch of
+// externalZ8Row. Row n is the code of exts[n] computed alone.
+func (m *Model) trafficCNN(tp *nn.Tape, exts []*traj.ExternalFeatures) *nn.Node {
+	h, w := exts[0].GridRows, exts[0].GridCols
+	grid := tp.Alloc(len(exts), 1, h, w)
+	for n, ext := range exts {
+		cells := grid.Data[n*h*w : (n+1)*h*w]
+		for i, v := range ext.SpeedGrid[:len(cells)] {
+			cells[i] = v / maxSpeedNorm
+		}
 	}
 	c1 := m.extConv1.Forward(tp, tp.Const(grid))
 	c2 := m.extConv2.Forward(tp, c1)
@@ -164,7 +171,8 @@ func (m *Model) externalZ8Row(ext *traj.ExternalFeatures, row []float64) {
 	}
 	tp := evalTapes.Get().(*nn.Tape)
 	tp.Reset()
-	copy(code, m.trafficCNN(tp, ext).Value.Data)
+	one := [1]*traj.ExternalFeatures{ext}
+	copy(code, m.trafficCNN(tp, one[:]).Value.Data)
 	evalTapes.Put(tp)
 	trafficCodeMisses.Inc()
 	if memoise {

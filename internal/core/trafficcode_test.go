@@ -204,7 +204,7 @@ func TestTrafficCodeInvalidatedByTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := z8()
-	fresh := m.trafficCNN(nn.NewTape(), ext).Value.Data
+	fresh := m.trafficCNN(nn.NewTape(), []*traj.ExternalFeatures{ext}).Value.Data
 	changed := false
 	for i, v := range after[citysim.WeatherTypes:] {
 		if math.Float64bits(v) != math.Float64bits(fresh[i]) {
@@ -326,7 +326,7 @@ func TestTrafficCodePerModel(t *testing.T) {
 			row := make([]float64, citysim.WeatherTypes+cfg.Dtraf)
 			m.externalZ8Row(ext, row)
 			codes[i] = row[citysim.WeatherTypes:]
-			for k, v := range m.trafficCNN(nn.NewTape(), ext).Value.Data {
+			for k, v := range m.trafficCNN(nn.NewTape(), []*traj.ExternalFeatures{ext}).Value.Data {
 				if math.Float64bits(v) != math.Float64bits(codes[i][k]) {
 					t.Fatalf("model %d pass %d: code[%d] = %v, its own CNN gives %v", i, pass, k, codes[i][k], v)
 				}

@@ -35,8 +35,8 @@ type TrainStats struct {
 	// that step's StepPoint.
 	ConvergedStep int
 	ConvergedAt   time.Duration
-	// Steps and Elapsed cover the whole run; SamplesSeen counts per-sample
-	// forward/backward passes across all optimizer steps.
+	// Steps and Elapsed cover the whole run; SamplesSeen counts the records
+	// trained on across all optimizer steps.
 	Steps       int
 	SamplesSeen int
 	Elapsed     time.Duration
@@ -68,10 +68,12 @@ type TrainOptions struct {
 // (lines 1–5) followed by epochs of mini-batch optimization of
 // loss = w·auxiliaryloss + (1−w)·mainloss (lines 6–7).
 //
-// With Config.TrainWorkers > 1 each mini-batch is sharded across a
-// persistent worker pool; per-worker gradient buffers are reduced in fixed
-// worker-index order, so results are bit-reproducible for a given seed and
-// worker count, and one worker reproduces the serial results exactly.
+// Each mini-batch is one loss graph per worker shard (the whole batch with
+// one worker), every activation a [rows, d] matrix. With
+// Config.TrainWorkers > 1 the shards run on a persistent worker pool and the
+// per-worker gradient buffers are reduced in fixed worker-index order, so
+// results are bit-reproducible for a given seed and worker count, and one
+// worker is the serial path exactly.
 func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*TrainStats, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("core: no training records")
@@ -133,7 +135,6 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 
 	pool := newTrainPool(m.ps, workers)
 	defer pool.close()
-	var timingMu sync.Mutex
 
 	step := 0
 	done := false
@@ -144,38 +145,14 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 			if done {
 				return nil
 			}
-			m.ps.ZeroGrad()
-			var fwd, bwd time.Duration
-			pool.run(func(wk int, tp *nn.Tape) {
-				var wf, wb time.Duration
-				for i := wk; i < len(batch); i += pool.n {
-					rec := &train[batch[i]]
-					phaseStart := time.Now()
-					tp.Reset()
-					loss := m.sampleLoss(tp, rec, useAux, w)
-					backStart := time.Now()
-					tp.Backward(loss)
-					wf += backStart.Sub(phaseStart)
-					wb += time.Since(backStart)
-				}
-				timingMu.Lock()
-				fwd += wf
-				bwd += wb
-				timingMu.Unlock()
-			})
-			pool.reduce()
+			fwd, bwd := m.trainStep(pool, opt, train, batch, useAux, w)
 			// One observation per optimizer step: the batch's total forward
-			// (tape build + loss) and backward (gradient) time, summed over
+			// (graph build + loss) and backward (gradient) time, summed over
 			// workers.
 			forwardPhaseHist.Observe(fwd.Seconds())
 			backwardPhaseHist.Observe(bwd.Seconds())
 			trainSamplesTotal.Add(uint64(len(batch)))
 			stats.SamplesSeen += len(batch)
-			m.ps.ScaleGrads(1 / float64(len(batch)))
-			if m.cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(m.ps, m.cfg.ClipNorm)
-			}
-			opt.Step(m.ps)
 			m.traf.invalidate() // evaluate() must see this step's weights
 			step++
 			if opts.EvalEvery > 0 && step%opts.EvalEvery == 0 {
@@ -213,34 +190,97 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 	return stats, nil
 }
 
-// sampleLoss builds one sample's loss graph on tp: the main |ŷ−y| term
-// plus, when useAux is set, the auxiliary trajectory-binding terms of
-// Algorithm 1 lines 10–12 weighted by w.
-func (m *Model) sampleLoss(tp *nn.Tape, rec *traj.TripRecord, useAux bool, w float64) *nn.Node {
-	code := m.encodeOD(tp, &rec.Matched)
-	yhat := m.estMLP.Forward(tp, code) // Formula 20
-	target := tp.ConstVec(rec.TravelSec / m.timeScale)
-	main := tp.AbsError(yhat, target)
-	if !useAux {
-		return main
+// trainStep is one optimizer step of Algorithm 1 (lines 8–13) over the
+// records train[batch]: the batch gradient from the pool, averaged over the
+// batch, clipped, and applied by opt. It returns the forward and backward
+// time summed over the workers.
+func (m *Model) trainStep(pool *trainPool, opt *nn.Adam, train []traj.TripRecord, batch []int, useAux bool, w float64) (fwd, bwd time.Duration) {
+	m.ps.ZeroGrad()
+	fwd, bwd = m.batchGradient(pool, train, batch, useAux, w)
+	m.ps.ScaleGrads(1 / float64(len(batch)))
+	if m.cfg.ClipNorm > 0 {
+		nn.ClipGradNorm(m.ps, m.cfg.ClipNorm)
 	}
-	stcode := m.encodeTrajectory(tp, &rec.Trajectory)
+	opt.Step(m.ps)
+	return fwd, bwd
+}
+
+// batchGradient adds the gradient of the summed loss over train[batch] to
+// the parameter gradients. Worker k takes the records at batch positions
+// k, k+n, k+2n, … as its shard, builds one loss graph over the whole shard
+// on its tape and runs it backward into its private buffer; the pool then
+// reduces the buffers in worker order.
+func (m *Model) batchGradient(pool *trainPool, train []traj.TripRecord, batch []int, useAux bool, w float64) (fwd, bwd time.Duration) {
+	var mu sync.Mutex
+	pool.run(func(wk int, tp *nn.Tape) {
+		if wk >= len(batch) {
+			return
+		}
+		shard := make([]*traj.TripRecord, 0, (len(batch)+pool.n-1)/pool.n)
+		for i := wk; i < len(batch); i += pool.n {
+			shard = append(shard, &train[batch[i]])
+		}
+		start := time.Now()
+		tp.Reset()
+		loss := m.shardLoss(tp, shard, useAux, w)
+		back := time.Now()
+		tp.Backward(loss)
+		mu.Lock()
+		fwd += back.Sub(start)
+		bwd += time.Since(back)
+		mu.Unlock()
+	})
+	pool.reduce()
+	return fwd, bwd
+}
+
+// shardForward builds the training forward of recs on tp as one graph:
+// code = M_O over the ODs ([B, D8m]), ŷ = M_E(code) ([B, 1]) and, when
+// withTrajectory is set, stcode = M_T over the trajectories ([B, D4m]).
+// Row r of each belongs to recs[r].
+func (m *Model) shardForward(tp *nn.Tape, recs []*traj.TripRecord, withTrajectory bool) (code, stcode, yhat *nn.Node) {
+	ods := make([]*traj.MatchedOD, len(recs))
+	for r, rec := range recs {
+		ods[r] = &rec.Matched
+	}
+	code = m.encodeODs(tp, ods)
+	yhat = m.estMLP.Forward(tp, code) // Formula 20
+	if withTrajectory {
+		ts := make([]*traj.Trajectory, len(recs))
+		for r, rec := range recs {
+			ts[r] = &rec.Trajectory
+		}
+		stcode = m.encodeTrajectories(tp, ts)
+	}
+	return code, stcode, yhat
+}
+
+// shardLoss builds the loss of recs on tp, summed over the records: per
+// record the main |ŷ−y| term plus, when useAux is set, the auxiliary
+// trajectory-binding terms of Algorithm 1 lines 10–12 weighted by w.
+func (m *Model) shardLoss(tp *nn.Tape, recs []*traj.TripRecord, useAux bool, w float64) *nn.Node {
+	code, stcode, yhat := m.shardForward(tp, recs, useAux)
+	target := constRows(tp, len(recs), 1, func(r int, row []float64) { row[0] = recs[r].TravelSec / m.timeScale })
+	main := tp.RowAbsError(yhat, target)
+	if !useAux {
+		return tp.Sum(main)
+	}
 	// Anchor M_T: the estimator must decode the travel time
 	// from stcode too. The spatio-temporal path contains its
 	// own timing, so this trains the trajectory encoder to
 	// organize its representation by travel time; binding
 	// code to stcode then distills that structure into the
 	// OD encoder (see DESIGN.md §4 on this deviation).
-	privileged := tp.AbsError(m.estMLP.Forward(tp, stcode), target)
+	privileged := tp.RowAbsError(m.estMLP.Forward(tp, stcode), target)
 	bindTarget := stcode
 	if m.cfg.AuxOneWay {
 		// Detach: the OD code chases the trajectory code,
 		// never the reverse.
 		bindTarget = tp.Const(stcode.Value)
 	}
-	aux := tp.Add(tp.L2Distance(code, bindTarget), privileged)
+	aux := tp.Add(tp.RowL2Distance(code, bindTarget), privileged)
 	// Algorithm 1, line 12: loss = w·auxiliaryloss + (1−w)·mainloss.
-	return tp.Add(tp.Scale(aux, w), tp.Scale(main, 1-w))
+	return tp.Sum(tp.Add(tp.Scale(aux, w), tp.Scale(main, 1-w)))
 }
 
 // pretrainEmbeddings performs Algorithm 1 lines 1–4: node2vec over the

@@ -81,7 +81,7 @@ func TrainSkipGramParallel(numNodes int, walks [][]int, cfg SkipGramConfig, rng 
 	in := tensor.New(numNodes, cfg.Dim)
 	out := tensor.New(numNodes, cfg.Dim)
 	for i := range in.Data {
-		in.Data[i] = (rng.Float64() - 0.5) / float64(cfg.Dim)
+		in.Data[i] = (float64(rng.Float64()) - 0.5) / float64(cfg.Dim)
 	}
 
 	ins := make([]*tensor.Tensor, workers)
@@ -92,7 +92,7 @@ func TrainSkipGramParallel(numNodes int, walks [][]int, cfg SkipGramConfig, rng 
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.LR * (1 - float64(epoch)/float64(cfg.Epochs)*0.9)
+		lr := cfg.LR * (1 - float64(float64(epoch)/float64(cfg.Epochs)*0.9))
 		seeds := make([]int64, workers)
 		for w := range seeds {
 			seeds[w] = rng.Int63()

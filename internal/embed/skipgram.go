@@ -115,10 +115,10 @@ func TrainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Ra
 	in := tensor.New(numNodes, cfg.Dim)
 	out := tensor.New(numNodes, cfg.Dim)
 	for i := range in.Data {
-		in.Data[i] = (rng.Float64() - 0.5) / float64(cfg.Dim)
+		in.Data[i] = (float64(rng.Float64()) - 0.5) / float64(cfg.Dim)
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.LR * (1 - float64(epoch)/float64(cfg.Epochs)*0.9)
+		lr := cfg.LR * (1 - float64(float64(epoch)/float64(cfg.Epochs)*0.9))
 		trainSkipGramEpoch(in, out, walks, cfg, neg, lr, rng, nil)
 	}
 	return in, nil
@@ -179,12 +179,12 @@ func trainPair(in, out, gradIn []float64, center, context, negatives int, neg *n
 		vo := out[target*dim : (target+1)*dim : (target+1)*dim][:len(vi)]
 		var dot float64
 		for i, v := range vi {
-			dot += v * vo[i]
+			dot += float64(v * vo[i])
 		}
 		g := (sigmoidApprox(dot) - label) * lr
 		for i, v := range vi {
-			grad[i] += g * vo[i]
-			vo[i] -= g * v
+			grad[i] += float64(g * vo[i])
+			vo[i] -= float64(g * v)
 		}
 	}
 	for i, gv := range grad {
@@ -203,7 +203,7 @@ const (
 // sigmoidTab is built once at package init.
 var sigmoidTab = func() (t [sigmoidBins + 1]float64) {
 	for i := range t {
-		x := -sigmoidBound + 2*sigmoidBound*float64(i)/sigmoidBins
+		x := -sigmoidBound + float64(2*sigmoidBound*float64(i)/sigmoidBins)
 		t[i] = 1 / (1 + math.Exp(-x))
 	}
 	return t

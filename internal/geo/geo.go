@@ -25,7 +25,7 @@ func Dist(p, q Point) float64 {
 
 // Lerp linearly interpolates between p and q at fraction t ∈ [0,1].
 func Lerp(p, q Point, t float64) Point {
-	return Point{X: p.X + (q.X-p.X)*t, Y: p.Y + (q.Y-p.Y)*t}
+	return Point{X: p.X + float64((q.X-p.X)*t), Y: p.Y + float64((q.Y-p.Y)*t)}
 }
 
 // ProjectOnSegment projects p onto segment (a, b) and returns the closest
@@ -33,17 +33,17 @@ func Lerp(p, q Point, t float64) Point {
 // to that closest point.
 func ProjectOnSegment(p, a, b Point) (closest Point, t, dist float64) {
 	abx, aby := b.X-a.X, b.Y-a.Y
-	len2 := abx*abx + aby*aby
+	len2 := float64(abx*abx) + float64(aby*aby)
 	if len2 == 0 {
 		return a, 0, Dist(p, a)
 	}
-	t = ((p.X-a.X)*abx + (p.Y-a.Y)*aby) / len2
+	t = (float64((p.X-a.X)*abx) + float64((p.Y-a.Y)*aby)) / len2
 	if t < 0 {
 		t = 0
 	} else if t > 1 {
 		t = 1
 	}
-	closest = Point{X: a.X + t*abx, Y: a.Y + t*aby}
+	closest = Point{X: a.X + float64(t*abx), Y: a.Y + float64(t*aby)}
 	return closest, t, Dist(p, closest)
 }
 
@@ -141,8 +141,8 @@ func (g *Grid) CellIndex(p Point) int {
 // CellCenter returns the center point of cell (row, col).
 func (g *Grid) CellCenter(row, col int) Point {
 	return Point{
-		X: g.Bounds.Min.X + (float64(col)+0.5)*g.CellSize,
-		Y: g.Bounds.Min.Y + (float64(row)+0.5)*g.CellSize,
+		X: g.Bounds.Min.X + float64((float64(col)+0.5)*g.CellSize),
+		Y: g.Bounds.Min.Y + float64((float64(row)+0.5)*g.CellSize),
 	}
 }
 

@@ -107,14 +107,14 @@ func Box(xs []float64) BoxStats {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	q := func(p float64) float64 {
-		pos := p * float64(len(s)-1)
+		pos := float64(p * float64(len(s)-1))
 		lo := int(pos)
 		hi := lo + 1
 		if hi >= len(s) {
 			return s[len(s)-1]
 		}
 		f := pos - float64(lo)
-		return s[lo]*(1-f) + s[hi]*f
+		return float64(s[lo]*(1-f)) + float64(s[hi]*f)
 	}
 	var mean float64
 	for _, v := range s {
@@ -141,7 +141,7 @@ func KDE(xs []float64, lo, hi float64, n int) (grid, density []float64) {
 	mean /= float64(len(xs))
 	var variance float64
 	for _, v := range xs {
-		variance += (v - mean) * (v - mean)
+		variance += float64((v - mean) * (v - mean))
 	}
 	variance /= float64(len(xs))
 	std := math.Sqrt(variance)
@@ -176,7 +176,7 @@ func Moments(xs []float64) (mean, variance float64) {
 	}
 	mean /= float64(len(xs))
 	for _, v := range xs {
-		variance += (v - mean) * (v - mean)
+		variance += float64((v - mean) * (v - mean))
 	}
 	variance /= float64(len(xs))
 	return mean, variance

@@ -131,7 +131,7 @@ func PSI(ref, cur []float64) float64 {
 	for i := range ref {
 		r := math.Max(ref[i]/sumRef, psiEps)
 		c := math.Max(cur[i]/sumCur, psiEps)
-		psi += (c - r) * math.Log(c/r)
+		psi += float64((c - r) * math.Log(c/r))
 	}
 	return psi
 }

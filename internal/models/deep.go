@@ -42,10 +42,10 @@ type deepTrainOpts struct {
 
 // deepTrain runs mini-batch gradient-accumulation training of an arbitrary
 // per-sample loss, mirroring the paper's training protocol (Adam, step
-// decay). sampleLoss must build the loss for record rec on tape tp;
+// decay). recordLoss must build the loss for record rec on tape tp;
 // estimate must predict seconds for validation measurement.
 func deepTrain(ps *nn.ParamSet, train, valid []traj.TripRecord, opts deepTrainOpts,
-	sampleLoss func(tp *nn.Tape, rec *traj.TripRecord) *nn.Node,
+	recordLoss func(tp *nn.Tape, rec *traj.TripRecord) *nn.Node,
 	estimate func(od *traj.MatchedOD) float64) (*DeepStats, error) {
 
 	if len(train) == 0 {
@@ -80,7 +80,7 @@ func deepTrain(ps *nn.ParamSet, train, valid []traj.TripRecord, opts deepTrainOp
 			ps.ZeroGrad()
 			for _, bi := range batch {
 				tp := nn.NewTape()
-				loss := sampleLoss(tp, &train[bi])
+				loss := recordLoss(tp, &train[bi])
 				tp.Backward(loss)
 			}
 			ps.ScaleGrads(1 / float64(len(batch)))

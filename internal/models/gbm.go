@@ -101,7 +101,7 @@ func (m *GBM) Train(train, _ []traj.TripRecord) error {
 		m.grow(tree, feats, residual, idx, 0)
 		m.trees = append(m.trees, tree)
 		for i := range pred {
-			pred[i] += m.Shrinkage * tree.predict(feats[i])
+			pred[i] += float64(m.Shrinkage * tree.predict(feats[i]))
 		}
 	}
 	m.trainTime = time.Since(start)
@@ -184,7 +184,7 @@ func (m *GBM) Estimate(od *traj.MatchedOD) float64 {
 	fs := m.feat.BasicFeatures(od)
 	y := m.base
 	for _, t := range m.trees {
-		y += m.Shrinkage * t.predict(fs)
+		y += float64(m.Shrinkage * t.predict(fs))
 	}
 	return math.Max(0, y)
 }

@@ -49,9 +49,9 @@ func (l *LinReg) Train(train, _ []traj.TripRecord) error {
 		copy(row[1:], fs)
 		y := train[i].TravelSec
 		for a := 0; a < p; a++ {
-			xty[a] += row[a] * y
+			xty[a] += float64(row[a] * y)
 			for b := a; b < p; b++ {
-				xtx[a][b] += row[a] * row[b]
+				xtx[a][b] += float64(row[a] * row[b])
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func (l *LinReg) Estimate(od *traj.MatchedOD) float64 {
 	fs := l.feat.BasicFeatures(od)
 	y := l.weights[0]
 	for i, v := range fs {
-		y += l.weights[i+1] * v
+		y += float64(l.weights[i+1] * v)
 	}
 	if y < 0 {
 		y = 0
@@ -117,15 +117,15 @@ func solveSPD(a [][]float64, b []float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	for col := n - 1; col >= 0; col-- {
 		s := x[col]
 		for c := col + 1; c < n; c++ {
-			s -= a[col][c] * x[c]
+			s -= float64(a[col][c] * x[c])
 		}
 		x[col] = s / a[col][col]
 	}

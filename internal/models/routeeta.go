@@ -94,7 +94,7 @@ func (r *RouteETA) Train(train, _ []traj.TripRecord) error {
 			if frac <= 0 {
 				continue
 			}
-			length := r.g.Edges[s.Edge].Length * frac
+			length := float64(r.g.Edges[s.Edge].Length * frac)
 			b := r.binOf(s.Enter)
 			sumT[s.Edge][b] += dur
 			sumL[s.Edge][b] += length

@@ -24,10 +24,12 @@ func NewLinear(ps *ParamSet, rng *rand.Rand, prefix string, in, out int) *Linear
 	}
 }
 
-// Forward applies the layer to vector node x.
+// Forward applies the layer to a vector node x of size In, or to every row
+// of a [B, In] matrix node.
 func (l *Linear) Forward(tp *Tape, x *Node) *Node {
-	if x.Value.Size() != l.In {
-		panic(fmt.Sprintf("nn: Linear %q expects input size %d, got %d", l.W.Name, l.In, x.Value.Size()))
+	xv := x.Value
+	if xv.Dims() > 2 || xv.Shape[xv.Dims()-1] != l.In {
+		panic(fmt.Sprintf("nn: Linear %q expects inputs of size %d, got shape %v", l.W.Name, l.In, xv.Shape))
 	}
 	return tp.Affine(tp.Leaf(l.W), tp.Leaf(l.B), x)
 }
@@ -47,7 +49,8 @@ func NewMLP2(ps *ParamSet, rng *rand.Rand, prefix string, in, hidden, out int) *
 	}
 }
 
-// Forward applies both layers with a ReLU in between.
+// Forward applies both layers with a ReLU in between, to a vector node or to
+// every row of a [B, in] matrix node.
 func (m *MLP2) Forward(tp *Tape, x *Node) *Node {
 	return m.L2.Forward(tp, tp.ReLU(m.L1.Forward(tp, x)))
 }
@@ -96,59 +99,26 @@ func (e *Embedding) Init(vectors *tensor.Tensor) error {
 
 // Lookup returns the embedding row for id as a differentiable node.
 func (e *Embedding) Lookup(tp *Tape, id int) *Node {
-	if id < 0 || id >= e.V {
-		panic(fmt.Sprintf("nn: embedding %q id %d out of range [0,%d)", e.W.Name, id, e.V))
-	}
+	e.check(id)
 	return tp.Row(tp.Leaf(e.W), id)
 }
 
-// LSTM is a single-layer LSTM over a sequence of input vectors, following
-// Formulas 12–16: shared gate weights W_f, W_i, W_o, W_c ∈ R^{dh×(in+dh)}
-// acting on the concatenation [x_j, h_{j-1}], with c₀ = h₀ = 0.
-type LSTM struct {
-	Wf, Wi, Wo, Wc *Param
-	Bf, Bi, Bo, Bc *Param
-	In, Hidden     int
+// LookupRows returns the embedding rows of ids as one [len(ids), Dim] node,
+// row r being Lookup(ids[r]): a batch's lookups as one gather, whose
+// backward scatter-adds into the looked-up rows only. ids must not change
+// until the tape is reset.
+func (e *Embedding) LookupRows(tp *Tape, ids []int) *Node {
+	for _, id := range ids {
+		e.check(id)
+	}
+	return tp.GatherRows(tp.Leaf(e.W), ids)
 }
 
-// NewLSTM registers an LSTM with input size in and state size hidden. The
-// forget-gate bias starts at 1 (standard practice for gradient flow).
-func NewLSTM(ps *ParamSet, rng *rand.Rand, prefix string, in, hidden int) *LSTM {
-	l := &LSTM{
-		Wf: ps.NewXavier(prefix+".Wf", rng, hidden, in+hidden),
-		Wi: ps.NewXavier(prefix+".Wi", rng, hidden, in+hidden),
-		Wo: ps.NewXavier(prefix+".Wo", rng, hidden, in+hidden),
-		Wc: ps.NewXavier(prefix+".Wc", rng, hidden, in+hidden),
-		Bf: ps.New(prefix+".bf", hidden),
-		Bi: ps.New(prefix+".bi", hidden),
-		Bo: ps.New(prefix+".bo", hidden),
-		Bc: ps.New(prefix+".bc", hidden),
-		In: in, Hidden: hidden,
+// check panics on an id outside the vocabulary.
+func (e *Embedding) check(id int) {
+	if id < 0 || id >= e.V {
+		panic(fmt.Sprintf("nn: embedding %q id %d out of range [0,%d)", e.W.Name, id, e.V))
 	}
-	l.Bf.Value.Fill(1)
-	return l
-}
-
-// Forward consumes the sequence and returns the final hidden state h_n.
-func (l *LSTM) Forward(tp *Tape, xs []*Node) *Node {
-	if len(xs) == 0 {
-		panic("nn: LSTM got an empty sequence")
-	}
-	h := tp.Const(tp.Alloc(l.Hidden))
-	c := tp.Const(tp.Alloc(l.Hidden))
-	for _, x := range xs {
-		if x.Value.Size() != l.In {
-			panic(fmt.Sprintf("nn: LSTM %q expects inputs of size %d, got %d", l.Wf.Name, l.In, x.Value.Size()))
-		}
-		xh := tp.Concat(x, h)
-		f := tp.Sigmoid(tp.Affine(tp.Leaf(l.Wf), tp.Leaf(l.Bf), xh)) // Formula 12
-		i := tp.Sigmoid(tp.Affine(tp.Leaf(l.Wi), tp.Leaf(l.Bi), xh)) // Formula 13
-		o := tp.Sigmoid(tp.Affine(tp.Leaf(l.Wo), tp.Leaf(l.Bo), xh)) // Formula 14
-		g := tp.Tanh(tp.Affine(tp.Leaf(l.Wc), tp.Leaf(l.Bc), xh))
-		c = tp.Add(tp.Mul(f, c), tp.Mul(i, g)) // Formula 15
-		h = tp.Mul(o, tp.Tanh(c))              // Formula 16
-	}
-	return h
 }
 
 // Conv2DLayer is a convolution with an optional channel-norm + ReLU block,
@@ -164,7 +134,7 @@ type Conv2DLayer struct {
 }
 
 // NewConv2DLayer registers a conv layer. norm adds channel normalization
-// (the per-sample stand-in for BatchNorm, see Tape.ChannelNorm); act adds a
+// (BatchNorm with per-sample statistics, see Tape.ChannelNorm); act adds a
 // trailing ReLU.
 func NewConv2DLayer(ps *ParamSet, rng *rand.Rand, prefix string, inC, outC, kh, kw, padH, padW, strH, strW int, norm, act bool) *Conv2DLayer {
 	l := &Conv2DLayer{
@@ -181,7 +151,8 @@ func NewConv2DLayer(ps *ParamSet, rng *rand.Rand, prefix string, inC, outC, kh, 
 	return l
 }
 
-// Forward applies conv (+ norm + ReLU) to a [C,H,W] node.
+// Forward applies conv (+ norm + ReLU) to a [C,H,W] node, or to every
+// sample of an [N,C,H,W] node.
 func (l *Conv2DLayer) Forward(tp *Tape, x *Node) *Node {
 	y := tp.Conv2D(x, tp.Leaf(l.K), l.PadH, l.PadW, l.StrH, l.StrW)
 	if l.Norm {

@@ -30,10 +30,10 @@ func (a *Adam) Step(ps *ParamSet) {
 	for _, p := range ps.All() {
 		for i, g := range p.Grad.Data {
 			if a.WeightDecay != 0 {
-				p.Value.Data[i] *= 1 - a.LR*a.WeightDecay
+				p.Value.Data[i] *= 1 - float64(a.LR*a.WeightDecay)
 			}
-			p.m.Data[i] = a.Beta1*p.m.Data[i] + (1-a.Beta1)*g
-			p.v.Data[i] = a.Beta2*p.v.Data[i] + (1-a.Beta2)*g*g
+			p.m.Data[i] = float64(a.Beta1*p.m.Data[i]) + float64((1-a.Beta1)*g)
+			p.v.Data[i] = float64(a.Beta2*p.v.Data[i]) + float64((1-a.Beta2)*g*g)
 			mHat := p.m.Data[i] / bc1
 			vHat := p.v.Data[i] / bc2
 			p.Value.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
@@ -55,7 +55,7 @@ type SGD struct {
 func (s *SGD) Step(ps *ParamSet) {
 	for _, p := range ps.All() {
 		for i, g := range p.Grad.Data {
-			p.Value.Data[i] -= s.LR * g
+			p.Value.Data[i] -= float64(s.LR * g)
 		}
 		p.Grad.Zero()
 	}

@@ -76,7 +76,7 @@ func (ps *ParamSet) NewXavier(name string, rng *rand.Rand, shape ...int) *Param 
 	fanIn, fanOut := shape[len(shape)-1], shape[0]
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range p.Value.Data {
-		p.Value.Data[i] = (rng.Float64()*2 - 1) * limit
+		p.Value.Data[i] = (float64(2*float64(rng.Float64())) - 1) * limit
 	}
 	return p
 }
@@ -167,7 +167,7 @@ func (ps *ParamSet) GradNorm() float64 {
 	var s float64
 	for _, p := range ps.params {
 		for _, g := range p.Grad.Data {
-			s += g * g
+			s += float64(g * g)
 		}
 	}
 	return math.Sqrt(s)

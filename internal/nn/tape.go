@@ -7,13 +7,18 @@
 //
 // Computation is recorded on a Tape: every operation appends a Node holding
 // its output value and a backward closure. Calling Tape.Backward on a scalar
-// node propagates gradients in reverse recording order. Model parameters are
-// Param values whose gradient tensors are shared with their leaf nodes, so
-// gradients accumulate across samples (mini-batch gradient accumulation)
+// node propagates gradients in reverse recording order. Activations are
+// vectors or [B, d] matrices with one sample a row, so one tape carries a
+// whole mini-batch shard: an affine layer is one matrix product per batch
+// (tensor.AffineBatchInto forward, dW += dYᵀ·X and dX += dY·W backward), an
+// embedding lookup one row gather, a convolution one pass over [N, C, H, W],
+// and the LSTM runs length-packed, one [B_t, in+hidden] product over the
+// stacked gates per time step (LSTM.ForwardPacked). Model parameters are Param values whose
+// gradient tensors are shared with their leaf nodes, so gradients accumulate
 // until an optimizer step consumes and clears them. When a Tape's Grads
 // buffer is set, leaf gradients are routed into that private GradBuffer
 // instead — the data-parallel training mode, where each worker accumulates
-// locally and the buffers are reduced in fixed order afterwards.
+// its shard locally and the buffers are reduced in fixed order afterwards.
 //
 // Node structs, interior values and gradients are carved out of per-tape
 // arenas; Reset reclaims everything at once, so a reused tape performs
@@ -45,9 +50,10 @@ const nodeChunk = 256
 
 // Tape records operations for reverse-mode differentiation.
 //
-// A Tape lives for one forward/backward pass over one sample; allocate with
+// A Tape lives for one forward/backward pass over one batch (a training
+// worker's shard of a mini-batch, or a single sample); allocate with
 // NewTape, run the model, call Backward, then Reset to reuse the backing
-// arenas for the next sample (or discard the tape). Values and gradients
+// arenas for the next batch (or discard the tape). Values and gradients
 // handed out by a tape are invalidated by Reset.
 type Tape struct {
 	nodes []*Node
@@ -85,8 +91,8 @@ func (tp *Tape) Reset() {
 func (tp *Tape) Len() int { return len(tp.nodes) }
 
 // Alloc carves a zeroed tensor out of the tape's arena. The tensor is
-// valid until the next Reset; use it for per-sample inputs (one-hot
-// vectors, normalized grids) that previously heap-allocated per call.
+// valid until the next Reset; use it for batch inputs (one-hot rows,
+// normalized grids, scalar features) that would otherwise heap-allocate.
 func (tp *Tape) Alloc(shape ...int) *tensor.Tensor { return tp.arena.New(shape...) }
 
 // newNode hands out a Node from the chunked arena with all fields set.

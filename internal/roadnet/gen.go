@@ -107,13 +107,13 @@ func GenerateCity(cfg CityConfig) (*Graph, error) {
 	vid := func(r, c int) VertexID { return VertexID(r*cfg.Cols + c) }
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
-			jx := (rng.Float64()*2 - 1) * cfg.Jitter * cfg.BlockMeters
-			jy := (rng.Float64()*2 - 1) * cfg.Jitter * cfg.BlockMeters
+			jx := float64((float64(2*float64(rng.Float64())) - 1) * cfg.Jitter * cfg.BlockMeters)
+			jy := float64((float64(2*float64(rng.Float64())) - 1) * cfg.Jitter * cfg.BlockMeters)
 			vertices = append(vertices, Vertex{
 				ID: vid(r, c),
 				Pos: geo.Point{
-					X: float64(c)*cfg.BlockMeters + jx,
-					Y: float64(r)*cfg.BlockMeters + jy,
+					X: float64(float64(c)*cfg.BlockMeters) + jx,
+					Y: float64(float64(r)*cfg.BlockMeters) + jy,
 				},
 			})
 		}

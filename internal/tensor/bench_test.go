@@ -78,15 +78,16 @@ func BenchmarkTranspose(b *testing.B) {
 	}
 }
 
-func BenchmarkAddOuterInPlace(b *testing.B) {
+// BenchmarkAffineBatchBackward is one training shard through an LSTM gate's
+// backward: dW, db and dX of a [32×64]·Wᵀ affine with 32 outputs.
+func BenchmarkAffineBatchBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	dst := New(64, 64)
-	y := randTensor(rng, 64)
-	x := randTensor(rng, 64)
+	x, dy, w := randTensor(rng, 32, 64), randTensor(rng, 32, 32), randTensor(rng, 32, 64)
+	dw, db, dx := New(32, 64), New(32), New(32, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AddOuterInPlace(dst, y, x)
+		AffineBatchBackward(dw, db, dx, dy, x, w)
 	}
 }
 

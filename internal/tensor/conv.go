@@ -15,17 +15,45 @@ import "fmt"
 func Conv2D(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
 	oc, oh, ow := conv2DOutShape(x, k, padH, padW, strideH, strideW)
 	out := New(oc, oh, ow)
-	conv2DForward(out, x, k, padH, padW, strideH, strideW)
+	conv2DForward(out, x, kernelTaps(make([]float64, k.Size()), k), oc, k.Shape[2], k.Shape[3], padH, padW, strideH, strideW)
 	return out
 }
 
 // Conv2DInto is Conv2D with the output carved from an arena instead of the
-// heap, for allocation-free training steps.
+// heap, for allocation-free training steps. x may also be a batch [N, C, H,
+// W], giving [N, OC, H', W']: every sample goes through the same kernel as
+// Conv2D, so sample n of the result is bit-identical to Conv2D on it alone.
 func Conv2DInto(a *Arena, x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
-	oc, oh, ow := conv2DOutShape(x, k, padH, padW, strideH, strideW)
-	out := a.New(oc, oh, ow)
-	conv2DForward(out, x, k, padH, padW, strideH, strideW)
+	n, xs := convSample(x)
+	oc, oh, ow := conv2DOutShape(&xs, k, padH, padW, strideH, strideW)
+	var out *Tensor
+	if x.Dims() == 4 {
+		out = a.New(n, oc, oh, ow)
+	} else {
+		out = a.New(oc, oh, ow)
+	}
+	kt := kernelTaps(a.floats(k.Size()), k)
+	osz := oc * oh * ow
+	os := Tensor{Shape: out.Shape[out.Dims()-3:]}
+	for i := 0; i < n; i++ {
+		xs.Data = x.Data[i*len(xs.Data) : (i+1)*len(xs.Data)]
+		os.Data = out.Data[i*osz : (i+1)*osz]
+		conv2DForward(&os, &xs, kt, oc, k.Shape[2], k.Shape[3], padH, padW, strideH, strideW)
+	}
 	return out
+}
+
+// convSample splits a conv input into its sample count and a [C, H, W]
+// header over the first sample (x itself when it has no batch axis).
+func convSample(x *Tensor) (n int, sample Tensor) {
+	switch x.Dims() {
+	case 3:
+		return 1, *x
+	case 4:
+		sz := x.Shape[1] * x.Shape[2] * x.Shape[3]
+		return x.Shape[0], Tensor{Shape: x.Shape[1:], Data: x.Data[:sz]}
+	}
+	panic(fmt.Sprintf("tensor: Conv2D input must be [C,H,W] or [N,C,H,W], got %v", x.Shape))
 }
 
 func conv2DOutShape(x, k *Tensor, padH, padW, strideH, strideW int) (oc, oh, ow int) {
@@ -41,51 +69,108 @@ func conv2DOutShape(x, k *Tensor, padH, padW, strideH, strideW int) (oc, oh, ow 
 	return oc, oh, ow
 }
 
-// conv2DForward accumulates each output element over (ci, ky, kx) in
-// ascending order, visiting only in-bounds taps. The valid kernel ranges are
-// computed per output row/column instead of branch-testing every tap, and the
-// innermost loop runs over two pre-sliced rows — the sum order (and therefore
-// every output bit) is identical to the naive bounds-checked tap loop this
-// replaces, which matters for checkpoint replay.
+// kernelTaps writes k [OC, C, KH, KW] into dst tap-major, [C·KH·KW, OC]:
+// the OC weights one input tap meets lie side by side.
+func kernelTaps(dst []float64, k *Tensor) []float64 {
+	oc := k.Shape[0]
+	taps := k.Size() / oc
+	for o := 0; o < oc; o++ {
+		for t, v := range k.Data[o*taps : (o+1)*taps] {
+			dst[t*oc+o] = v
+		}
+	}
+	return dst
+}
+
+// conv2DForward computes one sample, kt being the kernel in kernelTaps
+// layout. Each output element sums its in-bounds taps over (ci, ky, kx)
+// ascending from zero — the order of the naive bounds-checked tap loop, so
+// every output bit matches it (checkpoint replay depends on that). The valid
+// tap ranges are computed once per output position, and four output
+// channels run at a time in four accumulators that share each input load.
 //
 // Width-1 kernels over unpadded, unstrided columns (every tie.conv*) go to
 // conv2DColumnForward: this loop nest would run its innermost loop over one
 // element per output.
-func conv2DForward(out, x, k *Tensor, padH, padW, strideH, strideW int) {
-	if k.Shape[3] == 1 && strideW == 1 && padW == 0 {
-		conv2DColumnForward(out, x, k, padH, strideH)
+func conv2DForward(out, x *Tensor, kt []float64, oc, kh, kw, padH, padW, strideH, strideW int) {
+	if kw == 1 && strideW == 1 && padW == 0 {
+		conv2DColumnForward(out, x, kt, oc, kh, padH, strideH)
 		return
 	}
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oc, kh, kw := k.Shape[0], k.Shape[2], k.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
-	for o := 0; o < oc; o++ {
-		kbase := o * c * kh * kw
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*strideH - padH
-			kyLo, kyHi := validTaps(iy0, kh, h)
-			outRow := out.Data[(o*oh+oy)*ow : (o*oh+oy+1)*ow]
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*strideW - padW
-				kxLo, kxHi := validTaps(ix0, kw, w)
-				if kyLo >= kyHi || kxLo >= kxHi {
-					outRow[ox] = 0
-					continue
-				}
-				var s float64
+	plane := oh * ow
+	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*strideH - padH
+		kyLo, kyHi := validTaps(iy0, kh, h)
+		for ox := 0; ox < ow; ox++ {
+			ix0 := ox*strideW - padW
+			kxLo, kxHi := validTaps(ix0, kw, w)
+			pos := oy*ow + ox
+			o := 0
+			for ; o+4 <= oc; o += 4 {
+				var s0, s1, s2, s3 float64
 				for ci := 0; ci < c; ci++ {
-					xch := x.Data[ci*h*w : (ci+1)*h*w]
-					kch := k.Data[kbase+ci*kh*kw : kbase+(ci+1)*kh*kw]
 					for ky := kyLo; ky < kyHi; ky++ {
-						xoff := (iy0+ky)*w + ix0
-						xrow := xch[xoff+kxLo : xoff+kxHi]
-						krow := kch[ky*kw+kxLo : ky*kw+kxHi]
-						for j, kv := range krow {
-							s += xrow[j] * kv
+						xoff := (ci*h+iy0+ky)*w + ix0
+						toff := (ci*kh+ky)*kw*oc + o
+						for kx := kxLo; kx < kxHi; kx++ {
+							xv := x.Data[xoff+kx]
+							k4 := kt[toff+kx*oc : toff+kx*oc+4 : toff+kx*oc+4]
+							s0 += float64(xv * k4[0])
+							s1 += float64(xv * k4[1])
+							s2 += float64(xv * k4[2])
+							s3 += float64(xv * k4[3])
 						}
 					}
 				}
-				outRow[ox] = s
+				out.Data[o*plane+pos] = s0
+				out.Data[(o+1)*plane+pos] = s1
+				out.Data[(o+2)*plane+pos] = s2
+				out.Data[(o+3)*plane+pos] = s3
+			}
+			for ; o < oc; o++ {
+				var s float64
+				for ci := 0; ci < c; ci++ {
+					for ky := kyLo; ky < kyHi; ky++ {
+						xoff := (ci*h+iy0+ky)*w + ix0
+						toff := (ci*kh+ky)*kw*oc + o
+						for kx := kxLo; kx < kxHi; kx++ {
+							s += float64(x.Data[xoff+kx] * kt[toff+kx*oc])
+						}
+					}
+				}
+				out.Data[o*plane+pos] = s
+			}
+		}
+	}
+}
+
+// conv2DColumnForward is conv2DForward for kw == 1, strideW == 1, padW == 0,
+// where an output row is a sum of scaled input rows: the column is the
+// innermost loop and one kernel weight is held across it. Each output element
+// still starts at zero and adds its taps in (ci, ky) ascending order, so every
+// bit equals the generic kernel's.
+func conv2DColumnForward(out, x *Tensor, kt []float64, oc, kh, padH, strideH int) {
+	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	oh := out.Shape[1]
+	for o := 0; o < oc; o++ {
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*strideH - padH
+			kyLo, kyHi := validTaps(iy0, kh, h)
+			outRow := out.Data[(o*oh+oy)*w : (o*oh+oy+1)*w : (o*oh+oy+1)*w]
+			for j := range outRow {
+				outRow[j] = 0
+			}
+			for ci := 0; ci < c; ci++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					kv := kt[(ci*kh+ky)*oc+o]
+					xoff := (ci*h + iy0 + ky) * w
+					xrow := x.Data[xoff : xoff+w : xoff+w][:len(outRow)]
+					for j, xv := range xrow {
+						outRow[j] += float64(xv * kv)
+					}
+				}
 			}
 		}
 	}
@@ -104,102 +189,122 @@ func validTaps(i0, k, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// conv2DColumnForward is conv2DForward for kw == 1, strideW == 1, padW == 0,
-// where an output row is a sum of scaled input rows: the column is the
-// innermost loop and one kernel weight is held across it. Each output element
-// still starts at zero and adds its taps in (ci, ky) ascending order, so every
-// bit equals the generic kernel's.
-func conv2DColumnForward(out, x, k *Tensor, padH, strideH int) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oc, kh := k.Shape[0], k.Shape[2]
-	oh := out.Shape[1]
-	for o := 0; o < oc; o++ {
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*strideH - padH
-			kyLo, kyHi := validTaps(iy0, kh, h)
-			outRow := out.Data[(o*oh+oy)*w : (o*oh+oy+1)*w : (o*oh+oy+1)*w]
-			for j := range outRow {
-				outRow[j] = 0
-			}
-			for ci := 0; ci < c; ci++ {
-				for ky := kyLo; ky < kyHi; ky++ {
-					kv := k.Data[(o*c+ci)*kh+ky]
-					xoff := (ci*h + iy0 + ky) * w
-					xrow := x.Data[xoff : xoff+w : xoff+w][:len(outRow)]
-					for j, xv := range xrow {
-						outRow[j] += xv * kv
-					}
-				}
-			}
-		}
-	}
-}
-
 // Conv2DBackward returns the gradients of a Conv2D call with respect to its
 // input and kernel, given the gradient of the loss with respect to the
 // output. Shapes must match the corresponding forward call.
 func Conv2DBackward(x, k, gradOut *Tensor, padH, padW, strideH, strideW int) (gradX, gradK *Tensor) {
 	c, h, w := convCheck(x, k)
-	oc, kh, kw := k.Shape[0], k.Shape[2], k.Shape[3]
 	gradX = New(c, h, w)
-	gradK = New(oc, c, kh, kw)
-	conv2DBackward(gradX, gradK, x, k, gradOut, padH, padW, strideH, strideW)
+	gradK = New(k.Shape...)
+	kt := kernelTaps(make([]float64, k.Size()), k)
+	gkt := make([]float64, k.Size())
+	conv2DBackward(gradX, gkt, x, kt, gradOut, k.Shape[0], k.Shape[2], k.Shape[3], padH, padW, strideH, strideW)
+	tapsKernel(gradK, gkt)
 	return gradX, gradK
 }
 
 // Conv2DBackwardInto is Conv2DBackward with the gradient scratch carved from
-// an arena; the returned tensors are valid until the arena is reset.
-func Conv2DBackwardInto(a *Arena, x, k, gradOut *Tensor, padH, padW, strideH, strideW int) (gradX, gradK *Tensor) {
-	c, h, w := convCheck(x, k)
-	oc, kh, kw := k.Shape[0], k.Shape[2], k.Shape[3]
-	gradX = a.New(c, h, w)
-	gradK = a.New(oc, c, kh, kw)
-	conv2DBackward(gradX, gradK, x, k, gradOut, padH, padW, strideH, strideW)
+// an arena; the returned tensors are valid until the arena is reset. Over a
+// batch x [N, C, H, W] gradX is per sample and gradK accumulates the samples
+// in order. With wantX false gradX is nil and not computed (x is an input
+// without a gradient, as the traffic CNN's speed matrix is).
+func Conv2DBackwardInto(a *Arena, x, k, gradOut *Tensor, wantX bool, padH, padW, strideH, strideW int) (gradX, gradK *Tensor) {
+	n, xs := convSample(x)
+	c, h, w := convCheck(&xs, k)
+	gradK = a.New(k.Shape...)
+	kt := kernelTaps(a.floats(k.Size()), k)
+	gkt := a.floats(k.Size())
+	xsz, gsz := c*h*w, gradOut.Size()/n
+	gs := Tensor{Shape: gradOut.Shape[gradOut.Dims()-3:]}
+	var gxs *Tensor
+	if wantX {
+		gradX = a.New(x.Shape...)
+		gxs = &Tensor{Shape: xs.Shape}
+	}
+	for i := 0; i < n; i++ {
+		xs.Data = x.Data[i*xsz : (i+1)*xsz]
+		gs.Data = gradOut.Data[i*gsz : (i+1)*gsz]
+		if gxs != nil {
+			gxs.Data = gradX.Data[i*xsz : (i+1)*xsz]
+		}
+		conv2DBackward(gxs, gkt, &xs, kt, &gs, k.Shape[0], k.Shape[2], k.Shape[3], padH, padW, strideH, strideW)
+	}
+	tapsKernel(gradK, gkt)
 	return gradX, gradK
 }
 
-// conv2DBackward mirrors conv2DForward's hoisted-range structure: the same
-// in-bounds taps are visited in the same (o, oy, ox, ci, ky, kx) order as the
-// naive loop, so both gradients accumulate bit-identically.
-func conv2DBackward(gradX, gradK, x, k, gradOut *Tensor, padH, padW, strideH, strideW int) {
-	if k.Shape[3] == 1 && strideW == 1 && padW == 0 {
-		conv2DColumnBackward(gradX, gradK, x, k, gradOut, padH, strideH)
+// tapsKernel adds gkt, a kernel gradient in kernelTaps layout, into gradK
+// [OC, C, KH, KW].
+func tapsKernel(gradK *Tensor, gkt []float64) {
+	oc := gradK.Shape[0]
+	taps := gradK.Size() / oc
+	for o := 0; o < oc; o++ {
+		for t := range gradK.Data[o*taps : (o+1)*taps] {
+			gradK.Data[o*taps+t] += gkt[t*oc+o]
+		}
+	}
+}
+
+// conv2DBackward accumulates one sample's gradients, output position by
+// output position (oy, ox ascending). At each position the output channels
+// with a non-zero gradient are gathered once — a zero output gradient is
+// skipped, not added as 0·x, which with an infinite activation would be NaN
+// — and then for every in-bounds tap (ci, ky, kx ascending) the kernel
+// gradient gkt (kernelTaps layout) gains g·x per such channel, while the
+// input gradient gains the tap's Σ_o g·k, summed over those channels
+// ascending and added once. So a kernel-gradient element accumulates over
+// (oy, ox) ascending and an input-gradient element over (oy, ox, ky, kx)
+// ascending. A nil gradX skips the input gradient.
+func conv2DBackward(gradX *Tensor, gkt []float64, x *Tensor, kt []float64, gradOut *Tensor, oc, kh, kw, padH, padW, strideH, strideW int) {
+	if kw == 1 && strideW == 1 && padW == 0 {
+		conv2DColumnBackward(gradX, gkt, x, kt, gradOut, oc, kh, padH, strideH)
 		return
 	}
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oc, kh, kw := k.Shape[0], k.Shape[2], k.Shape[3]
 	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
-	for o := 0; o < oc; o++ {
-		kbase := o * c * kh * kw
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*strideH - padH
-			kyLo, kyHi := validTaps(iy0, kh, h)
-			gRow := gradOut.Data[(o*oh+oy)*ow : (o*oh+oy+1)*ow]
-			for ox := 0; ox < ow; ox++ {
-				g := gRow[ox]
-				if g == 0 {
-					continue
+	plane := oh * ow
+	var nzBuf [8]int
+	var gBuf [8]float64
+	nz, gs := nzBuf[:0], gBuf[:0]
+	if oc > len(nzBuf) {
+		nz, gs = make([]int, 0, oc), make([]float64, 0, oc)
+	}
+	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*strideH - padH
+		kyLo, kyHi := validTaps(iy0, kh, h)
+		for ox := 0; ox < ow; ox++ {
+			nz, gs = nz[:0], gs[:0]
+			for o := 0; o < oc; o++ {
+				if g := gradOut.Data[o*plane+oy*ow+ox]; g != 0 {
+					nz, gs = append(nz, o), append(gs, g)
 				}
-				ix0 := ox*strideW - padW
-				kxLo, kxHi := validTaps(ix0, kw, w)
-				if kyLo >= kyHi || kxLo >= kxHi {
-					continue
-				}
-				for ci := 0; ci < c; ci++ {
-					xch := x.Data[ci*h*w : (ci+1)*h*w]
-					gxch := gradX.Data[ci*h*w : (ci+1)*h*w]
-					kch := k.Data[kbase+ci*kh*kw : kbase+(ci+1)*kh*kw]
-					gkch := gradK.Data[kbase+ci*kh*kw : kbase+(ci+1)*kh*kw]
-					for ky := kyLo; ky < kyHi; ky++ {
-						xoff := (iy0+ky)*w + ix0
-						xrow := xch[xoff+kxLo : xoff+kxHi]
-						gxrow := gxch[xoff+kxLo : xoff+kxHi]
-						krow := kch[ky*kw+kxLo : ky*kw+kxHi]
-						gkrow := gkch[ky*kw+kxLo : ky*kw+kxHi]
-						for j := range krow {
-							gxrow[j] += g * krow[j]
-							gkrow[j] += g * xrow[j]
+			}
+			if len(nz) == 0 {
+				continue
+			}
+			ix0 := ox*strideW - padW
+			kxLo, kxHi := validTaps(ix0, kw, w)
+			for ci := 0; ci < c; ci++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					xoff := (ci*h+iy0+ky)*w + ix0
+					toff := (ci*kh + ky) * kw * oc
+					for kx := kxLo; kx < kxHi; kx++ {
+						xv := x.Data[xoff+kx]
+						t0 := toff + kx*oc
+						gk, kv := gkt[t0:t0+oc:t0+oc], kt[t0:t0+oc:t0+oc]
+						if gradX == nil {
+							for q, o := range nz {
+								gk[o] += float64(gs[q] * xv)
+							}
+							continue
 						}
+						var s float64
+						for q, o := range nz {
+							g := gs[q]
+							gk[o] += float64(g * xv)
+							s += float64(g * kv[o])
+						}
+						gradX.Data[xoff+kx] += s
 					}
 				}
 			}
@@ -208,34 +313,49 @@ func conv2DBackward(gradX, gradK, x, k, gradOut *Tensor, padH, padW, strideH, st
 }
 
 // conv2DColumnBackward is conv2DBackward for the shapes conv2DColumnForward
-// takes. gradK[o,ci,ky] is held in a local across the output row and still
-// accumulates over (oy, ox) ascending; gradX[ci,iy,ix] still accumulates over
-// (o, oy, ky) ascending; zero output gradients are still skipped, not added:
-// both gradients equal the generic kernel's bit for bit.
-func conv2DColumnBackward(gradX, gradK, x, k, gradOut *Tensor, padH, strideH int) {
+// takes, in the same summation order: rows oy ascending; for each input row
+// a tap reaches, the channels' g·k are summed per column (o ascending, zero
+// gradients skipped) in a scratch row that is then added once; and
+// gkt[ci,ky,o] is held in a local across the output row, accumulating over
+// (oy, ox) ascending with zero gradients skipped. Both gradients equal the
+// generic kernel's bit for bit.
+func conv2DColumnBackward(gradX *Tensor, gkt []float64, x *Tensor, kt []float64, gradOut *Tensor, oc, kh, padH, strideH int) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oc, kh := k.Shape[0], k.Shape[2]
 	oh := gradOut.Shape[1]
-	for o := 0; o < oc; o++ {
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*strideH - padH
-			kyLo, kyHi := validTaps(iy0, kh, h)
-			gRow := gradOut.Data[(o*oh+oy)*w : (o*oh+oy+1)*w : (o*oh+oy+1)*w]
-			for ci := 0; ci < c; ci++ {
-				for ky := kyLo; ky < kyHi; ky++ {
-					ki := (o*c+ci)*kh + ky
-					kv, gk := k.Data[ki], gradK.Data[ki]
-					xoff := (ci*h + iy0 + ky) * w
-					xrow := x.Data[xoff : xoff+w : xoff+w][:len(gRow)]
-					gxrow := gradX.Data[xoff : xoff+w : xoff+w][:len(gRow)]
+	var accBuf [64]float64
+	acc := accBuf[:0]
+	if w > len(accBuf) {
+		acc = make([]float64, 0, w)
+	}
+	acc = acc[:w]
+	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*strideH - padH
+		kyLo, kyHi := validTaps(iy0, kh, h)
+		for ci := 0; ci < c; ci++ {
+			for ky := kyLo; ky < kyHi; ky++ {
+				xoff := (ci*h + iy0 + ky) * w
+				xrow := x.Data[xoff : xoff+w : xoff+w][:len(acc)]
+				for j := range acc {
+					acc[j] = 0
+				}
+				for o := 0; o < oc; o++ {
+					gRow := gradOut.Data[(o*oh+oy)*w : (o*oh+oy+1)*w : (o*oh+oy+1)*w][:len(acc)]
+					ti := (ci*kh+ky)*oc + o
+					kv, gk := kt[ti], gkt[ti]
 					for j, g := range gRow {
 						if g == 0 {
 							continue
 						}
-						gxrow[j] += g * kv
-						gk += g * xrow[j]
+						acc[j] += float64(g * kv)
+						gk += float64(g * xrow[j])
 					}
-					gradK.Data[ki] = gk
+					gkt[ti] = gk
+				}
+				if gradX != nil {
+					gxrow := gradX.Data[xoff : xoff+w : xoff+w][:len(acc)]
+					for j, v := range acc {
+						gxrow[j] += v
+					}
 				}
 			}
 		}

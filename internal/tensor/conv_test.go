@@ -119,9 +119,9 @@ func TestConv2DBackwardFiniteDiff(t *testing.T) {
 }
 
 // naiveConv2D is the original bounds-checked tap loop, kept as the bit-level
-// reference for the hoisted-range kernels: conv2DForward and conv2DBackward
-// must visit the same taps in the same order, so every output and gradient
-// bit must match — checkpoint replay depends on it.
+// reference for the forward kernel: each output element sums its in-bounds
+// taps over (ci, ky, kx) ascending, so every output bit must match —
+// checkpoint replay depends on it.
 func naiveConv2D(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
 	oc, oh, ow := conv2DOutShape(x, k, padH, padW, strideH, strideW)
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
@@ -142,7 +142,7 @@ func naiveConv2D(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
 							if ix < 0 || ix >= w {
 								continue
 							}
-							s += x.Data[(ci*h+iy)*w+ix] * k.Data[((o*c+ci)*kh+ky)*kw+kx]
+							s += float64(x.Data[(ci*h+iy)*w+ix] * k.Data[((o*c+ci)*kh+ky)*kw+kx])
 						}
 					}
 				}
@@ -153,32 +153,43 @@ func naiveConv2D(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
 	return out
 }
 
+// naiveConv2DBackward is the bounds-checked reference for the backward
+// kernel's summation order: output positions (oy, ox) ascending; at each,
+// every in-bounds tap (ci, ky, kx) ascending; at each tap, the output
+// channels with a non-zero gradient ascending — each adds g·x to its kernel
+// gradient, and their Σ g·k is added once to the input gradient.
 func naiveConv2DBackward(x, k, gradOut *Tensor, padH, padW, strideH, strideW int) (gradX, gradK *Tensor) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	oc, kh, kw := k.Shape[0], k.Shape[2], k.Shape[3]
 	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
 	gradX = New(c, h, w)
 	gradK = New(oc, c, kh, kw)
-	for o := 0; o < oc; o++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				g := gradOut.Data[(o*oh+oy)*ow+ox]
-				if g == 0 {
-					continue
-				}
-				for ci := 0; ci < c; ci++ {
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*strideH + ky - padH
-						if iy < 0 || iy >= h {
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			for ci := 0; ci < c; ci++ {
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*strideH + ky - padH
+					if iy < 0 || iy >= h {
+						continue
+					}
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*strideW + kx - padW
+						if ix < 0 || ix >= w {
 							continue
 						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*strideW + kx - padW
-							if ix < 0 || ix >= w {
+						var s float64
+						any := false
+						for o := 0; o < oc; o++ {
+							g := gradOut.Data[(o*oh+oy)*ow+ox]
+							if g == 0 {
 								continue
 							}
-							gradX.Data[(ci*h+iy)*w+ix] += g * k.Data[((o*c+ci)*kh+ky)*kw+kx]
-							gradK.Data[((o*c+ci)*kh+ky)*kw+kx] += g * x.Data[(ci*h+iy)*w+ix]
+							any = true
+							gradK.Data[((o*c+ci)*kh+ky)*kw+kx] += float64(g * x.Data[(ci*h+iy)*w+ix])
+							s += float64(g * k.Data[((o*c+ci)*kh+ky)*kw+kx])
+						}
+						if any {
+							gradX.Data[(ci*h+iy)*w+ix] += s
 						}
 					}
 				}
@@ -191,9 +202,9 @@ func naiveConv2DBackward(x, k, gradOut *Tensor, padH, padW, strideH, strideW int
 // TestConv2DMatchesNaiveBitExact sweeps shapes, paddings and strides —
 // including the model's 3×3/stride-2 traffic CNN and 3×1/pad-1 time-interval
 // encoder shapes, heavy padding and kernels larger than the padded overhang,
-// then every kw==1 shape the column kernels take — and requires bitwise
-// equality between the kernels and the naive reference for both the forward
-// output and both gradients.
+// then every width-1 shape the time-interval encoder can produce — and
+// requires bitwise equality between the kernels and the naive reference for
+// both the forward output and both gradients.
 func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type convCase struct {
@@ -211,14 +222,13 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 		{1, 1, 1, 2, 3, 3, 1, 1, 1, 1}, // single-pixel input
 		{3, 7, 5, 2, 5, 5, 2, 2, 2, 3}, // large kernel, mixed strides
 		{2, 3, 3, 2, 3, 3, 3, 3, 1, 1}, // rows/cols fully in padding
-		// kw == 1 but padded or strided columns: not the column kernels'
-		// shape (their output rows would be the wrong width).
+		// kw == 1 with padded or strided columns.
 		{4, 5, 16, 8, 3, 1, 1, 1, 1, 1},
 		{4, 5, 16, 8, 3, 1, 1, 0, 1, 2},
 		{1, 3, 1, 4, 3, 1, 1, 1, 2, 2},
 	}
-	// The column kernels (kw == 1, strideW == 1, padW == 0) over every
-	// combination of the shapes the time-interval encoder can hand them.
+	// Width-1 kernels (kw == 1, strideW == 1, padW == 0) over every
+	// combination of the shapes the time-interval encoder can produce.
 	for _, h := range []int{1, 2, 3, 16} {
 		for _, c := range []int{1, 4, 8} {
 			for _, oc := range []int{1, 4, 8} {
@@ -280,7 +290,7 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 
 // TestConv2DBackwardSkipsZeroGradients: an output gradient of exactly zero
 // contributes nothing, not 0·x — with an infinite activation or weight the
-// product would be NaN. Both the generic and the column kernel keep the skip.
+// product would be NaN — for 3×3 and width-1 kernels alike.
 func TestConv2DBackwardSkipsZeroGradients(t *testing.T) {
 	for _, kw := range []int{1, 3} {
 		x := New(2, 4, 4)
@@ -299,20 +309,71 @@ func TestConv2DBackwardSkipsZeroGradients(t *testing.T) {
 	}
 }
 
+// TestConv2DIntoBatchMatchesPerSample: over a batch [N, C, H, W] every
+// sample's output and input gradient are the single-sample kernels' bit for
+// bit, the kernel gradient is the samples' gradients accumulated in order,
+// and skipping the input gradient leaves the kernel gradient unchanged.
+func TestConv2DIntoBatchMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct{ n, c, h, w, oc, kh, kw, padH, padW, str int }{
+		{3, 1, 12, 10, 4, 3, 3, 1, 1, 2}, // ext.conv1 over a 12×10 matrix
+		{5, 1, 2, 16, 4, 3, 1, 1, 0, 1},  // tie.conv1 at Δd = 2
+		{4, 8, 1, 16, 1, 1, 1, 0, 0, 1},  // tie.conv3 at Δd = 1
+	} {
+		x := randTensor(rng, tc.n, tc.c, tc.h, tc.w)
+		k := randTensor(rng, tc.oc, tc.c, tc.kh, tc.kw)
+		var a Arena
+		y := Conv2DInto(&a, x, k, tc.padH, tc.padW, tc.str, tc.str)
+		g := randTensor(rng, y.Shape...)
+		gx, gk := Conv2DBackwardInto(&a, x, k, g, true, tc.padH, tc.padW, tc.str, tc.str)
+		gxNil, gkOnly := Conv2DBackwardInto(&a, x, k, g, false, tc.padH, tc.padW, tc.str, tc.str)
+		if gxNil != nil {
+			t.Fatalf("%+v: input gradient computed with wantX false", tc)
+		}
+		kt, gkt := kernelTaps(make([]float64, k.Size()), k), make([]float64, k.Size())
+		xsz, ysz := x.Size()/tc.n, y.Size()/tc.n
+		for i := 0; i < tc.n; i++ {
+			xi := FromSlice(x.Data[i*xsz:(i+1)*xsz], tc.c, tc.h, tc.w)
+			yi := Conv2D(xi, k, tc.padH, tc.padW, tc.str, tc.str)
+			gi := FromSlice(g.Data[i*ysz:(i+1)*ysz], yi.Shape...)
+			conv2DBackward(nil, gkt, xi, kt, gi, tc.oc, tc.kh, tc.kw, tc.padH, tc.padW, tc.str, tc.str)
+			wantX, _ := Conv2DBackward(xi, k, gi, tc.padH, tc.padW, tc.str, tc.str)
+			for j := range yi.Data {
+				if math.Float64bits(y.Data[i*ysz+j]) != math.Float64bits(yi.Data[j]) {
+					t.Fatalf("%+v sample %d: output %d differs from the single-sample kernel", tc, i, j)
+				}
+			}
+			for j := range wantX.Data {
+				if math.Float64bits(gx.Data[i*xsz+j]) != math.Float64bits(wantX.Data[j]) {
+					t.Fatalf("%+v sample %d: input gradient %d differs from the single-sample kernel", tc, i, j)
+				}
+			}
+		}
+		wantK := New(k.Shape...)
+		tapsKernel(wantK, gkt)
+		for j := range wantK.Data {
+			if math.Float64bits(gk.Data[j]) != math.Float64bits(wantK.Data[j]) || math.Float64bits(gkOnly.Data[j]) != math.Float64bits(wantK.Data[j]) {
+				t.Fatalf("%+v: kernel gradient %d = %v / %v, want %v", tc, j, gk.Data[j], gkOnly.Data[j], wantK.Data[j])
+			}
+		}
+	}
+}
+
 // BenchmarkConv2DColumn runs the time-interval encoder's three convolutions
-// (kw == 1, the column kernels) forward and backward, at one slot and at
-// four; a training sample runs them once per trajectory step.
+// (kw == 1) forward and backward over a batch of 32 trajectory steps, at one
+// slot and at four: training runs each Δd group of a shard's steps as one
+// such batch.
 func BenchmarkConv2DColumn(b *testing.B) {
-	const dt = 16 // SmallConfig's slot-embedding width
+	const dt, n = 16, 32 // SmallConfig's slot-embedding width, steps per batch
 	for _, span := range []int{1, 4} {
 		for _, s := range []struct {
 			name            string
 			c, oc, kh, padH int
 		}{{"tie1", 1, 4, 3, 1}, {"tie2", 4, 8, 3, 1}, {"tie3", 8, 1, 1, 0}} {
 			rng := rand.New(rand.NewSource(1))
-			x := randTensor(rng, s.c, span, dt)
+			x := randTensor(rng, n, s.c, span, dt)
 			k := randTensor(rng, s.oc, s.c, s.kh, 1)
-			gradOut := randTensor(rng, s.oc, span, dt)
+			gradOut := randTensor(rng, n, s.oc, span, dt)
 			for i := 0; i < len(gradOut.Data); i += 2 {
 				gradOut.Data[i] = 0 // what ReLU's backward hands down
 			}
@@ -328,7 +389,7 @@ func BenchmarkConv2DColumn(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					a.Reset()
-					Conv2DBackwardInto(&a, x, k, gradOut, s.padH, 0, 1, 1)
+					Conv2DBackwardInto(&a, x, k, gradOut, true, s.padH, 0, 1, 1)
 				}
 			})
 		}

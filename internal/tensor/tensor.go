@@ -137,7 +137,7 @@ func (t *Tensor) AddScaledInPlace(o *Tensor, s float64) {
 		panic(fmt.Sprintf("tensor: AddScaledInPlace shape mismatch %v vs %v", t.Shape, o.Shape))
 	}
 	for i, v := range o.Data {
-		t.Data[i] += s * v
+		t.Data[i] += float64(s * v)
 	}
 }
 
@@ -148,7 +148,7 @@ func (t *Tensor) AddMulInPlace(a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: AddMulInPlace shape mismatch %v vs %v vs %v", t.Shape, a.Shape, b.Shape))
 	}
 	for i := range t.Data {
-		t.Data[i] += a.Data[i] * b.Data[i]
+		t.Data[i] += float64(a.Data[i] * b.Data[i])
 	}
 }
 
@@ -242,7 +242,7 @@ func MatVecInto(dst, w, x *Tensor) {
 		row := w.Data[i*n : (i+1)*n : (i+1)*n]
 		var s float64
 		for j, v := range row {
-			s += v * xd[j]
+			s += float64(v * xd[j])
 		}
 		dst.Data[i] = s
 	}
@@ -280,10 +280,10 @@ func MatVecAddInto(dst, w, x, b *Tensor) {
 		r0, r1, r2, r3 := rows[:len(xd)], rows[n:][:len(xd)], rows[2*n:][:len(xd)], rows[3*n:][:len(xd)]
 		var s0, s1, s2, s3 float64
 		for j, xv := range xd {
-			s0 += r0[j] * xv
-			s1 += r1[j] * xv
-			s2 += r2[j] * xv
-			s3 += r3[j] * xv
+			s0 += float64(r0[j] * xv)
+			s1 += float64(r1[j] * xv)
+			s2 += float64(r2[j] * xv)
+			s3 += float64(r3[j] * xv)
 		}
 		dd[i], dd[i+1], dd[i+2], dd[i+3] = s0+bd[i], s1+bd[i+1], s2+bd[i+2], s3+bd[i+3]
 	}
@@ -291,7 +291,7 @@ func MatVecAddInto(dst, w, x, b *Tensor) {
 		row := w.Data[i*n : (i+1)*n : (i+1)*n]
 		var s float64
 		for j, v := range row {
-			s += v * xd[j]
+			s += float64(v * xd[j])
 		}
 		dd[i] = s + bd[i]
 	}
@@ -314,49 +314,10 @@ func MatVecT(w, y *Tensor) *Tensor {
 			continue
 		}
 		for j, v := range row {
-			out.Data[j] += v * yi
+			out.Data[j] += float64(v * yi)
 		}
 	}
 	return out
-}
-
-// AddOuterInPlace accumulates the outer product y xᵀ into dst (shape
-// [len(y), len(x)]) without allocating — the gradient-accumulation fast
-// path of the MatVec backward.
-func AddOuterInPlace(dst, y, x *Tensor) {
-	m, n := y.Size(), x.Size()
-	if dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: AddOuterInPlace shape mismatch dst %v y %d x %d", dst.Shape, m, n))
-	}
-	xd := x.Data[:n]
-	for i, yi := range y.Data[:m] {
-		if yi == 0 {
-			continue
-		}
-		row := dst.Data[i*n : (i+1)*n : (i+1)*n][:len(xd)]
-		for j, xv := range xd {
-			row[j] += yi * xv
-		}
-	}
-}
-
-// AddMatVecTInPlace accumulates Wᵀ y into dst (length = W columns) without
-// allocating.
-func AddMatVecTInPlace(dst, w, y *Tensor) {
-	m, n := w.Shape[0], w.Shape[1]
-	if dst.Size() != n || y.Size() != m {
-		panic(fmt.Sprintf("tensor: AddMatVecTInPlace size mismatch dst %d W %v y %d", dst.Size(), w.Shape, y.Size()))
-	}
-	dd := dst.Data[:n]
-	for i, yi := range y.Data[:m] {
-		if yi == 0 {
-			continue
-		}
-		row := w.Data[i*n : (i+1)*n : (i+1)*n][:len(dd)]
-		for j, v := range row {
-			dd[j] += yi * v
-		}
-	}
 }
 
 // Outer returns the outer product y xᵀ with shape [len(y), len(x)].
@@ -455,7 +416,7 @@ func Dot(a, b *Tensor) float64 {
 	}
 	var s float64
 	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
+		s += float64(a.Data[i] * b.Data[i])
 	}
 	return s
 }

@@ -287,23 +287,23 @@ func TestMatMulMatVecAssociativity(t *testing.T) {
 
 func TestPanicBranches(t *testing.T) {
 	for name, f := range map[string]func(){
-		"Add shape":        func() { Add(Vector(1), Vector(1, 2)) },
-		"Sub shape":        func() { Sub(Vector(1), Vector(1, 2)) },
-		"Mul shape":        func() { Mul(Vector(1), Vector(1, 2)) },
-		"AddInPlace shape": func() { Vector(1).AddInPlace(Vector(1, 2)) },
-		"Dot size":         func() { Dot(Vector(1), Vector(1, 2)) },
-		"MatVec non-mat":   func() { MatVec(Vector(1), Vector(1)) },
-		"MatVec size":      func() { MatVec(New(2, 3), Vector(1)) },
-		"MatVecT non-mat":  func() { MatVecT(Vector(1), Vector(1)) },
-		"MatVecT size":     func() { MatVecT(New(2, 3), Vector(1)) },
-		"MatMul shape":     func() { MatMul(New(2, 3), New(2, 3)) },
-		"Transpose rank":   func() { Transpose(Vector(1)) },
-		"MeanCols rank":    func() { MeanCols(Vector(1)) },
-		"Row rank":         func() { Vector(1, 2).Row(0) },
-		"SetRow shape":     func() { New(2, 2).SetRow(0, Vector(1)) },
-		"Set rank":         func() { New(2, 2).Set(1, 0) },
-		"AddOuter shape":   func() { AddOuterInPlace(New(2, 2), Vector(1, 2, 3), Vector(1, 2)) },
-		"AddMatVecT size":  func() { AddMatVecTInPlace(Vector(1), New(2, 3), Vector(1, 2, 3)) },
+		"Add shape":               func() { Add(Vector(1), Vector(1, 2)) },
+		"Sub shape":               func() { Sub(Vector(1), Vector(1, 2)) },
+		"Mul shape":               func() { Mul(Vector(1), Vector(1, 2)) },
+		"AddInPlace shape":        func() { Vector(1).AddInPlace(Vector(1, 2)) },
+		"Dot size":                func() { Dot(Vector(1), Vector(1, 2)) },
+		"MatVec non-mat":          func() { MatVec(Vector(1), Vector(1)) },
+		"MatVec size":             func() { MatVec(New(2, 3), Vector(1)) },
+		"MatVecT non-mat":         func() { MatVecT(Vector(1), Vector(1)) },
+		"MatVecT size":            func() { MatVecT(New(2, 3), Vector(1)) },
+		"MatMul shape":            func() { MatMul(New(2, 3), New(2, 3)) },
+		"Transpose rank":          func() { Transpose(Vector(1)) },
+		"MeanCols rank":           func() { MeanCols(Vector(1)) },
+		"Row rank":                func() { Vector(1, 2).Row(0) },
+		"SetRow shape":            func() { New(2, 2).SetRow(0, Vector(1)) },
+		"Set rank":                func() { New(2, 2).Set(1, 0) },
+		"AffineBackward dW shape": func() { AffineBatchBackward(New(2, 2), nil, nil, Vector(1, 2), Vector(1, 2, 3), New(2, 3)) },
+		"AffineBackward dY size":  func() { AffineBatchBackward(nil, nil, nil, Vector(1, 2, 3), Vector(1, 2, 3), New(2, 3)) },
 	} {
 		f := f
 		t.Run(name, func(t *testing.T) {
@@ -340,6 +340,10 @@ func TestScaleInPlaceAndZeroAndString(t *testing.T) {
 	}
 }
 
+// TestAddHelpersMatchNaive holds the affine backward to its definition: at
+// B = 1 it is the outer product and Wᵀ·dy, and at B > 1 every gradient
+// element is its row-sequential (for dW, db) or output-sequential (for dX)
+// sum of products, added once to what the accumulator held.
 func TestAddHelpersMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	w := New(3, 4)
@@ -349,21 +353,55 @@ func TestAddHelpersMatchNaive(t *testing.T) {
 	y := Vector(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 	x := Vector(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 
-	dst := New(3, 4)
-	AddOuterInPlace(dst, y, x)
+	dw, dx := New(3, 4), New(4)
+	AffineBatchBackward(dw, nil, dx, y, x, w)
 	want := Outer(y, x)
 	for i := range want.Data {
-		if !almostEqual(dst.Data[i], want.Data[i], 1e-12) {
-			t.Fatalf("AddOuterInPlace[%d] = %v, want %v", i, dst.Data[i], want.Data[i])
+		if !almostEqual(dw.Data[i], want.Data[i], 1e-12) {
+			t.Fatalf("B=1 dW[%d] = %v, want %v", i, dw.Data[i], want.Data[i])
+		}
+	}
+	want2 := MatVecT(w, y)
+	for i := range want2.Data {
+		if !almostEqual(dx.Data[i], want2.Data[i], 1e-12) {
+			t.Fatalf("B=1 dX[%d] = %v, want %v", i, dx.Data[i], want2.Data[i])
 		}
 	}
 
-	dst2 := New(4)
-	AddMatVecTInPlace(dst2, w, y)
-	want2 := MatVecT(w, y)
-	for i := range want2.Data {
-		if !almostEqual(dst2.Data[i], want2.Data[i], 1e-12) {
-			t.Fatalf("AddMatVecTInPlace[%d] = %v, want %v", i, dst2.Data[i], want2.Data[i])
+	for _, dims := range [][3]int{{1, 1, 1}, {2, 5, 3}, {7, 9, 1}, {32, 67, 32}, {5, 4, 6}} {
+		bsz, in, out := dims[0], dims[1], dims[2]
+		xs, dys, wm := randTensor(rng, bsz, in), randTensor(rng, bsz, out), randTensor(rng, out, in)
+		gw, gb, gx := randTensor(rng, out, in), randTensor(rng, out), randTensor(rng, bsz, in)
+		w0, b0, x0 := gw.Clone(), gb.Clone(), gx.Clone()
+		AffineBatchBackward(gw, gb, gx, dys, xs, wm)
+		for i := 0; i < out; i++ {
+			var sb float64
+			for r := 0; r < bsz; r++ {
+				sb += dys.Data[r*out+i]
+			}
+			if got, want := gb.Data[i], b0.Data[i]+sb; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v db[%d] = %v, want %v", dims, i, got, want)
+			}
+			for j := 0; j < in; j++ {
+				var s float64
+				for r := 0; r < bsz; r++ {
+					s += float64(dys.Data[r*out+i] * xs.Data[r*in+j])
+				}
+				if got, want := gw.Data[i*in+j], w0.Data[i*in+j]+s; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v dW[%d,%d] = %v, want %v", dims, i, j, got, want)
+				}
+			}
+		}
+		for r := 0; r < bsz; r++ {
+			for j := 0; j < in; j++ {
+				var s float64
+				for i := 0; i < out; i++ {
+					s += float64(dys.Data[r*out+i] * wm.Data[i*in+j])
+				}
+				if got, want := gx.Data[r*in+j], x0.Data[r*in+j]+s; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v dX[%d,%d] = %v, want %v", dims, r, j, got, want)
+				}
+			}
 		}
 	}
 }

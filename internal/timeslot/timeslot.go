@@ -64,13 +64,13 @@ func (s *Slotter) Slot(t float64) int {
 
 // Remainder returns tr = t − t0 − tp·Δt ∈ [0, Δt) (Formula 3).
 func (s *Slotter) Remainder(t float64) float64 {
-	return t - float64(s.Slot(t))*s.Delta
+	return t - float64(float64(s.Slot(t))*s.Delta)
 }
 
 // Split returns both the slot and the remainder of t.
 func (s *Slotter) Split(t float64) (slot int, remainder float64) {
 	slot = s.Slot(t)
-	return slot, t - float64(slot)*s.Delta
+	return slot, t - float64(float64(slot)*s.Delta)
 }
 
 // WeekSlot maps an absolute slot index onto the temporal graph node

@@ -130,7 +130,7 @@ func (t *Trajectory) PosAt(g *roadnet.Graph, sec float64) geo.Point {
 			} else if f > 1 {
 				f = 1
 			}
-			return g.PointAlongEdge(s.Edge, from+(to-from)*f)
+			return g.PointAlongEdge(s.Edge, from+float64((to-from)*f))
 		}
 	}
 	last := t.Path[len(t.Path)-1]
@@ -150,9 +150,9 @@ func (t *Trajectory) Length(g *roadnet.Graph) float64 {
 		l := g.Edges[st.Edge].Length
 		switch i {
 		case 0:
-			s += l * (1 - t.RStart)
+			s += float64(l * (1 - t.RStart))
 		case len(t.Path) - 1:
-			s += l * (1 - t.REnd)
+			s += float64(l * (1 - t.REnd))
 		default:
 			s += l
 		}

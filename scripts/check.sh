@@ -24,8 +24,11 @@ go test ./...
 
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
-go test -race -run 'ConcurrentSafe|Trace|Parallel|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
+go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
+
+echo "== portable bits (no fused multiply-add in the model's packages on arm64, ppc64le, s390x, riscv64)"
+./scripts/fma.sh
 
 echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the /estimate decoder and encoder against encoding/json; 5 s each)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
@@ -50,16 +53,17 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; the affine kernel; OD endpoint matching; the pre-training and training kernels)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; the affine kernel; OD endpoint matching; the pre-training and training kernels)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
+go test -run '^$' -bench 'BenchmarkTrainStep' -benchtime=100ms -benchmem ./internal/core/
 go test -run '^$' -bench 'BenchmarkAffineBatchInto' -benchtime=100ms ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
 go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
 go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
 go test -run '^$' -bench 'BenchmarkTrainSkipGram|BenchmarkNegSample|BenchmarkGenerateWalks' -benchtime=100ms -benchmem ./internal/embed/
-go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkMatVecAdd$' -benchtime=100ms ./internal/tensor/
+go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkMatVecAdd$|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
 
 echo "== load harness smoke (go run ./bench, 2 s a workload: every HTTP answer bit-equal to the model's, zero failed operations; rates are bench -compare's job)"
 for w in estimate-cold estimate-hot estimate-live train; do
