@@ -123,12 +123,10 @@ func BenchmarkEstimateBatchFusedTrafficCode(b *testing.B) {
 	})
 }
 
-// BenchmarkTrainStep times optimizer steps and nothing else: one mini-batch
-// forward and backward on the worker pool, the gradient reduce, clipping and
-// the Adam update. The model (SmallConfig dimensions, speed matrices of
-// memoWorld's 12×10 cells) is built and its embeddings pre-trained once, off
-// the clock; the batches are drawn off the clock too. Run with -benchmem.
-func BenchmarkTrainStep(b *testing.B) {
+// trainBenchWorld is the world of the training benchmarks: memoWorld's 200
+// orders (speed matrices of 12×10 cells) split 6:1:1, and a SmallConfig model
+// over it with its time scale set.
+func trainBenchWorld(b *testing.B) (*Model, Config, []traj.TripRecord) {
 	g, recs := memoWorld(b, 200)
 	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
 	if err != nil {
@@ -144,14 +142,39 @@ func BenchmarkTrainStep(b *testing.B) {
 		mean += split.Train[i].TravelSec
 	}
 	m.SetTimeScale(mean / float64(len(split.Train)))
-	if err := m.pretrainEmbeddings(split.Train); err != nil {
+	return m, cfg, split.Train
+}
+
+// BenchmarkPretrainEmbeddings times Algorithm 1 lines 1–4 as Train runs them:
+// node2vec over the trajectory-weighted road line graph and over the weekly
+// temporal graph (line graph built, walks generated, skip-gram trained), on
+// trainBenchWorld with one worker. Run with -benchmem.
+func BenchmarkPretrainEmbeddings(b *testing.B) {
+	m, _, train := trainBenchWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.pretrainEmbeddings(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainStep times optimizer steps and nothing else: one mini-batch
+// forward and backward on the worker pool, the gradient reduce, clipping and
+// the Adam update. The model (trainBenchWorld) is built and its embeddings
+// pre-trained once, off the clock; the batches are drawn off the clock too.
+// Run with -benchmem.
+func BenchmarkTrainStep(b *testing.B) {
+	m, cfg, train := trainBenchWorld(b)
+	if err := m.pretrainEmbeddings(train); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, bs := range []int{1, 8, 32} {
 		batches := make([][]int, 64)
 		for i := range batches {
-			batches[i] = rng.Perm(len(split.Train))[:bs]
+			batches[i] = rng.Perm(len(train))[:bs]
 		}
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("B%d/workers%d", bs, workers), func(b *testing.B) {
@@ -161,7 +184,7 @@ func BenchmarkTrainStep(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.trainStep(pool, opt, split.Train, batches[i%len(batches)], true, cfg.AuxWeight)
+					m.trainStep(pool, opt, train, batches[i%len(batches)], true, cfg.AuxWeight)
 				}
 			})
 		}

@@ -60,7 +60,9 @@ type TrainOptions struct {
 	// ValSample caps how many validation records each measurement uses
 	// (0 = all).
 	ValSample int
-	// Quiet suppresses the progress callback.
+	// Progress, when non-nil, is called after every validation measurement
+	// with the epoch, the optimizer step count and the validation MAE in
+	// seconds.
 	Progress func(epoch, step int, valMAE float64)
 }
 
@@ -333,19 +335,12 @@ func (m *Model) pretrainEmbeddings(train []traj.TripRecord) error {
 	return nil
 }
 
+// runEmbed pre-trains dim-wide vectors for g with the configured method,
+// corpus size and epochs, timing the walks and the skip-gram separately.
 func (m *Model) runEmbed(g embed.Graph, dim int, rng *rand.Rand) (*tensor.Tensor, error) {
-	wcfg := embed.DefaultWalkConfig()
-	wcfg.WalksPerNode = m.cfg.EmbedWalks
-	scfg := embed.DefaultSkipGramConfig(dim)
-	scfg.Epochs = m.cfg.EmbedEpochs
-	switch embed.Method(m.cfg.EmbedMethod) {
-	case embed.DeepWalk:
-		wcfg.P, wcfg.Q = 1, 1
-	case embed.LINE:
-		wcfg.P, wcfg.Q = 1, 1
-		wcfg.WalkLength = 2
-		wcfg.WalksPerNode *= 4
-		scfg.Window = 1
+	wcfg, scfg, err := embed.Configs(embed.Method(m.cfg.EmbedMethod), dim, m.cfg.EmbedWalks, m.cfg.EmbedEpochs)
+	if err != nil {
+		return nil, err
 	}
 	walkStart := time.Now()
 	walks, err := embed.GenerateWalksParallel(g, wcfg, rng, m.cfg.TrainWorkers)

@@ -5,8 +5,12 @@ import (
 	"testing"
 )
 
-// The pre-training kernels at the road graph's size in the `train` workload:
-// 996 nodes, 8 walks of 20 a node, dim 16, window 4, 4 negatives.
+// The pre-training kernels on a chorded ring with the node count of the road
+// line graph in the `train` workload (996 nodes; 8 walks of 20 a node, dim 16,
+// window 4, 4 negatives). Only the count is the line graph's: the ring's three
+// out-links a node and near-uniform unigram are not. internal/core's
+// BenchmarkPretrainEmbeddings times pre-training on a real line graph and
+// temporal graph.
 
 func BenchmarkGenerateWalks(b *testing.B) {
 	g := newChordedRing(996)

@@ -56,65 +56,42 @@ func GenerateWalksParallel(g Graph, cfg WalkConfig, rng *rand.Rand, workers int)
 
 // TrainSkipGramParallel is TrainSkipGram sharded across workers goroutines.
 //
-// With workers <= 1 it calls TrainSkipGram directly (bit-identical to the
-// serial path). With more workers, each epoch snapshots the embedding
+// With workers <= 1 it is TrainSkipGram (the serial path, bit for bit). With
+// more workers, each epoch snapshots the embedding
 // matrices, lets every worker train a private copy on its walk shard
 // (walk i on worker i mod workers, with a per-worker rng seeded
 // sequentially from the base rng), and averages the copies in fixed
 // worker-index order — synchronous model averaging, deterministic for a
 // given seed + worker count and race-free under the race detector.
 func TrainSkipGramParallel(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Rand, workers int) (*tensor.Tensor, error) {
-	if workers <= 1 {
-		return TrainSkipGram(numNodes, walks, cfg, rng)
-	}
-	if err := checkSkipGramConfig(numNodes, cfg); err != nil {
-		return nil, err
-	}
-	neg, err := negTable(numNodes, walks)
-	if err != nil {
-		return nil, err
-	}
-	if workers > len(walks) && len(walks) > 0 {
-		workers = len(walks)
-	}
+	return trainSkipGram(numNodes, walks, cfg, rng, workers, nil)
+}
 
-	in := tensor.New(numNodes, cfg.Dim)
-	out := tensor.New(numNodes, cfg.Dim)
-	for i := range in.Data {
-		in.Data[i] = (float64(rng.Float64()) - 0.5) / float64(cfg.Dim)
+// averagedEpoch is one epoch of synchronous model averaging: worker w trains
+// its private copy ins[w]/outs[w] of in/out on its walk shard, then in/out
+// become the copies' mean.
+func averagedEpoch(in, out *tensor.Tensor, ins, outs []*tensor.Tensor, walks [][]int, cfg SkipGramConfig, neg *negSampler, lr float64, rng *rand.Rand) {
+	workers := len(ins)
+	seeds := make([]int64, workers)
+	for w := range seeds {
+		seeds[w] = rng.Int63()
 	}
-
-	ins := make([]*tensor.Tensor, workers)
-	outs := make([]*tensor.Tensor, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		ins[w] = tensor.New(numNodes, cfg.Dim)
-		outs[w] = tensor.New(numNodes, cfg.Dim)
+		go func(w int) {
+			defer wg.Done()
+			copy(ins[w].Data, in.Data)
+			copy(outs[w].Data, out.Data)
+			wrng := rand.New(rand.NewSource(seeds[w]))
+			shard := func(i int) bool { return i%workers == w }
+			trainSkipGramEpoch(ins[w], outs[w], walks, cfg, neg, lr, wrng, shard)
+		}(w)
 	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.LR * (1 - float64(float64(epoch)/float64(cfg.Epochs)*0.9))
-		seeds := make([]int64, workers)
-		for w := range seeds {
-			seeds[w] = rng.Int63()
-		}
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				copy(ins[w].Data, in.Data)
-				copy(outs[w].Data, out.Data)
-				wrng := rand.New(rand.NewSource(seeds[w]))
-				shard := func(i int) bool { return i%workers == w }
-				trainSkipGramEpoch(ins[w], outs[w], walks, cfg, neg, lr, wrng, shard)
-			}(w)
-		}
-		wg.Wait()
-		// Average in fixed worker order: sum sequentially, then scale.
-		averageInto(in, ins)
-		averageInto(out, outs)
-	}
-	return in, nil
+	wg.Wait()
+	// Average in fixed worker order: sum sequentially, then scale.
+	averageInto(in, ins)
+	averageInto(out, outs)
 }
 
 // averageInto overwrites dst with the element-wise mean of srcs, summing in

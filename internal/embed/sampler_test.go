@@ -76,9 +76,10 @@ func TestGuidedSamplerMatchesBinarySearch(t *testing.T) {
 		for i := range head {
 			head[i] = 1
 		}
-		// Every entry one ulp under its bucket boundary: for a draw r equal
-		// to such an entry r*K often rounds up to the boundary's bucket,
-		// whose guide entry is one past the answer (n=6, b=5 is the first).
+		// Every entry one ulp under a bucket boundary (i+1)/n: for a draw r
+		// equal to such an entry r*B often rounds up to the boundary's
+		// bucket, whose guide entry is one past the answer, so find must
+		// step back.
 		under := make([]float64, n)
 		for i := range under {
 			under[i] = math.Nextafter(float64(i+1)/float64(n), 0)
@@ -90,8 +91,11 @@ func TestGuidedSamplerMatchesBinarySearch(t *testing.T) {
 			edge := func(v float64) {
 				rs = append(rs, math.Nextafter(v, 0), v, math.Nextafter(v, 2))
 			}
-			for b := 0; b <= n; b++ {
-				edge(float64(b) / float64(n))
+			// Every guide bucket boundary b/B, B = guideBuckets·n, which
+			// includes every b/n.
+			nb := guideBuckets * n
+			for b := 0; b <= nb; b++ {
+				edge(float64(b) / float64(nb))
 			}
 			for _, c := range cum {
 				edge(c)

@@ -34,13 +34,19 @@ func checkSkipGramConfig(numNodes int, cfg SkipGramConfig) error {
 }
 
 // negSampler draws nodes in proportion to unigram^(3/4): cum is the
-// cumulative table, and guide[b] is the smallest i with cum[i] >= b/K for
-// K = len(cum), so a draw starts its search at most a step or two from its
-// answer instead of bisecting the whole table.
+// cumulative table, and guide[b] is the smallest i with cum[i] >= b/B for
+// B = guideBuckets·len(cum) buckets, so a draw almost always starts its
+// search at its answer instead of bisecting the whole table.
 type negSampler struct {
-	cum   []float64
-	guide []int32
+	cum     []float64
+	guide   []int32
+	buckets float64 // B, as a float for the bucket index
 }
+
+// guideBuckets is how many guide buckets the sampler keeps per table entry.
+// With one a bucket, a draw stepped a node or two from its start about as
+// often as not; with four it almost never steps.
+const guideBuckets = 4
 
 // negTable builds the negative sampler from the walk corpus.
 func negTable(numNodes int, walks [][]int) (*negSampler, error) {
@@ -70,25 +76,26 @@ func negTable(numNodes int, walks [][]int) (*negSampler, error) {
 // newNegSampler builds the guide over a non-decreasing, non-empty cum.
 func newNegSampler(cum []float64) *negSampler {
 	k := len(cum)
-	guide := make([]int32, k+1) // r*K can round up to K
+	nb := guideBuckets * k
+	guide := make([]int32, nb+1) // r*B can round up to B
 	i := 0
 	for b := range guide {
-		t := float64(b) / float64(k)
+		t := float64(b) / float64(nb)
 		for i < k-1 && cum[i] < t {
 			i++
 		}
 		guide[b] = int32(i)
 	}
-	return &negSampler{cum: cum, guide: guide}
+	return &negSampler{cum: cum, guide: guide, buckets: float64(nb)}
 }
 
 // find returns the smallest i with cum[i] >= r, or the last index when there
 // is none: what a binary search over cum returns. The guide only chooses where
 // to start; the two loops reach the answer from any start, so the rounding of
-// r*K and of the guide's b/K cannot change it.
+// r*B and of the guide's b/B cannot change it.
 func (s *negSampler) find(r float64) int {
 	cum := s.cum
-	i := int(s.guide[int(r*float64(len(cum)))])
+	i := int(s.guide[int(r*s.buckets)])
 	for i > 0 && cum[i-1] >= r {
 		i--
 	}
@@ -105,6 +112,13 @@ func (s *negSampler) sample(rng *rand.Rand) int { return s.find(rng.Float64()) }
 // with negative sampling (the objective behind node2vec and DeepWalk).
 // It returns a [numNodes, Dim] matrix of input-side vectors.
 func TrainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Rand) (*tensor.Tensor, error) {
+	return trainSkipGram(numNodes, walks, cfg, rng, 1, nil)
+}
+
+// trainSkipGram is TrainSkipGram with workers <= 1 and TrainSkipGramParallel
+// otherwise. When afterEpoch is non-nil it is handed both matrices after
+// every epoch, which is how the kernel tests hold them to a reference.
+func trainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Rand, workers int, afterEpoch func(in, out *tensor.Tensor)) (*tensor.Tensor, error) {
 	if err := checkSkipGramConfig(numNodes, cfg); err != nil {
 		return nil, err
 	}
@@ -117,9 +131,26 @@ func TrainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Ra
 	for i := range in.Data {
 		in.Data[i] = (float64(rng.Float64()) - 0.5) / float64(cfg.Dim)
 	}
+	var ins, outs []*tensor.Tensor // each worker's copy when workers > 1
+	if workers > 1 {
+		if workers > len(walks) && len(walks) > 0 {
+			workers = len(walks)
+		}
+		ins, outs = make([]*tensor.Tensor, workers), make([]*tensor.Tensor, workers)
+		for w := range ins {
+			ins[w], outs[w] = tensor.New(numNodes, cfg.Dim), tensor.New(numNodes, cfg.Dim)
+		}
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LR * (1 - float64(float64(epoch)/float64(cfg.Epochs)*0.9))
-		trainSkipGramEpoch(in, out, walks, cfg, neg, lr, rng, nil)
+		if ins == nil {
+			trainSkipGramEpoch(in, out, walks, cfg, neg, lr, rng, nil)
+		} else {
+			averagedEpoch(in, out, ins, outs, walks, cfg, neg, lr, rng)
+		}
+		if afterEpoch != nil {
+			afterEpoch(in, out)
+		}
 	}
 	return in, nil
 }
@@ -129,6 +160,7 @@ func TrainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Ra
 // are consumed (the data-parallel walk partition).
 func trainSkipGramEpoch(in, out *tensor.Tensor, walks [][]int, cfg SkipGramConfig, neg *negSampler, lr float64, rng *rand.Rand, shard func(walkIdx int) bool) {
 	gradIn := make([]float64, cfg.Dim)
+	targets := make([]int, 1+cfg.Negatives)
 	for wi, walk := range walks {
 		if shard != nil && !shard(wi) {
 			continue
@@ -146,31 +178,53 @@ func trainSkipGramEpoch(in, out *tensor.Tensor, walks [][]int, cfg SkipGramConfi
 				if x == ci {
 					continue
 				}
-				trainPair(in.Data, out.Data, gradIn, center, walk[x], cfg.Negatives, neg, lr, rng)
+				targets[0] = walk[x]
+				trainPair(in.Data, out.Data, gradIn, targets, center, neg, lr, rng)
 			}
 		}
 	}
 }
 
-// trainPair is one SGD update for a (center, context) pair: the positive
-// target and up to negatives sampled ones move their output vectors, then the
-// summed gradient moves the center's input vector. gradIn is scratch of the
-// embedding dimension. The three vectors are re-sliced to one length so the
-// loops carry no bounds checks; the arithmetic and its order are the
-// historical ones (dot is one ascending chain, gradIn reads vo[i] before vo[i]
-// is updated), which TestSkipGramGoldenBits pins.
-func trainPair(in, out, gradIn []float64, center, context, negatives int, neg *negSampler, lr float64, rng *rand.Rand) {
+// pairTargets is the target count of the interleaved pair update: the context
+// and the four negatives DefaultSkipGramConfig draws.
+const pairTargets = 5
+
+// trainPair is one SGD update for a (center, context) pair, the context in
+// targets[0]. It first draws one negative into each of targets[1:]; then the
+// context and every negative unequal to it move their output vectors in
+// target order, and the summed gradient moves the center's input vector.
+// gradIn is scratch of the embedding dimension. The vectors are re-sliced to
+// one length so the loops carry no bounds checks.
+//
+// The arithmetic and its order are the historical ones, which
+// TestSkipGramGoldenBits pins: target s's dot is one ascending chain over vi
+// and vo_s as the earlier targets left it, gradIn[i] reads vo_s[i] before
+// vo_s[i] is updated, and vi moves once, last. No draw depends on the
+// arithmetic, so drawing first changes nothing. When the five targets are
+// pairwise distinct, no target's vo is touched before its own turn, so
+// trainPair5 runs their dots side by side and every bit is unchanged; a
+// repeated or skipped target, or another target count, takes the loop below.
+func trainPair(in, out, gradIn []float64, targets []int, center int, neg *negSampler, lr float64, rng *rand.Rand) {
+	context := targets[0]
+	distinct := len(targets) == pairTargets
+	for s := 1; s < len(targets); s++ {
+		t := neg.sample(rng)
+		for _, u := range targets[:s] {
+			distinct = distinct && u != t
+		}
+		targets[s] = t
+	}
 	dim := len(gradIn)
 	vi := in[center*dim : (center+1)*dim : (center+1)*dim]
-	grad := gradIn[:len(vi)]
-	for i := range grad {
-		grad[i] = 0
+	if distinct {
+		trainPair5(vi, out, (*[pairTargets]int)(targets), lr)
+		return
 	}
-	// One positive + negatives negative targets.
-	for s := 0; s <= negatives; s++ {
-		target, label := context, 1.0
+	grad := gradIn[:len(vi)]
+	clear(grad)
+	for s, target := range targets {
+		label := 1.0
 		if s > 0 {
-			target = neg.sample(rng)
 			if target == context {
 				continue
 			}
@@ -189,6 +243,48 @@ func trainPair(in, out, gradIn []float64, center, context, negatives int, neg *n
 	}
 	for i, gv := range grad {
 		vi[i] -= gv
+	}
+}
+
+// trainPair5 is trainPair's update for five pairwise-distinct targets, t[0]
+// the context (label 1) and t[1:] negatives (label 0): five independent dot
+// chains in one pass over vi, then one pass that adds g_s·vo_s[i] to the
+// center's gradient in target order from zero, moves each vo_s[i] after
+// reading it, and moves vi[i] last.
+func trainPair5(vi, out []float64, t *[pairTargets]int, lr float64) {
+	dim := len(vi)
+	vo0 := out[t[0]*dim : (t[0]+1)*dim : (t[0]+1)*dim][:len(vi)]
+	vo1 := out[t[1]*dim : (t[1]+1)*dim : (t[1]+1)*dim][:len(vi)]
+	vo2 := out[t[2]*dim : (t[2]+1)*dim : (t[2]+1)*dim][:len(vi)]
+	vo3 := out[t[3]*dim : (t[3]+1)*dim : (t[3]+1)*dim][:len(vi)]
+	vo4 := out[t[4]*dim : (t[4]+1)*dim : (t[4]+1)*dim][:len(vi)]
+	var d0, d1, d2, d3, d4 float64
+	for i, v := range vi {
+		d0 += float64(v * vo0[i])
+		d1 += float64(v * vo1[i])
+		d2 += float64(v * vo2[i])
+		d3 += float64(v * vo3[i])
+		d4 += float64(v * vo4[i])
+	}
+	g0 := (sigmoidApprox(d0) - 1) * lr
+	g1 := (sigmoidApprox(d1) - 0) * lr
+	g2 := (sigmoidApprox(d2) - 0) * lr
+	g3 := (sigmoidApprox(d3) - 0) * lr
+	g4 := (sigmoidApprox(d4) - 0) * lr
+	for i, v := range vi {
+		a0, a1, a2, a3, a4 := vo0[i], vo1[i], vo2[i], vo3[i], vo4[i]
+		grad := 0.0
+		grad += float64(g0 * a0)
+		grad += float64(g1 * a1)
+		grad += float64(g2 * a2)
+		grad += float64(g3 * a3)
+		grad += float64(g4 * a4)
+		vo0[i] = a0 - float64(g0*v)
+		vo1[i] = a1 - float64(g1*v)
+		vo2[i] = a2 - float64(g2*v)
+		vo3[i] = a3 - float64(g3*v)
+		vo4[i] = a4 - float64(g4*v)
+		vi[i] = v - grad
 	}
 }
 
@@ -230,15 +326,20 @@ const (
 	LINE     Method = "line"
 )
 
-// Embed runs the chosen method over g and returns [numNodes, dim] vectors.
+// Configs returns method's walk and skip-gram settings for dim-wide vectors,
+// walksPerNode walks a node and epochs skip-gram epochs; the rest are the
+// defaults.
 //
 //   - node2vec: biased walks (p=1, q=0.5) + skip-gram.
 //   - deepwalk: uniform weighted walks (p=q=1) + skip-gram.
 //   - line: first-order proximity — skip-gram over direct links only
-//     (window 1 over length-2 walks), matching LINE's edge-sampling spirit.
-func Embed(g Graph, method Method, dim int, rng *rand.Rand) (*tensor.Tensor, error) {
+//     (window 1 over length-2 walks, four times walksPerNode of them),
+//     matching LINE's edge-sampling spirit.
+func Configs(method Method, dim, walksPerNode, epochs int) (WalkConfig, SkipGramConfig, error) {
 	wcfg := DefaultWalkConfig()
+	wcfg.WalksPerNode = walksPerNode
 	scfg := DefaultSkipGramConfig(dim)
+	scfg.Epochs = epochs
 	switch method {
 	case Node2Vec:
 	case DeepWalk:
@@ -249,7 +350,17 @@ func Embed(g Graph, method Method, dim int, rng *rand.Rand) (*tensor.Tensor, err
 		wcfg.WalksPerNode *= 4
 		scfg.Window = 1
 	default:
-		return nil, fmt.Errorf("embed: unknown method %q", method)
+		return WalkConfig{}, SkipGramConfig{}, fmt.Errorf("embed: unknown method %q", method)
+	}
+	return wcfg, scfg, nil
+}
+
+// Embed runs the chosen method over g with the default corpus size and
+// epochs (see Configs) and returns [numNodes, dim] vectors.
+func Embed(g Graph, method Method, dim int, rng *rand.Rand) (*tensor.Tensor, error) {
+	wcfg, scfg, err := Configs(method, dim, DefaultWalkConfig().WalksPerNode, DefaultSkipGramConfig(dim).Epochs)
+	if err != nil {
+		return nil, err
 	}
 	walks, err := GenerateWalks(g, wcfg, rng)
 	if err != nil {

@@ -53,11 +53,11 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; the affine kernel; OD endpoint matching; the pre-training and training kernels)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; OD endpoint matching; the pre-training and training kernels)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
-go test -run '^$' -bench 'BenchmarkTrainStep' -benchtime=100ms -benchmem ./internal/core/
+go test -run '^$' -bench 'BenchmarkTrainStep|BenchmarkPretrainEmbeddings' -benchtime=100ms -benchmem ./internal/core/
 go test -run '^$' -bench 'BenchmarkAffineBatchInto' -benchtime=100ms ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
 go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
