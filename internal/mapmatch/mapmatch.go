@@ -46,6 +46,9 @@ type Matcher struct {
 	g   *roadnet.Graph
 	idx *roadnet.EdgeIndex
 	cfg Config
+	// reference, nil outside tests, gives each session scratch the
+	// single-target route search the search trees replaced.
+	reference func() findFunc
 }
 
 // New builds a matcher over g.

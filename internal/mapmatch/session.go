@@ -90,13 +90,20 @@ func (c *SessionConfig) fill() {
 // SessionScratch holds the reusable buffers shared by every session of one
 // goroutine (one Tracker). Confined to that goroutine.
 type SessionScratch struct {
-	near   *roadnet.NearestScratch
-	search localSearch
+	near  *roadnet.NearestScratch
+	trees searchTrees
+	find  findFunc // trees.find
+	route []roadnet.EdgeID
 }
 
 // NewSessionScratch builds scratch buffers for sessions of this matcher.
 func (m *Matcher) NewSessionScratch() *SessionScratch {
-	return &SessionScratch{near: m.idx.NewScratch()}
+	scr := &SessionScratch{near: m.idx.NewScratch()}
+	scr.find = scr.trees.find
+	if m.reference != nil {
+		scr.find = m.reference()
+	}
+	return scr
 }
 
 // streamState is one frontier entry: a candidate segment position with its
@@ -275,7 +282,7 @@ func (s *Session) emit(obs []SegObs, a, b roadnet.Candidate, t0, t1 float64) []S
 	if a.Edge == b.Edge && b.Frac >= a.Frac {
 		push(a.Edge, (b.Frac-a.Frac)*g.Edges[a.Edge].Length)
 	} else {
-		route, ok := s.scr.search.route(g, a, b, s.cfg.MaxHops, s.cfg.MaxExpansions)
+		route, ok := s.route(a, b)
 		if !ok {
 			return obs
 		}
@@ -313,25 +320,76 @@ func (s *Session) routeLen(a, b roadnet.Candidate) (float64, bool) {
 	if ea.To == eb.From {
 		return base, true
 	}
-	mid, ok := s.scr.search.length(g, ea.To, eb.From, s.cfg.MaxHops, s.cfg.MaxExpansions)
+	tree, i, ok := s.scr.find(g, ea.To, eb.From, s.cfg.MaxHops, s.cfg.MaxExpansions)
 	if !ok {
 		return 0, false
 	}
-	return base + mid, true
+	return base + tree[i].dist, true
+}
+
+// route returns the intermediate edge sequence from candidate a's head to
+// candidate b's tail (excluding both endpoint edges). The slice aliases the
+// scratch and is valid until the next call.
+func (s *Session) route(a, b roadnet.Candidate) ([]roadnet.EdgeID, bool) {
+	g := s.m.g
+	tree, i, ok := s.scr.find(g, g.Edges[a.Edge].To, g.Edges[b.Edge].From, s.cfg.MaxHops, s.cfg.MaxExpansions)
+	if !ok {
+		return nil, false
+	}
+	s.scr.route = appendRoute(s.scr.route[:0], tree, i)
+	return s.scr.route, true
+}
+
+// appendRoute appends to out the edges from tree's root to its node i,
+// first edge first.
+func appendRoute(out []roadnet.EdgeID, tree []treeNode, i int) []roadnet.EdgeID {
+	n := len(out)
+	for j := i; j > 0; j = int(tree[j].parent) {
+		out = append(out, roadnet.EdgeID(tree[j].via))
+	}
+	// Reverse in place: collected tail-first.
+	for l, r := n, len(out)-1; l < r; l, r = l+1, r-1 {
+		out[l], out[r] = out[r], out[l]
+	}
+	return out
 }
 
 // maxSessionHops bounds the emit share buffer; MaxHops beyond it would only
 // drop intermediate segments from emission, never break matching.
 const maxSessionHops = 8
 
-// localSearch is a hop-limited Dijkstra-lite over out-edges with a flat
-// expansion list instead of a heap: expansion counts are tiny (≤ tens) and
-// linear scans beat allocation. Reused across calls; zero-alloc after warmup.
-type localSearch struct {
-	nodes []expNode
-	out   []roadnet.EdgeID
+// searchTrees memoises, per start vertex, the tree a hop-limited
+// Dijkstra-lite grows over out-edges when nothing stops it early. A route
+// search from v to w is then a scan of v's tree for w, and gives what a
+// search stopped at w gives: w enters such a search only as its stop test,
+// so everything up to w's settling is a prefix of the full run, and a
+// settled node is never written again. A w the full run never settles is
+// one the stopped search fails on. The graph is immutable, so a tree is
+// built on first use and kept; a call with other bounds drops them all.
+// Memory is at most maxExp nodes per vertex searched from.
+type searchTrees struct {
+	byVertex  [][]treeNode // indexed by VertexID; nil until searched from
+	hops, exp int          // the bounds byVertex was built for
+	work      []expNode
 }
 
+// treeNode is one settled vertex of a search tree: its distance from the
+// root, and the tree node and edge it was reached through (parent -1 at
+// the root).
+type treeNode struct {
+	dist   float64
+	v      int32
+	parent int32
+	via    int32
+}
+
+// findFunc finds `to` in the search tree grown from `from` within maxHops
+// edges and maxExp expansions: the tree and the index of `to` in it, or
+// ok=false when the bounds do not reach it. The tree is valid until the next
+// call.
+type findFunc func(g *roadnet.Graph, from, to roadnet.VertexID, maxHops, maxExp int) (tree []treeNode, i int, ok bool)
+
+// expNode is a vertex of a search being grown.
 type expNode struct {
 	v      roadnet.VertexID
 	dist   float64
@@ -341,62 +399,48 @@ type expNode struct {
 	done   bool
 }
 
-// length returns the shortest on-network meters from vertex `from` to
-// vertex `to` within maxHops edges.
-func (ls *localSearch) length(g *roadnet.Graph, from, to roadnet.VertexID, maxHops, maxExp int) (float64, bool) {
-	i, ok := ls.run(g, from, to, maxHops, maxExp)
-	if !ok {
-		return 0, false
+// find is the memo's findFunc: `from`'s tree is grown on its first use.
+func (st *searchTrees) find(g *roadnet.Graph, from, to roadnet.VertexID, maxHops, maxExp int) ([]treeNode, int, bool) {
+	if st.byVertex == nil || maxHops != st.hops || maxExp != st.exp {
+		st.byVertex = make([][]treeNode, g.NumVertices())
+		st.hops, st.exp = maxHops, maxExp
 	}
-	return ls.nodes[i].dist, true
+	tree := st.byVertex[from]
+	if tree == nil {
+		tree = st.grow(g, from, maxHops, maxExp)
+		st.byVertex[from] = tree
+	}
+	v := int32(to)
+	for i := range tree {
+		if tree[i].v == v {
+			return tree, i, true
+		}
+	}
+	return nil, 0, false
 }
 
-// route returns the intermediate edge sequence from candidate a's head to
-// candidate b's tail (excluding both endpoint edges). The slice aliases the
-// scratch and is valid until the next search.
-func (ls *localSearch) route(g *roadnet.Graph, a, b roadnet.Candidate, maxHops, maxExp int) ([]roadnet.EdgeID, bool) {
-	i, ok := ls.run(g, g.Edges[a.Edge].To, g.Edges[b.Edge].From, maxHops, maxExp)
-	if !ok {
-		return nil, false
-	}
-	ls.out = ls.out[:0]
-	for j := int32(i); j > 0; j = ls.nodes[j].parent {
-		ls.out = append(ls.out, ls.nodes[j].via)
-	}
-	// Reverse in place: collected tail-first.
-	for l, r := 0, len(ls.out)-1; l < r; l, r = l+1, r-1 {
-		ls.out[l], ls.out[r] = ls.out[r], ls.out[l]
-	}
-	return ls.out, true
-}
-
-// run expands from `from` until `to` is settled or bounds are hit, returning
-// the index of the settled target node.
-func (ls *localSearch) run(g *roadnet.Graph, from, to roadnet.VertexID, maxHops, maxExp int) (int, bool) {
-	if from == to {
-		// Zero-length connection (candidate heads meet); no intermediates.
-		ls.nodes = append(ls.nodes[:0], expNode{v: from})
-		return 0, true
-	}
-	ls.nodes = append(ls.nodes[:0], expNode{v: from, parent: -1})
+// grow expands from `from` until every node it reaches is settled or the
+// bounds stop it, with a flat expansion list instead of a heap: expansion
+// counts are tiny (≤ tens) and linear scans beat allocation. The tree is
+// the nodes in the order they were added, each with the values it was
+// settled with.
+func (st *searchTrees) grow(g *roadnet.Graph, from roadnet.VertexID, maxHops, maxExp int) []treeNode {
+	nodes := append(st.work[:0], expNode{v: from, parent: -1})
 	for {
 		// Pick the unsettled node with the smallest distance (linear scan —
 		// the list stays tiny under the expansion cap).
 		best := -1
-		for i := range ls.nodes {
-			if !ls.nodes[i].done && (best == -1 || ls.nodes[i].dist < ls.nodes[best].dist) {
+		for i := range nodes {
+			if !nodes[i].done && (best == -1 || nodes[i].dist < nodes[best].dist) {
 				best = i
 			}
 		}
 		if best == -1 {
-			return 0, false
+			break
 		}
-		n := &ls.nodes[best]
+		n := &nodes[best]
 		n.done = true
-		if n.v == to {
-			return best, true
-		}
-		if int(n.depth) >= maxHops || len(ls.nodes) >= maxExp {
+		if int(n.depth) >= maxHops || len(nodes) >= maxExp {
 			continue
 		}
 		for _, e := range g.Out(n.v) {
@@ -404,24 +448,30 @@ func (ls *localSearch) run(g *roadnet.Graph, from, to roadnet.VertexID, maxHops,
 			nd := n.dist + edge.Length
 			// Dedup by target vertex: keep only the cheaper occurrence.
 			seen := false
-			for i := range ls.nodes {
-				if ls.nodes[i].v == edge.To {
+			for i := range nodes {
+				if nodes[i].v == edge.To {
 					seen = true
-					if !ls.nodes[i].done && nd < ls.nodes[i].dist {
-						ls.nodes[i].dist = nd
-						ls.nodes[i].parent = int32(best)
-						ls.nodes[i].via = e
-						ls.nodes[i].depth = n.depth + 1
+					if !nodes[i].done && nd < nodes[i].dist {
+						nodes[i].dist = nd
+						nodes[i].parent = int32(best)
+						nodes[i].via = e
+						nodes[i].depth = n.depth + 1
 					}
 					break
 				}
 			}
-			if !seen && len(ls.nodes) < maxExp {
-				ls.nodes = append(ls.nodes, expNode{
+			if !seen && len(nodes) < maxExp {
+				nodes = append(nodes, expNode{
 					v: edge.To, dist: nd, parent: int32(best), via: e, depth: n.depth + 1,
 				})
-				n = &ls.nodes[best] // append may have moved the backing array
+				n = &nodes[best] // append may have moved the backing array
 			}
 		}
 	}
+	st.work = nodes
+	tree := make([]treeNode, len(nodes))
+	for i, n := range nodes {
+		tree[i] = treeNode{dist: n.dist, v: int32(n.v), parent: n.parent, via: int32(n.via)}
+	}
+	return tree
 }

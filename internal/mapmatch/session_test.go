@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"deepod/internal/citysim"
 	"deepod/internal/geo"
 	"deepod/internal/roadnet"
 	"deepod/internal/traj"
@@ -287,5 +288,246 @@ func BenchmarkSessionAdvance(b *testing.B) {
 		if _, err := s.Advance(pt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// singleTarget is the route search the search trees replaced, kept as the
+// reference they are held to: a hop-limited Dijkstra-lite from `from` that
+// stops as soon as `to` is settled.
+type singleTarget struct {
+	nodes []expNode
+	tree  []treeNode
+	out   []roadnet.EdgeID
+}
+
+// find is run in the shape of searchTrees.find.
+func (ls *singleTarget) find(g *roadnet.Graph, from, to roadnet.VertexID, maxHops, maxExp int) ([]treeNode, int, bool) {
+	i, ok := ls.run(g, from, to, maxHops, maxExp)
+	if !ok {
+		return nil, 0, false
+	}
+	ls.tree = ls.tree[:0]
+	for _, n := range ls.nodes {
+		ls.tree = append(ls.tree, treeNode{dist: n.dist, v: int32(n.v), parent: n.parent, via: int32(n.via)})
+	}
+	return ls.tree, i, true
+}
+
+// route returns the intermediate edge sequence from vertex `from` to vertex
+// `to`. The slice aliases the scratch and is valid until the next search.
+func (ls *singleTarget) route(g *roadnet.Graph, from, to roadnet.VertexID, maxHops, maxExp int) ([]roadnet.EdgeID, bool) {
+	i, ok := ls.run(g, from, to, maxHops, maxExp)
+	if !ok {
+		return nil, false
+	}
+	ls.out = ls.out[:0]
+	for j := int32(i); j > 0; j = ls.nodes[j].parent {
+		ls.out = append(ls.out, ls.nodes[j].via)
+	}
+	// Reverse in place: collected tail-first.
+	for l, r := 0, len(ls.out)-1; l < r; l, r = l+1, r-1 {
+		ls.out[l], ls.out[r] = ls.out[r], ls.out[l]
+	}
+	return ls.out, true
+}
+
+// run expands from `from` until `to` is settled or bounds are hit, returning
+// the index of the settled target node.
+func (ls *singleTarget) run(g *roadnet.Graph, from, to roadnet.VertexID, maxHops, maxExp int) (int, bool) {
+	if from == to {
+		// Zero-length connection (candidate heads meet); no intermediates.
+		ls.nodes = append(ls.nodes[:0], expNode{v: from})
+		return 0, true
+	}
+	ls.nodes = append(ls.nodes[:0], expNode{v: from, parent: -1})
+	for {
+		// Pick the unsettled node with the smallest distance (linear scan —
+		// the list stays tiny under the expansion cap).
+		best := -1
+		for i := range ls.nodes {
+			if !ls.nodes[i].done && (best == -1 || ls.nodes[i].dist < ls.nodes[best].dist) {
+				best = i
+			}
+		}
+		if best == -1 {
+			return 0, false
+		}
+		n := &ls.nodes[best]
+		n.done = true
+		if n.v == to {
+			return best, true
+		}
+		if int(n.depth) >= maxHops || len(ls.nodes) >= maxExp {
+			continue
+		}
+		for _, e := range g.Out(n.v) {
+			edge := &g.Edges[e]
+			nd := n.dist + edge.Length
+			// Dedup by target vertex: keep only the cheaper occurrence.
+			seen := false
+			for i := range ls.nodes {
+				if ls.nodes[i].v == edge.To {
+					seen = true
+					if !ls.nodes[i].done && nd < ls.nodes[i].dist {
+						ls.nodes[i].dist = nd
+						ls.nodes[i].parent = int32(best)
+						ls.nodes[i].via = e
+						ls.nodes[i].depth = n.depth + 1
+					}
+					break
+				}
+			}
+			if !seen && len(ls.nodes) < maxExp {
+				ls.nodes = append(ls.nodes, expNode{
+					v: edge.To, dist: nd, parent: int32(best), via: e, depth: n.depth + 1,
+				})
+				n = &ls.nodes[best] // append may have moved the backing array
+			}
+		}
+	}
+}
+
+// beijingGraph is the network the repo benchmark serves: the beijing-s
+// preset at deepod.BuildCity's default seed.
+func beijingGraph(t testing.TB) *roadnet.Graph {
+	t.Helper()
+	cfg, err := roadnet.CityPreset("beijing-s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed++
+	g, err := roadnet.GenerateCity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSearchTreesMatchSingleTargetSearch holds every route search a session
+// can make to the search it replaced: for every vertex pair, the same
+// reachability, the same distance bits and the same route edges. One
+// searchTrees serves every bound in turn, so the rebuild on a change of
+// bounds is held too.
+func TestSearchTreesMatchSingleTargetSearch(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *roadnet.Graph
+	}{{"testGraph", testGraph(t)}, {"beijing-s", beijingGraph(t)}} {
+		var trees searchTrees
+		var ref singleTarget
+		nv := roadnet.VertexID(c.g.NumVertices())
+		reached := 0
+		for _, hops := range []int{1, 2, 4, 8} {
+			for _, exp := range []int{1, 2, 8, 64} {
+				for from := roadnet.VertexID(0); from < nv; from++ {
+					for to := roadnet.VertexID(0); to < nv; to++ {
+						wt, wi, wok := ref.find(c.g, from, to, hops, exp)
+						gt, gi, gok := trees.find(c.g, from, to, hops, exp)
+						if gok != wok {
+							t.Fatalf("%s hops %d exp %d: %d→%d ok %v, single-target search %v", c.name, hops, exp, from, to, gok, wok)
+						}
+						if !gok {
+							continue
+						}
+						reached++
+						if math.Float64bits(gt[gi].dist) != math.Float64bits(wt[wi].dist) {
+							t.Fatalf("%s hops %d exp %d: %d→%d dist %v, single-target search %v", c.name, hops, exp, from, to, gt[gi].dist, wt[wi].dist)
+						}
+						wr, _ := ref.route(c.g, from, to, hops, exp)
+						if gr := appendRoute(nil, gt, gi); fmt.Sprint(gr) != fmt.Sprint(wr) {
+							t.Fatalf("%s hops %d exp %d: %d→%d route %v, single-target search %v", c.name, hops, exp, from, to, gr, wr)
+						}
+					}
+				}
+			}
+		}
+		if reached <= 16*int(nv) {
+			t.Fatalf("%s: only %d pairs reached beyond from == to; the check is vacuous", c.name, reached)
+		}
+	}
+}
+
+// probeFleet is a beijing-s probe stream: vehicles reporting every period
+// seconds as they cruise the congestion field for minutes from 08:00 of day
+// 1, sorted by time.
+func probeFleet(t testing.TB, g *roadnet.Graph, vehicles int, period, minutes float64) []citysim.VehicleProbe {
+	t.Helper()
+	tf, err := citysim.NewTraffic(g, 2*86400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := citysim.NewProbeStream(tf, citysim.ProbeConfig{Vehicles: vehicles, PeriodSec: period, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const from = 86400 + 8*3600
+	return ps.Window(from, from+60*minutes)
+}
+
+// TestTrackerMatchesSingleTargetSearch runs a fleet through a Tracker on
+// the search trees and one on the single-target search: every observation
+// and every error must be the same. Reports 5 s apart are the benchmark's;
+// reports 45 s apart often cross whole segments between two points.
+func TestTrackerMatchesSingleTargetSearch(t *testing.T) {
+	g := beijingGraph(t)
+	m, err := New(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, period := range []float64{5, 45} {
+		got := m.NewTracker(TrackerConfig{})
+		want := SingleTargetSearch(m).NewTracker(TrackerConfig{})
+		routed := 0
+		for _, p := range probeFleet(t, g, 200, period, 20) {
+			pt := traj.GPSPoint{Pos: p.Pos, T: p.T}
+			wobs, werr := want.Advance(p.Vehicle, pt)
+			gobs, gerr := got.Advance(p.Vehicle, pt)
+			if gerr != werr {
+				t.Fatalf("%s at %v: error %v, single-target search %v", p.Vehicle, p.T, gerr, werr)
+			}
+			if len(gobs) != len(wobs) {
+				t.Fatalf("%s at %v: %d observations, single-target search %d", p.Vehicle, p.T, len(gobs), len(wobs))
+			}
+			for i := range gobs {
+				gw, ww := gobs[i], wobs[i]
+				if gw.Edge != ww.Edge || math.Float64bits(gw.EnterSec) != math.Float64bits(ww.EnterSec) ||
+					math.Float64bits(gw.ExitSec) != math.Float64bits(ww.ExitSec) || math.Float64bits(gw.Meters) != math.Float64bits(ww.Meters) {
+					t.Fatalf("%s at %v: observation %d is %+v, single-target search %+v", p.Vehicle, p.T, i, gw, ww)
+				}
+			}
+			if len(gobs) > 2 {
+				routed++
+			}
+		}
+		if period > 5 && routed < 100 {
+			t.Fatalf("period %v s: %d transitions crossed an intermediate segment; the check is nearly vacuous", period, routed)
+		}
+	}
+}
+
+// BenchmarkTrackerAdvance is the ingest worker's matching cost per probe: a
+// beijing-s fleet through one Tracker, replayed with its clock shifted so
+// every replay moves forward. The first replay builds the sessions and the
+// search trees off the clock.
+func BenchmarkTrackerAdvance(b *testing.B) {
+	g := beijingGraph(b)
+	m, err := New(g, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	probes := probeFleet(b, g, 200, 5, 10)
+	span := probes[len(probes)-1].T - probes[0].T + 60
+	tr := m.NewTracker(TrackerConfig{})
+	advance := func(i int) {
+		p := &probes[i%len(probes)]
+		_, _ = tr.Advance(p.Vehicle, traj.GPSPoint{Pos: p.Pos, T: p.T + span*float64(i/len(probes))})
+	}
+	for i := range probes {
+		advance(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		advance(len(probes) + i)
 	}
 }

@@ -3,20 +3,24 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"deepod/internal/traffic"
 )
 
-// The /estimate codec. A request is five numbers between fixed keys and an
-// answer is four fields, so neither direction needs encoding/json's
-// reflection: the decoder recognises the one canonical rendering of the body
-// and hands everything else to encoding/json, and the encoder appends the
-// bytes json.Encoder would write. Both are held to encoding/json byte for
-// byte by FuzzDecodeEstimate and FuzzEncodeEstimate.
+// The /estimate and /probes codecs. An estimate request is five numbers
+// between fixed keys, a probe a vehicle string and three numbers, and an
+// estimate answer four fields, so none of them needs encoding/json's
+// reflection: the decoders recognise the one canonical rendering of a body
+// and hand everything else to encoding/json, and the encoder appends the
+// bytes json.Encoder would write. They are held to encoding/json byte for
+// byte by FuzzDecodeEstimate, FuzzDecodeProbes and FuzzEncodeEstimate.
 
 // codecBufs recycles the one scratch buffer a request uses, first for the
 // bytes of its body and then for the bytes of its answer.
@@ -74,13 +78,8 @@ func scanEstimate(b []byte, req *EstimateRequest) bool {
 		}
 		v[i], b = f, b[n:]
 	}
-	if len(b) == 0 || b[0] != '}' {
+	if len(b) == 0 || b[0] != '}' || len(trimSpace(b[1:])) != 0 {
 		return false
-	}
-	for _, c := range b[1:] {
-		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			return false
-		}
 	}
 	req.Origin.X, req.Origin.Y, req.Dest.X, req.Dest.Y, req.DepartSec = v[0], v[1], v[2], v[3], v[4]
 	return true
@@ -128,6 +127,141 @@ func numberLen(b []byte) int {
 		i = k
 	}
 	return i
+}
+
+// probeScratch is what one /probes request decodes with: the body's bytes
+// and its probes. probeScratches recycles them, but takes back no buffer
+// grown past its bound below: one outsized body must not stay pinned.
+type probeScratch struct {
+	body  []byte
+	batch []traffic.Probe
+}
+
+var probeScratches = sync.Pool{New: func() any {
+	return &probeScratch{body: make([]byte, 0, 4<<10), batch: make([]traffic.Probe, 0, 64)}
+}}
+
+const (
+	maxPooledProbeBytes = 64 << 10
+	maxPooledProbes     = 1 << 10
+)
+
+// release returns ps to the pool once the batch's sink has returned.
+func (ps *probeScratch) release() {
+	clear(ps.batch[:cap(ps.batch)]) // the sink copied what it keeps; do not pin the vehicle strings
+	if cap(ps.body) <= maxPooledProbeBytes && cap(ps.batch) <= maxPooledProbes {
+		probeScratches.Put(ps)
+	}
+}
+
+// probeKeys are the bytes after the vehicle of the canonical probe
+//
+//	{"vehicle":"<id>","x":n,"y":n,"t":n}
+//
+// which is what json.Marshal makes of a traffic.Probe whose vehicle is
+// printable ASCII without a quote or a backslash.
+var probeKeys = [3]string{`","x":`, `,"y":`, `,"t":`}
+
+// decodeProbes appends an NDJSON /probes body to batch with the result of
+// the loop `for dec.Decode(&p) == nil { batch = append(batch, p) }` over
+// json.NewDecoder(body): the same probes, and its error, nil where that loop
+// ends at io.EOF. The whole body is read into buf (returned, perhaps grown,
+// for the caller to pool); when that ends the body and holds canonical
+// probes separated by JSON whitespace, the scanner's values are the answer.
+// Anything else, and a read error, is encoding/json's to judge: the loop gets
+// the bytes already read and then the rest of body, so the accepted
+// language, every error and the probe it stops at stay its own. body must
+// repeat a read error when read again, as http.MaxBytesReader does.
+func decodeProbes(body io.Reader, buf []byte, batch []traffic.Probe) ([]byte, []traffic.Probe, error) {
+	buf, err := readAll(body, buf[:0])
+	if err == nil {
+		if out, ok := scanProbes(buf, batch); ok {
+			return buf, out, nil
+		}
+	}
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(buf), body))
+	for {
+		var p traffic.Probe
+		if err := dec.Decode(&p); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return buf, batch, err
+		}
+		batch = append(batch, p)
+	}
+}
+
+// readAll appends what r holds to b, as io.ReadAll does, with a nil error
+// at io.EOF.
+func readAll(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// scanProbes appends the probes of b to batch when b is canonical probes
+// separated by JSON whitespace, and reports whether it was. On false the
+// caller goes on with batch as it passed it.
+func scanProbes(b []byte, batch []traffic.Probe) ([]traffic.Probe, bool) {
+	const open = `{"vehicle":"`
+	for {
+		b = trimSpace(b)
+		if len(b) == 0 {
+			return batch, true
+		}
+		if len(b) < len(open) || string(b[:len(open)]) != open {
+			return batch, false
+		}
+		b = b[len(open):]
+		// A vehicle byte outside printable ASCII, or an escape, is left to
+		// encoding/json; the quote that ends the vehicle opens probeKeys[0].
+		n := 0
+		for n < len(b) && ' ' <= b[n] && b[n] <= '~' && b[n] != '"' && b[n] != '\\' {
+			n++
+		}
+		vehicle := b[:n]
+		b = b[n:]
+		var v [3]float64
+		for i, key := range probeKeys {
+			if len(b) < len(key) || string(b[:len(key)]) != key {
+				return batch, false
+			}
+			b = b[len(key):]
+			n := numberLen(b)
+			if n == 0 {
+				return batch, false
+			}
+			f, err := strconv.ParseFloat(string(b[:n]), 64)
+			if err != nil {
+				return batch, false
+			}
+			v[i], b = f, b[n:]
+		}
+		if len(b) == 0 || b[0] != '}' {
+			return batch, false
+		}
+		b = b[1:]
+		batch = append(batch, traffic.Probe{Vehicle: string(vehicle), X: v[0], Y: v[1], T: v[2]})
+	}
+}
+
+// trimSpace drops the JSON whitespace b starts with.
+func trimSpace(b []byte) []byte {
+	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n') {
+		b = b[1:]
+	}
+	return b
 }
 
 // writeEstimate answers 200 with resp, through scratch when the answer can

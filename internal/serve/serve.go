@@ -55,7 +55,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -172,7 +171,8 @@ type Config struct {
 
 // ProbeSink ingests a parsed probe batch, returning how many probes were
 // accepted vs shed by the bounded ingest queue. Must be safe for concurrent
-// use. Implemented by traffic.Ingestor.
+// use, and must not keep batch past the call: the handler reuses it.
+// Implemented by traffic.Ingestor.
 type ProbeSink interface {
 	Ingest(batch []traffic.Probe) (accepted, shed int)
 }
@@ -393,10 +393,10 @@ type ProbesResponse struct {
 }
 
 // handleProbes ingests the GPS probe firehose: an NDJSON body, one
-// traffic.Probe per line. The whole body is parsed before ingestion — a
-// malformed line rejects the batch with 400 rather than half-applying it —
-// then handed to the sink in one call so the per-vehicle routing happens
-// once. 501 until Config.Probes is wired.
+// traffic.Probe per line, decoded by decodeProbes. The whole body is parsed
+// before ingestion — a malformed line rejects the batch with 400 rather than
+// half-applying it — then handed to the sink in one call so the per-vehicle
+// routing happens once. 501 until Config.Probes is wired.
 func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -411,21 +411,12 @@ func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	_, decodeSpan := s.reg.StartSpan(ctx, "decode")
-	// NDJSON decodes with a plain json.Decoder loop: newlines between
-	// values are JSON whitespace, so Decode naturally consumes one probe
-	// per iteration without a line splitter.
-	var batch []traffic.Probe
-	dec := json.NewDecoder(r.Body)
+	ps := probeScratches.Get().(*probeScratch)
+	defer ps.release()
 	var err error
-	for {
-		var p traffic.Probe
-		if err = dec.Decode(&p); err != nil {
-			break
-		}
-		batch = append(batch, p)
-	}
+	ps.body, ps.batch, err = decodeProbes(r.Body, ps.body, ps.batch[:0])
 	decodeSpan.End()
-	if !errors.Is(err, io.EOF) {
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -433,16 +424,16 @@ func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bad probe at line %d: %v", len(batch)+1, err))
+			fmt.Sprintf("bad probe at line %d: %v", len(ps.batch)+1, err))
 		return
 	}
-	if len(batch) == 0 {
+	if len(ps.batch) == 0 {
 		writeError(w, http.StatusBadRequest, "empty probe batch")
 		return
 	}
 
 	_, ingestSpan := s.reg.StartSpan(ctx, "ingest")
-	accepted, shed := s.cfg.Probes.Ingest(batch)
+	accepted, shed := s.cfg.Probes.Ingest(ps.batch)
 	ingestSpan.SetBool("shed", shed > 0)
 	ingestSpan.End()
 	if accepted == 0 && shed > 0 {

@@ -137,6 +137,43 @@ func TestREADMEMetricFamilies(t *testing.T) {
 	}
 }
 
+// TestREADMEProbeResults holds the values README's metric table lists for
+// tte_traffic_probes_total{result} to the ones the code registers, both
+// ways.
+func TestREADMEProbeResults(t *testing.T) {
+	registered := regexp.MustCompile(`"tte_traffic_probes_total",\s*"result",\s*"([a-z_]+)"`)
+	code := map[string]bool{}
+	for _, src := range sourceFiles(t, "internal") {
+		for _, m := range registered.FindAllStringSubmatch(src, -1) {
+			code[m[1]] = true
+		}
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(readREADME(t), "\n") {
+		if !strings.HasPrefix(line, "| `tte_traffic_probes_total` |") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		meaning := cells[len(cells)-2]
+		for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(meaning, -1) {
+			listed[m[1]] = true
+		}
+	}
+	if len(code) == 0 || len(listed) == 0 {
+		t.Fatalf("found %d registered and %d listed results", len(code), len(listed))
+	}
+	for v := range code {
+		if !listed[v] {
+			t.Errorf("tte_traffic_probes_total{result=%q} is registered but not listed in README", v)
+		}
+	}
+	for v := range listed {
+		if !code[v] {
+			t.Errorf("README lists tte_traffic_probes_total{result=%q}, which no code registers", v)
+		}
+	}
+}
+
 func TestREADMETteserveFlags(t *testing.T) {
 	serveSrc := sourceFiles(t, filepath.Join("cmd", "tteserve"))
 	serveFlags := map[string]bool{}

@@ -30,9 +30,10 @@ go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 echo "== portable bits (no fused multiply-add in the model's packages on arm64, ppc64le, s390x, riscv64)"
 ./scripts/fma.sh
 
-echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the /estimate decoder and encoder against encoding/json; 5 s each)"
+echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the /estimate decoder and encoder and the /probes decoder against encoding/json; 5 s each)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz FuzzDecodeProbes -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzEncodeEstimate -fuzztime 5s ./internal/serve/
 
 echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
@@ -53,7 +54,7 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; OD endpoint matching; the pre-training and training kernels)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
@@ -62,6 +63,8 @@ go test -run '^$' -bench 'BenchmarkAffineBatchInto' -benchtime=100ms ./internal/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
 go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
 go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
+go test -run '^$' -bench 'BenchmarkTrackerAdvance' -benchtime=100ms -benchmem ./internal/mapmatch/
+go test -run '^$' -bench 'BenchmarkDecodeProbes' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkTrainSkipGram|BenchmarkNegSample|BenchmarkGenerateWalks' -benchtime=100ms -benchmem ./internal/embed/
 go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkMatVecAdd$|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
 
