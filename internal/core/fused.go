@@ -156,7 +156,7 @@ func (m *Model) odFeatureMatrix(ar *tensor.Arena, n int, at func(int) *traj.Matc
 }
 
 // embedRow copies embedding row id into dst, with the same range check as
-// Embedding.Lookup, returning the embedding width.
+// Embedding.LookupRows, returning the embedding width.
 func (m *Model) embedRow(e *nn.Embedding, id int, dst []float64) int {
 	if id < 0 || id >= e.V {
 		panic(fmt.Sprintf("nn: embedding %q id %d out of range [0,%d)", e.W.Name, id, e.V))

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"deepod/internal/metrics"
 	"deepod/internal/nn"
@@ -43,7 +44,9 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a model saved with Save, rebuilding it over g.
+// Load deserializes a model saved with Save, rebuilding it over g. A
+// checkpoint with a non-finite weight or a time scale that is not a positive
+// finite number is rejected with an error naming it.
 func Load(r io.Reader, g *roadnet.Graph) (*Model, error) {
 	var s savedModel
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -52,6 +55,9 @@ func Load(r io.Reader, g *roadnet.Graph) (*Model, error) {
 	if s.NumEdges != g.NumEdges() {
 		return nil, fmt.Errorf("core: model was trained on a network with %d edges, graph has %d",
 			s.NumEdges, g.NumEdges())
+	}
+	if !(s.TimeScale > 0) || math.IsInf(s.TimeScale, 1) {
+		return nil, fmt.Errorf("core: checkpoint time scale %v is not a positive finite number", s.TimeScale)
 	}
 	m, err := New(s.Config, g)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deepod/internal/dataset"
@@ -193,5 +194,61 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	g, _ := testWorld(t, 5)
 	if _, err := Load(bytes.NewReader([]byte("not a model")), g); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestLoadRejectsCorruptCheckpoint: a checkpoint with a NaN or infinite
+// weight, or a time scale that is zero or NaN, fails Load with an error that
+// names the parameter or the scale, instead of loading or panicking.
+func TestLoadRejectsCorruptCheckpoint(t *testing.T) {
+	g, _ := testWorld(t, 5)
+	m, err := New(tinyConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTimeScale(300)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var good savedModel
+	if err := gob.NewDecoder(&buf).Decode(&good); err != nil {
+		t.Fatal(err)
+	}
+	params := m.Params().All()
+	early, late := params[0].Name, params[len(params)-1].Name
+	for _, tc := range []struct {
+		name string
+		edit func(s *savedModel)
+		want string
+	}{
+		{"NaN weight", func(s *savedModel) { s.Params[late][0] = math.NaN() }, late},
+		{"Inf weight", func(s *savedModel) { s.Params[early][1] = math.Inf(-1) }, early},
+		{"zero scale", func(s *savedModel) { s.TimeScale = 0 }, "time scale 0 "},
+		{"NaN scale", func(s *savedModel) { s.TimeScale = math.NaN() }, "time scale NaN "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := good
+			s.Params = make(nn.Snapshot, len(good.Params))
+			for k, v := range good.Params {
+				s.Params[k] = append([]float64(nil), v...)
+			}
+			tc.edit(&s)
+			var b bytes.Buffer
+			if err := gob.NewEncoder(&b).Encode(&s); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(&b, g)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load error %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(&good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&b, g); err != nil {
+		t.Fatalf("the unedited checkpoint no longer loads: %v", err)
 	}
 }

@@ -119,7 +119,7 @@ func TestSkipGramNeighborsCloser(t *testing.T) {
 	dist := func(a, b int) float64 {
 		var s float64
 		for k := 0; k < 8; k++ {
-			d := vecs.At(a, k) - vecs.At(b, k)
+			d := vecs.Data[a*8+k] - vecs.Data[b*8+k]
 			s += d * d
 		}
 		return math.Sqrt(s)
@@ -232,7 +232,7 @@ func TestTemporalEmbeddingPeriodicity(t *testing.T) {
 	dist := func(a, b int) float64 {
 		var d float64
 		for k := 0; k < 8; k++ {
-			x := vecs.At(a, k) - vecs.At(b, k)
+			x := vecs.Data[a*8+k] - vecs.Data[b*8+k]
 			d += x * x
 		}
 		return math.Sqrt(d)

@@ -101,7 +101,9 @@ func refTrainSkipGram(t *testing.T, numNodes int, walks [][]int, cfg SkipGramCon
 			ins := make([]*tensor.Tensor, workers)
 			outs := make([]*tensor.Tensor, workers)
 			for w := range ins {
-				ins[w], outs[w] = in.Clone(), out.Clone()
+				ins[w], outs[w] = tensor.New(in.Shape...), tensor.New(out.Shape...)
+				copy(ins[w].Data, in.Data)
+				copy(outs[w].Data, out.Data)
 				shard := func(i int) bool { return i%workers == w }
 				refTrainSkipGramEpoch(ins[w], outs[w], walks, cfg, neg.cum, lr, rand.New(rand.NewSource(seeds[w])), shard)
 			}

@@ -122,6 +122,14 @@ func deepTrain(ps *nn.ParamSet, train, valid []traj.TripRecord, opts deepTrainOp
 	return stats, nil
 }
 
+// rowConst returns vals as a constant [1, len(vals)] node: one record's raw
+// features or target, the one-row batch the deep baselines train on.
+func rowConst(tp *nn.Tape, vals ...float64) *nn.Node {
+	t := tp.Alloc(1, len(vals))
+	copy(t.Data, vals)
+	return tp.Const(t)
+}
+
 // meanTravel returns the mean travel time of records (target scaling).
 func meanTravel(records []traj.TripRecord) float64 {
 	var s float64

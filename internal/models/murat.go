@@ -9,7 +9,6 @@ import (
 	"deepod/internal/embed"
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
-	"deepod/internal/tensor"
 	"deepod/internal/timeslot"
 	"deepod/internal/traj"
 )
@@ -131,15 +130,15 @@ func (m *MURAT) pretrain() error {
 	return m.slotEmb.Init(tvecs)
 }
 
-// forward returns (timeNode, distNode) in normalized units.
+// forward returns (timeNode, distNode), each [1, 1], in normalized units.
 func (m *MURAT) forward(tp *nn.Tape, od *traj.MatchedOD) (*nn.Node, *nn.Node) {
 	fs := m.feat.Features(od)
 	slot := m.slotter.SlotOfDay(m.slotter.WeekSlot(m.slotter.Slot(od.DepartSec)))
-	x := tp.Concat(
-		m.roadEmb.Lookup(tp, int(od.OriginEdge)),
-		m.roadEmb.Lookup(tp, int(od.DestEdge)),
-		m.slotEmb.Lookup(tp, slot),
-		tp.Const(tensor.Vector(od.RStart, od.REnd, fs[6], fs[7])),
+	x := tp.ConcatCols(
+		m.roadEmb.LookupRows(tp, []int{int(od.OriginEdge)}),
+		m.roadEmb.LookupRows(tp, []int{int(od.DestEdge)}),
+		m.slotEmb.LookupRows(tp, []int{slot}),
+		rowConst(tp, od.RStart, od.REnd, fs[6], fs[7]),
 	)
 	h := tp.ReLU(m.inProj.Forward(tp, x))
 	for i := range m.resA {
@@ -174,9 +173,9 @@ func (m *MURAT) Train(train, valid []traj.TripRecord) error {
 		clipNorm: 5, evalEvery: m.EvalEvery, valSample: m.ValSample, seed: m.Seed + 2,
 	}, func(tp *nn.Tape, rec *traj.TripRecord) *nn.Node {
 		t, d := m.forward(tp, &rec.Matched)
-		timeTgt := tp.Const(tensor.Scalar(rec.TravelSec / m.timeScale))
-		distTgt := tp.Const(tensor.Scalar(rec.Trajectory.Length(m.g) / m.distScale))
-		return tp.Add(tp.AbsError(t, timeTgt), tp.Scale(tp.AbsError(d, distTgt), 0.5))
+		timeTgt := rowConst(tp, rec.TravelSec/m.timeScale)
+		distTgt := rowConst(tp, rec.Trajectory.Length(m.g)/m.distScale)
+		return tp.Add(tp.RowAbsError(t, timeTgt), tp.Scale(tp.RowAbsError(d, distTgt), 0.5))
 	}, m.Estimate)
 	if err != nil {
 		return err

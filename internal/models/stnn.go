@@ -8,7 +8,6 @@ import (
 
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
-	"deepod/internal/tensor"
 	"deepod/internal/traj"
 )
 
@@ -59,12 +58,12 @@ func (s *STNN) build() {
 	s.timeMLP = nn.NewMLP2(s.ps, rng, "stnn.time", 5, s.Hidden, 1)
 }
 
-// forward runs both heads; returns (distNode, timeNode) in normalized units.
+// forward runs both heads; returns (distNode, timeNode), each [1, 1], in
+// normalized units.
 func (s *STNN) forward(tp *nn.Tape, od *traj.MatchedOD) (*nn.Node, *nn.Node) {
 	fs := s.feat.Features(od)
-	coords := tp.Const(tensor.Vector(fs[0], fs[1], fs[2], fs[3]))
-	dist := s.distMLP.Forward(tp, coords)
-	timeIn := tp.Concat(dist, tp.Const(tensor.Vector(fs[6], fs[7], fs[8], fs[9])))
+	dist := s.distMLP.Forward(tp, rowConst(tp, fs[0], fs[1], fs[2], fs[3]))
+	timeIn := tp.ConcatCols(dist, rowConst(tp, fs[6], fs[7], fs[8], fs[9]))
 	t := s.timeMLP.Forward(tp, timeIn)
 	return dist, t
 }
@@ -90,9 +89,9 @@ func (s *STNN) Train(train, valid []traj.TripRecord) error {
 		clipNorm: 5, evalEvery: s.EvalEvery, valSample: s.ValSample, seed: s.Seed + 1,
 	}, func(tp *nn.Tape, rec *traj.TripRecord) *nn.Node {
 		dist, t := s.forward(tp, &rec.Matched)
-		distTgt := tp.Const(tensor.Scalar(rec.Trajectory.Length(s.g) / s.distScale))
-		timeTgt := tp.Const(tensor.Scalar(rec.TravelSec / s.timeScale))
-		return tp.Add(tp.AbsError(t, timeTgt), tp.Scale(tp.AbsError(dist, distTgt), 0.5))
+		distTgt := rowConst(tp, rec.Trajectory.Length(s.g)/s.distScale)
+		timeTgt := rowConst(tp, rec.TravelSec/s.timeScale)
+		return tp.Add(tp.RowAbsError(t, timeTgt), tp.Scale(tp.RowAbsError(dist, distTgt), 0.5))
 	}, s.Estimate)
 	if err != nil {
 		return err

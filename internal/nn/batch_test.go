@@ -4,26 +4,25 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"deepod/internal/tensor"
 )
 
 // weighted returns Σ w ⊗ y for fixed pseudo-random weights, so every output
-// element gets its own gradient (a plain sum would hide transposed indices).
+// element gets its own gradient (a plain sum would hide transposed indices):
+// y flattened to one row, times the weights as a one-output affine.
 func weighted(tp *Tape, y *Node) *Node {
-	w := tp.Alloc(y.Value.Shape...)
+	n := y.Value.Size()
+	w := tp.Alloc(1, n)
 	for i := range w.Data {
 		w.Data[i] = float64(i%7) - 2.5
 	}
-	return tp.Sum(tp.Mul(y, tp.Const(w)))
+	return tp.Sum(tp.Affine(tp.Const(w), tp.Const(tp.Alloc(1)), tp.Reshape(y, 1, n)))
 }
 
 // TestBatchedAffineGradients checks the batched affine backward (dW += dYᵀ·X,
-// db += Σ_rows dY, dX += dY·W) against finite differences at B = 1 (a vector
-// input and a [1, in] row) and B > 1, with the input itself a parameter so
-// dX is checked too.
+// db += Σ_rows dY, dX += dY·W) against finite differences at B = 1 and
+// B > 1, with the input itself a parameter so dX is checked too.
 func TestBatchedAffineGradients(t *testing.T) {
-	for _, shape := range [][]int{{5}, {1, 5}, {7, 5}} {
+	for _, shape := range [][]int{{1, 5}, {7, 5}} {
 		rng := rand.New(rand.NewSource(31))
 		ps := NewParamSet()
 		lin := NewLinear(ps, rng, "lin", 5, 6)
@@ -34,20 +33,20 @@ func TestBatchedAffineGradients(t *testing.T) {
 	}
 }
 
-// TestBatchedAffineRowsMatchVector: row r of a batched affine is the vector
-// affine of row r, bit for bit.
+// TestBatchedAffineRowsMatchVector: row r of a batched MLP is row r run as a
+// batch of one, bit for bit.
 func TestBatchedAffineRowsMatchVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	ps := NewParamSet()
 	mlp := NewMLP2(ps, rng, "mlp", 9, 13, 5)
-	x := randVec(rng, 4*9).Reshape(4, 9)
+	x := randRows(rng, 4, 9)
 	tp := NewEvalTape()
 	y := mlp.Forward(tp, tp.Const(x))
 	for r := 0; r < 4; r++ {
-		yr := mlp.Forward(tp, tp.Const(x.Row(r)))
+		yr := mlp.Forward(tp, tp.Const(row(x.Data[r*9:(r+1)*9]...)))
 		for j, v := range yr.Value.Data {
 			if math.Float64bits(y.Value.Data[r*5+j]) != math.Float64bits(v) {
-				t.Fatalf("row %d col %d: batched %v, vector %v", r, j, y.Value.Data[r*5+j], v)
+				t.Fatalf("row %d col %d: batched %v, batch of one %v", r, j, y.Value.Data[r*5+j], v)
 			}
 		}
 	}
@@ -97,13 +96,13 @@ func TestPackedLSTMGradients(t *testing.T) {
 }
 
 // TestPackedLSTMMatchesEachSequence: row b of the packed result is the
-// final hidden state of sequence b run alone, bit for bit.
+// final hidden state of sequence b run alone as a batch of one, bit for bit.
 func TestPackedLSTMMatchesEachSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ps := NewParamSet()
 	lstm := NewLSTM(ps, rng, "lstm", 3, 4)
 	sizes, rowsOf := packedBatchSizes(packedLengths)
-	x := randVec(rng, 11*3).Reshape(11, 3)
+	x := randRows(rng, 11, 3)
 	tp := NewEvalTape()
 	h := lstm.ForwardPacked(tp, tp.Const(x), sizes)
 	if h.Value.Shape[0] != len(packedLengths) || h.Value.Shape[1] != 4 {
@@ -112,9 +111,9 @@ func TestPackedLSTMMatchesEachSequence(t *testing.T) {
 	for b, rows := range rowsOf {
 		seq := make([]*Node, len(rows))
 		for i, r := range rows {
-			seq[i] = tp.Const(x.Row(r))
+			seq[i] = tp.Const(row(x.Data[r*3 : (r+1)*3]...))
 		}
-		alone := lstm.Forward(tp, seq)
+		alone := forwardOne(lstm, tp, seq)
 		for j, v := range alone.Value.Data {
 			if math.Float64bits(h.Value.Data[b*4+j]) != math.Float64bits(v) {
 				t.Fatalf("sequence %d (length %d) h[%d]: packed %v, alone %v", b, len(rows), j, h.Value.Data[b*4+j], v)
@@ -161,19 +160,19 @@ func TestBatchedConvChannelNormGradients(t *testing.T) {
 }
 
 // TestBatchedConvChannelNormMatchesPerSample: sample n of the batched conv
-// + ChannelNorm + ReLU + GlobalAvgPool is the single-sample result bit for
-// bit — the norm's statistics are per sample, never over the batch.
+// + ChannelNorm + ReLU + GlobalAvgPool is sample n run as a batch of one,
+// bit for bit — the norm's statistics are per sample, never over the batch.
 func TestBatchedConvChannelNormMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	ps := NewParamSet()
 	conv := NewConv2DLayer(ps, rng, "c", 1, 4, 3, 3, 1, 1, 2, 2, true, true)
 	const n, h, w = 3, 12, 10
-	x := randVec(rng, n*h*w).Reshape(n, 1, h, w)
+	x := randRows(rng, n, h*w)
 	tp := NewEvalTape()
-	y := tp.GlobalAvgPool(conv.Forward(tp, tp.Const(x)))
+	y := tp.GlobalAvgPool(conv.Forward(tp, tp.Reshape(tp.Const(x), n, 1, h, w)))
 	for s := 0; s < n; s++ {
-		xs := tensor.FromSlice(x.Data[s*h*w:(s+1)*h*w], 1, h, w)
-		ys := tp.GlobalAvgPool(conv.Forward(tp, tp.Const(xs)))
+		xs := tp.Reshape(tp.Const(row(x.Data[s*h*w:(s+1)*h*w]...)), 1, 1, h, w)
+		ys := tp.GlobalAvgPool(conv.Forward(tp, xs))
 		for j, v := range ys.Value.Data {
 			if math.Float64bits(y.Value.Data[s*4+j]) != math.Float64bits(v) {
 				t.Fatalf("sample %d channel %d: batched %v, alone %v", s, j, y.Value.Data[s*4+j], v)
@@ -184,7 +183,7 @@ func TestBatchedConvChannelNormMatchesPerSample(t *testing.T) {
 
 // TestRowLossGradients checks the row-wise L2 distance and absolute error
 // against finite differences with both operands parameters, and their
-// values against the scalar losses applied row by row.
+// values against each row run as a batch of one.
 func TestRowLossGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	ps := NewParamSet()
@@ -206,32 +205,32 @@ func TestRowLossGradients(t *testing.T) {
 	l2 := tp.RowL2Distance(tp.Leaf(a), tp.Leaf(b))
 	ae := tp.RowAbsError(tp.Leaf(a), tp.Leaf(b))
 	for r := 0; r < 4; r++ {
-		ar, br := tp.Const(a.Value.Row(r)), tp.Const(b.Value.Row(r))
-		if got, want := l2.Value.Data[r], tp.L2Distance(ar, br).Value.Data[0]; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("row %d: RowL2Distance %v, L2Distance %v", r, got, want)
+		ar, br := tp.Const(row(a.Value.Data[r*3:(r+1)*3]...)), tp.Const(row(b.Value.Data[r*3:(r+1)*3]...))
+		if got, want := l2.Value.Data[r], tp.RowL2Distance(ar, br).Value.Data[0]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("row %d: RowL2Distance %v, as a batch of one %v", r, got, want)
 		}
-		if got, want := ae.Value.Data[r], tp.AbsError(ar, br).Value.Data[0]; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("row %d: RowAbsError %v, AbsError %v", r, got, want)
+		if got, want := ae.Value.Data[r], tp.RowAbsError(ar, br).Value.Data[0]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("row %d: RowAbsError %v, as a batch of one %v", r, got, want)
 		}
 	}
 }
 
 // TestRowOpGradients checks the batch plumbing ops — GatherRows with a
-// repeated row, SliceRows, ConcatCols, StackRows of a vector and a matrix,
+// repeated row, ConcatCols, StackRows of a one-row and a two-row matrix,
 // and the batched MeanCols and GlobalAvgPool — against finite differences.
 func TestRowOpGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	ps := NewParamSet()
 	m := ps.NewNormal("m", rng, 1, 5, 3)
-	v := ps.NewNormal("v", rng, 1, 3)
+	v := ps.NewNormal("v", rng, 1, 1, 3)
 	p := ps.NewNormal("p", rng, 1, 2, 2, 3, 2)
 	gradCheck(t, ps, func(tp *Tape) *Node {
-		g := tp.GatherRows(tp.Leaf(m), []int{4, 0, 4, 2})              // [4, 3]
-		s := tp.SliceRows(tp.Leaf(m), 1, 5)                            // [4, 3]
-		cc := tp.ConcatCols(g, s)                                      // [4, 6]
-		st := tp.StackRows(tp.Leaf(v), tp.SliceRows(tp.Leaf(m), 0, 2)) // [3, 3]
-		mc := tp.MeanCols(tp.Reshape(tp.Leaf(p), 4, 3, 2))             // [4, 2]
-		gp := tp.GlobalAvgPool(tp.Leaf(p))                             // [2, 2]
+		g := tp.GatherRows(tp.Leaf(m), []int{4, 0, 4, 2})                      // [4, 3]
+		s := tp.GatherRows(tp.Leaf(m), []int{1, 2, 3, 4})                      // [4, 3]
+		cc := tp.ConcatCols(g, s)                                              // [4, 6]
+		st := tp.StackRows(tp.Leaf(v), tp.GatherRows(tp.Leaf(m), []int{0, 1})) // [3, 3]
+		mc := tp.MeanCols(tp.Reshape(tp.Leaf(p), 4, 3, 2))                     // [4, 2]
+		gp := tp.GlobalAvgPool(tp.Leaf(p))                                     // [2, 2]
 		return tp.Add(tp.Add(weighted(tp, cc), weighted(tp, st)), tp.Add(weighted(tp, mc), weighted(tp, gp)))
 	}, 1e-6)
 }

@@ -7,7 +7,8 @@ import (
 	"deepod/internal/tensor"
 )
 
-// Linear is a fully connected layer y = W x + b with W ∈ R^{out×in}.
+// Linear is a fully connected layer y = W x + b with W ∈ R^{out×in}, applied
+// to every row of a batch.
 type Linear struct {
 	W, B *Param
 	In   int
@@ -24,12 +25,11 @@ func NewLinear(ps *ParamSet, rng *rand.Rand, prefix string, in, out int) *Linear
 	}
 }
 
-// Forward applies the layer to a vector node x of size In, or to every row
-// of a [B, In] matrix node.
+// Forward applies the layer to every row of a [B, In] matrix node.
 func (l *Linear) Forward(tp *Tape, x *Node) *Node {
 	xv := x.Value
-	if xv.Dims() > 2 || xv.Shape[xv.Dims()-1] != l.In {
-		panic(fmt.Sprintf("nn: Linear %q expects inputs of size %d, got shape %v", l.W.Name, l.In, xv.Shape))
+	if xv.Dims() != 2 || xv.Shape[1] != l.In {
+		panic(fmt.Sprintf("nn: Linear %q expects [B, %d] inputs, got shape %v", l.W.Name, l.In, xv.Shape))
 	}
 	return tp.Affine(tp.Leaf(l.W), tp.Leaf(l.B), x)
 }
@@ -49,17 +49,17 @@ func NewMLP2(ps *ParamSet, rng *rand.Rand, prefix string, in, hidden, out int) *
 	}
 }
 
-// Forward applies both layers with a ReLU in between, to a vector node or to
-// every row of a [B, in] matrix node.
+// Forward applies both layers with a ReLU in between to every row of a
+// [B, in] matrix node.
 func (m *MLP2) Forward(tp *Tape, x *Node) *Node {
 	return m.L2.Forward(tp, tp.ReLU(m.L1.Forward(tp, x)))
 }
 
 // ForwardBatch applies the MLP to a [B, in] matrix of raw values using the
 // batched serving kernels, carving both activations out of ar. No tape, no
-// gradients — inference only. Row r of the result is bit-identical to
-// Forward on row r alone: AffineBatchInto reduces like MatVecAddInto and
-// ReLUInPlace matches the tape ReLU exactly.
+// gradients — inference only. The result is bit-identical to Forward on the
+// same rows: both run AffineBatchInto, and ReLUInPlace matches the tape ReLU
+// exactly.
 func (m *MLP2) ForwardBatch(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 || x.Shape[1] != m.L1.In {
 		panic(fmt.Sprintf("nn: MLP %q ForwardBatch expects [B, %d], got %v", m.L1.W.Name, m.L1.In, x.Shape))
@@ -97,16 +97,11 @@ func (e *Embedding) Init(vectors *tensor.Tensor) error {
 	return nil
 }
 
-// Lookup returns the embedding row for id as a differentiable node.
-func (e *Embedding) Lookup(tp *Tape, id int) *Node {
-	e.check(id)
-	return tp.Row(tp.Leaf(e.W), id)
-}
-
 // LookupRows returns the embedding rows of ids as one [len(ids), Dim] node,
-// row r being Lookup(ids[r]): a batch's lookups as one gather, whose
-// backward scatter-adds into the looked-up rows only. ids must not change
-// until the tape is reset.
+// row r being the row of ids[r] (the embedding lookup Dᵢ = Wᵀ Oᵢ of Formula 1
+// and the time-slot embedding of Section 4.2): a batch's lookups as one
+// gather, whose backward scatter-adds into the looked-up rows only. ids must
+// not change until the tape is reset.
 func (e *Embedding) LookupRows(tp *Tape, ids []int) *Node {
 	for _, id := range ids {
 		e.check(id)
@@ -151,8 +146,8 @@ func NewConv2DLayer(ps *ParamSet, rng *rand.Rand, prefix string, inC, outC, kh, 
 	return l
 }
 
-// Forward applies conv (+ norm + ReLU) to a [C,H,W] node, or to every
-// sample of an [N,C,H,W] node.
+// Forward applies conv (+ norm + ReLU) to every sample of an [N,C,H,W]
+// node.
 func (l *Conv2DLayer) Forward(tp *Tape, x *Node) *Node {
 	y := tp.Conv2D(x, tp.Leaf(l.K), l.PadH, l.PadW, l.StrH, l.StrW)
 	if l.Norm {

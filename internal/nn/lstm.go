@@ -35,19 +35,6 @@ func NewLSTM(ps *ParamSet, rng *rand.Rand, prefix string, in, hidden int) *LSTM 
 	return l
 }
 
-// Forward consumes one sequence and returns its final hidden state h_n as a
-// [1, Hidden] node: the one-sequence case of ForwardPacked.
-func (l *LSTM) Forward(tp *Tape, xs []*Node) *Node {
-	if len(xs) == 0 {
-		panic("nn: LSTM got an empty sequence")
-	}
-	steps := make([]int, len(xs))
-	for i := range steps {
-		steps[i] = 1
-	}
-	return l.ForwardPacked(tp, tp.StackRows(xs...), steps)
-}
-
 // ForwardPacked runs the LSTM over a batch of sequences packed time-major,
 // the shape of PyTorch's pack_padded_sequence: the sequences are sorted by
 // length, longest first, batchSizes[t] is how many are longer than t (so it

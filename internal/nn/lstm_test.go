@@ -4,9 +4,18 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"deepod/internal/tensor"
 )
+
+// forwardOne runs one sequence, a [1, In] node a step, through the LSTM as
+// a packed batch of one and returns its final hidden state h_n as a
+// [1, Hidden] node.
+func forwardOne(l *LSTM, tp *Tape, xs []*Node) *Node {
+	steps := make([]int, len(xs))
+	for i := range steps {
+		steps[i] = 1
+	}
+	return l.ForwardPacked(tp, tp.StackRows(xs...), steps)
+}
 
 // TestLSTMMatchesHandRolledFormulas recomputes Formulas 12–16 with plain
 // loops and checks the layer agrees step by step.
@@ -26,7 +35,7 @@ func TestLSTMMatchesHandRolledFormulas(t *testing.T) {
 		for i := 0; i < hidden; i++ {
 			s := b.Value.Data[i]
 			for j, v := range xh {
-				s += w.Value.At(i, j) * v
+				s += w.Value.Data[i*len(xh)+j] * v
 			}
 			out[i] = s
 		}
@@ -49,9 +58,9 @@ func TestLSTMMatchesHandRolledFormulas(t *testing.T) {
 	tp := NewEvalTape()
 	seq := make([]*Node, len(xs))
 	for i, x := range xs {
-		seq[i] = tp.Const(tensor.Vector(x...))
+		seq[i] = tp.Const(row(x...))
 	}
-	got := l.Forward(tp, seq)
+	got := forwardOne(l, tp, seq)
 	for k := 0; k < hidden; k++ {
 		if math.Abs(got.Value.Data[k]-h[k]) > 1e-12 {
 			t.Fatalf("h[%d] = %v, hand-rolled %v", k, got.Value.Data[k], h[k])
@@ -71,14 +80,18 @@ func TestLSTMRejectsBadInput(t *testing.T) {
 				t.Fatal("empty sequence accepted")
 			}
 		}()
-		l.Forward(tp, nil)
+		l.ForwardPacked(tp, tp.Const(row(1, 2, 3)), nil)
 	}()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong input size accepted")
-		}
-	}()
-	l.Forward(tp, []*Node{tp.Const(tensor.Vector(1, 2))})
+	for name, x := range map[string]*Node{"wrong width": tp.Const(row(1, 2)), "vector": tp.Const(row(1, 2, 3).Row(0))} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s input accepted", name)
+				}
+			}()
+			l.ForwardPacked(tp, x, []int{1})
+		}()
+	}
 }
 
 // TestAdamStepMatchesReference checks one Adam update against the published

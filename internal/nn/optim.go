@@ -42,37 +42,13 @@ func (a *Adam) Step(ps *ParamSet) {
 	}
 }
 
-// Steps returns the number of optimizer steps taken so far.
-func (a *Adam) Steps() int { return a.t }
-
-// SGD is a plain stochastic-gradient-descent optimizer, used by the
-// skip-gram graph-embedding pre-training and as a baseline optimizer.
-type SGD struct {
-	LR float64
-}
-
-// Step applies one SGD update and clears the gradients.
-func (s *SGD) Step(ps *ParamSet) {
-	for _, p := range ps.All() {
-		for i, g := range p.Grad.Data {
-			p.Value.Data[i] -= float64(s.LR * g)
-		}
-		p.Grad.Zero()
-	}
-}
-
 // StepDecaySchedule reproduces the paper's learning-rate schedule: the
 // initial rate is multiplied by Factor every Every epochs ("reduced by 1/5
-// every 2 epochs", §6.1).
+// every 2 epochs", §6.1, is Initial 0.01, Factor 0.2, Every 2).
 type StepDecaySchedule struct {
 	Initial float64
 	Factor  float64
 	Every   int
-}
-
-// PaperSchedule returns the schedule used in the paper's experiments.
-func PaperSchedule() StepDecaySchedule {
-	return StepDecaySchedule{Initial: 0.01, Factor: 0.2, Every: 2}
 }
 
 // At returns the learning rate for a zero-based epoch index.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"deepod/internal/tensor"
 )
@@ -80,9 +79,6 @@ func (ps *ParamSet) NewXavier(name string, rng *rand.Rand, shape ...int) *Param 
 	}
 	return p
 }
-
-// Get returns the parameter registered under name, or nil.
-func (ps *ParamSet) Get(name string) *Param { return ps.byName[name] }
 
 // All returns the parameters in registration order.
 func (ps *ParamSet) All() []*Param { return ps.params }
@@ -187,7 +183,8 @@ func (ps *ParamSet) Save() Snapshot {
 }
 
 // Load restores parameter values from a Snapshot. Every registered
-// parameter must be present with a matching size.
+// parameter must be present with a matching size and finite weights; on an
+// error no parameter is changed.
 func (ps *ParamSet) Load(s Snapshot) error {
 	for _, p := range ps.params {
 		vals, ok := s[p.Name]
@@ -198,17 +195,14 @@ func (ps *ParamSet) Load(s Snapshot) error {
 			return fmt.Errorf("nn: snapshot parameter %q has %d weights, model wants %d",
 				p.Name, len(vals), p.Size())
 		}
-		copy(p.Value.Data, vals)
+		for i, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: snapshot parameter %q has the non-finite weight %v at %d", p.Name, v, i)
+			}
+		}
+	}
+	for _, p := range ps.params {
+		copy(p.Value.Data, s[p.Name])
 	}
 	return nil
-}
-
-// Names returns the sorted parameter names (for stable debugging output).
-func (ps *ParamSet) Names() []string {
-	names := make([]string, 0, len(ps.params))
-	for _, p := range ps.params {
-		names = append(names, p.Name)
-	}
-	sort.Strings(names)
-	return names
 }

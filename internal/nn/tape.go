@@ -8,17 +8,18 @@
 // Computation is recorded on a Tape: every operation appends a Node holding
 // its output value and a backward closure. Calling Tape.Backward on a scalar
 // node propagates gradients in reverse recording order. Activations are
-// vectors or [B, d] matrices with one sample a row, so one tape carries a
-// whole mini-batch shard: an affine layer is one matrix product per batch
-// (tensor.AffineBatchInto forward, dW += dYᵀ·X and dX += dY·W backward), an
-// embedding lookup one row gather, a convolution one pass over [N, C, H, W],
-// and the LSTM runs length-packed, one [B_t, in+hidden] product over the
-// stacked gates per time step (LSTM.ForwardPacked). Model parameters are Param values whose
-// gradient tensors are shared with their leaf nodes, so gradients accumulate
-// until an optimizer step consumes and clears them. When a Tape's Grads
-// buffer is set, leaf gradients are routed into that private GradBuffer
-// instead — the data-parallel training mode, where each worker accumulates
-// its shard locally and the buffers are reduced in fixed order afterwards.
+// batches [B, …] with one sample a row — a single sample is B = 1 — so one
+// tape carries a whole mini-batch shard: an affine layer is one matrix
+// product per batch (tensor.AffineBatchInto forward, dW += dYᵀ·X and
+// dX += dY·W backward), an embedding lookup one row gather, a convolution
+// one pass over [N, C, H, W], and the LSTM runs length-packed, one
+// [B_t, in+hidden] product over the stacked gates per time step
+// (LSTM.ForwardPacked). Model parameters are Param values whose gradient
+// tensors are shared with their leaf nodes, so gradients accumulate until an
+// optimizer step consumes and clears them. When a Tape's Grads buffer is
+// set, leaf gradients are routed into that private GradBuffer instead — the
+// data-parallel training mode, where each worker accumulates its shard
+// locally and the buffers are reduced in fixed order afterwards.
 //
 // Node structs, interior values and gradients are carved out of per-tape
 // arenas; Reset reclaims everything at once, so a reused tape performs
@@ -41,9 +42,6 @@ type Node struct {
 	back         func(n *Node)
 }
 
-// RequiresGrad reports whether gradients flow through this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // nodeChunk is the number of Node structs per arena chunk. Chunks are
 // never resized, so *Node pointers stay valid as the tape grows.
 const nodeChunk = 256
@@ -51,7 +49,7 @@ const nodeChunk = 256
 // Tape records operations for reverse-mode differentiation.
 //
 // A Tape lives for one forward/backward pass over one batch (a training
-// worker's shard of a mini-batch, or a single sample); allocate with
+// worker's shard of a mini-batch, or one record as a batch of one); allocate with
 // NewTape, run the model, call Backward, then Reset to reuse the backing
 // arenas for the next batch (or discard the tape). Values and gradients
 // handed out by a tape are invalidated by Reset.
@@ -120,12 +118,6 @@ func (tp *Tape) Const(t *tensor.Tensor) *Node {
 	return tp.newNode(t, nil, false, nil)
 }
 
-// ConstVec is Const over a freshly arena-allocated vector — the common
-// "a few floats as input" case of the encoders.
-func (tp *Tape) ConstVec(vals ...float64) *Node {
-	return tp.Const(tp.arena.Vector(vals...))
-}
-
 // Leaf wraps a parameter's value as a differentiable leaf whose gradient
 // tensor is the parameter's accumulator (or the tape's GradBuffer slot
 // when Grads is set), so backward passes add into it.
@@ -175,14 +167,6 @@ func accumulateScaled(dep *Node, g *tensor.Tensor, s float64) {
 		return
 	}
 	dep.Grad.AddScaledInPlace(g, s)
-}
-
-// accumulateMul adds g ⊗ v into dep's gradient without a temporary.
-func accumulateMul(dep *Node, g, v *tensor.Tensor) {
-	if dep == nil || !dep.requiresGrad || dep.Grad == nil {
-		return
-	}
-	dep.Grad.AddMulInPlace(g, v)
 }
 
 // Backward seeds the gradient of root (which must be a scalar node) with 1

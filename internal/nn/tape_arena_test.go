@@ -7,16 +7,17 @@ import (
 	"deepod/internal/tensor"
 )
 
-// TestAffineMatchesComposition pins the fused affine op to the MatVec+Add
-// composition it replaced: identical forward values and identical parameter
-// gradients, bit for bit. The data-parallel determinism contract depends on
-// fused kernels never reordering floating-point accumulation.
+// TestAffineMatchesComposition pins the fused bias of the affine op to the
+// composition of an unbiased product and a separate Add of the bias row:
+// identical forward values and identical parameter gradients, bit for bit.
+// The data-parallel determinism contract depends on fused kernels never
+// reordering floating-point accumulation.
 func TestAffineMatchesComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ps := NewParamSet()
 	w := ps.NewXavier("w", rng, 5, 7)
 	b := ps.NewNormal("b", rng, 0.1, 5)
-	x := randVec(rng, 7)
+	x := randRows(rng, 1, 7)
 
 	ps.ZeroGrad()
 	tp := NewTape()
@@ -27,7 +28,8 @@ func TestAffineMatchesComposition(t *testing.T) {
 
 	ps.ZeroGrad()
 	tp2 := NewTape()
-	yComp := tp2.Add(tp2.MatVec(tp2.Leaf(w), tp2.Const(x)), tp2.Leaf(b))
+	unbiased := tp2.Affine(tp2.Leaf(w), tp2.Const(tp2.Alloc(5)), tp2.Const(x))
+	yComp := tp2.Add(unbiased, tp2.Reshape(tp2.Leaf(b), 1, 5))
 	tp2.Backward(tp2.Sum(yComp))
 
 	for i := range yComp.Value.Data {
@@ -55,12 +57,12 @@ func TestGradBufferRoutesAndReduces(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ps := NewParamSet()
 	lin := NewLinear(ps, rng, "lin", 6, 4)
-	x := randVec(rng, 6)
+	x := randRows(rng, 1, 6)
 
 	// Reference: direct accumulation into Param.Grad.
 	ps.ZeroGrad()
 	tp := NewTape()
-	tp.Backward(tp.Sum(tp.Square(lin.Forward(tp, tp.Const(x)))))
+	tp.Backward(weighted(tp, lin.Forward(tp, tp.Const(x))))
 	wantW := append([]float64(nil), lin.W.Grad.Data...)
 	wantB := append([]float64(nil), lin.B.Grad.Data...)
 
@@ -69,7 +71,7 @@ func TestGradBufferRoutesAndReduces(t *testing.T) {
 	gb := ps.NewGradBuffer()
 	tpb := NewTape()
 	tpb.Grads = gb
-	tpb.Backward(tpb.Sum(tpb.Square(lin.Forward(tpb, tpb.Const(x)))))
+	tpb.Backward(weighted(tpb, lin.Forward(tpb, tpb.Const(x))))
 	for _, p := range ps.All() {
 		for i, g := range p.Grad.Data {
 			if g != 0 {
@@ -109,11 +111,11 @@ func TestTapeReuseMatchesFresh(t *testing.T) {
 	mlp := NewMLP2(ps, rng, "mlp", 5, 8, 1)
 	inputs := make([]*tensor.Tensor, 4)
 	for i := range inputs {
-		inputs[i] = randVec(rng, 5)
+		inputs[i] = randRows(rng, 1, 5)
 	}
 
 	run := func(tp *Tape, x *tensor.Tensor) float64 {
-		loss := tp.Sum(tp.Square(mlp.Forward(tp, tp.Const(x))))
+		loss := weighted(tp, mlp.Forward(tp, tp.Const(x)))
 		tp.Backward(loss)
 		return loss.Value.Data[0]
 	}
@@ -148,7 +150,8 @@ func TestTapeReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestTapeAllocAndConstVec covers the arena-backed input helpers.
+// TestTapeAllocAndConstVec covers the arena-backed inputs: a constant
+// vector is a one-row Alloc wrapped by Const.
 func TestTapeAllocAndConstVec(t *testing.T) {
 	tp := NewTape()
 	v := tp.Alloc(3, 2)
@@ -157,13 +160,15 @@ func TestTapeAllocAndConstVec(t *testing.T) {
 			t.Fatalf("Alloc[%d] = %v, want 0", i, x)
 		}
 	}
-	n := tp.ConstVec(1.5, -2, 0.25)
-	if n.RequiresGrad() {
-		t.Fatal("ConstVec node must not require grad")
+	r := tp.Alloc(1, 3)
+	copy(r.Data, []float64{1.5, -2, 0.25})
+	n := tp.Const(r)
+	if n.requiresGrad || n.Grad != nil {
+		t.Fatal("a Const node must not require grad")
 	}
 	for i, want := range []float64{1.5, -2, 0.25} {
 		if n.Value.Data[i] != want {
-			t.Fatalf("ConstVec[%d] = %v, want %v", i, n.Value.Data[i], want)
+			t.Fatalf("Const[%d] = %v, want %v", i, n.Value.Data[i], want)
 		}
 	}
 	if tp.Len() != 0 {

@@ -4,7 +4,7 @@ import "fmt"
 
 // Arena is a bump allocator for short-lived tensors. A computation tape
 // owns one arena, carves every interior value and gradient out of it, and
-// calls Reset between samples; after the first pass over the largest sample
+// calls Reset between batches; after the first pass over the largest batch
 // the slabs are warm and a forward/backward step performs O(1) heap
 // allocations instead of O(nodes).
 //
@@ -73,13 +73,6 @@ func (a *Arena) FromSlice(data []float64, shape ...int) *Tensor {
 	t := a.hdr()
 	t.Shape = a.shape(shape)
 	t.Data = data
-	return t
-}
-
-// Vector carves a 1-D tensor copying vals out of the arena.
-func (a *Arena) Vector(vals ...float64) *Tensor {
-	t := a.New(len(vals))
-	copy(t.Data, vals)
 	return t
 }
 

@@ -13,10 +13,6 @@ func TestArenaNewZeroedAndShaped(t *testing.T) {
 			t.Fatalf("element %d not zeroed: %v", i, v)
 		}
 	}
-	v := a.Vector(1, 2, 3)
-	if v.Size() != 3 || v.Data[0] != 1 || v.Data[2] != 3 {
-		t.Fatalf("bad vector: %v", v.Data)
-	}
 }
 
 func TestArenaResetReusesAndZeroes(t *testing.T) {

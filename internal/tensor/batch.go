@@ -6,69 +6,28 @@ import (
 	"sync"
 )
 
-// Batched kernels: matrix-matrix products over [B×d] activation matrices, so
-// a micro-batch of B requests — or a training shard of B samples — runs one
-// GEMM per layer instead of B MatVec passes. Every forward kernel keeps the
-// per-output-element summation strictly sequential over the reduction axis,
-// so row r of a batched result is bit-identical to the per-sample kernel
-// applied to row r alone — the contract behind core.EstimateBatchFused's
+// Batched kernels over [B×d] activation matrices, one sample a row: a
+// micro-batch of B requests — or a training shard of B samples — runs one
+// matrix product per layer. Every forward kernel keeps the per-output-element
+// summation strictly sequential over the reduction axis, so row r of a
+// batched result depends on row r alone and equals the same row run as a
+// batch of one, bit for bit — the contract behind core.EstimateBatchFused's
 // bitwise equality with the training forward (and therefore behind
 // flight-recorder replay). Products are written float64(a*b): the explicit
 // conversion forbids the compiler to fuse them into the following add, so no
 // architecture rounds differently from another.
-
-// MatMulInto computes A·B into dst for A [m, k], B [k, n] and dst [m, n]
-// without allocating beyond the Bᵀ scratch handed in by the caller via bt
-// (len ≥ k·n; pass nil to allocate one). Blocked like MatMul; the inner
-// reduction over k is strictly sequential, so each dst element equals the
-// plain dot product bit for bit.
-func MatMulInto(dst, a, b *Tensor, bt []float64) {
-	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	if dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if bt == nil {
-		bt = make([]float64, k*n)
-	} else if len(bt) < k*n {
-		panic(fmt.Sprintf("tensor: MatMulInto scratch has %d floats, want >= %d", len(bt), k*n))
-	}
-	bt = bt[:k*n]
-	transposeInto(bt, b.Data, k, n)
-	for ii := 0; ii < m; ii += matMulBlock {
-		iEnd := min(ii+matMulBlock, m)
-		for jj := 0; jj < n; jj += matMulBlock {
-			jEnd := min(jj+matMulBlock, n)
-			for i := ii; i < iEnd; i++ {
-				arow := a.Data[i*k : (i+1)*k : (i+1)*k]
-				orow := dst.Data[i*n : (i+1)*n : (i+1)*n]
-				for j := jj; j < jEnd; j++ {
-					bcol := bt[j*k : (j+1)*k : (j+1)*k]
-					var s float64
-					for p, av := range arow {
-						s += float64(av * bcol[p])
-					}
-					orow[j] = s
-				}
-			}
-		}
-	}
-}
 
 // affineBlock tiles AffineBatchInto: a tile of W rows stays cache-resident
 // while a tile of batch rows streams against it.
 const affineBlock = 32
 
 // AffineBatchInto computes X·Wᵀ + b into dst for X [B, in], W [out, in] and
-// b [out], broadcasting the bias over the batch — the batched form of
-// MatVecAddInto behind every fused linear layer. Row r of dst is bit-
-// identical to MatVecAddInto(dst_r, W, X_r, b): the reduction over the in
-// axis is strictly sequential per output element. As there, four outputs run
-// at a time, each in its own accumulator — over two batch rows at once where
-// the batch has them — so the add chains overlap and no element's summation
-// order changes.
+// b [out], broadcasting the bias over the batch — the forward of every fused
+// linear layer. Every element of dst is its row's dot product with a row of
+// W, summed over the in axis strictly in order from zero, plus the bias: row
+// r depends on X_r alone. Two batch rows by two outputs (a last odd row by
+// four outputs) run at a time, each in its own accumulator, so the add chains
+// overlap and no element's summation order changes.
 func AffineBatchInto(dst, x, w, b *Tensor) {
 	if x.Dims() != 2 || w.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: AffineBatch wants matrices, got x %v w %v", x.Shape, w.Shape))
@@ -91,22 +50,22 @@ func AffineBatchInto(dst, x, w, b *Tensor) {
 }
 
 // AffineBatchBackward accumulates the gradients of Y = X·Wᵀ + b, the forward
-// of AffineBatchInto, given dY: dW += dYᵀ·X, db += Σ_rows dY and dX += dY·W.
-// X and dY are read as row-major [B, in] and [B, out] with B = Size/in, so a
-// vector is the B = 1 case. Any of dw, db and dx may be nil. Each gradient
-// element receives exactly one addition per call: its products are summed in
-// a register in a fixed order (over the rows for dW and db, over the outputs
-// for dX) and that sum is then added, so the result depends on B and the
-// values alone — the determinism contract of internal/core's training loop.
+// of AffineBatchInto, given dY: dW += dYᵀ·X, db += Σ_rows dY and dX += dY·W,
+// for X [B, in] and dY [B, out]. Any of dw, db and dx may be nil. Each
+// gradient element receives exactly one addition per call: its products are
+// summed in a register in a fixed order (over the rows for dW and db, over
+// the outputs for dX) and that sum is then added, so the result depends on B
+// and the values alone — the determinism contract of internal/core's
+// training loop.
 func AffineBatchBackward(dw, db, dx, dy, x, w *Tensor) {
 	if w.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: AffineBatchBackward wants a matrix W, got %v", w.Shape))
 	}
 	out, in := w.Shape[0], w.Shape[1]
-	bsz := x.Size() / in
-	if x.Size() != bsz*in || dy.Size() != bsz*out {
-		panic(fmt.Sprintf("tensor: AffineBatchBackward size mismatch: W is %v, X has %d, dY has %d", w.Shape, x.Size(), dy.Size()))
+	if x.Dims() != 2 || dy.Dims() != 2 || x.Shape[1] != in || dy.Shape[1] != out || dy.Shape[0] != x.Shape[0] {
+		panic(fmt.Sprintf("tensor: AffineBatchBackward shape mismatch: W is %v, X is %v, dY is %v", w.Shape, x.Shape, dy.Shape))
 	}
+	bsz := x.Shape[0]
 	if (dw != nil && dw.Size() != out*in) || (db != nil && db.Size() != out) || (dx != nil && dx.Size() != bsz*in) {
 		panic(fmt.Sprintf("tensor: AffineBatchBackward gradient shapes for W %v, B = %d", w.Shape, bsz))
 	}
@@ -159,6 +118,24 @@ func AddMatMulNT(dst, a, bt *Tensor) {
 
 // scratchPool recycles AffineBatchBackward's transpose buffers.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// transposeInto writes the [m, n] row-major matrix src into dst as [n, m],
+// tiled so both sides stay cache-resident on large matrices.
+func transposeInto(dst, src []float64, m, n int) {
+	const tile = 32
+	for ii := 0; ii < m; ii += tile {
+		iEnd := min(ii+tile, m)
+		for jj := 0; jj < n; jj += tile {
+			jEnd := min(jj+tile, n)
+			for i := ii; i < iEnd; i++ {
+				row := src[i*n : (i+1)*n]
+				for j := jj; j < jEnd; j++ {
+					dst[j*m+i] = row[j]
+				}
+			}
+		}
+	}
+}
 
 // dotRows computes, for every row i of A [m, k] and every row j ∈ [j0, j1)
 // of Bt, the dot product s = Σ_p A[i][p]·Bt[j][p], summed over p ascending
@@ -238,9 +215,9 @@ func dotRows(c []float64, ldc int, a []float64, m, k int, bt []float64, j0, j1 i
 	}
 }
 
-// ReLUInPlace applies max(0, x) element-wise in place — the batched
-// activation between fused affine layers. math.Max matches the per-sample
-// tape ReLU exactly (including its NaN and signed-zero behaviour).
+// ReLUInPlace applies max(0, x) element-wise in place — the activation
+// between fused affine layers. math.Max matches the tape ReLU exactly
+// (including its NaN and signed-zero behaviour).
 func ReLUInPlace(t *Tensor) {
 	for i, v := range t.Data {
 		t.Data[i] = math.Max(0, v)

@@ -7,10 +7,13 @@ import (
 	"testing"
 )
 
-// TestAffineBatchMatchesMatVecAdd pins the batched bit-exactness contract:
-// every row of AffineBatchInto must equal MatVecAddInto on that row alone,
-// compared by Float64bits. core.EstimateBatchFused's bitwise equality with
-// the per-sample path — and therefore flight-recorder replay — depends on
+// TestAffineBatchMatchesMatVecAdd pins the batched bit-exactness contract
+// to its sequential-row reference: every element of AffineBatchInto must
+// equal W_i·x_r + b_i with the dot product summed strictly in column order
+// from zero, and row r of a batch must equal row r run as a batch of one —
+// compared by Float64bits, across the kernel's 2-row, 2-output and 32-wide
+// tile boundaries. core.EstimateBatchFused's bitwise equality with the
+// training forward — and therefore flight-recorder replay — depends on
 // exactly this property.
 func TestAffineBatchMatchesMatVecAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -21,47 +24,47 @@ func TestAffineBatchMatchesMatVecAdd(t *testing.T) {
 		bias := randTensor(rng, out)
 		dst := New(bsz, out)
 		AffineBatchInto(dst, x, w, bias)
-		ref := New(out)
+		one := New(1, out)
 		for r := 0; r < bsz; r++ {
-			xr := FromSlice(x.Data[r*in:(r+1)*in], in)
-			MatVecAddInto(ref, w, xr, bias)
+			AffineBatchInto(one, of(x.Data[r*in:(r+1)*in], 1, in), w, bias)
 			for i := 0; i < out; i++ {
-				got, want := dst.Data[r*out+i], ref.Data[i]
+				var s float64
+				for j := 0; j < in; j++ {
+					s += float64(w.Data[i*in+j] * x.Data[r*in+j])
+				}
+				got, want := dst.Data[r*out+i], s+bias.Data[i]
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("trial %d [B=%d in=%d out=%d] row %d elem %d: batched %v != per-sample %v",
+					t.Fatalf("trial %d [B=%d in=%d out=%d] row %d elem %d: batched %v != sequential row %v",
 						trial, bsz, in, out, r, i, got, want)
+				}
+				if math.Float64bits(one.Data[i]) != math.Float64bits(want) {
+					t.Fatalf("trial %d [B=%d in=%d out=%d] row %d elem %d: batch of one %v != sequential row %v",
+						trial, bsz, in, out, r, i, one.Data[i], want)
 				}
 			}
 		}
 	}
 }
 
-// TestMatMulIntoMatchesMatMul covers the *Into variant on non-square shapes
-// crossing block boundaries, with and without a caller-provided scratch.
+// TestMatMulIntoMatchesMatMul: AddMatMulNT adds each product element to
+// dst once, so accumulating into a filled dst equals the product into a
+// zeroed one added afterwards, bit for bit, on non-square shapes crossing
+// the kernel's tile boundaries.
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var scratch []float64
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 7, 3}, {64, 64, 64}, {65, 33, 70}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := randTensor(rng, m, k)
-		b := randTensor(rng, k, n)
-		want := MatMul(a, b)
-		dst := New(m, n)
-		MatMulInto(dst, a, b, nil)
+		bt := randTensor(rng, n, k)
+		prod := New(m, n)
+		AddMatMulNT(prod, a, bt)
+		dst := randTensor(rng, m, n)
+		want := clone(dst)
+		want.AddInPlace(prod)
+		AddMatMulNT(dst, a, bt)
 		for i := range want.Data {
 			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%v nil-scratch elem %d: %v != %v", dims, i, dst.Data[i], want.Data[i])
-			}
-		}
-		// Reused (and growing) caller scratch must give identical results.
-		if len(scratch) < k*n {
-			scratch = make([]float64, k*n)
-		}
-		dst.Fill(math.NaN())
-		MatMulInto(dst, a, b, scratch)
-		for i := range want.Data {
-			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%v reused-scratch elem %d: %v != %v", dims, i, dst.Data[i], want.Data[i])
+				t.Fatalf("%v elem %d: %v != %v", dims, i, dst.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -77,32 +80,29 @@ func TestBatchKernelEdgeCases(t *testing.T) {
 		x := &Tensor{Shape: []int{0, 3}}
 		dst := &Tensor{Shape: []int{0, 2}}
 		AffineBatchInto(dst, x, New(2, 3), New(2))
-		MatMulInto(&Tensor{Shape: []int{0, 4}}, &Tensor{Shape: []int{0, 3}}, New(3, 4), nil)
+		AddMatMulNT(&Tensor{Shape: []int{0, 4}}, x, New(4, 3))
 	})
 	t.Run("OneByOne", func(t *testing.T) {
-		x := FromSlice([]float64{3}, 1, 1)
-		w := FromSlice([]float64{-2}, 1, 1)
-		bias := Vector(10)
+		x := of([]float64{3}, 1, 1)
+		w := of([]float64{-2}, 1, 1)
 		dst := New(1, 1)
-		AffineBatchInto(dst, x, w, bias)
+		AffineBatchInto(dst, x, w, of([]float64{10}, 1))
 		if dst.Data[0] != 4 {
 			t.Fatalf("1x1 affine = %v, want 4", dst.Data[0])
 		}
-		MatMulInto(dst, x, w, nil)
-		if dst.Data[0] != -6 {
-			t.Fatalf("1x1 matmul = %v, want -6", dst.Data[0])
+		AddMatMulNT(dst, x, w)
+		if dst.Data[0] != -2 {
+			t.Fatalf("1x1 matmul added to 4 = %v, want -2", dst.Data[0])
 		}
 	})
 	for name, f := range map[string]func(){
-		"AffineBatchVectorX":   func() { AffineBatchInto(New(2, 2), New(4), New(2, 2), New(2)) },
-		"AffineBatchInnerDim":  func() { AffineBatchInto(New(2, 3), New(2, 5), New(3, 4), New(3)) },
-		"AffineBatchBiasSize":  func() { AffineBatchInto(New(2, 3), New(2, 4), New(3, 4), New(2)) },
-		"AffineBatchDstShape":  func() { AffineBatchInto(New(3, 3), New(2, 4), New(3, 4), New(3)) },
-		"MatMulIntoInnerDim":   func() { MatMulInto(New(2, 2), New(2, 3), New(4, 2), nil) },
-		"MatMulIntoDstShape":   func() { MatMulInto(New(3, 2), New(2, 3), New(3, 2), nil) },
-		"MatMulIntoShortScrap": func() { MatMulInto(New(2, 2), New(2, 3), New(3, 2), make([]float64, 5)) },
+		"AffineBatchVectorX":  func() { AffineBatchInto(New(2, 2), New(4), New(2, 2), New(2)) },
+		"AffineBatchInnerDim": func() { AffineBatchInto(New(2, 3), New(2, 5), New(3, 4), New(3)) },
+		"AffineBatchBiasSize": func() { AffineBatchInto(New(2, 3), New(2, 4), New(3, 4), New(2)) },
+		"AffineBatchDstShape": func() { AffineBatchInto(New(3, 3), New(2, 4), New(3, 4), New(3)) },
+		"MatMulIntoInnerDim":  func() { AddMatMulNT(New(2, 2), New(2, 3), New(2, 4)) },
+		"MatMulIntoDstShape":  func() { AddMatMulNT(New(3, 2), New(2, 3), New(2, 3)) },
 	} {
-		f := f
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
@@ -114,12 +114,12 @@ func TestBatchKernelEdgeCases(t *testing.T) {
 	}
 }
 
-// TestReLUInPlaceMatchesTapeReLU checks the batched activation against
-// math.Max(0, x) element-wise — the exact function the per-sample tape ReLU
-// applies — including the NaN and signed-zero corners.
+// TestReLUInPlaceMatchesTapeReLU checks the serving activation against
+// math.Max(0, x) element-wise — the exact function the tape ReLU applies —
+// including the NaN and signed-zero corners.
 func TestReLUInPlaceMatchesTapeReLU(t *testing.T) {
 	in := []float64{-1.5, 0, math.Copysign(0, -1), 2.25, math.NaN(), math.Inf(-1), math.Inf(1)}
-	got := FromSlice(append([]float64(nil), in...), len(in))
+	got := of(append([]float64(nil), in...), 1, len(in))
 	ReLUInPlace(got)
 	for i, v := range in {
 		want := math.Max(0, v)
@@ -167,12 +167,8 @@ func TestArenaFromSliceViews(t *testing.T) {
 	a.FromSlice(batch.Data, 5, 3)
 }
 
-func fusedBatchShapes() [][3]int {
-	return [][3]int{{1, 67, 32}, {4, 67, 32}, {16, 67, 32}, {64, 67, 32}}
-}
-
 func BenchmarkAffineBatchInto(b *testing.B) {
-	for _, dims := range fusedBatchShapes() {
+	for _, dims := range [][3]int{{1, 67, 32}, {4, 67, 32}, {16, 67, 32}, {64, 67, 32}} {
 		bsz, in, out := dims[0], dims[1], dims[2]
 		b.Run(fmt.Sprintf("B%d_%dx%d", bsz, in, out), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -184,49 +180,6 @@ func BenchmarkAffineBatchInto(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				AffineBatchInto(dst, x, w, bias)
-			}
-		})
-	}
-}
-
-// BenchmarkAffineMatVecLoop is the per-sample baseline for the same shapes
-// as BenchmarkAffineBatchInto: B independent MatVecAddInto calls.
-func BenchmarkAffineMatVecLoop(b *testing.B) {
-	for _, dims := range fusedBatchShapes() {
-		bsz, in, out := dims[0], dims[1], dims[2]
-		b.Run(fmt.Sprintf("B%d_%dx%d", bsz, in, out), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := randTensor(rng, bsz, in)
-			w := randTensor(rng, out, in)
-			bias := randTensor(rng, out)
-			dst := New(out)
-			rows := make([]*Tensor, bsz)
-			for r := 0; r < bsz; r++ {
-				rows[r] = FromSlice(x.Data[r*in:(r+1)*in], in)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < bsz; r++ {
-					MatVecAddInto(dst, w, rows[r], bias)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMatMulInto(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := randTensor(rng, n, n)
-			y := randTensor(rng, n, n)
-			dst := New(n, n)
-			scratch := make([]float64, n*n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, x, y, scratch)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ package tensor
 // visible in plain `go test -bench`.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -16,66 +15,6 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 		t.Data[i] = rng.NormFloat64()
 	}
 	return t
-}
-
-func BenchmarkMatMul(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := randTensor(rng, n, n)
-			y := randTensor(rng, n, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMul(x, y)
-			}
-		})
-	}
-}
-
-func BenchmarkMatVec(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			w := randTensor(rng, n, n)
-			x := randTensor(rng, n)
-			dst := New(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatVecInto(dst, w, x)
-			}
-		})
-	}
-}
-
-// BenchmarkMatVecAdd is one LSTM gate of the trajectory encoder: 32 outputs
-// over the 64-wide [input, hidden] vector.
-func BenchmarkMatVecAdd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	w := randTensor(rng, 32, 64)
-	x := randTensor(rng, 64)
-	bias := randTensor(rng, 32)
-	dst := New(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVecAddInto(dst, w, x, bias)
-	}
-}
-
-func BenchmarkTranspose(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := randTensor(rng, n, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Transpose(x)
-			}
-		})
-	}
 }
 
 // BenchmarkAffineBatchBackward is one training shard through an LSTM gate's

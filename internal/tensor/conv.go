@@ -2,39 +2,24 @@ package tensor
 
 import "fmt"
 
-// Conv2D computes a stride-configurable 2-D cross-correlation of x by k.
-//
-// x has shape [C, H, W]; k has shape [OC, C, KH, KW]. The input is
-// zero-padded by padH rows on top/bottom and padW columns on left/right.
-// The output has shape [OC, H', W'] with H' = (H+2*padH-KH)/strideH + 1 and
-// W' = (W+2*padW-KW)/strideW + 1.
+// Conv2DInto computes a stride-configurable 2-D cross-correlation of every
+// sample of x [N, C, H, W] by k [OC, C, KH, KW], carving the output
+// [N, OC, H', W'] out of an arena for allocation-free training steps. Each
+// sample is zero-padded by padH rows on top/bottom and padW columns on
+// left/right, so H' = (H+2*padH-KH)/strideH + 1 and
+// W' = (W+2*padW-KW)/strideW + 1. Samples run one after another through the
+// same kernel, so sample n of the result depends on sample n alone.
 //
 // The DeepOD time-interval encoder uses 3×1 kernels with padH=1 (Formulas
 // 5–7 of the paper); the traffic-condition CNN uses 3×3 kernels with
 // stride 2.
-func Conv2D(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
-	oc, oh, ow := conv2DOutShape(x, k, padH, padW, strideH, strideW)
-	out := New(oc, oh, ow)
-	conv2DForward(out, x, kernelTaps(make([]float64, k.Size()), k), oc, k.Shape[2], k.Shape[3], padH, padW, strideH, strideW)
-	return out
-}
-
-// Conv2DInto is Conv2D with the output carved from an arena instead of the
-// heap, for allocation-free training steps. x may also be a batch [N, C, H,
-// W], giving [N, OC, H', W']: every sample goes through the same kernel as
-// Conv2D, so sample n of the result is bit-identical to Conv2D on it alone.
 func Conv2DInto(a *Arena, x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
-	n, xs := convSample(x)
+	n, xs := convSample(x, k)
 	oc, oh, ow := conv2DOutShape(&xs, k, padH, padW, strideH, strideW)
-	var out *Tensor
-	if x.Dims() == 4 {
-		out = a.New(n, oc, oh, ow)
-	} else {
-		out = a.New(oc, oh, ow)
-	}
+	out := a.New(n, oc, oh, ow)
 	kt := kernelTaps(a.floats(k.Size()), k)
 	osz := oc * oh * ow
-	os := Tensor{Shape: out.Shape[out.Dims()-3:]}
+	os := Tensor{Shape: out.Shape[1:]}
 	for i := 0; i < n; i++ {
 		xs.Data = x.Data[i*len(xs.Data) : (i+1)*len(xs.Data)]
 		os.Data = out.Data[i*osz : (i+1)*osz]
@@ -43,21 +28,25 @@ func Conv2DInto(a *Arena, x, k *Tensor, padH, padW, strideH, strideW int) *Tenso
 	return out
 }
 
-// convSample splits a conv input into its sample count and a [C, H, W]
-// header over the first sample (x itself when it has no batch axis).
-func convSample(x *Tensor) (n int, sample Tensor) {
-	switch x.Dims() {
-	case 3:
-		return 1, *x
-	case 4:
-		sz := x.Shape[1] * x.Shape[2] * x.Shape[3]
-		return x.Shape[0], Tensor{Shape: x.Shape[1:], Data: x.Data[:sz]}
+// convSample checks a conv input x [N, C, H, W] against the kernel k
+// [OC, C, KH, KW] and returns N and a [C, H, W] header over sample 0.
+func convSample(x, k *Tensor) (n int, sample Tensor) {
+	if x.Dims() != 4 {
+		panic(fmt.Sprintf("tensor: Conv2D input must be [N,C,H,W], got %v", x.Shape))
 	}
-	panic(fmt.Sprintf("tensor: Conv2D input must be [C,H,W] or [N,C,H,W], got %v", x.Shape))
+	if k.Dims() != 4 {
+		panic(fmt.Sprintf("tensor: Conv2D kernel must be [OC,C,KH,KW], got %v", k.Shape))
+	}
+	if k.Shape[1] != x.Shape[1] {
+		panic(fmt.Sprintf("tensor: Conv2D channel mismatch: input %v kernel %v", x.Shape, k.Shape))
+	}
+	sz := x.Shape[1] * x.Shape[2] * x.Shape[3]
+	return x.Shape[0], Tensor{Shape: x.Shape[1:], Data: x.Data[:sz]}
 }
 
+// conv2DOutShape returns the output shape of one sample x [C, H, W].
 func conv2DOutShape(x, k *Tensor, padH, padW, strideH, strideW int) (oc, oh, ow int) {
-	_, h, w := convCheck(x, k)
+	h, w := x.Shape[1], x.Shape[2]
 	kh, kw := k.Shape[2], k.Shape[3]
 	oc = k.Shape[0]
 	oh = (h+2*padH-kh)/strideH + 1
@@ -189,33 +178,20 @@ func validTaps(i0, k, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// Conv2DBackward returns the gradients of a Conv2D call with respect to its
-// input and kernel, given the gradient of the loss with respect to the
-// output. Shapes must match the corresponding forward call.
-func Conv2DBackward(x, k, gradOut *Tensor, padH, padW, strideH, strideW int) (gradX, gradK *Tensor) {
-	c, h, w := convCheck(x, k)
-	gradX = New(c, h, w)
-	gradK = New(k.Shape...)
-	kt := kernelTaps(make([]float64, k.Size()), k)
-	gkt := make([]float64, k.Size())
-	conv2DBackward(gradX, gkt, x, kt, gradOut, k.Shape[0], k.Shape[2], k.Shape[3], padH, padW, strideH, strideW)
-	tapsKernel(gradK, gkt)
-	return gradX, gradK
-}
-
-// Conv2DBackwardInto is Conv2DBackward with the gradient scratch carved from
-// an arena; the returned tensors are valid until the arena is reset. Over a
-// batch x [N, C, H, W] gradX is per sample and gradK accumulates the samples
-// in order. With wantX false gradX is nil and not computed (x is an input
-// without a gradient, as the traffic CNN's speed matrix is).
+// Conv2DBackwardInto returns the gradients of a Conv2DInto call with respect
+// to its input and kernel, given the gradient of the loss with respect to
+// its output, with the gradient scratch carved from an arena; the returned
+// tensors are valid until the arena is reset. gradX is per sample and gradK
+// accumulates the samples in order. With wantX false gradX is nil and not
+// computed (x is an input without a gradient, as the traffic CNN's speed
+// matrix is).
 func Conv2DBackwardInto(a *Arena, x, k, gradOut *Tensor, wantX bool, padH, padW, strideH, strideW int) (gradX, gradK *Tensor) {
-	n, xs := convSample(x)
-	c, h, w := convCheck(&xs, k)
+	n, xs := convSample(x, k)
 	gradK = a.New(k.Shape...)
 	kt := kernelTaps(a.floats(k.Size()), k)
 	gkt := a.floats(k.Size())
-	xsz, gsz := c*h*w, gradOut.Size()/n
-	gs := Tensor{Shape: gradOut.Shape[gradOut.Dims()-3:]}
+	xsz, gsz := len(xs.Data), gradOut.Size()/n
+	gs := Tensor{Shape: gradOut.Shape[1:]}
 	var gxs *Tensor
 	if wantX {
 		gradX = a.New(x.Shape...)
@@ -360,17 +336,4 @@ func conv2DColumnBackward(gradX *Tensor, gkt []float64, x *Tensor, kt []float64,
 			}
 		}
 	}
-}
-
-func convCheck(x, k *Tensor) (c, h, w int) {
-	if x.Dims() != 3 {
-		panic(fmt.Sprintf("tensor: Conv2D input must be [C,H,W], got %v", x.Shape))
-	}
-	if k.Dims() != 4 {
-		panic(fmt.Sprintf("tensor: Conv2D kernel must be [OC,C,KH,KW], got %v", k.Shape))
-	}
-	if k.Shape[1] != x.Shape[0] {
-		panic(fmt.Sprintf("tensor: Conv2D channel mismatch: input %v kernel %v", x.Shape, k.Shape))
-	}
-	return x.Shape[0], x.Shape[1], x.Shape[2]
 }

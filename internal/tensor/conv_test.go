@@ -7,10 +7,23 @@ import (
 	"testing"
 )
 
+// conv runs Conv2DInto over x [N, C, H, W] on an arena of its own.
+func conv(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
+	var a Arena
+	return Conv2DInto(&a, x, k, padH, padW, strideH, strideW)
+}
+
+// convBackward runs Conv2DBackwardInto, input gradient included, on an arena
+// of its own.
+func convBackward(x, k, gradOut *Tensor, padH, padW, strideH, strideW int) (gradX, gradK *Tensor) {
+	var a Arena
+	return Conv2DBackwardInto(&a, x, k, gradOut, true, padH, padW, strideH, strideW)
+}
+
 func TestConv2DIdentityKernel(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 1, 2, 3)
-	k := FromSlice([]float64{1}, 1, 1, 1, 1) // 1x1 identity
-	y := Conv2D(x, k, 0, 0, 1, 1)
+	x := of([]float64{1, 2, 3, 4, 5, 6}, 1, 1, 2, 3)
+	k := of([]float64{1}, 1, 1, 1, 1) // 1x1 identity
+	y := conv(x, k, 0, 0, 1, 1)
 	if !y.SameShape(x) {
 		t.Fatalf("identity conv changed shape: %v", y.Shape)
 	}
@@ -24,72 +37,68 @@ func TestConv2DIdentityKernel(t *testing.T) {
 func TestConv2DSamePadding3x1(t *testing.T) {
 	// The DeepOD time-interval encoder uses 3x1 kernels with padH=1 so the
 	// Δd dimension is preserved (Formulas 5-6).
-	x := New(1, 5, 4)
+	x := New(1, 1, 5, 4)
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
 	k := New(4, 1, 3, 1)
-	for i := range k.Data {
-		k.Data[i] = 0.5
+	k.Fill(0.5)
+	y := conv(x, k, 1, 0, 1, 1)
+	if y.Shape[0] != 1 || y.Shape[1] != 4 || y.Shape[2] != 5 || y.Shape[3] != 4 {
+		t.Fatalf("same-pad conv shape %v, want [1 4 5 4]", y.Shape)
 	}
-	y := Conv2D(x, k, 1, 0, 1, 1)
-	if y.Shape[0] != 4 || y.Shape[1] != 5 || y.Shape[2] != 4 {
-		t.Fatalf("same-pad conv shape %v, want [4 5 4]", y.Shape)
-	}
+	at := func(t *Tensor, c, i, j int) float64 { return t.Data[(c*t.Shape[2]+i)*t.Shape[3]+j] }
 	// Interior element (1, 2, 1): sum of x[0,1,1], x[0,2,1], x[0,3,1] times 0.5.
-	want := (x.At(0, 1, 1) + x.At(0, 2, 1) + x.At(0, 3, 1)) * 0.5
-	if got := y.At(1, 2, 1); math.Abs(got-want) > 1e-12 {
+	want := (at(x, 0, 1, 1) + at(x, 0, 2, 1) + at(x, 0, 3, 1)) * 0.5
+	if got := at(y, 1, 2, 1); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("conv value %v, want %v", got, want)
 	}
 	// Top edge (any oc, 0, 1): padding row contributes zero.
-	wantEdge := (x.At(0, 0, 1) + x.At(0, 1, 1)) * 0.5
-	if got := y.At(0, 0, 1); math.Abs(got-wantEdge) > 1e-12 {
+	wantEdge := (at(x, 0, 0, 1) + at(x, 0, 1, 1)) * 0.5
+	if got := at(y, 0, 0, 1); math.Abs(got-wantEdge) > 1e-12 {
 		t.Fatalf("edge conv value %v, want %v", got, wantEdge)
 	}
 }
 
 func TestConv2DStride(t *testing.T) {
-	x := New(1, 8, 8)
-	k := New(2, 1, 3, 3)
-	y := Conv2D(x, k, 1, 1, 2, 2)
-	if y.Shape[0] != 2 || y.Shape[1] != 4 || y.Shape[2] != 4 {
-		t.Fatalf("strided conv shape %v, want [2 4 4]", y.Shape)
+	y := conv(New(3, 1, 8, 8), New(2, 1, 3, 3), 1, 1, 2, 2)
+	if y.Shape[0] != 3 || y.Shape[1] != 2 || y.Shape[2] != 4 || y.Shape[3] != 4 {
+		t.Fatalf("strided conv shape %v, want [3 2 4 4]", y.Shape)
 	}
 }
 
+// TestConv2DPanicsOnChannelMismatch: a channel mismatch, and an input
+// without the batch axis, are rejected.
 func TestConv2DPanicsOnChannelMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("channel mismatch did not panic")
-		}
-	}()
-	Conv2D(New(2, 3, 3), New(1, 3, 1, 1), 0, 0, 1, 1)
+	for name, x := range map[string]*Tensor{"channels": New(1, 2, 3, 3), "3-D input": New(3, 3, 3)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: bad input %v accepted", name, x.Shape)
+				}
+			}()
+			conv(x, New(1, 3, 1, 1), 0, 0, 1, 1)
+		}()
+	}
 }
 
-// TestConv2DBackwardFiniteDiff checks both returned gradients against
-// central finite differences of a random scalar objective.
+// TestConv2DBackwardFiniteDiff checks both returned gradients of a batch of
+// two against central finite differences of a random scalar objective.
 func TestConv2DBackwardFiniteDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	x := New(2, 4, 3)
-	k := New(3, 2, 3, 1)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range k.Data {
-		k.Data[i] = rng.NormFloat64()
-	}
+	x := randTensor(rng, 2, 2, 4, 3)
+	k := randTensor(rng, 3, 2, 3, 1)
 	padH, padW, sH, sW := 1, 0, 1, 1
 	// objective: weighted sum of the conv output
-	w := Conv2D(x, k, padH, padW, sH, sW)
-	weights := New(w.Shape...)
-	for i := range weights.Data {
-		weights.Data[i] = rng.NormFloat64()
-	}
+	weights := randTensor(rng, conv(x, k, padH, padW, sH, sW).Shape...)
 	obj := func() float64 {
-		y := Conv2D(x, k, padH, padW, sH, sW)
-		return Dot(y, weights)
+		var s float64
+		for i, v := range conv(x, k, padH, padW, sH, sW).Data {
+			s += v * weights.Data[i]
+		}
+		return s
 	}
-	gx, gk := Conv2DBackward(x, k, weights, padH, padW, sH, sW)
+	gx, gk := convBackward(x, k, weights, padH, padW, sH, sW)
 
 	const h = 1e-6
 	for i := range x.Data {
@@ -118,10 +127,10 @@ func TestConv2DBackwardFiniteDiff(t *testing.T) {
 	}
 }
 
-// naiveConv2D is the original bounds-checked tap loop, kept as the bit-level
-// reference for the forward kernel: each output element sums its in-bounds
-// taps over (ci, ky, kx) ascending, so every output bit must match —
-// checkpoint replay depends on it.
+// naiveConv2D is the original bounds-checked tap loop over one sample x
+// [C, H, W], kept as the bit-level reference for the forward kernel: each
+// output element sums its in-bounds taps over (ci, ky, kx) ascending, so
+// every output bit must match — checkpoint replay depends on it.
 func naiveConv2D(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
 	oc, oh, ow := conv2DOutShape(x, k, padH, padW, strideH, strideW)
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
@@ -154,7 +163,7 @@ func naiveConv2D(x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
 }
 
 // naiveConv2DBackward is the bounds-checked reference for the backward
-// kernel's summation order: output positions (oy, ox) ascending; at each,
+// kernel's summation order over one sample: output positions (oy, ox) ascending; at each,
 // every in-bounds tap (ci, ky, kx) ascending; at each tap, the output
 // channels with a non-zero gradient ascending — each adds g·x to its kernel
 // gradient, and their Σ g·k is added once to the input gradient.
@@ -203,8 +212,8 @@ func naiveConv2DBackward(x, k, gradOut *Tensor, padH, padW, strideH, strideW int
 // including the model's 3×3/stride-2 traffic CNN and 3×1/pad-1 time-interval
 // encoder shapes, heavy padding and kernels larger than the padded overhang,
 // then every width-1 shape the time-interval encoder can produce — and
-// requires bitwise equality between the kernels and the naive reference for
-// both the forward output and both gradients.
+// requires bitwise equality between the kernels, on a batch of one, and the
+// naive reference for both the forward output and both gradients.
 func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type convCase struct {
@@ -248,18 +257,13 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 		}
 	}
 	for _, tc := range cases {
-		x := New(tc.c, tc.h, tc.w)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		k := New(tc.oc, tc.c, tc.kh, tc.kw)
-		for i := range k.Data {
-			k.Data[i] = rng.NormFloat64()
-		}
-		want := naiveConv2D(x, k, tc.padH, tc.padW, tc.strH, tc.strW)
-		got := Conv2D(x, k, tc.padH, tc.padW, tc.strH, tc.strW)
-		if !got.SameShape(want) {
-			t.Fatalf("%+v: shape %v, want %v", tc, got.Shape, want.Shape)
+		x := randTensor(rng, 1, tc.c, tc.h, tc.w)
+		k := randTensor(rng, tc.oc, tc.c, tc.kh, tc.kw)
+		x1 := of(x.Data, tc.c, tc.h, tc.w)
+		want := naiveConv2D(x1, k, tc.padH, tc.padW, tc.strH, tc.strW)
+		got := conv(x, k, tc.padH, tc.padW, tc.strH, tc.strW)
+		if got.Shape[0] != 1 || !of(got.Data, got.Shape[1:]...).SameShape(want) {
+			t.Fatalf("%+v: shape %v, want [1 %v]", tc, got.Shape, want.Shape)
 		}
 		for i := range want.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
@@ -273,8 +277,8 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 		for i := 0; i < len(gradOut.Data); i += 3 {
 			gradOut.Data[i] = 0 // exercise the g==0 skip, as ReLU's backward does
 		}
-		wantGX, wantGK := naiveConv2DBackward(x, k, gradOut, tc.padH, tc.padW, tc.strH, tc.strW)
-		gotGX, gotGK := Conv2DBackward(x, k, gradOut, tc.padH, tc.padW, tc.strH, tc.strW)
+		wantGX, wantGK := naiveConv2DBackward(x1, k, gradOut, tc.padH, tc.padW, tc.strH, tc.strW)
+		gotGX, gotGK := convBackward(x, k, of(gradOut.Data, got.Shape...), tc.padH, tc.padW, tc.strH, tc.strW)
 		for i := range wantGX.Data {
 			if math.Float64bits(gotGX.Data[i]) != math.Float64bits(wantGX.Data[i]) {
 				t.Fatalf("%+v: gradX bit mismatch at %d", tc, i)
@@ -293,12 +297,11 @@ func TestConv2DMatchesNaiveBitExact(t *testing.T) {
 // product would be NaN — for 3×3 and width-1 kernels alike.
 func TestConv2DBackwardSkipsZeroGradients(t *testing.T) {
 	for _, kw := range []int{1, 3} {
-		x := New(2, 4, 4)
+		x := New(1, 2, 4, 4)
 		k := New(3, 2, 3, kw)
 		x.Fill(math.Inf(1))
 		k.Fill(math.Inf(-1))
-		gradOut := New(conv2DOutShape(x, k, 1, kw/2, 1, 1))
-		gx, gk := Conv2DBackward(x, k, gradOut, 1, kw/2, 1, 1)
+		gx, gk := convBackward(x, k, New(conv(x, k, 1, kw/2, 1, 1).Shape...), 1, kw/2, 1, 1)
 		for _, g := range [][]float64{gx.Data, gk.Data} {
 			for i, v := range g {
 				if v != 0 {
@@ -310,9 +313,10 @@ func TestConv2DBackwardSkipsZeroGradients(t *testing.T) {
 }
 
 // TestConv2DIntoBatchMatchesPerSample: over a batch [N, C, H, W] every
-// sample's output and input gradient are the single-sample kernels' bit for
-// bit, the kernel gradient is the samples' gradients accumulated in order,
-// and skipping the input gradient leaves the kernel gradient unchanged.
+// sample's output and input gradient are those of the sample run as a batch
+// of one, bit for bit; the kernel gradient is the per-sample kernel's
+// gradients accumulated in sample order; and skipping the input gradient
+// leaves the kernel gradient unchanged.
 func TestConv2DIntoBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, tc := range []struct{ n, c, h, w, oc, kh, kw, padH, padW, str int }{
@@ -333,19 +337,19 @@ func TestConv2DIntoBatchMatchesPerSample(t *testing.T) {
 		kt, gkt := kernelTaps(make([]float64, k.Size()), k), make([]float64, k.Size())
 		xsz, ysz := x.Size()/tc.n, y.Size()/tc.n
 		for i := 0; i < tc.n; i++ {
-			xi := FromSlice(x.Data[i*xsz:(i+1)*xsz], tc.c, tc.h, tc.w)
-			yi := Conv2D(xi, k, tc.padH, tc.padW, tc.str, tc.str)
-			gi := FromSlice(g.Data[i*ysz:(i+1)*ysz], yi.Shape...)
-			conv2DBackward(nil, gkt, xi, kt, gi, tc.oc, tc.kh, tc.kw, tc.padH, tc.padW, tc.str, tc.str)
-			wantX, _ := Conv2DBackward(xi, k, gi, tc.padH, tc.padW, tc.str, tc.str)
+			xi := of(x.Data[i*xsz:(i+1)*xsz], 1, tc.c, tc.h, tc.w)
+			yi := conv(xi, k, tc.padH, tc.padW, tc.str, tc.str)
+			gi := of(g.Data[i*ysz:(i+1)*ysz], yi.Shape...)
+			conv2DBackward(nil, gkt, of(xi.Data, xi.Shape[1:]...), kt, of(gi.Data, gi.Shape[1:]...), tc.oc, tc.kh, tc.kw, tc.padH, tc.padW, tc.str, tc.str)
+			wantX, _ := convBackward(xi, k, gi, tc.padH, tc.padW, tc.str, tc.str)
 			for j := range yi.Data {
 				if math.Float64bits(y.Data[i*ysz+j]) != math.Float64bits(yi.Data[j]) {
-					t.Fatalf("%+v sample %d: output %d differs from the single-sample kernel", tc, i, j)
+					t.Fatalf("%+v sample %d: output %d differs from the batch of one", tc, i, j)
 				}
 			}
 			for j := range wantX.Data {
 				if math.Float64bits(gx.Data[i*xsz+j]) != math.Float64bits(wantX.Data[j]) {
-					t.Fatalf("%+v sample %d: input gradient %d differs from the single-sample kernel", tc, i, j)
+					t.Fatalf("%+v sample %d: input gradient %d differs from the batch of one", tc, i, j)
 				}
 			}
 		}
@@ -396,9 +400,9 @@ func BenchmarkConv2DColumn(b *testing.B) {
 	}
 }
 
-// BenchmarkConv2DInto runs the traffic CNN's three layer shapes — the
-// per-sample cost the fused serving path cannot batch away, and the dominant
-// term of an external-features estimate.
+// BenchmarkConv2DInto runs the traffic CNN's three layer shapes on a batch
+// of one — the per-sample cost the fused serving path cannot batch away, and
+// the dominant term of an external-features estimate.
 func BenchmarkConv2DInto(b *testing.B) {
 	shapes := []struct {
 		name                   string
@@ -410,7 +414,7 @@ func BenchmarkConv2DInto(b *testing.B) {
 		{"ext3_8x3x3", 8, 3, 3, 8, 3, 3, 1, 1, 2, 2},
 	}
 	for _, s := range shapes {
-		x := New(s.c, s.h, s.w)
+		x := New(1, s.c, s.h, s.w)
 		for i := range x.Data {
 			x.Data[i] = float64(i%7) * 0.25
 		}

@@ -30,6 +30,9 @@ go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 echo "== portable bits (no fused multiply-add in the model's packages on arm64, ppc64le, s390x, riscv64)"
 ./scripts/fma.sh
 
+echo "== dead code (every function of internal/tensor and internal/nn is linked into a binary)"
+./scripts/deadcode.sh
+
 echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the /estimate decoder and encoder and the /probes decoder against encoding/json; 5 s each)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
@@ -66,7 +69,7 @@ go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
 go test -run '^$' -bench 'BenchmarkTrackerAdvance' -benchtime=100ms -benchmem ./internal/mapmatch/
 go test -run '^$' -bench 'BenchmarkDecodeProbes' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkTrainSkipGram|BenchmarkNegSample|BenchmarkGenerateWalks' -benchtime=100ms -benchmem ./internal/embed/
-go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkMatVecAdd$|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
+go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
 
 echo "== load harness smoke (go run ./bench, 2 s a workload: every HTTP answer bit-equal to the model's, zero failed operations; rates are bench -compare's job)"
 for w in estimate-cold estimate-hot estimate-live train; do
