@@ -131,7 +131,7 @@ func (m *Matcher) viterbi(ctx context.Context, pts []traj.GPSPoint) ([]roadnet.C
 		}
 		cur := make([]candState, len(cands))
 		for j, c := range cands {
-			emit := -c.Dist * c.Dist / sigma2
+			emit := -float64(c.Dist*c.Dist) / sigma2
 			if i == 0 {
 				cur[j] = candState{cand: c, logp: emit, prev: -1}
 				continue
@@ -204,7 +204,7 @@ func (m *Matcher) routeBetween(a, b roadnet.Candidate) ([]roadnet.EdgeID, float6
 	if err != nil {
 		return nil, 0, false
 	}
-	length := (1-a.Frac)*ea.Length + p.Cost + b.Frac*eb.Length
+	length := float64((1-a.Frac)*ea.Length) + p.Cost + float64(b.Frac*eb.Length)
 	route := append(append([]roadnet.EdgeID(nil), p.Edges...), b.Edge)
 	return route, length, true
 }
@@ -258,7 +258,7 @@ func (m *Matcher) assemble(ctx context.Context, pts []traj.GPSPoint, chosen []ro
 	var ctrls []ctrl
 	for i := range edges {
 		for _, a := range anchorsOf[i] {
-			ctrls = append(ctrls, ctrl{d: cum[i] + a.frac*m.g.Edges[edges[i]].Length, t: a.t})
+			ctrls = append(ctrls, ctrl{d: cum[i] + float64(a.frac*m.g.Edges[edges[i]].Length), t: a.t})
 		}
 	}
 	if len(ctrls) < 2 {
@@ -284,7 +284,7 @@ func (m *Matcher) assemble(ctx context.Context, pts []traj.GPSPoint, chosen []ro
 					return ctrls[i].t
 				}
 				f := (d - ctrls[i-1].d) / span
-				return ctrls[i-1].t + f*(ctrls[i].t-ctrls[i-1].t)
+				return ctrls[i-1].t + float64(f*(ctrls[i].t-ctrls[i-1].t))
 			}
 		}
 		return ctrls[len(ctrls)-1].t
@@ -292,8 +292,8 @@ func (m *Matcher) assemble(ctx context.Context, pts []traj.GPSPoint, chosen []ro
 
 	rStart := chosen[0].Frac
 	rEnd := 1 - chosen[len(chosen)-1].Frac
-	startD := cum[0] + rStart*m.g.Edges[edges[0]].Length
-	endD := cum[len(edges)-1] + chosen[len(chosen)-1].Frac*m.g.Edges[edges[len(edges)-1]].Length
+	startD := cum[0] + float64(rStart*m.g.Edges[edges[0]].Length)
+	endD := cum[len(edges)-1] + float64(chosen[len(chosen)-1].Frac*m.g.Edges[edges[len(edges)-1]].Length)
 
 	steps := make([]traj.Step, len(edges))
 	for i, e := range edges {

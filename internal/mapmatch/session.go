@@ -175,7 +175,7 @@ func (s *Session) Advance(pt traj.GPSPoint) ([]SegObs, error) {
 	next := s.spare[:0]
 	anyLinked := false
 	for _, c := range cands {
-		emit := -c.Dist * c.Dist / sigma2
+		emit := -float64(c.Dist*c.Dist) / sigma2
 		best := math.Inf(-1)
 		bestPrev := -1
 		for pj := range s.front {
@@ -240,7 +240,7 @@ func (s *Session) anchor(pt traj.GPSPoint, cands []roadnet.Candidate) {
 	sigma2 := 2 * s.m.cfg.SigmaMeters * s.m.cfg.SigmaMeters
 	s.front = s.front[:0]
 	for _, c := range cands {
-		s.front = append(s.front, streamState{cand: c, logp: -c.Dist * c.Dist / sigma2, prev: -1})
+		s.front = append(s.front, streamState{cand: c, logp: -float64(c.Dist*c.Dist) / sigma2, prev: -1})
 	}
 	s.lastT, s.lastPos, s.started = pt.T, pt.Pos, true
 }
@@ -280,17 +280,17 @@ func (s *Session) emit(obs []SegObs, a, b roadnet.Candidate, t0, t1 float64) []S
 		total += m
 	}
 	if a.Edge == b.Edge && b.Frac >= a.Frac {
-		push(a.Edge, (b.Frac-a.Frac)*g.Edges[a.Edge].Length)
+		push(a.Edge, float64((b.Frac-a.Frac)*g.Edges[a.Edge].Length))
 	} else {
 		route, ok := s.route(a, b)
 		if !ok {
 			return obs
 		}
-		push(a.Edge, (1-a.Frac)*g.Edges[a.Edge].Length)
+		push(a.Edge, float64((1-a.Frac)*g.Edges[a.Edge].Length))
 		for _, e := range route {
 			push(e, g.Edges[e].Length)
 		}
-		push(b.Edge, b.Frac*g.Edges[b.Edge].Length)
+		push(b.Edge, float64(b.Frac*g.Edges[b.Edge].Length))
 	}
 	dt := t1 - t0
 	if total <= 0 {
@@ -316,7 +316,7 @@ func (s *Session) routeLen(a, b roadnet.Candidate) (float64, bool) {
 		return (b.Frac - a.Frac) * ea.Length, true
 	}
 	eb := &g.Edges[b.Edge]
-	base := (1-a.Frac)*ea.Length + b.Frac*eb.Length
+	base := float64((1-a.Frac)*ea.Length) + float64(b.Frac*eb.Length)
 	if ea.To == eb.From {
 		return base, true
 	}

@@ -116,7 +116,8 @@ func AddMatMulNT(dst, a, bt *Tensor) {
 	dotRows(dst.Data, n, a.Data, m, k, bt.Data, 0, n, nil)
 }
 
-// scratchPool recycles AffineBatchBackward's transpose buffers.
+// scratchPool recycles AffineBatchBackward's transpose buffers and the
+// packed panels of the SIMD dotRows.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // transposeInto writes the [m, n] row-major matrix src into dst as [n, m],
@@ -137,14 +138,14 @@ func transposeInto(dst, src []float64, m, n int) {
 	}
 }
 
-// dotRows computes, for every row i of A [m, k] and every row j ∈ [j0, j1)
-// of Bt, the dot product s = Σ_p A[i][p]·Bt[j][p], summed over p ascending
-// from zero. With bias nil it adds s to c[i*ldc+j]; otherwise it stores
-// s + bias[j] there. Two rows by two columns run at a time — four add chains
-// sharing every load; more accumulators than that spill registers — and a
-// last odd row runs four columns at a time. Products are float64(a*b), never
-// fused.
-func dotRows(c []float64, ldc int, a []float64, m, k int, bt []float64, j0, j1 int, bias []float64) {
+// dotRowsGo is the portable dotRows (dot_amd64.go, dot_other.go): for
+// every row i of A [m, k] and every row j ∈ [j0, j1) of Bt, the dot product
+// s = Σ_p A[i][p]·Bt[j][p], summed over p ascending from zero. With bias nil
+// it adds s to c[i*ldc+j]; otherwise it stores s + bias[j] there. Two rows by
+// two columns run at a time — four add chains sharing every load; more
+// accumulators than that spill registers — and a last odd row runs four
+// columns at a time. Products are float64(a*b), never fused.
+func dotRowsGo(c []float64, ldc int, a []float64, m, k int, bt []float64, j0, j1 int, bias []float64) {
 	put := func(i, j int, s float64) {
 		if bias == nil {
 			c[i*ldc+j] += s

@@ -285,8 +285,8 @@ func (s *Store) publish(nowSec float64) {
 					continue
 				}
 				weight := math.Pow(s.cfg.Decay, float64(curWin-x))
-				wm += weight * s.meters[slot]
-				ws += weight * s.secs[slot]
+				wm += float64(weight * s.meters[slot])
+				ws += float64(weight * s.secs[slot])
 			}
 			if ws > 0 {
 				v := float32(wm / ws)

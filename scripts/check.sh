@@ -27,14 +27,18 @@ go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./i
 go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 
-echo "== portable bits (no fused multiply-add in the model's packages on arm64, ppc64le, s390x, riscv64)"
+echo "== portable kernel (-tags purego: the golden bits and the batch kernels without the amd64 assembly)"
+go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|EstimateBatchFused|LSTM' ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/models/
+
+echo "== portable bits (no fused multiply-add in the model's or the serving path's packages on arm64, ppc64le, s390x, riscv64, nor in any assembly)"
 ./scripts/fma.sh
 
 echo "== dead code (every function of internal/tensor and internal/nn is linked into a binary)"
 ./scripts/deadcode.sh
 
-echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the /estimate decoder and encoder and the /probes decoder against encoding/json; 5 s each)"
+echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the SIMD dot kernel against the portable one; the /estimate decoder and encoder and the /probes decoder against encoding/json; 5 s each)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
+go test -run '^$' -fuzz FuzzDotRows -fuzztime 5s ./internal/tensor/
 go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzDecodeProbes -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzEncodeEstimate -fuzztime 5s ./internal/serve/
@@ -57,12 +61,13 @@ go test -run 'TestFlightDisabledOverhead' ./internal/infer/
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
 go test -run '^$' -bench 'BenchmarkTrainStep|BenchmarkPretrainEmbeddings' -benchtime=100ms -benchmem ./internal/core/
 go test -run '^$' -bench 'BenchmarkAffineBatchInto' -benchtime=100ms ./internal/tensor/
+go test -run '^$' -bench 'BenchmarkDotRows' -benchtime=100ms -benchmem ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
 go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
 go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .

@@ -6,7 +6,8 @@
 # dead-code elimination drops the rest; a declared function missing from
 # every binary's `go tool nm` output has no non-test caller. A naive
 # reference that only a test compares against belongs in that test's
-# _test.go file, not here.
+# _test.go file, not here. An assembly function's symbol carries its ABI
+# (pkg.F.abi0) and counts as pkg.F.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,7 +20,7 @@ i=0
 for pkg in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
     i=$((i + 1))
     go build -gcflags=all=-l -o "$tmp/bin$i" "$pkg"
-    go tool nm "$tmp/bin$i" | awk '{print $NF}' >>"$tmp/nm"
+    go tool nm "$tmp/bin$i" | awk '{ sub(/\.abi0$/, "", $NF); print $NF }' >>"$tmp/nm"
 done
 sort -u "$tmp/nm" >"$tmp/linked"
 
