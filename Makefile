@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the PR gate (see scripts/check.sh).
 
-.PHONY: build test check race fmt bench tracebench qualitybench slobench flightbench replaybench telemetrybench
+.PHONY: build test check race fmt bench tracebench enginebench slobench replaybench telemetrybench
 
 build:
 	go build ./...
@@ -29,15 +29,11 @@ tracebench:
 	go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' -v ./internal/obs/
 	go test -run '^$$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' ./internal/obs/
 
-qualitybench:
-	go test -run 'TestPredictionStampDisabledOverhead' -v ./internal/infer/
+enginebench:
+	go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPredictionStampDisabledOverhead' -v ./internal/infer/
 
 slobench:
-	go test -run 'TestSLORequestAccountingOverhead' -v ./internal/infer/
 	go test -run '^$$' -bench 'BenchmarkEvaluatorTick|BenchmarkManagerSet' ./internal/slo/
-
-flightbench:
-	go test -run 'TestFlightDisabledOverhead' -v ./internal/infer/
 
 replaybench:
 	go run ./cmd/ttereplay -smoke -gate-unexplained 0

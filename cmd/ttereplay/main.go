@@ -238,7 +238,7 @@ func smokeRecord(c *deepod.City, snap *infer.Snapshot,
 		CacheEntries: 4096,
 		Cells:        cells,
 		Slotter:      snap.Slotter,
-		Flight:       rec,
+		Observers:    []infer.Observer{rec},
 		Registry:     obs.NewRegistry(),
 	})
 	if err != nil {

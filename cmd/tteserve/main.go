@@ -33,6 +33,11 @@
 // /debug/metrics/history returns them next to each series, resolvable at
 // /debug/traces?trace=<id>.
 //
+// The quality monitor (-quality) and the flight recorder (-recorder) are
+// the engine's observers: every /estimate the engine handles ends in one
+// event, which the monitor stamps with the prediction ID the response
+// echoes (answers only) and the recorder offers to its capture policy.
+//
 // With -recorder, every served estimate is offered to the flight recorder:
 // errors and shed requests are always captured, the slowest N per window
 // and a -recorder-sample fraction of the rest ride along, and with
@@ -100,15 +105,6 @@ type modelEstimator struct{ m *core.Model }
 
 func (e *modelEstimator) Name() string                          { return "DeepOD" }
 func (e *modelEstimator) Estimate(od *deepod.MatchedOD) float64 { return e.m.Estimate(od) }
-
-// recorderOrNil keeps a nil *quality.Monitor from becoming a non-nil
-// PredictionRecorder interface on the engine config.
-func recorderOrNil(mon *quality.Monitor) infer.PredictionRecorder {
-	if mon == nil {
-		return nil
-	}
-	return mon
-}
 
 // alertSinkOrNil keeps a nil *slo.Manager from becoming a non-nil
 // AlertSink interface on the quality config.
@@ -432,12 +428,15 @@ func main() {
 		CacheTTL:     *cacheTTL,
 		Cells:        cells,
 		Slotter:      snap.Slotter,
-		Recorder:     recorderOrNil(mon),
+	}
+	// The monitor goes first: it stamps the answer before the recorder
+	// captures the same event. Appended only when built, so a nil pointer
+	// never becomes a non-nil Observer.
+	if mon != nil {
+		engCfg.Observers = append(engCfg.Observers, mon)
 	}
 	if flight != nil {
-		// Assigned conditionally so a nil *recorder.Recorder never
-		// becomes a non-nil FlightRecorder interface.
-		engCfg.Flight = flight
+		engCfg.Observers = append(engCfg.Observers, flight)
 	}
 	if liveTraffic != nil {
 		// Assigned conditionally so a nil *FeatureSource never becomes

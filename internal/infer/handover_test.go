@@ -102,14 +102,14 @@ func TestQueuedJobIsNotOvertaken(t *testing.T) {
 
 	_, qspan := e.reg.StartSpan(context.Background(), "infer.queue")
 	planted := &job{od: od(1, 1, 5, 5, 100), enqueued: e.now(), ctx: context.Background(),
-		qspan: qspan, done: make(chan outcome, 1)}
+		qspan: qspan, done: make(chan ServeEvent, 1)}
 	e.queue <- planted
 
 	r, err := e.Do(context.Background(), od(1, 1, 5, 5, 200))
 	if err != nil || r.Seconds != 200 {
 		t.Fatalf("late request: %+v, %v", r, err)
 	}
-	if out := <-planted.done; out.err != nil || out.sec != 100 {
+	if out := <-planted.done; out.Err != nil || out.Seconds != 100 {
 		t.Fatalf("queued job: %+v", out)
 	}
 	mu.Lock()
@@ -199,7 +199,7 @@ func TestCloseWaitsForInline(t *testing.T) {
 func TestSwapDuringInline(t *testing.T) {
 	src := &stubTraffic{}
 	src.epoch.Store(7)
-	fl := &stubFlight{}
+	fl := &stubObserver{}
 	gate, started := make(chan struct{}), make(chan struct{})
 	old := &Snapshot{ID: "old", Estimate: func(context.Context, *traj.MatchedOD) float64 {
 		close(started)
@@ -208,7 +208,7 @@ func TestSwapDuringInline(t *testing.T) {
 	}}
 	cfg := testConfig(t, old)
 	cfg.Traffic = src
-	cfg.Flight = fl
+	cfg.Observers = []Observer{fl}
 	e := newTestEngine(t, cfg)
 	oldGen := e.cur.Load().gen
 

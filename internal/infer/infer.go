@@ -24,6 +24,11 @@
 //     installs a new checkpoint without dropping a single in-flight
 //     request; generation tags make every cached estimate from the old
 //     model invisible the moment the swap lands.
+//   - Observation: every Do call — answered, shed or failed — ends in one
+//     ServeEvent handed to each of Config.Observers on the caller's
+//     goroutine once the answer is final: quality.Monitor stamps the
+//     prediction ID the client echoes back with ground truth, and
+//     recorder.Recorder captures the wide event replay re-executes.
 //
 // Every stage is instrumented in internal/obs:
 //
@@ -85,14 +90,6 @@ type Quantizer interface {
 	CellIndex(p geo.Point) int
 }
 
-// PredictionRecorder is notified of every served estimate and returns a
-// prediction ID that is echoed to the client, so ground-truth feedback can
-// be joined back to the exact prediction (and model generation) that was
-// served. Implemented by quality.Monitor; must be safe for concurrent use.
-type PredictionRecorder interface {
-	RecordPrediction(od traj.ODInput, seconds float64, snapshotID string, generation uint64) string
-}
-
 // TrafficSource feeds live traffic state into estimation. External returns
 // the external-feature bundle (traffic-condition matrix + weather) the
 // model should see for a departure time — live edge speeds merged over the
@@ -108,9 +105,9 @@ type TrafficSource interface {
 	External(departSec float64) (ext *traj.ExternalFeatures, live bool)
 }
 
-// ServeEvent is the wide-event payload handed to a FlightRecorder after
-// every Do call — one record carrying every input that determined the
-// answer, so a served estimate can be reproduced and re-scored offline.
+// ServeEvent is the one record of a Do call that the Observers see: every
+// input that determined the answer, so a served estimate can be stamped
+// for ground-truth joining, reproduced and re-scored offline.
 type ServeEvent struct {
 	// OD is the request exactly as the engine admitted it.
 	OD traj.ODInput
@@ -133,7 +130,7 @@ type ServeEvent struct {
 	// requests served on the caller's goroutine and on queue-full sheds;
 	// QueueTimeout on timeout sheds).
 	QueueWait time.Duration
-	// Latency is the full Do duration as the caller saw it.
+	// Latency is the Do duration up to the answer (zero with no observer).
 	Latency time.Duration
 	// Err is the Do error: nil, ErrOverloaded, ErrQueueTimeout,
 	// ErrInvalidInput, ErrClosed, ErrInternal, a *MatchError, or a context
@@ -141,11 +138,14 @@ type ServeEvent struct {
 	Err error
 }
 
-// FlightRecorder captures wide events for the flight recorder. Implemented
-// by recorder.Recorder; must be safe for concurrent use and must not
-// block — it runs on the serve path after the answer is computed.
-type FlightRecorder interface {
-	RecordServe(ctx context.Context, ev ServeEvent)
+// Observer is told about every Do call exactly once — success, shed or
+// error — on the caller's goroutine after the answer is final, and returns
+// a prediction ID to echo to the client, or "". quality.Monitor stamps
+// served estimates for ground-truth joining; recorder.Recorder captures
+// wide events for replay. Must be safe for concurrent use and must not
+// block.
+type Observer interface {
+	ObserveServe(ctx context.Context, ev ServeEvent) (predictionID string)
 }
 
 // Config assembles an Engine.
@@ -195,20 +195,14 @@ type Config struct {
 	// with the live traffic view at estimate time and keys the cache by the
 	// traffic epoch. Nil leaves the request's own features untouched; the
 	// only cost left on the serve path is one nil check per stage (see
-	// TestTrafficDisabledOverhead).
+	// TestDisabledPathOverhead).
 	Traffic TrafficSource
 
-	// Recorder, when non-nil, stamps every served estimate (cache hits
-	// included — a cached answer is still a served prediction) with an ID
-	// for ground-truth joining. Nil disables stamping; the only cost left
-	// on the serve path is one nil check (see the overhead gate test).
-	Recorder PredictionRecorder
-
-	// Flight, when non-nil, receives one wide event per Do call — every
-	// input that determined the answer, for offline replay and regression
-	// diffing. Nil disables capture; the only cost left on the serve path
-	// is one nil check (see TestFlightDisabledOverhead).
-	Flight FlightRecorder
+	// Observers see one ServeEvent per Do call, in order; the first
+	// non-empty ID one returns becomes Result.PredictionID. With none, Do
+	// reads no clock for them and allocates nothing for them (see
+	// TestDisabledPathOverhead).
+	Observers []Observer
 
 	// Registry receives engine metrics (default obs.Default()).
 	Registry *obs.Registry
@@ -227,7 +221,7 @@ type Result struct {
 	// the generation check is the live one).
 	SnapshotID string
 	// PredictionID is the quality monitor's join handle for this estimate;
-	// empty when no Recorder is configured.
+	// empty when no observer returns one.
 	PredictionID string
 }
 
@@ -239,31 +233,9 @@ type installed struct {
 	gen  uint64
 }
 
-type outcome struct {
-	sec    float64
-	snapID string
-	predID string
-	err    error
-	// Flight-recorder facts known only to the execution.
-	wait  time.Duration
-	gen   uint64
-	epoch uint64
-	live  bool
-}
-
-// serveDetail carries the per-request facts the flight-recorder wrapper
-// needs beyond the Result: the generation and traffic regime that
-// determined the answer, and where the request spent its time.
-type serveDetail struct {
-	wait  time.Duration
-	gen   uint64
-	epoch uint64
-	live  bool
-}
-
 type job struct {
 	od traj.ODInput
-	// key holds the cache cells and slot, computed once in do (zero with
+	// key holds the cache cells and slot, computed once in Do (zero with
 	// caching off); finish files the answer under it at the execution's
 	// epoch.
 	key      cacheKey
@@ -281,7 +253,7 @@ type job struct {
 	// pickup keeps waiting (the timeout bounds queue wait, not service).
 	picked    atomic.Bool
 	abandoned atomic.Bool
-	done      chan outcome
+	done      chan ServeEvent
 }
 
 // Engine mediates all estimate traffic: admission, batching, caching and
@@ -580,67 +552,36 @@ func (e *Engine) trafficEpoch() uint64 {
 // panicked, or the context's error if the caller gave up first. When ctx
 // carries a trace, every stage shows up as a span: infer.cache (hit attr),
 // infer.queue (depth, wait, shed reason), and the execution's infer.batch /
-// infer.match / infer.model tree. With a flight recorder configured,
-// every call — success, shed, or error — leaves one wide event behind.
+// infer.match / infer.model tree. Every call — success, shed, or error —
+// ends in one ServeEvent for the Observers.
 func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
-	if e.cfg.Flight == nil {
-		res, _, err := e.do(ctx, od)
-		return res, err
+	var start time.Time
+	if len(e.cfg.Observers) > 0 {
+		start = e.now()
 	}
-	start := e.now()
-	res, d, err := e.do(ctx, od)
-	e.flightCapture(ctx, od, start, res, d, err)
-	return res, err
-}
-
-// flightCapture hands one finished request to the flight recorder. This is
-// the only flight-recorder cost on the serve path; disabled it must stay a
-// nanosecond-scale nil check (enforced by TestFlightDisabledOverhead).
-func (e *Engine) flightCapture(ctx context.Context, od traj.ODInput, start time.Time, res Result, d serveDetail, err error) {
-	if e.cfg.Flight == nil {
-		return
-	}
-	e.cfg.Flight.RecordServe(ctx, ServeEvent{
-		OD:           od,
-		Seconds:      res.Seconds,
-		Cached:       res.Cached,
-		SnapshotID:   res.SnapshotID,
-		Generation:   d.gen,
-		TrafficEpoch: d.epoch,
-		TrafficLive:  d.live,
-		QueueWait:    d.wait,
-		Latency:      e.now().Sub(start),
-		Err:          err,
-	})
-}
-
-// do is Do's pipeline, also reporting the serveDetail the flight recorder
-// captures. The detail stores are plain scalar writes and cost nothing
-// measurable even with the recorder off.
-func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, error) {
-	var d serveDetail
-	if err := validate(od); err != nil {
-		return Result{}, d, err
+	ev := ServeEvent{OD: od, Err: validate(od)}
+	if ev.Err != nil {
+		return e.answer(ctx, start, &ev)
 	}
 	// The shed-rate SLO's denominator: tte_infer_shed_total / this ratio is
 	// the fraction of valid requests admission control turned away.
 	e.requests.Inc()
 	inst := e.cur.Load()
-	d.gen = inst.gen
+	ev.Generation = inst.gen
 	var key cacheKey
 	if e.cache != nil {
 		key = e.keyOf(od)
-		d.epoch = key.epoch
+		ev.TrafficEpoch = key.epoch
 		_, cspan := e.reg.StartSpan(ctx, "infer.cache")
 		sec, ok := e.cache.get(key, inst.gen, e.now())
 		cspan.SetBool("hit", ok)
 		cspan.End()
 		if ok {
-			return Result{Seconds: sec, Cached: true, SnapshotID: inst.snap.ID,
-				PredictionID: e.stamp(od, sec, inst)}, d, nil
+			ev.Seconds, ev.Cached, ev.SnapshotID = sec, true, inst.snap.ID
+			return e.answer(ctx, start, &ev)
 		}
 	} else {
-		d.epoch = e.trafficEpoch()
+		ev.TrafficEpoch = e.trafficEpoch()
 	}
 
 	_, qspan := e.reg.StartSpan(ctx, "infer.queue")
@@ -650,7 +591,8 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 		e.mu.RUnlock()
 		qspan.Fail(ErrClosed)
 		qspan.End()
-		return Result{}, d, ErrClosed
+		ev.Err = ErrClosed
+		return e.answer(ctx, start, &ev)
 	}
 	select {
 	case e.slots <- struct{}{}:
@@ -659,14 +601,15 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 			// a goroutine hand-over in front of the same work.
 			e.wg.Add(1)
 			e.mu.RUnlock()
-			return e.serveInline(ctx, od, key, qspan).result(&d)
+			ev = e.serveInline(ctx, od, key, qspan)
+			return e.answer(ctx, start, &ev)
 		}
 		// Queued work goes first. The worker its enqueuer woke is waiting
 		// for this slot.
 		<-e.slots
 	default:
 	}
-	j := &job{od: od, key: key, enqueued: e.now(), ctx: ctx, qspan: qspan, done: make(chan outcome, 1)}
+	j := &job{od: od, key: key, enqueued: e.now(), ctx: ctx, qspan: qspan, done: make(chan ServeEvent, 1)}
 	select {
 	case e.queue <- j:
 		select {
@@ -681,63 +624,59 @@ func (e *Engine) do(ctx context.Context, od traj.ODInput) (Result, serveDetail, 
 		qspan.SetStr("shed", "queue_full")
 		qspan.Fail(ErrOverloaded)
 		qspan.End()
-		return Result{}, d, ErrOverloaded
+		ev.Err = ErrOverloaded
+		return e.answer(ctx, start, &ev)
 	}
 
 	timer := time.NewTimer(e.cfg.QueueTimeout)
 	defer timer.Stop()
 	select {
-	case out := <-j.done:
-		return out.result(&d)
+	case ev = <-j.done:
 	case <-ctx.Done():
 		j.abandoned.Store(true)
 		qspan.SetStr("shed", "abandoned")
 		qspan.End()
-		return Result{}, d, ctx.Err()
+		ev.Err = ctx.Err()
 	case <-timer.C:
-		if !j.picked.Load() {
-			j.abandoned.Store(true)
-			e.shedTimeout.Inc()
-			qspan.SetStr("shed", "queue_timeout")
-			qspan.Fail(ErrQueueTimeout)
-			qspan.End()
-			d.wait = e.cfg.QueueTimeout
-			return Result{}, d, ErrQueueTimeout
+		if j.picked.Load() {
+			// A worker took the job just in time: the timeout only bounds
+			// queue wait, so keep waiting for the in-progress answer.
+			select {
+			case ev = <-j.done:
+			case <-ctx.Done():
+				j.abandoned.Store(true)
+				ev.Err = ctx.Err()
+			}
+			break
 		}
-		// A worker took the job just in time: the timeout only bounds
-		// queue wait, so keep waiting for the in-progress answer.
-		select {
-		case out := <-j.done:
-			return out.result(&d)
-		case <-ctx.Done():
-			j.abandoned.Store(true)
-			return Result{}, d, ctx.Err()
-		}
+		j.abandoned.Store(true)
+		e.shedTimeout.Inc()
+		qspan.SetStr("shed", "queue_timeout")
+		qspan.Fail(ErrQueueTimeout)
+		qspan.End()
+		ev.Err, ev.QueueWait = ErrQueueTimeout, e.cfg.QueueTimeout
 	}
+	return e.answer(ctx, start, &ev)
 }
 
-// result converts an execution's outcome, folding its authoritative detail
-// facts (queue wait, generation, traffic regime) into d.
-func (out outcome) result(d *serveDetail) (Result, serveDetail, error) {
-	d.wait = out.wait
-	d.gen = out.gen
-	d.epoch = out.epoch
-	d.live = out.live
-	if out.err != nil {
-		return Result{}, *d, out.err
+// answer ends a Do call: each observer sees its final event, in order, and
+// the first prediction ID one returns is echoed to the caller. A caller that
+// gave up gets its context error here, so no observer ever stamps an answer
+// nobody received.
+func (e *Engine) answer(ctx context.Context, start time.Time, ev *ServeEvent) (Result, error) {
+	var id string
+	if len(e.cfg.Observers) > 0 {
+		ev.Latency = e.now().Sub(start)
+		for _, o := range e.cfg.Observers {
+			if got := o.ObserveServe(ctx, *ev); id == "" {
+				id = got
+			}
+		}
 	}
-	return Result{Seconds: out.sec, SnapshotID: out.snapID, PredictionID: out.predID}, *d, nil
-}
-
-// stamp hands one served estimate to the prediction recorder, returning
-// the ID to echo, or "" with no recorder. This is the only quality-monitor
-// cost on the serve path; disabled it must stay a nanosecond-scale nil
-// check (enforced by TestPredictionStampDisabledOverhead).
-func (e *Engine) stamp(od traj.ODInput, sec float64, inst *installed) string {
-	if e.cfg.Recorder == nil {
-		return ""
+	if ev.Err != nil {
+		return Result{}, ev.Err
 	}
-	return e.cfg.Recorder.RecordPrediction(od, sec, inst.snap.ID, inst.gen)
+	return Result{Seconds: ev.Seconds, Cached: ev.Cached, SnapshotID: ev.SnapshotID, PredictionID: id}, nil
 }
 
 // pendingJob is one request in execution: on the caller's goroutine, or as
@@ -748,8 +687,8 @@ type pendingJob struct {
 	// ctx is the requesting caller's context; it carries the trace so the
 	// execution's batch/match/model spans join the request's tree.
 	ctx context.Context
-	// done delivers a queued job's outcome; nil when the caller executes.
-	done    chan<- outcome
+	// done delivers a queued job's event; nil when the caller executes.
+	done    chan<- ServeEvent
 	wait    time.Duration
 	matched traj.MatchedOD
 	bctx    context.Context
@@ -759,9 +698,9 @@ type pendingJob struct {
 }
 
 // serveInline answers the caller's own request as a batch of one on the
-// caller's goroutine, under the slot do took: the same snapshot load, spans
+// caller's goroutine, under the slot Do took: the same snapshot load, spans
 // and observations as a worker picking it up after no wait at all.
-func (e *Engine) serveInline(ctx context.Context, od traj.ODInput, key cacheKey, qspan *obs.Span) outcome {
+func (e *Engine) serveInline(ctx context.Context, od traj.ODInput, key cacheKey, qspan *obs.Span) ServeEvent {
 	defer e.release()
 	qspan.SetFloat("wait_ms", 0)
 	qspan.End()
@@ -771,7 +710,7 @@ func (e *Engine) serveInline(ctx context.Context, od traj.ODInput, key cacheKey,
 	// On the heap: Snapshot.Estimate is handed a pointer into it.
 	p := &pendingJob{od: od, key: key, ctx: ctx}
 	if err := e.prepare(inst, p, 1); err != nil {
-		return p.fail(inst, err)
+		return p.end(inst, err)
 	}
 	return e.model(inst, p)
 }
@@ -843,7 +782,7 @@ func (e *Engine) serveBatch(batch []*job, pending []pendingJob, ods []traj.Match
 		pending = append(pending, pendingJob{od: j.od, key: j.key, ctx: j.ctx, done: j.done, wait: wait})
 		p := &pending[len(pending)-1]
 		if err := e.prepare(inst, p, len(batch)); err != nil {
-			j.done <- p.fail(inst, err)
+			j.done <- p.end(inst, err)
 			pending = pending[:len(pending)-1]
 		}
 	}
@@ -872,7 +811,7 @@ func (e *Engine) serveBatch(batch []*job, pending []pendingJob, ods []traj.Match
 
 // prepare runs the per-request half of an execution — map matching and the
 // traffic override — under the request's infer.batch span. A request it
-// returns an error for ends there (see fail).
+// returns an error for ends there (see end).
 func (e *Engine) prepare(inst *installed, p *pendingJob, batchSize int) error {
 	p.bctx, p.bspan = e.reg.StartSpan(p.ctx, "infer.batch")
 	p.bspan.SetInt("batch_size", batchSize)
@@ -881,18 +820,19 @@ func (e *Engine) prepare(inst *installed, p *pendingJob, batchSize int) error {
 }
 
 // model answers one prepared request with a forward of its own.
-func (e *Engine) model(inst *installed, p *pendingJob) outcome {
+func (e *Engine) model(inst *installed, p *pendingJob) ServeEvent {
 	sec, err := e.estimate(inst, p)
 	if err != nil {
-		return p.fail(inst, err)
+		return p.end(inst, err)
 	}
 	return e.finish(p, sec, inst)
 }
 
-// fail is the outcome of a request whose execution ended in err.
-func (p *pendingJob) fail(inst *installed, err error) outcome {
+// end closes p's execution and returns its event: failed with err, or
+// awaiting finish's estimate when err is nil.
+func (p *pendingJob) end(inst *installed, err error) ServeEvent {
 	p.bspan.End()
-	return outcome{err: err, wait: p.wait, gen: inst.gen, epoch: p.epoch, live: p.live}
+	return ServeEvent{OD: p.od, Generation: inst.gen, TrafficEpoch: p.epoch, TrafficLive: p.live, QueueWait: p.wait, Err: err}
 }
 
 // match, estimate and estimateBatch are the three places an execution
@@ -949,8 +889,8 @@ func (e *Engine) contained(err *error, span *obs.Span) {
 	}
 }
 
-// finish caches and stamps one model answer.
-func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) outcome {
+// finish caches one model answer and returns its event.
+func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) ServeEvent {
 	if e.cache != nil {
 		// Tagged with the execution's generation: if a Swap landed since its
 		// snapshot load this entry is already stale and will never be
@@ -961,9 +901,9 @@ func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) outcome {
 		key.epoch = p.epoch
 		e.cache.put(key, sec, inst.gen, e.now())
 	}
-	p.bspan.End()
-	return outcome{sec: sec, snapID: inst.snap.ID, predID: e.stamp(p.od, sec, inst),
-		wait: p.wait, gen: inst.gen, epoch: p.epoch, live: p.live}
+	ev := p.end(inst, nil)
+	ev.Seconds, ev.SnapshotID = sec, inst.snap.ID
+	return ev
 }
 
 // Close stops admission, waits for every admitted request — queued, in a

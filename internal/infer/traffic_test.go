@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"deepod/internal/traj"
 )
@@ -178,37 +177,4 @@ func TestTrafficVersionReporting(t *testing.T) {
 	if v["traffic"] != "live" || v["traffic_epoch"] != uint64(5) {
 		t.Fatalf("traffic version = %v / %v", v["traffic"], v["traffic_epoch"])
 	}
-}
-
-// TestTrafficDisabledOverhead gates the cost the traffic channel adds to
-// the serve path when it is not configured: the epoch lookup with a nil
-// source must stay a nanosecond-scale nil check.
-func TestTrafficDisabledOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate, skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing gate, skipped under the race detector")
-	}
-	e := newTestEngine(t, testConfig(t, constSnapshot("m1", 42)))
-	var sink atomic.Uint64
-
-	best := time.Duration(1 << 62)
-	for attempt := 0; attempt < 5; attempt++ {
-		r := testing.Benchmark(func(b *testing.B) {
-			var n uint64
-			for i := 0; i < b.N; i++ {
-				n += e.trafficEpoch()
-			}
-			sink.Store(n)
-		})
-		if d := time.Duration(r.NsPerOp()); d < best {
-			best = d
-		}
-	}
-	const bound = 50 * time.Nanosecond
-	if best > bound {
-		t.Fatalf("disabled traffic overhead = %v per estimate, want <= %v", best, bound)
-	}
-	t.Logf("disabled traffic overhead: %v per estimate", best)
 }

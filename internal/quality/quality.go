@@ -5,9 +5,9 @@
 //
 // The flow:
 //
-//  1. The inference engine stamps every served estimate with a prediction
-//     ID (Monitor implements infer.PredictionRecorder) and the monitor
-//     retains it in a bounded, TTL-evicted pending table: predicted value,
+//  1. The inference engine hands every answered estimate to the monitor
+//     (Monitor is an infer.Observer), which stamps it with a prediction ID
+//     and retains it in a bounded, TTL-evicted pending table: predicted value,
 //     model generation, origin/destination grid cells and departure slot.
 //  2. POST /feedback (internal/serve) reports the actual travel time under
 //     the echoed prediction ID; the monitor joins it against the pending
@@ -45,6 +45,7 @@
 package quality
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"math"
@@ -55,6 +56,7 @@ import (
 	"time"
 
 	"deepod/internal/geo"
+	"deepod/internal/infer"
 	"deepod/internal/metrics"
 	"deepod/internal/obs"
 	"deepod/internal/timeslot"
@@ -316,9 +318,18 @@ func (m *Monitor) setReferenceLocked(ref *metrics.RefDist, model string) {
 	}
 }
 
-// RecordPrediction stamps one served estimate: it stores the prediction in
-// the pending table and returns the ID to echo to the client. It
-// implements infer.PredictionRecorder. od must already be validated (the
+// ObserveServe stamps one answered estimate, cache hits included, and
+// returns the ID to echo to the client; a shed or failed request gets no
+// ID. It implements infer.Observer.
+func (m *Monitor) ObserveServe(_ context.Context, ev infer.ServeEvent) string {
+	if ev.Err != nil {
+		return ""
+	}
+	return m.RecordPrediction(ev.OD, ev.Seconds, ev.SnapshotID, ev.Generation)
+}
+
+// RecordPrediction stores one served prediction in the pending table and
+// returns the ID to echo to the client. od must already be validated (the
 // engine rejects non-finite inputs before serving).
 func (m *Monitor) RecordPrediction(od traj.ODInput, seconds float64, model string, generation uint64) string {
 	id := m.idPrefix + "-" + strconv.FormatUint(m.seq.Add(1), 36)

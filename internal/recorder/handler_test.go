@@ -18,9 +18,9 @@ func handlerFixture(t *testing.T) *Recorder {
 		ev := servedEvent(float64(i))
 		ev.Generation = uint64(1 + i%2)
 		ev.Latency = time.Duration(i+1) * 10 * time.Millisecond
-		r.RecordServe(context.Background(), ev)
+		r.ObserveServe(context.Background(), ev)
 	}
-	r.RecordServe(context.Background(), errEvent(infer.ErrOverloaded))
+	r.ObserveServe(context.Background(), errEvent(infer.ErrOverloaded))
 	r.Sync()
 	return r
 }

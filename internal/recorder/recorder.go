@@ -21,8 +21,9 @@
 // Captured events land in a sharded, lock-striped, bounded in-memory ring
 // (served at GET /debug/recorder) and, when a directory is configured, in
 // append-only JSONL segment files with rotation and bounded retention so
-// captures survive restarts. The engine-side hook is a single nil check
-// when disabled (infer's TestFlightDisabledOverhead).
+// captures survive restarts. The recorder is an infer.Observer: the
+// engine hands it each Do call's one event, and with no observer wired the
+// engine pays a length check (infer's TestDisabledPathOverhead).
 //
 // Metrics:
 //
@@ -156,7 +157,7 @@ type shard struct {
 }
 
 // Recorder captures wide events under the tail-sampling policy. Construct
-// with New; it implements infer.FlightRecorder. Close flushes and closes
+// with New; it is an infer.Observer. Close flushes and closes
 // the segment writer; the in-memory ring stays readable.
 type Recorder struct {
 	cfg    Config
@@ -257,16 +258,17 @@ func ClassifyError(err error) (class string, shed bool) {
 	}
 }
 
-// RecordServe captures one finished request under the policy. It is the
-// infer.FlightRecorder implementation and must stay cheap: a policy
-// decision for every event, quantization and storage only for kept ones.
-func (r *Recorder) RecordServe(ctx context.Context, ev infer.ServeEvent) {
+// ObserveServe captures one finished request under the policy and hands
+// out no prediction ID. It implements infer.Observer and must stay cheap:
+// a policy decision for every event, quantization and storage only for
+// kept ones.
+func (r *Recorder) ObserveServe(ctx context.Context, ev infer.ServeEvent) string {
 	class, shed := ClassifyError(ev.Err)
 	// Every error and shed request is captured: these are exactly the
 	// events an incident investigation replays.
 	seq, reason := r.tail.Offer(class != "", ev.Latency)
 	if reason == "" {
-		return
+		return ""
 	}
 
 	e := Event{
@@ -306,6 +308,7 @@ func (r *Recorder) RecordServe(ctx context.Context, ev infer.ServeEvent) {
 	if r.disk != nil {
 		r.disk.offer(e)
 	}
+	return ""
 }
 
 func (r *Recorder) cell(p geo.Point) int {
@@ -424,7 +427,7 @@ func (r *Recorder) Sync() {
 }
 
 // Close stops the segment writer, flushing and closing the live segment.
-// The in-memory ring stays readable; further RecordServe calls keep
+// The in-memory ring stays readable; further ObserveServe calls keep
 // feeding the ring but no longer reach disk.
 func (r *Recorder) Close() {
 	if r.disk != nil {

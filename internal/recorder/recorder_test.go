@@ -71,10 +71,10 @@ func TestPolicyErrorsAlwaysCaptured(t *testing.T) {
 		{errors.New("surprise"), "error", false},
 	}
 	for _, c := range cases {
-		r.RecordServe(context.Background(), errEvent(c.err))
+		r.ObserveServe(context.Background(), errEvent(c.err))
 	}
 	// A clean request at sample rate 0 with slow retention off: dropped.
-	r.RecordServe(context.Background(), servedEvent(42))
+	r.ObserveServe(context.Background(), servedEvent(42))
 
 	evs := r.Events(Filter{})
 	if len(evs) != len(cases) {
@@ -99,8 +99,8 @@ func TestPolicySampleRateZeroAndOne(t *testing.T) {
 	r1 := newTest(t, Config{SampleRate: 1, SlowestN: -1})
 	const n = 200
 	for i := 0; i < n; i++ {
-		r0.RecordServe(context.Background(), servedEvent(float64(i)))
-		r1.RecordServe(context.Background(), servedEvent(float64(i)))
+		r0.ObserveServe(context.Background(), servedEvent(float64(i)))
+		r1.ObserveServe(context.Background(), servedEvent(float64(i)))
 	}
 	if got := len(r0.Events(Filter{})); got != 0 {
 		t.Fatalf("sample rate 0 captured %d events, want 0", got)
@@ -120,8 +120,8 @@ func TestPolicySampleDeterministic(t *testing.T) {
 	b := newTest(t, Config{SampleRate: 0.25, SlowestN: -1})
 	const n = 400
 	for i := 0; i < n; i++ {
-		a.RecordServe(context.Background(), servedEvent(float64(i)))
-		b.RecordServe(context.Background(), servedEvent(float64(i)))
+		a.ObserveServe(context.Background(), servedEvent(float64(i)))
+		b.ObserveServe(context.Background(), servedEvent(float64(i)))
 	}
 	ae, be := a.Events(Filter{}), b.Events(Filter{})
 	if len(ae) == 0 || len(ae) == n {
@@ -150,7 +150,7 @@ func TestPolicySlowestAlwaysCaptured(t *testing.T) {
 	for i, d := range lat {
 		ev := servedEvent(float64(i))
 		ev.Latency = d
-		r.RecordServe(context.Background(), ev)
+		r.ObserveServe(context.Background(), ev)
 	}
 	evs := r.Events(Filter{})
 	if len(evs) != 3 {
@@ -172,9 +172,9 @@ func TestPolicySlowestAlwaysCaptured(t *testing.T) {
 func TestZeroCapacityRing(t *testing.T) {
 	r := newTest(t, Config{Capacity: -1, SampleRate: 1})
 	for i := 0; i < 50; i++ {
-		r.RecordServe(context.Background(), servedEvent(float64(i)))
+		r.ObserveServe(context.Background(), servedEvent(float64(i)))
 	}
-	r.RecordServe(context.Background(), errEvent(infer.ErrOverloaded))
+	r.ObserveServe(context.Background(), errEvent(infer.ErrOverloaded))
 	if evs := r.Events(Filter{}); len(evs) != 0 {
 		t.Fatalf("zero-capacity ring holds %d events", len(evs))
 	}
@@ -190,7 +190,7 @@ func TestRingBoundedOverwrite(t *testing.T) {
 	r := newTest(t, Config{Capacity: 8, Shards: 2, SampleRate: 1, SlowestN: -1})
 	const n = 100
 	for i := 0; i < n; i++ {
-		r.RecordServe(context.Background(), servedEvent(float64(i)))
+		r.ObserveServe(context.Background(), servedEvent(float64(i)))
 	}
 	evs := r.Events(Filter{})
 	if len(evs) != 8 {
@@ -222,9 +222,9 @@ func TestErrorsCapturedUnderConcurrentLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				if i%5 == 0 {
-					r.RecordServe(context.Background(), errEvent(infer.ErrOverloaded))
+					r.ObserveServe(context.Background(), errEvent(infer.ErrOverloaded))
 				} else {
-					r.RecordServe(context.Background(), servedEvent(float64(i)))
+					r.ObserveServe(context.Background(), servedEvent(float64(i)))
 				}
 			}
 		}(w)
@@ -251,11 +251,11 @@ func TestErrorsCapturedUnderConcurrentLoad(t *testing.T) {
 func TestEventQuantization(t *testing.T) {
 	r := newTest(t, Config{SampleRate: 1, Cells: cellsStub{}, Slotter: slotterForTest()})
 	ev := servedEvent(7)
-	r.RecordServe(context.Background(), ev)
+	r.ObserveServe(context.Background(), ev)
 	bad := errEvent(infer.ErrInvalidInput)
 	bad.OD.Origin.X = nan()
 	bad.OD.DepartSec = -5
-	r.RecordServe(context.Background(), bad)
+	r.ObserveServe(context.Background(), bad)
 
 	evs := r.Events(Filter{})
 	good, broken := evs[1], evs[0]
@@ -279,7 +279,7 @@ func TestEventsFilters(t *testing.T) {
 		if i%3 == 0 {
 			ev.TrafficEpoch = 9
 		}
-		r.RecordServe(context.Background(), ev)
+		r.ObserveServe(context.Background(), ev)
 	}
 	if got := len(r.Events(Filter{Generation: 2})); got != 3 {
 		t.Fatalf("generation filter kept %d, want 3", got)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,7 +36,7 @@ type SegmentInfo struct {
 }
 
 // segmentWriter appends captured events to JSONL segment files off the
-// serve path: RecordServe hands events to a bounded channel and a single
+// serve path: ObserveServe hands events to a bounded channel and a single
 // writer goroutine does the file I/O, rotating after perSegment events and
 // deleting the oldest files beyond maxSegments. A full channel sheds the
 // event (counted) rather than ever blocking a request.
@@ -254,37 +255,46 @@ func listSegments(dir string) []SegmentInfo {
 }
 
 // ReadSegment parses one segment file: the header line, then one event
-// per line. Blank trailing lines are tolerated; an unknown format is an
-// error, a torn final line (crashed writer) is tolerated and dropped.
+// per line. Blank lines are skipped. An unknown format is an error, and so
+// is a bad event line anywhere but last: only a crashed writer's torn final
+// line is tolerated, and dropped.
 func ReadSegment(path string) (Header, []Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	defer f.Close()
+	return readSegment(filepath.Base(path), f)
+}
+
+// readSegment is ReadSegment on an open file; name labels its errors.
+func readSegment(name string, f io.Reader) (Header, []Event, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	if !sc.Scan() {
-		return Header{}, nil, fmt.Errorf("recorder: %s: empty segment", filepath.Base(path))
+		return Header{}, nil, fmt.Errorf("recorder: %s: empty segment", name)
 	}
 	var hdr Header
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return Header{}, nil, fmt.Errorf("recorder: %s: header: %w", filepath.Base(path), err)
+		return Header{}, nil, fmt.Errorf("recorder: %s: header: %w", name, err)
 	}
 	if hdr.Format != segmentFormat {
-		return Header{}, nil, fmt.Errorf("recorder: %s: format %q, want %q", filepath.Base(path), hdr.Format, segmentFormat)
+		return Header{}, nil, fmt.Errorf("recorder: %s: format %q, want %q", name, hdr.Format, segmentFormat)
 	}
 	var events []Event
-	for sc.Scan() {
+	var torn error // the last bad line, fatal once another line follows it
+	for n := 2; sc.Scan(); n++ {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
+		if torn != nil {
+			return Header{}, nil, torn
+		}
 		var e Event
 		if err := json.Unmarshal(line, &e); err != nil {
-			// A torn tail from a crashed writer loses that one event, not
-			// the segment.
-			break
+			torn = fmt.Errorf("recorder: %s: line %d: %w", name, n, err)
+			continue
 		}
 		events = append(events, e)
 	}

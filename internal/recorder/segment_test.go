@@ -1,9 +1,12 @@
 package recorder
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deepod/internal/infer"
@@ -22,9 +25,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 	})
 	const n = 25
 	for i := 0; i < n; i++ {
-		r.RecordServe(context.Background(), servedEvent(float64(i)))
+		r.ObserveServe(context.Background(), servedEvent(float64(i)))
 	}
-	r.RecordServe(context.Background(), errEvent(infer.ErrOverloaded))
+	r.ObserveServe(context.Background(), errEvent(infer.ErrOverloaded))
 	r.Close()
 
 	headers, events, err := ReadDir(dir)
@@ -62,7 +65,7 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 	})
 	// 60 events = 6 segments opened; only the newest 3 may survive.
 	for i := 0; i < 60; i++ {
-		r.RecordServe(context.Background(), servedEvent(float64(i)))
+		r.ObserveServe(context.Background(), servedEvent(float64(i)))
 	}
 	r.Close()
 
@@ -94,11 +97,11 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 func TestSegmentNumberingSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	r1 := newTest(t, Config{SampleRate: 1, Dir: dir})
-	r1.RecordServe(context.Background(), servedEvent(1))
+	r1.ObserveServe(context.Background(), servedEvent(1))
 	r1.Close()
 
 	r2 := newTest(t, Config{SampleRate: 1, Dir: dir})
-	r2.RecordServe(context.Background(), servedEvent(2))
+	r2.ObserveServe(context.Background(), servedEvent(2))
 	r2.Close()
 
 	segs := listSegments(dir)
@@ -119,8 +122,8 @@ func TestSegmentNumberingSurvivesRestart(t *testing.T) {
 func TestSegmentTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	r := newTest(t, Config{SampleRate: 1, Dir: dir})
-	r.RecordServe(context.Background(), servedEvent(1))
-	r.RecordServe(context.Background(), servedEvent(2))
+	r.ObserveServe(context.Background(), servedEvent(1))
+	r.ObserveServe(context.Background(), servedEvent(2))
 	r.Close()
 
 	path := filepath.Join(dir, "seg-000000.jsonl")
@@ -140,6 +143,78 @@ func TestSegmentTornTailTolerated(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("torn segment yielded %d events, want the 2 intact ones", len(events))
 	}
+}
+
+// TestSegmentBadLineRefused: a bad line with events after it is not a
+// torn tail but a corrupt segment; reading it must fail, naming the file
+// and the line, rather than return the events before it as the whole
+// recording (which would let a replay gate pass on a truncated session).
+func TestSegmentBadLineRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg-000000.jsonl")
+	body := `{"format":"` + segmentFormat + `"}` + "\n" +
+		`{"seq":1}` + "\n" + `{garbage` + "\n" + `{"seq":2}` + "\n" + `{"seq":3}` + "\n"
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, events, err := ReadSegment(path)
+	if err == nil {
+		t.Fatalf("corrupt segment read as %d events and no error", len(events))
+	}
+	if msg := err.Error(); !strings.Contains(msg, "seg-000000.jsonl") || !strings.Contains(msg, "line 3") {
+		t.Fatalf("error %q does not name the file and line 3", msg)
+	}
+}
+
+// FuzzReadSegment feeds ReadSegment's parser arbitrary files, seeded from real
+// writer output with and without a torn tail. It must never panic, and a
+// nil error must mean every event line before the last one parsed: only
+// the final non-blank line may be dropped.
+func FuzzReadSegment(f *testing.F) {
+	dir := f.TempDir()
+	r, err := New(Config{SampleRate: 1, Dir: dir, Meta: map[string]string{"city": "c"}, Registry: obs.NewRegistry()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		r.ObserveServe(context.Background(), servedEvent(float64(i)))
+	}
+	r.ObserveServe(context.Background(), errEvent(infer.ErrOverloaded))
+	r.Close()
+	real, err := os.ReadFile(filepath.Join(dir, "seg-000000.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add(append(append([]byte(nil), real...), `{"seq":5,"trunc`...))
+	f.Add(append(append([]byte(nil), real...), "\n\n{\"seq\":5}\r\n"...))
+	f.Add([]byte(`{"format":"` + segmentFormat + `"}` + "\n{\"seq\":1}\n{garbage\n{\"seq\":2}\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, events, err := readSegment("fuzz.jsonl", bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// The event lines as bufio.ScanLines cuts them, blanks skipped.
+		lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))[1:]
+		var nonBlank [][]byte
+		for _, l := range lines {
+			if l = bytes.TrimSuffix(l, []byte("\r")); len(l) > 0 {
+				nonBlank = append(nonBlank, l)
+			}
+		}
+		for i, l := range nonBlank {
+			var e Event
+			if err := json.Unmarshal(l, &e); err != nil {
+				if i != len(nonBlank)-1 {
+					t.Fatalf("nil error, but event line %d of %d does not parse: %q", i+1, len(nonBlank), l)
+				}
+				nonBlank = nonBlank[:i]
+			}
+		}
+		if len(events) != len(nonBlank) {
+			t.Fatalf("nil error with %d events for %d parseable lines", len(events), len(nonBlank))
+		}
+	})
 }
 
 // TestSegmentUnknownFormatRefused: a reader must refuse a future format

@@ -56,8 +56,8 @@ func record(t *testing.T, s *infer.Snapshot, reqs []traj.ODInput) []recorder.Eve
 		Match: match, Snapshot: s,
 		Workers: 1, MaxBatch: 1,
 		CacheEntries: 128, Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
-		Flight:   rec,
-		Registry: obs.NewRegistry(),
+		Observers: []infer.Observer{rec},
+		Registry:  obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +257,8 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 		Match: match, Snapshot: s,
 		Workers: 1, MaxBatch: 16, QueueDepth: 64,
 		CacheEntries: 128, Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
-		Flight:   rec,
-		Registry: obs.NewRegistry(),
+		Observers: []infer.Observer{rec},
+		Registry:  obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

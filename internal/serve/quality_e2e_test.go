@@ -96,10 +96,10 @@ func TestQualityEndToEnd(t *testing.T) {
 		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
 		},
-		Snapshot: echoSnapshot("m1"),
-		Workers:  2,
-		Recorder: mon,
-		Registry: reg,
+		Snapshot:  echoSnapshot("m1"),
+		Workers:   2,
+		Observers: []infer.Observer{mon},
+		Registry:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,9 +328,9 @@ func TestFeedbackTripIDAlias(t *testing.T) {
 		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
 		},
-		Snapshot: echoSnapshot("m1"),
-		Recorder: mon,
-		Registry: reg,
+		Snapshot:  echoSnapshot("m1"),
+		Observers: []infer.Observer{mon},
+		Registry:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,4 +358,71 @@ func TestFeedbackTripIDAlias(t *testing.T) {
 	if !fres.Joined || fres.AbsErrorSeconds != 20 {
 		t.Fatalf("alias feedback = %+v", fres)
 	}
+}
+
+// FuzzFeedback sends arbitrary bodies to POST /feedback against a real
+// quality monitor holding a few stamped predictions. The handler must never
+// panic or answer 5xx: every status is 200, 400 or 413. joined:true may
+// only come back for an ID the monitor issued, and at most once per ID.
+func FuzzFeedback(f *testing.F) {
+	reg := obs.NewRegistry()
+	mon := quality.New(quality.Config{PendingTTL: time.Hour, Registry: reg})
+	issued := map[string]bool{}
+	for i := 0; i < 3; i++ {
+		issued[mon.RecordPrediction(traj.ODInput{DepartSec: 600}, 100, "m1", 1)] = true
+	}
+	srv, err := New(Config{City: "fuzz-city", Infer: stubInfer, Quality: mon, MaxBodyBytes: 512, Registry: reg})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	for id := range issued {
+		f.Add([]byte(`{"prediction_id":"` + id + `","actual_seconds":655}`))
+		f.Add([]byte(`{"trip_id":"` + id + `","actual_seconds":1e308}`))
+	}
+	for _, body := range []string{
+		`{"prediction_id":"nope","actual_seconds":1}`,
+		`{"prediction_id":"","trip_id":"","actual_seconds":1}`,
+		`{"prediction_id":"x","actual_seconds":-1}`,
+		`{"prediction_id":"x","actual_seconds":"NaN"}`,
+		`{"prediction_id":"x"} trailing`,
+		`{"prediction_id":`,
+		`[]`,
+		`null`,
+		``,
+		`{"pad":"` + strings.Repeat("x", 600) + `"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	joined := map[string]bool{}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/feedback", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var resp FeedbackResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 with a body that is not a FeedbackResponse: %q", rec.Body)
+		}
+		if !resp.Joined {
+			return
+		}
+		// The ID the handler joined, decoded the way the handler decodes it.
+		var req FeedbackRequest
+		_ = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		id := req.PredictionID
+		if id == "" {
+			id = req.TripID
+		}
+		if !issued[id] || joined[id] {
+			t.Fatalf("joined:true for %q (issued %v, joined before %v)", id, issued[id], joined[id])
+		}
+		joined[id] = true
+	})
 }

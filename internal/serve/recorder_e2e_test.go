@@ -35,9 +35,9 @@ func TestRecorderE2E(t *testing.T) {
 		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
 		},
-		Workers:  1,
-		Flight:   rec,
-		Registry: obs.NewRegistry(),
+		Workers:   1,
+		Observers: []infer.Observer{rec},
+		Registry:  obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

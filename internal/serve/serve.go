@@ -1,9 +1,9 @@
 // Package serve implements the tteserve HTTP API — the paper's online
 // estimation stage (Algorithm 1) as a long-lived service. It is split out
 // of cmd/tteserve so the routes can be exercised with httptest against
-// stub estimators: the Server depends only on callbacks for map matching
-// and estimation (or an infer-engine submit function), never on a trained
-// model.
+// stubs: the Server answers /estimate through one callback, Config.Infer
+// (infer.Engine.Do in tteserve and bench, a stub func in tests), never
+// through a trained model of its own.
 //
 // Routes:
 //
@@ -44,8 +44,8 @@
 // With Config.Logger set, requests are logged via slog — errors always,
 // successes sampled — correlated to traces by trace_id.
 //
-// When Config.Infer is set, /estimate routes through the inference engine
-// and its admission-control errors map onto HTTP: ErrOverloaded → 429 and
+// /estimate decodes and validates the body, then hands the OD to
+// Config.Infer, whose errors map onto HTTP: ErrOverloaded → 429 and
 // ErrQueueTimeout → 503 (both with Retry-After), MatchError → 422,
 // ErrInvalidInput → 400, ErrInternal (a panic the engine contained) → 500.
 package serve
@@ -75,24 +75,14 @@ import (
 // request is under 200 bytes).
 const DefaultMaxBodyBytes = 1 << 20
 
-// Config assembles a Server from its dependencies. Exactly one estimate
-// path must be wired: either Infer (the engine, what tteserve always wires)
-// or Match+Estimate (called synchronously by the handler: the seam for stub
-// estimators in tests).
+// Config assembles a Server from its dependencies.
 type Config struct {
 	// City names the served city (reported by /healthz).
 	City string
-	// Infer submits the request to an inference engine (infer.Engine.Do).
-	// When set, Match/Estimate are ignored and the engine owns matching,
-	// batching, caching and admission control.
+	// Infer answers one validated OD (infer.Engine.Do): matching, batching,
+	// caching and admission control all live behind it. Required. The
+	// context carries the request's trace.
 	Infer func(ctx context.Context, od traj.ODInput) (infer.Result, error)
-	// Match snaps an OD input onto road segments (deepod.MatchODCtx closed
-	// over a matcher). Required unless Infer is set. The context carries
-	// the request's trace.
-	Match func(ctx context.Context, od traj.ODInput) (traj.MatchedOD, error)
-	// Estimate runs the online estimation on a matched OD (for example
-	// core.Model.EstimateCtx). Required unless Infer is set.
-	Estimate func(ctx context.Context, od *traj.MatchedOD) float64
 	// Bounds, when non-nil, rejects estimate requests whose origin or
 	// destination falls outside the road network's bounding box with 400
 	// before they reach map matching.
@@ -135,8 +125,8 @@ type Config struct {
 	Traces *obs.TraceStore
 	// Quality, when non-nil, accepts ground-truth feedback at POST
 	// /feedback and serves the model-quality state at GET /debug/quality.
-	// It only closes the loop on the engine path: the engine's Recorder
-	// stamps responses with the prediction IDs feedback joins against.
+	// The prediction IDs feedback joins against are stamped at the engine,
+	// where the monitor is one of infer.Config.Observers.
 	Quality *quality.Monitor
 	// SLO, when non-nil, serves the evaluator's objective status at GET
 	// /debug/slo. The evaluator's lifecycle (Start/Close) belongs to the
@@ -161,7 +151,7 @@ type Config struct {
 	// Recorder, when non-nil, serves the flight recorder's wide events at
 	// GET /debug/recorder and its on-disk segments at
 	// /debug/recorder/segments[/<name>]. Capture itself is wired at the
-	// engine (infer.Config.Flight); the server only exposes it.
+	// engine (one of infer.Config.Observers); the server only exposes it.
 	Recorder *recorder.Recorder
 	// History, when non-nil, serves the telemetry sampler's in-process
 	// time series at GET /debug/metrics/history. The sampler's lifecycle
@@ -190,8 +180,8 @@ type Server struct {
 
 // New validates cfg and builds the route table.
 func New(cfg Config) (*Server, error) {
-	if cfg.Infer == nil && (cfg.Match == nil || cfg.Estimate == nil) {
-		return nil, fmt.Errorf("serve: Config needs either Infer or both Match and Estimate")
+	if cfg.Infer == nil {
+		return nil, fmt.Errorf("serve: Config.Infer is required")
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
@@ -268,8 +258,8 @@ type EstimateRequest struct {
 type EstimateResponse struct {
 	TravelSeconds float64 `json:"travel_seconds"`
 	TravelHuman   string  `json:"travel_human"`
-	// Cached and Model are set on the engine path: whether the answer came
-	// from the estimate cache and which model snapshot produced it.
+	// Cached and Model report whether the answer came from the estimate
+	// cache and which model snapshot produced it.
 	Cached bool   `json:"cached,omitempty"`
 	Model  string `json:"model,omitempty"`
 	// PredictionID is set when quality monitoring is on: echo it back in
@@ -317,8 +307,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 
 	// Stages below span off the request context (which carries the trace
-	// and the middleware's root span), not off each other: decode, match
-	// and the engine stages are siblings under the route's root span.
+	// and the middleware's root span), not off each other: decode and the
+	// engine stages are siblings under the route's root span.
 	ctx := r.Context()
 	scratch := codecBufs.Get().(*[]byte)
 	defer codecBufs.Put(scratch)
@@ -350,36 +340,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		od.External = s.cfg.External(req.DepartSec)
 	}
 
-	if s.cfg.Infer != nil {
-		res, err := s.cfg.Infer(ctx, od)
-		if err != nil {
-			writeInferError(w, err)
-			return
-		}
-		writeEstimate(w, scratch, &EstimateResponse{
-			TravelSeconds: res.Seconds,
-			TravelHuman:   humanDuration(res.Seconds),
-			Cached:        res.Cached,
-			Model:         res.SnapshotID,
-			PredictionID:  res.PredictionID,
-		})
-		return
-	}
-
-	mctx, matchSpan := s.reg.StartSpan(ctx, "match")
-	matched, err := s.cfg.Match(mctx, od)
+	res, err := s.cfg.Infer(ctx, od)
 	if err != nil {
-		matchSpan.Fail(err)
-		matchSpan.End()
-		writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf("map matching failed: %v", err))
+		writeInferError(w, err)
 		return
 	}
-	matchSpan.End()
-
-	sec := s.cfg.Estimate(ctx, &matched) // encode + estimate spans recorded by core
 	writeEstimate(w, scratch, &EstimateResponse{
-		TravelSeconds: sec,
-		TravelHuman:   humanDuration(sec),
+		TravelSeconds: res.Seconds,
+		TravelHuman:   humanDuration(res.Seconds),
+		Cached:        res.Cached,
+		Model:         res.SnapshotID,
+		PredictionID:  res.PredictionID,
 	})
 }
 

@@ -10,24 +10,27 @@ import (
 	"testing"
 	"time"
 
+	"deepod/internal/infer"
 	"deepod/internal/obs"
 	"deepod/internal/traj"
 )
 
-// newTestServer wires a Server against stubs: matching fails for origins
-// with negative X, estimation always answers 42 seconds.
+// stubInfer stands in for the engine: matching fails for origins with
+// negative X, and every other OD is answered with 42 seconds.
+func stubInfer(_ context.Context, od traj.ODInput) (infer.Result, error) {
+	if od.Origin.X < 0 {
+		return infer.Result{}, &infer.MatchError{Err: fmt.Errorf("no segment near origin")}
+	}
+	return infer.Result{Seconds: 42}, nil
+}
+
+// newTestServer wires a Server against stubInfer.
 func newTestServer(t *testing.T) (*Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	s, err := New(Config{
-		City: "test-city",
-		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
-			if od.Origin.X < 0 {
-				return traj.MatchedOD{}, fmt.Errorf("no segment near origin")
-			}
-			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
-		},
-		Estimate:     func(context.Context, *traj.MatchedOD) float64 { return 42 },
+		City:         "test-city",
+		Infer:        stubInfer,
 		Health:       map[string]any{"edges": 7},
 		MaxBodyBytes: 1024,
 		Registry:     reg,
@@ -65,11 +68,10 @@ func TestEstimateSuccessAndCounters(t *testing.T) {
 	if got := reg.Histogram("tte_http_request_seconds", obs.DefBuckets, "route", "/estimate").Count(); got != 1 {
 		t.Fatalf("latency observations = %d", got)
 	}
-	// Pipeline stage spans recorded once each.
-	for _, stage := range []string{"decode", "match"} {
-		if got := reg.Histogram(obs.SpanFamily, obs.DefBuckets, "span", stage).Count(); got != 1 {
-			t.Fatalf("span %q count = %d", stage, got)
-		}
+	// The handler's own stage span, recorded once; the engine's stages
+	// are its own (see TestTracePropagationEndToEnd).
+	if got := reg.Histogram(obs.SpanFamily, obs.DefBuckets, "span", "decode").Count(); got != 1 {
+		t.Fatalf("span decode count = %d", got)
 	}
 }
 
@@ -161,7 +163,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tte_http_requests_total{code="4xx",route="/estimate"} 1`,
 		`tte_http_request_seconds_count{route="/estimate"} 2`,
 		`tte_span_seconds_count{span="decode"} 2`,
-		`tte_span_seconds_count{span="match"} 2`,
 		`tte_http_in_flight 0`,
 	} {
 		if !strings.Contains(text, want) {

@@ -60,10 +60,10 @@ func TestSLOEndToEnd(t *testing.T) {
 		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
 		},
-		Snapshot: echoSnapshot("m1"),
-		Workers:  2,
-		Recorder: mon,
-		Registry: reg,
+		Snapshot:  echoSnapshot("m1"),
+		Workers:   2,
+		Observers: []infer.Observer{mon},
+		Registry:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,6 @@ import (
 
 	"deepod/internal/obs"
 	"deepod/internal/telemetry"
-	"deepod/internal/traj"
 )
 
 func TestEnvelopeStampsJSON(t *testing.T) {
@@ -100,8 +98,7 @@ func TestDebugRoutesCarryGeneratedAt(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(Config{
 		City:     "env-city",
-		Match:    func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) { return traj.MatchedOD{}, nil },
-		Estimate: func(context.Context, *traj.MatchedOD) float64 { return 1 },
+		Infer:    stubInfer,
 		Registry: reg,
 		TrafficStatus: func() map[string]any {
 			return map[string]any{"probes_accepted": 7}
@@ -154,11 +151,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	s, err := New(Config{
-		City: "telemetry-city",
-		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
-			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
-		},
-		Estimate: func(context.Context, *traj.MatchedOD) float64 { return 42 },
+		City:     "telemetry-city",
+		Infer:    stubInfer,
 		Registry: reg,
 		Traces:   ts,
 		History:  hist,

@@ -36,32 +36,25 @@ echo "== portable bits (no fused multiply-add in the model's or the serving path
 echo "== dead code (every function of internal/tensor and internal/nn is linked into a binary)"
 ./scripts/deadcode.sh
 
-echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the SIMD dot kernel against the portable one; the /estimate decoder and encoder and the /probes decoder against encoding/json; 5 s each)"
+echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the SIMD dot kernel against the portable one; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; 5 s each)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDotRows -fuzztime 5s ./internal/tensor/
 go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzDecodeProbes -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzEncodeEstimate -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz FuzzFeedback -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/recorder/
 
 echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
 
-echo "== quality gate (disabled quality-monitor stamp overhead)"
-go test -run 'TestPredictionStampDisabledOverhead' ./internal/infer/
-
-echo "== slo gate (per-request SLO accounting overhead)"
-go test -run 'TestSLORequestAccountingOverhead' ./internal/infer/
-
-echo "== traffic gate (disabled live-traffic overhead on the serve path)"
-go test -run 'TestTrafficDisabledOverhead' ./internal/infer/
-
-echo "== flight-recorder gate (disabled wide-event capture overhead)"
-go test -run 'TestFlightDisabledOverhead' ./internal/infer/
+echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, SLO request accounting; ns and 0 allocations each)"
+go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPredictionStampDisabledOverhead' ./internal/infer/
 
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
