@@ -132,12 +132,12 @@ func TestSpeedGridder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sg.Rows() <= 0 || sg.Cols() <= 0 {
+	if sg.grid.Rows <= 0 || sg.grid.Cols <= 0 {
 		t.Fatal("degenerate grid")
 	}
 	m := sg.MatrixAt(10 * 3600)
-	if len(m) != sg.Rows()*sg.Cols() {
-		t.Fatalf("matrix size %d, want %d", len(m), sg.Rows()*sg.Cols())
+	if len(m) != sg.grid.Rows*sg.grid.Cols {
+		t.Fatalf("matrix size %d, want %d", len(m), sg.grid.Rows*sg.grid.Cols)
 	}
 	var positive int
 	for _, v := range m {
@@ -157,7 +157,7 @@ func TestSpeedGridder(t *testing.T) {
 		t.Fatal("matrix not cached within a period")
 	}
 	ext := sg.External(10 * 3600)
-	if ext.GridRows != sg.Rows() || ext.GridCols != sg.Cols() || len(ext.SpeedGrid) != len(m) {
+	if ext.GridRows != sg.grid.Rows || ext.GridCols != sg.grid.Cols || len(ext.SpeedGrid) != len(m) {
 		t.Fatalf("external features inconsistent: %+v", ext)
 	}
 	if _, err := NewSpeedGridder(tf, 300, 0); err == nil {
@@ -205,6 +205,74 @@ func TestSpeedGridderConcurrent(t *testing.T) {
 		for i, v := range ref.MatrixAt(float64(p) * sg.PeriodSec) {
 			if math.Float64bits(v) != math.Float64bits(m[i]) {
 				t.Fatalf("period %d cell %d: %v under contention, %v alone", p, i, m[i], v)
+			}
+		}
+	}
+}
+
+// TestFieldConcurrent is the -race test of the field's two caches: the
+// per-period scratch of a MatrixAt first touch and the time memo of a
+// TravelCost closure. Goroutines interleave first touches of one shared
+// gridder with two closures of their own each, read at repeated and fresh
+// times and through time-dependent Dijkstra, and must return the bits the
+// same calls return one goroutine at a time.
+func TestFieldConcurrent(t *testing.T) {
+	tf := testTraffic(t)
+	g := tf.Graph()
+	work := func(sg *SpeedGridder, w int) []uint64 {
+		var out []uint64
+		put := func(v float64) { out = append(out, math.Float64bits(v)) }
+		c1, c2 := tf.TravelCost(), tf.TravelCost()
+		for i := 0; i < 48; i++ {
+			sec := float64((w*48+i*5)%(14*96)) * sg.PeriodSec
+			for _, v := range sg.MatrixAt(sec) {
+				put(v)
+			}
+			for k := 0; k < 6; k++ {
+				e := roadnet.EdgeID((w*131 + i*17 + k*7) % g.NumEdges())
+				put(c1(e, sec+float64(k/2)))
+				put(c2(e, sec+float64(k)))
+			}
+			src := roadnet.VertexID((w*7 + i) % g.NumVertices())
+			dst := roadnet.VertexID((w*13 + i*3 + 1) % g.NumVertices())
+			if p, err := roadnet.ShortestPath(g, src, dst, sec, c1); err == nil {
+				put(p.Cost)
+			}
+		}
+		return out
+	}
+
+	const workers = 6
+	want := make([][]uint64, workers)
+	seq, err := NewSpeedGridder(tf, 300, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range want {
+		want[w] = work(seq, w)
+	}
+
+	sg, err := NewSpeedGridder(tf, 300, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = work(sg, w)
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if len(got[w]) != len(want[w]) {
+			t.Fatalf("goroutine %d: %d values concurrently, %d alone", w, len(got[w]), len(want[w]))
+		}
+		for i := range got[w] {
+			if got[w][i] != want[w][i] {
+				t.Fatalf("goroutine %d value %d: %#x concurrently, %#x alone", w, i, got[w][i], want[w][i])
 			}
 		}
 	}

@@ -132,6 +132,21 @@ func (gen *Generator) sampleDeparture() float64 {
 func (gen *Generator) Generate() ([]traj.TripRecord, error) {
 	g := gen.traffic.Graph()
 	records := make([]traj.TripRecord, 0, gen.cfg.NumOrders)
+	// Perceived cost: time-dependent cost with a lognormal per-edge bias
+	// drawn per trip, yielding diverse route choices. A trip draws an
+	// edge's bias at its first touch; biasTrip[e] is the trip that drew
+	// bias[e].
+	bias := make([]float64, g.NumEdges())
+	biasTrip := make([]int, g.NumEdges())
+	trip := 0
+	cost := gen.traffic.TravelCost()
+	perceived := func(e roadnet.EdgeID, at float64) float64 {
+		if biasTrip[e] != trip {
+			bias[e] = math.Exp(gen.cfg.RouteTemp * gen.rng.NormFloat64())
+			biasTrip[e] = trip
+		}
+		return cost(e, at) * bias[e]
+	}
 	for len(records) < gen.cfg.NumOrders {
 		oe, of := gen.sampleEndpoint()
 		de, df := gen.sampleEndpoint()
@@ -140,18 +155,7 @@ func (gen *Generator) Generate() ([]traj.TripRecord, error) {
 		}
 		depart := gen.sampleDeparture()
 
-		// Per-driver perceived cost: time-dependent cost with a lognormal
-		// per-edge bias, yielding diverse route choices.
-		bias := make(map[roadnet.EdgeID]float64)
-		cost := gen.traffic.TravelCost()
-		perceived := func(e roadnet.EdgeID, at float64) float64 {
-			b, ok := bias[e]
-			if !ok {
-				b = math.Exp(gen.cfg.RouteTemp * gen.rng.NormFloat64())
-				bias[e] = b
-			}
-			return cost(e, at) * b
-		}
+		trip++
 		path, err := roadnet.ShortestPath(g, g.Edges[oe].To, g.Edges[de].From, depart, perceived)
 		if err != nil {
 			continue // disconnected pair; resample

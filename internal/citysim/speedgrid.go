@@ -64,12 +64,11 @@ func NewSpeedGridder(t *Traffic, cellMeters, periodSec float64) (*SpeedGridder, 
 	return sg, nil
 }
 
-// Rows and Cols return the grid dimensions.
-func (sg *SpeedGridder) Rows() int { return sg.grid.Rows }
-func (sg *SpeedGridder) Cols() int { return sg.grid.Cols }
-
-// MatrixAt returns the speed matrix (row-major Rows×Cols, m/s, 0 for empty
-// cells) nearest before time sec. Matrices are cached per period index with
+// MatrixAt returns the speed matrix (row-major rows×cols, m/s, 0 for empty
+// cells) nearest before time sec. A period's first touch evaluates the
+// field's time terms once at the period's start, every edge's speed once
+// into a scratch slice of its own, and then each cell's mean over its edges
+// in cellEdges order. Matrices are cached per period index with
 // store-if-absent semantics: every caller of a period, racing first touches
 // included, gets the same slice, which must not be written to — consumers
 // (traffic.FeatureSource, the traffic-code memo in internal/core) key on
@@ -82,7 +81,12 @@ func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
 	if ok {
 		return m
 	}
-	at := float64(period) * sg.PeriodSec
+	t := sg.traffic
+	in := t.at(float64(period) * sg.PeriodSec)
+	speed := make([]float64, len(t.freeSpeed))
+	for e := range speed {
+		speed[e] = t.speed(roadnet.EdgeID(e), in)
+	}
 	m = make([]float64, sg.grid.NumCells())
 	for ci, edges := range sg.cellEdges {
 		if len(edges) == 0 {
@@ -90,7 +94,7 @@ func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
 		}
 		var s float64
 		for _, e := range edges {
-			s += float64(sg.traffic.Speed(e, at))
+			s += speed[e]
 		}
 		m[ci] = s / float64(len(edges))
 	}

@@ -32,14 +32,12 @@ const WeatherTypes = 16
 
 // Traffic is the deterministic congestion + weather field of one city.
 type Traffic struct {
-	g    *roadnet.Graph
-	seed int64
+	g *roadnet.Graph
 
-	center     geo.Point
-	halfSpan   float64
 	edgePhase  []float64 // per-edge ripple phase
 	edgeSens   []float64 // per-edge congestion sensitivity
-	edgeFactor []float64 // per-edge idiosyncratic speed factor
+	spatial    []float64 // per-edge downtown factor
+	freeSpeed  []float64 // per-edge FreeSpeed × idiosyncratic speed factor (m/s)
 	entryWait  []float64 // per-edge base intersection wait (seconds)
 	weatherSeq []int     // weather type per hour
 	horizonSec float64
@@ -53,17 +51,18 @@ func NewTraffic(g *roadnet.Graph, horizon float64, seed int64) (*Traffic, error)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := g.Bounds()
+	center := geo.Point{X: (b.Min.X + b.Max.X) / 2, Y: (b.Min.Y + b.Max.Y) / 2}
+	halfSpan := math.Max(b.Width(), b.Height()) / 2
+	n := g.NumEdges()
 	t := &Traffic{
 		g:          g,
-		seed:       seed,
-		center:     geo.Point{X: (b.Min.X + b.Max.X) / 2, Y: (b.Min.Y + b.Max.Y) / 2},
-		halfSpan:   math.Max(b.Width(), b.Height()) / 2,
-		edgePhase:  make([]float64, g.NumEdges()),
-		edgeSens:   make([]float64, g.NumEdges()),
+		edgePhase:  make([]float64, n),
+		edgeSens:   make([]float64, n),
+		spatial:    make([]float64, n),
+		freeSpeed:  make([]float64, n),
+		entryWait:  make([]float64, n),
 		horizonSec: horizon,
 	}
-	t.edgeFactor = make([]float64, g.NumEdges())
-	t.entryWait = make([]float64, g.NumEdges())
 	for i := range t.edgePhase {
 		t.edgePhase[i] = float64(rng.Float64()) * 2 * math.Pi
 		sens := 0.5 + float64(0.3*float64(rng.Float64()))
@@ -71,6 +70,10 @@ func NewTraffic(g *roadnet.Graph, horizon float64, seed int64) (*Traffic, error)
 			sens += 0.25 // arterials feel rush hour more
 		}
 		t.edgeSens[i] = sens
+		// Downtown factor: edges near the center congest harder.
+		from, to := g.EdgePoints(roadnet.EdgeID(i))
+		rel := 1 - math.Min(1, geo.Dist(geo.Lerp(from, to, 0.5), center)/halfSpan)
+		t.spatial[i] = 0.6 + float64(0.4*rel)
 		// Idiosyncratic per-segment speed: real road networks have
 		// heterogeneous effective speeds (lanes, surface, signals) that
 		// Euclidean-distance features cannot see but per-segment
@@ -81,7 +84,7 @@ func NewTraffic(g *roadnet.Graph, horizon float64, seed int64) (*Traffic, error)
 		} else if f > 1.8 {
 			f = 1.8
 		}
-		t.edgeFactor[i] = f
+		t.freeSpeed[i] = float64(g.Edges[i].FreeSpeed * f)
 		// Base intersection wait when turning onto this segment: crossing
 		// onto an arterial takes longer (signals), and every intersection
 		// has its own character.
@@ -149,38 +152,55 @@ func dayProfile(secOfDay float64, weekend bool) float64 {
 	return float64(0.9*gauss(8.5, 1.4)) + float64(0.8*gauss(18, 1.7)) + float64(0.25*gauss(13, 3))
 }
 
+// instant holds the terms of the field that depend on the time alone, so a
+// caller that evaluates many edges at one time computes them once.
+type instant struct {
+	sec       float64
+	intensity float64 // dayProfile at sec
+	slowdown  float64 // weatherSlowdown at sec
+	phase     float64 // ripple phase 2π·sec/2400
+}
+
+// at evaluates the time terms of the field at sec.
+func (t *Traffic) at(sec float64) instant {
+	day := int(sec / timeslot.SecondsPerDay)
+	secOfDay := sec - float64(float64(day)*timeslot.SecondsPerDay)
+	return instant{
+		sec:       sec,
+		intensity: dayProfile(secOfDay, day%7 >= 5),
+		slowdown:  weatherSlowdown(t.Weather(sec)),
+		phase:     float64(2 * math.Pi * sec / 2400),
+	}
+}
+
 // Congestion returns the speed multiplier of edge e at time sec, in
 // (0.15, 1].
 func (t *Traffic) Congestion(e roadnet.EdgeID, sec float64) float64 {
-	day := int(sec / timeslot.SecondsPerDay)
-	secOfDay := sec - float64(float64(day)*timeslot.SecondsPerDay)
-	weekend := day%7 >= 5
+	return t.congestion(e, t.at(sec))
+}
 
-	intensity := dayProfile(secOfDay, weekend)
-
-	// Downtown factor: edges near the center congest harder.
-	a, b := t.g.EdgePoints(e)
-	mid := geo.Lerp(a, b, 0.5)
-	rel := 1 - math.Min(1, geo.Dist(mid, t.center)/t.halfSpan)
-	spatial := 0.6 + float64(0.4*rel)
-
+func (t *Traffic) congestion(e roadnet.EdgeID, in instant) float64 {
 	// Smooth per-edge ripple, period ~40 min, amplitude 0.1.
-	ripple := float64(0.1 * math.Sin(float64(2*math.Pi*sec/2400)+t.edgePhase[e]))
+	ripple := float64(0.1 * math.Sin(in.phase+t.edgePhase[e]))
 
-	drop := (float64(intensity*t.edgeSens[int(e)]*spatial) + ripple) // fraction of speed lost
+	drop := (float64(in.intensity*t.edgeSens[e]*t.spatial[e]) + ripple) // fraction of speed lost
 	if drop < 0 {
 		drop = 0
 	}
 	if drop > 0.85 {
 		drop = 0.85
 	}
-	return (1 - drop) * weatherSlowdown(t.Weather(sec))
+	return (1 - drop) * in.slowdown
 }
 
 // Speed returns the effective speed of edge e at time sec in m/s,
 // including the edge's idiosyncratic factor.
 func (t *Traffic) Speed(e roadnet.EdgeID, sec float64) float64 {
-	return t.g.Edges[e].FreeSpeed * t.edgeFactor[e] * t.Congestion(e, sec)
+	return t.speed(e, t.at(sec))
+}
+
+func (t *Traffic) speed(e roadnet.EdgeID, in instant) float64 {
+	return t.freeSpeed[e] * t.congestion(e, in)
 }
 
 // EntryWait returns the intersection wait (seconds) paid when turning onto
@@ -189,22 +209,25 @@ func (t *Traffic) Speed(e roadnet.EdgeID, sec float64) float64 {
 // signalled intersections degrades more than its length suggests, which is
 // route-shape structure only network-aware models can capture.
 func (t *Traffic) EntryWait(e roadnet.EdgeID, sec float64) float64 {
-	day := int(sec / timeslot.SecondsPerDay)
-	secOfDay := sec - float64(float64(day)*timeslot.SecondsPerDay)
-	intensity := dayProfile(secOfDay, day%7 >= 5)
-	return t.entryWait[e] * (0.4 + float64(1.6*intensity)) * weatherSlowdownInv(t.Weather(sec))
+	return t.entryWaitAt(e, t.at(sec))
 }
 
-// weatherSlowdownInv lengthens waits in bad weather.
-func weatherSlowdownInv(w int) float64 {
-	return 1 / weatherSlowdown(w)
+// entryWaitAt lengthens waits in bad weather by 1/slowdown.
+func (t *Traffic) entryWaitAt(e roadnet.EdgeID, in instant) float64 {
+	return float64(t.entryWait[e] * (0.4 + float64(1.6*in.intensity)) * (1 / in.slowdown))
 }
 
 // TravelCost returns an EdgeCostFunc backed by this traffic field: the
-// intersection entry wait plus the traversal time at entry-time speed.
+// intersection entry wait plus the traversal time at entry-time speed. The
+// closure keeps the time terms of its last call, which time-dependent
+// Dijkstra reuses across a vertex's out-edges; it is for one goroutine.
 func (t *Traffic) TravelCost() roadnet.EdgeCostFunc {
+	last := instant{sec: math.NaN()}
 	return func(e roadnet.EdgeID, enterSec float64) float64 {
-		return t.EntryWait(e, enterSec) + t.g.Edges[e].Length/t.Speed(e, enterSec)
+		if enterSec != last.sec {
+			last = t.at(enterSec)
+		}
+		return t.entryWaitAt(e, last) + t.g.Edges[e].Length/t.speed(e, last)
 	}
 }
 

@@ -138,14 +138,6 @@ func (g *Grid) CellIndex(p Point) int {
 	return r*g.Cols + c
 }
 
-// CellCenter returns the center point of cell (row, col).
-func (g *Grid) CellCenter(row, col int) Point {
-	return Point{
-		X: g.Bounds.Min.X + float64((float64(col)+0.5)*g.CellSize),
-		Y: g.Bounds.Min.Y + float64((float64(row)+0.5)*g.CellSize),
-	}
-}
-
 // NeighborCells calls f for every cell within radius cells (Chebyshev) of
 // the cell containing p, clipped to the grid.
 func (g *Grid) NeighborCells(p Point, radius int, f func(row, col int)) {

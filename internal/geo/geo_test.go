@@ -132,3 +132,11 @@ func TestNeighborCells(t *testing.T) {
 		t.Fatalf("corner neighborhood visited %d cells, want 4", visited)
 	}
 }
+
+// CellCenter returns the center point of cell (row, col).
+func (g *Grid) CellCenter(row, col int) Point {
+	return Point{
+		X: g.Bounds.Min.X + float64((float64(col)+0.5)*g.CellSize),
+		Y: g.Bounds.Min.Y + float64((float64(row)+0.5)*g.CellSize),
+	}
+}

@@ -67,14 +67,12 @@ type Graph struct {
 	Edges    []Edge
 
 	out [][]EdgeID // outgoing edges per vertex
-	in  [][]EdgeID // incoming edges per vertex
 }
 
 // NewGraph builds a graph from vertices and edges, validating references.
 func NewGraph(vertices []Vertex, edges []Edge) (*Graph, error) {
 	g := &Graph{Vertices: vertices, Edges: edges}
 	g.out = make([][]EdgeID, len(vertices))
-	g.in = make([][]EdgeID, len(vertices))
 	for i := range vertices {
 		if vertices[i].ID != VertexID(i) {
 			return nil, fmt.Errorf("roadnet: vertex %d has ID %d; IDs must be dense", i, vertices[i].ID)
@@ -95,7 +93,6 @@ func NewGraph(vertices []Vertex, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("roadnet: edge %d has non-positive speed %v", i, e.FreeSpeed)
 		}
 		g.out[e.From] = append(g.out[e.From], e.ID)
-		g.in[e.To] = append(g.in[e.To], e.ID)
 	}
 	return g, nil
 }
@@ -108,9 +105,6 @@ func (g *Graph) NumEdges() int { return len(g.Edges) }
 
 // Out returns the outgoing edge IDs of v.
 func (g *Graph) Out(v VertexID) []EdgeID { return g.out[v] }
-
-// In returns the incoming edge IDs of v.
-func (g *Graph) In(v VertexID) []EdgeID { return g.in[v] }
 
 // EdgePoints returns the endpoint positions of edge e.
 func (g *Graph) EdgePoints(e EdgeID) (from, to geo.Point) {
@@ -131,13 +125,4 @@ func (g *Graph) Bounds() geo.Rect {
 		r.Expand(g.Vertices[i].Pos)
 	}
 	return r
-}
-
-// TotalLength returns the summed length of all edges in meters.
-func (g *Graph) TotalLength() float64 {
-	var s float64
-	for i := range g.Edges {
-		s += g.Edges[i].Length
-	}
-	return s
 }

@@ -55,9 +55,6 @@ func NewEdgeIndex(g *Graph, cellSize float64) (*EdgeIndex, error) {
 // cell) components of its key.
 func (idx *EdgeIndex) CellIndex(p geo.Point) int { return idx.grid.CellIndex(p) }
 
-// NumCells returns the number of grid cells in the index.
-func (idx *EdgeIndex) NumCells() int { return idx.grid.NumCells() }
-
 // Candidate is a road segment near a query point.
 type Candidate struct {
 	Edge EdgeID

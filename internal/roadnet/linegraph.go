@@ -73,12 +73,3 @@ func BuildLineGraph(g *Graph, trajEdges [][]EdgeID, base float64) (*LineGraph, e
 	}
 	return lg, nil
 }
-
-// NumLinks returns the total number of directed links.
-func (lg *LineGraph) NumLinks() int {
-	n := 0
-	for _, a := range lg.Adj {
-		n += len(a)
-	}
-	return n
-}

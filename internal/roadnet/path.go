@@ -112,23 +112,3 @@ func ShortestPath(g *Graph, src, dst VertexID, departSec float64, cost EdgeCostF
 	}
 	return Path{Edges: edges, Cost: dist[dst]}, nil
 }
-
-// PathLength returns the total length in meters of a path's edges.
-func PathLength(g *Graph, edges []EdgeID) float64 {
-	var s float64
-	for _, e := range edges {
-		s += g.Edges[e].Length
-	}
-	return s
-}
-
-// ValidatePath checks edge connectivity (each edge's head is the next
-// edge's tail).
-func ValidatePath(g *Graph, edges []EdgeID) error {
-	for i := 1; i < len(edges); i++ {
-		if g.Edges[edges[i-1]].To != g.Edges[edges[i]].From {
-			return fmt.Errorf("roadnet: path broken between positions %d and %d", i-1, i)
-		}
-	}
-	return nil
-}

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -204,10 +205,16 @@ func TestAdjacency(t *testing.T) {
 				t.Fatalf("Out(%d) lists edge %d with From %d", vid, e, g.Edges[e].From)
 			}
 		}
-		for _, e := range g.In(VertexID(vid)) {
-			if g.Edges[e].To != VertexID(vid) {
-				t.Fatalf("In(%d) lists edge %d with To %d", vid, e, g.Edges[e].To)
+	}
+	for _, e := range g.Edges {
+		n := 0
+		for _, out := range g.Out(e.From) {
+			if out == e.ID {
+				n++
 			}
+		}
+		if n != 1 {
+			t.Fatalf("Out(%d) lists edge %d %d times", e.From, e.ID, n)
 		}
 	}
 }
@@ -346,4 +353,33 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(bad2)); err == nil {
 		t.Fatal("dangling edge accepted")
 	}
+}
+
+// PathLength returns the total length in meters of a path's edges.
+func PathLength(g *Graph, edges []EdgeID) float64 {
+	var s float64
+	for _, e := range edges {
+		s += g.Edges[e].Length
+	}
+	return s
+}
+
+// ValidatePath checks edge connectivity (each edge's head is the next
+// edge's tail).
+func ValidatePath(g *Graph, edges []EdgeID) error {
+	for i := 1; i < len(edges); i++ {
+		if g.Edges[edges[i-1]].To != g.Edges[edges[i]].From {
+			return fmt.Errorf("roadnet: path broken between positions %d and %d", i-1, i)
+		}
+	}
+	return nil
+}
+
+// NumLinks returns the total number of directed links.
+func (lg *LineGraph) NumLinks() int {
+	n := 0
+	for _, a := range lg.Adj {
+		n += len(a)
+	}
+	return n
 }

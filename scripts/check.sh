@@ -33,7 +33,7 @@ go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|EstimateBatchFused|LSTM
 echo "== portable bits (no fused multiply-add in the model's or the serving path's packages on arm64, ppc64le, s390x, riscv64, nor in any assembly)"
 ./scripts/fma.sh
 
-echo "== dead code (every function of internal/tensor and internal/nn is linked into a binary)"
+echo "== dead code (every function of internal/tensor, internal/nn, internal/citysim, internal/roadnet and internal/geo is linked into a binary)"
 ./scripts/deadcode.sh
 
 echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the SIMD dot kernel against the portable one; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; 5 s each)"
@@ -54,7 +54,7 @@ go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPrediction
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
@@ -68,6 +68,7 @@ go test -run '^$' -bench 'BenchmarkTrackerAdvance' -benchtime=100ms -benchmem ./
 go test -run '^$' -bench 'BenchmarkDecodeProbes' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkTrainSkipGram|BenchmarkNegSample|BenchmarkGenerateWalks' -benchtime=100ms -benchmem ./internal/embed/
 go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
+go test -run '^$' -bench 'BenchmarkMatrixAtFirstTouch|BenchmarkGenerate' -benchtime=100ms -benchmem ./internal/citysim/
 
 echo "== load harness smoke (go run ./bench, 2 s a workload: every HTTP answer bit-equal to the model's, zero failed operations; rates are bench -compare's job)"
 for w in estimate-cold estimate-hot estimate-live train; do
