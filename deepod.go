@@ -215,8 +215,8 @@ func Baseline(name string, g *Graph) (Trainable, error) {
 	return nil, fmt.Errorf("deepod: unknown baseline %q (want TEMP, LR, GBM, STNN, MURAT or RouteETA)", name)
 }
 
-// NewMatcher builds an HMM map matcher over a road network, for aligning
-// raw GPS input to segments (the paper's §2 preprocessing).
+// NewMatcher builds a map matcher over a road network, for snapping OD
+// endpoints (MatchOD) and decoding live probe streams to segments.
 func NewMatcher(g *Graph) (*mapmatch.Matcher, error) {
 	return mapmatch.New(g, mapmatch.DefaultConfig())
 }

@@ -304,9 +304,9 @@ func TestGenerateOrders(t *testing.T) {
 		if r.TravelSec <= 0 || r.TravelSec > 3*3600 {
 			t.Fatalf("record %d travel time %v", i, r.TravelSec)
 		}
-		if math.Abs(r.Trajectory.TravelTime()-r.TravelSec) > 1e-6 {
-			t.Fatalf("record %d: trajectory duration %v != travel time %v",
-				i, r.Trajectory.TravelTime(), r.TravelSec)
+		path := r.Trajectory.Path
+		if d := path[len(path)-1].Exit - path[0].Enter; math.Abs(d-r.TravelSec) > 1e-6 {
+			t.Fatalf("record %d: trajectory duration %v != travel time %v", i, d, r.TravelSec)
 		}
 		if r.Matched.OriginEdge != r.Trajectory.Path[0].Edge {
 			t.Fatalf("record %d: matched origin edge mismatch", i)

@@ -243,6 +243,10 @@ func TestExternalFeaturesOptionalAtEstimate(t *testing.T) {
 	}
 }
 
+// TimeScale returns the target normalization constant in seconds, for the
+// tests that compare it across trainings and checkpoints.
+func (m *Model) TimeScale() float64 { return m.timeScale }
+
 func TestTimeScaleGuards(t *testing.T) {
 	g, _ := testWorld(t, 5)
 	m, err := New(tinyConfig(), g)

@@ -72,6 +72,11 @@ type Model struct {
 
 // New constructs an untrained DeepOD model over a road network.
 func New(cfg Config, g *roadnet.Graph) (*Model, error) {
+	return newModel(cfg, g, nn.NewParamSet())
+}
+
+// newModel builds the model's layers in ps.
+func newModel(cfg Config, g *roadnet.Graph, ps *nn.ParamSet) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,7 +90,7 @@ func New(cfg Config, g *roadnet.Graph) (*Model, error) {
 	m := &Model{
 		cfg:       cfg,
 		g:         g,
-		ps:        nn.NewParamSet(),
+		ps:        ps,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		slotter:   slotter,
 		bounds:    g.Bounds(),
@@ -97,7 +102,6 @@ func New(cfg Config, g *roadnet.Graph) (*Model, error) {
 	}
 
 	rng := m.rng
-	ps := m.ps
 
 	if !cfg.NoSpatial {
 		m.roadEmb = nn.NewEmbedding(ps, rng, "Ws", g.NumEdges(), cfg.Ds)
@@ -176,9 +180,6 @@ func (m *Model) Params() *nn.ParamSet { return m.ps }
 // Slotter returns the time discretizer.
 func (m *Model) Slotter() *timeslot.Slotter { return m.slotter }
 
-// TimeScale returns the target normalization constant in seconds.
-func (m *Model) TimeScale() float64 { return m.timeScale }
-
 // SetTimeScale overrides the target normalization (set from training data
 // by Train; exposed for model loading).
 func (m *Model) SetTimeScale(s float64) {
@@ -239,6 +240,3 @@ func (m *Model) edgeMidNorm(e roadnet.EdgeID) (x, y float64) {
 // NumWeights returns the number of scalar parameters (Table 5's model
 // size is NumWeights × 8 bytes).
 func (m *Model) NumWeights() int { return m.ps.NumWeights() }
-
-// ExternalAvailable reports whether the model consumes external features.
-func (m *Model) ExternalAvailable() bool { return !m.cfg.NoExternal }

@@ -59,6 +59,16 @@ func Load(r io.Reader, g *roadnet.Graph) (*Model, error) {
 	if !(s.TimeScale > 0) || math.IsInf(s.TimeScale, 1) {
 		return nil, fmt.Errorf("core: checkpoint time scale %v is not a positive finite number", s.TimeScale)
 	}
+	// A dry run of New in a set that allocates no weights: a config whose
+	// layers the checkpoint does not fill is refused before New would
+	// allocate them.
+	dry, err := newModel(s.Config, g, nn.NewShapeSet())
+	if err != nil {
+		return nil, err
+	}
+	if err := dry.ps.Load(s.Params); err != nil {
+		return nil, err
+	}
 	m, err := New(s.Config, g)
 	if err != nil {
 		return nil, err

@@ -30,7 +30,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := m.Train(split.Train, split.Valid, TrainOptions{MaxSteps: 3}); err != nil {
 		t.Fatal(err)
 	}
-	ref := metrics.RefDistOf([]float64{5, 12, 40, 200}, nil)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{5, 12, 40, 200} {
+		ref.Observe(v)
+	}
 	m.SetRefDist(ref)
 
 	var buf bytes.Buffer
@@ -95,34 +98,17 @@ func TestLoadWithoutRefDist(t *testing.T) {
 // Calib field after RefDist) must keep loading and answer exactly as the
 // model that was saved; what Save writes back no longer has the field.
 func TestLoadCheckpointWithCalibField(t *testing.T) {
-	m, recs := trainedTinyModel(t, 60)
+	m, calib, oldBytes := calibCheckpoint(t)
 	g := m.g
-	m.SetRefDist(metrics.RefDistOf([]float64{5, 12, 40, 200}, nil))
-
-	old := struct {
-		Config    Config
-		TimeScale float64
-		NumEdges  int
-		Params    nn.Snapshot
-		RefDist   *metrics.RefDist
-		Calib     []traj.MatchedOD
-	}{m.cfg, m.timeScale, g.NumEdges(), m.ps.Save(), m.refDist, nil}
-	for i := range recs[:16] {
-		old.Calib = append(old.Calib, recs[i].Matched)
-	}
-	var oldBuf bytes.Buffer
-	if err := gob.NewEncoder(&oldBuf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(oldBuf.Bytes(), []byte("Calib")) {
+	if !bytes.Contains(oldBytes, []byte("Calib")) {
 		t.Fatal("the old-format stream carries no calibration set; the test proves nothing")
 	}
-	loaded, err := Load(&oldBuf, g)
+	loaded, err := Load(bytes.NewReader(oldBytes), g)
 	if err != nil {
 		t.Fatalf("old-format checkpoint refused: %v", err)
 	}
-	for i := range old.Calib {
-		od := &old.Calib[i]
+	for i := range calib {
+		od := &calib[i]
 		if a, b := m.Estimate(od), loaded.Estimate(od); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("old-format checkpoint diverges on OD %d: %v vs %v", i, a, b)
 		}
@@ -157,6 +143,93 @@ func TestLoadCheckpointWithCalibField(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Save → Load → Save changed the checkpoint's content")
+	}
+}
+
+// calibCheckpoint trains a tiny model with a reference distribution and
+// encodes it in the format that carried a calibration OD set: a Calib
+// field after RefDist, holding the model's first 16 ODs, which it returns.
+func calibCheckpoint(tb testing.TB) (*Model, []traj.MatchedOD, []byte) {
+	tb.Helper()
+	m, recs := trainedTinyModel(tb, 60)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{5, 12, 40, 200} {
+		ref.Observe(v)
+	}
+	m.SetRefDist(ref)
+	old := struct {
+		Config    Config
+		TimeScale float64
+		NumEdges  int
+		Params    nn.Snapshot
+		RefDist   *metrics.RefDist
+		Calib     []traj.MatchedOD
+	}{m.cfg, m.timeScale, m.g.NumEdges(), m.ps.Save(), m.refDist, nil}
+	for i := range recs[:16] {
+		old.Calib = append(old.Calib, recs[i].Matched)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		tb.Fatal(err)
+	}
+	return m, old.Calib, buf.Bytes()
+}
+
+// FuzzLoadCheckpoint feeds Load corrupted checkpoints, seeded with the
+// old-format one TestLoadCheckpointWithCalibField loads and the current
+// format. Load must return an error, or a model with a valid configuration
+// and time scale that answers without panicking; a corrupt configuration
+// must not make it allocate past what the file carries.
+func FuzzLoadCheckpoint(f *testing.F) {
+	m, ods, old := calibCheckpoint(f)
+	f.Add(old)
+	var cur bytes.Buffer
+	if err := m.Save(&cur); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cur.Bytes())
+	f.Add(oversizedCheckpoint(f, m))
+	g := m.g
+	f.Fuzz(func(t *testing.T, b []byte) {
+		loaded, err := Load(bytes.NewReader(b), g)
+		if err != nil {
+			if loaded != nil {
+				t.Fatalf("Load returned a model with its error %v", err)
+			}
+			return
+		}
+		if err := loaded.cfg.Validate(); err != nil {
+			t.Fatalf("loaded an invalid config: %v", err)
+		}
+		if !(loaded.timeScale > 0) || math.IsInf(loaded.timeScale, 1) {
+			t.Fatalf("loaded the time scale %v", loaded.timeScale)
+		}
+		for i := range ods[:4] {
+			loaded.Estimate(&ods[i])
+		}
+	})
+}
+
+// oversizedCheckpoint is m's checkpoint with a road-segment embedding size
+// of 2⁴⁰: its Ws table alone would be far past what the file carries.
+func oversizedCheckpoint(tb testing.TB, m *Model) []byte {
+	tb.Helper()
+	s := savedModel{Config: m.cfg, TimeScale: m.timeScale, NumEdges: m.g.NumEdges(), Params: m.ps.Save()}
+	s.Config.Ds = 1 << 40
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A checkpoint whose config asks for layers its weights do not fill is
+// refused before the model allocates them.
+func TestLoadRejectsOversizedConfig(t *testing.T) {
+	m, _ := trainedTinyModel(t, 60)
+	_, err := Load(bytes.NewReader(oversizedCheckpoint(t, m)), m.g)
+	if err == nil || !strings.Contains(err.Error(), `"Ws"`) {
+		t.Fatalf("oversized config: err = %v, want a refusal naming Ws", err)
 	}
 }
 

@@ -7,8 +7,24 @@ import (
 	"time"
 
 	"deepod/internal/roadnet"
+	"deepod/internal/tensor"
 	"deepod/internal/timeslot"
 )
+
+// Embed runs the chosen method over g with the default corpus size and
+// epochs (see Configs) and returns [numNodes, dim] vectors: the one-call
+// reference the golden and quality tests below train through.
+func Embed(g Graph, method Method, dim int, rng *rand.Rand) (*tensor.Tensor, error) {
+	wcfg, scfg, err := Configs(method, dim, DefaultWalkConfig().WalksPerNode, DefaultSkipGramConfig(dim).Epochs)
+	if err != nil {
+		return nil, err
+	}
+	walks, err := GenerateWalks(g, wcfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	return TrainSkipGram(g.NumNodes(), walks, scfg, rng)
+}
 
 // ringGraph builds a weighted directed ring of n nodes.
 type ringGraph struct {
@@ -168,7 +184,10 @@ func TestTrainSkipGramValidation(t *testing.T) {
 }
 
 func TestTemporalGraphStructure(t *testing.T) {
-	s := timeslot.MustNew(time.Hour) // 24 slots/day, 168/week
+	s, err := timeslot.New(time.Hour) // 24 slots/day, 168/week
+	if err != nil {
+		t.Fatal(err)
+	}
 	tg, err := BuildTemporalGraph(s, 1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +219,10 @@ func TestTemporalGraphStructure(t *testing.T) {
 }
 
 func TestDayTemporalGraph(t *testing.T) {
-	s := timeslot.MustNew(time.Hour)
+	s, err := timeslot.New(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tg, err := BuildDayTemporalGraph(s, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +241,10 @@ func TestDayTemporalGraph(t *testing.T) {
 func TestTemporalEmbeddingPeriodicity(t *testing.T) {
 	// Embedding the weekly graph: the same hour on adjacent days should be
 	// closer than random hours, thanks to the neighbor-day edges.
-	s := timeslot.MustNew(2 * time.Hour) // 12 slots/day, 84/week
+	s, err := timeslot.New(2 * time.Hour) // 12 slots/day, 84/week
+	if err != nil {
+		t.Fatal(err)
+	}
 	tg, err := BuildTemporalGraph(s, 1, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -354,17 +354,3 @@ func Configs(method Method, dim, walksPerNode, epochs int) (WalkConfig, SkipGram
 	}
 	return wcfg, scfg, nil
 }
-
-// Embed runs the chosen method over g with the default corpus size and
-// epochs (see Configs) and returns [numNodes, dim] vectors.
-func Embed(g Graph, method Method, dim int, rng *rand.Rand) (*tensor.Tensor, error) {
-	wcfg, scfg, err := Configs(method, dim, DefaultWalkConfig().WalksPerNode, DefaultSkipGramConfig(dim).Epochs)
-	if err != nil {
-		return nil, err
-	}
-	walks, err := GenerateWalks(g, wcfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	return TrainSkipGram(g.NumNodes(), walks, scfg, rng)
-}

@@ -42,9 +42,6 @@ func (d *DeepODEstimator) Name() string { return d.Label }
 // Model returns the trained core model (nil before Train).
 func (d *DeepODEstimator) Model() *core.Model { return d.model }
 
-// CoreStats returns the core training statistics (nil before Train).
-func (d *DeepODEstimator) CoreStats() *core.TrainStats { return d.stats }
-
 // Train implements models.Trainable. The model needs the road network; the
 // Suite sets it via the graph captured in Cfg construction — so Train here
 // requires that d.model was pre-built by NewDeepODEstimator.

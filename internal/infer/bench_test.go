@@ -37,6 +37,10 @@ func benchWorkload(n int) []traj.ODInput {
 
 func benchEngine(b *testing.B, cacheEntries int) *Engine {
 	b.Helper()
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
 	e, err := New(Config{
 		Match:        okMatch,
 		Snapshot:     &Snapshot{ID: "bench", Estimate: benchEstimate},
@@ -47,7 +51,7 @@ func benchEngine(b *testing.B, cacheEntries int) *Engine {
 		CacheEntries: cacheEntries,
 		CacheTTL:     time.Hour,
 		Cells:        gridQuantizer{},
-		Slotter:      timeslot.MustNew(5 * time.Minute),
+		Slotter:      slotter,
 		Registry:     obs.NewRegistry(),
 	})
 	if err != nil {

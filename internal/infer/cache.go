@@ -63,6 +63,9 @@ type cacheShard struct {
 	lru list.List
 }
 
+// cacheShards is the engine cache's lock-domain count.
+const cacheShards = 16
+
 // estimateCache is a sharded LRU+TTL cache of travel-time estimates.
 // Sharding bounds lock contention under concurrent workers; each shard
 // holds at most perShard entries.

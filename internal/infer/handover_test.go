@@ -222,7 +222,7 @@ func TestSwapDuringInline(t *testing.T) {
 		first <- r
 	}()
 	<-started
-	if _, err := e.Swap(constSnapshot("new", 200)); err != nil {
+	if _, err := e.SwapCtx(context.Background(), constSnapshot("new", 200)); err != nil {
 		t.Fatal(err)
 	}
 	close(gate)

@@ -20,7 +20,7 @@
 //     and the slot from timeslot.Slotter — the same quantizations the model
 //     itself uses, so a cache hit answers with the estimate of an
 //     indistinguishable input.
-//   - Hot reload: the model lives behind an atomic snapshot pointer. Swap
+//   - Hot reload: the model lives behind an atomic snapshot pointer. SwapCtx
 //     installs a new checkpoint without dropping a single in-flight
 //     request; generation tags make every cached estimate from the old
 //     model invisible the moment the swap lands.
@@ -152,7 +152,7 @@ type Observer interface {
 type Config struct {
 	// Match snaps an OD input onto road segments. Required. It is called
 	// from caller and worker goroutines and must be safe for concurrent use
-	// (mapmatch.Matcher.MatchPoint is read-only after construction). The
+	// (mapmatch.Matcher.MatchPointCtx is read-only after construction). The
 	// context is the requesting caller's — it carries the trace so match
 	// spans land in the right tree; Match should not treat its cancellation
 	// as fatal mid-batch.
@@ -183,9 +183,6 @@ type Config struct {
 	// within a slot, so entries expire even if their slot is still
 	// current.
 	CacheTTL time.Duration
-	// CacheShards is the lock-domain count (default 16, rounded up to a
-	// power of two).
-	CacheShards int
 	// Cells quantizes origins/destinations for cache keys.
 	Cells Quantizer
 	// Slotter quantizes departure times for cache keys.
@@ -258,7 +255,7 @@ type job struct {
 
 // Engine mediates all estimate traffic: admission, batching, caching and
 // snapshot management. Construct with New, serve with Do, upgrade with
-// Swap, stop with Close.
+// SwapCtx, stop with Close.
 type Engine struct {
 	cfg   Config
 	reg   *obs.Registry
@@ -280,7 +277,7 @@ type Engine struct {
 	wake chan struct{}
 
 	// reloadErr holds the message of the most recent failed reload attempt
-	// (RecordReloadFailure); a successful Swap clears it. /readyz reports
+	// (RecordReloadFailure); a successful SwapCtx clears it. /readyz reports
 	// 503 while it is set.
 	reloadErr atomic.Pointer[string]
 
@@ -325,9 +322,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CacheTTL <= 0 {
 		cfg.CacheTTL = 5 * time.Minute
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 16
-	}
 	if cfg.CacheEntries > 0 && (cfg.Cells == nil || cfg.Slotter == nil) {
 		return nil, fmt.Errorf("infer: caching needs Config.Cells and Config.Slotter for key quantization")
 	}
@@ -365,7 +359,7 @@ func New(cfg Config) (*Engine, error) {
 		panics:      reg.Counter("tte_infer_panics_total"),
 	}
 	if cfg.CacheEntries > 0 {
-		e.cache = newEstimateCache(cfg.CacheEntries, cfg.CacheShards, cfg.CacheTTL, reg)
+		e.cache = newEstimateCache(cfg.CacheEntries, cacheShards, cfg.CacheTTL, reg)
 	}
 	e.install(cfg.Snapshot)
 	for i := 0; i < cfg.Workers; i++ {
@@ -383,22 +377,18 @@ func (e *Engine) install(snap *Snapshot) {
 	e.cur.Store(&installed{snap: snap, gen: e.gen.Add(1)})
 }
 
-// Swap atomically replaces the serving snapshot and returns the previous
-// one. In-flight batches finish on the snapshot they loaded; cache entries
-// produced by the previous model become invisible immediately (generation
-// mismatch) and are dropped lazily on lookup.
-func (e *Engine) Swap(snap *Snapshot) (previous *Snapshot, err error) {
-	return e.SwapCtx(context.Background(), snap)
-}
-
-// SwapCtx is Swap with trace context: the reload is recorded as an
-// "infer.reload" span carrying the old and new snapshot IDs. A successful
-// swap clears any failed-reload state (see RecordReloadFailure).
+// SwapCtx atomically replaces the serving snapshot and returns the
+// previous one. In-flight batches finish on the snapshot they loaded; cache
+// entries produced by the previous model become invisible immediately
+// (generation mismatch) and are dropped lazily on lookup. The reload is
+// recorded under ctx as an "infer.reload" span carrying the old and new
+// snapshot IDs. A successful swap clears any failed-reload state (see
+// RecordReloadFailure).
 func (e *Engine) SwapCtx(ctx context.Context, snap *Snapshot) (previous *Snapshot, err error) {
 	_, span := e.reg.StartSpan(ctx, "infer.reload")
 	defer span.End()
 	if snap == nil || snap.Estimate == nil {
-		err = fmt.Errorf("infer: Swap needs a snapshot with an Estimate func")
+		err = fmt.Errorf("infer: SwapCtx needs a snapshot with an Estimate func")
 		span.Fail(err)
 		return nil, err
 	}
@@ -412,7 +402,7 @@ func (e *Engine) SwapCtx(ctx context.Context, snap *Snapshot) (previous *Snapsho
 }
 
 // RecordReloadFailure marks the engine as being in a failed-reload state:
-// /readyz answers 503 until the next successful Swap. Call it when a
+// /readyz answers 503 until the next successful SwapCtx. Call it when a
 // checkpoint load or swap attempt fails so orchestrators stop routing new
 // traffic to a replica that can no longer follow model rollouts. A nil err
 // is ignored.
@@ -454,9 +444,6 @@ func (e *Engine) Readiness() (bool, map[string]any) {
 	}
 	return ready, detail
 }
-
-// Snapshot returns the currently serving snapshot.
-func (e *Engine) Snapshot() *Snapshot { return e.cur.Load().snap }
 
 // Version reports the live snapshot and engine configuration for the
 // /version endpoint.
@@ -755,7 +742,7 @@ func (e *Engine) worker() {
 }
 
 // serveBatch answers one drained batch. The snapshot is loaded once: every
-// request in a batch is answered by the same model, and a concurrent Swap
+// request in a batch is answered by the same model, and a concurrent SwapCtx
 // only affects subsequent batches.
 //
 // A batch runs in two phases: per-request map matching and traffic
@@ -892,7 +879,7 @@ func (e *Engine) contained(err *error, span *obs.Span) {
 // finish caches one model answer and returns its event.
 func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) ServeEvent {
 	if e.cache != nil {
-		// Tagged with the execution's generation: if a Swap landed since its
+		// Tagged with the execution's generation: if a SwapCtx landed since its
 		// snapshot load this entry is already stale and will never be
 		// served. Filed under the epoch read beside the features, so a
 		// regime shift during the forward cannot put an old-features answer

@@ -37,6 +37,10 @@ func okMatch(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 
 func testConfig(t *testing.T, snap *Snapshot) Config {
 	t.Helper()
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return Config{
 		Match:        okMatch,
 		Snapshot:     snap,
@@ -47,7 +51,7 @@ func testConfig(t *testing.T, snap *Snapshot) Config {
 		CacheEntries: 256,
 		CacheTTL:     time.Minute,
 		Cells:        gridQuantizer{},
-		Slotter:      timeslot.MustNew(5 * time.Minute),
+		Slotter:      slotter,
 		Registry:     obs.NewRegistry(),
 	}
 }
@@ -277,7 +281,7 @@ func TestSwapServesNewModelAndInvalidatesCache(t *testing.T) {
 		t.Fatalf("expected warm cache hit of 100, got %+v, err %v", r, err)
 	}
 
-	prev, err := e.Swap(constSnapshot("new", 200))
+	prev, err := e.SwapCtx(context.Background(), constSnapshot("new", 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +352,7 @@ func TestReloadUnderLoadZeroFailures(t *testing.T) {
 		if i%2 == 0 { // even iterations install B; the last (i=swaps) is even
 			id, val = "B", 200.0
 		}
-		if _, err := e.Swap(constSnapshot(id, val)); err != nil {
+		if _, err := e.SwapCtx(context.Background(), constSnapshot(id, val)); err != nil {
 			t.Fatalf("Swap %d: %v", i, err)
 		}
 	}
@@ -383,7 +387,7 @@ func TestVersionReflectsSwap(t *testing.T) {
 	if v["model"] != "v1" {
 		t.Fatalf("version model = %v, want v1", v["model"])
 	}
-	if _, err := e.Swap(constSnapshot("v2", 2)); err != nil {
+	if _, err := e.SwapCtx(context.Background(), constSnapshot("v2", 2)); err != nil {
 		t.Fatal(err)
 	}
 	v = e.Version()

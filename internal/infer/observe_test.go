@@ -85,7 +85,7 @@ func TestPredictionStampingAcrossSwap(t *testing.T) {
 	if _, err := e.Do(context.Background(), od(1, 1, 5, 5, 600)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Swap(constSnapshot("m2", 99)); err != nil {
+	if _, err := e.SwapCtx(context.Background(), constSnapshot("m2", 99)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Do(context.Background(), od(1, 1, 5, 5, 600)); err != nil {

@@ -42,7 +42,7 @@ func TestReadinessLifecycle(t *testing.T) {
 		t.Fatalf("Do during failed-reload state = %+v, %v", r, err)
 	}
 
-	if _, err := e.Swap(constSnapshot("m2", 7)); err != nil {
+	if _, err := e.SwapCtx(context.Background(), constSnapshot("m2", 7)); err != nil {
 		t.Fatal(err)
 	}
 	ready, detail = e.Readiness()

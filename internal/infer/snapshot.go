@@ -18,7 +18,7 @@ import (
 )
 
 // Snapshot is one immutable serving model. The engine holds the live
-// snapshot behind an atomic pointer; Swap installs a new one without
+// snapshot behind an atomic pointer; SwapCtx installs a new one without
 // blocking traffic, and in-flight batches keep the pointer they loaded, so
 // they finish on the model they started with.
 type Snapshot struct {
@@ -46,7 +46,7 @@ type Snapshot struct {
 	// checkpoint — the drift reference the quality monitor re-arms with on
 	// every hot reload. Nil for checkpoints that predate it.
 	RefDist *metrics.RefDist
-	// LoadedAt is when the snapshot was built (set by Swap if zero).
+	// LoadedAt is when the snapshot was built (set by SwapCtx if zero).
 	LoadedAt time.Time
 }
 

@@ -31,7 +31,10 @@ func matchAll(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 // way tteserve does, all on reg.
 func observed(t testing.TB, reg *obs.Registry) []infer.Observer {
 	t.Helper()
-	sl := timeslot.MustNew(5 * time.Minute)
+	sl, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mon := quality.New(quality.Config{Cells: unitCells{}, Slotter: sl, Registry: reg})
 	rec, err := recorder.New(recorder.Config{SampleRate: 0.01, SlowestN: 16, Cells: unitCells{}, Slotter: sl, Registry: reg})
 	if err != nil {
@@ -111,6 +114,10 @@ func TestCanceledCallerIsNotStamped(t *testing.T) {
 // observers wired: the allocations a cache-hit Do adds for stamping and
 // wide-event capture.
 func BenchmarkEngineCachedObserved(b *testing.B) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
 	reg := obs.NewRegistry()
 	e, err := infer.New(infer.Config{
 		Match:        matchAll,
@@ -118,7 +125,7 @@ func BenchmarkEngineCachedObserved(b *testing.B) {
 		CacheEntries: 1024,
 		CacheTTL:     time.Hour,
 		Cells:        unitCells{},
-		Slotter:      timeslot.MustNew(5 * time.Minute),
+		Slotter:      slotter,
 		Observers:    observed(b, reg),
 		Registry:     reg,
 	})

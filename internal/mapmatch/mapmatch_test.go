@@ -1,6 +1,7 @@
 package mapmatch
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -21,6 +22,11 @@ func testGraph(t testing.TB) *roadnet.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// Match is MatchCtx without a trace, for the tests below.
+func (m *Matcher) Match(raw *traj.Raw) (traj.Trajectory, error) {
+	return m.MatchCtx(context.Background(), raw)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -46,7 +52,7 @@ func TestMatchPoint(t *testing.T) {
 	// one (roadnet.EdgeIndex.NearestEdge), with the fraction along that twin.
 	for _, target := range []roadnet.EdgeID{5, 6, 40, 41} {
 		p := g.PointAlongEdge(target, 0.3)
-		e, frac, err := m.MatchPoint(p)
+		e, frac, err := m.MatchPointCtx(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +138,8 @@ func TestMatchRecoversDrivenRoute(t *testing.T) {
 		t.Fatalf("matched route overlaps only %.0f%% of the driven route", frac*100)
 	}
 	// Timing: total matched duration within 20%% of the driven duration.
-	gotDur := got.TravelTime()
-	wantDur := raw.Duration()
+	gotDur := got.Path[len(got.Path)-1].Exit - got.Path[0].Enter
+	wantDur := raw.Points[len(raw.Points)-1].T - raw.Points[0].T
 	if math.Abs(gotDur-wantDur) > 0.2*wantDur+5 {
 		t.Fatalf("matched duration %v vs driven %v", gotDur, wantDur)
 	}
@@ -176,6 +182,9 @@ func TestMatchRejectsBadInput(t *testing.T) {
 	}
 	if _, err := m.Match(&traj.Raw{Points: []traj.GPSPoint{{T: 5}, {T: 0}}}); err == nil {
 		t.Fatal("time-reversed trajectory accepted")
+	}
+	if _, err := m.Match(&traj.Raw{Points: []traj.GPSPoint{{T: 0}, {T: 5}, {T: 3}}}); err == nil {
+		t.Fatal("timestamps decreasing mid-trace accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
 package mapmatch
 
-// Streaming (sessionized) map matching. The batch matcher (Match) runs full
+// Streaming (sessionized) map matching. The batch matcher (MatchCtx) runs full
 // Viterbi over a complete trace and pays a Dijkstra per candidate transition
 // — fine for offline training data, impossible for a live GPS probe
 // firehose. A Session instead decodes one point at a time over a bounded
@@ -45,47 +45,23 @@ type SegObs struct {
 	Meters   float64
 }
 
-// SpeedMPS returns the observation's mean speed, 0 for degenerate spans.
-func (o SegObs) SpeedMPS() float64 {
-	if dt := o.ExitSec - o.EnterSec; dt > 0 {
-		return o.Meters / dt
-	}
-	return 0
-}
-
-// SessionConfig tunes the incremental decoder. The zero value takes every
-// default from the owning Matcher's Config.
-type SessionConfig struct {
-	// MaxCandidates bounds the decoder frontier per point (default 4; the
-	// batch matcher's 6 buys little on streaming data and costs k² route
-	// searches per probe).
-	MaxCandidates int
-	// MaxHops bounds the local route search between consecutive points
-	// (default 4 edges). Probes further apart than MaxHops segments
-	// re-anchor the session instead of searching the whole network.
-	MaxHops int
-	// MaxSpeedMPS discards transitions implying impossible speeds
-	// (default 50 m/s ≈ 180 km/h): GPS glitches must not poison the
-	// per-edge speed statistics.
-	MaxSpeedMPS float64
-	// MaxExpansions caps route-search work per transition (default 64).
-	MaxExpansions int
-}
-
-func (c *SessionConfig) fill() {
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 4
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 4
-	}
-	if c.MaxSpeedMPS <= 0 {
-		c.MaxSpeedMPS = 50
-	}
-	if c.MaxExpansions <= 0 {
-		c.MaxExpansions = 64
-	}
-}
+// The incremental decoder's bounds.
+const (
+	// sessionCandidates bounds the decoder frontier per point: the batch
+	// matcher's 6 buys little on streaming data and costs k² route
+	// searches per probe.
+	sessionCandidates = 4
+	// sessionHops bounds the local route search between consecutive
+	// points, in edges. Probes further apart re-anchor the session instead
+	// of searching the whole network.
+	sessionHops = 4
+	// maxSpeedMPS discards transitions implying impossible speeds
+	// (≈ 180 km/h): GPS glitches must not poison the per-edge speed
+	// statistics.
+	maxSpeedMPS = 50
+	// sessionExpansions caps route-search work per transition.
+	sessionExpansions = 64
+)
 
 // SessionScratch holds the reusable buffers shared by every session of one
 // goroutine (one Tracker). Confined to that goroutine.
@@ -117,7 +93,6 @@ type streamState struct {
 // Session is the incremental matcher state of one vehicle.
 type Session struct {
 	m       *Matcher
-	cfg     SessionConfig
 	scr     *SessionScratch
 	front   []streamState
 	spare   []streamState
@@ -127,19 +102,11 @@ type Session struct {
 	started bool
 }
 
-// NewSession builds a standalone session with its own scratch buffers. Use
-// NewTracker when managing many vehicles: its sessions share one scratch.
-func (m *Matcher) NewSession(cfg SessionConfig) *Session {
-	return m.newSession(cfg, m.NewSessionScratch())
+// newSession builds a session on scr, which the sessions of one goroutine
+// share.
+func (m *Matcher) newSession(scr *SessionScratch) *Session {
+	return &Session{m: m, scr: scr}
 }
-
-func (m *Matcher) newSession(cfg SessionConfig, scr *SessionScratch) *Session {
-	cfg.fill()
-	return &Session{m: m, cfg: cfg, scr: scr}
-}
-
-// LastSec returns the timestamp of the last accepted point (0 before any).
-func (s *Session) LastSec() float64 { return s.lastT }
 
 // Advance feeds the next GPS point of this vehicle and returns the
 // per-segment observations implied by the movement since the previous
@@ -156,7 +123,7 @@ func (s *Session) Advance(pt traj.GPSPoint) ([]SegObs, error) {
 			return nil, ErrDuplicate
 		}
 	}
-	cands := s.m.idx.NearestInto(pt.Pos, s.cfg.MaxCandidates, s.scr.near)
+	cands := s.m.idx.NearestInto(pt.Pos, sessionCandidates, s.scr.near)
 	if len(cands) == 0 {
 		// Off-grid point (shouldn't happen inside padded bounds): re-anchor
 		// on the next point.
@@ -181,7 +148,7 @@ func (s *Session) Advance(pt traj.GPSPoint) ([]SegObs, error) {
 		for pj := range s.front {
 			ps := &s.front[pj]
 			meters, ok := s.routeLen(ps.cand, c)
-			if !ok || meters/dt > s.cfg.MaxSpeedMPS {
+			if !ok || meters/dt > maxSpeedMPS {
 				continue
 			}
 			trans := -math.Abs(meters-straight) / s.m.cfg.BetaMeters
@@ -190,7 +157,7 @@ func (s *Session) Advance(pt traj.GPSPoint) ([]SegObs, error) {
 			}
 		}
 		if bestPrev == -1 {
-			// Unreachable from the whole frontier within MaxHops: keep the
+			// Unreachable from the whole frontier within sessionHops: keep the
 			// candidate alive with a heavy penalty so one glitchy point
 			// doesn't kill the session, but emit nothing through it.
 			best = s.maxLogp() + emit - 50
@@ -320,7 +287,7 @@ func (s *Session) routeLen(a, b roadnet.Candidate) (float64, bool) {
 	if ea.To == eb.From {
 		return base, true
 	}
-	tree, i, ok := s.scr.find(g, ea.To, eb.From, s.cfg.MaxHops, s.cfg.MaxExpansions)
+	tree, i, ok := s.scr.find(g, ea.To, eb.From, sessionHops, sessionExpansions)
 	if !ok {
 		return 0, false
 	}
@@ -332,7 +299,7 @@ func (s *Session) routeLen(a, b roadnet.Candidate) (float64, bool) {
 // scratch and is valid until the next call.
 func (s *Session) route(a, b roadnet.Candidate) ([]roadnet.EdgeID, bool) {
 	g := s.m.g
-	tree, i, ok := s.scr.find(g, g.Edges[a.Edge].To, g.Edges[b.Edge].From, s.cfg.MaxHops, s.cfg.MaxExpansions)
+	tree, i, ok := s.scr.find(g, g.Edges[a.Edge].To, g.Edges[b.Edge].From, sessionHops, sessionExpansions)
 	if !ok {
 		return nil, false
 	}
@@ -354,8 +321,9 @@ func appendRoute(out []roadnet.EdgeID, tree []treeNode, i int) []roadnet.EdgeID 
 	return out
 }
 
-// maxSessionHops bounds the emit share buffer; MaxHops beyond it would only
-// drop intermediate segments from emission, never break matching.
+// maxSessionHops bounds the emit share buffer; a sessionHops beyond it
+// would only drop intermediate segments from emission, never break
+// matching.
 const maxSessionHops = 8
 
 // searchTrees memoises, per start vertex, the tree a hop-limited

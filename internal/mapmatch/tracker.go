@@ -9,8 +9,6 @@ import "deepod/internal/traj"
 
 // TrackerConfig tunes per-vehicle session management.
 type TrackerConfig struct {
-	// Session configures each vehicle's decoder.
-	Session SessionConfig
 	// SessionTTLSec evicts a vehicle whose last probe is older than this
 	// many sim-seconds at Sweep time (default 300).
 	SessionTTLSec float64
@@ -20,7 +18,6 @@ type TrackerConfig struct {
 }
 
 func (c *TrackerConfig) fill() {
-	c.Session.fill()
 	if c.SessionTTLSec <= 0 {
 		c.SessionTTLSec = 300
 	}
@@ -70,7 +67,7 @@ func (t *Tracker) Advance(vehicle string, pt traj.GPSPoint) ([]SegObs, error) {
 			t.free = t.free[:n-1]
 			s.started = false
 		} else {
-			s = t.m.newSession(t.cfg.Session, t.scr)
+			s = t.m.newSession(t.scr)
 		}
 		ts = &trackedSession{s: s}
 		t.sessions[vehicle] = ts

@@ -46,16 +46,6 @@ func NewRefDist(uppers []float64) *RefDist {
 	}
 }
 
-// RefDistOf bins xs into a fresh distribution (nil uppers uses the
-// defaults).
-func RefDistOf(xs []float64, uppers []float64) *RefDist {
-	d := NewRefDist(uppers)
-	for _, v := range xs {
-		d.Observe(v)
-	}
-	return d
-}
-
 // Validate checks a distribution read from an untrusted source (a
 // checkpoint file): ascending bounds and a count per bin.
 func (d *RefDist) Validate() error {

@@ -38,7 +38,10 @@ func TestRefDistBinning(t *testing.T) {
 }
 
 func TestRefDistValidate(t *testing.T) {
-	good := RefDistOf([]float64{1, 2, 3}, nil)
+	good := NewRefDist(nil)
+	for _, v := range []float64{1, 2, 3} {
+		good.Observe(v)
+	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid dist rejected: %v", err)
 	}
@@ -57,7 +60,10 @@ func TestRefDistValidate(t *testing.T) {
 // The checkpoint round-trip: RefDist travels through encoding/gob intact
 // (it is embedded in core's saved model).
 func TestRefDistGobRoundTrip(t *testing.T) {
-	d := RefDistOf([]float64{3, 7, 15, 40, 400}, []float64{5, 10, 50})
+	d := NewRefDist([]float64{5, 10, 50})
+	for _, v := range []float64{3, 7, 15, 40, 400} {
+		d.Observe(v)
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
 		t.Fatal(err)

@@ -422,6 +422,28 @@ func TestSnapshotSaveLoad(t *testing.T) {
 	}
 }
 
+// A constructor run in a shape set allocates nothing however large its
+// shapes, and Load holds those shapes to a snapshot without overflowing.
+func TestShapeSetChecksBeforeAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	real := NewParamSet()
+	NewMLP2(real, rng, "m", 2, 3, 1)
+	snap := real.Save()
+
+	fits := NewShapeSet()
+	NewMLP2(fits, rng, "m", 2, 3, 1)
+	if err := fits.Load(snap); err != nil {
+		t.Fatalf("matching shapes refused: %v", err)
+	}
+	for _, dims := range [][3]int{{2, 4, 1}, {1 << 40, 1 << 40, 1}, {1 << 32, 1 << 32, 1}} {
+		ps := NewShapeSet()
+		NewMLP2(ps, rng, "m", dims[0], dims[1], dims[2])
+		if err := ps.Load(snap); err == nil {
+			t.Errorf("MLP %v accepted for a 2-3-1 snapshot", dims)
+		}
+	}
+}
+
 func TestParamSetBookkeeping(t *testing.T) {
 	ps := NewParamSet()
 	a := ps.New("a", 2, 3)

@@ -31,6 +31,9 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 type ParamSet struct {
 	params []*Param
 	byName map[string]*Param
+	// shapesOnly makes New record each parameter's shape and allocate no
+	// weights (NewShapeSet).
+	shapesOnly bool
 }
 
 // NewParamSet returns an empty parameter set.
@@ -38,18 +41,34 @@ func NewParamSet() *ParamSet {
 	return &ParamSet{byName: make(map[string]*Param)}
 }
 
+// NewShapeSet returns an empty parameter set whose parameters have their
+// shapes and no weights. A model's constructor run in it costs nothing
+// however large the shapes, and Load then checks them against a snapshot:
+// a checkpoint's configuration is checked before a real constructor
+// allocates what it asks for.
+func NewShapeSet() *ParamSet {
+	ps := NewParamSet()
+	ps.shapesOnly = true
+	return ps
+}
+
 // New registers a zero-initialized parameter of the given shape.
 func (ps *ParamSet) New(name string, shape ...int) *Param {
 	if _, dup := ps.byName[name]; dup {
 		panic(fmt.Sprintf("nn: duplicate parameter name %q", name))
 	}
-	p := &Param{
-		Name:  name,
-		Value: tensor.New(shape...),
-		Grad:  tensor.New(shape...),
-		m:     tensor.New(shape...),
-		v:     tensor.New(shape...),
-		idx:   len(ps.params),
+	var p *Param
+	if ps.shapesOnly {
+		p = &Param{Name: name, Value: &tensor.Tensor{Shape: append([]int(nil), shape...)}, idx: len(ps.params)}
+	} else {
+		p = &Param{
+			Name:  name,
+			Value: tensor.New(shape...),
+			Grad:  tensor.New(shape...),
+			m:     tensor.New(shape...),
+			v:     tensor.New(shape...),
+			idx:   len(ps.params),
+		}
 	}
 	ps.params = append(ps.params, p)
 	ps.byName[name] = p
@@ -191,9 +210,9 @@ func (ps *ParamSet) Load(s Snapshot) error {
 		if !ok {
 			return fmt.Errorf("nn: snapshot is missing parameter %q", p.Name)
 		}
-		if len(vals) != p.Size() {
-			return fmt.Errorf("nn: snapshot parameter %q has %d weights, model wants %d",
-				p.Name, len(vals), p.Size())
+		if !holds(p.Value.Shape, len(vals)) {
+			return fmt.Errorf("nn: snapshot parameter %q has %d weights, model wants shape %v",
+				p.Name, len(vals), p.Value.Shape)
 		}
 		for i, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -205,4 +224,17 @@ func (ps *ParamSet) Load(s Snapshot) error {
 		copy(p.Value.Data, s[p.Name])
 	}
 	return nil
+}
+
+// holds reports whether shape has exactly n elements, without overflowing
+// on a shape far larger than n.
+func holds(shape []int, n int) bool {
+	size := 1
+	for _, d := range shape {
+		if d <= 0 || size > n/d {
+			return false
+		}
+		size *= d
+	}
+	return size == n
 }

@@ -30,20 +30,6 @@ var exemplarsOn atomic.Bool
 // tteserve flips it on with -exemplars.
 func SetExemplars(on bool) { exemplarsOn.Store(on) }
 
-// ExemplarsEnabled reports whether exemplar recording is on.
-func ExemplarsEnabled() bool { return exemplarsOn.Load() }
-
-// ObserveExemplar records v like Observe and, when exemplar recording is
-// enabled and id is non-empty, stamps v's bucket with an exemplar carrying
-// the trace ID. With recording disabled this is Observe plus one atomic
-// load.
-func (h *Histogram) ObserveExemplar(v float64, id TraceID) {
-	h.Observe(v)
-	if id != "" && exemplarsOn.Load() {
-		h.recordExemplar(v, id)
-	}
-}
-
 // recordExemplar stores the exemplar for v's bucket. Callers have already
 // counted v via Observe and checked the enable flag.
 func (h *Histogram) recordExemplar(v float64, id TraceID) {

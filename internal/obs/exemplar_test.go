@@ -15,8 +15,13 @@ func TestExemplarRecording(t *testing.T) {
 
 	r := NewRegistry()
 	h := r.Histogram("ex_seconds", []float64{0.1, 1, 10}, "route", "/estimate")
-	h.ObserveExemplar(0.5, "aabbccdd00112233")
-	h.ObserveExemplar(0.02, "deadbeefdeadbeef")
+	// What Middleware.Wrap does for a traced request's latency.
+	observe := func(v float64, id TraceID) {
+		h.Observe(v)
+		h.recordExemplar(v, id)
+	}
+	observe(0.5, "aabbccdd00112233")
+	observe(0.02, "deadbeefdeadbeef")
 	h.Observe(5) // plain Observe never stores an exemplar
 
 	ex := h.Exemplars()
@@ -37,7 +42,7 @@ func TestExemplarRecording(t *testing.T) {
 	}
 
 	// Last-write-wins within a bucket.
-	h.ObserveExemplar(0.6, "ffffffffffffffff")
+	observe(0.6, "ffffffffffffffff")
 	if got := h.Exemplars()[1]; got.TraceID != "ffffffffffffffff" {
 		t.Fatalf("bucket 1 exemplar after overwrite = %+v", got)
 	}
@@ -57,8 +62,10 @@ func TestExemplarRecording(t *testing.T) {
 func TestExemplarDisabledStoresNothing(t *testing.T) {
 	SetExemplars(false)
 	r := NewRegistry()
-	h := r.Histogram("ex_off_seconds", []float64{1})
-	h.ObserveExemplar(0.5, "aabbccdd00112233")
+	ctx, _ := StartTrace(context.Background(), "aabbccdd00112233", "/estimate")
+	_, s := r.StartSpan(ctx, "off")
+	s.End()
+	h := r.Histogram(SpanFamily, DefBuckets, "span", "off")
 	for i, e := range h.Exemplars() {
 		if e != nil {
 			t.Fatalf("bucket %d stored exemplar %+v while disabled", i, e)
@@ -105,7 +112,9 @@ func TestMetricsHandlerExemplarExposition(t *testing.T) {
 	defer SetExemplars(false)
 
 	r := NewRegistry()
-	r.Histogram("ex_expo_seconds", []float64{1}, "route", "/x").ObserveExemplar(0.5, "0123456789abcdef")
+	h := r.Histogram("ex_expo_seconds", []float64{1}, "route", "/x")
+	h.Observe(0.5)
+	h.recordExemplar(0.5, "0123456789abcdef")
 
 	get := func(url, accept string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodGet, url, nil)

@@ -19,12 +19,10 @@ const TraceHeader = "X-Trace-Id"
 
 // Middleware instruments HTTP handlers with per-route metrics and,
 // optionally, request-scoped tracing and structured logging. The zero
-// value plus a Registry reproduces the classic Instrument behaviour.
+// value plus a Registry records the metrics alone.
 type Middleware struct {
 	// Registry receives the request metrics (nil uses the default).
 	Registry *Registry
-	// Logf, when set, emits the legacy one-line request log.
-	Logf Logf
 	// Logger, when set, emits structured request logs: 5xx at Error and
 	// 4xx at Warn on every occurrence, 2xx/3xx at Info sampled by
 	// AccessLogEvery. Lines carry trace_id when Logger's handler is (or
@@ -109,9 +107,6 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 			rd := root.End()
 			mw.Traces.Offer(tr, rd)
 		}
-		if mw.Logf != nil {
-			mw.Logf("%s %s -> %d (%dB) in %s", r.Method, route, code, sw.bytes, d.Round(time.Microsecond))
-		}
 		if mw.Logger != nil {
 			attrs := []slog.Attr{
 				slog.String("method", r.Method),
@@ -133,13 +128,6 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 			}
 		}
 	})
-}
-
-// Instrument wraps h with per-route accounting and an optional legacy log
-// line — Middleware.Wrap without tracing or structured logging, kept for
-// call sites that predate the trace layer.
-func Instrument(reg *Registry, route string, logf Logf, h http.Handler) http.Handler {
-	return Middleware{Registry: reg, Logf: logf}.Wrap(route, h)
 }
 
 // statusWriter captures the status code and body size written downstream.

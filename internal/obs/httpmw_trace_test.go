@@ -168,29 +168,3 @@ func TestTraceHandlerPassthrough(t *testing.T) {
 		t.Fatalf("untraced line grew a trace_id: %s", buf.String())
 	}
 }
-
-// TestInstrumentShimStillWorks pins the legacy entry point: metrics and the
-// printf log line, no tracing.
-func TestInstrumentShimStillWorks(t *testing.T) {
-	reg := NewRegistry()
-	var line string
-	h := Instrument(reg, "/ping", func(format string, args ...any) {
-		line = format
-	}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("pong"))
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ping", nil))
-	if rec.Header().Get(TraceHeader) != "" {
-		t.Fatal("Instrument (no store) should not mint trace IDs")
-	}
-	if line == "" {
-		t.Fatal("legacy logf not called")
-	}
-	if got := reg.Counter("tte_http_requests_total", "route", "/ping", "code", "2xx").Value(); got != 1 {
-		t.Fatalf("counter = %d", got)
-	}
-	if got := reg.Histogram("tte_http_request_seconds", DefBuckets, "route", "/ping").Count(); got != 1 {
-		t.Fatalf("latency count = %d", got)
-	}
-}

@@ -247,10 +247,3 @@ func TimeCtx(ctx context.Context, name string) func() time.Duration {
 	_, s := defaultRegistry.StartSpan(ctx, name)
 	return s.End
 }
-
-// Time is TimeCtx without a context. The histogram is still recorded, but
-// the span is an orphan: no parent link, never part of a trace. Prefer
-// TimeCtx anywhere a context is available.
-func Time(name string) func() time.Duration {
-	return TimeCtx(context.Background(), name)
-}

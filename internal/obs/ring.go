@@ -35,9 +35,6 @@ func (r *Ring[T]) Push(v T) (evicted bool) {
 // Len returns the number of retained elements.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the ring's capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // At returns the i-th retained element, oldest first. i must be in
 // [0, Len()).
 func (r *Ring[T]) At(i int) T { return r.buf[(r.head+i)%len(r.buf)] }

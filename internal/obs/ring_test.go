@@ -4,8 +4,8 @@ import "testing"
 
 func TestRing(t *testing.T) {
 	r := NewRing[int](3)
-	if r.Cap() != 3 || r.Len() != 0 {
-		t.Fatalf("cap=%d len=%d", r.Cap(), r.Len())
+	if r.Len() != 0 {
+		t.Fatalf("len = %d, want 0", r.Len())
 	}
 	evicted := 0
 	for i := 1; i <= 5; i++ {
@@ -22,7 +22,9 @@ func TestRing(t *testing.T) {
 	if r.At(0) != 3 || r.At(2) != 5 {
 		t.Fatalf("At order wrong: %d %d", r.At(0), r.At(2))
 	}
-	if NewRing[int](0).Cap() != 1 {
-		t.Fatal("capacity below 1 not clamped")
+	one := NewRing[int](0)
+	one.Push(1)
+	if !one.Push(2) || one.Len() != 1 || one.At(0) != 2 {
+		t.Fatal("capacity below 1 not clamped to 1")
 	}
 }

@@ -37,7 +37,8 @@ func TestRegistryRegisterWhileSnapshot(t *testing.T) {
 				}
 				r.Gauge(fmt.Sprintf("race_w%d_f%d", w, f)).Set(float64(f))
 				h := r.Histogram(fmt.Sprintf("race_w%d_f%d_seconds", w, f), []float64{0.1, 1})
-				h.ObserveExemplar(0.5, "0123456789abcdef")
+				h.Observe(0.5)
+				h.recordExemplar(0.5, "0123456789abcdef")
 				r.Help(name, "registered mid-snapshot")
 			}
 		}(w)

@@ -111,12 +111,6 @@ func TraceIDFrom(ctx context.Context) TraceID {
 	return ""
 }
 
-// ID returns the trace's ID.
-func (t *Trace) ID() TraceID { return t.id }
-
-// Route returns the route label the trace was started under.
-func (t *Trace) Route() string { return t.route }
-
 // register attaches s to the trace, recording its parent by index. Called
 // by StartSpan before the span escapes to other goroutines, so the span's
 // trace/index fields are published by the StartSpan return.

@@ -52,11 +52,15 @@ func odAt(x float64, depart float64) traj.ODInput {
 
 func newTestMonitor(t *testing.T, clk *fakeClock, mut func(*Config)) *Monitor {
 	t.Helper()
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
 		Window:     time.Minute,
 		PendingTTL: 10 * time.Minute,
 		Cells:      gridCells{},
-		Slotter:    timeslot.MustNew(5 * time.Minute),
+		Slotter:    slotter,
 		Registry:   obs.NewRegistry(),
 		Now:        clk.now,
 	}
@@ -234,7 +238,10 @@ func TestDriftDetection(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
 	// Training-time reference: errors concentrated in the lowest bins.
-	ref := metrics.RefDistOf([]float64{2, 3, 4, 5, 6, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2}, nil)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{2, 3, 4, 5, 6, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2} {
+		ref.Observe(v)
+	}
 	m := newTestMonitor(t, clk, func(c *Config) {
 		c.Reference = ref
 		c.ReferenceModel = "m1"
@@ -285,7 +292,10 @@ func TestDriftDetection(t *testing.T) {
 
 func TestDriftStableDistribution(t *testing.T) {
 	clk := newFakeClock()
-	ref := metrics.RefDistOf([]float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25}, nil)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25} {
+		ref.Observe(v)
+	}
 	m := newTestMonitor(t, clk, func(c *Config) {
 		c.Reference = ref
 		c.MinDriftSamples = 16
@@ -320,7 +330,10 @@ func TestSetReferenceSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := metrics.RefDistOf([]float64{5, 10, 15}, nil)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{5, 10, 15} {
+		ref.Observe(v)
+	}
 	m.SetReference(ref, "m2")
 	st := m.State()
 	if !st.Drift.Enabled || st.Drift.ReferenceModel != "m2" {
@@ -534,7 +547,10 @@ func TestDriftAlertSink(t *testing.T) {
 	clk := newFakeClock()
 	var logBuf bytes.Buffer
 	sink := &fakeSink{}
-	ref := metrics.RefDistOf([]float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25}, nil)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25} {
+		ref.Observe(v)
+	}
 	m := newTestMonitor(t, clk, func(c *Config) {
 		c.Reference = ref
 		c.ReferenceModel = "m1"

@@ -249,7 +249,12 @@ func TestErrorsCapturedUnderConcurrentLoad(t *testing.T) {
 // TestEventQuantization: captured events carry the cache's grid cells and
 // time slot; non-finite or negative inputs quantize to -1, never panic.
 func TestEventQuantization(t *testing.T) {
-	r := newTest(t, Config{SampleRate: 1, Cells: cellsStub{}, Slotter: slotterForTest()})
+	// 5-minute slots, so DepartSec 600 → slot 2.
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newTest(t, Config{SampleRate: 1, Cells: cellsStub{}, Slotter: slotter})
 	ev := servedEvent(7)
 	r.ObserveServe(context.Background(), ev)
 	bad := errEvent(infer.ErrInvalidInput)
@@ -304,6 +309,3 @@ func nan() float64 {
 	var zero float64
 	return zero / zero
 }
-
-// slotterForTest slots at 5-minute granularity, so DepartSec 600 → slot 2.
-func slotterForTest() *timeslot.Slotter { return timeslot.MustNew(5 * time.Minute) }

@@ -42,10 +42,14 @@ func match(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 // starts from.
 func record(t *testing.T, s *infer.Snapshot, reqs []traj.ODInput) []recorder.Event {
 	t.Helper()
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec, err := recorder.New(recorder.Config{
 		SampleRate: 1,
 		Cells:      cells{},
-		Slotter:    timeslot.MustNew(5 * time.Minute),
+		Slotter:    slotter,
 		Registry:   obs.NewRegistry(),
 	})
 	if err != nil {
@@ -55,7 +59,7 @@ func record(t *testing.T, s *infer.Snapshot, reqs []traj.ODInput) []recorder.Eve
 	eng, err := infer.New(infer.Config{
 		Match: match, Snapshot: s,
 		Workers: 1, MaxBatch: 1,
-		CacheEntries: 128, Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		CacheEntries: 128, Cells: cells{}, Slotter: slotter,
 		Observers: []infer.Observer{rec},
 		Registry:  obs.NewRegistry(),
 	})
@@ -96,6 +100,10 @@ func reqStream() []traj.ODInput {
 // match every estimate bit-for-bit and reproduce every error, with zero
 // unexplained diffs.
 func TestReplaySameCheckpointBitForBit(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := snap("m1", 40)
 	events := record(t, s, reqStream())
 	if len(events) != 15 {
@@ -103,7 +111,7 @@ func TestReplaySameCheckpointBitForBit(t *testing.T) {
 	}
 	rep, err := Run(context.Background(), Config{
 		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		Cells: cells{}, Slotter: slotter,
 	}, events)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +134,14 @@ func TestReplaySameCheckpointBitForBit(t *testing.T) {
 // diff is explained as a snapshot regression and quantified — the MAE and
 // changed-count a release gate reads.
 func TestReplayDifferentCheckpointExplains(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	events := record(t, snap("m1", 40), reqStream())
 	rep, err := Run(context.Background(), Config{
 		Snapshot: snap("m2", 44), Match: match,
-		Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		Cells: cells{}, Slotter: slotter,
 		ToleranceSec: 5,
 	}, events)
 	if err != nil {
@@ -156,6 +168,10 @@ func TestReplayDifferentCheckpointExplains(t *testing.T) {
 // TestReplayLiveTrafficExplained: events recorded under live traffic are
 // explained diffs — the offline engine cannot rebuild the probe stream.
 func TestReplayLiveTrafficExplained(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := snap("m1", 40)
 	events := record(t, s, reqStream()[:3])
 	// Forge the live flag on one event and bump its estimate, as if the
@@ -164,7 +180,7 @@ func TestReplayLiveTrafficExplained(t *testing.T) {
 	events[1].EstimateSec += 10
 	rep, err := Run(context.Background(), Config{
 		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		Cells: cells{}, Slotter: slotter,
 	}, events)
 	if err != nil {
 		t.Fatal(err)
@@ -177,12 +193,16 @@ func TestReplayLiveTrafficExplained(t *testing.T) {
 // TestReplayUnexplainedDetected: tamper with a recorded estimate and the
 // gate must trip — zero false negatives is the point of the check.
 func TestReplayUnexplainedDetected(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := snap("m1", 40)
 	events := record(t, s, reqStream()[:4])
 	events[2].EstimateSec += 0.125
 	rep, err := Run(context.Background(), Config{
 		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		Cells: cells{}, Slotter: slotter,
 	}, events)
 	if err != nil {
 		t.Fatal(err)
@@ -195,13 +215,17 @@ func TestReplayUnexplainedDetected(t *testing.T) {
 // TestReplaySkipsShed: shed and cancelled outcomes are load artifacts;
 // replay must skip them, not fail on them.
 func TestReplaySkipsShed(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := snap("m1", 40)
 	events := record(t, s, reqStream()[:2])
 	events = append(events, recorder.Event{Seq: 900, Err: "overloaded", Shed: true},
 		recorder.Event{Seq: 901, Err: "canceled"})
 	rep, err := Run(context.Background(), Config{
 		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		Cells: cells{}, Slotter: slotter,
 	}, events)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +246,10 @@ func TestReplaySkipsShed(t *testing.T) {
 // batch size a request happened to be served at never leaks into its answer —
 // the contract that keeps fused-engine recordings replayable.
 func TestReplayFusedRecordingBitForBit(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	estimate := func(m *traj.MatchedOD) float64 { return 3 * (1 + m.DepartSec/7) }
 	gate := make(chan struct{})
 	var fusedBatches atomic.Int64
@@ -246,7 +274,7 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 	rec, err := recorder.New(recorder.Config{
 		SampleRate: 1,
 		Cells:      cells{},
-		Slotter:    timeslot.MustNew(5 * time.Minute),
+		Slotter:    slotter,
 		Registry:   obs.NewRegistry(),
 	})
 	if err != nil {
@@ -256,7 +284,7 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 	eng, err := infer.New(infer.Config{
 		Match: match, Snapshot: s,
 		Workers: 1, MaxBatch: 16, QueueDepth: 64,
-		CacheEntries: 128, Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		CacheEntries: 128, Cells: cells{}, Slotter: slotter,
 		Observers: []infer.Observer{rec},
 		Registry:  obs.NewRegistry(),
 	})
@@ -291,7 +319,7 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 	}
 	rep, err := Run(context.Background(), Config{
 		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: timeslot.MustNew(5 * time.Minute),
+		Cells: cells{}, Slotter: slotter,
 	}, events)
 	if err != nil {
 		t.Fatal(err)

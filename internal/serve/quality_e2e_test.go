@@ -68,6 +68,10 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 // agree with the offline metrics package on exactly the joined pairs,
 // count every path, and flag drift against the training-time reference.
 func TestQualityEndToEnd(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := &e2eClock{t: time.Unix(1_700_000_000, 0)}
 	reg := obs.NewRegistry()
 	var logBuf bytes.Buffer
@@ -77,7 +81,10 @@ func TestQualityEndToEnd(t *testing.T) {
 	// Training-time reference: absolute errors of a few seconds. The live
 	// feedback below carries errors of hundreds of seconds, so the window's
 	// distribution must register as drifted.
-	ref := metrics.RefDistOf([]float64{2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4}, nil)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4} {
+		ref.Observe(v)
+	}
 	mon := quality.New(quality.Config{
 		Window:          time.Hour, // the whole test stays inside one window
 		PendingTTL:      10 * time.Minute,
@@ -86,7 +93,7 @@ func TestQualityEndToEnd(t *testing.T) {
 		Reference:       ref,
 		ReferenceModel:  "m1",
 		Cells:           unitCells{},
-		Slotter:         timeslot.MustNew(5 * time.Minute),
+		Slotter:         slotter,
 		Registry:        reg,
 		Logger:          logger,
 		Now:             clk.now,
@@ -177,7 +184,7 @@ func TestQualityEndToEnd(t *testing.T) {
 
 	// Hot reload. Pre-swap predictions 8 and 9 stay pending under the m1
 	// generation; the post-swap estimate is stamped m2.
-	if _, err := eng.Swap(echoSnapshot("m2")); err != nil {
+	if _, err := eng.SwapCtx(context.Background(), echoSnapshot("m2")); err != nil {
 		t.Fatal(err)
 	}
 	rec := postJSON(t, h, "/estimate", EstimateRequest{DepartSec: 900})

@@ -111,8 +111,6 @@ type Config struct {
 	// Registry receives the HTTP metrics and serves /metrics (default
 	// obs.Default()).
 	Registry *obs.Registry
-	// Logf, when non-nil, receives one line per request.
-	Logf obs.Logf
 	// Logger, when non-nil, emits structured request logs (5xx at Error
 	// and 4xx at Warn always; 2xx/3xx at Info sampled by AccessLogEvery),
 	// correlated to traces when its handler wraps obs.TraceHandler.
@@ -195,7 +193,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, reg: cfg.Registry, mux: http.NewServeMux()}
 	mw := obs.Middleware{
 		Registry:       s.reg,
-		Logf:           cfg.Logf,
 		Logger:         cfg.Logger,
 		AccessLogEvery: cfg.AccessLogEvery,
 		Traces:         cfg.Traces,

@@ -240,6 +240,10 @@ func TestReloadUnwiredIs501(t *testing.T) {
 // layer: a request is served, its repeat hits the cache, and a /reload-style
 // Swap changes the served model — the serve↔infer integration seam.
 func TestEngineEndToEndOverHTTP(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := infer.New(infer.Config{
 		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
@@ -248,7 +252,7 @@ func TestEngineEndToEndOverHTTP(t *testing.T) {
 		Workers:  2, QueueDepth: 16, MaxBatch: 4,
 		CacheEntries: 64,
 		Cells:        unitCells{},
-		Slotter:      timeslot.MustNew(5 * time.Minute),
+		Slotter:      slotter,
 		Registry:     obs.NewRegistry(),
 	})
 	if err != nil {
@@ -259,7 +263,7 @@ func TestEngineEndToEndOverHTTP(t *testing.T) {
 	s := newInferServer(t, eng.Do, func(c *Config) {
 		c.Version = eng.Version
 		c.Reload = func(context.Context) (map[string]any, error) {
-			prev, err := eng.Swap(&infer.Snapshot{ID: "m2", Estimate: func(context.Context, *traj.MatchedOD) float64 { return 120 }})
+			prev, err := eng.SwapCtx(context.Background(), &infer.Snapshot{ID: "m2", Estimate: func(context.Context, *traj.MatchedOD) float64 { return 120 }})
 			if err != nil {
 				return nil, err
 			}

@@ -445,7 +445,7 @@ func TestReadyzEngineLifecycle(t *testing.T) {
 		t.Fatalf("failed-reload body = %v", body)
 	}
 
-	if _, err := eng.Swap(&infer.Snapshot{ID: "m2", Estimate: func(context.Context, *traj.MatchedOD) float64 { return 120 }}); err != nil {
+	if _, err := eng.SwapCtx(context.Background(), &infer.Snapshot{ID: "m2", Estimate: func(context.Context, *traj.MatchedOD) float64 { return 120 }}); err != nil {
 		t.Fatal(err)
 	}
 	body = check(http.StatusOK)

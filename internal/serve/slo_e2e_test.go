@@ -30,6 +30,10 @@ import (
 // the alert resolves — with /debug/slo and /debug/alerts agreeing at every
 // step.
 func TestSLOEndToEnd(t *testing.T) {
+	slotter, err := timeslot.New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := &e2eClock{t: time.Unix(1_700_000_000, 0)}
 	reg := obs.NewRegistry()
 	var logBuf bytes.Buffer
@@ -40,7 +44,10 @@ func TestSLOEndToEnd(t *testing.T) {
 
 	// Quality monitoring routed through the same manager: live errors far
 	// from the training-time reference must surface as quality:drift.
-	ref := metrics.RefDistOf([]float64{2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4}, nil)
+	ref := metrics.NewRefDist(nil)
+	for _, v := range []float64{2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4} {
+		ref.Observe(v)
+	}
 	mon := quality.New(quality.Config{
 		Window:          time.Hour,
 		PendingTTL:      10 * time.Minute,
@@ -49,7 +56,7 @@ func TestSLOEndToEnd(t *testing.T) {
 		Reference:       ref,
 		ReferenceModel:  "m1",
 		Cells:           unitCells{},
-		Slotter:         timeslot.MustNew(5 * time.Minute),
+		Slotter:         slotter,
 		Registry:        reg,
 		Logger:          logger,
 		Alerts:          mgr,

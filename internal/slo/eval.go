@@ -22,12 +22,6 @@ type Config struct {
 	// Interval is the snapshot/evaluation period (default 10s). Evaluation
 	// happens on a background goroutine; nothing runs on request paths.
 	Interval time.Duration
-	// MaxPoints bounds each objective's history ring (default: enough to
-	// cover the longest rule window at Interval, capped at 32768). A
-	// window reaching past the retained history falls back to the oldest
-	// point — burn-since-oldest, which is the right degradation: young
-	// processes alert on what they have seen.
-	MaxPoints int
 	// Source is the registry snapshots are read from (default
 	// obs.Default()).
 	Source *obs.Registry
@@ -144,15 +138,11 @@ func New(cfg Config) (*Evaluator, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
 	}
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = int(longest/cfg.Interval) + 2
-		if cfg.MaxPoints > 32768 {
-			cfg.MaxPoints = 32768
-		}
-		if cfg.MaxPoints < 64 {
-			cfg.MaxPoints = 64
-		}
-	}
+	// Each objective's history covers the longest rule window at Interval,
+	// within [64, 32768] points. A window reaching past the retained
+	// history falls back to the oldest point — burn-since-oldest, which is
+	// the right degradation: young processes alert on what they have seen.
+	maxPoints := min(max(int(longest/cfg.Interval)+2, 64), 32768)
 	if cfg.Source == nil {
 		cfg.Source = obs.Default()
 	}
@@ -178,7 +168,7 @@ func New(cfg Config) (*Evaluator, error) {
 		o := cfg.Objectives[i]
 		st := &objectiveState{
 			obj:       o,
-			hist:      obs.NewRing[point](cfg.MaxPoints),
+			hist:      obs.NewRing[point](maxPoints),
 			rules:     make([]ruleState, len(cfg.Rules)),
 			sli:       math.NaN(),
 			remaining: math.NaN(),

@@ -255,7 +255,7 @@ func DefaultObjectives() []Objective {
 // fileConfig is the -slo-config JSON shape: objectives as above, rules
 // with windows in seconds.
 type fileConfig struct {
-	IntervalSec float64     `json:"interval_sec,omitempty"`
+	IntervalSec *float64    `json:"interval_sec,omitempty"`
 	Objectives  []Objective `json:"objectives"`
 	Rules       []struct {
 		Name     string  `json:"name"`
@@ -287,14 +287,16 @@ func LoadConfig(path string) (objectives []Objective, rules []BurnRule, interval
 			return nil, nil, 0, err
 		}
 	}
-	for _, r := range fc.Rules {
-		rules = append(rules, BurnRule{
-			Name:     r.Name,
-			Severity: r.Severity,
-			Short:    time.Duration(r.ShortSec * float64(time.Second)),
-			Long:     time.Duration(r.LongSec * float64(time.Second)),
-			Burn:     r.Burn,
-		})
+	for i, r := range fc.Rules {
+		short, err := seconds(fmt.Sprintf("rules[%d].short_sec", i), r.ShortSec)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		long, err := seconds(fmt.Sprintf("rules[%d].long_sec", i), r.LongSec)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		rules = append(rules, BurnRule{Name: r.Name, Severity: r.Severity, Short: short, Long: long, Burn: r.Burn})
 	}
 	if len(rules) == 0 {
 		rules = DefaultRules(0)
@@ -304,10 +306,23 @@ func LoadConfig(path string) (objectives []Objective, rules []BurnRule, interval
 			return nil, nil, 0, err
 		}
 	}
-	if fc.IntervalSec > 0 {
-		interval = time.Duration(fc.IntervalSec * float64(time.Second))
+	if fc.IntervalSec != nil {
+		if interval, err = seconds("interval_sec", *fc.IntervalSec); err != nil {
+			return nil, nil, 0, err
+		}
 	}
 	return fc.Objectives, rules, interval, nil
+}
+
+// seconds converts a config file's window or interval to a Duration. It
+// rejects a value that is not finite and positive, or that rounds to less
+// than 1 ns or past the largest Duration.
+func seconds(field string, sec float64) (time.Duration, error) {
+	ns := sec * float64(time.Second)
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("slo: %s %v is not a number of seconds in [1e-9, %v]", field, sec, time.Duration(math.MaxInt64).Seconds())
+	}
+	return time.Duration(ns), nil
 }
 
 // jsonFloat marshals NaN/±Inf as null, like quality.JSONFloat — burn rates

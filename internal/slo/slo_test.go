@@ -389,10 +389,11 @@ func TestManagerHistoryRing(t *testing.T) {
 	}
 }
 
-func TestLoadConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "slo.json")
-	cfg := `{
+// The -slo-config files TestLoadConfig loads, and FuzzLoadSLOConfig's
+// seeds.
+const (
+	sloObjectives = `"objectives": [{"name": "a", "target": 0.9, "ratio": {"bad": {"metric": "b"}, "total": {"metric": "t"}}}]`
+	sloFull       = `{
 		"interval_sec": 5,
 		"objectives": [
 			{"name": "avail", "target": 0.99,
@@ -402,10 +403,41 @@ func TestLoadConfig(t *testing.T) {
 			{"name": "fast", "severity": "page", "short_sec": 300, "long_sec": 3600, "burn": 14.4}
 		]
 	}`
-	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
+	sloNoRules = `{` + sloObjectives + `}`
+)
+
+func sloRule(short, long string) string {
+	return `"rules": [{"name": "fast", "severity": "page", "short_sec": ` + short + `, "long_sec": ` + long + `, "burn": 14.4}]`
+}
+
+// sloBadFiles are files LoadConfig refuses, each with a piece its error
+// must carry. A window or interval that is not a positive, finite Duration
+// of at least 1 ns is refused by field and by the value the file gave, not
+// as a wrapped-around duration.
+var sloBadFiles = []struct{ content, want string }{
+	{`{"objectives": []}`, "no objectives"},
+	{`{`, "parsing"},
+	{`{"objectives": [{"name": "", "target": 0.9, "ratio": {"bad": {"metric": "b"}, "total": {"metric": "t"}}}]}`, "name"},
+	{`{"interval_sec": 1e12, ` + sloObjectives + `}`, "interval_sec 1e+12"},
+	{`{"interval_sec": 1e-12, ` + sloObjectives + `}`, "interval_sec 1e-12"},
+	{`{"interval_sec": 0, ` + sloObjectives + `}`, "interval_sec 0"},
+	{`{"interval_sec": -5, ` + sloObjectives + `}`, "interval_sec -5"},
+	{`{` + sloObjectives + `, ` + sloRule("300", "1e12") + `}`, "rules[0].long_sec 1e+12"},
+	{`{` + sloObjectives + `, ` + sloRule("1e-12", "3600") + `}`, "rules[0].short_sec 1e-12"},
+	{`{` + sloObjectives + `, ` + sloRule("-300", "3600") + `}`, "rules[0].short_sec -300"},
+}
+
+func TestLoadConfig(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "slo.json")
+	load := func(content string) ([]Objective, []BurnRule, time.Duration, error) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadConfig(path)
 	}
-	objs, rules, interval, err := LoadConfig(path)
+	objs, rules, interval, err := load(sloFull)
 	if err != nil {
 		t.Fatalf("LoadConfig: %v", err)
 	}
@@ -419,37 +451,66 @@ func TestLoadConfig(t *testing.T) {
 		t.Fatalf("interval = %v", interval)
 	}
 
-	// Rules omitted: defaults.
-	noRules := `{"objectives": [{"name": "a", "target": 0.9,
-		"ratio": {"bad": {"metric": "b"}, "total": {"metric": "t"}}}]}`
-	if err := os.WriteFile(path, []byte(noRules), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rules, _, err = LoadConfig(path)
+	// Rules and interval omitted: default rules, and 0 for the caller's
+	// interval.
+	_, rules, interval, err = load(sloNoRules)
 	if err != nil {
 		t.Fatalf("LoadConfig without rules: %v", err)
 	}
-	if len(rules) != 2 || rules[0].Name != "fast" || rules[1].Name != "slow" {
-		t.Fatalf("default rules = %+v", rules)
+	if len(rules) != 2 || rules[0].Name != "fast" || rules[1].Name != "slow" || interval != 0 {
+		t.Fatalf("default rules = %+v, interval %v", rules, interval)
 	}
 
-	// Error shapes.
-	for name, content := range map[string]string{
-		"empty objectives": `{"objectives": []}`,
-		"bad json":         `{`,
-		"invalid objective": `{"objectives": [{"name": "", "target": 0.9,
-			"ratio": {"bad": {"metric": "b"}, "total": {"metric": "t"}}}]}`,
-	} {
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := LoadConfig(path); err == nil {
-			t.Errorf("%s: accepted", name)
+	// The smallest interval that is a whole nanosecond still loads.
+	if _, _, interval, err := load(`{"interval_sec": 1e-9, ` + sloObjectives + `}`); err != nil || interval != time.Nanosecond {
+		t.Errorf("interval_sec 1e-9: interval %v, err %v; want 1ns", interval, err)
+	}
+
+	for _, tc := range sloBadFiles {
+		_, _, interval, err := load(tc.content)
+		if err == nil {
+			t.Errorf("%s: accepted, interval %v", tc.content, interval)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.content, err, tc.want)
 		}
 	}
 	if _, _, _, err := LoadConfig(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
+}
+
+// FuzzLoadSLOConfig feeds LoadConfig arbitrary files, seeded with
+// TestLoadConfig's. It must refuse a file or return objectives and rules
+// that validate and an interval that is 0 (absent) or at least 1 ns.
+func FuzzLoadSLOConfig(f *testing.F) {
+	f.Add([]byte(sloFull))
+	f.Add([]byte(sloNoRules))
+	for _, tc := range sloBadFiles {
+		f.Add([]byte(tc.content))
+	}
+	path := filepath.Join(f.TempDir(), "slo.json")
+	f.Fuzz(func(t *testing.T, content []byte) {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		objs, rules, interval, err := LoadConfig(path)
+		if err != nil {
+			return
+		}
+		if len(objs) == 0 || len(rules) == 0 || interval < 0 {
+			t.Fatalf("loaded %d objectives, %d rules, interval %v", len(objs), len(rules), interval)
+		}
+		for _, o := range objs {
+			if err := o.Validate(); err != nil {
+				t.Fatalf("loaded an invalid objective: %v", err)
+			}
+		}
+		for _, r := range rules {
+			if err := r.Validate(); err != nil {
+				t.Fatalf("loaded an invalid rule: %v", err)
+			}
+		}
+	})
 }
 
 func TestDefaultObjectivesValid(t *testing.T) {

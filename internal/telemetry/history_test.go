@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -194,16 +195,21 @@ func TestHistoryExemplarHarvest(t *testing.T) {
 	defer obs.SetExemplars(false)
 
 	reg := obs.NewRegistry()
-	hist := reg.Histogram("tte_test_seconds", []float64{1}, "route", "/x")
 	h, clk := newTestHistory(t, reg, Config{Interval: 10 * time.Second, ExemplarsPerSeries: 4})
+	// A span ended inside a trace stamps its bucket with the trace ID.
+	span := func(id obs.TraceID) {
+		ctx, _ := obs.StartTrace(context.Background(), id, "/x")
+		_, s := reg.StartSpan(ctx, "test")
+		s.End()
+	}
 
-	hist.ObserveExemplar(0.5, "0123456789abcdef")
+	span("0123456789abcdef")
 	h.Tick()
 	clk.advance(10 * time.Second)
-	hist.ObserveExemplar(0.6, "fedcba9876543210")
+	span("fedcba9876543210")
 	h.Tick()
 
-	res := h.Query("tte_test_seconds:p99", 0, 0, "")
+	res := h.Query(obs.SpanFamily+":p99", 0, 0, "")
 	if len(res.Series) != 1 {
 		t.Fatalf("series = %+v", res.Series)
 	}
@@ -218,7 +224,7 @@ func TestHistoryExemplarHarvest(t *testing.T) {
 	// Re-ticking without new observations must not duplicate them.
 	clk.advance(10 * time.Second)
 	h.Tick()
-	res = h.Query("tte_test_seconds:p99", 0, 0, "")
+	res = h.Query(obs.SpanFamily+":p99", 0, 0, "")
 	if got := len(res.Series[0].Exemplars); got != 2 {
 		t.Fatalf("exemplars after idle tick = %d, want 2", got)
 	}

@@ -43,15 +43,6 @@ func New(delta time.Duration) (*Slotter, error) {
 	}, nil
 }
 
-// MustNew is New but panics on error; for constants in tests and examples.
-func MustNew(delta time.Duration) *Slotter {
-	s, err := New(delta)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Slot returns the absolute slot index tp = ⌊(t−t0)/Δt⌋ (Formula 2).
 // t is seconds since the base timestamp and must be non-negative (the paper
 // requires t0 ≤ every timestamp in the data).
@@ -86,15 +77,6 @@ func (s *Slotter) WeekSlot(slot int) int {
 // network alongside other unit-scale features.
 func (s *Slotter) NormalizedRemainder(t float64) float64 {
 	return s.Remainder(t) / s.Delta
-}
-
-// SlotSpan returns how many slots the closed interval [t1, t2] touches:
-// Δd = tp(t2) − tp(t1) + 1 (Formula 4).
-func (s *Slotter) SlotSpan(t1, t2 float64) int {
-	if t2 < t1 {
-		panic(fmt.Sprintf("timeslot: interval end %v before start %v", t2, t1))
-	}
-	return s.Slot(t2) - s.Slot(t1) + 1
 }
 
 // DayOfWeek returns the zero-based day (0=the week's first day) of a week

@@ -28,7 +28,10 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSlotAndRemainder(t *testing.T) {
-	s := MustNew(5 * time.Minute)
+	s, err := New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Formula 2/3: t = 17 minutes → slot 3, remainder 120 s.
 	slot, rem := s.Split(17 * 60)
 	if slot != 3 || rem != 120 {
@@ -50,8 +53,11 @@ func TestSlotAndRemainder(t *testing.T) {
 
 // Property: t == slot*Δt + remainder and 0 ≤ remainder < Δt (Formulas 2-3).
 func TestSplitRoundTrip(t *testing.T) {
-	s := MustNew(15 * time.Minute)
-	err := quick.Check(func(seed int64) bool {
+	s, err := New(15 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tt := rng.Float64() * 60 * SecondsPerDay
 		slot, rem := s.Split(tt)
@@ -73,7 +79,10 @@ func abs(x float64) float64 {
 }
 
 func TestWeekSlotWraps(t *testing.T) {
-	s := MustNew(5 * time.Minute)
+	s, err := New(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Slot 2016 is the first slot of week 2 → node 0 (tp % 2016).
 	if ws := s.WeekSlot(2016); ws != 0 {
 		t.Fatalf("WeekSlot(2016) = %d", ws)
@@ -89,26 +98,11 @@ func TestWeekSlotWraps(t *testing.T) {
 	s.WeekSlot(-1)
 }
 
-func TestSlotSpan(t *testing.T) {
-	s := MustNew(5 * time.Minute)
-	// Formula 4: an interval within one slot spans Δd = 1.
-	if d := s.SlotSpan(10, 20); d != 1 {
-		t.Fatalf("SlotSpan same slot = %d", d)
-	}
-	// Interval straddling one boundary spans 2.
-	if d := s.SlotSpan(290, 310); d != 2 {
-		t.Fatalf("SlotSpan straddle = %d", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reversed interval accepted")
-		}
-	}()
-	s.SlotSpan(20, 10)
-}
-
 func TestDayOfWeekSlotOfDay(t *testing.T) {
-	s := MustNew(time.Hour)
+	s, err := New(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.SlotsPerDay != 24 {
 		t.Fatalf("hourly slots per day = %d", s.SlotsPerDay)
 	}

@@ -30,11 +30,9 @@ type IngestConfig struct {
 	// Full queues shed: the firehose must never apply backpressure to the
 	// serving process.
 	QueueDepth int
-	// Tracker configures per-vehicle session management.
+	// Tracker configures per-vehicle session management. Each worker
+	// evicts idle vehicle sessions once per SessionTTLSec of sim time.
 	Tracker mapmatch.TrackerConfig
-	// SweepEverySec is how often (sim time) each worker evicts idle
-	// vehicle sessions (default the tracker TTL).
-	SweepEverySec float64
 	// Registry receives tte_traffic_* metrics (default obs.Default()).
 	Registry *obs.Registry
 }
@@ -46,11 +44,8 @@ func (c *IngestConfig) fill() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.SweepEverySec <= 0 {
-		c.SweepEverySec = c.Tracker.SessionTTLSec
-		if c.SweepEverySec <= 0 {
-			c.SweepEverySec = 300
-		}
+	if c.Tracker.SessionTTLSec <= 0 {
+		c.Tracker.SessionTTLSec = 300 // the tracker's own default
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
@@ -255,7 +250,7 @@ func (in *Ingestor) work(w int, m *mapmatch.Matcher) {
 				in.store.Record(o.Edge, o.Meters, o.ExitSec-o.EnterSec, o.ExitSec)
 			}
 		}
-		if maxT-lastSweep >= in.cfg.SweepEverySec {
+		if maxT-lastSweep >= in.cfg.Tracker.SessionTTLSec {
 			tr.Sweep(maxT)
 			lastSweep = maxT
 		}

@@ -25,24 +25,6 @@ type Raw struct {
 	Points []GPSPoint
 }
 
-// Validate checks that timestamps are non-decreasing.
-func (r *Raw) Validate() error {
-	if len(r.Points) < 2 {
-		return fmt.Errorf("traj: raw trajectory needs at least 2 points, got %d", len(r.Points))
-	}
-	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].T < r.Points[i-1].T {
-			return fmt.Errorf("traj: timestamps decrease at index %d (%v → %v)", i, r.Points[i-1].T, r.Points[i].T)
-		}
-	}
-	return nil
-}
-
-// Duration returns the elapsed seconds between first and last points.
-func (r *Raw) Duration() float64 {
-	return r.Points[len(r.Points)-1].T - r.Points[0].T
-}
-
 // Step is one element ⟨eᵢ, [tᵢ[1], tᵢ[−1]]⟩ of a spatio-temporal path: a
 // road segment together with the time interval the trajectory spends on it.
 type Step struct {
@@ -94,12 +76,6 @@ func (t *Trajectory) Edges() []roadnet.EdgeID {
 		es[i] = s.Edge
 	}
 	return es
-}
-
-// TravelTime returns the elapsed seconds from the first enter to the last
-// exit.
-func (t *Trajectory) TravelTime() float64 {
-	return t.Path[len(t.Path)-1].Exit - t.Path[0].Enter
 }
 
 // DepartureTime returns the first enter timestamp.

@@ -27,24 +27,6 @@ func lineGraph(t *testing.T) *roadnet.Graph {
 	return g
 }
 
-func TestRawValidate(t *testing.T) {
-	r := Raw{Points: []GPSPoint{{T: 0}, {T: 5}, {T: 3}}}
-	if err := r.Validate(); err == nil {
-		t.Fatal("decreasing timestamps accepted")
-	}
-	r = Raw{Points: []GPSPoint{{T: 0}}}
-	if err := r.Validate(); err == nil {
-		t.Fatal("single point accepted")
-	}
-	r = Raw{Points: []GPSPoint{{T: 0}, {T: 5}}}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Duration() != 5 {
-		t.Fatalf("Duration = %v", r.Duration())
-	}
-}
-
 func validTraj() Trajectory {
 	return Trajectory{
 		Path: []Step{
@@ -93,9 +75,6 @@ func TestTrajectoryValidate(t *testing.T) {
 func TestTrajectoryAccessors(t *testing.T) {
 	g := lineGraph(t)
 	tr := validTraj()
-	if tt := tr.TravelTime(); tt != 20 {
-		t.Fatalf("TravelTime = %v", tt)
-	}
 	if d := tr.DepartureTime(); d != 0 {
 		t.Fatalf("DepartureTime = %v", d)
 	}

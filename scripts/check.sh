@@ -33,10 +33,10 @@ go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|EstimateBatchFused|LSTM
 echo "== portable bits (no fused multiply-add in the model's or the serving path's packages on arm64, ppc64le, s390x, riscv64, nor in any assembly)"
 ./scripts/fma.sh
 
-echo "== dead code (every function of internal/tensor, internal/nn, internal/citysim, internal/roadnet and internal/geo is linked into a binary)"
+echo "== dead code (every function of every package is linked into a binary)"
 ./scripts/deadcode.sh
 
-echo "== fuzz smoke (guided negative sampler against the binary search it replaced; the SIMD dot kernel against the portable one; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; 5 s each)"
+echo "== fuzz smoke (9 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD dot kernel against the portable one; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDotRows -fuzztime 5s ./internal/tensor/
 go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
@@ -44,6 +44,8 @@ go test -run '^$' -fuzz FuzzDecodeProbes -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzEncodeEstimate -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzFeedback -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/recorder/
+go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/core/
+go test -run '^$' -fuzz FuzzLoadSLOConfig -fuzztime 5s ./internal/slo/
 
 echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
