@@ -203,9 +203,9 @@ func (m *Model) encodeTrajectories(tp *nn.Tape, ts []*traj.Trajectory) *nn.Node 
 // encodeExternals implements the External Features Encoder (§4.5 / Formula
 // 18) for a batch, one ocode row per bundle: a one-hot weather vector and a
 // CNN-compressed speed matrix are concatenated and passed through a
-// two-layer MLP. The tape carries the CNN itself, for its gradients;
-// inference reads the memoised traffic code instead (externalZ8Row, behind
-// the eval forward of fused.go).
+// two-layer MLP. The tape carries the CNN and the MLP, for their gradients;
+// inference reads the memoised output row instead (externalCode, behind the
+// eval forward of fused.go).
 func (m *Model) encodeExternals(tp *nn.Tape, exts []*traj.ExternalFeatures) *nn.Node {
 	// A nil bundle (external features unavailable for this record) keeps
 	// the zero one-hot, and without a speed matrix the traffic code is

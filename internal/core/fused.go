@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"deepod/internal/citysim"
 	"deepod/internal/nn"
 	"deepod/internal/obs"
 	"deepod/internal/tensor"
@@ -16,13 +15,15 @@ import (
 // implementation at every batch size: B matched ODs are encoded as one
 // [B×odDim] feature matrix and pushed through the OD encoder MLP and the
 // estimator head as matrix-matrix products on a pooled arena — no autodiff
-// tape. Estimate is the B = 1 case of the same kernel. The external-features
-// conv stack runs only on a memo miss; its code comes row by row from the
-// memo behind externalZ8Row. Every MLP — extMLP, odMLP, estMLP — runs through
-// tensor.AffineBatchInto, which reduces each output element sequentially, so
-// row r of a batch is Float64bits-identical to the same OD estimated alone
-// and to the training forward's row for it (encode.go; fused_test.go and
-// batch_test.go hold that reference).
+// tape. Estimate is the B = 1 case of the same kernel. The external branch
+// — the conv stack and extMLP, Formula 18 — runs only on a memo miss: its
+// output comes row by row from the memo behind externalCode, which holds
+// Formula 18's output per (speed matrix, weather). Every MLP — extMLP on a
+// miss, odMLP, estMLP — runs through tensor.AffineBatchInto, which reduces
+// each output element sequentially, so row r of a batch is
+// Float64bits-identical to the same OD estimated alone and to the training
+// forward's row for it (encode.go; fused_test.go and batch_test.go hold that
+// reference).
 // Flight-recorder replay (internal/replay, which pins MaxBatch=1) therefore
 // reproduces batched-engine recordings with zero unexplained diffs.
 
@@ -106,19 +107,11 @@ func (m *Model) seconds(y float64) float64 {
 
 // odFeatureMatrix assembles the Z⁹ feature matrix for n ODs: one row per
 // OD, laid out exactly as encodeODs concatenates its parts on the training
-// tape. The external code rows are produced by extMLP.ForwardBatch over a
-// [n×z8] matrix; everything else is a pure copy of embedding rows and scalar
-// features, so every value equals the training forward bit for bit.
+// tape. The external code of each row comes from externalCode (Formula
+// 18, one row at a time); everything else is a pure copy of embedding rows
+// and scalar features, so every value equals the training forward bit for
+// bit.
 func (m *Model) odFeatureMatrix(ar *tensor.Arena, n int, at func(int) *traj.MatchedOD) *tensor.Tensor {
-	var ocode *tensor.Tensor // [n, D6m], nil under N-ex
-	if !m.cfg.NoExternal {
-		z8w := citysim.WeatherTypes + m.cfg.Dtraf
-		z8 := ar.New(n, z8w)
-		for i := 0; i < n; i++ {
-			m.externalZ8Row(at(i).External, z8.Data[i*z8w:(i+1)*z8w])
-		}
-		ocode = m.extMLP.ForwardBatch(ar, z8) // Formula 18
-	}
 	z9 := ar.New(n, m.odDim)
 	for i := 0; i < n; i++ {
 		od := at(i)
@@ -140,10 +133,9 @@ func (m *Model) odFeatureMatrix(ar *tensor.Arena, n int, at func(int) *traj.Matc
 			row[off] = m.slotter.NormalizedRemainder(od.DepartSec)
 			off++
 		}
-		if ocode != nil {
-			d6 := m.cfg.D6m
-			copy(row[off:off+d6], ocode.Data[i*d6:(i+1)*d6])
-			off += d6
+		if !m.cfg.NoExternal {
+			m.externalCode(ar, od.External, row[off:off+m.cfg.D6m]) // Formula 18
+			off += m.cfg.D6m
 		}
 		row[off] = od.RStart
 		row[off+1] = od.REnd

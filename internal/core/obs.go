@@ -30,7 +30,7 @@ func init() {
 	r.Help("tte_train_phase_seconds", "Offline training phase durations: embed_pretrain (once; the line graph plus, per embedded graph, embed_walks and embed_skipgram), forward/backward (per optimizer step), eval (per validation pass).")
 	r.Help("tte_train_epoch", "Current training epoch (last value wins across runs).")
 	r.Help("tte_train_samples_total", "Cumulative training samples consumed by optimizer steps.")
-	r.Help("tte_core_traffic_code_total", "Traffic-code lookups by the eval paths: hit (memoised code copied) or miss (traffic CNN ran).")
-	r.Help("tte_core_traffic_code_entries", "Speed matrices in the traffic-code memo of the model that last changed it (last value wins across models).")
+	r.Help("tte_core_traffic_code_total", "External-branch lookups by the eval paths: hit (memoised Formula 18 output copied) or miss (traffic CNN and external MLP ran).")
+	r.Help("tte_core_traffic_code_entries", "(Speed matrix, weather) entries in the traffic-code memo of the model that last changed it (last value wins across models).")
 	r.Help(obs.SpanFamily, "Pipeline stage durations: decode, match, encode, estimate and mapmatch.* sub-stages.")
 }

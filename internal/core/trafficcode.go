@@ -6,18 +6,23 @@ import (
 
 	"deepod/internal/citysim"
 	"deepod/internal/nn"
+	"deepod/internal/tensor"
 	"deepod/internal/traj"
 )
 
-// The traffic code Dtraf = ReLU(extProj(GAP(conv3(conv2(conv1(grid/16))))))
-// of §4.5 is a pure function of (weights, speed matrix), and the matrix is
-// refreshed only every Δt = 5 min (or once per traffic-store snapshot), so
-// every request of a period feeds the CNN the same input. externalZ8Row —
-// where the eval forward gets every Z⁸ row — therefore memoises the code per
-// matrix on the model. A hit copies the very floats a miss computed, so an
-// estimate is Float64bits-identical with or without the memo. Training
-// tapes never consult it: they need the CNN on the tape for its gradients,
-// and a mini-batch of records rarely shares a matrix.
+// Formula 18's output ocode = extMLP([weather one-hot | Dtraf]), with the
+// traffic code Dtraf = ReLU(extProj(GAP(conv3(conv2(conv1(grid/16)))))) of
+// §4.5, is a pure function of (weights, speed matrix, weather), and the
+// matrix is refreshed only every Δt = 5 min (or once per traffic-store
+// snapshot), so every request of a period computes the same row.
+// externalCode — where the eval forward gets every ocode row — therefore
+// memoises the D6m-wide row per (matrix, weather) on the model. A hit copies
+// the very floats a miss computed, and a miss runs the CNN and extMLP on
+// one row, which AffineBatchInto's row independence makes the batched row
+// bit for bit, so an estimate is Float64bits-identical with or without the
+// memo. Training tapes never consult it: they need the CNN and the MLP on
+// the tape for their gradients, and a mini-batch of records rarely shares a
+// matrix.
 
 // Memo bounds. The entry bound covers the 8064 five-minute periods of a
 // 28-day horizon twice over; the byte bound covers them at beijing-s
@@ -28,26 +33,26 @@ import (
 const (
 	trafficMemoMaxEntries = 1 << 14
 	// trafficMemoMaxBytes bounds the bytes the memo keeps alive: per entry
-	// the matrix its key pins plus the code.
+	// the matrix its key pins plus the ocode row.
 	trafficMemoMaxBytes = 32 << 20
-	// trafficMemoChunk is the number of codes per arena chunk: the slack is
-	// at most one chunk, with no append-doubling over the codes.
+	// trafficMemoChunk is the number of rows per arena chunk: the slack is
+	// at most one chunk, with no append-doubling over the rows.
 	trafficMemoChunk = 64
 )
 
-// trafficKey identifies a speed matrix by the identity of its backing
-// array, the same data-pointer identity traffic.mergedEntry relies on
-// (traj.ExternalFeatures.SpeedGrid is read-only once handed out). The
-// pointer keeps the array alive, so its address cannot be reused while the
-// entry lives. len(SpeedGrid) is rows*cols by checkExternal, so the shape
-// carries it.
+// trafficKey identifies a bundle by the identity of its speed matrix's
+// backing array, the same data-pointer identity traffic.mergedEntry relies
+// on (traj.ExternalFeatures.SpeedGrid is read-only once handed out), and by
+// its weather id, the other input of Formula 18. The pointer keeps the array
+// alive, so its address cannot be reused while the entry lives.
+// len(SpeedGrid) is rows*cols by checkExternal, so the shape carries it.
 type trafficKey struct {
-	grid       *float64
-	rows, cols int32
+	grid                *float64
+	rows, cols, weather int32
 }
 
-// trafficMemo maps matrices to their codes: an index into a chunked arena
-// of Dtraf-wide codes. The zero value is an empty memo.
+// trafficMemo maps bundles to their ocode rows: an index into a chunked
+// arena of D6m-wide rows. The zero value is an empty memo.
 type trafficMemo struct {
 	mu     sync.RWMutex
 	index  map[trafficKey]int32
@@ -55,7 +60,7 @@ type trafficMemo struct {
 	bytes  int
 }
 
-// load copies the code of k into dst, reporting whether it was there. It
+// load copies the row of k into dst, reporting whether it was there. It
 // takes the read lock only and allocates nothing.
 func (tm *trafficMemo) load(k trafficKey, dst []float64) bool {
 	tm.mu.RLock()
@@ -68,10 +73,10 @@ func (tm *trafficMemo) load(k trafficKey, dst []float64) bool {
 	return ok
 }
 
-// store records code under k unless a racing miss already did (both
+// store records row under k unless a racing miss already did (both
 // computed the same floats). A full memo is dropped whole first.
-func (tm *trafficMemo) store(k trafficKey, code []float64) {
-	cost := 8 * (int(k.rows)*int(k.cols) + len(code)) // the pinned matrix plus the code
+func (tm *trafficMemo) store(k trafficKey, row []float64) {
+	cost := 8 * (int(k.rows)*int(k.cols) + len(row)) // the pinned matrix plus the row
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	if _, ok := tm.index[k]; ok {
@@ -85,17 +90,17 @@ func (tm *trafficMemo) store(k trafficKey, code []float64) {
 	}
 	n := len(tm.index)
 	if n%trafficMemoChunk == 0 {
-		tm.chunks = append(tm.chunks, make([]float64, trafficMemoChunk*len(code)))
+		tm.chunks = append(tm.chunks, make([]float64, trafficMemoChunk*len(row)))
 	}
-	off := n % trafficMemoChunk * len(code)
-	copy(tm.chunks[n/trafficMemoChunk][off:off+len(code)], code)
+	off := n % trafficMemoChunk * len(row)
+	copy(tm.chunks[n/trafficMemoChunk][off:off+len(row)], row)
 	tm.index[k] = int32(n)
 	tm.bytes += cost
 	trafficCodeEntries.Set(float64(n + 1))
 }
 
 // invalidate empties the memo; Train calls it after every optimizer step,
-// because the codes are a function of the weights the step just moved.
+// because the rows are a function of the weights the step just moved.
 func (tm *trafficMemo) invalidate() {
 	tm.mu.Lock()
 	if len(tm.index) > 0 {
@@ -106,7 +111,7 @@ func (tm *trafficMemo) invalidate() {
 }
 
 // checkExternal is the one validation of an external-feature bundle,
-// shared by the training graph and the eval helper. It reports whether ext
+// shared by the training graph and the eval forward. It reports whether ext
 // carries a speed matrix; a bundle without one (weather only) encodes a
 // zero traffic code, like a nil bundle.
 func checkExternal(ext *traj.ExternalFeatures) bool {
@@ -128,7 +133,7 @@ var evalTapes = sync.Pool{New: func() any { return nn.NewEvalTape() }}
 // trafficCNN builds the [len(exts), Dtraf] traffic codes of checked,
 // non-empty speed matrices of one shape on tp, the matrices as one
 // [N, 1, H, W] batch: the training graph, and (N = 1) the miss branch of
-// externalZ8Row. Row n is the code of exts[n] computed alone.
+// externalCode. Row n is the code of exts[n] computed alone.
 func (m *Model) trafficCNN(tp *nn.Tape, exts []*traj.ExternalFeatures) *nn.Node {
 	h, w := exts[0].GridRows, exts[0].GridCols
 	grid := tp.Alloc(len(exts), 1, h, w)
@@ -145,37 +150,43 @@ func (m *Model) trafficCNN(tp *nn.Tape, exts []*traj.ExternalFeatures) *nn.Node 
 	return tp.ReLU(m.extProj.Forward(tp, pooled))
 }
 
-// externalZ8Row fills one Z⁸ row — [WeatherTypes one-hot | Dtraf traffic
-// code] — for inference. row arrives zeroed, which is exactly the
-// nil-External encoding. The code comes from the model's memo; a miss runs
-// the CNN on a pooled eval tape and records the result. Concurrent misses
-// on one fresh matrix may each run it — they compute identical floats, so
-// there is no single-flight. Safe for concurrent use.
-func (m *Model) externalZ8Row(ext *traj.ExternalFeatures, row []float64) {
-	if ext == nil {
-		return
-	}
-	hasGrid := checkExternal(ext)
-	row[ext.Weather] = 1
-	if !hasGrid {
-		return
-	}
-	code := row[citysim.WeatherTypes:]
-	k := trafficKey{grid: &ext.SpeedGrid[0], rows: int32(ext.GridRows), cols: int32(ext.GridCols)}
+// externalCode writes Formula 18's output for ext into dst (D6m wide) for
+// the eval forward: extMLP over the Z⁸ row [WeatherTypes one-hot | Dtraf
+// traffic code], which is all zeros for a nil bundle and has a zero code
+// without a speed matrix. A bundle with a matrix is looked up in the
+// model's memo by (matrix, weather); a miss runs the CNN on a pooled eval
+// tape and extMLP on the one row, carved out of ar, and records the result.
+// A bundle without a matrix runs extMLP on its row every time. Concurrent
+// misses on one fresh key may each compute it — they compute identical
+// floats, so there is no single-flight. Safe for concurrent use, each
+// caller with its own arena.
+func (m *Model) externalCode(ar *tensor.Arena, ext *traj.ExternalFeatures, dst []float64) {
+	hasGrid := ext != nil && checkExternal(ext)
+	var k trafficKey
 	// A matrix the byte bound could never hold is computed every time (and
 	// is the only way a shape could overflow the key's int32s).
-	memoise := len(ext.SpeedGrid) <= trafficMemoMaxBytes/8-len(code)
-	if memoise && m.traf.load(k, code) {
-		trafficCodeHits.Inc()
-		return
-	}
-	tp := evalTapes.Get().(*nn.Tape)
-	tp.Reset()
-	one := [1]*traj.ExternalFeatures{ext}
-	copy(code, m.trafficCNN(tp, one[:]).Value.Data)
-	evalTapes.Put(tp)
-	trafficCodeMisses.Inc()
+	memoise := hasGrid && len(ext.SpeedGrid) <= trafficMemoMaxBytes/8-len(dst)
 	if memoise {
-		m.traf.store(k, code)
+		k = trafficKey{grid: &ext.SpeedGrid[0], rows: int32(ext.GridRows), cols: int32(ext.GridCols), weather: int32(ext.Weather)}
+		if m.traf.load(k, dst) {
+			trafficCodeHits.Inc()
+			return
+		}
+	}
+	z8 := ar.New(1, citysim.WeatherTypes+m.cfg.Dtraf)
+	if ext != nil {
+		z8.Data[ext.Weather] = 1
+	}
+	if hasGrid {
+		tp := evalTapes.Get().(*nn.Tape)
+		tp.Reset()
+		one := [1]*traj.ExternalFeatures{ext}
+		copy(z8.Data[citysim.WeatherTypes:], m.trafficCNN(tp, one[:]).Value.Data)
+		evalTapes.Put(tp)
+		trafficCodeMisses.Inc()
+	}
+	copy(dst, m.extMLP.ForwardBatch(ar, z8).Data)
+	if memoise {
+		m.traf.store(k, dst)
 	}
 }

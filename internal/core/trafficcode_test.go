@@ -14,6 +14,7 @@ import (
 	"deepod/internal/metrics"
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
+	"deepod/internal/tensor"
 	"deepod/internal/traj"
 )
 
@@ -28,6 +29,23 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
+}
+
+// ocode is Formula 18's output for ext through the eval forward's memo
+// (externalCode), on a pooled arena.
+func ocode(m *Model, ext *traj.ExternalFeatures) []float64 {
+	ar := fusedArenas.Get().(*tensor.Arena)
+	ar.Reset()
+	row := make([]float64, m.cfg.D6m)
+	m.externalCode(ar, ext, row)
+	fusedArenas.Put(ar)
+	return row
+}
+
+// tapeOcode is the memo-less reference for ocode: the training graph's
+// Formula 18 (encodeExternals, the CNN and extMLP on a fresh tape).
+func tapeOcode(m *Model, ext *traj.ExternalFeatures) []float64 {
+	return m.encodeExternals(nn.NewTape(), []*traj.ExternalFeatures{ext}).Value.Data
 }
 
 // memoWorld is testWorld with every speed matrix blown up to 12×10 cells,
@@ -178,8 +196,9 @@ func TestTrafficCodeHitMissReference(t *testing.T) {
 
 }
 
-// TestTrafficCodeInvalidatedByTrain: one optimizer step changes the code of
-// an unchanged matrix, and the memo must not outlive the step.
+// TestTrafficCodeInvalidatedByTrain: one optimizer step changes the
+// external code of an unchanged matrix, and the memo must not outlive the
+// step: what it serves afterwards is the code under the step's weights.
 func TestTrafficCodeInvalidatedByTrain(t *testing.T) {
 	g, recs := memoWorld(t, 60)
 	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
@@ -191,29 +210,69 @@ func TestTrafficCodeInvalidatedByTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := split.Valid[0].Matched.External
-	z8 := func() []float64 {
-		row := make([]float64, citysim.WeatherTypes+m.cfg.Dtraf)
-		m.externalZ8Row(ext, row)
-		return row
-	}
-	before := z8()
+	before := ocode(m, ext)
 	if len(m.traf.index) != 1 {
 		t.Fatalf("memo holds %d entries after one lookup", len(m.traf.index))
 	}
 	if _, err := m.Train(split.Train, split.Valid, TrainOptions{MaxSteps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	after := z8()
-	fresh := m.trafficCNN(nn.NewTape(), []*traj.ExternalFeatures{ext}).Value.Data
+	after := ocode(m, ext)
 	changed := false
-	for i, v := range after[citysim.WeatherTypes:] {
-		if math.Float64bits(v) != math.Float64bits(fresh[i]) {
-			t.Fatalf("code[%d] after a Train step is %v, the step's weights give %v", i, v, fresh[i])
+	for i, v := range tapeOcode(m, ext) {
+		if math.Float64bits(after[i]) != math.Float64bits(v) {
+			t.Fatalf("ocode[%d] after a Train step is %v, the step's weights give %v", i, after[i], v)
 		}
-		changed = changed || v != before[citysim.WeatherTypes+i]
+		changed = changed || after[i] != before[i]
 	}
 	if !changed {
-		t.Fatal("one Train step left the traffic code unchanged; the test proves nothing")
+		t.Fatal("one Train step left the external code unchanged; the test proves nothing")
+	}
+}
+
+// TestTrafficCodeWeatherKey: one speed matrix under two weather ids is two
+// memo entries, and each hit is Float64bits-equal to the same OD estimated
+// by the memo-less reference and on a cold memo.
+func TestTrafficCodeWeatherKey(t *testing.T) {
+	m, recs := trainedTinyModel(t, 60)
+	var od traj.MatchedOD
+	for i := range recs {
+		if e := recs[i].Matched.External; e != nil && len(e.SpeedGrid) > 0 {
+			od = recs[i].Matched
+			break
+		}
+	}
+	if od.External == nil {
+		t.Fatal("no record carries a speed matrix")
+	}
+	ods := make([]traj.MatchedOD, 2)
+	for i, w := range []int{1, 6} {
+		ext := *od.External // same SpeedGrid backing array
+		ext.Weather = w
+		ods[i] = od
+		ods[i].External = &ext
+	}
+	want := []float64{referenceEstimate(m, &ods[0]), referenceEstimate(m, &ods[1])}
+	if want[0] == want[1] {
+		t.Fatal("two weather ids gave one estimate; the test proves nothing")
+	}
+	cold := make([]float64, len(ods))
+	for i := range ods {
+		m.traf.invalidate()
+		cold[i] = m.Estimate(&ods[i])
+	}
+	wantBits(t, "cold memo", cold, want)
+
+	m.traf.invalidate()
+	misses, hits := trafficCodeMisses.Value(), trafficCodeHits.Value()
+	wantBits(t, "miss", estimateEach(m, ods), want)
+	if got := trafficCodeMisses.Value() - misses; got != 2 || len(m.traf.index) != 2 {
+		t.Fatalf("%d misses, %d entries for one matrix under two weather ids, want 2 and 2", got, len(m.traf.index))
+	}
+	wantBits(t, "hit", estimateEach(m, ods), want)
+	wantBits(t, "fused hit", m.EstimateBatchFused(ods), want)
+	if got := trafficCodeHits.Value() - hits; got != 4 {
+		t.Fatalf("%d hits on a warm memo, want 4", got)
 	}
 }
 
@@ -310,7 +369,7 @@ func TestTrafficCodeConcurrent(t *testing.T) {
 }
 
 // TestTrafficCodePerModel: two models given one matrix keep their own
-// codes — the memo is the model's, not the matrix's.
+// rows — the memo is the model's, not the matrix's.
 func TestTrafficCodePerModel(t *testing.T) {
 	g, _ := testWorld(t, 20)
 	ext := gridOf(12, 10, 0)
@@ -323,12 +382,10 @@ func TestTrafficCodePerModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ { // miss, then hit
-			row := make([]float64, citysim.WeatherTypes+cfg.Dtraf)
-			m.externalZ8Row(ext, row)
-			codes[i] = row[citysim.WeatherTypes:]
-			for k, v := range m.trafficCNN(nn.NewTape(), []*traj.ExternalFeatures{ext}).Value.Data {
+			codes[i] = ocode(m, ext)
+			for k, v := range tapeOcode(m, ext) {
 				if math.Float64bits(v) != math.Float64bits(codes[i][k]) {
-					t.Fatalf("model %d pass %d: code[%d] = %v, its own CNN gives %v", i, pass, k, codes[i][k], v)
+					t.Fatalf("model %d pass %d: ocode[%d] = %v, its own tape gives %v", i, pass, k, codes[i][k], v)
 				}
 			}
 		}
@@ -363,7 +420,6 @@ func TestTrafficCodeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := make([]float64, citysim.WeatherTypes+m.cfg.Dtraf)
 	check := func() {
 		t.Helper()
 		if n := len(m.traf.index); n > trafficMemoMaxEntries || m.traf.bytes > trafficMemoMaxBytes {
@@ -374,13 +430,13 @@ func TestTrafficCodeBounds(t *testing.T) {
 
 	// The entry bound, with matrices too small for the byte bound to act.
 	for i := 0; i < trafficMemoMaxEntries+10; i++ {
-		m.externalZ8Row(gridOf(2, 2, i), row)
+		ocode(m, gridOf(2, 2, i))
 		check()
 	}
 	if n := len(m.traf.index); n != 10 {
 		t.Fatalf("%d entries after overrunning the entry bound by 10, want a dropped memo refilled to 10", n)
 	}
-	if want := 10 * 8 * (4 + m.cfg.Dtraf); m.traf.bytes != want {
+	if want := 10 * 8 * (4 + m.cfg.D6m); m.traf.bytes != want {
 		t.Fatalf("retained bytes %d, want %d", m.traf.bytes, want)
 	}
 
@@ -391,7 +447,7 @@ func TestTrafficCodeBounds(t *testing.T) {
 	for i := 0; i < big; i++ {
 		ext := gridOf(256, 512, i)
 		runtime.SetFinalizer(&ext.SpeedGrid[0], func(*float64) { freed <- struct{}{} })
-		m.externalZ8Row(ext, row)
+		ocode(m, ext)
 		check()
 	}
 	if n := len(m.traf.index); n >= big || n == 0 {
@@ -422,7 +478,7 @@ func TestTrafficCodeBounds(t *testing.T) {
 	}
 	entries, retained := len(m.traf.index), m.traf.bytes
 	huge := gridOf(2048, 2049, 0)
-	m.externalZ8Row(huge, row)
+	ocode(m, huge)
 	if len(m.traf.index) != entries || m.traf.bytes != retained {
 		t.Fatalf("a %d-byte matrix was memoised", 8*len(huge.SpeedGrid))
 	}
@@ -432,7 +488,7 @@ func TestTrafficCodeBounds(t *testing.T) {
 // paths that reach it (one estimate, a batch, the training tape): a bundle
 // whose SpeedGrid disagrees with its shape, or whose weather is out of
 // range, panics with a message naming the field and the sizes; nil and
-// weather-only bundles encode a zero traffic code.
+// weather-only bundles encode a zero traffic code, outside the memo.
 func TestExternalValidation(t *testing.T) {
 	g, recs := testWorld(t, 20)
 	m, err := New(tinyConfig(), g)
@@ -473,18 +529,9 @@ func TestExternalValidation(t *testing.T) {
 		}
 	}
 
-	row := make([]float64, citysim.WeatherTypes+m.cfg.Dtraf)
-	m.externalZ8Row(nil, row)
-	for i := range row {
-		if row[i] != 0 {
-			t.Fatalf("nil External: z8[%d] = %v", i, row[i])
-		}
-	}
-	m.externalZ8Row(&traj.ExternalFeatures{Weather: 3}, row)
-	for i := range row {
-		if (i == 3 && row[i] != 1) || (i != 3 && row[i] != 0) {
-			t.Fatalf("weather-only External: z8[%d] = %v", i, row[i])
-		}
+	for _, ext := range []*traj.ExternalFeatures{nil, {Weather: 3}} {
+		got, want := ocode(m, ext), tapeOcode(m, ext)
+		wantBits(t, fmt.Sprintf("External %+v", ext), got, want)
 	}
 	if len(m.traf.index) != 0 {
 		t.Fatalf("bundles without a matrix left %d memo entries", len(m.traf.index))

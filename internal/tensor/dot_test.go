@@ -51,12 +51,14 @@ func checkDotRows(t testing.TB, tc dotCase) {
 }
 
 // TestDotRowsSIMDMatchesPortable holds the dispatched dotRows to the
-// portable kernel at Float64bits on every shape around the SIMD tile's
-// edges — m in 0..9 (no whole 4-row tile, one, two, with row remainders),
-// n in 0..17 (no whole 8-column tile, one, two, with column remainders) and
-// k from 0 to an LSTM dW's 433 — with a column offset j0 > 0, a row stride
-// ldc > n, bias nil and non-nil, on operands that include −0, ±Inf,
-// subnormals and products that overflow or underflow.
+// portable kernel at Float64bits on every shape around the SIMD kernels'
+// edges — m in 0..9 (single rows, no whole 4-row tile, one, two, with row
+// remainders), n in 0..40 (no whole 8-column group, one to five, the
+// single-row kernel's 16- and 8-column passes, with column remainders) and
+// k from 0 to an LSTM dW's 433, odd and even (the single-row kernel's odd-k
+// tail; 67 is the served OD encoder's input width) — with a column offset
+// j0 > 0, a row stride ldc > n, bias nil and non-nil, on operands that
+// include −0, ±Inf, subnormals and products that overflow or underflow.
 func TestDotRowsSIMDMatchesPortable(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("dotRows is the portable kernel here (no AVX2, not amd64, or the purego tag): nothing to compare")
@@ -69,9 +71,9 @@ func TestDotRowsSIMDMatchesPortable(t *testing.T) {
 		}
 		return s
 	}
-	for _, k := range []int{0, 1, 2, 7, 64, 433} {
+	for _, k := range []int{0, 1, 2, 3, 7, 20, 64, 67, 433} {
 		for m := 0; m <= 9; m++ {
-			for n := 0; n <= 17; n++ {
+			for n := 0; n <= 40; n++ {
 				for _, withBias := range []bool{false, true} {
 					j0 := 1 + rng.Intn(3)
 					tc := dotCase{m: m, k: k, n: n, j0: j0, ldc: j0 + n + 1 + rng.Intn(3)}
@@ -99,11 +101,12 @@ func FuzzDotRows(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{4, 8, 0, 0, 0, 0})
+	f.Add([]byte{1, 40, 67, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
 		}
-		tc := dotCase{m: int(data[0] % 13), n: int(data[1] % 21), k: int(data[2] % 70), j0: int(data[3] % 4)}
+		tc := dotCase{m: int(data[0] % 13), n: int(data[1] % 41), k: int(data[2] % 70), j0: int(data[3] % 4)}
 		tc.ldc = tc.j0 + tc.n + int(data[4]%3)
 		withBias := data[5]&1 == 1
 		vals := data[6:]
@@ -132,16 +135,18 @@ func FuzzDotRows(f *testing.F) {
 
 // BenchmarkDotRows times the kernel behind AffineBatchInto,
 // AffineBatchBackward and AddMatMulNT, portable and as dispatched, on the
-// shapes a training run's profile is made of: an LSTM gate tile of a
-// 32-sample shard, the packed LSTM dW, and one served OD at B = 1 (which
-// takes the portable path either way).
+// shapes a training run's profile is made of — an LSTM gate tile of a
+// 32-sample shard and the packed LSTM dW, both 4-row tiles — and on the
+// single-row kernel's: one served OD at B = 1 through the OD encoder's
+// first layer (1×67×32), single rows at k = 2, 7, 16 and 20, which must
+// not be slower dispatched, and a 3-row micro-batch.
 func BenchmarkDotRows(b *testing.B) {
 	kernels := []struct {
 		name string
 		f    func(c []float64, ldc int, a []float64, m, k int, bt []float64, j0, j1 int, bias []float64)
 	}{{"portable", dotRowsGo}, {"dispatched", dotRows}}
 	for _, kern := range kernels {
-		for _, dims := range [][3]int{{32, 64, 32}, {128, 433, 64}, {1, 64, 32}} {
+		for _, dims := range [][3]int{{32, 64, 32}, {128, 433, 64}, {1, 67, 32}, {1, 20, 32}, {3, 67, 32}, {1, 2, 32}, {1, 7, 32}, {1, 16, 32}} {
 			m, k, n := dims[0], dims[1], dims[2]
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, m, k, n), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))

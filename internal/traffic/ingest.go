@@ -58,6 +58,7 @@ type IngestStats struct {
 	Shed       uint64 `json:"probes_shed"`
 	OutOfOrder uint64 `json:"probes_out_of_order"`
 	Duplicate  uint64 `json:"probes_duplicate"`
+	Future     uint64 `json:"probes_future"`
 	Sessions   int    `json:"sessions"`
 	Evicted    uint64 `json:"sessions_evicted"`
 	Workers    int    `json:"workers"`
@@ -83,6 +84,7 @@ type Ingestor struct {
 	shed       atomic.Uint64
 	outOfOrder atomic.Uint64
 	duplicate  atomic.Uint64
+	future     atomic.Uint64
 	sessions   []atomic.Uint64 // per worker: live sessions (low) — read loosely
 	evicted    []atomic.Uint64
 
@@ -90,6 +92,7 @@ type Ingestor struct {
 	mShed     *obs.Counter
 	mOOO      *obs.Counter
 	mDup      *obs.Counter
+	mFuture   *obs.Counter
 	mSessions *obs.Gauge
 }
 
@@ -112,6 +115,7 @@ func NewIngestor(m *mapmatch.Matcher, store *Store, cfg IngestConfig) (*Ingestor
 		mShed:     reg.Counter("tte_traffic_probes_total", "result", "shed"),
 		mOOO:      reg.Counter("tte_traffic_probes_total", "result", "out_of_order"),
 		mDup:      reg.Counter("tte_traffic_probes_total", "result", "duplicate"),
+		mFuture:   reg.Counter("tte_traffic_probes_total", "result", "future"),
 		mSessions: reg.Gauge("tte_traffic_sessions"),
 	}
 	for w := 0; w < cfg.Workers; w++ {
@@ -192,6 +196,7 @@ func (in *Ingestor) Stats() IngestStats {
 		Shed:       in.shed.Load(),
 		OutOfOrder: in.outOfOrder.Load(),
 		Duplicate:  in.duplicate.Load(),
+		Future:     in.future.Load(),
 		Workers:    in.cfg.Workers,
 	}
 	for w := range in.sessions {
@@ -216,11 +221,25 @@ func (in *Ingestor) Status() map[string]any {
 	}
 }
 
+// work is worker w's loop. Its clock is the later of its newest accepted
+// probe and the store's high water (other workers' observations). A probe
+// more than the store's ring span (Windows × WindowSec) ahead of that clock
+// is dropped and counted as future before it reaches the tracker, the
+// clock or the store: accepted, it would carry the publish clock and the
+// store's high water past every in-range observation, and the live
+// snapshot would stay empty until the feed caught up with it. With no clock
+// yet (zero) the probe starts it. A second vehicle's future probe within
+// the span of the last one dropped is accepted instead: a whole fleet ahead
+// of the clock is a feed resuming after a gap longer than the span, not one
+// vehicle's bad clock.
 func (in *Ingestor) work(w int, m *mapmatch.Matcher) {
 	defer in.wg.Done()
 	tr := m.NewTracker(in.cfg.Tracker)
+	span := float64(in.store.cfg.Windows) * in.store.cfg.WindowSec
 	lastSweep := 0.0
 	maxT := 0.0
+	var dropped Probe // the last future probe, when anyDropped
+	anyDropped := false
 	for wk := range in.chans[w] {
 		if wk.ack != nil {
 			wk.ack <- struct{}{}
@@ -229,6 +248,15 @@ func (in *Ingestor) work(w int, m *mapmatch.Matcher) {
 		batch := wk.probes
 		for i := range batch {
 			p := &batch[i]
+			clock := max(maxT, in.store.HighWaterSec())
+			ahead := clock > 0 && p.T-clock > span
+			fleet := anyDropped && p.Vehicle != dropped.Vehicle && math.Abs(p.T-dropped.T) <= span
+			if ahead && !fleet {
+				dropped, anyDropped = *p, true
+				in.future.Add(1)
+				in.mFuture.Inc()
+				continue
+			}
 			obsList, err := tr.Advance(p.Vehicle, traj.GPSPoint{Pos: geo.Point{X: p.X, Y: p.Y}, T: p.T})
 			switch err {
 			case nil:

@@ -156,3 +156,102 @@ func TestIngestorCountsBadTimestamps(t *testing.T) {
 		t.Fatalf("duplicate = %d out-of-order = %d, want 1/1", st.Duplicate, st.OutOfOrder)
 	}
 }
+
+// flush waits until every worker has handled what was queued before it,
+// without Drain's forced publish: the snapshot is whatever the workers'
+// own MaybePublish calls made.
+func flush(in *Ingestor) {
+	done := make(chan struct{}, len(in.chans))
+	for _, ch := range in.chans {
+		ch <- ingestWork{ack: done}
+	}
+	for range in.chans {
+		<-done
+	}
+}
+
+// TestIngestorDropsFarFutureProbe: one probe far past the store's ring
+// span must not carry the worker's publish clock with it. Before the fix it
+// did, and the live snapshot stayed frozen on the one publish it forced.
+func TestIngestorDropsFarFutureProbe(t *testing.T) {
+	g := testGraph(t)
+	reg := obs.NewRegistry()
+	s, err := NewStore(g, StoreConfig{WindowSec: 120, Windows: 10, PublishEverySec: 10, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewIngestor(testMatcher(t, g), s, IngestConfig{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+
+	covered, publishes := 0, uint64(0)
+	send := func(what string, batch []Probe) {
+		t.Helper()
+		if acc, shed := in.Ingest(batch); acc != len(batch) || shed != 0 {
+			t.Fatalf("%s: accepted %d shed %d of %d", what, acc, shed, len(batch))
+		}
+		flush(in)
+	}
+	// step sends vehicle i's drive along its own edge, 60 s after vehicle
+	// i-1 set off, and checks the snapshot gained it.
+	step := func(i int) {
+		t.Helper()
+		send(fmt.Sprintf("batch %d", i), probesAlongEdge(g, fmt.Sprintf("veh-%d", i), roadnet.EdgeID(7*i), 4, 100+60*float64(i), 5))
+		st := s.Stats()
+		if st.Covered <= covered || st.Publishes <= publishes {
+			t.Fatalf("batch %d: %d edges covered after %d, %d publishes after %d", i, st.Covered, covered, st.Publishes, publishes)
+		}
+		covered, publishes = st.Covered, st.Publishes
+	}
+	for i := 0; i < 4; i++ {
+		step(i)
+	}
+	send("far-future probe", []Probe{{Vehicle: "veh-bad", X: 500, Y: 700, T: 1e9}})
+	for i := 4; i < 10; i++ {
+		step(i)
+	}
+	if st := in.Stats(); st.Future != 1 {
+		t.Fatalf("future = %d, want 1", st.Future)
+	}
+	if got := reg.Counter("tte_traffic_probes_total", "result", "future").Value(); got != 1 {
+		t.Fatalf("tte_traffic_probes_total{result=\"future\"} = %d, want 1", got)
+	}
+}
+
+// TestIngestorFleetJumpReanchors: a feed that resumes past the ring span —
+// every vehicle ahead of the worker's clock, not one — moves the clock after
+// the first dropped probe, and the snapshot follows the fleet again.
+func TestIngestorFleetJumpReanchors(t *testing.T) {
+	g := testGraph(t)
+	s, err := NewStore(g, StoreConfig{WindowSec: 120, Windows: 10, PublishEverySec: 10, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewIngestor(testMatcher(t, g), s, IngestConfig{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	drive := func(i int, startSec float64) []Probe {
+		return probesAlongEdge(g, fmt.Sprintf("veh-%d", i), roadnet.EdgeID(7*i), 4, startSec, 5)
+	}
+	in.Ingest(drive(0, 100))
+	flush(in)
+	before := s.Stats()
+	var fleet []Probe
+	for i := 1; i <= 3; i++ {
+		fleet = append(fleet, drive(i, 5000+60*float64(i))...)
+	}
+	in.Ingest(fleet)
+	flush(in)
+	st := s.Stats()
+	if st.Publishes <= before.Publishes || st.HighWaterSec < 5000 || st.Covered == 0 {
+		t.Fatalf("after a fleet-wide jump: %d publishes (%d before), high water %v, %d edges covered",
+			st.Publishes, before.Publishes, st.HighWaterSec, st.Covered)
+	}
+	if f, n := in.Stats().Future, uint64(len(drive(1, 0))); f == 0 || f > n {
+		t.Fatalf("future = %d, want the first vehicle's %d probes at most", f, n)
+	}
+}

@@ -27,8 +27,8 @@ go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./i
 go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 
-echo "== portable kernel (-tags purego: the golden bits and the batch kernels without the amd64 assembly)"
-go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|EstimateBatchFused|LSTM' ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/models/
+echo "== portable kernel (-tags purego: the golden bits, the batch kernels, fused ≡ per-sample and the traffic-code memo without the amd64 assembly)"
+go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|Fused|TrafficCode|LSTM' ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/models/
 
 echo "== portable bits (no fused multiply-add in the model's or the serving path's packages on arm64, ppc64le, s390x, riscv64, nor in any assembly)"
 ./scripts/fma.sh
