@@ -116,7 +116,9 @@ func TestBatchedGradientWorkerCountsAgree(t *testing.T) {
 		pool := newTrainPool(m.ps, workers)
 		defer pool.close()
 		m.ps.ZeroGrad()
-		m.batchGradient(pool, split.Train, batch, true, 0.3)
+		batchGradient(pool, split.Train, batch, func(tp *nn.Tape, recs []*traj.TripRecord) *nn.Node {
+			return m.shardLoss(tp, recs, true, 0.3)
+		})
 		var out [][]float64
 		for _, p := range m.ps.All() {
 			out = append(out, append([]float64(nil), p.Grad.Data...))

@@ -181,10 +181,11 @@ func BenchmarkTrainStep(b *testing.B) {
 				pool := newTrainPool(m.ps, workers)
 				defer pool.close()
 				opt := nn.NewAdam(cfg.LRInitial)
+				loss := func(tp *nn.Tape, recs []*traj.TripRecord) *nn.Node { return m.shardLoss(tp, recs, true, cfg.AuxWeight) }
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.trainStep(pool, opt, train, batches[i%len(batches)], true, cfg.AuxWeight)
+					trainStep(pool, opt, cfg.ClipNorm, train, batches[i%len(batches)], loss)
 				}
 			})
 		}

@@ -125,11 +125,6 @@ func checkExternal(ext *traj.ExternalFeatures) bool {
 	return len(ext.SpeedGrid) > 0
 }
 
-// evalTapes recycles the eval tapes (and their arenas) a memo miss runs the
-// traffic CNN on — the one piece of inference without an arena kernel.
-// Tapes are model-independent: they carry no parameter state.
-var evalTapes = sync.Pool{New: func() any { return nn.NewEvalTape() }}
-
 // trafficCNN builds the [len(exts), Dtraf] traffic codes of checked,
 // non-empty speed matrices of one shape on tp, the matrices as one
 // [N, 1, H, W] batch: the training graph, and (N = 1) the miss branch of
@@ -178,11 +173,10 @@ func (m *Model) externalCode(ar *tensor.Arena, ext *traj.ExternalFeatures, dst [
 		z8.Data[ext.Weather] = 1
 	}
 	if hasGrid {
-		tp := evalTapes.Get().(*nn.Tape)
-		tp.Reset()
+		tp := nn.GetEvalTape()
 		one := [1]*traj.ExternalFeatures{ext}
 		copy(z8.Data[citysim.WeatherTypes:], m.trafficCNN(tp, one[:]).Value.Data)
-		evalTapes.Put(tp)
+		nn.PutEvalTape(tp)
 		trafficCodeMisses.Inc()
 	}
 	copy(dst, m.extMLP.ForwardBatch(ar, z8).Data)

@@ -26,7 +26,7 @@ type StepPoint struct {
 	At time.Duration
 }
 
-// TrainStats reports what happened during Train.
+// TrainStats reports what happened during a training run (Fit).
 type TrainStats struct {
 	// Curve is the validation-MAE trace sampled every EvalEvery steps.
 	Curve []StepPoint
@@ -40,8 +40,9 @@ type TrainStats struct {
 	Steps       int
 	SamplesSeen int
 	Elapsed     time.Duration
-	// EmbedElapsed is the node2vec pre-training time (part of offline
-	// training in Table 5).
+	// EmbedElapsed is the time before the first optimizer step: the
+	// model's set-up and embedding pre-training (node2vec for DeepOD,
+	// DeepWalk for MURAT), part of offline training in Table 5.
 	EmbedElapsed time.Duration
 	// FinalValMAE is the last validation MAE in seconds.
 	FinalValMAE float64
@@ -66,9 +67,14 @@ type TrainOptions struct {
 	Progress func(epoch, step int, valMAE float64)
 }
 
+// ShardLoss builds one loss graph on tp over a worker's shard of a
+// mini-batch, summed over its records; row r of every activation belongs to
+// recs[r].
+type ShardLoss func(tp *nn.Tape, recs []*traj.TripRecord) *nn.Node
+
 // Train runs Algorithm 1's offline training: embedding pre-training
 // (lines 1–5) followed by epochs of mini-batch optimization of
-// loss = w·auxiliaryloss + (1−w)·mainloss (lines 6–7).
+// loss = w·auxiliaryloss + (1−w)·mainloss (lines 6–7), both under Fit.
 //
 // Each mini-batch is one loss graph per worker shard (the whole batch with
 // one worker), every activation a [rows, d] matrix. With
@@ -77,40 +83,64 @@ type TrainOptions struct {
 // results are bit-reproducible for a given seed and worker count, and one
 // worker is the serial path exactly.
 func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*TrainStats, error) {
+	useAux := !m.cfg.NoTrajectory && m.cfg.AuxWeight > 0
+	stats, err := Fit(train, valid, opts, m.cfg.TrainWorkers, m.cfg.Seed+1000,
+		m.cfg.BatchSize, m.cfg.Epochs,
+		nn.StepDecaySchedule{Initial: m.cfg.LRInitial, Factor: m.cfg.LRFactor, Every: m.cfg.LREvery}, m.cfg.ClipNorm,
+		func() (*nn.ParamSet, error) {
+			// Target normalization: mean training travel time.
+			var mean float64
+			for i := range train {
+				mean += train[i].TravelSec
+			}
+			m.timeScale = mean / float64(len(train))
+			// Lines 1–4: initialize embedding matrices with node2vec.
+			return m.ps, m.pretrainEmbeddings(train)
+		},
+		func(tp *nn.Tape, recs []*traj.TripRecord) *nn.Node {
+			return m.shardLoss(tp, recs, useAux, m.cfg.AuxWeight)
+		},
+		m.Estimate,
+		m.traf.invalidate, // the validation estimates must see this step's weights
+	)
+	if err != nil {
+		return nil, err
+	}
+	embedPhaseHist.Observe(stats.EmbedElapsed.Seconds())
+	return stats, nil
+}
+
+// Fit is the one optimizer loop every deep model trains under: DeepOD's
+// Train, ST-NN's and MURAT's. Both splits must be non-empty. The clock
+// starts at entry; prepare sets the model up (pre-training included) and
+// returns its parameters, and the time it took is EmbedElapsed. Then each
+// of epochs shuffles train by seed into batches of batchSize, and each
+// batch is one optimizer step (trainStep): the summed shard losses'
+// gradient from workers workers, averaged, clipped to norm clip (0 =
+// never) and applied by Adam at schedule's rate for the epoch. afterStep,
+// when non-nil, runs after every step. estimate measures the validation MAE
+// every opts.EvalEvery steps and at each epoch's end, on the same workers;
+// each StepPoint's At, and so ConvergedAt, is read off the one clock.
+func Fit(train, valid []traj.TripRecord, opts TrainOptions, workers int, seed int64,
+	batchSize, epochs int, schedule nn.StepDecaySchedule, clip float64,
+	prepare func() (*nn.ParamSet, error), loss ShardLoss,
+	estimate func(od *traj.MatchedOD) float64, afterStep func()) (*TrainStats, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("core: no training records")
 	}
 	if len(valid) == 0 {
 		return nil, fmt.Errorf("core: no validation records")
 	}
-	workers := m.cfg.TrainWorkers
 	if workers < 1 {
 		workers = 1
 	}
 	stats := &TrainStats{Workers: workers}
 	start := time.Now()
-
-	// Target normalization: mean training travel time.
-	var mean float64
-	for i := range train {
-		mean += train[i].TravelSec
-	}
-	m.timeScale = mean / float64(len(train))
-
-	// Lines 1–4: initialize embedding matrices with node2vec.
-	embStart := time.Now()
-	if err := m.pretrainEmbeddings(train); err != nil {
+	ps, err := prepare()
+	if err != nil {
 		return nil, err
 	}
-	stats.EmbedElapsed = time.Since(embStart)
-	embedPhaseHist.Observe(stats.EmbedElapsed.Seconds())
-
-	opt := nn.NewAdam(m.cfg.LRInitial)
-	schedule := nn.StepDecaySchedule{Initial: m.cfg.LRInitial, Factor: m.cfg.LRFactor, Every: m.cfg.LREvery}
-	rng := rand.New(rand.NewSource(m.cfg.Seed + 1000))
-
-	useAux := !m.cfg.NoTrajectory && m.cfg.AuxWeight > 0
-	w := m.cfg.AuxWeight
+	stats.EmbedElapsed = time.Since(start)
 
 	evaluate := func() float64 {
 		evalStart := time.Now()
@@ -122,7 +152,7 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 		pred := make([]float64, n)
 		shardLoop(n, workers, func(i int) {
 			actual[i] = valid[i].TravelSec
-			pred[i] = m.Estimate(&valid[i].Matched)
+			pred[i] = estimate(&valid[i].Matched)
 		})
 		evalPhaseHist.Observe(time.Since(evalStart).Seconds())
 		return metrics.MAE(actual, pred)
@@ -135,19 +165,21 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 		}
 	}
 
-	pool := newTrainPool(m.ps, workers)
+	opt := nn.NewAdam(schedule.Initial)
+	rng := rand.New(rand.NewSource(seed))
+	pool := newTrainPool(ps, workers)
 	defer pool.close()
 
 	step := 0
 	done := false
-	for epoch := 0; epoch < m.cfg.Epochs && !done; epoch++ {
+	for epoch := 0; epoch < epochs && !done; epoch++ {
 		opt.LR = schedule.At(epoch)
 		trainEpochGauge.Set(float64(epoch))
-		err := dataset.Batches(len(train), m.cfg.BatchSize, rng, true, func(batch []int) error {
+		err := dataset.Batches(len(train), batchSize, rng, true, func(batch []int) error {
 			if done {
 				return nil
 			}
-			fwd, bwd := m.trainStep(pool, opt, train, batch, useAux, w)
+			fwd, bwd := trainStep(pool, opt, clip, train, batch, loss)
 			// One observation per optimizer step: the batch's total forward
 			// (graph build + loss) and backward (gradient) time, summed over
 			// workers.
@@ -155,7 +187,9 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 			backwardPhaseHist.Observe(bwd.Seconds())
 			trainSamplesTotal.Add(uint64(len(batch)))
 			stats.SamplesSeen += len(batch)
-			m.traf.invalidate() // evaluate() must see this step's weights
+			if afterStep != nil {
+				afterStep()
+			}
 			step++
 			if opts.EvalEvery > 0 && step%opts.EvalEvery == 0 {
 				record(epoch, step)
@@ -192,18 +226,18 @@ func (m *Model) Train(train, valid []traj.TripRecord, opts TrainOptions) (*Train
 	return stats, nil
 }
 
-// trainStep is one optimizer step of Algorithm 1 (lines 8–13) over the
-// records train[batch]: the batch gradient from the pool, averaged over the
-// batch, clipped, and applied by opt. It returns the forward and backward
-// time summed over the workers.
-func (m *Model) trainStep(pool *trainPool, opt *nn.Adam, train []traj.TripRecord, batch []int, useAux bool, w float64) (fwd, bwd time.Duration) {
-	m.ps.ZeroGrad()
-	fwd, bwd = m.batchGradient(pool, train, batch, useAux, w)
-	m.ps.ScaleGrads(1 / float64(len(batch)))
-	if m.cfg.ClipNorm > 0 {
-		nn.ClipGradNorm(m.ps, m.cfg.ClipNorm)
+// trainStep is one optimizer step (Algorithm 1, lines 8–13) over the
+// records train[batch]: the batch gradient of loss from the pool, averaged
+// over the batch, clipped to norm clip (0 = never), and applied by opt. It returns the forward and backward time
+// summed over the workers.
+func trainStep(pool *trainPool, opt *nn.Adam, clip float64, train []traj.TripRecord, batch []int, loss ShardLoss) (fwd, bwd time.Duration) {
+	pool.ps.ZeroGrad()
+	fwd, bwd = batchGradient(pool, train, batch, loss)
+	pool.ps.ScaleGrads(1 / float64(len(batch)))
+	if clip > 0 {
+		nn.ClipGradNorm(pool.ps, clip)
 	}
-	opt.Step(m.ps)
+	opt.Step(pool.ps)
 	return fwd, bwd
 }
 
@@ -212,7 +246,7 @@ func (m *Model) trainStep(pool *trainPool, opt *nn.Adam, train []traj.TripRecord
 // k, k+n, k+2n, … as its shard, builds one loss graph over the whole shard
 // on its tape and runs it backward into its private buffer; the pool then
 // reduces the buffers in worker order.
-func (m *Model) batchGradient(pool *trainPool, train []traj.TripRecord, batch []int, useAux bool, w float64) (fwd, bwd time.Duration) {
+func batchGradient(pool *trainPool, train []traj.TripRecord, batch []int, loss ShardLoss) (fwd, bwd time.Duration) {
 	var mu sync.Mutex
 	pool.run(func(wk int, tp *nn.Tape) {
 		if wk >= len(batch) {
@@ -224,9 +258,9 @@ func (m *Model) batchGradient(pool *trainPool, train []traj.TripRecord, batch []
 		}
 		start := time.Now()
 		tp.Reset()
-		loss := m.shardLoss(tp, shard, useAux, w)
+		root := loss(tp, shard)
 		back := time.Now()
-		tp.Backward(loss)
+		tp.Backward(root)
 		mu.Lock()
 		fwd += back.Sub(start)
 		bwd += time.Since(back)

@@ -73,23 +73,8 @@ func (d *DeepODEstimator) SizeBytes() int { return d.model.Params().SizeBytes() 
 // TrainTime implements models.Trainable.
 func (d *DeepODEstimator) TrainTime() time.Duration { return d.trainTime }
 
-// Stats converts the core curve into the shared models.DeepStats form.
-func (d *DeepODEstimator) Stats() *models.DeepStats {
-	if d.stats == nil {
-		return nil
-	}
-	ds := &models.DeepStats{
-		Steps:         d.stats.Steps,
-		Elapsed:       d.stats.Elapsed,
-		ConvergedStep: d.stats.ConvergedStep,
-		ConvergedAt:   d.stats.ConvergedAt,
-		FinalValMAE:   d.stats.FinalValMAE,
-	}
-	for _, p := range d.stats.Curve {
-		ds.Curve = append(ds.Curve, models.StepPoint{Step: p.Step, ValMAE: p.ValMAE})
-	}
-	return ds
-}
+// Stats returns the training curve (nil before Train).
+func (d *DeepODEstimator) Stats() *core.TrainStats { return d.stats }
 
 // NewDeepODEstimator builds a DeepOD adapter over a world with the scale's
 // base config, applying mod (which may be nil) for ablations and variants.

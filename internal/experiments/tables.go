@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"deepod/internal/core"
 	"deepod/internal/dataset"
 	"deepod/internal/metrics"
 	"deepod/internal/models"
@@ -69,7 +70,7 @@ type ConvergenceRow struct {
 	ConvergedStep int
 	Elapsed       time.Duration
 	ConvergedAt   time.Duration
-	Curve         []models.StepPoint // Figure 10 series
+	Curve         []core.StepPoint // Figure 10 series
 }
 
 // Table3Result reproduces Table 3 (convergence steps and time) and carries
@@ -83,7 +84,7 @@ type Table3Result struct {
 
 // curveSource is implemented by STNN, MURAT and the DeepOD adapter.
 type curveSource interface {
-	Stats() *models.DeepStats
+	Stats() *core.TrainStats
 }
 
 // RunTable3Figure10 trains the three deep models on the first two cities

@@ -1,133 +1,38 @@
 package models
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
-	"time"
 
-	"deepod/internal/dataset"
-	"deepod/internal/metrics"
 	"deepod/internal/nn"
+	"deepod/internal/roadnet"
 	"deepod/internal/traj"
 )
 
-// StepPoint is one validation measurement during deep-baseline training.
-type StepPoint struct {
-	Step   int
-	ValMAE float64
+// The deep baselines (STNN, MURAT) train under core.Fit, the loop DeepOD
+// trains under, each on one [B, …] graph per mini-batch. The helpers below
+// are what the two share.
+
+// matchedODs returns the matched OD inputs of recs, row r that of recs[r].
+func matchedODs(recs []*traj.TripRecord) []*traj.MatchedOD {
+	ods := make([]*traj.MatchedOD, len(recs))
+	for r, rec := range recs {
+		ods[r] = &rec.Matched
+	}
+	return ods
 }
 
-// DeepStats summarizes a deep baseline's training run (Table 3 and
-// Figure 10 report these for STNN and MURAT alongside DeepOD).
-type DeepStats struct {
-	Curve         []StepPoint
-	Steps         int
-	Elapsed       time.Duration
-	ConvergedStep int
-	ConvergedAt   time.Duration
-	FinalValMAE   float64
-}
-
-// deepTrainOpts configures the shared mini-batch trainer.
-type deepTrainOpts struct {
-	batchSize int
-	epochs    int
-	schedule  nn.StepDecaySchedule
-	clipNorm  float64
-	evalEvery int
-	valSample int
-	seed      int64
-}
-
-// deepTrain runs mini-batch gradient-accumulation training of an arbitrary
-// per-sample loss, mirroring the paper's training protocol (Adam, step
-// decay). recordLoss must build the loss for record rec on tape tp;
-// estimate must predict seconds for validation measurement.
-func deepTrain(ps *nn.ParamSet, train, valid []traj.TripRecord, opts deepTrainOpts,
-	recordLoss func(tp *nn.Tape, rec *traj.TripRecord) *nn.Node,
-	estimate func(od *traj.MatchedOD) float64) (*DeepStats, error) {
-
-	if len(train) == 0 {
-		return nil, fmt.Errorf("models: no training records")
+// multiTaskLoss is both baselines' objective over a shard, summed over its
+// records: |t̂ − t| + 0.5·|d̂ − d| per record, where t and d are the record's
+// travel time and trajectory length over timeScale and distScale and row r
+// of the [B, 1] nodes t̂ and d̂ belongs to recs[r].
+func multiTaskLoss(tp *nn.Tape, g *roadnet.Graph, recs []*traj.TripRecord, t, dist *nn.Node, timeScale, distScale float64) *nn.Node {
+	timeTgt := tp.Alloc(len(recs), 1)
+	distTgt := tp.Alloc(len(recs), 1)
+	for r, rec := range recs {
+		timeTgt.Data[r] = rec.TravelSec / timeScale
+		distTgt.Data[r] = rec.Trajectory.Length(g) / distScale
 	}
-	stats := &DeepStats{}
-	start := time.Now()
-	opt := nn.NewAdam(opts.schedule.Initial)
-	rng := rand.New(rand.NewSource(opts.seed))
-
-	evaluate := func() float64 {
-		if len(valid) == 0 {
-			return math.NaN()
-		}
-		n := len(valid)
-		if opts.valSample > 0 && opts.valSample < n {
-			n = opts.valSample
-		}
-		actual := make([]float64, n)
-		pred := make([]float64, n)
-		for i := 0; i < n; i++ {
-			actual[i] = valid[i].TravelSec
-			pred[i] = estimate(&valid[i].Matched)
-		}
-		return metrics.MAE(actual, pred)
-	}
-
-	step := 0
-	for epoch := 0; epoch < opts.epochs; epoch++ {
-		opt.LR = opts.schedule.At(epoch)
-		err := dataset.Batches(len(train), opts.batchSize, rng, true, func(batch []int) error {
-			ps.ZeroGrad()
-			for _, bi := range batch {
-				tp := nn.NewTape()
-				loss := recordLoss(tp, &train[bi])
-				tp.Backward(loss)
-			}
-			ps.ScaleGrads(1 / float64(len(batch)))
-			if opts.clipNorm > 0 {
-				nn.ClipGradNorm(ps, opts.clipNorm)
-			}
-			opt.Step(ps)
-			step++
-			if opts.evalEvery > 0 && step%opts.evalEvery == 0 {
-				stats.Curve = append(stats.Curve, StepPoint{Step: step, ValMAE: evaluate()})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		stats.Curve = append(stats.Curve, StepPoint{Step: step, ValMAE: evaluate()})
-	}
-	stats.Steps = step
-	stats.Elapsed = time.Since(start)
-	if len(stats.Curve) > 0 {
-		stats.FinalValMAE = stats.Curve[len(stats.Curve)-1].ValMAE
-		best := math.Inf(1)
-		for _, p := range stats.Curve {
-			if p.ValMAE < best {
-				best = p.ValMAE
-			}
-		}
-		for _, p := range stats.Curve {
-			if p.ValMAE <= best*1.02 {
-				stats.ConvergedStep = p.Step
-				break
-			}
-		}
-		if stats.Steps > 0 {
-			stats.ConvergedAt = time.Duration(float64(stats.ConvergedStep) / float64(stats.Steps) * float64(stats.Elapsed))
-		}
-	}
-	return stats, nil
-}
-
-// rowConst returns vals as a constant [1, len(vals)] node: one record's raw
-// features or target, the one-row batch the deep baselines train on.
-func rowConst(tp *nn.Tape, vals ...float64) *nn.Node {
-	t := tp.Alloc(1, len(vals))
-	copy(t.Data, vals)
-	return tp.Const(t)
+	return tp.Sum(tp.Add(tp.RowAbsError(t, tp.Const(timeTgt)), tp.Scale(tp.RowAbsError(dist, tp.Const(distTgt)), 0.5)))
 }
 
 // meanTravel returns the mean travel time of records (target scaling).
@@ -137,6 +42,16 @@ func meanTravel(records []traj.TripRecord) float64 {
 		s += records[i].TravelSec
 	}
 	return s / float64(len(records))
+}
+
+// meanLength returns the mean trajectory length of records in meters, at
+// least 1 (distance-target scaling).
+func meanLength(records []traj.TripRecord, g *roadnet.Graph) float64 {
+	var s float64
+	for i := range records {
+		s += records[i].Trajectory.Length(g)
+	}
+	return math.Max(1, s/float64(len(records)))
 }
 
 // lrEveryOr returns every when positive, else the paper default of 2.

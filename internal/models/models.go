@@ -31,8 +31,9 @@ type Estimator interface {
 // Trainable is an Estimator that learns from historical trip records.
 type Trainable interface {
 	Estimator
-	// Train fits the model. valid may be used for early stopping /
-	// monitoring and may be empty for models that ignore it.
+	// Train fits the model. The deep models (STNN, MURAT, DeepOD) measure
+	// their validation curve on valid and reject an empty one; the others
+	// ignore it.
 	Train(train, valid []traj.TripRecord) error
 	// SizeBytes reports the memory footprint of the trained model
 	// (Table 5's "model size").

@@ -3,8 +3,10 @@ package models
 import (
 	"math"
 	"testing"
+	"time"
 
 	"deepod/internal/citysim"
+	"deepod/internal/core"
 	"deepod/internal/dataset"
 	"deepod/internal/metrics"
 	"deepod/internal/roadnet"
@@ -226,30 +228,107 @@ func TestGBMValidation(t *testing.T) {
 	NewGBM(g).Estimate(&split.Test[0].Matched)
 }
 
+// TestDeepBaselineStats holds ST-NN, MURAT and DeepOD to the one clock of
+// core.Fit: it starts at Train entry, so pre-training (MURAT's DeepWalk,
+// DeepOD's node2vec) is inside Elapsed and before the first StepPoint;
+// every StepPoint's At is measured, monotone and within Elapsed;
+// ConvergedStep is the first point within 2 % of the best validation MAE
+// and ConvergedAt is that point's At; a baseline's TrainTime is Elapsed.
 func TestDeepBaselineStats(t *testing.T) {
 	g, split := world(t, 300)
 	s := NewSTNN(g)
 	s.Epochs = 2
 	s.EvalEvery = 2
-	if err := s.Train(split.Train, split.Valid); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st == nil || st.Steps == 0 || len(st.Curve) == 0 {
-		t.Fatalf("STNN stats missing: %+v", st)
-	}
-	if st.ConvergedStep > st.Steps {
-		t.Fatal("converged after end")
-	}
-
 	mu := NewMURAT(g)
 	mu.Epochs = 2
+	mu.EvalEvery = 3
 	mu.EmbedWalks = 2
-	if err := mu.Train(split.Train, split.Valid); err != nil {
+	cfg := core.SmallConfig()
+	cfg.Epochs = 2
+	cfg.EmbedWalks, cfg.EmbedEpochs = 2, 1
+	deep, err := core.New(cfg, g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mu.Stats() == nil {
-		t.Fatal("MURAT stats missing")
+	type run struct {
+		name      string
+		train     func() (*core.TrainStats, error)
+		pretrains bool // whether Train pre-trains embeddings before its first step
+	}
+	baseline := func(m interface {
+		Trainable
+		Stats() *core.TrainStats
+	}) func() (*core.TrainStats, error) {
+		return func() (*core.TrainStats, error) {
+			if m.Stats() != nil || m.TrainTime() != 0 {
+				t.Fatalf("%s reports a run before Train", m.Name())
+			}
+			err := m.Train(split.Train, split.Valid)
+			if err == nil && m.TrainTime() != m.Stats().Elapsed {
+				t.Errorf("%s TrainTime %v, Elapsed %v", m.Name(), m.TrainTime(), m.Stats().Elapsed)
+			}
+			return m.Stats(), err
+		}
+	}
+	runs := []run{
+		{"STNN", baseline(s), false},
+		{"MURAT", baseline(mu), true},
+		{"DeepOD", func() (*core.TrainStats, error) {
+			return deep.Train(split.Train, split.Valid, core.TrainOptions{EvalEvery: 4})
+		}, true},
+	}
+	for _, r := range runs {
+		before := time.Now()
+		st, err := r.train()
+		wall := time.Since(before)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if st == nil || st.Steps == 0 || len(st.Curve) < 2 {
+			t.Fatalf("%s stats missing: %+v", r.name, st)
+		}
+		if st.EmbedElapsed <= 0 || st.Elapsed > wall {
+			t.Errorf("%s: EmbedElapsed %v, Elapsed %v of a %v Train call", r.name, st.EmbedElapsed, st.Elapsed, wall)
+		}
+		if r.pretrains && wall-st.Elapsed >= st.EmbedElapsed {
+			t.Errorf("%s: Elapsed %v of a %v Train call leaves out at least the %v of pre-training", r.name, st.Elapsed, wall, st.EmbedElapsed)
+		}
+		best := math.Inf(1)
+		prev := core.StepPoint{At: st.EmbedElapsed}
+		for i, p := range st.Curve {
+			if math.IsNaN(p.ValMAE) || p.Step < prev.Step || p.Step > st.Steps || p.At <= prev.At || p.At > st.Elapsed {
+				t.Fatalf("%s curve[%d] = %+v after %+v (Steps %d, Elapsed %v)", r.name, i, p, prev, st.Steps, st.Elapsed)
+			}
+			best = math.Min(best, p.ValMAE)
+			prev = p
+		}
+		if st.FinalValMAE != prev.ValMAE {
+			t.Errorf("%s FinalValMAE %v, last point %v", r.name, st.FinalValMAE, prev.ValMAE)
+		}
+		for _, p := range st.Curve {
+			if p.ValMAE <= best*1.02 {
+				if st.ConvergedStep != p.Step || st.ConvergedAt != p.At {
+					t.Errorf("%s converged at step %d, %v; the first point within 2%% of the best is step %d, %v",
+						r.name, st.ConvergedStep, st.ConvergedAt, p.Step, p.At)
+				}
+				break
+			}
+		}
+	}
+}
+
+// TestDeepBaselineNeedsValidation: the deep baselines measure their curve
+// on valid, so an empty one is an error, as it is for DeepOD, and so is an
+// empty train.
+func TestDeepBaselineNeedsValidation(t *testing.T) {
+	g, split := world(t, 120)
+	for _, m := range []Trainable{NewSTNN(g), NewMURAT(g)} {
+		if err := m.Train(split.Train, nil); err == nil {
+			t.Errorf("%s trained without validation records", m.Name())
+		}
+		if err := m.Train(nil, split.Valid); err == nil {
+			t.Errorf("%s trained without training records", m.Name())
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"deepod/internal/core"
 	"deepod/internal/embed"
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
@@ -51,8 +52,7 @@ type MURAT struct {
 	feat      *Featurizer
 	timeScale float64
 	distScale float64
-	stats     *DeepStats
-	trainTime time.Duration
+	stats     *core.TrainStats
 }
 
 // NewMURAT builds an untrained MURAT baseline with paper-suggested
@@ -130,15 +130,26 @@ func (m *MURAT) pretrain() error {
 	return m.slotEmb.Init(tvecs)
 }
 
-// forward returns (timeNode, distNode), each [1, 1], in normalized units.
-func (m *MURAT) forward(tp *nn.Tape, od *traj.MatchedOD) (*nn.Node, *nn.Node) {
-	fs := m.feat.Features(od)
-	slot := m.slotter.SlotOfDay(m.slotter.WeekSlot(m.slotter.Slot(od.DepartSec)))
+// forwardRows runs the model over ods as one graph and returns the
+// [len(ods), 1] time and distance nodes, row r that of ods[r], in
+// normalized units. The origin and destination road embeddings are one
+// lookup over the interleaved ids o₀, d₀, o₁, d₁, … viewed as [B, 2·Ds], so
+// the backward adds into a shared edge row record by record, origin first.
+func (m *MURAT) forwardRows(tp *nn.Tape, ods []*traj.MatchedOD) (t, dist *nn.Node) {
+	ends := make([]int, 2*len(ods))
+	slots := make([]int, len(ods))
+	raw := tp.Alloc(len(ods), 4)
+	for r, od := range ods {
+		fs := m.feat.Features(od)
+		ends[2*r], ends[2*r+1] = int(od.OriginEdge), int(od.DestEdge)
+		slots[r] = m.slotter.SlotOfDay(m.slotter.WeekSlot(m.slotter.Slot(od.DepartSec)))
+		row := raw.Data[4*r : 4*r+4]
+		row[0], row[1], row[2], row[3] = od.RStart, od.REnd, fs[6], fs[7]
+	}
 	x := tp.ConcatCols(
-		m.roadEmb.LookupRows(tp, []int{int(od.OriginEdge)}),
-		m.roadEmb.LookupRows(tp, []int{int(od.DestEdge)}),
-		m.slotEmb.LookupRows(tp, []int{slot}),
-		rowConst(tp, od.RStart, od.REnd, fs[6], fs[7]),
+		tp.Reshape(m.roadEmb.LookupRows(tp, ends), len(ods), 2*m.Ds),
+		m.slotEmb.LookupRows(tp, slots),
+		tp.Const(raw),
 	)
 	h := tp.ReLU(m.inProj.Forward(tp, x))
 	for i := range m.resA {
@@ -148,40 +159,33 @@ func (m *MURAT) forward(tp *nn.Tape, od *traj.MatchedOD) (*nn.Node, *nn.Node) {
 	return m.timeHead.Forward(tp, h), m.distHead.Forward(tp, h)
 }
 
-// Train fits the multi-task objective MAE(time) + 0.5·MAE(distance).
-func (m *MURAT) Train(train, valid []traj.TripRecord) error {
-	if len(train) == 0 {
-		return fmt.Errorf("models: MURAT needs training records")
-	}
-	start := time.Now()
-	if err := m.build(); err != nil {
-		return err
-	}
-	if err := m.pretrain(); err != nil {
-		return err
-	}
-	m.timeScale = meanTravel(train)
-	var meanDist float64
-	for i := range train {
-		meanDist += train[i].Trajectory.Length(m.g)
-	}
-	m.distScale = math.Max(1, meanDist/float64(len(train)))
+// shardLoss is the training graph of recs (core.ShardLoss).
+func (m *MURAT) shardLoss(tp *nn.Tape, recs []*traj.TripRecord) *nn.Node {
+	t, dist := m.forwardRows(tp, matchedODs(recs))
+	return multiTaskLoss(tp, m.g, recs, t, dist, m.timeScale, m.distScale)
+}
 
-	stats, err := deepTrain(m.ps, train, valid, deepTrainOpts{
-		batchSize: m.BatchSize, epochs: m.Epochs,
-		schedule: nn.StepDecaySchedule{Initial: 0.01, Factor: 0.2, Every: m.lrEvery()},
-		clipNorm: 5, evalEvery: m.EvalEvery, valSample: m.ValSample, seed: m.Seed + 2,
-	}, func(tp *nn.Tape, rec *traj.TripRecord) *nn.Node {
-		t, d := m.forward(tp, &rec.Matched)
-		timeTgt := rowConst(tp, rec.TravelSec/m.timeScale)
-		distTgt := rowConst(tp, rec.Trajectory.Length(m.g)/m.distScale)
-		return tp.Add(tp.RowAbsError(t, timeTgt), tp.Scale(tp.RowAbsError(d, distTgt), 0.5))
-	}, m.Estimate)
+// Train fits the multi-task objective MAE(time) + 0.5·MAE(distance) under
+// core.Fit, whose clock includes the DeepWalk pre-training. valid must not
+// be empty.
+func (m *MURAT) Train(train, valid []traj.TripRecord) error {
+	stats, err := core.Fit(train, valid, core.TrainOptions{EvalEvery: m.EvalEvery, ValSample: m.ValSample}, 1, m.Seed+2,
+		m.BatchSize, m.Epochs, nn.StepDecaySchedule{Initial: 0.01, Factor: 0.2, Every: lrEveryOr(m.LREvery)}, 5,
+		func() (*nn.ParamSet, error) {
+			if err := m.build(); err != nil {
+				return nil, err
+			}
+			if err := m.pretrain(); err != nil {
+				return nil, err
+			}
+			m.timeScale = meanTravel(train)
+			m.distScale = meanLength(train, m.g)
+			return m.ps, nil
+		}, m.shardLoss, m.Estimate, nil)
 	if err != nil {
 		return err
 	}
 	m.stats = stats
-	m.trainTime = time.Since(start)
 	return nil
 }
 
@@ -190,13 +194,15 @@ func (m *MURAT) Estimate(od *traj.MatchedOD) float64 {
 	if m.ps == nil {
 		panic("models: MURAT used before Train")
 	}
-	tp := nn.NewEvalTape()
-	t, _ := m.forward(tp, od)
-	return math.Max(0, t.Value.Data[0]*m.timeScale)
+	tp := nn.GetEvalTape()
+	t, _ := m.forwardRows(tp, []*traj.MatchedOD{od})
+	y := t.Value.Data[0]
+	nn.PutEvalTape(tp)
+	return math.Max(0, y*m.timeScale)
 }
 
 // Stats returns the training curve (nil before Train).
-func (m *MURAT) Stats() *DeepStats { return m.stats }
+func (m *MURAT) Stats() *core.TrainStats { return m.stats }
 
 // SizeBytes implements Trainable.
 func (m *MURAT) SizeBytes() int {
@@ -206,8 +212,10 @@ func (m *MURAT) SizeBytes() int {
 	return m.ps.SizeBytes()
 }
 
-// TrainTime implements Trainable.
-func (m *MURAT) TrainTime() time.Duration { return m.trainTime }
-
-// lrEvery returns the LR-decay period in epochs (default 2).
-func (m *MURAT) lrEvery() int { return lrEveryOr(m.LREvery) }
+// TrainTime implements Trainable: the Elapsed of Stats.
+func (m *MURAT) TrainTime() time.Duration {
+	if m.stats == nil {
+		return 0
+	}
+	return m.stats.Elapsed
+}

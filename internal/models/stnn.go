@@ -1,11 +1,11 @@
 package models
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
+	"deepod/internal/core"
 	"deepod/internal/nn"
 	"deepod/internal/roadnet"
 	"deepod/internal/traj"
@@ -32,8 +32,7 @@ type STNN struct {
 	timeMLP   *nn.MLP2
 	distScale float64
 	timeScale float64
-	stats     *DeepStats
-	trainTime time.Duration
+	stats     *core.TrainStats
 	g         *roadnet.Graph
 }
 
@@ -58,46 +57,44 @@ func (s *STNN) build() {
 	s.timeMLP = nn.NewMLP2(s.ps, rng, "stnn.time", 5, s.Hidden, 1)
 }
 
-// forward runs both heads; returns (distNode, timeNode), each [1, 1], in
+// forwardRows runs both heads over ods as one graph and returns the
+// [len(ods), 1] distance and time nodes, row r that of ods[r], in
 // normalized units.
-func (s *STNN) forward(tp *nn.Tape, od *traj.MatchedOD) (*nn.Node, *nn.Node) {
-	fs := s.feat.Features(od)
-	dist := s.distMLP.Forward(tp, rowConst(tp, fs[0], fs[1], fs[2], fs[3]))
-	timeIn := tp.ConcatCols(dist, rowConst(tp, fs[6], fs[7], fs[8], fs[9]))
-	t := s.timeMLP.Forward(tp, timeIn)
+func (s *STNN) forwardRows(tp *nn.Tape, ods []*traj.MatchedOD) (dist, t *nn.Node) {
+	where := tp.Alloc(len(ods), 4)
+	when := tp.Alloc(len(ods), 4)
+	for r, od := range ods {
+		fs := s.feat.Features(od)
+		copy(where.Data[4*r:4*r+4], fs[0:4])
+		copy(when.Data[4*r:4*r+4], fs[6:10])
+	}
+	dist = s.distMLP.Forward(tp, tp.Const(where))
+	t = s.timeMLP.Forward(tp, tp.ConcatCols(dist, tp.Const(when)))
 	return dist, t
 }
 
-// Train fits both heads jointly: loss = MAE(time) + 0.5·MAE(distance), the
-// multi-objective of the original STNN.
-func (s *STNN) Train(train, valid []traj.TripRecord) error {
-	if len(train) == 0 {
-		return fmt.Errorf("models: STNN needs training records")
-	}
-	start := time.Now()
-	s.build()
-	s.timeScale = meanTravel(train)
-	var meanDist float64
-	for i := range train {
-		meanDist += train[i].Trajectory.Length(s.g)
-	}
-	s.distScale = math.Max(1, meanDist/float64(len(train)))
+// shardLoss is the training graph of recs (core.ShardLoss).
+func (s *STNN) shardLoss(tp *nn.Tape, recs []*traj.TripRecord) *nn.Node {
+	dist, t := s.forwardRows(tp, matchedODs(recs))
+	return multiTaskLoss(tp, s.g, recs, t, dist, s.timeScale, s.distScale)
+}
 
-	stats, err := deepTrain(s.ps, train, valid, deepTrainOpts{
-		batchSize: s.BatchSize, epochs: s.Epochs,
-		schedule: nn.StepDecaySchedule{Initial: 0.01, Factor: 0.2, Every: s.lrEvery()},
-		clipNorm: 5, evalEvery: s.EvalEvery, valSample: s.ValSample, seed: s.Seed + 1,
-	}, func(tp *nn.Tape, rec *traj.TripRecord) *nn.Node {
-		dist, t := s.forward(tp, &rec.Matched)
-		distTgt := rowConst(tp, rec.Trajectory.Length(s.g)/s.distScale)
-		timeTgt := rowConst(tp, rec.TravelSec/s.timeScale)
-		return tp.Add(tp.RowAbsError(t, timeTgt), tp.Scale(tp.RowAbsError(dist, distTgt), 0.5))
-	}, s.Estimate)
+// Train fits both heads jointly under core.Fit: loss = MAE(time) +
+// 0.5·MAE(distance), the multi-objective of the original STNN. valid must
+// not be empty.
+func (s *STNN) Train(train, valid []traj.TripRecord) error {
+	stats, err := core.Fit(train, valid, core.TrainOptions{EvalEvery: s.EvalEvery, ValSample: s.ValSample}, 1, s.Seed+1,
+		s.BatchSize, s.Epochs, nn.StepDecaySchedule{Initial: 0.01, Factor: 0.2, Every: lrEveryOr(s.LREvery)}, 5,
+		func() (*nn.ParamSet, error) {
+			s.build()
+			s.timeScale = meanTravel(train)
+			s.distScale = meanLength(train, s.g)
+			return s.ps, nil
+		}, s.shardLoss, s.Estimate, nil)
 	if err != nil {
 		return err
 	}
 	s.stats = stats
-	s.trainTime = time.Since(start)
 	return nil
 }
 
@@ -106,13 +103,15 @@ func (s *STNN) Estimate(od *traj.MatchedOD) float64 {
 	if s.ps == nil {
 		panic("models: STNN used before Train")
 	}
-	tp := nn.NewEvalTape()
-	_, t := s.forward(tp, od)
-	return math.Max(0, t.Value.Data[0]*s.timeScale)
+	tp := nn.GetEvalTape()
+	_, t := s.forwardRows(tp, []*traj.MatchedOD{od})
+	y := t.Value.Data[0]
+	nn.PutEvalTape(tp)
+	return math.Max(0, y*s.timeScale)
 }
 
 // Stats returns the training curve (nil before Train).
-func (s *STNN) Stats() *DeepStats { return s.stats }
+func (s *STNN) Stats() *core.TrainStats { return s.stats }
 
 // SizeBytes implements Trainable.
 func (s *STNN) SizeBytes() int {
@@ -122,8 +121,10 @@ func (s *STNN) SizeBytes() int {
 	return s.ps.SizeBytes()
 }
 
-// TrainTime implements Trainable.
-func (s *STNN) TrainTime() time.Duration { return s.trainTime }
-
-// lrEvery returns the LR-decay period in epochs (default 2).
-func (s *STNN) lrEvery() int { return lrEveryOr(s.LREvery) }
+// TrainTime implements Trainable: the Elapsed of Stats.
+func (s *STNN) TrainTime() time.Duration {
+	if s.stats == nil {
+		return 0
+	}
+	return s.stats.Elapsed
+}

@@ -29,6 +29,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"deepod/internal/tensor"
 )
@@ -75,6 +76,23 @@ func NewTape() *Tape { return &Tape{} }
 
 // NewEvalTape returns a tape that records no gradients.
 func NewEvalTape() *Tape { return &Tape{Eval: true} }
+
+// evalTapes recycles eval tapes, with their arenas, across the eval
+// forwards that have no arena kernel of their own: a traffic-code miss and
+// the deep baselines' Estimate. Tapes carry no parameter state, so one pool
+// serves every model.
+var evalTapes = sync.Pool{New: func() any { return NewEvalTape() }}
+
+// GetEvalTape returns an empty eval tape from the shared pool. Hand it back
+// with PutEvalTape once nothing reads the values it handed out.
+func GetEvalTape() *Tape {
+	tp := evalTapes.Get().(*Tape)
+	tp.Reset()
+	return tp
+}
+
+// PutEvalTape returns a tape from GetEvalTape to the pool.
+func PutEvalTape(tp *Tape) { evalTapes.Put(tp) }
 
 // Reset clears the tape for reuse, reclaiming every node, value and
 // gradient carved from its arenas since the previous Reset.

@@ -26,6 +26,7 @@ echo "== go test -race (concurrent packages)"
 go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
 go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
+go test -race -run 'GoldenBits|Batch|Concurrent' ./internal/models/
 
 echo "== portable kernel (-tags purego: the golden bits, the batch kernels, fused ≡ per-sample and the traffic-code memo without the amd64 assembly)"
 go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|Fused|TrafficCode|LSTM' ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/models/
@@ -56,11 +57,12 @@ go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPrediction
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
 go test -run '^$' -bench 'BenchmarkTrainStep|BenchmarkPretrainEmbeddings' -benchtime=100ms -benchmem ./internal/core/
+go test -run '^$' -bench 'BenchmarkDeepBaselineEstimate|BenchmarkDeepBaselineTrain' -benchtime=100ms -benchmem ./internal/models/
 go test -run '^$' -bench 'BenchmarkAffineBatchInto' -benchtime=100ms ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkDotRows' -benchtime=100ms -benchmem ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
