@@ -28,7 +28,8 @@
 // recorded snapshot ID is the checkpoint SHA), record a serve session
 // through an engine with the recorder at sample rate 1, then replay the
 // segments against the identical checkpoint and require zero unexplained
-// diffs.
+// and zero explained diffs: with the same checkpoint and no live traffic
+// there is nothing to explain.
 package main
 
 import (
@@ -48,7 +49,6 @@ import (
 	"deepod/internal/obs"
 	"deepod/internal/recorder"
 	"deepod/internal/replay"
-	"deepod/internal/roadnet"
 	"deepod/internal/traj"
 )
 
@@ -59,8 +59,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed (must match the recording's)")
 		modelPath = flag.String("model", "", "checkpoint to replay against (required unless -smoke)")
 		segDir    = flag.String("segments", "", "flight-recorder segment directory to replay (required unless -smoke)")
-		cacheEnt  = flag.Int("cache", 8192, "replay engine estimate-cache entries (-1 disables; a rate-1 recording replays cache hits exactly)")
-		cacheCell = flag.Float64("cache-cell", 250, "spatial quantization cell for cache keys, meters (must match the recording engine's)")
 		tolerance = flag.Float64("tolerance-sec", 1, "report answers that moved more than this many seconds as changed")
 		out       = flag.String("out", "BENCH_replay.json", "JSON report path")
 
@@ -84,10 +82,6 @@ func main() {
 	c, err := deepod.BuildCity(*city, deepod.CityOptions{Orders: *orders, Seed: *seed})
 	if err != nil {
 		log.Fatalf("building city: %v", err)
-	}
-	cells, err := roadnet.NewEdgeIndex(c.Graph, *cacheCell)
-	if err != nil {
-		log.Fatalf("building quantizer: %v", err)
 	}
 	matcher, err := deepod.NewMatcher(c.Graph)
 	if err != nil {
@@ -136,7 +130,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("smoke: reloading checkpoint: %v", err)
 		}
-		if err := smokeRecord(c, snap, match, cells, *segDir, *smokeRequests); err != nil {
+		if err := smokeRecord(c, snap, match, *segDir, *smokeRequests); err != nil {
 			log.Fatalf("smoke: recording: %v", err)
 		}
 		log.Printf("smoke: recorded session in %s, replaying against %s", *segDir, snap.ID)
@@ -159,9 +153,6 @@ func main() {
 		Snapshot:     snap,
 		Match:        match,
 		External:     c.Grid.External,
-		CacheEntries: *cacheEnt,
-		Cells:        cells,
-		Slotter:      snap.Slotter,
 		ToleranceSec: *tolerance,
 	}, events)
 	if err != nil {
@@ -201,6 +192,11 @@ func main() {
 			rep.UnexplainedDiffs, *gateUnexplained)
 		failed = true
 	}
+	if *smoke && rep.ExplainedDiffs > 0 {
+		log.Printf("GATE FAILED: %d explained diffs %v — the smoke replays its own checkpoint without live traffic, so none has a reason",
+			rep.ExplainedDiffs, rep.Explanations)
+		failed = true
+	}
 	if *gateThroughput > 0 && rep.EventsPerSec < *gateThroughput {
 		log.Printf("GATE FAILED: replay throughput %.0f events/s < %.0f", rep.EventsPerSec, *gateThroughput)
 		failed = true
@@ -215,11 +211,9 @@ func main() {
 // few repeats (cache hits), and a few invalid departures (error capture).
 func smokeRecord(c *deepod.City, snap *infer.Snapshot,
 	match func(context.Context, traj.ODInput) (traj.MatchedOD, error),
-	cells infer.Quantizer, segDir string, requests int) error {
+	segDir string, requests int) error {
 	rec, err := recorder.New(recorder.Config{
 		SampleRate:    1,
-		Cells:         cells,
-		Slotter:       snap.Slotter,
 		Dir:           segDir,
 		SegmentEvents: 64, // several segments even in a short session
 		MaxSegments:   64,
@@ -236,8 +230,6 @@ func smokeRecord(c *deepod.City, snap *infer.Snapshot,
 		MaxBatch:     16,
 		QueueDepth:   2 * requests,
 		CacheEntries: 4096,
-		Cells:        cells,
-		Slotter:      snap.Slotter,
 		Observers:    []infer.Observer{rec},
 		Registry:     obs.NewRegistry(),
 	})

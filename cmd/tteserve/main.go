@@ -99,6 +99,11 @@ import (
 	"deepod/internal/traj"
 )
 
+// gridCellMeters is the grid cell the engine stamps each request's
+// endpoints on for its observers: the quality monitor's heatmap and the
+// flight recorder's event cells.
+const gridCellMeters = 250
+
 // modelEstimator adapts *core.Model to the Estimator interface for the
 // startup-train reference-distribution pass.
 type modelEstimator struct{ m *core.Model }
@@ -136,7 +141,6 @@ func main() {
 		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max queue wait before shedding 503")
 		cacheEntries = flag.Int("cache", 8192, "estimate cache capacity in entries (0 = disabled)")
 		cacheTTL     = flag.Duration("cache-ttl", 5*time.Minute, "estimate cache entry lifetime")
-		cacheCell    = flag.Float64("cache-cell", 250, "spatial quantization cell for cache keys, meters")
 
 		trafficOn      = flag.Bool("traffic", false, "live traffic: POST /probes GPS firehose → incremental map matching → edge-speed store feeding serving-time features")
 		trafficWorkers = flag.Int("traffic-workers", 1, "probe map-matching workers (vehicles are hash-partitioned across them)")
@@ -329,9 +333,9 @@ func main() {
 	}
 
 	scfg.External = c.Grid.External
-	cells, err := roadnet.NewEdgeIndex(c.Graph, *cacheCell)
+	cells, err := roadnet.NewEdgeIndex(c.Graph, gridCellMeters)
 	if err != nil {
-		fatal("building cache quantizer", err)
+		fatal("building the event grid", err)
 	}
 	var mon *quality.Monitor
 	if *qualityOn {
@@ -341,8 +345,6 @@ func main() {
 			DriftThreshold: *driftThreshold,
 			Reference:      snap.RefDist,
 			ReferenceModel: snap.ID,
-			Cells:          cells, // same quantizer as the estimate cache
-			Slotter:        snap.Slotter,
 			Logger:         logger,
 			Alerts:         alertSinkOrNil(alertMgr),
 		})
@@ -399,8 +401,6 @@ func main() {
 			Capacity:      *recorderCap,
 			SlowestN:      *recorderSlowest,
 			SampleRate:    *recorderSample,
-			Cells:         cells, // same quantizer as the estimate cache
-			Slotter:       snap.Slotter,
 			Dir:           *recorderDir,
 			SegmentEvents: *recorderSegEvents,
 			MaxSegments:   *recorderSegments,
@@ -493,7 +493,6 @@ func main() {
 		"batch", *maxBatch,
 		"cache_entries", *cacheEntries,
 		"cache_ttl", *cacheTTL,
-		"cache_cell_m", *cacheCell,
 	)
 
 	srv, err := serve.New(scfg)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"deepod/internal/obs"
-	"deepod/internal/timeslot"
 	"deepod/internal/traj"
 )
 
@@ -37,10 +36,6 @@ func benchWorkload(n int) []traj.ODInput {
 
 func benchEngine(b *testing.B, cacheEntries int) *Engine {
 	b.Helper()
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
 	e, err := New(Config{
 		Match:        okMatch,
 		Snapshot:     &Snapshot{ID: "bench", Estimate: benchEstimate},
@@ -50,8 +45,6 @@ func benchEngine(b *testing.B, cacheEntries int) *Engine {
 		QueueTimeout: time.Minute,
 		CacheEntries: cacheEntries,
 		CacheTTL:     time.Hour,
-		Cells:        gridQuantizer{},
-		Slotter:      slotter,
 		Registry:     obs.NewRegistry(),
 	})
 	if err != nil {
@@ -126,15 +119,16 @@ func BenchmarkEngineCached(b *testing.B) {
 func BenchmarkCacheGet(b *testing.B) {
 	c := newEstimateCache(4096, 16, time.Hour, obs.NewRegistry())
 	now := time.Unix(1700000000, 0)
-	for i := 0; i < 1024; i++ {
-		c.put(cacheKey{originCell: i, destCell: i * 3, slot: i % 288}, float64(i), 1, now)
+	keys := make([]cacheKey, 1024)
+	for i := range keys {
+		keys[i] = k(i, i*3, i%288)
+		c.put(keys[i], nil, float64(i), 1, now)
 	}
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			i := int(next.Add(1)) % 1024
-			c.get(cacheKey{originCell: i, destCell: i * 3, slot: i % 288}, 1, now)
+			c.get(keys[int(next.Add(1))%len(keys)], nil, 1, now)
 		}
 	})
 }

@@ -2,54 +2,89 @@ package infer
 
 import (
 	"container/list"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"deepod/internal/obs"
+	"deepod/internal/traj"
 )
 
-// cacheKey identifies one estimate in the cache: the origin and destination
-// quantized onto the road network's spatial grid plus the departure time
-// quantized onto the model's time slots. Two requests that land in the same
-// cells and slot are close enough (within one grid cell and one Δt) that
-// DeepOD's OD encoder sees near-identical inputs, so the cached estimate is
-// a faithful answer for both. epoch is the traffic epoch the estimate was
-// computed under (always 0 without a traffic source): when live conditions
-// shift enough to bump the epoch, every earlier entry silently misses, so
-// hot cells never serve pre-shift ETAs.
+// An estimate is cached under the request exactly as the model sees it.
+// DeepOD answers a function of the exact endpoints (matched onto edges and
+// position ratios), the exact departure time (its slot and the remainder
+// within it) and the external bundle (weather and speed matrix), so a hit
+// needs every one of those inputs to agree bit for bit, and returns the
+// bits an uncached engine would compute. The speed matrix is compared by
+// identity on the entry rather than held in the key (see gridOf): a key
+// free of pointers costs the miss path no GC write barriers as it is
+// copied into jobs, entries and the map.
+
+// cacheKey is the pointer-free part of a request's cache identity. epoch
+// is the traffic epoch the estimate was computed under (always 0 without a
+// traffic source): when live conditions shift enough to bump the epoch,
+// every earlier entry silently misses.
 type cacheKey struct {
-	originCell int
-	destCell   int
-	slot       int
-	epoch      uint64
+	// ox, oy, dx, dy and depart are the math.Float64bits of the request's
+	// origin, destination and departure.
+	ox, oy, dx, dy, depart uint64
+	// weather is the bundle's weather id with bit 32 set, 0 without a
+	// bundle: a nil bundle and weather 0 are different inputs to the model.
+	weather uint64
+	epoch   uint64
 }
 
-// hash mixes the key fields with an FNV-1a-style fold; used only to pick a
-// shard, so quality requirements are modest.
-func (k cacheKey) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range [4]int{k.originCell, k.destCell, k.slot, int(k.epoch)} {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
+// keyOf builds od's cache key under the traffic epoch.
+func keyOf(od traj.ODInput, epoch uint64) cacheKey {
+	k := cacheKey{
+		ox:     math.Float64bits(od.Origin.X),
+		oy:     math.Float64bits(od.Origin.Y),
+		dx:     math.Float64bits(od.Dest.X),
+		dy:     math.Float64bits(od.Dest.Y),
+		depart: math.Float64bits(od.DepartSec),
+		epoch:  epoch,
 	}
+	if od.External != nil {
+		k.weather = 1<<32 | uint64(uint32(od.External.Weather))
+	}
+	return k
+}
+
+// gridOf is a bundle's speed matrix by the identity of its backing array
+// (&SpeedGrid[0]; nil without one), the identity core's traffic-code memo
+// keys on: traj.ExternalFeatures makes the matrix read-only once handed
+// out, and an entry holding the pointer keeps the array alive, so its
+// address cannot be reused while the entry lives.
+func gridOf(ext *traj.ExternalFeatures) *float64 {
+	if ext == nil || len(ext.SpeedGrid) == 0 {
+		return nil
+	}
+	return &ext.SpeedGrid[0]
+}
+
+// hash picks the key's shard: a multiply per whole 8-byte word, then the
+// murmur3 finalizer, so the low bits the shard mask keeps depend on every
+// bit (a round coordinate's mantissa ends in zeros).
+func (k cacheKey) hash() uint64 {
+	h := k.epoch
+	for _, w := range [...]uint64{k.ox, k.oy, k.dx, k.dy, k.depart, k.weather} {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
 	return h
 }
 
 // cacheEntry is one cached estimate. gen records which model snapshot
 // produced it: entries from a superseded snapshot are treated as misses and
 // dropped, so a hot reload implicitly invalidates the whole cache without
-// stalling traffic to sweep it.
+// stalling traffic to sweep it. grid is the speed matrix it was computed
+// with (gridOf).
 type cacheEntry struct {
 	key    cacheKey
+	grid   *float64
 	sec    float64
 	gen    uint64
 	expire time.Time
@@ -119,11 +154,12 @@ func (c *estimateCache) shard(k cacheKey) *cacheShard {
 	return &c.shards[k.hash()&uint64(len(c.shards)-1)]
 }
 
-// get returns the cached estimate for k if it exists, was produced by model
-// generation gen, and has not passed its TTL. Entries failing the gen or
-// TTL check are removed on the spot (counted as evict_stale / evict_ttl)
-// and reported as misses.
-func (c *estimateCache) get(k cacheKey, gen uint64, now time.Time) (float64, bool) {
+// get returns the cached estimate for k if it exists, was computed with
+// speed matrix grid by model generation gen, and has not passed its TTL.
+// Entries failing the gen or TTL check are removed on the spot (counted as
+// evict_stale / evict_ttl) and reported as misses; one computed with
+// another matrix is a miss its fill replaces.
+func (c *estimateCache) get(k cacheKey, grid *float64, gen uint64, now time.Time) (float64, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	el, ok := s.m[k]
@@ -147,6 +183,11 @@ func (c *estimateCache) get(k cacheKey, gen uint64, now time.Time) (float64, boo
 		c.missTotal.Inc()
 		return 0, false
 	}
+	if e.grid != grid {
+		s.mu.Unlock()
+		c.missTotal.Inc()
+		return 0, false
+	}
 	s.lru.MoveToFront(el)
 	sec := e.sec
 	s.mu.Unlock()
@@ -154,19 +195,20 @@ func (c *estimateCache) get(k cacheKey, gen uint64, now time.Time) (float64, boo
 	return sec, true
 }
 
-// put stores an estimate produced by model generation gen, evicting the
-// least recently used entry of the shard when it is full.
-func (c *estimateCache) put(k cacheKey, sec float64, gen uint64, now time.Time) {
+// put stores an estimate computed with speed matrix grid by model
+// generation gen, evicting the least recently used entry of the shard when
+// it is full.
+func (c *estimateCache) put(k cacheKey, grid *float64, sec float64, gen uint64, now time.Time) {
 	s := c.shard(k)
 	s.mu.Lock()
 	if el, ok := s.m[k]; ok {
 		e := el.Value.(*cacheEntry)
-		e.sec, e.gen, e.expire = sec, gen, now.Add(c.ttl)
+		e.grid, e.sec, e.gen, e.expire = grid, sec, gen, now.Add(c.ttl)
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
 		return
 	}
-	el := s.lru.PushFront(&cacheEntry{key: k, sec: sec, gen: gen, expire: now.Add(c.ttl)})
+	el := s.lru.PushFront(&cacheEntry{key: k, grid: grid, sec: sec, gen: gen, expire: now.Add(c.ttl)})
 	s.m[k] = el
 	c.size.Add(1)
 	var evicted bool

@@ -11,7 +11,9 @@ import (
 
 var cacheEpoch = time.Unix(1700000000, 0)
 
-func k(o, d, slot int) cacheKey { return cacheKey{originCell: o, destCell: d, slot: slot} }
+// k is the key of a request from (o, 0) to (d, 0) departing at the start
+// of 5-minute slot number slot.
+func k(o, d, slot int) cacheKey { return keyOf(od(float64(o), 0, float64(d), 0, float64(300*slot)), 0) }
 
 // newTestCache builds a single-shard cache so eviction order is
 // observable, with its own registry for counter assertions.
@@ -23,36 +25,46 @@ func newTestCache(capacity int, ttl time.Duration) (*estimateCache, *obs.Registr
 func TestCacheHitAndMiss(t *testing.T) {
 	c, _ := newTestCache(4, time.Minute)
 	now := cacheEpoch
-	if _, ok := c.get(k(1, 2, 3), 1, now); ok {
+	if _, ok := c.get(k(1, 2, 3), nil, 1, now); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.put(k(1, 2, 3), 42, 1, now)
-	sec, ok := c.get(k(1, 2, 3), 1, now.Add(time.Second))
+	c.put(k(1, 2, 3), nil, 42, 1, now)
+	sec, ok := c.get(k(1, 2, 3), nil, 1, now.Add(time.Second))
 	if !ok || sec != 42 {
 		t.Fatalf("get = %v, %v; want 42, true", sec, ok)
 	}
 	if c.hitTotal.Value() != 1 || c.missTotal.Value() != 1 {
 		t.Fatalf("counters hit=%d miss=%d, want 1/1", c.hitTotal.Value(), c.missTotal.Value())
 	}
+	// The same key computed with another speed matrix is a miss, and its
+	// fill replaces the entry.
+	grid := []float64{3}
+	if _, ok := c.get(k(1, 2, 3), &grid[0], 1, now); ok {
+		t.Fatal("an entry computed with another speed matrix was served")
+	}
+	c.put(k(1, 2, 3), &grid[0], 43, 1, now)
+	if sec, ok := c.get(k(1, 2, 3), &grid[0], 1, now); !ok || sec != 43 || c.len() != 1 {
+		t.Fatalf("get = %v, %v with %d entries; want 43, true with 1", sec, ok, c.len())
+	}
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
 	c, _ := newTestCache(2, time.Minute)
 	now := cacheEpoch
-	c.put(k(1, 0, 0), 1, 1, now)
-	c.put(k(2, 0, 0), 2, 1, now)
+	c.put(k(1, 0, 0), nil, 1, 1, now)
+	c.put(k(2, 0, 0), nil, 2, 1, now)
 	// Touch k1 so k2 becomes the least recently used.
-	if _, ok := c.get(k(1, 0, 0), 1, now); !ok {
+	if _, ok := c.get(k(1, 0, 0), nil, 1, now); !ok {
 		t.Fatal("k1 missing before eviction")
 	}
-	c.put(k(3, 0, 0), 3, 1, now)
-	if _, ok := c.get(k(2, 0, 0), 1, now); ok {
+	c.put(k(3, 0, 0), nil, 3, 1, now)
+	if _, ok := c.get(k(2, 0, 0), nil, 1, now); ok {
 		t.Fatal("k2 survived eviction; LRU order wrong")
 	}
-	if _, ok := c.get(k(1, 0, 0), 1, now); !ok {
+	if _, ok := c.get(k(1, 0, 0), nil, 1, now); !ok {
 		t.Fatal("k1 (recently used) was evicted")
 	}
-	if _, ok := c.get(k(3, 0, 0), 1, now); !ok {
+	if _, ok := c.get(k(3, 0, 0), nil, 1, now); !ok {
 		t.Fatal("k3 (just inserted) missing")
 	}
 	if c.evictLRU.Value() != 1 {
@@ -72,12 +84,12 @@ func TestCacheTTLExpiry(t *testing.T) {
 	c, _ := newTestCache(4, ttl)
 	now := cacheEpoch
 	slotKey := k(1, 2, 7) // one fixed (origin, dest, slot) identity
-	c.put(slotKey, 99, 1, now)
-	if _, ok := c.get(slotKey, 1, now.Add(ttl-time.Second)); !ok {
+	c.put(slotKey, nil, 99, 1, now)
+	if _, ok := c.get(slotKey, nil, 1, now.Add(ttl-time.Second)); !ok {
 		t.Fatal("entry expired before its TTL")
 	}
 	// Past the TTL — same slot key, but the estimate is now stale.
-	if _, ok := c.get(slotKey, 1, now.Add(ttl+time.Second)); ok {
+	if _, ok := c.get(slotKey, nil, 1, now.Add(ttl+time.Second)); ok {
 		t.Fatal("entry served after its TTL")
 	}
 	if c.evictTTL.Value() != 1 {
@@ -87,8 +99,8 @@ func TestCacheTTLExpiry(t *testing.T) {
 		t.Fatalf("expired entry still resident: len = %d", c.len())
 	}
 	// Re-inserting after expiry works and refreshes the deadline.
-	c.put(slotKey, 100, 1, now.Add(ttl+2*time.Second))
-	if sec, ok := c.get(slotKey, 1, now.Add(ttl+3*time.Second)); !ok || sec != 100 {
+	c.put(slotKey, nil, 100, 1, now.Add(ttl+2*time.Second))
+	if sec, ok := c.get(slotKey, nil, 1, now.Add(ttl+3*time.Second)); !ok || sec != 100 {
 		t.Fatalf("re-inserted entry: %v, %v; want 100, true", sec, ok)
 	}
 }
@@ -96,10 +108,10 @@ func TestCacheTTLExpiry(t *testing.T) {
 func TestCacheStaleGenerationInvalidated(t *testing.T) {
 	c, _ := newTestCache(4, time.Minute)
 	now := cacheEpoch
-	c.put(k(1, 2, 3), 111, 1, now)
+	c.put(k(1, 2, 3), nil, 111, 1, now)
 	// Model reloaded: generation moved to 2. The old estimate must not
 	// be served, and the entry is dropped on the spot.
-	if _, ok := c.get(k(1, 2, 3), 2, now); ok {
+	if _, ok := c.get(k(1, 2, 3), nil, 2, now); ok {
 		t.Fatal("stale-generation entry was served after reload")
 	}
 	if c.evictStale.Value() != 1 {
@@ -113,12 +125,12 @@ func TestCacheStaleGenerationInvalidated(t *testing.T) {
 func TestCachePutUpdatesExisting(t *testing.T) {
 	c, _ := newTestCache(2, time.Minute)
 	now := cacheEpoch
-	c.put(k(1, 0, 0), 1, 1, now)
-	c.put(k(1, 0, 0), 5, 2, now)
+	c.put(k(1, 0, 0), nil, 1, 1, now)
+	c.put(k(1, 0, 0), nil, 5, 2, now)
 	if c.len() != 1 {
 		t.Fatalf("duplicate key grew the cache: len = %d", c.len())
 	}
-	if sec, ok := c.get(k(1, 0, 0), 2, now); !ok || sec != 5 {
+	if sec, ok := c.get(k(1, 0, 0), nil, 2, now); !ok || sec != 5 {
 		t.Fatalf("updated entry = %v, %v; want 5, true", sec, ok)
 	}
 }
@@ -131,10 +143,10 @@ func TestCacheSharding(t *testing.T) {
 	}
 	now := cacheEpoch
 	for i := 0; i < 64; i++ {
-		c.put(k(i, i*7, i*13), float64(i), 1, now)
+		c.put(k(i, i*7, i*13), nil, float64(i), 1, now)
 	}
 	for i := 0; i < 64; i++ {
-		if sec, ok := c.get(k(i, i*7, i*13), 1, now); !ok || sec != float64(i) {
+		if sec, ok := c.get(k(i, i*7, i*13), nil, 1, now); !ok || sec != float64(i) {
 			t.Fatalf("key %d: got %v, %v", i, sec, ok)
 		}
 	}
@@ -151,8 +163,8 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := k(i%32, w, i%11)
-				c.put(key, float64(i), uint64(1+i%2), now.Add(time.Duration(i)*time.Millisecond))
-				c.get(key, uint64(1+(i+1)%2), now.Add(time.Duration(i)*time.Millisecond))
+				c.put(key, nil, float64(i), uint64(1+i%2), now.Add(time.Duration(i)*time.Millisecond))
+				c.get(key, nil, uint64(1+(i+1)%2), now.Add(time.Duration(i)*time.Millisecond))
 			}
 		}(w)
 	}
@@ -172,6 +184,16 @@ func TestCacheKeyHashSpread(t *testing.T) {
 	}
 	if k(1, 2, 3).hash() == k(2, 1, 3).hash() {
 		t.Fatal("origin/dest swap collides")
+	}
+	// Round coordinates end their mantissas in zeros; the shard mask keeps
+	// the low bits, so they must still reach every shard.
+	shards := map[uint64]bool{}
+	for i := 0; i < 64; i++ {
+		key := keyOf(od(250*float64(i), 500, 1000, 250*float64(i%4), 1800), 0)
+		shards[key.hash()&(cacheShards-1)] = true
+	}
+	if len(shards) != cacheShards {
+		t.Fatalf("64 round-coordinate keys reach %d of %d shards", len(shards), cacheShards)
 	}
 	_ = fmt.Sprintf("%v", k(1, 2, 3)) // keys must be printable for debugging
 }

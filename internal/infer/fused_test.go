@@ -55,8 +55,8 @@ func TestFusedBatchServesDrainedBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct spatial cells and slots per request, so nothing is
-			// answered from cache and every request reaches the model.
+			// Distinct requests, so nothing is answered from cache and
+			// every request reaches the model.
 			depart := float64(600 + 3600*i)
 			r, err := e.Do(context.Background(), od(float64(10*i), 1, 5, 5, depart))
 			if err != nil {

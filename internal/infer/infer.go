@@ -15,18 +15,19 @@
 //   - Containment: a panic out of map matching, the traffic source or the
 //     model fails the request it was serving (ErrInternal → 500) and
 //     nothing else; a poisoned batch is re-served member by member.
-//   - Caching: a sharded LRU+TTL cache keyed by (origin cell, dest cell,
-//     time slot). The spatial cells come from roadnet's uniform grid index
-//     and the slot from timeslot.Slotter — the same quantizations the model
-//     itself uses, so a cache hit answers with the estimate of an
-//     indistinguishable input.
+//   - Caching: a sharded LRU+TTL cache keyed by the request itself — the
+//     bits of its endpoints and departure, its external bundle's weather
+//     and speed matrix, and the traffic epoch — so a hit returns the bits
+//     an uncached engine would compute. The TTL bounds live-traffic drift
+//     within one epoch.
 //   - Hot reload: the model lives behind an atomic snapshot pointer. SwapCtx
 //     installs a new checkpoint without dropping a single in-flight
 //     request; generation tags make every cached estimate from the old
 //     model invisible the moment the swap lands.
 //   - Observation: every Do call — answered, shed or failed — ends in one
 //     ServeEvent handed to each of Config.Observers on the caller's
-//     goroutine once the answer is final: quality.Monitor stamps the
+//     goroutine once the answer is final, its grid cells and time slot
+//     quantized once for all of them: quality.Monitor stamps the
 //     prediction ID the client echoes back with ground truth, and
 //     recorder.Recorder captures the wide event replay re-executes.
 //
@@ -84,8 +85,9 @@ type MatchError struct{ Err error }
 func (e *MatchError) Error() string { return fmt.Sprintf("infer: map matching failed: %v", e.Err) }
 func (e *MatchError) Unwrap() error { return e.Err }
 
-// Quantizer maps a point onto a stable coarse spatial cell. Implemented by
-// roadnet.EdgeIndex; stubs suffice for tests.
+// Quantizer maps a point onto a stable coarse spatial cell: the grid the
+// observers' events are stamped on. Implemented by roadnet.EdgeIndex; stubs
+// suffice for tests.
 type Quantizer interface {
 	CellIndex(p geo.Point) int
 }
@@ -111,6 +113,10 @@ type TrafficSource interface {
 type ServeEvent struct {
 	// OD is the request exactly as the engine admitted it.
 	OD traj.ODInput
+	// OriginCell, DestCell and Slot quantize OD under Config.Cells and
+	// Config.Slotter: the grid cells and time slot the observers aggregate
+	// by. -1 for a rejected input and without the quantizer.
+	OriginCell, DestCell, Slot int
 	// Seconds is the served estimate (zero when Err is non-nil).
 	Seconds float64
 	// Cached reports whether the answer came from the estimate cache.
@@ -176,16 +182,17 @@ type Config struct {
 	QueueTimeout time.Duration
 
 	// CacheEntries is the total estimate-cache capacity; 0 disables
-	// caching. When enabled, Cells and Slotter are required for key
-	// quantization.
+	// caching.
 	CacheEntries int
-	// CacheTTL bounds estimate staleness (default 5m). Traffic drifts
-	// within a slot, so entries expire even if their slot is still
+	// CacheTTL bounds estimate staleness (default 5m). Live traffic drifts
+	// within one epoch, so entries expire even if their epoch is still
 	// current.
 	CacheTTL time.Duration
-	// Cells quantizes origins/destinations for cache keys.
+	// Cells quantizes origins/destinations for ServeEvent.OriginCell and
+	// DestCell (optional; consulted only with Observers).
 	Cells Quantizer
-	// Slotter quantizes departure times for cache keys.
+	// Slotter quantizes departure times for ServeEvent.Slot (optional;
+	// consulted only with Observers).
 	Slotter *timeslot.Slotter
 
 	// Traffic, when non-nil, overrides each request's external features
@@ -232,7 +239,7 @@ type installed struct {
 
 type job struct {
 	od traj.ODInput
-	// key holds the cache cells and slot, computed once in Do (zero with
+	// key is the request's cache key, computed once in Do (zero with
 	// caching off); finish files the answer under it at the execution's
 	// epoch.
 	key      cacheKey
@@ -321,9 +328,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.CacheTTL <= 0 {
 		cfg.CacheTTL = 5 * time.Minute
-	}
-	if cfg.CacheEntries > 0 && (cfg.Cells == nil || cfg.Slotter == nil) {
-		return nil, fmt.Errorf("infer: caching needs Config.Cells and Config.Slotter for key quantization")
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default()
@@ -513,15 +517,6 @@ func validate(od traj.ODInput) error {
 	return nil
 }
 
-func (e *Engine) keyOf(od traj.ODInput) cacheKey {
-	return cacheKey{
-		originCell: e.cfg.Cells.CellIndex(od.Origin),
-		destCell:   e.cfg.Cells.CellIndex(od.Dest),
-		slot:       e.cfg.Slotter.Slot(od.DepartSec),
-		epoch:      e.trafficEpoch(),
-	}
-}
-
 // trafficEpoch is the cache key's traffic component: 0 without a traffic
 // source (keys identical to the pre-traffic engine), otherwise the source's
 // current epoch.
@@ -557,10 +552,10 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	ev.Generation = inst.gen
 	var key cacheKey
 	if e.cache != nil {
-		key = e.keyOf(od)
+		key = keyOf(od, e.trafficEpoch())
 		ev.TrafficEpoch = key.epoch
 		_, cspan := e.reg.StartSpan(ctx, "infer.cache")
-		sec, ok := e.cache.get(key, inst.gen, e.now())
+		sec, ok := e.cache.get(key, gridOf(od.External), inst.gen, e.now())
 		cspan.SetBool("hit", ok)
 		cspan.End()
 		if ok {
@@ -654,6 +649,7 @@ func (e *Engine) answer(ctx context.Context, start time.Time, ev *ServeEvent) (R
 	var id string
 	if len(e.cfg.Observers) > 0 {
 		ev.Latency = e.now().Sub(start)
+		e.quantize(ev)
 		for _, o := range e.cfg.Observers {
 			if got := o.ObserveServe(ctx, *ev); id == "" {
 				id = got
@@ -664,6 +660,22 @@ func (e *Engine) answer(ctx context.Context, start time.Time, ev *ServeEvent) (R
 		return Result{}, ev.Err
 	}
 	return Result{Seconds: ev.Seconds, Cached: ev.Cached, SnapshotID: ev.SnapshotID, PredictionID: id}, nil
+}
+
+// quantize stamps ev's grid cells and slot, -1 for what it cannot
+// quantize: a rejected input (Slotter.Slot panics on a negative departure,
+// and only validate returns ErrInvalidInput) or a missing quantizer.
+func (e *Engine) quantize(ev *ServeEvent) {
+	ev.OriginCell, ev.DestCell, ev.Slot = -1, -1, -1
+	if ev.Err == ErrInvalidInput {
+		return
+	}
+	if e.cfg.Cells != nil {
+		ev.OriginCell, ev.DestCell = e.cfg.Cells.CellIndex(ev.OD.Origin), e.cfg.Cells.CellIndex(ev.OD.Dest)
+	}
+	if e.cfg.Slotter != nil {
+		ev.Slot = e.cfg.Slotter.Slot(ev.OD.DepartSec)
+	}
 }
 
 // pendingJob is one request in execution: on the caller's goroutine, or as
@@ -886,7 +898,7 @@ func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) ServeEvent 
 		// under the new epoch.
 		key := p.key
 		key.epoch = p.epoch
-		e.cache.put(key, sec, inst.gen, e.now())
+		e.cache.put(key, gridOf(p.od.External), sec, inst.gen, e.now())
 	}
 	ev := p.end(inst, nil)
 	ev.Seconds, ev.SnapshotID = sec, inst.snap.ID

@@ -83,25 +83,109 @@ func TestDoAnswersAndCaches(t *testing.T) {
 	if r1.Seconds != 42 || r1.Cached || r1.SnapshotID != "m1" {
 		t.Fatalf("first result = %+v", r1)
 	}
-	r2, err := e.Do(context.Background(), od(1.2, 1.2, 5.2, 5.2, 700))
+	r2, err := e.Do(context.Background(), od(1, 1, 5, 5, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same cells, same 5-minute slot → must be a cache hit.
+	// The same request → must be a cache hit.
 	if !r2.Cached || r2.Seconds != 42 {
 		t.Fatalf("second result = %+v, want cached 42", r2)
 	}
-	// Different slot → miss.
-	r3, err := e.Do(context.Background(), od(1, 1, 5, 5, 600+3600))
+	// Same cells and slot, other exact request → miss.
+	r3, err := e.Do(context.Background(), od(1.2, 1.2, 5.2, 5.2, 700))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r3.Cached {
-		t.Fatalf("different slot served from cache: %+v", r3)
+		t.Fatalf("a cell-mate served from cache: %+v", r3)
 	}
 	st := e.Stats()
 	if st.CacheHits != 1 || st.CacheMiss != 2 {
 		t.Fatalf("stats = %+v, want 1 hit / 2 misses", st)
+	}
+}
+
+// exactMatch carries every input bit of the request into the matched OD,
+// as map matching carries the exact points into position ratios.
+func exactMatch(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
+	return traj.MatchedOD{
+		RStart:    od.Origin.X + od.Origin.Y/7,
+		REnd:      od.Dest.X + od.Dest.Y/7,
+		DepartSec: od.DepartSec,
+		External:  od.External,
+	}, nil
+}
+
+// exactSnapshot answers a function of every input the model sees: the
+// endpoints, the exact departure and the external bundle.
+func exactSnapshot() *Snapshot {
+	return &Snapshot{ID: "exact", Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
+		sec := 60 + 1.5*m.RStart + 0.5*m.REnd + m.DepartSec/1000
+		if ext := m.External; ext != nil {
+			sec += 3 * float64(ext.Weather+1)
+			if len(ext.SpeedGrid) > 0 {
+				sec += ext.SpeedGrid[0]
+			}
+		}
+		return sec
+	}}
+}
+
+// cells250 quantizes onto 250 m cells.
+type cells250 struct{}
+
+func (cells250) CellIndex(p geo.Point) int {
+	return int(math.Floor(p.X/250)) + 1000*int(math.Floor(p.Y/250))
+}
+
+// TestCacheHitIsUncachedBits: a repeated request is served from the cache
+// with the very bits an engine without a cache computes, and each neighbour
+// the model tells apart misses and gets its own uncached bits — the origin
+// moved 1 m inside its 250 m cell, the departure 1 s inside its slot, and
+// the same points and departure under another weather id or another speed
+// matrix.
+func TestCacheHitIsUncachedBits(t *testing.T) {
+	engine := func(entries int) *Engine {
+		cfg := testConfig(t, exactSnapshot())
+		cfg.Match, cfg.CacheEntries, cfg.Cells = exactMatch, entries, cells250{}
+		return newTestEngine(t, cfg)
+	}
+	cached, uncached := engine(256), engine(0)
+	grid, other := []float64{7.25}, []float64{9.5}
+	at := func(ox, depart float64, weather int, grid []float64) traj.ODInput {
+		in := od(ox, 310, 1720, 940, depart)
+		in.External = &traj.ExternalFeatures{Weather: weather, SpeedGrid: grid, GridRows: 1, GridCols: 1}
+		return in
+	}
+	do := func(e *Engine, in traj.ODInput) Result {
+		t.Helper()
+		r, err := e.Do(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	base := at(560, 3600, 1, grid)
+	want := do(uncached, base)
+	if r := do(cached, base); r.Cached || math.Float64bits(r.Seconds) != math.Float64bits(want.Seconds) {
+		t.Fatalf("first request = %+v, want the uncached %v", r, want.Seconds)
+	}
+	if r := do(cached, base); !r.Cached || math.Float64bits(r.Seconds) != math.Float64bits(want.Seconds) {
+		t.Fatalf("repeat = %+v, want a hit with the uncached bits %x", r, math.Float64bits(want.Seconds))
+	}
+	for name, in := range map[string]traj.ODInput{
+		"origin +1 m":        at(561, 3600, 1, grid),
+		"depart +1 s":        at(560, 3601, 1, grid),
+		"other weather":      at(560, 3600, 2, grid),
+		"other speed matrix": at(560, 3600, 1, other),
+	} {
+		own := do(uncached, in)
+		if own.Seconds == want.Seconds {
+			t.Fatalf("%s: the stub model does not tell it from the base request", name)
+		}
+		if r := do(cached, in); r.Cached || math.Float64bits(r.Seconds) != math.Float64bits(own.Seconds) {
+			t.Fatalf("%s: %+v, want a miss with its own uncached %v (the base answered %v)", name, r, own.Seconds, want.Seconds)
+		}
 	}
 }
 

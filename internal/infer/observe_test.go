@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"deepod/internal/geo"
 	"deepod/internal/traj"
 )
 
@@ -51,7 +53,7 @@ func TestPredictionStamping(t *testing.T) {
 		t.Fatalf("worker-path result = %+v, want prediction p-1", r1)
 	}
 	// A cache hit is still a served prediction: it gets its own fresh ID.
-	r2, err := e.Do(context.Background(), od(1.2, 1.2, 5.2, 5.2, 700))
+	r2, err := e.Do(context.Background(), od(1, 1, 5, 5, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +159,8 @@ func TestFlightCapturesServePaths(t *testing.T) {
 	if _, err := e.Do(context.Background(), od(1, 1, 5, 5, 600)); err != nil {
 		t.Fatal(err)
 	}
-	// Same cells + slot: cache hit, still one event.
-	if _, err := e.Do(context.Background(), od(1.2, 1.2, 5.2, 5.2, 700)); err != nil {
+	// The same request: cache hit, still one event.
+	if _, err := e.Do(context.Background(), od(1, 1, 5, 5, 600)); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid input: the error must be captured too.
@@ -186,6 +188,82 @@ func TestFlightCapturesServePaths(t *testing.T) {
 	}
 	if bad.OD.DepartSec != -10 {
 		t.Fatalf("invalid-input event OD = %+v, want the raw request", bad.OD)
+	}
+}
+
+// countCells is gridQuantizer counting its calls.
+type countCells struct{ calls *atomic.Int64 }
+
+func (c countCells) CellIndex(p geo.Point) int {
+	c.calls.Add(1)
+	return gridQuantizer{}.CellIndex(p)
+}
+
+// TestEventQuantization: the engine stamps each observed event with its
+// request's grid cells and slot, once for every observer, and a cache hit
+// without observers quantizes nothing. A rejected input carries -1 for all
+// three and never reaches the quantizers: Slotter.Slot panics on a negative
+// departure. Without quantizers every event carries -1.
+func TestEventQuantization(t *testing.T) {
+	var calls atomic.Int64
+	first, second := &stubObserver{}, &stubObserver{}
+	cfg := testConfig(t, constSnapshot("m1", 42))
+	cfg.Cells = countCells{&calls}
+	cfg.Observers = []Observer{first, second}
+	e := newTestEngine(t, cfg)
+
+	ctx := context.Background()
+	for _, in := range []traj.ODInput{od(1, 1, 5, 5, 600), od(1, 1, 5, 5, 600), od(math.NaN(), 1, 5, 5, 600), od(1, 1, 5, 5, -1)} {
+		_, _ = e.Do(ctx, in)
+	}
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("%d CellIndex calls for two valid requests and two observers, want 4", got)
+	}
+	evs := first.all()
+	if len(evs) != 4 {
+		t.Fatalf("observer saw %d events, want 4", len(evs))
+	}
+	for i, ev := range evs {
+		if o := second.all()[i]; ev.OriginCell != o.OriginCell || ev.DestCell != o.DestCell || ev.Slot != o.Slot {
+			t.Fatalf("event %d: observers saw %+v and %+v", i, ev, o)
+		}
+	}
+	// 5-minute slots, so DepartSec 600 → slot 2; unit cells on integer
+	// coordinates, so (1, 1) → 1001 and (5, 5) → 5005.
+	for _, ev := range evs[:2] {
+		if ev.Err != nil || ev.OriginCell != 1001 || ev.DestCell != 5005 || ev.Slot != 2 {
+			t.Fatalf("served event = %+v, want cells 1001/5005 slot 2", ev)
+		}
+	}
+	if !evs[1].Cached {
+		t.Fatalf("repeat = %+v, want a cache hit", evs[1])
+	}
+	for _, ev := range evs[2:] {
+		if !errors.Is(ev.Err, ErrInvalidInput) || ev.OriginCell != -1 || ev.DestCell != -1 || ev.Slot != -1 {
+			t.Fatalf("rejected event = %+v, want -1 cells and slot", ev)
+		}
+	}
+
+	cfg.Observers = nil
+	calls.Store(0)
+	quiet := newTestEngine(t, cfg)
+	for i := 0; i < 2; i++ {
+		if _, err := quiet.Do(ctx, od(1, 1, 5, 5, 600)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("%d CellIndex calls without observers, want 0", got)
+	}
+
+	bare := &stubObserver{}
+	cfg = testConfig(t, constSnapshot("m1", 42))
+	cfg.Cells, cfg.Slotter, cfg.Observers = nil, nil, []Observer{bare}
+	if _, err := newTestEngine(t, cfg).Do(ctx, od(1, 1, 5, 5, 600)); err != nil {
+		t.Fatal(err)
+	}
+	if ev := bare.all()[0]; ev.OriginCell != -1 || ev.DestCell != -1 || ev.Slot != -1 {
+		t.Fatalf("event without quantizers = %+v, want -1 cells and slot", ev)
 	}
 }
 

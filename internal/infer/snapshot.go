@@ -39,8 +39,8 @@ type Snapshot struct {
 	// Meta carries operator-facing facts merged into /version output
 	// (weight count, checkpoint path, ...).
 	Meta map[string]any
-	// Slotter is the model's time discretizer, handed to the engine for
-	// cache-key quantization (nil for stub snapshots in tests).
+	// Slotter is the model's time discretizer, handed to the engine to
+	// stamp each event's slot (nil for stub snapshots in tests).
 	Slotter *timeslot.Slotter
 	// RefDist is the training-time error distribution carried in the
 	// checkpoint — the drift reference the quality monitor re-arms with on

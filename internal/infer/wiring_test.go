@@ -31,12 +31,8 @@ func matchAll(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 // way tteserve does, all on reg.
 func observed(t testing.TB, reg *obs.Registry) []infer.Observer {
 	t.Helper()
-	sl, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := quality.New(quality.Config{Cells: unitCells{}, Slotter: sl, Registry: reg})
-	rec, err := recorder.New(recorder.Config{SampleRate: 0.01, SlowestN: 16, Cells: unitCells{}, Slotter: sl, Registry: reg})
+	mon := quality.New(quality.Config{Registry: reg})
+	rec, err := recorder.New(recorder.Config{SampleRate: 0.01, SlowestN: 16, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +108,7 @@ func TestCanceledCallerIsNotStamped(t *testing.T) {
 
 // BenchmarkEngineCachedObserved is BenchmarkEngineCached with both real
 // observers wired: the allocations a cache-hit Do adds for stamping and
-// wide-event capture.
+// wide-event capture, and the engine quantizing the event for both.
 func BenchmarkEngineCachedObserved(b *testing.B) {
 	slotter, err := timeslot.New(5 * time.Minute)
 	if err != nil {

@@ -55,23 +55,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deepod/internal/geo"
 	"deepod/internal/infer"
 	"deepod/internal/metrics"
 	"deepod/internal/obs"
-	"deepod/internal/timeslot"
-	"deepod/internal/traj"
 )
 
-// Quantizer maps a point onto a stable coarse spatial cell — the same
-// contract the inference engine's estimate cache uses (implemented by
-// roadnet.EdgeIndex).
-type Quantizer interface {
-	CellIndex(p geo.Point) int
-}
-
 // Config assembles a Monitor. The zero value of every field has a usable
-// default; Cells, Slotter, Reference and Logger are optional.
+// default; Reference and Logger are optional.
 type Config struct {
 	// Window is the metric aggregation window (default 1m). Windows are
 	// aligned to the first one's start and rotate lazily.
@@ -100,12 +90,6 @@ type Config struct {
 	Reference *metrics.RefDist
 	// ReferenceModel names the snapshot the reference came from.
 	ReferenceModel string
-	// Cells quantizes OD endpoints for the per-cell heatmap (nil disables
-	// the heatmap).
-	Cells Quantizer
-	// Slotter quantizes departure times for the per-slot heatmap (nil
-	// disables it).
-	Slotter *timeslot.Slotter
 	// Registry receives the monitor's metrics (default obs.Default()).
 	Registry *obs.Registry
 	// Logger receives drift warnings (nil logs nowhere). When Alerts is
@@ -137,9 +121,9 @@ type pendingPred struct {
 	sec        float64 // predicted travel seconds
 	model      string  // snapshot ID that produced it
 	generation uint64
-	oCell      int // origin grid cell (-1 when Cells is nil)
+	oCell      int // origin grid cell (-1 without the engine's quantizer)
 	dCell      int // destination grid cell
-	slot       int // departure time slot (-1 when Slotter is nil)
+	slot       int // departure time slot (-1 without the engine's slotter)
 	at         time.Time
 }
 
@@ -318,37 +302,24 @@ func (m *Monitor) setReferenceLocked(ref *metrics.RefDist, model string) {
 	}
 }
 
-// ObserveServe stamps one answered estimate, cache hits included, and
-// returns the ID to echo to the client; a shed or failed request gets no
-// ID. It implements infer.Observer.
+// ObserveServe stamps one answered estimate, cache hits included, into the
+// pending table and returns the ID to echo to the client; a shed or failed
+// request gets no ID. The heatmaps key on the grid cells and slot the
+// engine stamped on the event. It implements infer.Observer.
 func (m *Monitor) ObserveServe(_ context.Context, ev infer.ServeEvent) string {
 	if ev.Err != nil {
 		return ""
 	}
-	return m.RecordPrediction(ev.OD, ev.Seconds, ev.SnapshotID, ev.Generation)
-}
-
-// RecordPrediction stores one served prediction in the pending table and
-// returns the ID to echo to the client. od must already be validated (the
-// engine rejects non-finite inputs before serving).
-func (m *Monitor) RecordPrediction(od traj.ODInput, seconds float64, model string, generation uint64) string {
 	id := m.idPrefix + "-" + strconv.FormatUint(m.seq.Add(1), 36)
 	now := m.now()
 	p := &pendingPred{
-		sec:        seconds,
-		model:      model,
-		generation: generation,
-		oCell:      -1,
-		dCell:      -1,
-		slot:       -1,
+		sec:        ev.Seconds,
+		model:      ev.SnapshotID,
+		generation: ev.Generation,
+		oCell:      ev.OriginCell,
+		dCell:      ev.DestCell,
+		slot:       ev.Slot,
 		at:         now,
-	}
-	if m.cfg.Cells != nil {
-		p.oCell = m.cfg.Cells.CellIndex(od.Origin)
-		p.dCell = m.cfg.Cells.CellIndex(od.Dest)
-	}
-	if m.cfg.Slotter != nil && od.DepartSec >= 0 {
-		p.slot = m.cfg.Slotter.Slot(od.DepartSec)
 	}
 
 	m.mu.Lock()

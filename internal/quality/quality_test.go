@@ -2,6 +2,7 @@ package quality
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"math"
@@ -12,11 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"deepod/internal/geo"
+	"deepod/internal/infer"
 	"deepod/internal/metrics"
 	"deepod/internal/obs"
-	"deepod/internal/timeslot"
-	"deepod/internal/traj"
 )
 
 // fakeClock is a mutex-guarded manual clock for deterministic rotation and
@@ -40,27 +39,20 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// gridCells quantizes X into 100 m columns — enough to give distinct OD
-// pairs distinct cells.
-type gridCells struct{}
-
-func (gridCells) CellIndex(p geo.Point) int { return int(p.X) / 100 }
-
-func odAt(x float64, depart float64) traj.ODInput {
-	return traj.ODInput{Origin: geo.Point{X: x, Y: 0}, Dest: geo.Point{X: x + 1000, Y: 0}, DepartSec: depart}
+// served is the engine's event for one answer, its origin and destination
+// stamped on grid cells cell and cell+10 and its departure on slot.
+func served(cell, slot int, sec float64, model string, gen uint64) infer.ServeEvent {
+	return infer.ServeEvent{OriginCell: cell, DestCell: cell + 10, Slot: slot, Seconds: sec, SnapshotID: model, Generation: gen}
 }
+
+// record hands m one answered estimate, as the engine does.
+func record(m *Monitor, ev infer.ServeEvent) string { return m.ObserveServe(context.Background(), ev) }
 
 func newTestMonitor(t *testing.T, clk *fakeClock, mut func(*Config)) *Monitor {
 	t.Helper()
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		Window:     time.Minute,
 		PendingTTL: 10 * time.Minute,
-		Cells:      gridCells{},
-		Slotter:    slotter,
 		Registry:   obs.NewRegistry(),
 		Now:        clk.now,
 	}
@@ -78,7 +70,7 @@ func TestRecordJoinMatchesOfflineMetrics(t *testing.T) {
 	actuals := []float64{110, 240, 500, 45}
 	var ids []string
 	for _, p := range preds {
-		ids = append(ids, m.RecordPrediction(odAt(0, 600), p, "m1", 1))
+		ids = append(ids, record(m, served(0, 2, p, "m1", 1)))
 	}
 	for i, id := range ids {
 		res, err := m.Feedback(id, actuals[i])
@@ -124,7 +116,7 @@ func TestFeedbackOrphansAndValidation(t *testing.T) {
 	if res, err := m.Feedback("nope", 100); err != nil || res.Joined {
 		t.Fatalf("unknown id: res=%+v err=%v", res, err)
 	}
-	id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+	id := record(m, served(0, 0, 100, "m1", 1))
 	if _, err := m.Feedback(id, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +139,9 @@ func TestPendingTTLExpiry(t *testing.T) {
 	clk := newFakeClock()
 	m := newTestMonitor(t, clk, func(c *Config) { c.PendingTTL = time.Minute; c.Window = time.Hour })
 
-	early := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+	early := record(m, served(0, 0, 100, "m1", 1))
 	clk.advance(50 * time.Second)
-	late := m.RecordPrediction(odAt(0, 0), 200, "m1", 1)
+	late := record(m, served(0, 0, 200, "m1", 1))
 	clk.advance(30 * time.Second) // early is now 80s old, late 30s
 
 	if res, _ := m.Feedback(early, 100); res.Joined {
@@ -173,7 +165,7 @@ func TestPendingCapacityEviction(t *testing.T) {
 
 	ids := make([]string, 5)
 	for i := range ids {
-		ids[i] = m.RecordPrediction(odAt(0, 0), float64(100+i), "m1", 1)
+		ids[i] = record(m, served(0, 0, float64(100+i), "m1", 1))
 	}
 	st := m.State()
 	if st.Pending.Size != 3 || st.Pending.Evicted != 2 {
@@ -194,7 +186,7 @@ func TestWindowRotation(t *testing.T) {
 	start := clk.now()
 
 	join := func(pred, actual float64) {
-		id := m.RecordPrediction(odAt(0, 0), pred, "m1", 1)
+		id := record(m, served(0, 0, pred, "m1", 1))
 		if res, err := m.Feedback(id, actual); err != nil || !res.Joined {
 			t.Fatalf("join failed: %+v %v", res, err)
 		}
@@ -252,7 +244,7 @@ func TestDriftDetection(t *testing.T) {
 
 	// Live errors land in a far bin (|500-100| = 400 s) — a hard shift.
 	for i := 0; i < 15; i++ {
-		id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+		id := record(m, served(0, 0, 100, "m1", 1))
 		if _, err := m.Feedback(id, 500); err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +272,7 @@ func TestDriftDetection(t *testing.T) {
 	// Next window re-arms the alert.
 	clk.advance(time.Minute)
 	for i := 0; i < 12; i++ {
-		id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+		id := record(m, served(0, 0, 100, "m1", 1))
 		if _, err := m.Feedback(id, 500); err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +294,7 @@ func TestDriftStableDistribution(t *testing.T) {
 	})
 	// Live errors drawn from the same distribution: PSI stays small.
 	for _, e := range []float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25} {
-		id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+		id := record(m, served(0, 0, 100, "m1", 1))
 		if _, err := m.Feedback(id, 100+e); err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +317,7 @@ func TestSetReferenceSwap(t *testing.T) {
 	if st := m.State(); st.Drift.Enabled {
 		t.Fatal("drift enabled without a reference")
 	}
-	id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+	id := record(m, served(0, 0, 100, "m1", 1))
 	if _, err := m.Feedback(id, 110); err != nil {
 		t.Fatal(err)
 	}
@@ -360,18 +352,18 @@ func TestHeatmapsAndGenerations(t *testing.T) {
 	clk := newFakeClock()
 	m := newTestMonitor(t, clk, func(c *Config) { c.TopK = 2 })
 
-	joinOK := func(od traj.ODInput, pred, actual float64, model string, gen uint64) {
-		id := m.RecordPrediction(od, pred, model, gen)
+	joinOK := func(cell, slot int, pred, actual float64, model string, gen uint64) {
+		id := record(m, served(cell, slot, pred, model, gen))
 		if res, err := m.Feedback(id, actual); err != nil || !res.Joined {
 			t.Fatalf("join: %+v %v", res, err)
 		}
 	}
 
-	// Cell 0 (x=0..99): error 50. Cell 50 (x=5000): error 200. Cell 90
-	// (x=9000): error 5. Dest cells are origin+10.
-	joinOK(traj.ODInput{Origin: geo.Point{X: 0}, Dest: geo.Point{X: 1000}, DepartSec: 0}, 100, 150, "m1", 1)
-	joinOK(traj.ODInput{Origin: geo.Point{X: 5000}, Dest: geo.Point{X: 6000}, DepartSec: 300}, 100, 300, "m1", 1)
-	joinOK(traj.ODInput{Origin: geo.Point{X: 9000}, Dest: geo.Point{X: 10000}, DepartSec: 600}, 100, 105, "m2", 2)
+	// Cell 0: error 50. Cell 50: error 200. Cell 90: error 5. Dest cells
+	// are origin+10.
+	joinOK(0, 0, 100, 150, "m1", 1)
+	joinOK(50, 1, 100, 300, "m1", 1)
+	joinOK(90, 2, 100, 105, "m2", 2)
 
 	st := m.State()
 	cells := st.Current.WorstCells
@@ -387,7 +379,7 @@ func TestHeatmapsAndGenerations(t *testing.T) {
 		t.Fatalf("second worst cell = %+v", cells[1])
 	}
 	slots := st.Current.WorstSlots
-	if len(slots) != 2 || slots[0].Key != 1 { // depart 300 s / 300 s slots
+	if len(slots) != 2 || slots[0].Key != 1 {
 		t.Fatalf("worst slots = %+v", slots)
 	}
 
@@ -409,7 +401,7 @@ func TestQuantilesFromWindowHistogram(t *testing.T) {
 	// 100 joins with abs error 10 s: every quantile lands in the (7.5, 10]
 	// bucket.
 	for i := 0; i < 100; i++ {
-		id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+		id := record(m, served(0, 0, 100, "m1", 1))
 		if _, err := m.Feedback(id, 110); err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +441,7 @@ func TestJSONFloat(t *testing.T) {
 func TestHandler(t *testing.T) {
 	clk := newFakeClock()
 	m := newTestMonitor(t, clk, nil)
-	id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+	id := record(m, served(0, 0, 100, "m1", 1))
 	if _, err := m.Feedback(id, 120); err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +479,7 @@ func TestConcurrentRecordAndFeedback(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := m.RecordPrediction(odAt(float64(g*100), 60), 100, "m1", 1)
+				id := record(m, served(g, 0, 100, "m1", 1))
 				if i%2 == 0 {
 					if _, err := m.Feedback(id, 100+float64(i%30)); err != nil {
 						t.Error(err)
@@ -562,7 +554,7 @@ func TestDriftAlertSink(t *testing.T) {
 
 	// Divergent errors: the sink sees quality:drift firing.
 	for i := 0; i < 15; i++ {
-		id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+		id := record(m, served(0, 0, 100, "m1", 1))
 		if _, err := m.Feedback(id, 500); err != nil {
 			t.Fatal(err)
 		}
@@ -584,7 +576,7 @@ func TestDriftAlertSink(t *testing.T) {
 	// Next window with in-distribution errors: the condition clears.
 	clk.advance(time.Minute)
 	for _, e := range []float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25} {
-		id := m.RecordPrediction(odAt(0, 0), 100, "m1", 1)
+		id := record(m, served(0, 0, 100, "m1", 1))
 		if _, err := m.Feedback(id, 100+e); err != nil {
 			t.Fatal(err)
 		}

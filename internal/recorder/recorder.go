@@ -38,7 +38,6 @@ package recorder
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -46,7 +45,6 @@ import (
 	"deepod/internal/geo"
 	"deepod/internal/infer"
 	"deepod/internal/obs"
-	"deepod/internal/timeslot"
 )
 
 // Event is one wide record: a served estimate with every input that
@@ -60,9 +58,9 @@ type Event struct {
 	// AtUnixNs is the capture wall-clock time.
 	AtUnixNs int64 `json:"at_unix_ns"`
 
-	// The request: raw coordinates plus the same quantizations the model
-	// and estimate cache use (-1 when unquantizable: non-finite input or
-	// no quantizer configured).
+	// The request: raw coordinates plus the grid cells and time slot the
+	// engine stamped on its event (-1 for a rejected input or without the
+	// engine's quantizer).
 	Origin     geo.Point `json:"origin"`
 	Dest       geo.Point `json:"dest"`
 	DepartSec  float64   `json:"depart_sec"`
@@ -94,14 +92,6 @@ type Event struct {
 	Reason string `json:"reason"`
 }
 
-// Quantizer maps a point onto the stable coarse spatial cell recorded with
-// each event. Implemented by roadnet.EdgeIndex — the same quantizer the
-// estimate cache and quality monitor use, so recorded cells join against
-// their keys.
-type Quantizer interface {
-	CellIndex(p geo.Point) int
-}
-
 // Config assembles a Recorder; every field defaults.
 type Config struct {
 	// Capacity is the total in-memory ring size in events, split across
@@ -121,13 +111,6 @@ type Config struct {
 	// a deterministic hash of the event sequence number, so a given
 	// request stream captures the same events on every run.
 	SampleRate float64
-
-	// Cells quantizes origin/destination for the recorded grid cells
-	// (optional; cells are -1 without it).
-	Cells Quantizer
-	// Slotter quantizes departure times for the recorded slot (optional;
-	// slot is -1 without it).
-	Slotter *timeslot.Slotter
 
 	// Dir, when set, mirrors captured events to append-only JSONL segment
 	// files <Dir>/seg-NNNNNN.jsonl with rotation and retention.
@@ -260,8 +243,7 @@ func ClassifyError(err error) (class string, shed bool) {
 
 // ObserveServe captures one finished request under the policy and hands
 // out no prediction ID. It implements infer.Observer and must stay cheap:
-// a policy decision for every event, quantization and storage only for
-// kept ones.
+// a policy decision for every event, storage only for kept ones.
 func (r *Recorder) ObserveServe(ctx context.Context, ev infer.ServeEvent) string {
 	class, shed := ClassifyError(ev.Err)
 	// Every error and shed request is captured: these are exactly the
@@ -278,9 +260,9 @@ func (r *Recorder) ObserveServe(ctx context.Context, ev infer.ServeEvent) string
 		Origin:       ev.OD.Origin,
 		Dest:         ev.OD.Dest,
 		DepartSec:    ev.OD.DepartSec,
-		OriginCell:   r.cell(ev.OD.Origin),
-		DestCell:     r.cell(ev.OD.Dest),
-		Slot:         r.slot(ev.OD.DepartSec),
+		OriginCell:   ev.OriginCell,
+		DestCell:     ev.DestCell,
+		Slot:         ev.Slot,
 		Snapshot:     ev.SnapshotID,
 		Generation:   ev.Generation,
 		TrafficEpoch: ev.TrafficEpoch,
@@ -309,21 +291,6 @@ func (r *Recorder) ObserveServe(ctx context.Context, ev infer.ServeEvent) string
 		r.disk.offer(e)
 	}
 	return ""
-}
-
-func (r *Recorder) cell(p geo.Point) int {
-	if r.cfg.Cells == nil ||
-		math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
-		return -1
-	}
-	return r.cfg.Cells.CellIndex(p)
-}
-
-func (r *Recorder) slot(departSec float64) int {
-	if r.cfg.Slotter == nil || math.IsNaN(departSec) || math.IsInf(departSec, 0) || departSec < 0 {
-		return -1
-	}
-	return r.cfg.Slotter.Slot(departSec)
 }
 
 // Filter selects ring events; zero values mean "no constraint". Epoch uses

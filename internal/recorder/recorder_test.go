@@ -11,7 +11,6 @@ import (
 	"deepod/internal/geo"
 	"deepod/internal/infer"
 	"deepod/internal/obs"
-	"deepod/internal/timeslot"
 	"deepod/internal/traj"
 )
 
@@ -246,35 +245,6 @@ func TestErrorsCapturedUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestEventQuantization: captured events carry the cache's grid cells and
-// time slot; non-finite or negative inputs quantize to -1, never panic.
-func TestEventQuantization(t *testing.T) {
-	// 5-minute slots, so DepartSec 600 → slot 2.
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newTest(t, Config{SampleRate: 1, Cells: cellsStub{}, Slotter: slotter})
-	ev := servedEvent(7)
-	r.ObserveServe(context.Background(), ev)
-	bad := errEvent(infer.ErrInvalidInput)
-	bad.OD.Origin.X = nan()
-	bad.OD.DepartSec = -5
-	r.ObserveServe(context.Background(), bad)
-
-	evs := r.Events(Filter{})
-	good, broken := evs[1], evs[0]
-	if good.OriginCell != 1 || good.DestCell != 1 || good.Slot != 2 {
-		t.Fatalf("quantized event = %+v, want cells 1/1 slot 2", good)
-	}
-	if broken.OriginCell != -1 || broken.Slot != -1 {
-		t.Fatalf("unquantizable event = %+v, want -1 cells and slot", broken)
-	}
-	if broken.DestCell != 1 {
-		t.Fatalf("finite dest must still quantize: %+v", broken)
-	}
-}
-
 // TestEventsFilters: generation, epoch (including epoch 0), and limit.
 func TestEventsFilters(t *testing.T) {
 	r := newTest(t, Config{SampleRate: 1})
@@ -298,14 +268,4 @@ func TestEventsFilters(t *testing.T) {
 	if got := len(r.Events(Filter{Limit: 2})); got != 2 {
 		t.Fatal("limit filter ignored")
 	}
-}
-
-// cellsStub quantizes every finite point to cell 1.
-type cellsStub struct{}
-
-func (cellsStub) CellIndex(geo.Point) int { return 1 }
-
-func nan() float64 {
-	var zero float64
-	return zero / zero
 }

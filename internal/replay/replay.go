@@ -7,11 +7,14 @@
 // graph rebuilds the same matcher, the external features come from the
 // training-time prior (a deterministic function of the departure time),
 // and the checkpoint fixes the weights — and runs the engine with a fixed
-// single worker, batch size 1 and no live traffic source (the traffic
-// epoch is therefore pinned at 0). Under those conditions, replaying a
-// segment against the identical checkpoint must reproduce every recorded
-// estimate bit-for-bit; any remaining difference is a real
-// nondeterminism bug, and the report calls it unexplained.
+// single worker, batch size 1, no live traffic source (the traffic epoch is
+// therefore pinned at 0) and no estimate cache, so every event is a fresh
+// forward. The serving cache is keyed on the exact request, so a recorded
+// hit is the bits its request computes, and is checked like any other
+// answer. Under those conditions, replaying a segment against the
+// identical checkpoint must reproduce every recorded estimate bit-for-bit;
+// any remaining difference is a real nondeterminism bug, and the report
+// calls it unexplained.
 //
 // Differences that replay cannot reproduce by construction are explained
 // and counted separately:
@@ -22,10 +25,7 @@
 //   - the recording was served by a different checkpoint than the one
 //     loaded for replay — that is the regression-diffing mode, and the
 //     per-generation/per-cell tables quantify exactly how the answers
-//     moved;
-//   - the cache disposition diverged (a recorded hit missing in replay or
-//     vice versa), which happens whenever the segment holds a sampled
-//     subset of the original stream.
+//     moved.
 //
 // Shed outcomes (queue full, queue timeout) and cancellations are serving
 // artifacts of load, not of the model; replay skips them and says so.
@@ -41,7 +41,6 @@ import (
 	"deepod/internal/infer"
 	"deepod/internal/obs"
 	"deepod/internal/recorder"
-	"deepod/internal/timeslot"
 	"deepod/internal/traj"
 )
 
@@ -56,16 +55,6 @@ type Config struct {
 	// (optional; the recording's serve path used the same function for
 	// every estimate it answered without live traffic).
 	External func(departSec float64) *traj.ExternalFeatures
-	// CacheEntries sizes the replay engine's estimate cache (default
-	// 8192; negative disables). With a complete (sample-rate-1) segment
-	// the cache state rebuilds exactly, so recorded cache hits replay as
-	// cache hits and are verified bit-for-bit too. With a sampled segment
-	// dispositions diverge and those events are explained, not verified.
-	CacheEntries int
-	// Cells/Slotter quantize the cache keys (optional; pass the serving
-	// engine's to reproduce its cache behavior).
-	Cells   infer.Quantizer
-	Slotter *timeslot.Slotter
 	// ToleranceSec is the regression threshold: replayed answers that
 	// moved more than this count as changed in the report (default 1s).
 	// Independent of the bit-for-bit determinism check.
@@ -113,10 +102,9 @@ type Report struct {
 	Skipped  map[string]int `json:"skipped,omitempty"`
 
 	// Matched counts bit-for-bit identical estimates. ExplainedDiffs had
-	// a structural reason to differ (live traffic, checkpoint mismatch,
-	// cache divergence), broken out in Explanations. UnexplainedDiffs is
-	// the determinism gate: same checkpoint, pinned inputs, different
-	// answer.
+	// a structural reason to differ (live traffic, checkpoint mismatch),
+	// broken out in Explanations. UnexplainedDiffs is the determinism
+	// gate: same checkpoint, pinned inputs, different answer.
 	Matched          int            `json:"matched"`
 	ExplainedDiffs   int            `json:"explained_diffs"`
 	UnexplainedDiffs int            `json:"unexplained_diffs"`
@@ -149,12 +137,6 @@ func Run(ctx context.Context, cfg Config, events []recorder.Event) (*Report, err
 	if cfg.ToleranceSec <= 0 {
 		cfg.ToleranceSec = 1
 	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 8192
-	}
-	if cfg.CacheEntries < 0 {
-		cfg.CacheEntries = 0
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
@@ -162,15 +144,13 @@ func Run(ctx context.Context, cfg Config, events []recorder.Event) (*Report, err
 		Match:    cfg.Match,
 		Snapshot: cfg.Snapshot,
 		// The determinism pins: one worker, one request per batch, no
-		// traffic source (epoch 0 everywhere), generous queue timeout so
-		// machine load can never masquerade as a shed.
+		// traffic source (epoch 0 everywhere), no cache (every event a
+		// forward), generous queue timeout so machine load can never
+		// masquerade as a shed.
 		Workers:      1,
 		MaxBatch:     1,
 		QueueDepth:   1,
 		QueueTimeout: time.Minute,
-		CacheEntries: cfg.CacheEntries,
-		Cells:        cfg.Cells,
-		Slotter:      cfg.Slotter,
 		Registry:     cfg.Registry,
 	})
 	if err != nil {
@@ -260,12 +240,6 @@ func Run(ctx context.Context, cfg Config, events []recorder.Event) (*Report, err
 		case !sameSnapshot:
 			rep.ExplainedDiffs++
 			rep.Explanations["snapshot"]++
-		case ev.Cached != res.Cached:
-			// A sampled segment rebuilds a different cache state; the
-			// recorded answer and the replayed one are estimates of the
-			// same cell key from different exact coordinates.
-			rep.ExplainedDiffs++
-			rep.Explanations["cache_divergence"]++
 		default:
 			rep.UnexplainedDiffs++
 		}

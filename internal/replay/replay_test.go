@@ -15,8 +15,8 @@ import (
 	"deepod/internal/traj"
 )
 
-// cells quantizes onto unit cells, matching what a recording engine with
-// the same quantizer would have used.
+// cells quantizes onto 100 m cells: the recording engine stamps them on
+// its events.
 type cells struct{}
 
 func (cells) CellIndex(p geo.Point) int { return int(p.X/100) + 1000*int(p.Y/100) }
@@ -46,12 +46,7 @@ func record(t *testing.T, s *infer.Snapshot, reqs []traj.ODInput) []recorder.Eve
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := recorder.New(recorder.Config{
-		SampleRate: 1,
-		Cells:      cells{},
-		Slotter:    slotter,
-		Registry:   obs.NewRegistry(),
-	})
+	rec, err := recorder.New(recorder.Config{SampleRate: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +83,7 @@ func reqStream() []traj.ODInput {
 			DepartSec: float64(600 + 40*i),
 		})
 	}
-	// Repeats inside the same cells + slot: cache hits in the recording.
+	// Exact repeats: cache hits in the recording.
 	reqs = append(reqs, reqs[0], reqs[1], reqs[2])
 	// And errors: negative departures the engine rejects.
 	reqs = append(reqs, traj.ODInput{DepartSec: -1}, traj.ODInput{DepartSec: -2})
@@ -100,19 +95,12 @@ func reqStream() []traj.ODInput {
 // match every estimate bit-for-bit and reproduce every error, with zero
 // unexplained diffs.
 func TestReplaySameCheckpointBitForBit(t *testing.T) {
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := snap("m1", 40)
 	events := record(t, s, reqStream())
 	if len(events) != 15 {
 		t.Fatalf("recorded %d events, want 15", len(events))
 	}
-	rep, err := Run(context.Background(), Config{
-		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: slotter,
-	}, events)
+	rep, err := Run(context.Background(), Config{Snapshot: s, Match: match}, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +122,9 @@ func TestReplaySameCheckpointBitForBit(t *testing.T) {
 // diff is explained as a snapshot regression and quantified — the MAE and
 // changed-count a release gate reads.
 func TestReplayDifferentCheckpointExplains(t *testing.T) {
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := record(t, snap("m1", 40), reqStream())
 	rep, err := Run(context.Background(), Config{
 		Snapshot: snap("m2", 44), Match: match,
-		Cells: cells{}, Slotter: slotter,
 		ToleranceSec: 5,
 	}, events)
 	if err != nil {
@@ -168,20 +151,13 @@ func TestReplayDifferentCheckpointExplains(t *testing.T) {
 // TestReplayLiveTrafficExplained: events recorded under live traffic are
 // explained diffs — the offline engine cannot rebuild the probe stream.
 func TestReplayLiveTrafficExplained(t *testing.T) {
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := snap("m1", 40)
 	events := record(t, s, reqStream()[:3])
 	// Forge the live flag on one event and bump its estimate, as if the
 	// serving path had merged probe speeds into the features.
 	events[1].TrafficLive = true
 	events[1].EstimateSec += 10
-	rep, err := Run(context.Background(), Config{
-		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: slotter,
-	}, events)
+	rep, err := Run(context.Background(), Config{Snapshot: s, Match: match}, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +169,10 @@ func TestReplayLiveTrafficExplained(t *testing.T) {
 // TestReplayUnexplainedDetected: tamper with a recorded estimate and the
 // gate must trip — zero false negatives is the point of the check.
 func TestReplayUnexplainedDetected(t *testing.T) {
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := snap("m1", 40)
 	events := record(t, s, reqStream()[:4])
 	events[2].EstimateSec += 0.125
-	rep, err := Run(context.Background(), Config{
-		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: slotter,
-	}, events)
+	rep, err := Run(context.Background(), Config{Snapshot: s, Match: match}, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,21 +181,36 @@ func TestReplayUnexplainedDetected(t *testing.T) {
 	}
 }
 
-// TestReplaySkipsShed: shed and cancelled outcomes are load artifacts;
-// replay must skip them, not fail on them.
-func TestReplaySkipsShed(t *testing.T) {
-	slotter, err := timeslot.New(5 * time.Minute)
+// TestReplaySampledHitTamperedIsUnexplained: a sampled segment keeps a
+// recorded cache hit but drops the event that filled its entry. The cache
+// is keyed on the exact request, so the hit carries the bits a fresh
+// forward of its request computes: a tampered one is unexplained, never
+// excused by the cache disposition the replay cannot rebuild.
+func TestReplaySampledHitTamperedIsUnexplained(t *testing.T) {
+	s := snap("m1", 40)
+	events := record(t, s, reqStream())
+	fill, hit := events[0], events[10]
+	if fill.Cached || !hit.Cached || hit.Origin != fill.Origin || hit.DepartSec != fill.DepartSec {
+		t.Fatalf("fixture: events 0 and 10 = %+v, %+v, want a miss and its repeat's hit", fill, hit)
+	}
+	events[10].EstimateSec += 0.125
+	rep, err := Run(context.Background(), Config{Snapshot: s, Match: match}, events[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.UnexplainedDiffs != 1 || rep.ExplainedDiffs != 0 || rep.Matched != 11 {
+		t.Fatalf("report = %+v (%v), want the tampered hit unexplained and the other 11 matched", rep, rep.Explanations)
+	}
+}
+
+// TestReplaySkipsShed: shed and cancelled outcomes are load artifacts;
+// replay must skip them, not fail on them.
+func TestReplaySkipsShed(t *testing.T) {
 	s := snap("m1", 40)
 	events := record(t, s, reqStream()[:2])
 	events = append(events, recorder.Event{Seq: 900, Err: "overloaded", Shed: true},
 		recorder.Event{Seq: 901, Err: "canceled"})
-	rep, err := Run(context.Background(), Config{
-		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: slotter,
-	}, events)
+	rep, err := Run(context.Background(), Config{Snapshot: s, Match: match}, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +255,7 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 		},
 	}
 
-	rec, err := recorder.New(recorder.Config{
-		SampleRate: 1,
-		Cells:      cells{},
-		Slotter:    slotter,
-		Registry:   obs.NewRegistry(),
-	})
+	rec, err := recorder.New(recorder.Config{SampleRate: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +276,7 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct cells and slots so nothing is served from cache.
+			// Distinct requests so nothing is served from cache.
 			_, _ = eng.Do(context.Background(), traj.ODInput{
 				Origin:    geo.Point{X: float64(i * 150), Y: 100},
 				Dest:      geo.Point{X: 900, Y: float64(i * 120)},
@@ -317,10 +296,7 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 	if len(events) != n {
 		t.Fatalf("recorded %d events, want %d", len(events), n)
 	}
-	rep, err := Run(context.Background(), Config{
-		Snapshot: s, Match: match,
-		Cells: cells{}, Slotter: slotter,
-	}, events)
+	rep, err := Run(context.Background(), Config{Snapshot: s, Match: match}, events)
 	if err != nil {
 		t.Fatal(err)
 	}

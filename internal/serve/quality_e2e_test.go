@@ -92,8 +92,6 @@ func TestQualityEndToEnd(t *testing.T) {
 		DriftThreshold:  0.2,
 		Reference:       ref,
 		ReferenceModel:  "m1",
-		Cells:           unitCells{},
-		Slotter:         slotter,
 		Registry:        reg,
 		Logger:          logger,
 		Now:             clk.now,
@@ -104,6 +102,8 @@ func TestQualityEndToEnd(t *testing.T) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
 		},
 		Snapshot:  echoSnapshot("m1"),
+		Cells:     unitCells{},
+		Slotter:   slotter,
 		Workers:   2,
 		Observers: []infer.Observer{mon},
 		Registry:  reg,
@@ -376,7 +376,7 @@ func FuzzFeedback(f *testing.F) {
 	mon := quality.New(quality.Config{PendingTTL: time.Hour, Registry: reg})
 	issued := map[string]bool{}
 	for i := 0; i < 3; i++ {
-		issued[mon.RecordPrediction(traj.ODInput{DepartSec: 600}, 100, "m1", 1)] = true
+		issued[mon.ObserveServe(context.Background(), infer.ServeEvent{Seconds: 100, SnapshotID: "m1", Generation: 1})] = true
 	}
 	srv, err := New(Config{City: "fuzz-city", Infer: stubInfer, Quality: mon, MaxBodyBytes: 512, Registry: reg})
 	if err != nil {

@@ -9,16 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"deepod/internal/geo"
 	"deepod/internal/infer"
 	"deepod/internal/obs"
-	"deepod/internal/timeslot"
 	"deepod/internal/traj"
 )
 
-// unitCells quantizes points onto unit grid cells for the engine's cache.
+// unitCells quantizes points onto unit grid cells for the engine's events.
 type unitCells struct{}
 
 func (unitCells) CellIndex(p geo.Point) int { return int(p.X) + 1000*int(p.Y) }
@@ -240,10 +238,6 @@ func TestReloadUnwiredIs501(t *testing.T) {
 // layer: a request is served, its repeat hits the cache, and a /reload-style
 // Swap changes the served model — the serve↔infer integration seam.
 func TestEngineEndToEndOverHTTP(t *testing.T) {
-	slotter, err := timeslot.New(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := infer.New(infer.Config{
 		Match: func(_ context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
@@ -251,8 +245,6 @@ func TestEngineEndToEndOverHTTP(t *testing.T) {
 		Snapshot: &infer.Snapshot{ID: "m1", Estimate: func(context.Context, *traj.MatchedOD) float64 { return 60 }},
 		Workers:  2, QueueDepth: 16, MaxBatch: 4,
 		CacheEntries: 64,
-		Cells:        unitCells{},
-		Slotter:      slotter,
 		Registry:     obs.NewRegistry(),
 	})
 	if err != nil {

@@ -56,10 +56,6 @@ func newTracedEngineServer(t *testing.T) (*Server, *obs.TraceStore, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := roadnet.NewEdgeIndex(g, 250)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
 	eng, err := infer.New(infer.Config{
 		Match: func(ctx context.Context, od traj.ODInput) (traj.MatchedOD, error) {
@@ -82,8 +78,6 @@ func newTracedEngineServer(t *testing.T) (*Server, *obs.TraceStore, string) {
 		QueueDepth:   16,
 		MaxBatch:     4,
 		CacheEntries: 64,
-		Cells:        cells,
-		Slotter:      m.Slotter(),
 		Registry:     reg,
 	})
 	if err != nil {
@@ -493,18 +487,12 @@ func TestCheckpointVersionSurface(t *testing.T) {
 		}
 	}
 
-	cells, err := roadnet.NewEdgeIndex(g, 250)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := infer.New(infer.Config{
 		Match: func(context.Context, traj.ODInput) (traj.MatchedOD, error) {
 			return od, nil
 		},
 		Snapshot: plain,
 		Workers:  1, QueueDepth: 4, MaxBatch: 4,
-		Cells:    cells,
-		Slotter:  m.Slotter(),
 		Registry: obs.NewRegistry(),
 	})
 	if err != nil {

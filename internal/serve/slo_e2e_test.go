@@ -55,8 +55,6 @@ func TestSLOEndToEnd(t *testing.T) {
 		DriftThreshold:  0.2,
 		Reference:       ref,
 		ReferenceModel:  "m1",
-		Cells:           unitCells{},
-		Slotter:         slotter,
 		Registry:        reg,
 		Logger:          logger,
 		Alerts:          mgr,
@@ -68,6 +66,8 @@ func TestSLOEndToEnd(t *testing.T) {
 			return traj.MatchedOD{DepartSec: od.DepartSec}, nil
 		},
 		Snapshot:  echoSnapshot("m1"),
+		Cells:     unitCells{},
+		Slotter:   slotter,
 		Workers:   2,
 		Observers: []infer.Observer{mon},
 		Registry:  reg,

@@ -79,7 +79,7 @@ for w in estimate-cold estimate-hot estimate-live train; do
     go run ./bench -workload "$w" -seconds 2
 done
 
-echo "== replay smoke (record a serve session, replay against the same checkpoint: zero unexplained diffs)"
+echo "== replay smoke (record a serve session, replay against the same checkpoint: zero unexplained and zero explained diffs)"
 go run ./cmd/ttereplay -smoke -smoke-orders 200 -smoke-requests 48 \
     -gate-unexplained 0 -out "${TMPDIR:-/tmp}/BENCH_replay.json"
 
