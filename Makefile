@@ -15,6 +15,7 @@ race:
 	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/...
 	go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 	go test -race -run 'Parallel|GoldenBits' ./internal/embed/
+	go test -race -run 'GoldenBits|Batch|Concurrent' ./internal/models/
 
 fmt:
 	gofmt -w .

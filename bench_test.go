@@ -1,10 +1,11 @@
 package deepod
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation section (§6). Each benchmark regenerates the
-// corresponding artifact at TinyScale (so `go test -bench=.` completes in
-// minutes on one core); run `go run ./cmd/ttebench -scale small` for the
-// full-strength tables. Use -v / -benchtime=1x to see the rendered output.
+// Benchmark harness: BenchmarkExperiments regenerates every table and
+// figure of the paper's evaluation section (§6) at TinyScale, one
+// sub-benchmark per entry of experiments.Experiments (so `go test -bench=.`
+// completes in minutes on one core); run `go run ./cmd/ttebench -scale
+// small` for the full-strength tables. Use -v / -benchtime=1x to see the
+// rendered output.
 
 import (
 	"math/rand"
@@ -29,206 +30,24 @@ func benchSuite(b *testing.B) *experiments.Suite {
 	return suite
 }
 
-// BenchmarkTable2DatasetStats regenerates Table 2 (dataset statistics).
-func BenchmarkTable2DatasetStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable2(experiments.TinyScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkTable3Convergence regenerates Table 3 and Figure 10
-// (convergence steps/time and validation curves of the deep models).
-func BenchmarkTable3Convergence(b *testing.B) {
+// BenchmarkExperiments runs each experiment on the shared suite: worlds
+// and the models the suite caches are built by the first run that needs
+// them, and the sweeps (Figures 8, 9 and 14a, Table 6's fractions, the
+// embedding study) train their own models every iteration.
+func BenchmarkExperiments(b *testing.B) {
 	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable3Figure10(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkTable4TestErrors regenerates Table 4 (test errors of all
-// methods and ablations on all cities).
-func BenchmarkTable4TestErrors(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable4(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkTable5Efficiency regenerates Table 5 (model size, training
-// time, estimation time).
-func BenchmarkTable5Efficiency(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable5(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkTable6Scalability regenerates Table 6 (MAPE vs training-data
-// fraction on the largest city).
-func BenchmarkTable6Scalability(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable6(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkTable7EmbeddingVariants regenerates Table 7 (embedding
-// initialization variants T-one / T-day / T-stamp / R-one).
-func BenchmarkTable7EmbeddingVariants(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable7(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure5aPeriodicity regenerates Figure 5a (weekly periodicity
-// of simulated traffic flow).
-func BenchmarkFigure5aPeriodicity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure5a(experiments.TinyScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure8HyperParams regenerates Figure 8 (hyper-parameter
-// sweeps) with a reduced grid.
-func BenchmarkFigure8HyperParams(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure8(experiments.TinyScale(), []int{8, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure9LossWeight regenerates Figure 9 (loss-weight sweep).
-func BenchmarkFigure9LossWeight(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure9(experiments.TinyScale(), "chengdu-s", []float64{0.1, 0.3, 0.5, 0.7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure11ErrorPDF regenerates Figure 11 (per-method MAPE
-// distribution curves).
-func BenchmarkFigure11ErrorPDF(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure11(s, "chengdu-s")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure12Scatter regenerates Figure 12 (estimated vs actual time
-// on 50 random test trips).
-func BenchmarkFigure12Scatter(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure12(s, "chengdu-s", 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure13WorstCases regenerates Figure 13 (each method's worst
-// cases by MAPE).
-func BenchmarkFigure13WorstCases(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure13(s, "chengdu-s", 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure14aSlotSize regenerates Figure 14a (MAPE vs time-slot
-// size).
-func BenchmarkFigure14aSlotSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure14a(experiments.TinyScale(), "chengdu-s", []int{15, 30, 60})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkFigure14bHeatmap regenerates Figure 14b (heatmap of the 1-D
-// t-SNE projection of time-slot embeddings).
-func BenchmarkFigure14bHeatmap(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure14b(s, "chengdu-s")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
+	for _, e := range experiments.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows, err := e.Run(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Log("\n" + e.Render(s.Scale.Name, rows))
+				}
+			}
+		})
 	}
 }
 
@@ -271,35 +90,6 @@ func BenchmarkEstimateBaselines(b *testing.B) {
 				m.Estimate(&w.Split.Test[i%len(w.Split.Test)].Matched)
 			}
 		})
-	}
-}
-
-// BenchmarkEmbedMethodStudy regenerates the §5 embedding-method comparison
-// (node2vec vs DeepWalk vs LINE initialization).
-func BenchmarkEmbedMethodStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunEmbedStudy(experiments.TinyScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// BenchmarkExtRouteComparison runs the extension experiment comparing
-// OD-based DeepOD against the route-based RouteETA estimator.
-func BenchmarkExtRouteComparison(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunExtRoute(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
 	}
 }
 

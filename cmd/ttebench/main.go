@@ -9,8 +9,8 @@
 //	ttebench -scale small         # full-strength three-city run (slow)
 //	ttebench -exp table4,fig9     # a subset
 //
-// -exp takes names from the experiments table below (table3 prints
-// Figure 10 as well); an unknown name fails with the valid ones listed.
+// -exp takes names from experiments.Experiments (table3 prints Figure 10
+// as well); an unknown name fails with the valid ones listed.
 package main
 
 import (
@@ -23,71 +23,37 @@ import (
 	"deepod/internal/experiments"
 )
 
-// experiment is one runnable entry of the paper's evaluation section.
-type experiment struct {
-	name string
-	fn   func(s *experiments.Suite) (fmt.Stringer, error)
-}
-
-// firstCity is the city the single-city figures run on.
-func firstCity(s *experiments.Suite) string { return s.Scale.CityList()[0] }
-
-// experimentTable lists every experiment in the order "all" runs them.
-// Name validation, selection and dispatch all read it.
-var experimentTable = []experiment{
-	{"table2", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable2(s.Scale) }},
-	{"fig5a", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure5a(s.Scale) }},
-	{"table3", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable3Figure10(s) }},
-	{"table4", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable4(s) }},
-	{"table5", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable5(s) }},
-	{"table6", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable6(s) }},
-	{"table7", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunTable7(s) }},
-	{"fig8", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure8(s.Scale, nil) }},
-	{"fig9", func(s *experiments.Suite) (fmt.Stringer, error) {
-		return experiments.RunFigure9(s.Scale, firstCity(s), nil)
-	}},
-	{"fig11", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure11(s, firstCity(s)) }},
-	{"fig12", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure12(s, firstCity(s), 50) }},
-	{"fig13", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure13(s, firstCity(s), 50) }},
-	{"fig14a", func(s *experiments.Suite) (fmt.Stringer, error) {
-		return experiments.RunFigure14a(s.Scale, firstCity(s), nil)
-	}},
-	{"fig14b", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunFigure14b(s, firstCity(s)) }},
-	{"embedstudy", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunEmbedStudy(s.Scale) }},
-	{"ext-route", func(s *experiments.Suite) (fmt.Stringer, error) { return experiments.RunExtRoute(s) }},
-}
-
 // names returns the experiments' names, space separated.
-func names(es []experiment) string {
+func names(es []experiments.Experiment) string {
 	out := make([]string, len(es))
 	for i, e := range es {
-		out[i] = e.name
+		out[i] = e.Name
 	}
 	return strings.Join(out, " ")
 }
 
 // selectExperiments resolves an -exp value ("all" or a comma-separated
-// list) to table entries, in table order. An unknown or empty element is
-// an error naming the valid experiments.
-func selectExperiments(list string) ([]experiment, error) {
+// list) to entries of experiments.Experiments, in its order. An unknown or
+// empty element is an error naming the valid experiments.
+func selectExperiments(list string) ([]experiments.Experiment, error) {
 	if list == "all" {
-		return experimentTable, nil
+		return experiments.Experiments, nil
 	}
 	known := map[string]bool{}
-	for _, e := range experimentTable {
-		known[e.name] = true
+	for _, e := range experiments.Experiments {
+		known[e.Name] = true
 	}
 	want := map[string]bool{}
 	for _, raw := range strings.Split(list, ",") {
 		name := strings.TrimSpace(raw)
 		if !known[name] {
-			return nil, fmt.Errorf("unknown experiment %q in -exp %q (want 'all' or any of: %s)", name, list, names(experimentTable))
+			return nil, fmt.Errorf("unknown experiment %q in -exp %q (want 'all' or any of: %s)", name, list, names(experiments.Experiments))
 		}
 		want[name] = true
 	}
-	var sel []experiment
-	for _, e := range experimentTable {
-		if want[e.name] {
+	var sel []experiments.Experiment
+	for _, e := range experiments.Experiments {
+		if want[e.Name] {
 			sel = append(sel, e)
 		}
 	}
@@ -126,11 +92,11 @@ func main() {
 	suite := experiments.NewSuite(sc)
 	for _, e := range selected {
 		start := time.Now()
-		res, err := e.fn(suite)
+		rows, err := e.Run(suite)
 		if err != nil {
-			log.Fatalf("%s: %v", e.name, err)
+			log.Fatalf("%s: %v", e.Name, err)
 		}
-		fmt.Println(res.String())
-		fmt.Printf("[%s took %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Println(e.Render(sc.Name, rows))
+		fmt.Printf("[%s took %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"deepod/internal/experiments"
 )
 
 func TestSelectExperiments(t *testing.T) {
@@ -10,8 +12,8 @@ func TestSelectExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names(all) != names(experimentTable) {
-		t.Fatalf("all selected %q, want the whole table %q", names(all), names(experimentTable))
+	if names(all) != names(experiments.Experiments) {
+		t.Fatalf("all selected %q, want the whole table %q", names(all), names(experiments.Experiments))
 	}
 
 	// A subset selects exactly its members, in table order whatever the
@@ -31,7 +33,7 @@ func TestSelectExperiments(t *testing.T) {
 			continue
 		}
 		// The message must name what the user may type instead.
-		if !strings.Contains(err.Error(), names(experimentTable)) {
+		if !strings.Contains(err.Error(), names(experiments.Experiments)) {
 			t.Errorf("-exp %q: error %q does not list the valid experiments", bad, err)
 		}
 	}
@@ -39,11 +41,11 @@ func TestSelectExperiments(t *testing.T) {
 
 func TestExperimentTableNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range experimentTable {
-		if e.name == "" || e.name == "all" || seen[e.name] || e.fn == nil {
-			t.Errorf("bad table entry %q", e.name)
+	for _, e := range experiments.Experiments {
+		if e.Name == "" || e.Name == "all" || seen[e.Name] || e.Run == nil || e.Render == nil {
+			t.Errorf("bad table entry %q", e.Name)
 		}
-		seen[e.name] = true
+		seen[e.Name] = true
 	}
 }
 

@@ -3,63 +3,37 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"deepod/internal/core"
-	"deepod/internal/metrics"
 )
 
-// EmbedStudyResult is the §5 embedding-method comparison: the paper tried
+// RunEmbedStudy is the §5 embedding-method comparison: the paper tried
 // DeepWalk, LINE and node2vec to initialize its embedding matrices and kept
-// node2vec. This experiment trains DeepOD once per method and reports the
-// resulting test errors.
-type EmbedStudyResult struct {
-	Scale   string
-	City    string
-	Methods []string
-	MAPE    map[string]float64
-	MAE     map[string]float64
-}
-
-// RunEmbedStudy evaluates each pre-training method on the scale's first
-// city.
-func RunEmbedStudy(sc Scale) (*EmbedStudyResult, error) {
-	w, err := BuildWorld(sc.CityList()[0], sc)
+// node2vec. It trains DeepOD once per method on the first city and reports
+// the test errors, with the method as the rows' variant.
+func RunEmbedStudy(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
+	w, err := s.World(city)
 	if err != nil {
 		return nil, err
 	}
-	res := &EmbedStudyResult{
-		Scale: sc.Name, City: w.City,
-		Methods: []string{"node2vec", "deepwalk", "line"},
-		MAPE:    map[string]float64{}, MAE: map[string]float64{},
-	}
-	for _, method := range res.Methods {
-		cfg := sc.Cfg
+	var rows []Row
+	for _, method := range []string{"node2vec", "deepwalk", "line"} {
+		cfg := s.Scale.Cfg
 		cfg.EmbedMethod = method
-		m, err := core.New(cfg, w.Graph)
+		m, err := trainDeepOD(cfg, w)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Train(w.Split.Train, w.Split.Valid, core.TrainOptions{}); err != nil {
 			return nil, fmt.Errorf("experiments: embed study %s: %w", method, err)
 		}
-		actual := make([]float64, len(w.Split.Test))
-		pred := make([]float64, len(w.Split.Test))
-		for i := range w.Split.Test {
-			actual[i] = w.Split.Test[i].TravelSec
-			pred[i] = m.Estimate(&w.Split.Test[i].Matched)
-		}
-		res.MAPE[method] = metrics.MAPE(actual, pred)
-		res.MAE[method] = metrics.MAE(actual, pred)
+		actual, pred := evaluate(m, w.Split.Test)
+		r := s.row("embedstudy", city, "DeepOD", "test")
+		r.Variant = method
+		rows = append(rows, score(r, actual, pred, "mae", "mape")...)
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints the comparison.
-func (r *EmbedStudyResult) String() string {
+func renderEmbedStudy(scale string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Embedding-method study (§5; %s, scale=%s)\n", r.City, r.Scale)
-	for _, m := range r.Methods {
-		fmt.Fprintf(&b, "  %-10s MAE=%.2fs MAPE=%.2f%%\n", m, r.MAE[m], r.MAPE[m]*100)
-	}
+	fmt.Fprintf(&b, "Embedding-method study (§5; %s, scale=%s)\n", rows[0].City, scale)
+	summary(&b, rows, byVariant)
 	return b.String()
 }

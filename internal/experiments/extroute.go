@@ -4,71 +4,47 @@ import (
 	"fmt"
 	"strings"
 
-	"deepod/internal/metrics"
 	"deepod/internal/models"
 )
 
-// ExtRouteResult is the repository's extension experiment: DeepOD (an
-// OD-based estimator) against RouteETA (a route-based estimator from the
-// path-estimation family of the paper's §7.1) on the same city. It
-// quantifies the trade the paper's problem statement describes — the route
-// is unknown at query time, so route-based methods must predict it and pay
-// for per-segment data sparsity, while DeepOD amortizes trajectories into
-// its representation.
-type ExtRouteResult struct {
-	Scale    string
-	City     string
-	Methods  []string
-	MAE      map[string]float64
-	MAPE     map[string]float64
-	Coverage float64 // RouteETA's (edge, bin) observation coverage
-}
-
-// RunExtRoute evaluates DeepOD, N-st and RouteETA on one city.
-func RunExtRoute(s *Suite) (*ExtRouteResult, error) {
+// RunExtRoute is the repository's extension experiment: DeepOD (an OD-based
+// estimator) against RouteETA (a route-based estimator from the
+// path-estimation family of the paper's §7.1) on the first city, with N-st
+// beside them. It quantifies the trade the paper's problem statement
+// describes — the route is unknown at query time, so route-based methods
+// must predict it and pay for per-segment data sparsity, while DeepOD
+// amortizes trajectories into its representation. RouteETA's coverage row
+// is the share of (segment, time-bin) cells its training split observed.
+func RunExtRoute(s *Suite) ([]Row, error) {
 	city := s.Scale.CityList()[0]
 	w, err := s.World(city)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExtRouteResult{
-		Scale: s.Scale.Name, City: city,
-		Methods: []string{"RouteETA", "N-st", "DeepOD"},
-		MAE:     map[string]float64{}, MAPE: map[string]float64{},
-	}
 	route := models.NewRouteETA(w.Graph)
 	if err := route.Train(w.Split.Train, w.Split.Valid); err != nil {
 		return nil, err
 	}
-	res.Coverage = route.Coverage()
-	evalInto := func(name string, est models.Estimator) {
-		actual := make([]float64, len(w.Split.Test))
-		pred := make([]float64, len(w.Split.Test))
-		for i := range w.Split.Test {
-			actual[i] = w.Split.Test[i].TravelSec
-			pred[i] = est.Estimate(&w.Split.Test[i].Matched)
-		}
-		res.MAE[name] = metrics.MAE(actual, pred)
-		res.MAPE[name] = metrics.MAPE(actual, pred)
-	}
-	evalInto("RouteETA", route)
-	for _, m := range []string{"N-st", "DeepOD"} {
-		est, err := s.Model(city, m)
+	r := s.row("ext-route", city, "RouteETA", "test")
+	actual, pred := evaluate(route, w.Split.Test)
+	rows := score(r, actual, pred, "mae", "mape")
+	r.Split = "train"
+	rows = append(rows, r.with("coverage", 0, route.Coverage(), "frac"))
+	for _, method := range []string{"N-st", "DeepOD"} {
+		actual, pred, err := s.predict(city, method)
 		if err != nil {
 			return nil, err
 		}
-		evalInto(m, est)
+		rows = append(rows, score(s.row("ext-route", city, method, "test"), actual, pred, "mae", "mape")...)
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints the comparison.
-func (r *ExtRouteResult) String() string {
+func renderExtRoute(scale string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: OD-based vs route-based estimation (%s, scale=%s)\n", r.City, r.Scale)
-	for _, m := range r.Methods {
-		fmt.Fprintf(&b, "  %-10s MAE=%.2fs MAPE=%.2f%%\n", m, r.MAE[m], r.MAPE[m]*100)
-	}
-	fmt.Fprintf(&b, "  RouteETA observed %.1f%% of (segment, time-bin) cells\n", r.Coverage*100)
+	fmt.Fprintf(&b, "Extension: OD-based vs route-based estimation (%s, scale=%s)\n", rows[0].City, scale)
+	summary(&b, rows, byMethod)
+	coverage := where(rows, cell{metric: "coverage"})[0]
+	fmt.Fprintf(&b, "  RouteETA observed %.1f%% of (segment, time-bin) cells\n", coverage.Value*100)
 	return b.String()
 }

@@ -11,309 +11,202 @@ import (
 	"deepod/internal/plot"
 	"deepod/internal/roadnet"
 	"deepod/internal/timeslot"
+	"deepod/internal/traj"
 	"deepod/internal/tsne"
 )
 
-// Figure5aResult shows the weekly periodicity of simulated traffic flow on
-// a few roads (a sanity check that the simulator exhibits the structure
-// Figure 5a documents for real Chengdu roads).
-type Figure5aResult struct {
-	City  string
-	Roads []roadnet.EdgeID
-	// Flow[r][d] is a congestion-derived flow proxy of road r on day d.
-	Flow [][]float64
-	Days int
-}
-
-// RunFigure5a samples four roads' average congestion per day.
-func RunFigure5a(sc Scale) (*Figure5aResult, error) {
-	w, err := BuildWorld(sc.CityList()[0], sc)
+// RunFigure5a samples four roads' daily mean congestion drop on the first
+// city: the weekly periodicity Figure 5a documents for real Chengdu roads,
+// as a sanity check of the simulator.
+func RunFigure5a(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
+	w, err := s.World(city)
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure5aResult{City: w.City, Days: sc.HorizonDays}
-	g := w.Graph
-	step := g.NumEdges() / 4
+	var rows []Row
+	step := w.Graph.NumEdges() / 4
 	for i := 0; i < 4; i++ {
-		res.Roads = append(res.Roads, roadnet.EdgeID(i*step))
-	}
-	for _, e := range res.Roads {
-		days := make([]float64, sc.HorizonDays)
-		for d := 0; d < sc.HorizonDays; d++ {
+		e := roadnet.EdgeID(i * step)
+		r := s.row("fig5a", city, "", "")
+		r.Variant = fmt.Sprintf("edge %d", e)
+		for d := 0; d < s.Scale.HorizonDays; d++ {
 			// Flow proxy: mean congestion drop over the day (higher drop =
 			// more traffic).
-			var s float64
+			var sum float64
 			const samples = 24
 			for h := 0; h < samples; h++ {
 				sec := float64(d)*timeslot.SecondsPerDay + float64(h)*3600
-				s += 1 - w.Traffic.Congestion(e, sec)
+				sum += 1 - w.Traffic.Congestion(e, sec)
 			}
-			days[d] = s / samples
+			rows = append(rows, r.with("flow_proxy", float64(d), sum/samples, "frac"))
 		}
-		res.Flow = append(res.Flow, days)
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints per-road daily series.
-func (r *Figure5aResult) String() string {
+func renderFigure5a(_ string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 5a: Weekly periodicity of traffic flow proxy (%s)\n", r.City)
-	for i, e := range r.Roads {
-		fmt.Fprintf(&b, "  road%d (edge %d):", i+1, e)
-		for _, v := range r.Flow[i] {
-			fmt.Fprintf(&b, " %.3f", v)
-		}
-		b.WriteByte('\n')
+	fmt.Fprintf(&b, "Figure 5a: Weekly periodicity of traffic flow proxy (%s)\n", rows[0].City)
+	for i, road := range distinct(rows, byVariant) {
+		series(&b, fmt.Sprintf("  road%d (%s):", i+1, road), where(rows, cell{variant: road}), func(r Row) string {
+			return fmt.Sprintf(" %.3f", r.Value)
+		})
 	}
 	return b.String()
 }
 
-// Figure8Result reproduces Figure 8: validation MAPE and MARE for each
-// hyper-parameter swept over a size grid.
-type Figure8Result struct {
-	Scale string
-	City  string
-	// Sizes is the sweep grid (the paper uses 32..256; scaled runs use a
-	// proportional grid).
-	Sizes []int
-	// MAPE/MARE[param][i] is the validation error with param set to
-	// Sizes[i].
-	Params []string
-	MAPE   map[string][]float64
-	MARE   map[string][]float64
-}
-
-// Figure8Params lists the hyper-parameters the paper sweeps.
+// Figure8Params lists the hyper-parameters the paper sweeps, in the order
+// of figure8Dims.
 var Figure8Params = []string{"ds", "dt", "d1m", "d2m", "d3m", "d4m_d8m", "d5m", "d6m", "d7m", "d9m", "dh", "dtraf"}
 
-// RunFigure8 sweeps each hyper-parameter independently (others fixed at the
-// scale's defaults) and records validation errors on the first city.
-func RunFigure8(sc Scale, sizes []int) (*Figure8Result, error) {
-	if len(sizes) == 0 {
-		sizes = []int{8, 16, 32}
-	}
-	w, err := BuildWorld(sc.CityList()[0], sc)
+// figure8Dims returns cfg's fields named by Figure8Params.
+func figure8Dims(cfg *core.Config) []*int {
+	return []*int{&cfg.Ds, &cfg.Dt, &cfg.D1m, &cfg.D2m, &cfg.D3m, &cfg.D4m, &cfg.D5m, &cfg.D6m, &cfg.D7m, &cfg.D9m, &cfg.Dh, &cfg.Dtraf}
+}
+
+// RunFigure8 sweeps each hyper-parameter of Figure 8 over {8, 16, 32} (the
+// paper's 32..256, scaled down) with the others at the scale's defaults,
+// and records DeepOD's validation MAPE and MARE on the first city.
+func RunFigure8(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
+	w, err := s.World(city)
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure8Result{
-		Scale: sc.Name, City: w.City, Sizes: sizes, Params: Figure8Params,
-		MAPE: map[string][]float64{}, MARE: map[string][]float64{},
-	}
-	apply := func(cfg *core.Config, param string, v int) {
-		switch param {
-		case "ds":
-			cfg.Ds = v
-		case "dt":
-			cfg.Dt = v
-		case "d1m":
-			cfg.D1m = v
-		case "d2m":
-			cfg.D2m = v
-		case "d3m":
-			cfg.D3m = v
-		case "d4m_d8m":
-			cfg.D4m = v
-		case "d5m":
-			cfg.D5m = v
-		case "d6m":
-			cfg.D6m = v
-		case "d7m":
-			cfg.D7m = v
-		case "d9m":
-			cfg.D9m = v
-		case "dh":
-			cfg.Dh = v
-		case "dtraf":
-			cfg.Dtraf = v
-		default:
-			panic("experiments: unknown Figure 8 parameter " + param)
-		}
-	}
-	for _, param := range Figure8Params {
-		for _, v := range sizes {
-			cfg := sc.Cfg
-			apply(&cfg, param, v)
-			m, err := core.New(cfg, w.Graph)
+	var rows []Row
+	for i, param := range Figure8Params {
+		for _, size := range []int{8, 16, 32} {
+			cfg := s.Scale.Cfg
+			*figure8Dims(&cfg)[i] = size
+			m, err := trainDeepOD(cfg, w)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := m.Train(w.Split.Train, w.Split.Valid, core.TrainOptions{}); err != nil {
-				return nil, err
-			}
-			actual := make([]float64, len(w.Split.Valid))
-			pred := make([]float64, len(w.Split.Valid))
-			for i := range w.Split.Valid {
-				actual[i] = w.Split.Valid[i].TravelSec
-				pred[i] = m.Estimate(&w.Split.Valid[i].Matched)
-			}
-			res.MAPE[param] = append(res.MAPE[param], metrics.MAPE(actual, pred))
-			res.MARE[param] = append(res.MARE[param], metrics.MARE(actual, pred))
+			actual, pred := evaluate(m, w.Split.Valid)
+			r := s.row("fig8", city, "DeepOD", "valid")
+			r.Variant, r.X = param, float64(size)
+			rows = append(rows, score(r, actual, pred, "mape", "mare")...)
 		}
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints one panel per parameter.
-func (r *Figure8Result) String() string {
+func renderFigure8(scale string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8: Validation MAPE & MARE vs hyper-parameters (%s, scale=%s)\n", r.City, r.Scale)
-	for _, p := range r.Params {
-		fmt.Fprintf(&b, "  %-8s", p)
-		for i, sz := range r.Sizes {
-			fmt.Fprintf(&b, "  [%d] MAPE=%.2f%% MARE=%.2f%%", sz, r.MAPE[p][i]*100, r.MARE[p][i]*100)
-		}
-		b.WriteByte('\n')
+	fmt.Fprintf(&b, "Figure 8: Validation MAPE & MARE vs hyper-parameters (%s, scale=%s)\n", rows[0].City, scale)
+	v := cells(rows)
+	for _, p := range distinct(rows, byVariant) {
+		series(&b, fmt.Sprintf("  %-8s", p), where(rows, cell{variant: p, metric: "mape"}), func(r Row) string {
+			q := r.cell()
+			q.metric = "mare"
+			return fmt.Sprintf("  [%d] MAPE=%.2f%% MARE=%.2f%%", int(r.X), r.Value*100, v[q]*100)
+		})
 	}
 	return b.String()
 }
 
-// Figure9Result reproduces Figure 9: per-batch validation MAPE box plots as
-// the auxiliary-loss weight w varies.
-type Figure9Result struct {
-	Scale   string
-	City    string
-	Weights []float64
-	Boxes   []metrics.BoxStats
-}
+// boxStats names the Figure 9 box-plot statistics, in column order.
+var boxStats = []string{"min", "q1", "median", "q3", "max", "mean"}
 
-// RunFigure9 trains DeepOD per weight and box-plots per-batch MAPE on the
-// validation set.
-func RunFigure9(sc Scale, city string, weights []float64) (*Figure9Result, error) {
-	if len(weights) == 0 {
-		weights = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	}
-	w, err := BuildWorld(city, sc)
+// RunFigure9 trains DeepOD per auxiliary-loss weight w on the first city and
+// box-plots its per-mini-batch validation MAPE (Figure 9).
+func RunFigure9(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
+	w, err := s.World(city)
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure9Result{Scale: sc.Name, City: city, Weights: weights}
+	var rows []Row
 	const miniBatch = 32
-	for _, wt := range weights {
-		cfg := sc.Cfg
+	valid := w.Split.Valid
+	for _, wt := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
+		cfg := s.Scale.Cfg
 		cfg.AuxWeight = wt
-		m, err := core.New(cfg, w.Graph)
+		m, err := trainDeepOD(cfg, w)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := m.Train(w.Split.Train, w.Split.Valid, core.TrainOptions{}); err != nil {
-			return nil, err
+		var mapes []float64
+		for lo := 0; lo+1 < len(valid); lo += miniBatch {
+			actual, pred := evaluate(m, valid[lo:min(lo+miniBatch, len(valid))])
+			mapes = append(mapes, metrics.MAPE(actual, pred))
 		}
-		// Per-mini-batch MAPE over the validation set.
-		var batchMAPEs []float64
-		for lo := 0; lo+1 < len(w.Split.Valid); lo += miniBatch {
-			hi := lo + miniBatch
-			if hi > len(w.Split.Valid) {
-				hi = len(w.Split.Valid)
-			}
-			actual := make([]float64, hi-lo)
-			pred := make([]float64, hi-lo)
-			for i := lo; i < hi; i++ {
-				actual[i-lo] = w.Split.Valid[i].TravelSec
-				pred[i-lo] = m.Estimate(&w.Split.Valid[i].Matched)
-			}
-			batchMAPEs = append(batchMAPEs, metrics.MAPE(actual, pred))
-		}
-		res.Boxes = append(res.Boxes, metrics.Box(batchMAPEs))
-	}
-	return res, nil
-}
-
-// BestWeight returns the weight with the lowest mean MAPE.
-func (r *Figure9Result) BestWeight() float64 {
-	best, bw := r.Boxes[0].Mean, r.Weights[0]
-	for i := 1; i < len(r.Weights); i++ {
-		if r.Boxes[i].Mean < best {
-			best, bw = r.Boxes[i].Mean, r.Weights[i]
+		bx := metrics.Box(mapes)
+		r := s.row("fig9", city, "DeepOD", "valid")
+		for i, v := range []float64{bx.Min, bx.Q1, bx.Median, bx.Q3, bx.Max, bx.Mean} {
+			rows = append(rows, r.with("mape_"+boxStats[i], wt, v, "frac"))
 		}
 	}
-	return bw
+	return rows, nil
 }
 
-// String prints the per-weight box statistics.
-func (r *Figure9Result) String() string {
+func renderFigure9(scale string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 9: MAPE vs loss weight w (%s, scale=%s)\n", r.City, r.Scale)
+	fmt.Fprintf(&b, "Figure 9: MAPE vs loss weight w (%s, scale=%s)\n", rows[0].City, scale)
 	fmt.Fprintf(&b, "%-6s %8s %8s %8s %8s %8s %8s\n", "w", "min", "q1", "median", "q3", "max", "mean")
-	for i, wt := range r.Weights {
-		bx := r.Boxes[i]
-		fmt.Fprintf(&b, "%-6.1f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f\n",
-			wt, bx.Min*100, bx.Q1*100, bx.Median*100, bx.Q3*100, bx.Max*100, bx.Mean*100)
+	v := cells(rows)
+	for _, r := range where(rows, cell{metric: "mape_min"}) {
+		fmt.Fprintf(&b, "%-6.1f", r.X)
+		for _, stat := range boxStats {
+			q := r.cell()
+			q.metric = "mape_" + stat
+			fmt.Fprintf(&b, " %8.2f", v[q]*100)
+		}
+		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "best w = %.1f\n", r.BestWeight())
+	fmt.Fprintf(&b, "best w = %.1f\n", argmin(rows, "mape_mean"))
 	return b.String()
 }
 
-// Figure11Result reproduces Figure 11: the probability density of
-// per-sample test MAPE for every method.
-type Figure11Result struct {
-	Scale string
-	City  string
-	Grid  []float64
-	// Density[method] aligns with Grid; Mean/Variance summarize each
-	// method's APE distribution.
-	Density  map[string][]float64
-	Mean     map[string]float64
-	Variance map[string]float64
-}
-
-// Figure11Methods is the plotted method set.
+// Figure11Methods is the method set of Figures 11–13.
 var Figure11Methods = []string{"TEMP", "LR", "GBM", "STNN", "MURAT", "DeepOD"}
 
-// RunFigure11 computes each method's test APE distribution on a city.
-func RunFigure11(s *Suite, city string) (*Figure11Result, error) {
-	res := &Figure11Result{
-		Scale: s.Scale.Name, City: city,
-		Density: map[string][]float64{}, Mean: map[string]float64{}, Variance: map[string]float64{},
-	}
+// RunFigure11 computes each method's distribution of per-sample test APE on
+// the first city (Figure 11): its mean, variance and a density on [0, 1.5].
+func RunFigure11(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
+	var rows []Row
 	for _, method := range Figure11Methods {
-		actual, pred, err := s.TestErrors(city, method)
+		actual, pred, err := s.predict(city, method)
 		if err != nil {
 			return nil, err
 		}
 		apes := metrics.PerSampleAPE(actual, pred)
 		grid, dens := metrics.KDE(apes, 0, 1.5, 60)
-		res.Grid = grid
-		res.Density[method] = dens
-		res.Mean[method], res.Variance[method] = metrics.Moments(apes)
+		mean, variance := metrics.Moments(apes)
+		r := s.row("fig11", city, method, "test")
+		rows = append(rows, r.with("ape_mean", 0, mean, "frac"), r.with("ape_var", 0, variance, ""))
+		for i, x := range grid {
+			rows = append(rows, r.with("ape_pdf", x, dens[i], ""))
+		}
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints distribution summaries (mean/variance) and coarse curves.
-func (r *Figure11Result) String() string {
+func renderFigure11(scale string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 11: MAPE distribution on test data (%s, scale=%s)\n", r.City, r.Scale)
-	for _, m := range Figure11Methods {
-		fmt.Fprintf(&b, "  %-8s mean=%.3f var=%.4f  pdf: %s\n",
-			m, r.Mean[m], r.Variance[m], plot.Sparkline(r.Density[m]))
+	fmt.Fprintf(&b, "Figure 11: MAPE distribution on test data (%s, scale=%s)\n", rows[0].City, scale)
+	v := cells(rows)
+	for _, m := range distinct(rows, byMethod) {
+		fmt.Fprintf(&b, "  %-8s mean=%.3f var=%.4f  pdf: %s\n", m,
+			v[cell{city: rows[0].City, method: m, metric: "ape_mean"}], v[cell{city: rows[0].City, method: m, metric: "ape_var"}],
+			plot.Sparkline(values(where(rows, cell{method: m, metric: "ape_pdf"}))))
 	}
 	return b.String()
 }
 
-// ScatterPoint is one (actual, estimated) pair of Figures 12–13.
-type ScatterPoint struct {
-	Actual, Estimated float64
-}
+// scatterTrips is the number of trips Figures 12 and 13 plot per method.
+const scatterTrips = 50
 
-// Figure12Result reproduces Figure 12: 50 random test trips per city, with
-// every method's estimate.
-type Figure12Result struct {
-	Scale  string
-	City   string
-	Points map[string][]ScatterPoint
-}
-
-// RunFigure12 samples up to n random test trips (travel time < 1 h, per the
-// paper) and records every method's estimates.
-func RunFigure12(s *Suite, city string, n int) (*Figure12Result, error) {
+// RunFigure12 estimates 50 random test trips shorter than an hour (per the
+// paper) with every method on the first city (Figure 12). Each row's X is
+// the trip's actual time and its value the estimate.
+func RunFigure12(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
 	w, err := s.World(city)
 	if err != nil {
 		return nil, err
-	}
-	if n <= 0 {
-		n = 50
 	}
 	rng := rand.New(rand.NewSource(42))
 	var idxs []int
@@ -323,147 +216,94 @@ func RunFigure12(s *Suite, city string, n int) (*Figure12Result, error) {
 		}
 	}
 	rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-	if len(idxs) > n {
-		idxs = idxs[:n]
+	trips := make([]traj.TripRecord, min(len(idxs), scatterTrips))
+	for i := range trips {
+		trips[i] = w.Split.Test[idxs[i]]
 	}
-	res := &Figure12Result{Scale: s.Scale.Name, City: city, Points: map[string][]ScatterPoint{}}
+	var rows []Row
 	for _, method := range Figure11Methods {
 		m, err := s.Model(city, method)
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range idxs {
-			rec := &w.Split.Test[i]
-			res.Points[method] = append(res.Points[method], ScatterPoint{
-				Actual:    rec.TravelSec,
-				Estimated: m.Estimate(&rec.Matched),
-			})
+		actual, pred := evaluate(m, trips)
+		r := s.row("fig12", city, method, "test")
+		for i := range trips {
+			rows = append(rows, r.with("estimate", actual[i], pred[i], "s"))
 		}
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints the scatter pairs.
-func (r *Figure12Result) String() string {
-	return scatterString("Figure 12: Estimated vs actual time", r.City, r.Scale, r.Points)
+func renderFigure12(scale string, rows []Row) string {
+	return scatter("Figure 12: Estimated vs actual time", scale, rows)
 }
 
-// Figure13Result reproduces Figure 13: each method's worst cases by MAPE.
-type Figure13Result struct {
-	Scale  string
-	City   string
-	Points map[string][]ScatterPoint
-}
-
-// RunFigure13 selects each method's k worst test cases by APE.
-func RunFigure13(s *Suite, city string, k int) (*Figure13Result, error) {
-	if k <= 0 {
-		k = 50
-	}
-	res := &Figure13Result{Scale: s.Scale.Name, City: city, Points: map[string][]ScatterPoint{}}
+// RunFigure13 selects each method's 50 worst test cases by APE on the first
+// city, worst first (Figure 13).
+func RunFigure13(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
+	var rows []Row
 	for _, method := range Figure11Methods {
-		actual, pred, err := s.TestErrors(city, method)
+		actual, pred, err := s.predict(city, method)
 		if err != nil {
 			return nil, err
 		}
-		apes := metrics.PerSampleAPE(actual, pred)
-		for _, i := range metrics.WorstK(apes, k) {
-			res.Points[method] = append(res.Points[method], ScatterPoint{Actual: actual[i], Estimated: pred[i]})
+		r := s.row("fig13", city, method, "test")
+		for _, i := range metrics.WorstK(metrics.PerSampleAPE(actual, pred), scatterTrips) {
+			rows = append(rows, r.with("estimate", actual[i], pred[i], "s"))
 		}
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints the worst-case pairs.
-func (r *Figure13Result) String() string {
-	return scatterString("Figure 13: Worst cases (estimated vs actual)", r.City, r.Scale, r.Points)
+func renderFigure13(scale string, rows []Row) string {
+	return scatter("Figure 13: Worst cases (estimated vs actual)", scale, rows)
 }
 
-func scatterString(title, city, scale string, points map[string][]ScatterPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%s, scale=%s)\n", title, city, scale)
-	for _, m := range Figure11Methods {
-		fmt.Fprintf(&b, "  %-8s", m)
-		for _, p := range points[m] {
-			fmt.Fprintf(&b, " (%.0f,%.0f)", p.Actual, p.Estimated)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Figure14aResult reproduces Figure 14a: test MAPE vs the time-slot size.
-type Figure14aResult struct {
-	Scale        string
-	City         string
-	SlotMinutes  []int
-	MAPE         []float64
-	BestSlotMins int
-}
-
-// RunFigure14a sweeps Δt.
-func RunFigure14a(sc Scale, city string, slotMinutes []int) (*Figure14aResult, error) {
-	if len(slotMinutes) == 0 {
-		slotMinutes = []int{5, 15, 30, 60, 120}
-	}
-	w, err := BuildWorld(city, sc)
-	if err != nil {
-		return nil, err
-	}
-	res := &Figure14aResult{Scale: sc.Name, City: city, SlotMinutes: slotMinutes}
-	best := -1
-	for _, mins := range slotMinutes {
-		cfg := sc.Cfg
-		cfg.SlotDelta = time.Duration(mins) * time.Minute
-		m, err := core.New(cfg, w.Graph)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Train(w.Split.Train, w.Split.Valid, core.TrainOptions{}); err != nil {
-			return nil, err
-		}
-		actual := make([]float64, len(w.Split.Test))
-		pred := make([]float64, len(w.Split.Test))
-		for i := range w.Split.Test {
-			actual[i] = w.Split.Test[i].TravelSec
-			pred[i] = m.Estimate(&w.Split.Test[i].Matched)
-		}
-		mape := metrics.MAPE(actual, pred)
-		res.MAPE = append(res.MAPE, mape)
-		if best < 0 || mape < res.MAPE[best] {
-			best = len(res.MAPE) - 1
-		}
-	}
-	res.BestSlotMins = res.SlotMinutes[best]
-	return res, nil
-}
-
-// String prints the sweep.
-func (r *Figure14aResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 14a: MAPE vs time slot size (%s, scale=%s)\n", r.City, r.Scale)
-	for i, mins := range r.SlotMinutes {
-		fmt.Fprintf(&b, "  Δt=%3d min  MAPE=%.2f%%\n", mins, r.MAPE[i]*100)
-	}
-	fmt.Fprintf(&b, "best Δt = %d min\n", r.BestSlotMins)
-	return b.String()
-}
-
-// Figure14bResult reproduces Figure 14b: a day×hour heatmap of the learned
-// time-slot embeddings projected to 1-D with t-SNE.
-type Figure14bResult struct {
-	Scale string
-	City  string
-	// Heat[d][h] is the averaged 1-D projection of day d, hour h.
-	Heat [7][24]float64
-}
-
-// RunFigure14b trains DeepOD, projects Wt to 1-D and averages each hour.
-func RunFigure14b(s *Suite, city string) (*Figure14bResult, error) {
+// RunFigure14a sweeps the time-slot size Δt over {5, 15, 30, 60, 120}
+// minutes and records DeepOD's test MAPE on the first city (Figure 14a).
+func RunFigure14a(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
 	w, err := s.World(city)
 	if err != nil {
 		return nil, err
 	}
+	var rows []Row
+	for _, mins := range []int{5, 15, 30, 60, 120} {
+		cfg := s.Scale.Cfg
+		cfg.SlotDelta = time.Duration(mins) * time.Minute
+		m, err := trainDeepOD(cfg, w)
+		if err != nil {
+			return nil, err
+		}
+		actual, pred := evaluate(m, w.Split.Test)
+		r := s.row("fig14a", city, "DeepOD", "test")
+		r.X = float64(mins)
+		rows = append(rows, score(r, actual, pred, "mape")...)
+	}
+	return rows, nil
+}
+
+func renderFigure14a(scale string, rows []Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 14a: MAPE vs time slot size (%s, scale=%s)\n", rows[0].City, scale)
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  Δt=%3d min  MAPE=%.2f%%\n", int(r.X), r.Value*100)
+	}
+	fmt.Fprintf(&b, "best Δt = %d min\n", int(argmin(rows, "mape")))
+	return b.String()
+}
+
+// weekdays label Figure 14b's rows.
+var weekdays = []string{"Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"}
+
+// RunFigure14b projects the first city's DeepOD time-slot embeddings Wt to
+// 1-D with t-SNE and averages the slots of each (weekday, hour): Figure
+// 14b's heatmap, one row per cell with the weekday as variant and the hour
+// as X.
+func RunFigure14b(s *Suite) ([]Row, error) {
+	city := s.Scale.CityList()[0]
 	dm, err := s.Model(city, "DeepOD")
 	if err != nil {
 		return nil, err
@@ -479,8 +319,7 @@ func RunFigure14b(s *Suite, city string) (*Figure14bResult, error) {
 	slots := emb.V
 	vecs := make([][]float64, slots)
 	for i := 0; i < slots; i++ {
-		row := emb.W.Value.Row(i)
-		vecs[i] = row.Data
+		vecs[i] = emb.W.Value.Row(i).Data
 	}
 	cfg := tsne.DefaultConfig(1)
 	cfg.Iters = 150
@@ -489,53 +328,48 @@ func RunFigure14b(s *Suite, city string) (*Figure14bResult, error) {
 		return nil, err
 	}
 	slotter := d.Model().Slotter()
-	res := &Figure14bResult{Scale: s.Scale.Name, City: w.City}
+	var heat [7][24]float64
 	var counts [7][24]int
-	perHour := slotter.SlotsPerDay / 24
-	if perHour < 1 {
-		perHour = 1
-	}
+	perHour := max(slotter.SlotsPerDay/24, 1)
 	for i := 0; i < slots; i++ {
 		day := slotter.DayOfWeek(i) % 7
-		hour := slotter.SlotOfDay(i) / perHour
-		if hour > 23 {
-			hour = 23
-		}
-		res.Heat[day][hour] += proj[i][0]
+		hour := min(slotter.SlotOfDay(i)/perHour, 23)
+		heat[day][hour] += proj[i][0]
 		counts[day][hour]++
 	}
-	for dd := 0; dd < 7; dd++ {
-		for h := 0; h < 24; h++ {
+	var rows []Row
+	r := s.row("fig14b", city, "DeepOD", "")
+	for dd := range heat {
+		r.Variant = weekdays[dd]
+		for h := range heat[dd] {
 			if counts[dd][h] > 0 {
-				res.Heat[dd][h] /= float64(counts[dd][h])
+				heat[dd][h] /= float64(counts[dd][h])
 			}
+			rows = append(rows, r.with("tsne_1d", float64(h), heat[dd][h], ""))
 		}
 	}
-	return res, nil
+	return rows, nil
 }
 
-// String prints the heatmap, both numerically (every other hour) and as a
-// shaded ASCII map.
-func (r *Figure14bResult) String() string {
+// renderFigure14b prints the heatmap both numerically (every other hour)
+// and as a shaded map.
+func renderFigure14b(scale string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 14b: Heatmap of 1-D t-SNE of time-slot embeddings (%s, scale=%s)\n", r.City, r.Scale)
-	days := []string{"Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"}
-	fmt.Fprintf(&b, "%-5s", "")
+	city := rows[0].City
+	fmt.Fprintf(&b, "Figure 14b: Heatmap of 1-D t-SNE of time-slot embeddings (%s, scale=%s)\n", city, scale)
+	days := distinct(rows, byVariant)
+	heat := make([][]float64, len(days))
+	for d, day := range days {
+		heat[d] = values(where(rows, cell{variant: day}))
+	}
+	var hours []string
 	for h := 0; h < 24; h += 2 {
-		fmt.Fprintf(&b, "%7dh", h)
+		hours = append(hours, fmt.Sprintf("%dh", h))
 	}
-	b.WriteByte('\n')
-	rows := make([][]float64, 7)
-	for d := 0; d < 7; d++ {
-		fmt.Fprintf(&b, "%-5s", days[d])
-		rows[d] = make([]float64, 24)
-		copy(rows[d], r.Heat[d][:])
-		for h := 0; h < 24; h += 2 {
-			fmt.Fprintf(&b, "%8.2f", r.Heat[d][h])
-		}
-		b.WriteByte('\n')
-	}
+	matrix(&b, "", 5, hours, repeat(8, len(hours)), days, func(d, j int) string {
+		return fmt.Sprintf("%.2f", heat[d][2*j])
+	})
 	b.WriteString("shaded (cols = hours 0..23):\n")
-	b.WriteString(plot.Heatmap(rows, days))
+	b.WriteString(plot.Heatmap(heat, days))
 	return b.String()
 }

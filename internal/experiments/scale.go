@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (§6) on the synthetic cities. Each RunXxx function
-// returns a structured result whose String method prints the same rows or
-// series the paper reports; cmd/ttebench drives them, and bench_test.go
-// wraps each in a testing.B benchmark.
+// evaluation section (§6) on the synthetic cities. Each experiment in
+// Experiments runs on a Suite, which holds the worlds and the trained
+// models they share, and returns its numbers as Rows, one value each in
+// long format; its renderer lays the rows out as the paper's table or
+// figure. cmd/ttebench runs and prints them.
 //
 // Absolute numbers differ from the paper (simulated city, CPU, reduced
 // scale); the comparisons the paper draws — which method wins, the ablation
@@ -16,8 +17,8 @@ import (
 	"deepod/internal/core"
 )
 
-// Scale bundles the dataset and model sizes an experiment run uses. Tests
-// and benchmarks use TinyScale; the ttebench CLI defaults to SmallScale.
+// Scale bundles the dataset and model sizes an experiment run uses. Tests,
+// benchmarks and the ttebench CLI default to TinyScale.
 type Scale struct {
 	// Name labels the scale in reports.
 	Name string
@@ -106,8 +107,9 @@ func ShapeScale() Scale {
 	}
 }
 
-// SmallScale is the default CLI scale: tens of minutes of total compute on
-// one core, with the clearest separations between methods.
+// SmallScale is the full-strength three-city scale (ttebench -scale small):
+// tens of minutes of total compute on one core, with the clearest
+// separations between methods.
 func SmallScale() Scale {
 	cfg := core.SmallConfig()
 	cfg.Epochs = 8

@@ -3,8 +3,6 @@ package experiments
 import (
 	"math"
 	"testing"
-
-	"deepod/internal/metrics"
 )
 
 // TestReproductionShape asserts the comparison shape that survives the
@@ -20,23 +18,26 @@ import (
 // Orderings *among* the strong methods (DeepOD vs GBM vs STNN vs MURAT) are
 // within single-seed noise at this scale and are reported, not asserted;
 // EXPERIMENTS.md discusses which of the paper's fine-grained orderings
-// reproduce. The run takes ~1 minute on one core; skip with -short.
+// reproduce. The run, Table 4 on chengdu-s, takes ~12 s on one core;
+// skip with -short.
 func TestReproductionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test skipped in -short mode")
 	}
-	s := NewSuite(ShapeScale())
-	city := "chengdu-s"
+	rows, err := RunTable4(NewSuite(ShapeScale()))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	methods := []string{"TEMP", "LR", "GBM", "STNN", "MURAT", "DeepOD", "N-st"}
 	mape := map[string]float64{}
 	best := math.Inf(1)
 	for _, method := range methods {
-		actual, pred, err := s.TestErrors(city, method)
-		if err != nil {
-			t.Fatalf("%s: %v", method, err)
+		r := where(rows, cell{city: "chengdu-s", method: method, metric: "mape"})
+		if len(r) != 1 {
+			t.Fatalf("%s: %d MAPE rows on chengdu-s, want 1", method, len(r))
 		}
-		mape[method] = metrics.MAPE(actual, pred)
+		mape[method] = r[0].Value
 		if mape[method] < best {
 			best = mape[method]
 		}

@@ -11,10 +11,6 @@ import (
 
 // Method names used across all experiments, in the paper's report order.
 var (
-	// BaselineMethods are the five comparison methods of §6.1.
-	BaselineMethods = []string{"TEMP", "LR", "GBM", "STNN", "MURAT"}
-	// AblationMethods are the DeepOD ablations of Table 4.
-	AblationMethods = []string{"N-st", "N-sp", "N-tp", "N-other"}
 	// AllTable4Methods is the row order of Table 4.
 	AllTable4Methods = []string{"TEMP", "LR", "GBM", "STNN", "MURAT", "N-st", "N-sp", "N-tp", "N-other", "DeepOD"}
 	// EmbeddingVariants are the Table 7 variants.
@@ -133,12 +129,14 @@ func NewSuite(sc Scale) *Suite {
 	}
 }
 
-// World returns (building and caching) the world for a city.
+// World returns (building and caching) the world for a city. It is the only
+// source of worlds, so every experiment on a city shares one; nothing that
+// trains or evaluates a model writes to it.
 func (s *Suite) World(city string) (*World, error) {
 	if w, ok := s.worlds[city]; ok {
 		return w, nil
 	}
-	w, err := BuildWorld(city, s.Scale)
+	w, err := buildWorld(city, s.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -203,9 +201,9 @@ func (s *Suite) Model(city, method string) (models.Trainable, error) {
 	return m, nil
 }
 
-// TestErrors evaluates a trained model on a city's test split, returning
-// (actual, predicted) in seconds.
-func (s *Suite) TestErrors(city, method string) (actual, predicted []float64, err error) {
+// predict evaluates method, trained on city (or reused from the cache), on
+// the city's test split.
+func (s *Suite) predict(city, method string) (actual, pred []float64, err error) {
 	w, err := s.World(city)
 	if err != nil {
 		return nil, nil, err
@@ -214,11 +212,25 @@ func (s *Suite) TestErrors(city, method string) (actual, predicted []float64, er
 	if err != nil {
 		return nil, nil, err
 	}
-	actual = make([]float64, len(w.Split.Test))
-	predicted = make([]float64, len(w.Split.Test))
-	for i := range w.Split.Test {
-		actual[i] = w.Split.Test[i].TravelSec
-		predicted[i] = m.Estimate(&w.Split.Test[i].Matched)
+	actual, pred = evaluate(m, w.Split.Test)
+	return actual, pred, nil
+}
+
+// row starts a row of experiment exp at the suite's seed.
+func (s *Suite) row(exp, city, method, split string) Row {
+	return Row{Exp: exp, City: city, Method: method, Seed: s.Scale.Seed, Split: split}
+}
+
+// trainDeepOD fits a fresh DeepOD built from cfg on w's training split: one
+// cell of the sweeps that vary the configuration (Figures 8, 9 and 14a and
+// the embedding study).
+func trainDeepOD(cfg core.Config, w *World) (*core.Model, error) {
+	m, err := core.New(cfg, w.Graph)
+	if err != nil {
+		return nil, err
 	}
-	return actual, predicted, nil
+	if _, err := m.Train(w.Split.Train, w.Split.Valid, core.TrainOptions{}); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

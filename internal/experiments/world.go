@@ -21,8 +21,8 @@ type World struct {
 	Split   dataset.Split
 }
 
-// BuildWorld generates the world for a city preset at the given scale.
-func BuildWorld(city string, sc Scale) (*World, error) {
+// buildWorld generates the world for a city preset at the given scale.
+func buildWorld(city string, sc Scale) (*World, error) {
 	ccfg, err := roadnet.CityPreset(city)
 	if err != nil {
 		return nil, err
