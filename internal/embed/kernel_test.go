@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"deepod/internal/roadnet"
@@ -173,10 +175,12 @@ func kernelCorpora(t *testing.T) []kernelCorpus {
 
 // checkKernelAgainstReference runs trainSkipGram on workers and the
 // reference from the same seed and requires both matrices after every epoch,
-// and the rng's next draw, to match at Float64bits.
+// and the rng's next draw, to match at Float64bits. Widths 16 (SmallConfig's)
+// and 64 (PaperConfig's) run the pair update's assembly on an amd64 CPU with
+// AVX2; 1, 5 and 18 are not multiples of 4 and run trainPair5Go everywhere.
 func checkKernelAgainstReference(t *testing.T, workers int) {
 	for _, c := range kernelCorpora(t) {
-		for _, dim := range []int{1, 5, 16} {
+		for _, dim := range []int{1, 5, 16, 18, 64} {
 			for _, negatives := range []int{0, 1, 4, 7} {
 				cfg := DefaultSkipGramConfig(dim)
 				cfg.Window, cfg.Negatives, cfg.Epochs = c.window, negatives, 2
@@ -215,3 +219,155 @@ func checkKernelAgainstReference(t *testing.T, workers int) {
 func TestSkipGramMatchesReference(t *testing.T) { checkKernelAgainstReference(t, 1) }
 
 func TestParallelSkipGramMatchesReference(t *testing.T) { checkKernelAgainstReference(t, 2) }
+
+// pairTargetRows are the rows of a seven-row out that the pair tests train:
+// distinct, unsorted, and leaving rows 2 and 5 untouched.
+var pairTargetRows = [pairTargets]int{3, 0, 6, 1, 4}
+
+// checkPairKernel runs the dispatched pair update (trainPair5) and its Go
+// body (trainPair5Go) on copies of vi and out and requires every element of
+// both to match at Float64bits.
+func checkPairKernel(t *testing.T, vi, out []float64, lr float64) {
+	t.Helper()
+	gotVi, gotOut := slices.Clone(vi), slices.Clone(out)
+	wantVi, wantOut := slices.Clone(vi), slices.Clone(out)
+	trainPair5(gotVi, gotOut, &pairTargetRows, lr)
+	trainPair5Go(wantVi, wantOut, &pairTargetRows, lr)
+	for _, m := range []struct {
+		name      string
+		got, want []float64
+	}{{"vi", gotVi, wantVi}, {"out", gotOut, wantOut}} {
+		for i := range m.want {
+			if math.Float64bits(m.got[i]) != math.Float64bits(m.want[i]) {
+				t.Fatalf("dim %d, lr %v: %s[%d] = %v (%#x), Go body %v (%#x)\nvi %v\nout %v", len(vi), lr, m.name, i,
+					m.got[i], math.Float64bits(m.got[i]), m.want[i], math.Float64bits(m.want[i]), vi, out)
+			}
+		}
+	}
+}
+
+// pairSpecials are element values the pair tests mix in: signed zeros,
+// subnormals, factors whose products overflow, the edges of σ's table and a
+// few plain values.
+var pairSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030, 1e200, -1e200,
+	6, -6, math.Nextafter(6, 0), math.Nextafter(-6, 0), 7, -7, 0.5, -0.25, 1,
+}
+
+// TestPairKernelSIMDMatchesPortable sets every target's dot to each of: below
+// −6, exactly −6, just inside ±6, sums of −0 and of subnormal products, 6,
+// above 6, ±Inf (an overflowing product) and NaN (+Inf plus −Inf); the other
+// elements come from pairSpecials, and the learning rate is a plain one and
+// one whose updates overflow. Widths 5 and 18 take the Go body on every path.
+func TestPairKernelSIMDMatchesPortable(t *testing.T) {
+	// vi starts (2, 1e200), so a target row starting (a, b) and ±0 after
+	// that has the dot 2a + 1e200·b.
+	dots := [][2]float64{
+		{-3.5, 0},
+		{-3, 0},
+		{math.Nextafter(-3, 0), 0},
+		{math.Copysign(0, -1), math.Copysign(0, -1)},
+		{5e-324, -5e-324},
+		{0.7, 1e-201},
+		{math.Nextafter(3, 0), 0},
+		{3, 0},
+		{3.5, 0},
+		{0, 1e200},
+		{0, -1e200},
+		{1.5e308, -1e200},
+	}
+	rng := rand.New(rand.NewSource(3))
+	special := func() float64 { return pairSpecials[rng.Intn(len(pairSpecials))] }
+	for _, dim := range []int{4, 5, 8, 16, 18, 64} {
+		for k := range dots {
+			for _, lr := range []float64{0.025, 1e300} {
+				vi := make([]float64, dim)
+				out := make([]float64, 7*dim)
+				for i := range out {
+					out[i] = special()
+				}
+				vi[0], vi[1] = 2, 1e200
+				for i := 2; i < dim; i++ {
+					vi[i] = special()
+				}
+				for s, row := range pairTargetRows {
+					vo := out[row*dim : (row+1)*dim]
+					vo[0], vo[1] = dots[(k+s)%len(dots)][0], dots[(k+s)%len(dots)][1]
+					for i := 2; i < dim; i++ {
+						vo[i] = math.Copysign(0, special())
+					}
+				}
+				checkPairKernel(t, vi, out, lr)
+			}
+		}
+	}
+}
+
+// FuzzPairKernel holds the dispatched pair update against its Go body on
+// widths 4 to 64 in steps of 4 (every one the assembly's on an amd64 CPU
+// with AVX2). Each element of vi and of the seven rows comes from two bytes
+// of data, cycled: one of pairSpecials, or k/16 for k in [−128, 127], whose
+// products sum exactly, so dots land on ±6 and on every table bin. A
+// non-finite learning rate is replaced: the inputs stay finite, so every
+// NaN either path makes is the same default NaN.
+func FuzzPairKernel(f *testing.F) {
+	f.Add(uint8(3), 0.025, []byte{1, 0, 2, 0, 200, 96, 15, 1})
+	f.Add(uint8(0), 1e300, []byte{5, 0, 6, 0, 7, 9})
+	f.Add(uint8(15), -0.5, []byte{16, 48, 16, 144, 8, 3, 9, 0, 11, 4})
+	f.Fuzz(func(t *testing.T, width uint8, lr float64, data []byte) {
+		if len(data) < 2 {
+			t.Skip()
+		}
+		if math.IsNaN(lr) || math.IsInf(lr, 0) {
+			lr = 0.025
+		}
+		dim := 4 * (1 + int(width%16))
+		next := 0
+		value := func() float64 {
+			b0, b1 := data[next%len(data)], data[(next+1)%len(data)]
+			next += 2
+			if int(b0) < len(pairSpecials) {
+				return pairSpecials[b0]
+			}
+			return float64(int8(b1)) / 16
+		}
+		vi := make([]float64, dim)
+		for i := range vi {
+			vi[i] = value()
+		}
+		out := make([]float64, 7*dim)
+		for i := range out {
+			out[i] = value()
+		}
+		checkPairKernel(t, vi, out, lr)
+	})
+}
+
+// TestSkipGramNonFiniteError trains with a learning rate whose updates
+// overflow, on a width the assembly takes and one it leaves to Go: the
+// embeddings go to ±Inf and NaN, σ(NaN) is 0 on both, and trainSkipGram
+// reports the epoch instead of returning the matrix (or panicking, as an
+// unchecked σ(NaN) table index did).
+func TestSkipGramNonFiniteError(t *testing.T) {
+	g := newChordedRing(24)
+	walks, err := GenerateWalks(g, DefaultWalkConfig(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dim := range []int{5, 16} {
+		for _, workers := range []int{1, 2} {
+			cfg := DefaultSkipGramConfig(dim)
+			cfg.LR = 1e300
+			vecs, err := TrainSkipGramParallel(g.NumNodes(), walks, cfg, rand.New(rand.NewSource(2)), workers)
+			if err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("dim %d, %d workers: err %v, want a non-finite embedding error", dim, workers, err)
+			}
+			if vecs != nil {
+				t.Fatalf("dim %d, %d workers: got a matrix with the error", dim, workers)
+			}
+		}
+	}
+	if _, err := TrainSkipGram(g.NumNodes(), walks, DefaultSkipGramConfig(16), rand.New(rand.NewSource(2))); err != nil {
+		t.Fatalf("default LR: %v", err)
+	}
+}

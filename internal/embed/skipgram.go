@@ -148,11 +148,24 @@ func trainSkipGram(numNodes int, walks [][]int, cfg SkipGramConfig, rng *rand.Ra
 		} else {
 			averagedEpoch(in, out, ins, outs, walks, cfg, neg, lr, rng)
 		}
+		if !allFinite(in.Data) || !allFinite(out.Data) {
+			return nil, fmt.Errorf("embed: skip-gram epoch %d left a non-finite embedding (LR %g too large?)", epoch, cfg.LR)
+		}
 		if afterEpoch != nil {
 			afterEpoch(in, out)
 		}
 	}
 	return in, nil
+}
+
+// allFinite reports whether no element of data is NaN or ±Inf.
+func allFinite(data []float64) bool {
+	for _, v := range data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // trainSkipGramEpoch runs one skip-gram epoch over walks, updating in/out
@@ -246,12 +259,14 @@ func trainPair(in, out, gradIn []float64, targets []int, center int, neg *negSam
 	}
 }
 
-// trainPair5 is trainPair's update for five pairwise-distinct targets, t[0]
-// the context (label 1) and t[1:] negatives (label 0): five independent dot
-// chains in one pass over vi, then one pass that adds g_s·vo_s[i] to the
+// trainPair5Go is trainPair's update for five pairwise-distinct targets,
+// t[0] the context (label 1) and t[1:] negatives (label 0): five independent
+// dot chains in one pass over vi, then one pass that adds g_s·vo_s[i] to the
 // center's gradient in target order from zero, moves each vo_s[i] after
-// reading it, and moves vi[i] last.
-func trainPair5(vi, out []float64, t *[pairTargets]int, lr float64) {
+// reading it, and moves vi[i] last. It is trainPair5's portable body; on
+// amd64 with AVX2, a width that is a multiple of 4 runs the same operations
+// in assembly (pair_amd64.s).
+func trainPair5Go(vi, out []float64, t *[pairTargets]int, lr float64) {
 	dim := len(vi)
 	vo0 := out[t[0]*dim : (t[0]+1)*dim : (t[0]+1)*dim][:len(vi)]
 	vo1 := out[t[1]*dim : (t[1]+1)*dim : (t[1]+1)*dim][:len(vi)]
@@ -305,12 +320,13 @@ var sigmoidTab = func() (t [sigmoidBins + 1]float64) {
 	return t
 }()
 
-// sigmoidApprox looks σ(x) up in sigmoidTab; small enough to inline.
+// sigmoidApprox looks σ(x) up in sigmoidTab; small enough to inline. NaN
+// gives 0, as in the assembly pair kernel, so no NaN ever indexes the table.
 func sigmoidApprox(x float64) float64 {
 	if x >= sigmoidBound {
 		return 1
 	}
-	if x <= -sigmoidBound {
+	if !(x > -sigmoidBound) {
 		return 0
 	}
 	return sigmoidTab[int((x+sigmoidBound)/(2*sigmoidBound)*sigmoidBins)]

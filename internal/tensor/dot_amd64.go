@@ -7,6 +7,11 @@ package tensor
 // and CPUID leaf 7 (AVX2).
 var useAVX2 = hasAVX2()
 
+// AVX2 reports whether this build dispatches to AVX2 assembly: the CPU has
+// AVX2 and the build is amd64 without the purego tag. Other packages' SIMD
+// kernels ask it rather than probing the CPU again.
+func AVX2() bool { return useAVX2 }
+
 func hasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false

@@ -28,8 +28,9 @@ go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalVa
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 go test -race -run 'GoldenBits|Batch|Concurrent' ./internal/models/
 
-echo "== portable kernel (-tags purego: the golden bits, the batch kernels, fused ≡ per-sample and the traffic-code memo without the amd64 assembly)"
+echo "== portable kernel (-tags purego: the golden bits, the batch kernels, fused ≡ per-sample, the traffic-code memo, the skip-gram kernel against its reference and the overflowing-LR error without the amd64 assembly)"
 go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|Fused|TrafficCode|LSTM' ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/models/
+go test -tags purego -run 'GoldenBits|MatchesReference|NonFinite' ./internal/embed/
 
 echo "== portable bits (no fused multiply-add in the model's or the serving path's packages on arm64, ppc64le, s390x, riscv64, nor in any assembly)"
 ./scripts/fma.sh
@@ -37,8 +38,9 @@ echo "== portable bits (no fused multiply-add in the model's or the serving path
 echo "== dead code (every function of every package is linked into a binary)"
 ./scripts/deadcode.sh
 
-echo "== fuzz smoke (9 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD dot kernel against the portable one; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files)"
+echo "== fuzz smoke (10 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD skip-gram pair update and the SIMD dot kernel against the portable ones; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
+go test -run '^$' -fuzz FuzzPairKernel -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDotRows -fuzztime 5s ./internal/tensor/
 go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzDecodeProbes -fuzztime 5s ./internal/serve/
