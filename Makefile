@@ -34,10 +34,11 @@ enginebench:
 	go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPredictionStampDisabledOverhead' -v ./internal/infer/
 
 slobench:
-	go test -run '^$$' -bench 'BenchmarkEvaluatorTick|BenchmarkManagerSet' ./internal/slo/
+	go test -run '^$$' -bench 'BenchmarkEvaluatorObserve|BenchmarkManagerSet' ./internal/slo/
 
 replaybench:
 	go run ./cmd/ttereplay -smoke -gate-unexplained 0
 
 telemetrybench:
 	go test -run 'TestTelemetryDisabledOverhead' -v ./internal/obs/
+	go test -run '^$$' -bench 'BenchmarkSamplerTick' -benchmem ./internal/serve/

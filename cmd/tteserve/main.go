@@ -24,8 +24,9 @@
 //	GET  /debug/recorder → flight-recorder wide events + segment downloads (with -recorder)
 //	GET  /debug/metrics/history → queryable in-process metric history (with -telemetry)
 //
-// With -telemetry (default on) a history sampler ticks the metrics
-// registry every -telemetry-interval into per-series bounded rings (a raw
+// Every -telemetry-interval one sampler refreshes the runtime gauges and
+// hands one registry snapshot to the SLO evaluator and, with -telemetry
+// (default on), to the metric history: per-series bounded rings (a raw
 // tier plus a coarse long-horizon tier), queryable at
 // /debug/metrics/history?series=...&range=...&agg=.... With -exemplars,
 // histogram observations on traced requests carry their trace ID:
@@ -54,7 +55,7 @@
 //
 // With -slo (default on) the SLO engine evaluates burn-rate alert rules
 // over the built-in objectives (availability, latency, shed rate of
-// /estimate) every -slo-interval; -slo-config swaps in custom objectives
+// /estimate) on every sampler tick; -slo-config swaps in custom objectives
 // and rules, and -burn-fast tunes the default page rule. The quality
 // monitor's drift alert routes through the same manager.
 //
@@ -158,8 +159,6 @@ func main() {
 		traceWindow  = flag.Duration("trace-window", 10*time.Second, "slowest-N rotation window")
 		traceSample  = flag.Float64("trace-sample", 0.01, "probability of retaining a normal (non-error, non-slow) trace")
 
-		runtimeEvery = flag.Duration("runtime-stats", 10*time.Second, "runtime stats (goroutines, heap, GC) sampling period; 0 disables")
-
 		qualityOn      = flag.Bool("quality", true, "online model-quality monitoring: stamp predictions, accept POST /feedback, serve GET /debug/quality")
 		qualityWindow  = flag.Duration("quality-window", time.Minute, "quality metric aggregation window")
 		pendingTTL     = flag.Duration("pending-ttl", 10*time.Minute, "how long a stamped prediction waits for feedback before expiring")
@@ -173,14 +172,13 @@ func main() {
 		recorderSegEvents = flag.Int("recorder-segment-events", 4096, "rotate the on-disk segment file after this many events")
 		recorderSegments  = flag.Int("recorder-segments", 8, "segment files retained on disk (oldest deleted beyond this)")
 
-		telemetryOn       = flag.Bool("telemetry", true, "history sampler: in-process metric history at /debug/metrics/history")
-		telemetryInterval = flag.Duration("telemetry-interval", 10*time.Second, "history sampling period (raw tier)")
+		telemetryOn       = flag.Bool("telemetry", true, "in-process metric history at /debug/metrics/history, one point per sampler tick")
+		telemetryInterval = flag.Duration("telemetry-interval", 10*time.Second, "sampling period of the one process sampler: runtime gauges, SLO evaluation and the history's raw tier (at least 1s with -telemetry)")
 		exemplarsOn       = flag.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1 and in /debug/metrics/history)")
 
-		sloOn       = flag.Bool("slo", true, "SLO engine: burn-rate alerting over the built-in objectives, GET /debug/slo and /debug/alerts")
-		sloConfig   = flag.String("slo-config", "", "JSON file with custom SLO objectives and burn rules (empty = built-in defaults)")
-		sloInterval = flag.Duration("slo-interval", 10*time.Second, "SLO evaluation period (a -slo-config interval_sec overrides)")
-		burnFast    = flag.Float64("burn-fast", 14.4, "fast-window burn-rate threshold for the default page rule")
+		sloOn     = flag.Bool("slo", true, "SLO engine: burn-rate alerting over the built-in objectives, GET /debug/slo and /debug/alerts")
+		sloConfig = flag.String("slo-config", "", "JSON file with custom SLO objectives and burn rules (empty = built-in defaults)")
+		burnFast  = flag.Float64("burn-fast", 14.4, "fast-window burn-rate threshold for the default page rule")
 	)
 	flag.Parse()
 
@@ -252,10 +250,6 @@ func main() {
 		logger = slog.New(obs.NewTraceHandler(h)).With("app", "tteserve")
 	}
 
-	if *runtimeEvery > 0 {
-		stopRuntime := obs.StartRuntimeStats(nil, *runtimeEvery)
-		defer stopRuntime()
-	}
 	traces := obs.NewTraceStore(nil, obs.TraceStoreConfig{
 		Capacity:   *traceCap,
 		SlowestN:   *traceSlowest,
@@ -263,11 +257,15 @@ func main() {
 		SampleRate: *traceSample,
 	})
 
-	// Telemetry history: the sampler ticks the default registry into
-	// bounded per-series rings. Exemplars are process-global: once on,
-	// traced requests stamp their trace ID onto histogram observations.
+	// The history and the SLO evaluator observe the process sampler's
+	// snapshots of the default registry (started below, once both exist).
+	// Exemplars are process-global: once on, traced requests stamp their
+	// trace ID onto histogram observations.
 	obs.SetExemplars(*exemplarsOn)
-	var history *telemetry.History
+	var (
+		history   *telemetry.History
+		observers []func(time.Time, []obs.Sample)
+	)
 	if *telemetryOn {
 		history, err = telemetry.NewHistory(telemetry.Config{
 			Interval: *telemetryInterval,
@@ -276,8 +274,7 @@ func main() {
 		if err != nil {
 			fatal("building telemetry history", err)
 		}
-		history.Start()
-		defer history.Close()
+		observers = append(observers, history.Observe)
 	}
 
 	// The SLO/alerting layer is assembled before the engine branch so the
@@ -290,30 +287,25 @@ func main() {
 		alertMgr = slo.NewManager(slo.ManagerConfig{Logger: logger})
 		objectives := slo.DefaultObjectives()
 		rules := slo.DefaultRules(*burnFast)
-		interval := *sloInterval
 		if *sloConfig != "" {
-			var cfgInterval time.Duration
-			objectives, rules, cfgInterval, err = slo.LoadConfig(*sloConfig)
+			objectives, rules, err = slo.LoadConfig(*sloConfig)
 			if err != nil {
 				fatal("loading SLO config", err)
-			}
-			if cfgInterval > 0 {
-				interval = cfgInterval
 			}
 		}
 		sloEval, err = slo.New(slo.Config{
 			Objectives: objectives,
 			Rules:      rules,
-			Interval:   interval,
+			Interval:   *telemetryInterval,
 			Manager:    alertMgr,
-			Logger:     logger,
 		})
 		if err != nil {
 			fatal("building SLO evaluator", err)
 		}
-		sloEval.Start()
-		defer sloEval.Close()
+		observers = append(observers, sloEval.Observe)
 	}
+	stopSampler := obs.StartSampler(nil, *telemetryInterval, observers...)
+	defer stopSampler()
 
 	bounds := c.Graph.Bounds()
 	scfg := serve.Config{
@@ -519,7 +511,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	hsrv := serve.NewHTTPServer(*addr, srv.Handler())
-	logger.Info("serving", "city", *city, "addr", *addr, "metrics", "/metrics", "traces", "/debug/traces")
+	logger.Info("serving", "city", *city, "addr", *addr, "metrics", "/metrics", "traces", "/debug/traces", "sample_every", *telemetryInterval)
 	logf := func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
 	if err := serve.ListenAndServe(ctx, hsrv, *grace, logf); err != nil {
 		fatal("server", err)

@@ -19,7 +19,7 @@ import (
 //	tte_go_gc_last_pause_seconds    most recent GC pause
 //
 // ReadMemStats stops the world briefly (microseconds), so this is meant to
-// run on a period (see StartRuntimeStats), not per request.
+// run on a period (see StartSampler), not per request.
 func CollectRuntime(reg *Registry) {
 	if reg == nil {
 		reg = Default()
@@ -38,10 +38,14 @@ func CollectRuntime(reg *Registry) {
 	}
 }
 
-// StartRuntimeStats samples CollectRuntime into reg immediately and then
-// every interval (default 10s) until the returned stop function is called.
-// stop is idempotent.
-func StartRuntimeStats(reg *Registry, interval time.Duration) (stop func()) {
+// StartSampler is the process's one periodic sampler. Immediately and then
+// every interval (default 10s), on one goroutine, it refreshes the runtime
+// gauges (CollectRuntime), takes one Snapshot of reg (nil uses the default
+// registry) and hands that snapshot and the tick's time to each observer in
+// order. Every observer of a tick sees the same slice, so observers must
+// treat it as read-only. stop is idempotent and returns only after the
+// in-flight tick has finished: once it returns, no observer runs again.
+func StartSampler(reg *Registry, interval time.Duration, observe ...func(now time.Time, samples []Sample)) (stop func()) {
 	if reg == nil {
 		reg = Default()
 	}
@@ -51,20 +55,31 @@ func StartRuntimeStats(reg *Registry, interval time.Duration) (stop func()) {
 	reg.Help("tte_go_goroutines", "Live goroutines.")
 	reg.Help("tte_go_heap_alloc_bytes", "Live heap bytes.")
 	reg.Help("tte_go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause seconds.")
-	CollectRuntime(reg)
-	done := make(chan struct{})
+	tick := func() {
+		CollectRuntime(reg)
+		now, samples := time.Now(), reg.Snapshot()
+		for _, o := range observe {
+			o(now, samples)
+		}
+	}
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
+		tick()
 		for {
 			select {
 			case <-t.C:
-				CollectRuntime(reg)
+				tick()
 			case <-done:
 				return
 			}
 		}
 	}()
 	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }

@@ -328,17 +328,3 @@ func TestTraceStoreHandler(t *testing.T) {
 		t.Fatalf("POST -> %d", post.Code)
 	}
 }
-
-func TestRuntimeStats(t *testing.T) {
-	reg := NewRegistry()
-	CollectRuntime(reg)
-	if g := reg.Gauge("tte_go_goroutines").Value(); g < 1 {
-		t.Fatalf("goroutines gauge = %v", g)
-	}
-	if g := reg.Gauge("tte_go_heap_alloc_bytes").Value(); g <= 0 {
-		t.Fatalf("heap alloc gauge = %v", g)
-	}
-	stop := StartRuntimeStats(reg, time.Hour)
-	stop()
-	stop() // idempotent
-}

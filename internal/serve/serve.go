@@ -127,8 +127,8 @@ type Config struct {
 	// where the monitor is one of infer.Config.Observers.
 	Quality *quality.Monitor
 	// SLO, when non-nil, serves the evaluator's objective status at GET
-	// /debug/slo. The evaluator's lifecycle (Start/Close) belongs to the
-	// caller; the server only exposes it.
+	// /debug/slo. The caller feeds it registry snapshots (its Observe
+	// rides obs.StartSampler); the server only exposes it.
 	SLO *slo.Evaluator
 	// Alerts, when non-nil, serves the alert manager's firing set and
 	// transition history at GET /debug/alerts.
@@ -151,9 +151,9 @@ type Config struct {
 	// /debug/recorder/segments[/<name>]. Capture itself is wired at the
 	// engine (one of infer.Config.Observers); the server only exposes it.
 	Recorder *recorder.Recorder
-	// History, when non-nil, serves the telemetry sampler's in-process
-	// time series at GET /debug/metrics/history. The sampler's lifecycle
-	// (Start/Close) belongs to the caller; the server only exposes it.
+	// History, when non-nil, serves the in-process metric history at GET
+	// /debug/metrics/history. The caller feeds it registry snapshots (its
+	// Observe rides obs.StartSampler); the server only exposes it.
 	History *telemetry.History
 }
 

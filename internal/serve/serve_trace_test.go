@@ -26,7 +26,7 @@ import (
 )
 
 // tinyGraphModel builds a 4×4 city and an (untrained) DeepOD model over it.
-func tinyGraphModel(t *testing.T) (*roadnet.Graph, *core.Model) {
+func tinyGraphModel(t testing.TB) (*roadnet.Graph, *core.Model) {
 	t.Helper()
 	gcfg := roadnet.SmallCity("trace-e2e", 7)
 	gcfg.Rows, gcfg.Cols = 4, 4
@@ -49,7 +49,7 @@ func tinyGraphModel(t *testing.T) (*roadnet.Graph, *core.Model) {
 // newTracedEngineServer assembles the real serving stack — HTTP layer,
 // inference engine, map matcher, and an (untrained) DeepOD model — with
 // tracing on, so tests can follow one request's spans across every layer.
-func newTracedEngineServer(t *testing.T) (*Server, *obs.TraceStore, string) {
+func newTracedEngineServer(t testing.TB) (*Server, *obs.TraceStore, string) {
 	t.Helper()
 	g, m := tinyGraphModel(t)
 	matcher, err := mapmatch.New(g, mapmatch.DefaultConfig())

@@ -100,9 +100,8 @@ func TestSLOEndToEnd(t *testing.T) {
 			{Name: "fast", Severity: "page", Long: time.Minute, Short: 10 * time.Second, Burn: 14.4},
 		},
 		Interval: 10 * time.Second, // ticked manually for determinism
-		Source:   reg,
+		Registry: reg,
 		Manager:  mgr,
-		Now:      clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,7 @@ func TestSLOEndToEnd(t *testing.T) {
 			t.Fatalf("healthy estimate = %d: %s", rec.Code, rec.Body)
 		}
 	}
-	ev.Tick()
+	ev.Observe(clk.now(), reg.Snapshot())
 	if n := len(mgr.Active()); n != 0 {
 		t.Fatalf("healthy: %d alerts firing", n)
 	}
@@ -147,7 +146,7 @@ func TestSLOEndToEnd(t *testing.T) {
 			t.Fatalf("spike estimate = %d, want 500", rec.Code)
 		}
 	}
-	ev.Tick()
+	ev.Observe(clk.now(), reg.Snapshot())
 	active := mgr.Active()
 	if len(active) != 1 || active[0].Name != "slo:availability:fast" {
 		t.Fatalf("spike: active = %+v, want slo:availability:fast", active)
@@ -227,7 +226,7 @@ func TestSLOEndToEnd(t *testing.T) {
 			t.Fatalf("recovery estimate = %d", rec.Code)
 		}
 	}
-	ev.Tick()
+	ev.Observe(clk.now(), reg.Snapshot())
 	if got := names(mgr.Active()); len(got) != 1 || got[0] != "quality:drift" {
 		t.Fatalf("after recovery: active = %v, want only quality:drift", got)
 	}

@@ -142,7 +142,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	hist, err := telemetry.NewHistory(telemetry.Config{
 		Interval: 10 * time.Second,
-		Source:   reg,
 		Registry: obs.NewRegistry(),
 		Now:      clock,
 	})
@@ -178,10 +177,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	const traceID = "feedfacecafebeef"
 	estimate(traceID)
-	hist.Tick()
+	hist.Observe(clock(), reg.Snapshot())
 	advance(10 * time.Second)
 	estimate("")
-	hist.Tick()
+	hist.Observe(clock(), reg.Snapshot())
 
 	// History query over the route latency p99 carries the exemplar.
 	rec := httptest.NewRecorder()

@@ -3,7 +3,6 @@ package slo
 import (
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"math"
 	"net/http"
 	"sync"
@@ -19,21 +18,15 @@ type Config struct {
 	// Rules are the burn-rate alert rules applied to every objective
 	// (default DefaultRules(0)).
 	Rules []BurnRule
-	// Interval is the snapshot/evaluation period (default 10s). Evaluation
-	// happens on a background goroutine; nothing runs on request paths.
+	// Interval is the period the process sampler calls Observe at
+	// (default 10s). It sizes the history rings and is reported by
+	// /debug/slo; nothing runs on request paths.
 	Interval time.Duration
-	// Source is the registry snapshots are read from (default
-	// obs.Default()).
-	Source *obs.Registry
-	// Registry receives tte_slo_* metrics (default Source).
+	// Registry receives tte_slo_* metrics (default obs.Default()).
 	Registry *obs.Registry
 	// Manager receives alert state transitions. Optional; nil means
 	// evaluate-and-expose only.
 	Manager *Manager
-	// Logger receives evaluator lifecycle lines (nil logs nowhere).
-	Logger *slog.Logger
-	// Now overrides the clock (tests); defaults to time.Now.
-	Now func() time.Time
 }
 
 // point is one cumulative (good, total) observation. The history itself
@@ -81,27 +74,26 @@ type objectiveState struct {
 	burnG     []*obs.Gauge // per rule, long-window burn
 }
 
-// Evaluator periodically snapshots the source registry, reduces each
-// objective to cumulative (good, total) counts, derives windowed burn
-// rates by differencing the history ring, and drives the alert manager.
-// Construct with New, start the loop with Start, stop with Close; Tick
-// runs one evaluation synchronously (tests, benchmarks).
+// Evaluator reduces each registry snapshot it observes to cumulative
+// (good, total) counts per objective, derives windowed burn rates by
+// differencing the history ring, and drives the alert manager. Construct
+// with New and hand Observe to obs.StartSampler.
+//
+// It keeps its own (good, total) ring rather than reading
+// telemetry.History: the latency SLI needs bucket counts, which History
+// does not keep, and the slow rule's 72 h window outruns History's
+// 24 h coarse tier.
 type Evaluator struct {
 	cfg Config
-	now func() time.Time
 
 	mu   sync.Mutex
 	objs []*objectiveState
 	last time.Time
 
-	stop     chan struct{}
-	done     chan struct{}
-	startMu  sync.Mutex
-	started  bool
 	evaluate *obs.Counter
 }
 
-// New validates cfg and builds an Evaluator (not yet running).
+// New validates cfg and builds an Evaluator.
 func New(cfg Config) (*Evaluator, error) {
 	if len(cfg.Objectives) == 0 {
 		return nil, fmt.Errorf("slo: Config.Objectives is empty")
@@ -143,25 +135,16 @@ func New(cfg Config) (*Evaluator, error) {
 	// history falls back to the oldest point — burn-since-oldest, which is
 	// the right degradation: young processes alert on what they have seen.
 	maxPoints := min(max(int(longest/cfg.Interval)+2, 64), 32768)
-	if cfg.Source == nil {
-		cfg.Source = obs.Default()
-	}
 	if cfg.Registry == nil {
-		cfg.Registry = cfg.Source
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+		cfg.Registry = obs.Default()
 	}
 	reg := cfg.Registry
 	reg.Help("tte_slo_sli", "Achieved service level over the longest rule window, by objective.")
 	reg.Help("tte_slo_burn_rate", "Long-window error-budget burn rate, by objective and rule.")
 	reg.Help("tte_slo_error_budget_remaining", "Fraction of the error budget left over the longest rule window.")
-	reg.Help("tte_slo_evaluations_total", "SLO evaluator ticks.")
+	reg.Help("tte_slo_evaluations_total", "Registry snapshots the SLO evaluator has evaluated.")
 	e := &Evaluator{
 		cfg:      cfg,
-		now:      cfg.Now,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 		evaluate: reg.Counter("tte_slo_evaluations_total"),
 	}
 	for i := range cfg.Objectives {
@@ -183,57 +166,12 @@ func New(cfg Config) (*Evaluator, error) {
 	return e, nil
 }
 
-// Start launches the evaluation loop. Safe to call once; Close stops it.
-func (e *Evaluator) Start() {
-	e.startMu.Lock()
-	defer e.startMu.Unlock()
-	if e.started {
-		return
-	}
-	e.started = true
-	if e.cfg.Logger != nil {
-		e.cfg.Logger.Info("slo evaluator running",
-			"objectives", len(e.objs), "rules", len(e.cfg.Rules), "interval", e.cfg.Interval)
-	}
-	go func() {
-		defer close(e.done)
-		tick := time.NewTicker(e.cfg.Interval)
-		defer tick.Stop()
-		e.Tick() // an immediate baseline point, so the first window has an anchor
-		for {
-			select {
-			case <-tick.C:
-				e.Tick()
-			case <-e.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Close stops the loop (idempotent). Objectives remain readable.
-func (e *Evaluator) Close() {
-	e.startMu.Lock()
-	defer e.startMu.Unlock()
-	if !e.started {
-		return
-	}
-	e.started = false
-	close(e.stop)
-	<-e.done
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-}
-
 // alertKey names the (objective, rule) alert: "slo:<objective>:<rule>".
 func alertKey(obj, rule string) string { return "slo:" + obj + ":" + rule }
 
-// Tick runs one evaluation: snapshot, measure, append, derive burns,
-// drive the manager. It is the unit the background loop repeats and is
-// exported so tests and benchmarks can evaluate deterministically.
-func (e *Evaluator) Tick() {
-	now := e.now()
-	samples := e.cfg.Source.Snapshot()
+// Observe runs one evaluation of a registry snapshot taken at now:
+// measure, append, derive burns, drive the manager. samples is only read.
+func (e *Evaluator) Observe(now time.Time, samples []obs.Sample) {
 	e.evaluate.Inc()
 
 	// Manager calls happen outside e.mu: the manager logs, and nothing it

@@ -16,7 +16,8 @@
 //     sustainable rate; a rule fires when BOTH its long and short windows
 //     exceed the threshold — the long window gives significance, the short
 //     window confirms the problem is still happening (and resets fast).
-//   - Evaluator: snapshots the registry every Interval, appends cumulative
+//   - Evaluator: observes the registry snapshot the process sampler
+//     (obs.StartSampler) takes every Interval, appends cumulative
 //     (good, total) points to a bounded per-objective history ring, derives
 //     windowed burn rates by differencing, and drives the Manager.
 //   - Manager (alert.go): deduplicating firing/resolved state machine with
@@ -27,7 +28,7 @@
 //	tte_slo_sli{slo}                     gauge, SLI over the longest rule window
 //	tte_slo_burn_rate{slo,rule}          gauge, long-window burn rate per rule
 //	tte_slo_error_budget_remaining{slo}  gauge, 1 − spent/budget over the longest window
-//	tte_slo_evaluations_total            counter, evaluator ticks
+//	tte_slo_evaluations_total            counter, snapshots evaluated
 //	tte_alerts_firing                    gauge, currently firing alerts
 //	tte_alert_transitions_total{state}   counter {state=firing|resolved}
 //
@@ -253,7 +254,8 @@ func DefaultObjectives() []Objective {
 }
 
 // fileConfig is the -slo-config JSON shape: objectives as above, rules
-// with windows in seconds.
+// with windows in seconds. IntervalSec is read only to refuse it (see
+// LoadConfig).
 type fileConfig struct {
 	IntervalSec *float64    `json:"interval_sec,omitempty"`
 	Objectives  []Objective `json:"objectives"`
@@ -266,35 +268,41 @@ type fileConfig struct {
 	} `json:"rules"`
 }
 
-// LoadConfig reads objectives, rules and an optional evaluation interval
-// from a JSON file (see fileConfig for the shape). Missing rules fall back
-// to DefaultRules; missing objectives are an error — an empty SLO file is
-// a misconfiguration, not a degenerate success.
-func LoadConfig(path string) (objectives []Objective, rules []BurnRule, interval time.Duration, err error) {
+// LoadConfig reads objectives and rules from a JSON file (see fileConfig
+// for the shape). Missing rules fall back to DefaultRules; missing
+// objectives are an error — an empty SLO file is a misconfiguration, not a
+// degenerate success. So is an interval_sec: SLOs are evaluated on every
+// tick of the process sampler, whose period is tteserve's
+// -telemetry-interval, and a file that asks for another is refused rather
+// than silently ignored.
+func LoadConfig(path string) (objectives []Objective, rules []BurnRule, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("slo: reading config: %w", err)
+		return nil, nil, fmt.Errorf("slo: reading config: %w", err)
 	}
 	var fc fileConfig
 	if err := json.Unmarshal(b, &fc); err != nil {
-		return nil, nil, 0, fmt.Errorf("slo: parsing %s: %w", path, err)
+		return nil, nil, fmt.Errorf("slo: parsing %s: %w", path, err)
+	}
+	if fc.IntervalSec != nil {
+		return nil, nil, fmt.Errorf("slo: %s sets interval_sec %v; SLOs are evaluated every -telemetry-interval", path, *fc.IntervalSec)
 	}
 	if len(fc.Objectives) == 0 {
-		return nil, nil, 0, fmt.Errorf("slo: %s defines no objectives", path)
+		return nil, nil, fmt.Errorf("slo: %s defines no objectives", path)
 	}
 	for i := range fc.Objectives {
 		if err := fc.Objectives[i].Validate(); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
 	for i, r := range fc.Rules {
 		short, err := seconds(fmt.Sprintf("rules[%d].short_sec", i), r.ShortSec)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		long, err := seconds(fmt.Sprintf("rules[%d].long_sec", i), r.LongSec)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		rules = append(rules, BurnRule{Name: r.Name, Severity: r.Severity, Short: short, Long: long, Burn: r.Burn})
 	}
@@ -303,18 +311,13 @@ func LoadConfig(path string) (objectives []Objective, rules []BurnRule, interval
 	}
 	for i := range rules {
 		if err := rules[i].Validate(); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
-	if fc.IntervalSec != nil {
-		if interval, err = seconds("interval_sec", *fc.IntervalSec); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	return fc.Objectives, rules, interval, nil
+	return fc.Objectives, rules, nil
 }
 
-// seconds converts a config file's window or interval to a Duration. It
+// seconds converts a config file's window to a Duration. It
 // rejects a value that is not finite and positive, or that rounds to less
 // than 1 ns or past the largest Duration.
 func seconds(field string, sec float64) (time.Duration, error) {

@@ -158,9 +158,8 @@ func newEvalFixture(t *testing.T, target float64, rules []BurnRule) *evalFixture
 		}},
 		Rules:    rules,
 		Interval: time.Second,
-		Source:   reg,
+		Registry: reg,
 		Manager:  f.mgr,
-		Now:      clock.now,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -169,13 +168,17 @@ func newEvalFixture(t *testing.T, target float64, rules []BurnRule) *evalFixture
 	return f
 }
 
+// tick evaluates one registry snapshot at the fixture clock's time, as one
+// sampler tick would.
+func (f *evalFixture) tick() { f.ev.Observe(f.clock.now(), f.reg.Snapshot()) }
+
 func TestBurnRateFiringAndResolution(t *testing.T) {
 	rules := []BurnRule{{Name: "fast", Severity: "page", Long: time.Minute, Short: 10 * time.Second, Burn: 10}}
 	f := newEvalFixture(t, 0.99, rules) // budget 1%: 10x burn needs >= 10% bad
 
 	// Healthy baseline.
 	f.good.Add(100)
-	f.ev.Tick()
+	f.tick()
 	if n := len(f.mgr.Active()); n != 0 {
 		t.Fatalf("healthy tick: %d alerts firing", n)
 	}
@@ -183,7 +186,7 @@ func TestBurnRateFiringAndResolution(t *testing.T) {
 	// Spike: every request bad -> burn = 1.0/0.01 = 100x over both windows.
 	f.clock.advance(15 * time.Second)
 	f.bad.Add(50)
-	f.ev.Tick()
+	f.tick()
 	active := f.mgr.Active()
 	if len(active) != 1 {
 		t.Fatalf("spike tick: got %d firing alerts, want 1", len(active))
@@ -201,7 +204,7 @@ func TestBurnRateFiringAndResolution(t *testing.T) {
 	// Re-confirmation dedups: still one alert, evidence refreshed.
 	f.clock.advance(5 * time.Second)
 	f.bad.Add(50)
-	f.ev.Tick()
+	f.tick()
 	active = f.mgr.Active()
 	if len(active) != 1 || active[0].Sets < 2 {
 		t.Fatalf("dedup: got %d alerts, sets=%d", len(active), active[0].Sets)
@@ -211,10 +214,10 @@ func TestBurnRateFiringAndResolution(t *testing.T) {
 	// remembers the spike — the multi-window rule resolves on the short.
 	f.clock.advance(12 * time.Second)
 	f.good.Add(1000)
-	f.ev.Tick()
+	f.tick()
 	f.clock.advance(11 * time.Second)
 	f.good.Add(1000)
-	f.ev.Tick()
+	f.tick()
 	if n := len(f.mgr.Active()); n != 0 {
 		t.Fatalf("recovery: %d alerts still firing", n)
 	}
@@ -228,7 +231,7 @@ func TestNoTrafficNoBurn(t *testing.T) {
 	rules := []BurnRule{{Name: "fast", Severity: "page", Long: time.Minute, Short: 10 * time.Second, Burn: 1}}
 	f := newEvalFixture(t, 0.99, rules)
 	for i := 0; i < 5; i++ {
-		f.ev.Tick()
+		f.tick()
 		f.clock.advance(time.Second)
 	}
 	if n := len(f.mgr.Active()); n != 0 {
@@ -243,11 +246,11 @@ func TestNoTrafficNoBurn(t *testing.T) {
 func TestEvaluatorStatusAndHandler(t *testing.T) {
 	rules := []BurnRule{{Name: "fast", Severity: "page", Long: time.Minute, Short: 10 * time.Second, Burn: 10}}
 	f := newEvalFixture(t, 0.99, rules)
-	f.ev.Tick() // zero baseline point
+	f.tick() // zero baseline point
 	f.clock.advance(30 * time.Second)
 	f.good.Add(199)
 	f.bad.Add(1)
-	f.ev.Tick()
+	f.tick()
 
 	st := f.ev.Status()
 	if len(st.Objectives) != 1 {
@@ -283,36 +286,6 @@ func TestEvaluatorStatusAndHandler(t *testing.T) {
 	if rr.Code != 405 {
 		t.Fatalf("POST /debug/slo = %d, want 405", rr.Code)
 	}
-}
-
-func TestEvaluatorStartClose(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("rq_total").Add(1)
-	ev, err := New(Config{
-		Objectives: []Objective{{
-			Name: "avail", Target: 0.99,
-			Ratio: &RatioSLI{
-				Bad:   Selector{Metric: "rq_bad_total"},
-				Total: Selector{Metric: "rq_total"},
-			},
-		}},
-		Interval: time.Millisecond,
-		Source:   reg,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ev.Start()
-	ev.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for ev.Status().LastEval.IsZero() {
-		if time.Now().After(deadline) {
-			t.Fatal("evaluator never ticked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	ev.Close()
-	ev.Close() // idempotent
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -394,7 +367,6 @@ func TestManagerHistoryRing(t *testing.T) {
 const (
 	sloObjectives = `"objectives": [{"name": "a", "target": 0.9, "ratio": {"bad": {"metric": "b"}, "total": {"metric": "t"}}}]`
 	sloFull       = `{
-		"interval_sec": 5,
 		"objectives": [
 			{"name": "avail", "target": 0.99,
 			 "ratio": {"bad": {"metric": "b"}, "total": {"metric": "t"}}}
@@ -411,17 +383,20 @@ func sloRule(short, long string) string {
 }
 
 // sloBadFiles are files LoadConfig refuses, each with a piece its error
-// must carry. A window or interval that is not a positive, finite Duration
-// of at least 1 ns is refused by field and by the value the file gave, not
-// as a wrapped-around duration.
+// must carry. A window that is not a positive, finite Duration of at least
+// 1 ns is refused by field and by the value the file gave, not as a
+// wrapped-around duration. Any interval_sec is refused by naming the flag
+// that sets the evaluation period.
 var sloBadFiles = []struct{ content, want string }{
 	{`{"objectives": []}`, "no objectives"},
 	{`{`, "parsing"},
 	{`{"objectives": [{"name": "", "target": 0.9, "ratio": {"bad": {"metric": "b"}, "total": {"metric": "t"}}}]}`, "name"},
-	{`{"interval_sec": 1e12, ` + sloObjectives + `}`, "interval_sec 1e+12"},
-	{`{"interval_sec": 1e-12, ` + sloObjectives + `}`, "interval_sec 1e-12"},
-	{`{"interval_sec": 0, ` + sloObjectives + `}`, "interval_sec 0"},
-	{`{"interval_sec": -5, ` + sloObjectives + `}`, "interval_sec -5"},
+	{`{"interval_sec": 5, ` + sloObjectives + `}`, "-telemetry-interval"},
+	{`{"interval_sec": 1e-9, ` + sloObjectives + `}`, "-telemetry-interval"},
+	{`{"interval_sec": 1e12, ` + sloObjectives + `}`, "-telemetry-interval"},
+	{`{"interval_sec": 1e-12, ` + sloObjectives + `}`, "-telemetry-interval"},
+	{`{"interval_sec": 0, ` + sloObjectives + `}`, "-telemetry-interval"},
+	{`{"interval_sec": -5, ` + sloObjectives + `}`, "-telemetry-interval"},
 	{`{` + sloObjectives + `, ` + sloRule("300", "1e12") + `}`, "rules[0].long_sec 1e+12"},
 	{`{` + sloObjectives + `, ` + sloRule("1e-12", "3600") + `}`, "rules[0].short_sec 1e-12"},
 	{`{` + sloObjectives + `, ` + sloRule("-300", "3600") + `}`, "rules[0].short_sec -300"},
@@ -430,14 +405,14 @@ var sloBadFiles = []struct{ content, want string }{
 func TestLoadConfig(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "slo.json")
-	load := func(content string) ([]Objective, []BurnRule, time.Duration, error) {
+	load := func(content string) ([]Objective, []BurnRule, error) {
 		t.Helper()
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return LoadConfig(path)
 	}
-	objs, rules, interval, err := load(sloFull)
+	objs, rules, err := load(sloFull)
 	if err != nil {
 		t.Fatalf("LoadConfig: %v", err)
 	}
@@ -447,41 +422,32 @@ func TestLoadConfig(t *testing.T) {
 	if len(rules) != 1 || rules[0].Short != 5*time.Minute || rules[0].Long != time.Hour {
 		t.Fatalf("rules = %+v", rules)
 	}
-	if interval != 5*time.Second {
-		t.Fatalf("interval = %v", interval)
-	}
 
-	// Rules and interval omitted: default rules, and 0 for the caller's
-	// interval.
-	_, rules, interval, err = load(sloNoRules)
+	// Rules omitted: default rules.
+	_, rules, err = load(sloNoRules)
 	if err != nil {
 		t.Fatalf("LoadConfig without rules: %v", err)
 	}
-	if len(rules) != 2 || rules[0].Name != "fast" || rules[1].Name != "slow" || interval != 0 {
-		t.Fatalf("default rules = %+v, interval %v", rules, interval)
-	}
-
-	// The smallest interval that is a whole nanosecond still loads.
-	if _, _, interval, err := load(`{"interval_sec": 1e-9, ` + sloObjectives + `}`); err != nil || interval != time.Nanosecond {
-		t.Errorf("interval_sec 1e-9: interval %v, err %v; want 1ns", interval, err)
+	if len(rules) != 2 || rules[0].Name != "fast" || rules[1].Name != "slow" {
+		t.Fatalf("default rules = %+v", rules)
 	}
 
 	for _, tc := range sloBadFiles {
-		_, _, interval, err := load(tc.content)
+		_, _, err := load(tc.content)
 		if err == nil {
-			t.Errorf("%s: accepted, interval %v", tc.content, interval)
+			t.Errorf("%s: accepted", tc.content)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %q", tc.content, err, tc.want)
 		}
 	}
-	if _, _, _, err := LoadConfig(filepath.Join(dir, "missing.json")); err == nil {
+	if _, _, err := LoadConfig(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
 
 // FuzzLoadSLOConfig feeds LoadConfig arbitrary files, seeded with
 // TestLoadConfig's. It must refuse a file or return objectives and rules
-// that validate and an interval that is 0 (absent) or at least 1 ns.
+// that validate.
 func FuzzLoadSLOConfig(f *testing.F) {
 	f.Add([]byte(sloFull))
 	f.Add([]byte(sloNoRules))
@@ -493,12 +459,12 @@ func FuzzLoadSLOConfig(f *testing.F) {
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		objs, rules, interval, err := LoadConfig(path)
+		objs, rules, err := LoadConfig(path)
 		if err != nil {
 			return
 		}
-		if len(objs) == 0 || len(rules) == 0 || interval < 0 {
-			t.Fatalf("loaded %d objectives, %d rules, interval %v", len(objs), len(rules), interval)
+		if len(objs) == 0 || len(rules) == 0 {
+			t.Fatalf("loaded %d objectives, %d rules", len(objs), len(rules))
 		}
 		for _, o := range objs {
 			if err := o.Validate(); err != nil {
@@ -551,7 +517,7 @@ func TestJSONFloat(t *testing.T) {
 	}
 }
 
-func BenchmarkEvaluatorTick(b *testing.B) {
+func BenchmarkEvaluatorObserve(b *testing.B) {
 	reg := obs.NewRegistry()
 	reg.Counter("rq_total", "code", "2xx").Add(1000)
 	reg.Counter("rq_total", "code", "5xx").Add(10)
@@ -562,16 +528,17 @@ func BenchmarkEvaluatorTick(b *testing.B) {
 	ev, err := New(Config{
 		Objectives: DefaultObjectives(),
 		Interval:   time.Second,
-		Source:     reg,
+		Registry:   reg,
 		Manager:    NewManager(ManagerConfig{Registry: reg}),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	samples := reg.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Tick()
+		ev.Observe(time.Now(), samples)
 	}
 }
 

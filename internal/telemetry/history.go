@@ -1,7 +1,8 @@
 // Package telemetry turns the point-in-time observability surfaces
-// (internal/obs metrics, the trace store) into an operable history: a
-// sampler that ticks the registry into per-series bounded rings with a raw
-// and a downsampled tier, and a query endpoint over them. Everything is
+// (internal/obs metrics, the trace store) into an operable history: an
+// observer of the process sampler (obs.StartSampler) that folds each
+// registry snapshot into per-series bounded rings with a raw and a
+// downsampled tier, and a query endpoint over them. Everything is
 // stdlib-only and bounded — a process retains a fixed memory budget of
 // history no matter how long it runs or how hot it is scraped.
 package telemetry
@@ -20,10 +21,12 @@ import (
 	"deepod/internal/obs"
 )
 
-// Config assembles a History sampler.
+// Config assembles a History.
 type Config struct {
-	// Interval is the sampling period (default 10s). Sampling happens on a
-	// background goroutine; nothing runs on request paths.
+	// Interval is the period the process sampler calls Observe at (default
+	// 10s). It must be at least 1s: points are stamped in whole unix
+	// seconds, so two ticks inside one second would share a timestamp and
+	// their rate would be a raw delta.
 	Interval time.Duration
 	// RawPoints bounds the fine tier per series (default 360 — one hour at
 	// the default interval).
@@ -44,13 +47,13 @@ type Config struct {
 	// ExemplarsPerSeries bounds the recent-exemplar ring kept per
 	// histogram child (default 8).
 	ExemplarsPerSeries int
-	// Source is the registry sampled (default obs.Default()).
-	Source *obs.Registry
-	// Registry receives tte_telemetry_* self-metrics (default Source).
+	// Registry receives tte_telemetry_* self-metrics (default
+	// obs.Default()).
 	Registry *obs.Registry
-	// Logger receives lifecycle lines (nil logs nowhere).
+	// Logger receives cardinality-guard warnings (nil logs nowhere).
 	Logger *slog.Logger
-	// Now overrides the clock (tests); defaults to time.Now.
+	// Now is the clock a Query range ends at (tests); defaults to time.Now.
+	// Points carry the time the sampler passes to Observe.
 	Now func() time.Time
 }
 
@@ -85,14 +88,12 @@ type exRing struct {
 	seen float64
 }
 
-// History ticks an obs registry into bounded per-series rings: a raw tier
-// at Interval and a coarse tier downsampled by CoarseEvery, both queryable
-// through Query and the /debug/metrics/history handler. Construct with
-// NewHistory, start the loop with Start, stop with Close; Tick runs one
-// sample synchronously.
+// History folds registry snapshots into bounded per-series rings: a raw
+// tier at Interval and a coarse tier downsampled by CoarseEvery, both
+// queryable through Query and the /debug/metrics/history handler.
+// Construct with NewHistory and hand Observe to obs.StartSampler.
 type History struct {
 	cfg Config
-	now func() time.Time
 
 	mu       sync.Mutex
 	series   map[string]*series
@@ -102,21 +103,19 @@ type History struct {
 	exes     map[string]*exRing         // histogram child id -> recent exemplars
 	lastTick time.Time
 
-	stop    chan struct{}
-	done    chan struct{}
-	startMu sync.Mutex
-	started bool
-
 	ticks   *obs.Counter
 	dropped *obs.Counter
 	seriesG *obs.Gauge
 	tickDur *obs.Histogram
 }
 
-// NewHistory validates cfg and builds a History (not yet running).
+// NewHistory validates cfg and builds a History.
 func NewHistory(cfg Config) (*History, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
+	}
+	if cfg.Interval < time.Second {
+		return nil, fmt.Errorf("telemetry: Interval %v is under 1s; history points are whole unix seconds", cfg.Interval)
 	}
 	if cfg.RawPoints <= 0 {
 		cfg.RawPoints = 360
@@ -133,78 +132,29 @@ func NewHistory(cfg Config) (*History, error) {
 	if cfg.ExemplarsPerSeries <= 0 {
 		cfg.ExemplarsPerSeries = 8
 	}
-	if cfg.Source == nil {
-		cfg.Source = obs.Default()
-	}
 	if cfg.Registry == nil {
-		cfg.Registry = cfg.Source
+		cfg.Registry = obs.Default()
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	reg := cfg.Registry
-	reg.Help("tte_telemetry_ticks_total", "History sampler ticks.")
+	reg.Help("tte_telemetry_ticks_total", "Sampler ticks folded into the history.")
 	reg.Help("tte_telemetry_series", "History series currently tracked.")
 	reg.Help("tte_telemetry_dropped_series_total", "Label sets folded into the overflow series by the cardinality guard.")
-	reg.Help("tte_telemetry_tick_seconds", "History sampler tick duration.")
+	reg.Help("tte_telemetry_tick_seconds", "Time to fold one sampler tick into the history.")
 	h := &History{
 		cfg:      cfg,
-		now:      cfg.Now,
 		series:   make(map[string]*series),
 		famSets:  make(map[string]map[string]bool),
 		famDrops: make(map[string]map[string]bool),
 		exes:     make(map[string]*exRing),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 		ticks:    reg.Counter("tte_telemetry_ticks_total"),
 		dropped:  reg.Counter("tte_telemetry_dropped_series_total"),
 		seriesG:  reg.Gauge("tte_telemetry_series"),
 		tickDur:  reg.Histogram("tte_telemetry_tick_seconds", []float64{0.0001, 0.001, 0.01, 0.1, 1}),
 	}
 	return h, nil
-}
-
-// Start launches the sampling loop. Safe to call once; Close stops it.
-func (h *History) Start() {
-	h.startMu.Lock()
-	defer h.startMu.Unlock()
-	if h.started {
-		return
-	}
-	h.started = true
-	if h.cfg.Logger != nil {
-		h.cfg.Logger.Info("telemetry history running",
-			"interval", h.cfg.Interval, "raw_points", h.cfg.RawPoints,
-			"coarse_points", h.cfg.CoarsePoints)
-	}
-	go func() {
-		defer close(h.done)
-		tick := time.NewTicker(h.cfg.Interval)
-		defer tick.Stop()
-		h.Tick() // immediate baseline so the first delta has an anchor
-		for {
-			select {
-			case <-tick.C:
-				h.Tick()
-			case <-h.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Close stops the loop (idempotent). History remains queryable.
-func (h *History) Close() {
-	h.startMu.Lock()
-	defer h.startMu.Unlock()
-	if !h.started {
-		return
-	}
-	h.started = false
-	close(h.stop)
-	<-h.done
-	h.stop = make(chan struct{})
-	h.done = make(chan struct{})
 }
 
 // seriesID renders name{k="v",...} from sorted pairs — the identity series
@@ -230,20 +180,20 @@ func seriesID(name string, labels []string) string {
 // already sorted by Snapshot).
 func labelIdentity(labels []string) string { return strings.Join(labels, "\x00") }
 
-// Tick samples the source registry once: every counter and gauge child
-// becomes a cumulative/value point, every histogram child four derived
-// points (:count, :sum cumulative; :p50, :p99 instant), and histogram
-// exemplars newer than the last harvest join the child's exemplar ring.
-func (h *History) Tick() {
-	start := h.now()
-	samples := h.cfg.Source.Snapshot()
-	ts := start.Unix()
+// Observe folds one registry snapshot taken at now into the history:
+// every counter and gauge child becomes a cumulative/value point, every
+// histogram child four derived points (:count, :sum cumulative; :p50, :p99
+// instant), and histogram exemplars newer than the last harvest join the
+// child's exemplar ring. samples is only read.
+func (h *History) Observe(now time.Time, samples []obs.Sample) {
+	start := time.Now()
+	ts := now.Unix()
 
 	// Per-derived-name overflow accumulation for label sets past the cap.
 	over := map[string]*overflowAcc{}
 
 	h.mu.Lock()
-	h.lastTick = start
+	h.lastTick = now
 	for _, s := range samples {
 		switch s.Kind {
 		case "counter":
@@ -271,7 +221,7 @@ func (h *History) Tick() {
 	h.mu.Unlock()
 
 	h.ticks.Inc()
-	h.tickDur.Observe(h.now().Sub(start).Seconds())
+	h.tickDur.Observe(time.Since(start).Seconds())
 }
 
 // overflowAcc sums one derived name's capped-label-set observations within
@@ -420,8 +370,7 @@ func (h *History) Query(name string, rng, step time.Duration, agg string) QueryR
 	if rng > rawSpan {
 		tier = "coarse"
 	}
-	now := h.now()
-	cutoff := now.Add(-rng).Unix()
+	cutoff := h.cfg.Now().Add(-rng).Unix()
 
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -23,7 +23,6 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestHistory(t *testing.T, reg *obs.Registry, cfg Config) (*History, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	cfg.Source = reg
 	cfg.Registry = obs.NewRegistry() // keep self-metrics out of the sampled registry
 	cfg.Now = clk.now
 	h, err := NewHistory(cfg)
@@ -40,7 +39,7 @@ func TestHistoryCounterRateAndDelta(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		c.Add(20) // +20 per 10s tick → rate 2/s
-		h.Tick()
+		h.Observe(clk.now(), reg.Snapshot())
 		clk.advance(10 * time.Second)
 	}
 
@@ -81,7 +80,7 @@ func TestHistoryGaugeAndHistogramDerived(t *testing.T) {
 		g.Set(float64(i))
 		hist.Observe(0.05)
 		hist.Observe(0.5)
-		h.Tick()
+		h.Observe(clk.now(), reg.Snapshot())
 		clk.advance(10 * time.Second)
 	}
 
@@ -125,7 +124,7 @@ func TestHistoryCoarseTier(t *testing.T) {
 	for i := 1; i <= 9; i++ {
 		c.Add(1)
 		g.Set(float64(i))
-		h.Tick()
+		h.Observe(clk.now(), reg.Snapshot())
 		clk.advance(10 * time.Second)
 	}
 
@@ -157,12 +156,12 @@ func TestHistoryCardinalityGuard(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		reg.Counter("tte_burst_total", "user", fmt.Sprint(i)).Add(10)
 	}
-	h.Tick()
+	h.Observe(clk.now(), reg.Snapshot())
 	clk.advance(10 * time.Second)
 	for i := 0; i < 5; i++ {
 		reg.Counter("tte_burst_total", "user", fmt.Sprint(i)).Add(10)
 	}
-	h.Tick()
+	h.Observe(clk.now(), reg.Snapshot())
 
 	res := h.Query("tte_burst_total", 0, 0, "value")
 	var overflow *QuerySeries
@@ -204,10 +203,10 @@ func TestHistoryExemplarHarvest(t *testing.T) {
 	}
 
 	span("0123456789abcdef")
-	h.Tick()
+	h.Observe(clk.now(), reg.Snapshot())
 	clk.advance(10 * time.Second)
 	span("fedcba9876543210")
-	h.Tick()
+	h.Observe(clk.now(), reg.Snapshot())
 
 	res := h.Query(obs.SpanFamily+":p99", 0, 0, "")
 	if len(res.Series) != 1 {
@@ -223,7 +222,7 @@ func TestHistoryExemplarHarvest(t *testing.T) {
 
 	// Re-ticking without new observations must not duplicate them.
 	clk.advance(10 * time.Second)
-	h.Tick()
+	h.Observe(clk.now(), reg.Snapshot())
 	res = h.Query(obs.SpanFamily+":p99", 0, 0, "")
 	if got := len(res.Series[0].Exemplars); got != 2 {
 		t.Fatalf("exemplars after idle tick = %d, want 2", got)
@@ -234,10 +233,10 @@ func TestHistoryHandler(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("tte_test_total").Add(5)
 	h, clk := newTestHistory(t, reg, Config{Interval: 10 * time.Second})
-	h.Tick()
+	h.Observe(clk.now(), reg.Snapshot())
 	clk.advance(10 * time.Second)
 	reg.Counter("tte_test_total").Add(5)
-	h.Tick()
+	h.Observe(clk.now(), reg.Snapshot())
 
 	get := func(url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -276,25 +275,19 @@ func TestHistoryHandler(t *testing.T) {
 	}
 }
 
-func TestHistoryStartClose(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("tte_test_total").Add(1)
-	h, err := NewHistory(Config{
-		Interval: time.Millisecond, Source: reg, Registry: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Start()
-	h.Start() // idempotent
-	deadline := time.After(2 * time.Second)
-	for h.HistoryStats().Series == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("sampler never ticked")
-		case <-time.After(5 * time.Millisecond):
+// TestHistoryRefusesSubSecondInterval: points are stamped in whole unix
+// seconds, so two ticks inside one second would share a timestamp and a
+// rate query would report the raw delta. A history that cannot be ticked
+// faster than 1s refuses the interval instead.
+func TestHistoryRefusesSubSecondInterval(t *testing.T) {
+	for _, d := range []time.Duration{time.Nanosecond, 500 * time.Millisecond, time.Second - 1} {
+		if _, err := NewHistory(Config{Interval: d, Registry: obs.NewRegistry()}); err == nil {
+			t.Errorf("Interval %v accepted", d)
 		}
 	}
-	h.Close()
-	h.Close() // idempotent
+	for _, d := range []time.Duration{0, time.Second, 10 * time.Second} {
+		if _, err := NewHistory(Config{Interval: d, Registry: obs.NewRegistry()}); err != nil {
+			t.Errorf("Interval %v refused: %v", d, err)
+		}
+	}
 }
