@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the PR gate (see scripts/check.sh).
 
-.PHONY: build test check race fmt bench tracebench enginebench slobench replaybench telemetrybench
+.PHONY: build test check race fmt bench tracebench enginebench slobench replaybench telemetrybench matchbench
 
 build:
 	go build ./...
@@ -35,6 +35,9 @@ enginebench:
 
 slobench:
 	go test -run '^$$' -bench 'BenchmarkEvaluatorObserve|BenchmarkManagerSet' ./internal/slo/
+
+matchbench:
+	go test -run '^$$' -bench 'BenchmarkNearestEdge|BenchmarkNearestInto' -benchmem ./internal/roadnet/
 
 replaybench:
 	go run ./cmd/ttereplay -smoke -gate-unexplained 0

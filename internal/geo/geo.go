@@ -32,10 +32,18 @@ func Lerp(p, q Point, t float64) Point {
 // point, the fraction t ∈ [0,1] along the segment, and the distance from p
 // to that closest point.
 func ProjectOnSegment(p, a, b Point) (closest Point, t, dist float64) {
+	closest, t = ClosestOnSegment(p, a, b)
+	return closest, t, Dist(p, closest)
+}
+
+// ClosestOnSegment is ProjectOnSegment without the distance: the same
+// closest point and fraction, bit for bit, for callers that rank segments
+// by a cheaper squared distance before they take the square root.
+func ClosestOnSegment(p, a, b Point) (closest Point, t float64) {
 	abx, aby := b.X-a.X, b.Y-a.Y
 	len2 := float64(abx*abx) + float64(aby*aby)
 	if len2 == 0 {
-		return a, 0, Dist(p, a)
+		return a, 0
 	}
 	t = (float64((p.X-a.X)*abx) + float64((p.Y-a.Y)*aby)) / len2
 	if t < 0 {
@@ -43,8 +51,7 @@ func ProjectOnSegment(p, a, b Point) (closest Point, t, dist float64) {
 	} else if t > 1 {
 		t = 1
 	}
-	closest = Point{X: a.X + float64(t*abx), Y: a.Y + float64(t*aby)}
-	return closest, t, Dist(p, closest)
+	return Point{X: a.X + float64(t*abx), Y: a.Y + float64(t*aby)}, t
 }
 
 // Rect is an axis-aligned bounding box.
@@ -116,20 +123,24 @@ func NewGrid(bounds Rect, cellSize float64) (*Grid, error) {
 func (g *Grid) NumCells() int { return g.Rows * g.Cols }
 
 // Cell returns the (row, col) of the cell containing p, clamped to the grid.
+// A point any distance outside the grid lands on its own side's border
+// cell; a NaN coordinate lands on row or column 0.
 func (g *Grid) Cell(p Point) (row, col int) {
-	row = int((p.Y - g.Bounds.Min.Y) / g.CellSize)
-	col = int((p.X - g.Bounds.Min.X) / g.CellSize)
-	if row < 0 {
-		row = 0
-	} else if row >= g.Rows {
-		row = g.Rows - 1
+	return clampCell((p.Y-g.Bounds.Min.Y)/g.CellSize, g.Rows), clampCell((p.X-g.Bounds.Min.X)/g.CellSize, g.Cols)
+}
+
+// clampCell truncates the cell quotient q into [0, n). It clamps before it
+// converts: int() of a float at or beyond ±2⁶³ is MinInt64 on amd64 and
+// saturates on arm64, so converting first would put a far point on the
+// opposite border on one architecture and not on the other.
+func clampCell(q float64, n int) int {
+	if !(q >= 0) { // negative or NaN
+		return 0
 	}
-	if col < 0 {
-		col = 0
-	} else if col >= g.Cols {
-		col = g.Cols - 1
+	if q >= float64(n) {
+		return n - 1
 	}
-	return row, col
+	return int(q)
 }
 
 // CellIndex returns the flattened cell index of p.

@@ -107,6 +107,39 @@ func TestGrid(t *testing.T) {
 	}
 }
 
+// TestGridCellClampsHugeCoordinates: a point any distance outside the grid
+// lands on its own side's border cell. Converting the cell quotient to int
+// before clamping sent x = 1e22 (quotient ≥ 2⁶³) to column 0 on amd64.
+func TestGridCellClampsHugeCoordinates(t *testing.T) {
+	g, err := NewGrid(Rect{Min: Point{0, 0}, Max: Point{1000, 1000}}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, c := range []struct {
+		p        Point
+		row, col int
+	}{
+		{Point{1e20, 500}, 5, 9},
+		{Point{1e22, 500}, 5, 9},
+		{Point{-1e22, 500}, 5, 0},
+		{Point{500, 1e22}, 9, 5},
+		{Point{500, -1e22}, 0, 5},
+		{Point{1e300, -1e300}, 0, 9},
+		{Point{-1e300, 1e300}, 9, 0},
+		{Point{math.Inf(1), math.Inf(-1)}, 0, 9},
+		{Point{nan, 500}, 5, 0},
+		{Point{500, nan}, 0, 5},
+		{Point{nan, nan}, 0, 0},
+		{Point{999.9, 0.1}, 0, 9},
+		{Point{-0.1, 1000}, 9, 0},
+	} {
+		if r, col := g.Cell(c.p); r != c.row || col != c.col {
+			t.Errorf("Cell(%v) = (%d, %d), want (%d, %d)", c.p, r, col, c.row, c.col)
+		}
+	}
+}
+
 func TestGridErrors(t *testing.T) {
 	if _, err := NewGrid(Rect{Min: Point{0, 0}, Max: Point{10, 10}}, 0); err == nil {
 		t.Fatal("zero cell size accepted")

@@ -38,7 +38,7 @@ echo "== portable bits (no fused multiply-add in the model's or the serving path
 echo "== dead code (every function of every package is linked into a binary)"
 ./scripts/deadcode.sh
 
-echo "== fuzz smoke (10 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD skip-gram pair update and the SIMD dot kernel against the portable ones; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files)"
+echo "== fuzz smoke (11 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD skip-gram pair update and the SIMD dot kernel against the portable ones; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files; OD endpoint and probe snapping at any query point against the ring walks)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzPairKernel -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDotRows -fuzztime 5s ./internal/tensor/
@@ -49,6 +49,7 @@ go test -run '^$' -fuzz FuzzFeedback -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/recorder/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz FuzzLoadSLOConfig -fuzztime 5s ./internal/slo/
+go test -run '^$' -fuzz FuzzNearestEdge -fuzztime 5s ./internal/roadnet/
 
 echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
@@ -59,7 +60,7 @@ go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPrediction
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching and one probe's candidate query; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
@@ -68,7 +69,7 @@ go test -run '^$' -bench 'BenchmarkDeepBaselineEstimate|BenchmarkDeepBaselineTra
 go test -run '^$' -bench 'BenchmarkAffineBatchInto' -benchtime=100ms ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkDotRows' -benchtime=100ms -benchmem ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' -benchtime=100ms ./internal/obs/
-go test -run '^$' -bench 'BenchmarkNearestEdge' -benchtime=100ms ./internal/roadnet/
+go test -run '^$' -bench 'BenchmarkNearestEdge|BenchmarkNearestInto' -benchtime=100ms -benchmem ./internal/roadnet/
 go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
 go test -run '^$' -bench 'BenchmarkTrackerAdvance' -benchtime=100ms -benchmem ./internal/mapmatch/
 go test -run '^$' -bench 'BenchmarkDecodeProbes' -benchtime=100ms -benchmem ./internal/serve/
