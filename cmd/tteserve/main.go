@@ -49,21 +49,30 @@
 // map matching into a sharded per-edge speed store; the engine then reads
 // the live speed field (merged over the training-time prior) at estimate
 // time, falling back to the prior whenever the store is cold or the
-// requested departure is far from the probe high-water mark
-// (-traffic-stale-sec). The -traffic-* flags tune workers, windowing,
-// decay, coverage and staleness.
+// requested departure is far from the probe high-water mark. Only the
+// worker count is a flag (-traffic-workers): windowing, decay, coverage,
+// staleness and the session TTL are internal/traffic's and
+// internal/mapmatch's defaults, and the live grid is the city's speed grid.
 //
 // With -slo (default on) the SLO engine evaluates burn-rate alert rules
 // over the built-in objectives (availability, latency, shed rate of
 // /estimate) on every sampler tick; -slo-config swaps in custom objectives
-// and rules, and -burn-fast tunes the default page rule. The quality
-// monitor's drift alert routes through the same manager.
+// and rules. The quality monitor's drift alert routes through the same
+// manager.
 //
 // Every request is traced: the trace ID is taken from X-Trace-Id (or
 // generated), echoed in the response, stamped on every log line, and the
-// slowest / errored traces are retained at /debug/traces. Logging is
-// structured (log/slog): error responses always log, success access logs
-// are sampled with -log-every.
+// slowest / errored traces and a -trace-sample fraction of the rest are
+// retained at /debug/traces. Logging is structured (log/slog): every
+// request logs its access line, errors at Warn or Error.
+//
+// A flag exists only where deployments differ: what is served and where
+// (-city -orders -seed -model -train-workers -addr -debug-addr
+// -recorder-dir -slo-config -log-json -grace), which subsystems run
+// (-traffic -quality -recorder -telemetry -slo -exemplars), and the sizes
+// and rates fitted to the host or the traffic (-workers -cache
+// -traffic-workers -trace-sample -recorder-sample -telemetry-interval).
+// Every other setting is the default of the package that applies it.
 //
 // SIGHUP triggers the same reload as POST /reload. Errors are JSON:
 // {"error": "..."}. With -debug-addr, net/http/pprof is served on a
@@ -74,8 +83,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -88,7 +99,6 @@ import (
 	"deepod"
 	"deepod/internal/core"
 	"deepod/internal/infer"
-	"deepod/internal/mapmatch"
 	"deepod/internal/obs"
 	"deepod/internal/quality"
 	"deepod/internal/recorder"
@@ -122,89 +132,80 @@ func alertSinkOrNil(m *slo.Manager) quality.AlertSink {
 }
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run parses args, serves until ctx is cancelled and returns the exit
+// status: 0 after a clean drain (or -h), 1 when set-up or serving fails,
+// 2 on a bad command line. Logs go to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tteserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		city      = flag.String("city", "chengdu-s", "city preset")
-		orders    = flag.Int("orders", 1200, "orders used if training at startup")
-		seed      = flag.Int64("seed", 1, "random seed")
-		modelPath = flag.String("model", "", "model saved by ttetrain (empty = train at startup)")
-		trainWork = flag.Int("train-workers", runtime.GOMAXPROCS(0), "data-parallel workers for startup training; 1 = serial")
-		addr      = flag.String("addr", ":8080", "listen address")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		maxBody   = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum /estimate body bytes")
-		grace     = flag.Duration("grace", 10*time.Second, "shutdown drain timeout")
-		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		logEvery  = flag.Int("log-every", 1, "sample success access logs: log every Nth 2xx/3xx request (errors always log)")
-		logSpans  = flag.Bool("log-spans", false, "log every pipeline span (verbose)")
+		city      = fs.String("city", "chengdu-s", "city preset")
+		orders    = fs.Int("orders", 1200, "orders used if training at startup")
+		seed      = fs.Int64("seed", 1, "random seed")
+		modelPath = fs.String("model", "", "model saved by ttetrain (empty = train at startup)")
+		trainWork = fs.Int("train-workers", runtime.GOMAXPROCS(0), "data-parallel workers for startup training; 1 = serial")
+		addr      = fs.String("addr", ":8080", "listen address")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
+		grace     = fs.Duration("grace", 10*time.Second, "shutdown drain timeout (fit it inside the orchestrator's kill timeout)")
+		logJSON   = fs.Bool("log-json", false, "emit logs as JSON instead of text")
 
-		workers      = flag.Int("workers", 0, "bound on concurrent engine executions, and the worker pool's size (0 = GOMAXPROCS)")
-		queueDepth   = flag.Int("queue", 256, "engine admission queue depth (full queue sheds 429)")
-		maxBatch     = flag.Int("batch", 16, "max requests per worker micro-batch; batches of 2+ are served by one fused [B×d] forward, bit-identical to per-request estimates")
-		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max queue wait before shedding 503")
-		cacheEntries = flag.Int("cache", 8192, "estimate cache capacity in entries (0 = disabled)")
-		cacheTTL     = flag.Duration("cache-ttl", 5*time.Minute, "estimate cache entry lifetime")
+		workers      = fs.Int("workers", 0, "bound on concurrent engine executions, and the worker pool's size (0 = GOMAXPROCS)")
+		cacheEntries = fs.Int("cache", 8192, "estimate cache capacity in entries (0 = disabled)")
 
-		trafficOn      = flag.Bool("traffic", false, "live traffic: POST /probes GPS firehose → incremental map matching → edge-speed store feeding serving-time features")
-		trafficWorkers = flag.Int("traffic-workers", 1, "probe map-matching workers (vehicles are hash-partitioned across them)")
-		trafficWindowS = flag.Float64("traffic-window-sec", 60, "edge-speed aggregation window, sim seconds")
-		trafficWindows = flag.Int("traffic-windows", 5, "speed windows retained per edge (ring)")
-		trafficDecay   = flag.Float64("traffic-decay", 0.7, "age-decay multiplier applied per window of staleness")
-		trafficStaleS  = flag.Float64("traffic-stale-sec", 600, "live speeds further than this from the requested departure fall back to the training-time prior")
-		trafficMinCov  = flag.Float64("traffic-min-coverage", 0.02, "edge-coverage fraction below which estimates keep using the prior")
-		trafficCell    = flag.Float64("traffic-cell", 250, "live feature grid cell, meters (must match the model's speed grid)")
-		trafficTTLS    = flag.Float64("traffic-session-ttl-sec", 300, "idle vehicle-session eviction TTL, sim seconds")
-		trafficMaxBody = flag.Int64("traffic-max-body", serve.DefaultProbeMaxBodyBytes, "maximum /probes body bytes")
+		trafficOn      = fs.Bool("traffic", false, "live traffic: POST /probes GPS firehose → incremental map matching → edge-speed store feeding serving-time features")
+		trafficWorkers = fs.Int("traffic-workers", 1, "probe map-matching workers (vehicles are hash-partitioned across them)")
 
-		traceCap     = flag.Int("trace-capacity", 512, "retained trace ring-buffer size")
-		traceSlowest = flag.Int("trace-slowest", 16, "always retain the slowest N traces per window")
-		traceWindow  = flag.Duration("trace-window", 10*time.Second, "slowest-N rotation window")
-		traceSample  = flag.Float64("trace-sample", 0.01, "probability of retaining a normal (non-error, non-slow) trace")
+		traceSample = fs.Float64("trace-sample", 0.01, "probability of retaining a normal (non-error, non-slow) trace")
 
-		qualityOn      = flag.Bool("quality", true, "online model-quality monitoring: stamp predictions, accept POST /feedback, serve GET /debug/quality")
-		qualityWindow  = flag.Duration("quality-window", time.Minute, "quality metric aggregation window")
-		pendingTTL     = flag.Duration("pending-ttl", 10*time.Minute, "how long a stamped prediction waits for feedback before expiring")
-		driftThreshold = flag.Float64("drift-threshold", 0.2, "PSI above which the error distribution counts as drifted")
+		qualityOn = fs.Bool("quality", true, "online model-quality monitoring: stamp predictions, accept POST /feedback, serve GET /debug/quality")
 
-		recorderOn        = flag.Bool("recorder", false, "flight recorder: capture a wide event per served estimate, GET /debug/recorder")
-		recorderDir       = flag.String("recorder-dir", "", "mirror captured wide events to JSONL segment files in this directory (empty = in-memory only)")
-		recorderSample    = flag.Float64("recorder-sample", 0.01, "probability of capturing a normal (non-error, non-slow) estimate; errors and shed requests are always captured")
-		recorderCap       = flag.Int("recorder-capacity", 4096, "in-memory wide-event ring size, events")
-		recorderSlowest   = flag.Int("recorder-slowest", 16, "always capture the slowest N estimates per capture window")
-		recorderSegEvents = flag.Int("recorder-segment-events", 4096, "rotate the on-disk segment file after this many events")
-		recorderSegments  = flag.Int("recorder-segments", 8, "segment files retained on disk (oldest deleted beyond this)")
+		recorderOn     = fs.Bool("recorder", false, "flight recorder: capture a wide event per served estimate, GET /debug/recorder")
+		recorderDir    = fs.String("recorder-dir", "", "mirror captured wide events to JSONL segment files in this directory (empty = in-memory only)")
+		recorderSample = fs.Float64("recorder-sample", 0.01, "probability of capturing a normal (non-error, non-slow) estimate; errors and shed requests are always captured")
 
-		telemetryOn       = flag.Bool("telemetry", true, "in-process metric history at /debug/metrics/history, one point per sampler tick")
-		telemetryInterval = flag.Duration("telemetry-interval", 10*time.Second, "sampling period of the one process sampler: runtime gauges, SLO evaluation and the history's raw tier (at least 1s with -telemetry)")
-		exemplarsOn       = flag.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1 and in /debug/metrics/history)")
+		telemetryOn       = fs.Bool("telemetry", true, "in-process metric history at /debug/metrics/history, one point per sampler tick")
+		telemetryInterval = fs.Duration("telemetry-interval", 10*time.Second, "sampling period of the one process sampler: runtime gauges, SLO evaluation and the history's raw tier (at least 1s with -telemetry)")
+		exemplarsOn       = fs.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1 and in /debug/metrics/history)")
 
-		sloOn     = flag.Bool("slo", true, "SLO engine: burn-rate alerting over the built-in objectives, GET /debug/slo and /debug/alerts")
-		sloConfig = flag.String("slo-config", "", "JSON file with custom SLO objectives and burn rules (empty = built-in defaults)")
-		burnFast  = flag.Float64("burn-fast", 14.4, "fast-window burn-rate threshold for the default page rule")
+		sloOn     = fs.Bool("slo", true, "SLO engine: burn-rate alerting over the built-in objectives, GET /debug/slo and /debug/alerts")
+		sloConfig = fs.String("slo-config", "", "JSON file with custom SLO objectives and burn rules (empty = built-in defaults)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Structured logging: every line carries trace_id when the context
 	// does, which is how a log line is joined to its /debug/traces entry.
 	var h slog.Handler
 	if *logJSON {
-		h = slog.NewJSONHandler(os.Stderr, nil)
+		h = slog.NewJSONHandler(stderr, nil)
 	} else {
-		h = slog.NewTextHandler(os.Stderr, nil)
+		h = slog.NewTextHandler(stderr, nil)
 	}
 	logger := slog.New(obs.NewTraceHandler(h)).With("app", "tteserve")
-	fatal := func(msg string, err error) {
+	fail := func(msg string, err error) int {
 		logger.Error(msg, "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	c, err := deepod.BuildCity(*city, deepod.CityOptions{Orders: *orders, Seed: *seed})
 	if err != nil {
-		fatal("building city", err)
+		return fail("building city", err)
 	}
 	var snap *infer.Snapshot
 	if *modelPath != "" {
 		snap, err = infer.LoadCheckpoint(*modelPath, c.Graph)
 		if err != nil {
-			fatal("loading checkpoint", err)
+			return fail("loading checkpoint", err)
 		}
 		logger.Info("model loaded", "model", snap.ID, "path", *modelPath)
 	} else {
@@ -213,7 +214,7 @@ func main() {
 		cfg.TrainWorkers = *trainWork
 		m, err := deepod.Train(cfg, c, nil)
 		if err != nil {
-			fatal("startup training", err)
+			return fail("startup training", err)
 		}
 		// A startup-trained model has no checkpoint to carry a drift
 		// reference, so record its test-split error distribution here.
@@ -227,35 +228,13 @@ func main() {
 
 	matcher, err := deepod.NewMatcher(c.Graph)
 	if err != nil {
-		fatal("building matcher", err)
+		return fail("building matcher", err)
 	}
 	match := func(ctx context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 		return deepod.MatchODCtx(ctx, matcher, od)
 	}
 
-	if *logSpans {
-		obs.SetSpanLogger(func(name, parent string, d time.Duration) {
-			if parent != "" {
-				name = parent + ">" + name
-			}
-			logger.Debug("span", "span", name, "dur", d.Round(time.Microsecond))
-		})
-		// Span logging is Debug-level; re-build the logger so it shows.
-		opts := &slog.HandlerOptions{Level: slog.LevelDebug}
-		if *logJSON {
-			h = slog.NewJSONHandler(os.Stderr, opts)
-		} else {
-			h = slog.NewTextHandler(os.Stderr, opts)
-		}
-		logger = slog.New(obs.NewTraceHandler(h)).With("app", "tteserve")
-	}
-
-	traces := obs.NewTraceStore(nil, obs.TraceStoreConfig{
-		Capacity:   *traceCap,
-		SlowestN:   *traceSlowest,
-		Window:     *traceWindow,
-		SampleRate: *traceSample,
-	})
+	traces := obs.NewTraceStore(nil, obs.TraceStoreConfig{SampleRate: *traceSample})
 
 	// The history and the SLO evaluator observe the process sampler's
 	// snapshots of the default registry (started below, once both exist).
@@ -272,7 +251,7 @@ func main() {
 			Logger:   logger,
 		})
 		if err != nil {
-			fatal("building telemetry history", err)
+			return fail("building telemetry history", err)
 		}
 		observers = append(observers, history.Observe)
 	}
@@ -285,12 +264,11 @@ func main() {
 	)
 	if *sloOn {
 		alertMgr = slo.NewManager(slo.ManagerConfig{Logger: logger})
-		objectives := slo.DefaultObjectives()
-		rules := slo.DefaultRules(*burnFast)
+		objectives, rules := slo.DefaultObjectives(), slo.DefaultRules()
 		if *sloConfig != "" {
 			objectives, rules, err = slo.LoadConfig(*sloConfig)
 			if err != nil {
-				fatal("loading SLO config", err)
+				return fail("loading SLO config", err)
 			}
 		}
 		sloEval, err = slo.New(slo.Config{
@@ -300,7 +278,7 @@ func main() {
 			Manager:    alertMgr,
 		})
 		if err != nil {
-			fatal("building SLO evaluator", err)
+			return fail("building SLO evaluator", err)
 		}
 		observers = append(observers, sloEval.Observe)
 	}
@@ -315,26 +293,21 @@ func main() {
 			"edges": c.Graph.NumEdges(),
 			"model": snap.ID,
 		},
-		MaxBodyBytes:   *maxBody,
-		Logger:         logger,
-		AccessLogEvery: *logEvery,
-		Traces:         traces,
-		SLO:            sloEval,
-		Alerts:         alertMgr,
-		History:        history,
+		Logger:  logger,
+		Traces:  traces,
+		SLO:     sloEval,
+		Alerts:  alertMgr,
+		History: history,
 	}
 
 	scfg.External = c.Grid.External
 	cells, err := roadnet.NewEdgeIndex(c.Graph, gridCellMeters)
 	if err != nil {
-		fatal("building the event grid", err)
+		return fail("building the event grid", err)
 	}
 	var mon *quality.Monitor
 	if *qualityOn {
 		mon = quality.New(quality.Config{
-			Window:         *qualityWindow,
-			PendingTTL:     *pendingTTL,
-			DriftThreshold: *driftThreshold,
 			Reference:      snap.RefDist,
 			ReferenceModel: snap.ID,
 			Logger:         logger,
@@ -349,40 +322,22 @@ func main() {
 	// reads the merged live/prior speed field at estimate time.
 	var liveTraffic *traffic.FeatureSource
 	if *trafficOn {
-		store, err := traffic.NewStore(c.Graph, traffic.StoreConfig{
-			WindowSec: *trafficWindowS,
-			Windows:   *trafficWindows,
-			Decay:     *trafficDecay,
-		})
+		store, err := traffic.NewStore(c.Graph, traffic.StoreConfig{})
 		if err != nil {
-			fatal("building traffic store", err)
+			return fail("building traffic store", err)
 		}
-		ing, err := traffic.NewIngestor(matcher, store, traffic.IngestConfig{
-			Workers: *trafficWorkers,
-			Tracker: mapmatch.TrackerConfig{SessionTTLSec: *trafficTTLS},
-		})
+		ing, err := traffic.NewIngestor(matcher, store, traffic.IngestConfig{Workers: *trafficWorkers})
 		if err != nil {
-			fatal("building traffic ingestor", err)
+			return fail("building traffic ingestor", err)
 		}
 		defer ing.Close()
-		liveTraffic, err = traffic.NewFeatureSource(c.Graph, store, c.Grid.External, traffic.FeatureConfig{
-			CellMeters:    *trafficCell,
-			MinCoverage:   *trafficMinCov,
-			StaleAfterSec: *trafficStaleS,
-		})
+		liveTraffic, err = traffic.NewFeatureSource(c.Graph, store, c.Grid.External, traffic.FeatureConfig{})
 		if err != nil {
-			fatal("building traffic feature source", err)
+			return fail("building traffic feature source", err)
 		}
 		scfg.Probes = ing
 		scfg.TrafficStatus = ing.Status
-		scfg.ProbeMaxBodyBytes = *trafficMaxBody
-		logger.Info("live traffic ingestion on",
-			"workers", *trafficWorkers,
-			"window_sec", *trafficWindowS,
-			"windows", *trafficWindows,
-			"stale_sec", *trafficStaleS,
-			"min_coverage", *trafficMinCov,
-		)
+		logger.Info("live traffic ingestion on", "workers", *trafficWorkers)
 	}
 	// Flight recorder: one wide event per served estimate, policy-
 	// sampled, mirrored to disk with -recorder-dir so a recorded
@@ -390,34 +345,22 @@ func main() {
 	var flight *recorder.Recorder
 	if *recorderOn {
 		flight, err = recorder.New(recorder.Config{
-			Capacity:      *recorderCap,
-			SlowestN:      *recorderSlowest,
-			SampleRate:    *recorderSample,
-			Dir:           *recorderDir,
-			SegmentEvents: *recorderSegEvents,
-			MaxSegments:   *recorderSegments,
-			Meta:          map[string]string{"city": c.Name, "model": snap.ID},
+			SampleRate: *recorderSample,
+			Dir:        *recorderDir,
+			Meta:       map[string]string{"city": c.Name, "model": snap.ID},
 		})
 		if err != nil {
-			fatal("building flight recorder", err)
+			return fail("building flight recorder", err)
 		}
 		defer flight.Close()
 		scfg.Recorder = flight
-		logger.Info("flight recorder on",
-			"sample", *recorderSample,
-			"capacity", *recorderCap,
-			"dir", *recorderDir,
-		)
+		logger.Info("flight recorder on", "sample", *recorderSample, "dir", *recorderDir)
 	}
 	engCfg := infer.Config{
 		Match:        match,
 		Snapshot:     snap,
 		Workers:      *workers,
-		QueueDepth:   *queueDepth,
-		MaxBatch:     *maxBatch,
-		QueueTimeout: *queueTimeout,
 		CacheEntries: *cacheEntries,
-		CacheTTL:     *cacheTTL,
 		Cells:        cells,
 		Slotter:      snap.Slotter,
 	}
@@ -437,7 +380,7 @@ func main() {
 	}
 	eng, err := infer.New(engCfg)
 	if err != nil {
-		fatal("building engine", err)
+		return fail("building engine", err)
 	}
 	defer eng.Close()
 	scfg.Infer = eng.Do
@@ -472,35 +415,45 @@ func main() {
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	hupCtx, stopHup := context.WithCancel(ctx)
+	defer stopHup()
 	go func() {
-		for range hup {
-			if _, err := reload(context.Background()); err != nil {
-				logger.Error("SIGHUP reload failed", "err", err)
+		for {
+			select {
+			case <-hup:
+				if _, err := reload(hupCtx); err != nil {
+					logger.Error("SIGHUP reload failed", "err", err)
+				}
+			case <-hupCtx.Done():
+				return
 			}
 		}
 	}()
+	v := eng.Version()
 	logger.Info("engine ready",
-		"workers", eng.Version()["workers"],
-		"queue", *queueDepth,
-		"batch", *maxBatch,
-		"cache_entries", *cacheEntries,
-		"cache_ttl", *cacheTTL,
+		"workers", v["workers"],
+		"queue", v["queue_depth"],
+		"batch", v["max_batch"],
+		"cache_entries", v["cache_entries"],
+		"cache_ttl", v["cache_ttl"],
 	)
 
 	srv, err := serve.New(scfg)
 	if err != nil {
-		fatal("building server", err)
+		return fail("building server", err)
 	}
 
 	if *debugAddr != "" {
+		dmux := http.NewServeMux()
+		dmux.HandleFunc("/debug/pprof/", pprof.Index)
+		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		dsrv := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
+		defer dsrv.Close()
 		go func() {
-			dmux := http.NewServeMux()
-			dmux.HandleFunc("/debug/pprof/", pprof.Index)
-			dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-			dsrv := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
 			logger.Info("pprof listening", "url", fmt.Sprintf("http://%s/debug/pprof/", *debugAddr))
 			if err := dsrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				logger.Error("pprof server", "err", err)
@@ -508,13 +461,12 @@ func main() {
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	hsrv := serve.NewHTTPServer(*addr, srv.Handler())
 	logger.Info("serving", "city", *city, "addr", *addr, "metrics", "/metrics", "traces", "/debug/traces", "sample_every", *telemetryInterval)
 	logf := func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
 	if err := serve.ListenAndServe(ctx, hsrv, *grace, logf); err != nil {
-		fatal("server", err)
+		return fail("server", err)
 	}
 	logger.Info("bye")
+	return 0
 }

@@ -45,21 +45,9 @@ func NewSpeedGridder(t *Traffic, cellMeters, periodSec float64) (*SpeedGridder, 
 	sg := &SpeedGridder{
 		traffic:   t,
 		grid:      grid,
-		cellEdges: make([][]roadnet.EdgeID, grid.NumCells()),
+		cellEdges: roadnet.CellEdges(g, grid),
 		PeriodSec: periodSec,
 		cache:     make(map[int][]float64),
-	}
-	for eid := range g.Edges {
-		a, b := g.EdgePoints(roadnet.EdgeID(eid))
-		steps := int(geo.Dist(a, b)/cellMeters) + 1
-		seen := map[int]bool{}
-		for s := 0; s <= steps; s++ {
-			ci := grid.CellIndex(geo.Lerp(a, b, float64(s)/float64(steps)))
-			if !seen[ci] {
-				seen[ci] = true
-				sg.cellEdges[ci] = append(sg.cellEdges[ci], roadnet.EdgeID(eid))
-			}
-		}
 	}
 	return sg, nil
 }

@@ -52,6 +52,10 @@ func (m *Matcher) NewTracker(cfg TrackerConfig) *Tracker {
 	}
 }
 
+// SessionTTLSec returns the idle TTL the tracker evicts by, defaults
+// applied.
+func (t *Tracker) SessionTTLSec() float64 { return t.cfg.SessionTTLSec }
+
 // Advance feeds one probe of the named vehicle, creating its session on
 // first sight. Returned observations alias tracker buffers and are valid
 // until the vehicle's next Advance.

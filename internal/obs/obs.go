@@ -80,11 +80,10 @@ type Span struct {
 	// the span and nothing else.
 	context.Context
 
-	name   string
-	parent string
-	start  time.Duration // since clockBase
-	hist   *Histogram
-	done   atomic.Bool
+	name  string
+	start time.Duration // since clockBase
+	hist  *Histogram
+	done  atomic.Bool
 
 	// Trace linkage. trace/index/parentIdx are written by Trace.register
 	// inside StartSpan, before the span is visible to other goroutines;
@@ -122,11 +121,8 @@ func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context,
 		hist:      r.spanHist(name),
 		parentIdx: -1,
 	}
-	p, _ := ctx.Value(spanCtxKey{}).(*Span)
-	if p != nil {
-		s.parent = p.name
-	}
 	if t := TraceFrom(ctx); t != nil {
+		p, _ := ctx.Value(spanCtxKey{}).(*Span)
 		t.register(s, p)
 	}
 	return s, s
@@ -170,9 +166,6 @@ func (s *Span) End() time.Duration {
 		s.mu.Lock()
 		s.dur = d
 		s.mu.Unlock()
-	}
-	if f := spanLogger.Load(); f != nil {
-		(*f)(s.name, s.parent, d)
 	}
 	return d
 }
@@ -223,19 +216,6 @@ func (s *Span) Fail(err error) {
 	}
 	s.mu.Unlock()
 	s.trace.noteError()
-}
-
-// spanLogger, when set, receives every ended span.
-var spanLogger atomic.Pointer[func(name, parent string, d time.Duration)]
-
-// SetSpanLogger installs f to receive a line per ended span (nil disables).
-// Intended for debug serving modes; the histogram is always recorded.
-func SetSpanLogger(f func(name, parent string, d time.Duration)) {
-	if f == nil {
-		spanLogger.Store(nil)
-		return
-	}
-	spanLogger.Store(&f)
 }
 
 // TimeCtx starts a timer on the default registry's tte_span_seconds family

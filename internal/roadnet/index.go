@@ -314,3 +314,27 @@ func (m *runMin) scan(idx *EdgeIndex, p geo.Point, ids []int32) {
 		}
 	}
 }
+
+// CellEdges lists, for each cell of grid, the edges crossing it: each edge
+// is sampled at steps+1 evenly spaced points, steps = ⌊length/cell⌋ + 1,
+// and listed once in every cell a sample falls in. Edges go in ID order,
+// so an edge already listed in a cell is that cell's last entry. The
+// speed-grid feature (citysim.SpeedGridder) and its live overlay
+// (traffic.FeatureSource) both aggregate these lists, so a live cell
+// averages the same edges as the prior cell it replaces. (NewEdgeIndex
+// samples by its own rule, for snapping.)
+func CellEdges(g *Graph, grid *geo.Grid) [][]EdgeID {
+	cells := make([][]EdgeID, grid.NumCells())
+	for eid := range g.Edges {
+		id := EdgeID(eid)
+		a, b := g.EdgePoints(id)
+		steps := int(geo.Dist(a, b)/grid.CellSize) + 1
+		for s := 0; s <= steps; s++ {
+			ci := grid.CellIndex(geo.Lerp(a, b, float64(s)/float64(steps)))
+			if l := cells[ci]; len(l) == 0 || l[len(l)-1] != id {
+				cells[ci] = append(l, id)
+			}
+		}
+	}
+	return cells
+}

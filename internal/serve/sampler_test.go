@@ -101,7 +101,7 @@ func BenchmarkSamplerTick(b *testing.B) {
 	}
 	ev, err := slo.New(slo.Config{
 		Objectives: slo.DefaultObjectives(),
-		Rules:      slo.DefaultRules(0),
+		Rules:      slo.DefaultRules(),
 		Registry:   reg,
 		Manager:    slo.NewManager(slo.ManagerConfig{Registry: reg}),
 	})

@@ -111,13 +111,10 @@ type Config struct {
 	// Registry receives the HTTP metrics and serves /metrics (default
 	// obs.Default()).
 	Registry *obs.Registry
-	// Logger, when non-nil, emits structured request logs (5xx at Error
-	// and 4xx at Warn always; 2xx/3xx at Info sampled by AccessLogEvery),
-	// correlated to traces when its handler wraps obs.TraceHandler.
+	// Logger, when non-nil, emits structured request logs (5xx at Error,
+	// 4xx at Warn, 2xx/3xx at Info), correlated to traces when its handler
+	// wraps obs.TraceHandler.
 	Logger *slog.Logger
-	// AccessLogEvery samples success access logs: every Nth 2xx/3xx
-	// request per route (<=1 logs all).
-	AccessLogEvery int
 	// Traces, when non-nil, enables request tracing and mounts the store's
 	// handler at /debug/traces.
 	Traces *obs.TraceStore
@@ -191,12 +188,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Registry = obs.Default()
 	}
 	s := &Server{cfg: cfg, reg: cfg.Registry, mux: http.NewServeMux()}
-	mw := obs.Middleware{
-		Registry:       s.reg,
-		Logger:         cfg.Logger,
-		AccessLogEvery: cfg.AccessLogEvery,
-		Traces:         cfg.Traces,
-	}
+	mw := obs.Middleware{Registry: s.reg, Logger: cfg.Logger, Traces: cfg.Traces}
 	route := func(pattern string, h http.HandlerFunc) {
 		s.mux.Handle(pattern, mw.Wrap(pattern, h))
 	}

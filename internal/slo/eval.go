@@ -16,7 +16,7 @@ type Config struct {
 	// Objectives are the SLOs to evaluate. Required, validated at New.
 	Objectives []Objective
 	// Rules are the burn-rate alert rules applied to every objective
-	// (default DefaultRules(0)).
+	// (default DefaultRules()).
 	Rules []BurnRule
 	// Interval is the period the process sampler calls Observe at
 	// (default 10s). It sizes the history rings and is reported by
@@ -110,7 +110,7 @@ func New(cfg Config) (*Evaluator, error) {
 		seen[o.Name] = true
 	}
 	if len(cfg.Rules) == 0 {
-		cfg.Rules = DefaultRules(0)
+		cfg.Rules = DefaultRules()
 	}
 	var longest time.Duration
 	ruleNames := map[string]bool{}

@@ -204,14 +204,11 @@ func (r *BurnRule) Validate() error {
 }
 
 // DefaultRules returns the Workbook-style rule pair: a fast page on a
-// 1h/5m window at fastBurn (14.4 when <= 0) and a slow ticket on a 3d/6h
-// window at 1×.
-func DefaultRules(fastBurn float64) []BurnRule {
-	if fastBurn <= 0 {
-		fastBurn = 14.4
-	}
+// 1h/5m window at 14.4× and a slow ticket on a 3d/6h window at 1×. A
+// config file (LoadConfig) is the one way to serve other rules.
+func DefaultRules() []BurnRule {
 	return []BurnRule{
-		{Name: "fast", Severity: "page", Long: time.Hour, Short: 5 * time.Minute, Burn: fastBurn},
+		{Name: "fast", Severity: "page", Long: time.Hour, Short: 5 * time.Minute, Burn: 14.4},
 		{Name: "slow", Severity: "ticket", Long: 72 * time.Hour, Short: 6 * time.Hour, Burn: 1},
 	}
 }
@@ -307,7 +304,7 @@ func LoadConfig(path string) (objectives []Objective, rules []BurnRule, err erro
 		rules = append(rules, BurnRule{Name: r.Name, Severity: r.Severity, Short: short, Long: long, Burn: r.Burn})
 	}
 	if len(rules) == 0 {
-		rules = DefaultRules(0)
+		rules = DefaultRules()
 	}
 	for i := range rules {
 		if err := rules[i].Validate(); err != nil {

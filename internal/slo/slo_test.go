@@ -485,16 +485,13 @@ func TestDefaultObjectivesValid(t *testing.T) {
 			t.Errorf("default objective %q invalid: %v", o.Name, err)
 		}
 	}
-	for _, r := range DefaultRules(0) {
+	for _, r := range DefaultRules() {
 		if err := r.Validate(); err != nil {
 			t.Errorf("default rule %q invalid: %v", r.Name, err)
 		}
 	}
-	if DefaultRules(0)[0].Burn != 14.4 {
+	if DefaultRules()[0].Burn != 14.4 {
 		t.Error("default fast burn is not 14.4")
-	}
-	if DefaultRules(6)[0].Burn != 6 {
-		t.Error("fast burn override ignored")
 	}
 }
 

@@ -10,13 +10,15 @@ import (
 	"deepod/internal/traj"
 )
 
+// cellMeters is the live grid's cell. The live layer overwrites cells of
+// the matrix the OD encoder consumes, so it must be the speed-grid cell the
+// model was trained with (deepod.CityOptions.GridCellMeters' default);
+// NewFeatureSource rejects a prior of other dimensions.
+const cellMeters = 250
+
 // FeatureConfig tunes how live edge speeds become serving-time model
 // features.
 type FeatureConfig struct {
-	// CellMeters must match the speed-grid cell size the model was trained
-	// with (default 250): the live layer overwrites cells of the same
-	// matrix the OD encoder consumes.
-	CellMeters float64
 	// MinCoverage is the store coverage below which the live layer is
 	// ignored entirely and the prior served as-is (default 0.02): a handful
 	// of probes must not distort city-wide features.
@@ -31,9 +33,6 @@ type FeatureConfig struct {
 }
 
 func (c *FeatureConfig) fill() {
-	if c.CellMeters <= 0 {
-		c.CellMeters = 250
-	}
 	if c.MinCoverage <= 0 {
 		c.MinCoverage = 0.02
 	}
@@ -73,8 +72,8 @@ type FeatureSource struct {
 	store *Store
 	prior PriorFunc
 	grid  *geo.Grid
-	// cellEdges replicates the trainer's SpeedGridder mapping so live cell
-	// means aggregate the same edge sets the prior's cells do.
+	// cellEdges is roadnet.CellEdges over grid, the mapping the prior's
+	// cells aggregate too.
 	cellEdges [][]roadnet.EdgeID
 
 	cached atomic.Pointer[mergedEntry]
@@ -86,34 +85,32 @@ type FeatureSource struct {
 }
 
 // NewFeatureSource builds a source over the graph's cell grid. prior must
-// be non-nil; store may be warming.
+// be non-nil and answer with a matrix of that grid's dimensions: a prior
+// built on another cell would make every estimate fall back to it, so the
+// mismatch is an error here rather than a silent prior-only service. store
+// may be warming.
 func NewFeatureSource(g *roadnet.Graph, store *Store, prior PriorFunc, cfg FeatureConfig) (*FeatureSource, error) {
 	cfg.fill()
 	if store == nil || prior == nil {
 		return nil, fmt.Errorf("traffic: feature source needs a store and a prior")
 	}
-	grid, err := geo.NewGrid(g.Bounds(), cfg.CellMeters)
+	grid, err := geo.NewGrid(g.Bounds(), cellMeters)
 	if err != nil {
 		return nil, fmt.Errorf("traffic: feature grid: %w", err)
+	}
+	if p := prior(0); p == nil || p.GridRows != grid.Rows || p.GridCols != grid.Cols || len(p.SpeedGrid) != grid.NumCells() {
+		got := "no matrix"
+		if p != nil {
+			got = fmt.Sprintf("a %d×%d matrix of %d cells", p.GridRows, p.GridCols, len(p.SpeedGrid))
+		}
+		return nil, fmt.Errorf("traffic: the prior answers %s, the live grid is %d×%d at %d m: the model's speed grid must use the same cell", got, grid.Rows, grid.Cols, cellMeters)
 	}
 	fs := &FeatureSource{
 		cfg:       cfg,
 		store:     store,
 		prior:     prior,
 		grid:      grid,
-		cellEdges: make([][]roadnet.EdgeID, grid.NumCells()),
-	}
-	for eid := range g.Edges {
-		a, b := g.EdgePoints(roadnet.EdgeID(eid))
-		steps := int(geo.Dist(a, b)/cfg.CellMeters) + 1
-		seen := map[int]bool{}
-		for s := 0; s <= steps; s++ {
-			ci := grid.CellIndex(geo.Lerp(a, b, float64(s)/float64(steps)))
-			if !seen[ci] {
-				seen[ci] = true
-				fs.cellEdges[ci] = append(fs.cellEdges[ci], roadnet.EdgeID(eid))
-			}
-		}
+		cellEdges: roadnet.CellEdges(g, grid),
 	}
 	reg := cfg.Registry
 	reg.Help("tte_traffic_features_total", "External features served, by source (live = merged, prior = fallback).")

@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"reflect"
 	"testing"
 
+	"deepod/internal/citysim"
 	"deepod/internal/geo"
 	"deepod/internal/obs"
 	"deepod/internal/roadnet"
@@ -174,5 +176,89 @@ func TestFeatureSourceMergeCached(t *testing.T) {
 	c, _ := fs.External(110)
 	if &c.SpeedGrid[0] == &a.SpeedGrid[0] {
 		t.Fatal("stale merged matrix served after a new snapshot")
+	}
+}
+
+// TestNewFeatureSourceRejectsMismatchedPrior: a prior built on another
+// speed-grid cell would make every estimate fall back to it, so building
+// the source over it must fail instead of serving the prior in silence.
+func TestNewFeatureSourceRejectsMismatchedPrior(t *testing.T) {
+	g := testGraph(t)
+	s, err := NewStore(g, StoreConfig{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := geo.NewGrid(g.Bounds(), cellMeters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []float64{200, 400} {
+		prior, n := testPrior(g, cell, 8)
+		if n == live.NumCells() {
+			t.Fatalf("a %v m grid has the live grid's %d cells: pick another cell", cell, n)
+		}
+		if _, err := NewFeatureSource(g, s, prior, FeatureConfig{Registry: obs.NewRegistry()}); err == nil {
+			t.Errorf("a prior on a %v m grid was accepted", cell)
+		}
+	}
+	none := func(float64) *traj.ExternalFeatures { return nil }
+	if _, err := NewFeatureSource(g, s, none, FeatureConfig{Registry: obs.NewRegistry()}); err == nil {
+		t.Error("a prior with no matrix was accepted")
+	}
+	prior, _ := testPrior(g, cellMeters, 8)
+	if _, err := NewFeatureSource(g, s, prior, FeatureConfig{Registry: obs.NewRegistry()}); err != nil {
+		t.Errorf("a prior on the live grid was rejected: %v", err)
+	}
+}
+
+// TestFeatureSourceCellsMatchSpeedGridder holds the live layer's per-cell
+// edge lists to the speed gridder's on chengdu-s: a live cell must average
+// the edges of the prior cell it replaces, in the same order.
+func TestFeatureSourceCellsMatchSpeedGridder(t *testing.T) {
+	ccfg, err := roadnet.CityPreset("chengdu-s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := roadnet.GenerateCity(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := citysim.NewTraffic(g, 86400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridder, err := citysim.NewSpeedGridder(sim, cellMeters, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(g, StoreConfig{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFeatureSource(g, s, gridder.External, FeatureConfig{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gridder's lists are unexported in its own package; reflect reads
+	// them without widening its API.
+	want := reflect.ValueOf(gridder).Elem().FieldByName("cellEdges")
+	if want.Len() != len(fs.cellEdges) {
+		t.Fatalf("gridder has %d cells, feature source %d", want.Len(), len(fs.cellEdges))
+	}
+	listed := 0
+	for ci, got := range fs.cellEdges {
+		w := want.Index(ci)
+		if w.Len() != len(got) {
+			t.Fatalf("cell %d: gridder lists %d edges, feature source %d", ci, w.Len(), len(got))
+		}
+		for j, e := range got {
+			if w.Index(j).Int() != int64(e) {
+				t.Fatalf("cell %d entry %d: gridder edge %d, feature source edge %d", ci, j, w.Index(j).Int(), e)
+			}
+		}
+		listed += len(got)
+	}
+	if listed < g.NumEdges() {
+		t.Fatalf("only %d cell entries for %d edges", listed, g.NumEdges())
 	}
 }

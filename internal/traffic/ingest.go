@@ -30,9 +30,6 @@ type IngestConfig struct {
 	// Full queues shed: the firehose must never apply backpressure to the
 	// serving process.
 	QueueDepth int
-	// Tracker configures per-vehicle session management. Each worker
-	// evicts idle vehicle sessions once per SessionTTLSec of sim time.
-	Tracker mapmatch.TrackerConfig
 	// Registry receives tte_traffic_* metrics (default obs.Default()).
 	Registry *obs.Registry
 }
@@ -43,9 +40,6 @@ func (c *IngestConfig) fill() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Tracker.SessionTTLSec <= 0 {
-		c.Tracker.SessionTTLSec = 300 // the tracker's own default
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
@@ -234,7 +228,9 @@ func (in *Ingestor) Status() map[string]any {
 // vehicle's bad clock.
 func (in *Ingestor) work(w int, m *mapmatch.Matcher) {
 	defer in.wg.Done()
-	tr := m.NewTracker(in.cfg.Tracker)
+	// Sessions take the tracker's defaults; each worker evicts idle
+	// vehicles once per session TTL of sim time.
+	tr := m.NewTracker(mapmatch.TrackerConfig{})
 	span := float64(in.store.cfg.Windows) * in.store.cfg.WindowSec
 	lastSweep := 0.0
 	maxT := 0.0
@@ -278,7 +274,7 @@ func (in *Ingestor) work(w int, m *mapmatch.Matcher) {
 				in.store.Record(o.Edge, o.Meters, o.ExitSec-o.EnterSec, o.ExitSec)
 			}
 		}
-		if maxT-lastSweep >= in.cfg.Tracker.SessionTTLSec {
+		if maxT-lastSweep >= tr.SessionTTLSec() {
 			tr.Sweep(maxT)
 			lastSweep = maxT
 		}

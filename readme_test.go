@@ -1,10 +1,15 @@
 package deepod
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -220,4 +225,140 @@ func TestREADMETteserveFlags(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maxTteserveFlags is the bar on tteserve's flag count: a flag stays only
+// where deployments differ (what is served and where, which subsystems
+// run, sizes and rates fitted to the host); every other value is fixed
+// once, in the package that applies it.
+const maxTteserveFlags = 30
+
+func TestTteserveFlagCount(t *testing.T) {
+	flags := map[string]bool{}
+	for _, src := range sourceFiles(t, filepath.Join("cmd", "tteserve")) {
+		for _, m := range flagDef.FindAllStringSubmatch(src, -1) {
+			flags[m[1]] = true
+		}
+	}
+	if len(flags) > maxTteserveFlags {
+		t.Errorf("tteserve defines %d flags, want at most %d", len(flags), maxTteserveFlags)
+	}
+}
+
+// TestConfigFieldsAreSet fails when an exported field of a struct type
+// named *Config or *Options is set by no Go file in the module, tests
+// included: such a field is a knob nobody turns, and its default belongs
+// in an unexported constant. The scan is by name — a field counts as set
+// when any file writes a field of that name, on whatever type — and a
+// write is a composite-literal key, an assignment or ++/-- through a
+// selector, or an address taken with &. An assignment inside an if whose
+// condition reads the same selector is a default being filled, not a
+// setting. A field with a struct tag is set by its decoder.
+func TestConfigFieldsAreSet(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[string]string{} // field name → "pkg.Type.Field" (first seen)
+	set := map[string]bool{}
+	for _, f := range files {
+		isTest := strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if isTest || !ok || !(strings.HasSuffix(n.Name.Name, "Config") || strings.HasSuffix(n.Name.Name, "Options")) {
+					return true
+				}
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						if !name.IsExported() {
+							continue
+						}
+						if fld.Tag != nil {
+							set[name.Name] = true
+						}
+						if _, ok := declared[name.Name]; !ok {
+							declared[name.Name] = f.Name.Name + "." + n.Name.Name + "." + name.Name
+						}
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					set[id.Name] = true
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					set[sel.Sel.Name] = true
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					set[sel.Sel.Name] = true
+				}
+			case *ast.AssignStmt:
+				var cond ast.Expr
+				if k := len(stack); k >= 3 {
+					if ifs, ok := stack[k-3].(*ast.IfStmt); ok && ifs.Body == stack[k-2] {
+						cond = ifs.Cond
+					}
+				}
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && !reads(cond, sel) {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	var unset []string
+	for name, where := range declared {
+		if !set[name] {
+			unset = append(unset, where)
+		}
+	}
+	sort.Strings(unset)
+	for _, where := range unset {
+		t.Errorf("%s is set by no Go file: fold it into a constant", where)
+	}
+}
+
+// reads reports whether expression e mentions the selector sel.
+func reads(e ast.Expr, sel *ast.SelectorExpr) bool {
+	if e == nil {
+		return false
+	}
+	want, found := types.ExprString(sel), false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s) == want {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
