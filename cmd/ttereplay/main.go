@@ -227,7 +227,6 @@ func smokeRecord(c *deepod.City, snap *infer.Snapshot,
 		Match:        match,
 		Snapshot:     snap,
 		Workers:      2, // recording needs no determinism, only the replay does
-		MaxBatch:     16,
 		QueueDepth:   2 * requests,
 		CacheEntries: 4096,
 		Observers:    []infer.Observer{rec},

@@ -22,17 +22,12 @@
 //	POST /probes       → NDJSON GPS probe firehose feeding the live traffic store (with -traffic)
 //	GET  /debug/traffic → live traffic pipeline state: probes, coverage, epoch (with -traffic)
 //	GET  /debug/recorder → flight-recorder wide events + segment downloads (with -recorder)
-//	GET  /debug/metrics/history → queryable in-process metric history (with -telemetry)
 //
-// Every -telemetry-interval one sampler refreshes the runtime gauges and
-// hands one registry snapshot to the SLO evaluator and, with -telemetry
-// (default on), to the metric history: per-series bounded rings (a raw
-// tier plus a coarse long-horizon tier), queryable at
-// /debug/metrics/history?series=...&range=...&agg=.... With -exemplars,
-// histogram observations on traced requests carry their trace ID:
-// /metrics?exemplars=1 exposes them in OpenMetrics exemplar syntax and
-// /debug/metrics/history returns them next to each series, resolvable at
-// /debug/traces?trace=<id>.
+// Every -telemetry-interval one sampler refreshes the runtime gauges and,
+// with -slo, hands one registry snapshot to the SLO evaluator. With
+// -exemplars, histogram observations on traced requests carry their trace
+// ID: /metrics?exemplars=1 exposes them in OpenMetrics exemplar syntax,
+// resolvable at /debug/traces?trace=<id>.
 //
 // The quality monitor (-quality) and the flight recorder (-recorder) are
 // the engine's observers: every /estimate the engine handles ends in one
@@ -69,7 +64,7 @@
 // A flag exists only where deployments differ: what is served and where
 // (-city -orders -seed -model -train-workers -addr -debug-addr
 // -recorder-dir -slo-config -log-json -grace), which subsystems run
-// (-traffic -quality -recorder -telemetry -slo -exemplars), and the sizes
+// (-traffic -quality -recorder -slo -exemplars), and the sizes
 // and rates fitted to the host or the traffic (-workers -cache
 // -traffic-workers -trace-sample -recorder-sample -telemetry-interval).
 // Every other setting is the default of the package that applies it.
@@ -105,7 +100,6 @@ import (
 	"deepod/internal/roadnet"
 	"deepod/internal/serve"
 	"deepod/internal/slo"
-	"deepod/internal/telemetry"
 	"deepod/internal/traffic"
 	"deepod/internal/traj"
 )
@@ -169,9 +163,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		recorderDir    = fs.String("recorder-dir", "", "mirror captured wide events to JSONL segment files in this directory (empty = in-memory only)")
 		recorderSample = fs.Float64("recorder-sample", 0.01, "probability of capturing a normal (non-error, non-slow) estimate; errors and shed requests are always captured")
 
-		telemetryOn       = fs.Bool("telemetry", true, "in-process metric history at /debug/metrics/history, one point per sampler tick")
-		telemetryInterval = fs.Duration("telemetry-interval", 10*time.Second, "sampling period of the one process sampler: runtime gauges, SLO evaluation and the history's raw tier (at least 1s with -telemetry)")
-		exemplarsOn       = fs.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1 and in /debug/metrics/history)")
+		telemetryInterval = fs.Duration("telemetry-interval", 10*time.Second, "sampling period of the one process sampler: runtime gauges and SLO evaluation")
+		exemplarsOn       = fs.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1)")
 
 		sloOn     = fs.Bool("slo", true, "SLO engine: burn-rate alerting over the built-in objectives, GET /debug/slo and /debug/alerts")
 		sloConfig = fs.String("slo-config", "", "JSON file with custom SLO objectives and burn rules (empty = built-in defaults)")
@@ -236,31 +229,18 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 
 	traces := obs.NewTraceStore(nil, obs.TraceStoreConfig{SampleRate: *traceSample})
 
-	// The history and the SLO evaluator observe the process sampler's
-	// snapshots of the default registry (started below, once both exist).
 	// Exemplars are process-global: once on, traced requests stamp their
 	// trace ID onto histogram observations.
 	obs.SetExemplars(*exemplarsOn)
-	var (
-		history   *telemetry.History
-		observers []func(time.Time, []obs.Sample)
-	)
-	if *telemetryOn {
-		history, err = telemetry.NewHistory(telemetry.Config{
-			Interval: *telemetryInterval,
-			Logger:   logger,
-		})
-		if err != nil {
-			return fail("building telemetry history", err)
-		}
-		observers = append(observers, history.Observe)
-	}
 
 	// The SLO/alerting layer is assembled before the engine branch so the
 	// quality monitor can route its drift alert through the same manager.
+	// The evaluator observes the process sampler's snapshots of the default
+	// registry.
 	var (
-		alertMgr *slo.Manager
-		sloEval  *slo.Evaluator
+		alertMgr  *slo.Manager
+		sloEval   *slo.Evaluator
+		observers []func(time.Time, []obs.Sample)
 	)
 	if *sloOn {
 		alertMgr = slo.NewManager(slo.ManagerConfig{Logger: logger})
@@ -293,11 +273,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 			"edges": c.Graph.NumEdges(),
 			"model": snap.ID,
 		},
-		Logger:  logger,
-		Traces:  traces,
-		SLO:     sloEval,
-		Alerts:  alertMgr,
-		History: history,
+		Logger: logger,
+		Traces: traces,
+		SLO:    sloEval,
+		Alerts: alertMgr,
 	}
 
 	scfg.External = c.Grid.External

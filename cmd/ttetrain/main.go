@@ -73,15 +73,7 @@ func main() {
 		// the serving-time quality monitor.
 		m.SetRefDist(deepod.ErrorRefDist(&modelEstimator{m}, c.Split.Test))
 		if *save != "" {
-			f, err := os.Create(*save)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := m.Save(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := saveModel(*save, m, stats); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("saved model to %s (%d weights)\n", *save, m.NumWeights())
@@ -138,6 +130,25 @@ func printPhaseBreakdown() {
 			r.name, time.Duration(r.sum*float64(time.Second)).Round(time.Millisecond),
 			r.count, avg.Round(time.Microsecond))
 	}
+}
+
+// saveModel writes m to path unless its training run ended collapsed: a
+// model that answers about one number for every OD is not worth serving,
+// so no checkpoint of it is written.
+func saveModel(path string, m *core.Model, stats *core.TrainStats) error {
+	if stats.Collapsed() {
+		return fmt.Errorf("refusing to save a collapsed model: validation predictions spread %.4f of the targets' standard deviation, under the floor %v",
+			stats.PredSpreadRatio, core.CollapseFloor)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // modelEstimator adapts *core.Model to the Estimator interface.

@@ -46,9 +46,24 @@ type TrainStats struct {
 	EmbedElapsed time.Duration
 	// FinalValMAE is the last validation MAE in seconds.
 	FinalValMAE float64
+	// PredSpreadRatio is, at the last validation measurement, the standard
+	// deviation of the predictions over that of the targets: near 1 for a
+	// model that tells ODs apart, near 0 for one that answers the same
+	// number for every OD (see Collapsed). When the targets have no
+	// spread it is NaN or +Inf, and the run does not count as collapsed.
+	PredSpreadRatio float64
 	// Workers is the number of data-parallel training workers used.
 	Workers int
 }
+
+// CollapseFloor is the PredSpreadRatio below which a trained model counts
+// as collapsed: its validation predictions vary by less than 5 % of the
+// targets' spread, so it answers about one number for every OD.
+const CollapseFloor = 0.05
+
+// Collapsed reports whether the run ended in a collapsed model
+// (PredSpreadRatio below CollapseFloor).
+func (s *TrainStats) Collapsed() bool { return s.PredSpreadRatio < CollapseFloor }
 
 // TrainOptions tunes the training loop around the model.
 type TrainOptions struct {
@@ -142,7 +157,8 @@ func Fit(train, valid []traj.TripRecord, opts TrainOptions, workers int, seed in
 	}
 	stats.EmbedElapsed = time.Since(start)
 
-	evaluate := func() float64 {
+	// evaluate returns the validation MAE and the predictions' spread ratio.
+	evaluate := func() (mae, spread float64) {
 		evalStart := time.Now()
 		n := len(valid)
 		if opts.ValSample > 0 && opts.ValSample < n {
@@ -155,10 +171,13 @@ func Fit(train, valid []traj.TripRecord, opts TrainOptions, workers int, seed in
 			pred[i] = estimate(&valid[i].Matched)
 		})
 		evalPhaseHist.Observe(time.Since(evalStart).Seconds())
-		return metrics.MAE(actual, pred)
+		_, varPred := metrics.Moments(pred)
+		_, varActual := metrics.Moments(actual)
+		return metrics.MAE(actual, pred), math.Sqrt(varPred / varActual)
 	}
 	record := func(epoch, step int) {
-		mae := evaluate()
+		mae, spread := evaluate()
+		stats.PredSpreadRatio = spread // the last record's stands
 		stats.Curve = append(stats.Curve, StepPoint{Step: step, ValMAE: mae, At: time.Since(start)})
 		if opts.Progress != nil {
 			opts.Progress(epoch, step, mae)

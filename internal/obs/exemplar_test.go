@@ -156,9 +156,8 @@ func TestMetricsHandlerExemplarExposition(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabledOverhead gates the per-observation cost the
-// telemetry layer adds to the serve hot path when nothing is enabled: with
-// exemplar recording off and no history sampler attached, the only added
+// TestTelemetryDisabledOverhead gates the per-observation cost exemplar
+// support adds to the serve hot path when it is off: the only added
 // work at a span end or middleware latency observe is a trace nil check
 // plus one atomic flag load. The bound catches a lock, map lookup or
 // allocation sneaking into that branch.

@@ -38,44 +38,6 @@ func (s Sample) Label(key string) string {
 	return ""
 }
 
-// Quantile estimates the q-quantile of a histogram sample by linear
-// interpolation within the bucket containing it, mirroring
-// Histogram.Quantile but working on captured snapshot data — the history
-// sampler derives p50/p99 series from Snapshot output without re-touching
-// the live histogram. Returns NaN for empty or non-histogram samples.
-func (s Sample) Quantile(q float64) float64 {
-	if s.Kind != "histogram" || s.Count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.BucketCounts {
-		if i >= len(s.BucketUppers) {
-			break // +Inf bucket: fall through to the clamp below
-		}
-		n := float64(c)
-		if cum+n >= rank && n > 0 {
-			lower := 0.0
-			if i > 0 {
-				lower = s.BucketUppers[i-1]
-			}
-			frac := (rank - cum) / n
-			return lower + frac*(s.BucketUppers[i]-lower)
-		}
-		cum += n
-	}
-	if len(s.BucketUppers) == 0 {
-		return math.NaN()
-	}
-	return s.BucketUppers[len(s.BucketUppers)-1]
-}
-
 // Snapshot captures every metric in the registry, sorted by family name
 // then label identity. It is the programmatic counterpart of the /metrics
 // exposition (ttetrain's phase breakdown reads it).

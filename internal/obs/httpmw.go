@@ -23,14 +23,10 @@ const TraceHeader = "X-Trace-Id"
 type Middleware struct {
 	// Registry receives the request metrics (nil uses the default).
 	Registry *Registry
-	// Logger, when set, emits structured request logs: 5xx at Error and
-	// 4xx at Warn on every occurrence, 2xx/3xx at Info sampled by
-	// AccessLogEvery. Lines carry trace_id when Logger's handler is (or
-	// wraps) a TraceHandler.
+	// Logger, when set, emits one structured log line per request: 5xx at
+	// Error, 4xx at Warn, 2xx/3xx at Info. Lines carry trace_id when
+	// Logger's handler is (or wraps) a TraceHandler.
 	Logger *slog.Logger
-	// AccessLogEvery samples success access logs: only every Nth 2xx/3xx
-	// request per route is logged at Info (<=1 logs all).
-	AccessLogEvery int
 	// Traces enables tracing: each request gets a trace (ID from
 	// X-Trace-Id or generated, echoed in the response), a root span named
 	// after the route, and the finished trace is offered to the store.
@@ -59,7 +55,6 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 	// One requests_total counter per status class, resolved when the class
 	// first occurs on this route, so a class that never did is not exported.
 	var byClass [len(statusClasses)]atomic.Pointer[Counter]
-	var accessN atomic.Uint64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inFlight.Inc()
@@ -122,9 +117,7 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 			case code >= 400:
 				mw.Logger.LogAttrs(ctx, slog.LevelWarn, "request", attrs...)
 			default:
-				if n := mw.AccessLogEvery; n <= 1 || accessN.Add(1)%uint64(n) == 1 {
-					mw.Logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
-				}
+				mw.Logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
 			}
 		}
 	})

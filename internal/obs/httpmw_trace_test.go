@@ -113,7 +113,7 @@ func TestMiddlewareStructuredLogs(t *testing.T) {
 	reg := NewRegistry()
 	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 0})
 	status := http.StatusOK
-	h := Middleware{Registry: reg, Logger: logger, AccessLogEvery: 3, Traces: ts}.Wrap("/estimate",
+	h := Middleware{Registry: reg, Logger: logger, Traces: ts}.Wrap("/estimate",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(status)
 		}))
@@ -123,24 +123,18 @@ func TestMiddlewareStructuredLogs(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/estimate", nil))
 		return buf.String()
 	}
-	// With AccessLogEvery=3 only the 1st, 4th, ... success logs at Info.
-	var logged int
-	for i := 0; i < 6; i++ {
+	// Every success logs exactly one line at Info.
+	for i := 0; i < 3; i++ {
 		line := do()
-		if line == "" {
-			continue
+		if n := strings.Count(line, "\n"); n != 1 {
+			t.Fatalf("request %d logged %d lines, want 1: %q", i, n, line)
 		}
-		logged++
 		for _, want := range []string{"level=INFO", "route=/estimate", "status=200", "trace_id="} {
 			if !strings.Contains(line, want) {
 				t.Fatalf("access log line missing %q: %s", want, line)
 			}
 		}
 	}
-	if logged != 2 {
-		t.Fatalf("6 requests at every-3 sampling logged %d lines, want 2", logged)
-	}
-	// 4xx and 5xx are never sampled away.
 	status = http.StatusBadRequest
 	if line := do(); !strings.Contains(line, "level=WARN") {
 		t.Fatalf("4xx log = %q, want WARN", line)

@@ -2,9 +2,9 @@ package obs
 
 // Ring is a bounded circular buffer, oldest first: the one bounded history
 // in the repo. The trace store, the flight recorder's shards, the alert
-// manager's transition history, the SLO burn windows and the metric
-// history tiers all keep their retained elements in it. Not safe for
-// concurrent use; callers guard it with their own lock.
+// manager's transition history and the SLO burn windows all keep their
+// retained elements in it. Not safe for concurrent use; callers guard it
+// with their own lock.
 type Ring[T any] struct {
 	buf  []T
 	head int // index of oldest
@@ -38,12 +38,3 @@ func (r *Ring[T]) Len() int { return r.n }
 // At returns the i-th retained element, oldest first. i must be in
 // [0, Len()).
 func (r *Ring[T]) At(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
-
-// Slice returns the retained elements oldest first, as a fresh slice.
-func (r *Ring[T]) Slice() []T {
-	out := make([]T, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.At(i)
-	}
-	return out
-}

@@ -16,11 +16,10 @@ func TestRing(t *testing.T) {
 	if r.Len() != 3 || evicted != 2 {
 		t.Fatalf("len = %d evicted = %d, want 3 and 2", r.Len(), evicted)
 	}
-	if got := r.Slice(); got[0] != 3 || got[1] != 4 || got[2] != 5 {
-		t.Fatalf("slice = %v, want [3 4 5]", got)
-	}
-	if r.At(0) != 3 || r.At(2) != 5 {
-		t.Fatalf("At order wrong: %d %d", r.At(0), r.At(2))
+	for i, want := range []int{3, 4, 5} {
+		if got := r.At(i); got != want {
+			t.Fatalf("At(%d) = %d, want %d", i, got, want)
+		}
 	}
 	one := NewRing[int](0)
 	one.Push(1)

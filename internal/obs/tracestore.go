@@ -85,7 +85,7 @@ func (ts *TraceStore) Offer(t *Trace, d time.Duration) (kept bool, reason string
 // TraceFilter selects retained traces; zero values mean "no constraint".
 type TraceFilter struct {
 	// TraceID selects one specific trace — the lookup exemplar trace IDs
-	// from /metrics and /debug/metrics/history resolve through.
+	// from /metrics resolve through.
 	TraceID   string
 	Route     string
 	MinDur    time.Duration

@@ -5,29 +5,24 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"deepod/internal/obs"
 	"deepod/internal/slo"
-	"deepod/internal/telemetry"
 )
 
-// TestSamplerFeedsHistoryAndSLO wires the history and the SLO evaluator to
-// one sampler the way tteserve does and reads /debug/slo and
-// /debug/metrics/history while it ticks: both observers see every tick,
-// and stop leaves both readable.
-func TestSamplerFeedsHistoryAndSLO(t *testing.T) {
+// TestSamplerFeedsSLO wires the SLO evaluator to one sampler the way
+// tteserve does and reads /debug/slo while it ticks: the evaluator sees
+// every tick, and stop leaves it readable.
+func TestSamplerFeedsSLO(t *testing.T) {
 	reg := obs.NewRegistry()
-	hist, err := telemetry.NewHistory(telemetry.Config{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ev, err := slo.New(slo.Config{Objectives: slo.DefaultObjectives(), Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{City: "sampler-city", Infer: stubInfer, Registry: reg, SLO: ev, History: hist})
+	s, err := New(Config{City: "sampler-city", Infer: stubInfer, Registry: reg, SLO: ev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +30,8 @@ func TestSamplerFeedsHistoryAndSLO(t *testing.T) {
 	const body = `{"origin":{"X":1,"Y":2},"dest":{"X":3,"Y":4},"depart_sec":600}`
 	postEstimate(t, h, body) // every tick sees at least one request
 	evals := reg.Counter("tte_slo_evaluations_total")
-	stop := obs.StartSampler(reg, time.Millisecond, hist.Observe, ev.Observe)
+	var ticks atomic.Uint64
+	stop := obs.StartSampler(reg, time.Millisecond, func(time.Time, []obs.Sample) { ticks.Add(1) }, ev.Observe)
 	defer stop()
 	deadline := time.Now().Add(5 * time.Second)
 	for evals.Value() < 5 {
@@ -43,33 +39,28 @@ func TestSamplerFeedsHistoryAndSLO(t *testing.T) {
 			t.Fatalf("%d evaluations in 5s", evals.Value())
 		}
 		postEstimate(t, h, body)
-		for _, path := range []string{"/debug/slo", "/debug/metrics/history?series=tte_http_requests_total"} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body)
-			}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/slo", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /debug/slo = %d: %s", rec.Code, rec.Body)
 		}
 	}
 	stop()
-	if ticks, n := reg.Counter("tte_telemetry_ticks_total").Value(), evals.Value(); ticks != n {
-		t.Fatalf("history folded %d ticks, the evaluator %d", ticks, n)
+	if n, e := ticks.Load(), evals.Value(); n != e {
+		t.Fatalf("the sampler ticked %d times, the evaluator evaluated %d", n, e)
 	}
 	if st := ev.Status(); st.LastEval.IsZero() || st.Objectives[0].Total == 0 {
 		t.Fatalf("evaluator status after stop = %+v", st)
-	}
-	if hist.HistoryStats().Series == 0 {
-		t.Fatal("history tracks no series")
 	}
 }
 
 // BenchmarkSamplerTick is one tick of tteserve's process sampler
 // (obs.StartSampler) at a serving registry's size: the HTTP, engine, span
 // and trace-store families a real server and engine leave after a few
-// hundred requests, plus the history's and the SLO evaluator's own. One op
-// refreshes the runtime gauges, takes one snapshot and hands it to the
-// metric history and to the evaluator with tteserve's default objectives
-// and rules. samples/op is the snapshot's length.
+// hundred requests, plus the SLO evaluator's own. One op refreshes the
+// runtime gauges, takes one snapshot and hands it to the evaluator with
+// tteserve's default objectives and rules. samples/op is the snapshot's
+// length.
 func BenchmarkSamplerTick(b *testing.B) {
 	s, _, body := newTracedEngineServer(b)
 	h, reg := s.Handler(), s.reg
@@ -95,10 +86,6 @@ func BenchmarkSamplerTick(b *testing.B) {
 	if codes[http.StatusOK] < 200 || codes[http.StatusBadRequest] != 30 {
 		b.Fatalf("status codes %v", codes)
 	}
-	hist, err := telemetry.NewHistory(telemetry.Config{Registry: reg})
-	if err != nil {
-		b.Fatal(err)
-	}
 	ev, err := slo.New(slo.Config{
 		Objectives: slo.DefaultObjectives(),
 		Rules:      slo.DefaultRules(),
@@ -113,7 +100,6 @@ func BenchmarkSamplerTick(b *testing.B) {
 		obs.CollectRuntime(reg)
 		now := time.Now()
 		samples = reg.Snapshot()
-		hist.Observe(now, samples)
 		ev.Observe(now, samples)
 	}
 	tick() // the first tick creates every series

@@ -25,8 +25,6 @@
 //	     epoch, errors, minDur, limit); /debug/recorder/segments lists and
 //	     /debug/recorder/segments/<name> downloads on-disk segments (when
 //	     Config.Recorder set)
-//	GET  /debug/metrics/history queryable in-process metric history:
-//	     ?series=&range=&step=&agg= (when Config.History set)
 //
 // Every /debug/* JSON response is wrapped by a shared envelope: a
 // generated_at timestamp is spliced in as the first field, Content-Type is
@@ -66,7 +64,6 @@ import (
 	"deepod/internal/quality"
 	"deepod/internal/recorder"
 	"deepod/internal/slo"
-	"deepod/internal/telemetry"
 	"deepod/internal/traffic"
 	"deepod/internal/traj"
 )
@@ -148,10 +145,6 @@ type Config struct {
 	// /debug/recorder/segments[/<name>]. Capture itself is wired at the
 	// engine (one of infer.Config.Observers); the server only exposes it.
 	Recorder *recorder.Recorder
-	// History, when non-nil, serves the in-process metric history at GET
-	// /debug/metrics/history. The caller feeds it registry snapshots (its
-	// Observe rides obs.StartSampler); the server only exposes it.
-	History *telemetry.History
 }
 
 // ProbeSink ingests a parsed probe batch, returning how many probes were
@@ -226,9 +219,6 @@ func New(cfg Config) (*Server, error) {
 		h := envelope(cfg.Recorder.Handler())
 		s.mux.Handle("/debug/recorder", h)
 		s.mux.Handle("/debug/recorder/", h)
-	}
-	if cfg.History != nil {
-		s.mux.Handle("/debug/metrics/history", envelope(cfg.History.Handler()))
 	}
 	return s, nil
 }

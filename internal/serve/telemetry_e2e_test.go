@@ -5,12 +5,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"deepod/internal/obs"
-	"deepod/internal/telemetry"
 )
 
 func TestEnvelopeStampsJSON(t *testing.T) {
@@ -124,90 +122,53 @@ func TestDebugRoutesCarryGeneratedAt(t *testing.T) {
 	}
 }
 
-// TestTelemetryEndToEnd drives the full telemetry loop through the HTTP
-// layer: traced /estimate requests record exemplars on the route latency
-// histogram, the history sampler harvests them into queryable series, and
-// the exemplar's trace ID resolves to the retained trace in /debug/traces.
+// TestTelemetryEndToEnd drives the exemplar loop through the HTTP layer:
+// a traced /estimate records an exemplar on the route latency histogram,
+// /metrics?exemplars=1 carries its trace ID on a tte_http_request_seconds
+// bucket line, and that trace ID resolves to the retained trace in
+// /debug/traces.
 func TestTelemetryEndToEnd(t *testing.T) {
 	obs.SetExemplars(true)
 	defer obs.SetExemplars(false)
 
 	reg := obs.NewRegistry()
 	ts := obs.NewTraceStore(reg, obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1})
-
-	now := time.Unix(1_700_000_000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	hist, err := telemetry.NewHistory(telemetry.Config{
-		Interval: 10 * time.Second,
-		Registry: obs.NewRegistry(),
-		Now:      clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	s, err := New(Config{
 		City:     "telemetry-city",
 		Infer:    stubInfer,
 		Registry: reg,
 		Traces:   ts,
-		History:  hist,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
 
-	estimate := func(traceID string) {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodPost, "/estimate",
-			strings.NewReader(`{"origin":{"X":1,"Y":2},"dest":{"X":3,"Y":4},"depart_sec":600}`))
-		if traceID != "" {
-			req.Header.Set("X-Trace-Id", traceID)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("estimate = %d: %s", rec.Code, rec.Body)
-		}
-	}
-
 	const traceID = "feedfacecafebeef"
-	estimate(traceID)
-	hist.Observe(clock(), reg.Snapshot())
-	advance(10 * time.Second)
-	estimate("")
-	hist.Observe(clock(), reg.Snapshot())
-
-	// History query over the route latency p99 carries the exemplar.
+	req := httptest.NewRequest(http.MethodPost, "/estimate",
+		strings.NewReader(`{"origin":{"X":1,"Y":2},"dest":{"X":3,"Y":4},"depart_sec":600}`))
+	req.Header.Set("X-Trace-Id", traceID)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
-		"/debug/metrics/history?series=tte_http_request_seconds:p99", nil))
+	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("history query = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("estimate = %d: %s", rec.Code, rec.Body)
 	}
-	if !strings.HasPrefix(rec.Body.String(), `{"generated_at":"`) {
-		t.Fatalf("history response not enveloped: %s", rec.Body)
-	}
-	var hres telemetry.QueryResult
-	if err := json.Unmarshal(rec.Body.Bytes(), &hres); err != nil {
-		t.Fatal(err)
-	}
-	if len(hres.Series) != 1 {
-		t.Fatalf("p99 series = %+v", hres.Series)
+
+	// The route latency bucket line carries the exemplar.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?exemplars=1", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("metrics scrape = %d: %s", rec.Code, rec.Body)
 	}
 	var got string
-	for _, ex := range hres.Series[0].Exemplars {
-		if ex.TraceID == traceID {
-			got = ex.TraceID
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, `tte_http_request_seconds_bucket{route="/estimate",`) &&
+			strings.Contains(line, ` # {trace_id="`+traceID+`"} `) {
+			got = traceID
 		}
 	}
 	if got == "" {
-		t.Fatalf("exemplar with trace %s not in history response: %+v",
-			traceID, hres.Series[0].Exemplars)
+		t.Fatalf("no tte_http_request_seconds bucket line carries trace %s:\n%s", traceID, rec.Body)
 	}
 
 	// ... and that trace ID resolves in /debug/traces.

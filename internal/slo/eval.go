@@ -78,11 +78,6 @@ type objectiveState struct {
 // (good, total) counts per objective, derives windowed burn rates by
 // differencing the history ring, and drives the alert manager. Construct
 // with New and hand Observe to obs.StartSampler.
-//
-// It keeps its own (good, total) ring rather than reading
-// telemetry.History: the latency SLI needs bucket counts, which History
-// does not keep, and the slow rule's 72 h window outruns History's
-// 24 h coarse tier.
 type Evaluator struct {
 	cfg Config
 

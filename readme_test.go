@@ -231,7 +231,7 @@ func TestREADMETteserveFlags(t *testing.T) {
 // where deployments differ (what is served and where, which subsystems
 // run, sizes and rates fitted to the host); every other value is fixed
 // once, in the package that applies it.
-const maxTteserveFlags = 30
+const maxTteserveFlags = 22
 
 func TestTteserveFlagCount(t *testing.T) {
 	flags := map[string]bool{}

@@ -23,7 +23,7 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/telemetry/... ./internal/citysim/... ./cmd/tteserve/
+go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/citysim/... ./cmd/tteserve/
 go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 go test -race -run 'GoldenBits|Batch|Concurrent' ./internal/models/
