@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"deepod/internal/core"
 	"deepod/internal/experiments"
 )
 
@@ -48,6 +49,33 @@ func BenchmarkExperiments(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTrainWorkload is the first operation of go run ./bench's train
+// workload as a Go benchmark: a fresh model's Model.Train on beijing-s with
+// 4000 orders, SmallConfig at seed 1 and one worker, stopped after 216
+// steps (the workload's cap at its 18 s), validation on 64 records. The
+// city is built off the clock. Its use is the per-phase CPU profile of
+// DESIGN §9:
+//
+//	go test -run '^$' -bench BenchmarkTrainWorkload -benchtime 3x -cpu 1 -cpuprofile cpu.out .
+func BenchmarkTrainWorkload(b *testing.B) {
+	c, err := BuildCity("beijing-s", CityOptions{Orders: 4000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := SmallConfig()
+	cfg.Seed, cfg.TrainWorkers = 1, 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := core.New(cfg, c.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Train(c.Split.Train, c.Split.Valid, core.TrainOptions{MaxSteps: 216, ValSample: 64}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -109,6 +109,23 @@ import (
 // flight recorder's event cells.
 const gridCellMeters = 250
 
+// trainAtStartup trains the model tteserve serves when no -model is given
+// and refuses a collapsed one, as ttetrain refuses to save it: a model that
+// answers about one number for every OD is not worth serving.
+func trainAtStartup(cfg deepod.Config, c *deepod.City, seed int64) (*infer.Snapshot, error) {
+	m, stats, err := deepod.TrainWithStats(cfg, c, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := stats.CollapseError(); err != nil {
+		return nil, err
+	}
+	// A startup-trained model has no checkpoint to carry a drift
+	// reference, so record its test-split error distribution here.
+	m.SetRefDist(deepod.ErrorRefDist(&modelEstimator{m}, c.Split.Test))
+	return infer.ModelSnapshot(fmt.Sprintf("startup-train-seed%d", seed), m), nil
+}
+
 // modelEstimator adapts *core.Model to the Estimator interface for the
 // startup-train reference-distribution pass.
 type modelEstimator struct{ m *core.Model }
@@ -205,14 +222,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		logger.Info("training model at startup", "orders", *orders, "train_workers", *trainWork)
 		cfg := deepod.SmallConfig()
 		cfg.TrainWorkers = *trainWork
-		m, err := deepod.Train(cfg, c, nil)
+		snap, err = trainAtStartup(cfg, c, *seed)
 		if err != nil {
 			return fail("startup training", err)
 		}
-		// A startup-trained model has no checkpoint to carry a drift
-		// reference, so record its test-split error distribution here.
-		m.SetRefDist(deepod.ErrorRefDist(&modelEstimator{m}, c.Split.Test))
-		snap = infer.ModelSnapshot(fmt.Sprintf("startup-train-seed%d", *seed), m)
 	}
 	// tte_build_info: constant-1 gauge whose labels identify this binary
 	// and the checkpoint it serves — dashboards join it to split any panel

@@ -17,8 +17,11 @@ import (
 	"time"
 
 	"deepod"
+	"deepod/internal/citysim"
 	"deepod/internal/core"
+	"deepod/internal/dataset"
 	"deepod/internal/infer"
+	"deepod/internal/roadnet"
 )
 
 // syncBuffer is a bytes.Buffer the server's logger and the test may use
@@ -224,5 +227,58 @@ func TestRunRejectsRemovedFlags(t *testing.T) {
 		if !strings.Contains(stderr.String(), "flag provided but not defined") {
 			t.Errorf("run %v: stderr %q names no undefined flag", args, stderr.String())
 		}
+	}
+}
+
+// TestTrainAtStartupRefusesCollapsed: the startup path refuses the model
+// core's TestTrainDetectsCollapse pins as collapsed — its world (a 6×6
+// grid city, 800 orders) and its tiny configuration with the two-way
+// binding at w = 0.9 — with the refusal ttetrain gives, and serves the same
+// world's w = 0.1 model.
+func TestTrainAtStartupRefusesCollapsed(t *testing.T) {
+	rcfg := roadnet.SmallCity("test", 5)
+	rcfg.Rows, rcfg.Cols = 6, 6
+	g, err := roadnet.GenerateCity(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := citysim.NewTraffic(g, 14*24*3600, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := citysim.NewSpeedGridder(tf, 300, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := citysim.NewGenerator(tf, grid, citysim.DefaultOrderConfig(800, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := dataset.ChronoSplit(recs, 6, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &deepod.City{Name: "test", Graph: g, Traffic: tf, Grid: grid, Records: recs, Split: split}
+	cfg := deepod.SmallConfig() // core's tinyConfig
+	cfg.Ds, cfg.Dt = 8, 8
+	cfg.D1m, cfg.D2m, cfg.D3m, cfg.D4m = 16, 8, 16, 8
+	cfg.D5m, cfg.D6m, cfg.D7m, cfg.D9m = 16, 8, 16, 16
+	cfg.Dh, cfg.Dtraf = 16, 8
+	cfg.SlotDelta = 30 * time.Minute
+	cfg.Epochs = 4
+	cfg.EmbedWalks, cfg.EmbedEpochs = 4, 2
+
+	cfg.AuxWeight = 0.9
+	snap, err := trainAtStartup(cfg, c, 1)
+	if err == nil || snap != nil || !strings.HasPrefix(err.Error(), "collapsed model: ") {
+		t.Fatalf("w = 0.9: trainAtStartup = %v, %v; want the collapsed-model refusal", snap, err)
+	}
+	cfg.AuxWeight = 0.1
+	if snap, err := trainAtStartup(cfg, c, 1); err != nil || snap == nil {
+		t.Fatalf("w = 0.1: trainAtStartup = %v, %v; want a model", snap, err)
 	}
 }

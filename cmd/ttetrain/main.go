@@ -136,9 +136,8 @@ func printPhaseBreakdown() {
 // model that answers about one number for every OD is not worth serving,
 // so no checkpoint of it is written.
 func saveModel(path string, m *core.Model, stats *core.TrainStats) error {
-	if stats.Collapsed() {
-		return fmt.Errorf("refusing to save a collapsed model: validation predictions spread %.4f of the targets' standard deviation, under the floor %v",
-			stats.PredSpreadRatio, core.CollapseFloor)
+	if err := stats.CollapseError(); err != nil {
+		return fmt.Errorf("refusing to save: %w", err)
 	}
 	f, err := os.Create(path)
 	if err != nil {

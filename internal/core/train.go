@@ -65,6 +65,17 @@ const CollapseFloor = 0.05
 // (PredSpreadRatio below CollapseFloor).
 func (s *TrainStats) Collapsed() bool { return s.PredSpreadRatio < CollapseFloor }
 
+// CollapseError is nil unless the run ended collapsed; then it names the
+// spread ratio and the floor. It is the one refusal message of every
+// binary that will not save or serve a collapsed model.
+func (s *TrainStats) CollapseError() error {
+	if !s.Collapsed() {
+		return nil
+	}
+	return fmt.Errorf("collapsed model: validation predictions spread %.4f of the targets' standard deviation, under the floor %v",
+		s.PredSpreadRatio, CollapseFloor)
+}
+
 // TrainOptions tunes the training loop around the model.
 type TrainOptions struct {
 	// EvalEvery measures validation MAE every this many optimizer steps

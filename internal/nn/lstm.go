@@ -73,12 +73,16 @@ func (l *LSTM) ForwardPacked(tp *Tape, x *Node, batchSizes []int) *Node {
 		tp.Leaf(l.Bf), tp.Leaf(l.Bi), tp.Leaf(l.Bo), tp.Leaf(l.Bc)}
 
 	// The gates f, i, o of Formulas 12–14 and the cell input g, stacked in
-	// that order into one [4·hd, in+hd] weight and one bias.
+	// that order into one [4·hd, in+hd] weight and one bias. The forward
+	// reads the weight packed ([in+hd, 4·hd], packed once here); the
+	// backward reads the stacked rows in place.
 	wd := in + hd
 	w := tp.arena.New(4*hd, wd)
+	wp := tp.arena.New(wd, 4*hd)
 	b := tp.arena.New(4 * hd)
 	for k := 0; k < 4; k++ {
 		copy(w.Data[k*hd*wd:(k+1)*hd*wd], leaves[k].Value.Data)
+		tensor.PackInto(wp, leaves[k].Value, k*hd)
 		copy(b.Data[k*hd:(k+1)*hd], leaves[4+k].Value.Data)
 	}
 	xh := tp.arena.New(rows, wd)    // [x_t, h_{t-1}] per packed row
@@ -99,7 +103,7 @@ func (l *LSTM) ForwardPacked(tp *Tape, x *Node, batchSizes []int) *Node {
 			}
 		}
 		gates := act.Data[o0*4*hd : (o0+bt)*4*hd]
-		tensor.AffineBatchInto(tp.arena.FromSlice(gates, bt, 4*hd), tp.arena.FromSlice(xh.Data[o0*wd:(o0+bt)*wd], bt, wd), w, b)
+		tensor.AffinePackedInto(tp.arena.FromSlice(gates, bt, 4*hd), tp.arena.FromSlice(xh.Data[o0*wd:(o0+bt)*wd], bt, wd), wp, b)
 		for r := 0; r < bt; r++ {
 			a := gates[r*4*hd : (r+1)*4*hd]
 			for j := 0; j < hd; j++ {
@@ -134,15 +138,9 @@ func (l *LSTM) ForwardPacked(tp *Tape, x *Node, batchSizes []int) *Node {
 		dy := tp.arena.New(rows, 4*hd)        // gate pre-activation gradients
 		dh := tp.arena.New(batchSizes[0], hd) // ∂loss/∂h_t of the active rows
 		dc := tp.arena.New(batchSizes[0], hd) // ∂loss/∂c_t through c_{t+1}
-		// Wᵀ = [W_xᵀ; W_hᵀ]: the recurrence needs dY_t·W_h at every step, the
-		// input gradient dY·W_x once for all steps.
-		wT := tp.arena.New(wd, 4*hd)
-		for i := 0; i < 4*hd; i++ {
-			for j, v := range w.Data[i*wd : (i+1)*wd] {
-				wT.Data[j*4*hd+i] = v
-			}
-		}
-		whT := tp.arena.FromSlice(wT.Data[in*4*hd:], hd, 4*hd)
+		// W = [W_x, W_h]: the recurrence needs dY_t·W_h at every step, the
+		// input gradient dY·W_x once for all steps; both read W's columns
+		// where they lie.
 		for t := len(batchSizes) - 1; t >= 0; t-- {
 			bt, o0 := batchSizes[t], offs[t]
 			next := 0
@@ -176,11 +174,11 @@ func (l *LSTM) ForwardPacked(tp *Tape, x *Node, batchSizes []int) *Node {
 				for k := range dht {
 					dht[k] = 0
 				}
-				tensor.AddMatMulNT(tp.arena.FromSlice(dht, bt, hd), tp.arena.FromSlice(dy.Data[o0*4*hd:(o0+bt)*4*hd], bt, 4*hd), whT)
+				tensor.AddMatMul(tp.arena.FromSlice(dht, bt, hd), tp.arena.FromSlice(dy.Data[o0*4*hd:(o0+bt)*4*hd], bt, 4*hd), w, in)
 			}
 		}
 		if gx := grad(x); gx != nil {
-			tensor.AddMatMulNT(gx, dy, tp.arena.FromSlice(wT.Data[:in*4*hd], in, 4*hd))
+			tensor.AddMatMul(gx, dy, w, 0)
 		}
 		// Every step's weight and bias gradient in one product over all rows.
 		gw, gb := tp.arena.New(4*hd, wd), tp.arena.New(4*hd)

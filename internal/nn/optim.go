@@ -9,8 +9,6 @@ type Adam struct {
 	Beta1   float64
 	Beta2   float64
 	Epsilon float64
-	// WeightDecay applies decoupled L2 shrinkage when non-zero.
-	WeightDecay float64
 
 	t int // step counter for bias correction
 }
@@ -21,24 +19,47 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step applies one update to every parameter from its accumulated gradient,
-// then clears the gradients.
+// adamCoef is one step's coefficients, in the order adamAVX2 loads them.
+type adamCoef struct {
+	beta1, oneMinusBeta1, beta2, oneMinusBeta2 float64
+	bc1, bc2                                   float64 // bias corrections 1 − βᵗ
+	lr, eps                                    float64
+}
+
+// Step applies one update to every parameter from its accumulated gradient.
+// It leaves the gradients as they are: the training step clears them once,
+// before its batch (core's trainStep calls ParamSet.ZeroGrad).
 func (a *Adam) Step(ps *ParamSet) {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	k := a.coef()
 	for _, p := range ps.All() {
-		for i, g := range p.Grad.Data {
-			if a.WeightDecay != 0 {
-				p.Value.Data[i] *= 1 - float64(a.LR*a.WeightDecay)
-			}
-			p.m.Data[i] = float64(a.Beta1*p.m.Data[i]) + float64((1-a.Beta1)*g)
-			p.v.Data[i] = float64(a.Beta2*p.v.Data[i]) + float64((1-a.Beta2)*g*g)
-			mHat := p.m.Data[i] / bc1
-			vHat := p.v.Data[i] / bc2
-			p.Value.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
-		}
-		p.Grad.Zero()
+		adamUpdate(p.Value.Data, p.m.Data, p.v.Data, p.Grad.Data, &k)
+	}
+}
+
+// coef returns the coefficients of step a.t.
+func (a *Adam) coef() adamCoef {
+	return adamCoef{
+		beta1: a.Beta1, oneMinusBeta1: 1 - a.Beta1,
+		beta2: a.Beta2, oneMinusBeta2: 1 - a.Beta2,
+		bc1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		bc2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		lr:  a.LR, eps: a.Epsilon,
+	}
+}
+
+// adamGo is the portable update of adamUpdate: for every weight,
+// m ← β1·m + (1−β1)·g, v ← β2·v + ((1−β2)·g)·g, and
+// value ← value − (lr·(m/bc1)) / (√(v/bc2) + ε), each product and quotient
+// rounded on its own, never fused.
+func adamGo(value, m, v, g []float64, k *adamCoef) {
+	m, v, g = m[:len(value)], v[:len(value)], g[:len(value)]
+	for i, gi := range g {
+		m[i] = float64(k.beta1*m[i]) + float64(k.oneMinusBeta1*gi)
+		v[i] = float64(k.beta2*v[i]) + float64(float64(k.oneMinusBeta2*gi)*gi)
+		mHat := m[i] / k.bc1
+		vHat := v[i] / k.bc2
+		value[i] -= float64(k.lr*mHat) / (math.Sqrt(vHat) + k.eps)
 	}
 }
 

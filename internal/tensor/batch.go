@@ -49,6 +49,42 @@ func AffineBatchInto(dst, x, w, b *Tensor) {
 	}
 }
 
+// AffinePackedInto is AffineBatchInto with W packed: wp [in, out] holds W
+// [out, in] as PackInto lays it out, each output's weights down a column,
+// and dst = X·Wp + b for X [B, in]. Every element is the same dot product
+// plus the bias, summed in the same order, so it equals AffineBatchInto's
+// bit for bit; a caller that multiplies by one W many times (the LSTM, once
+// per time step) packs it once instead of once a call.
+func AffinePackedInto(dst, x, wp, b *Tensor) {
+	if x.Dims() != 2 || wp.Dims() != 2 {
+		panic(fmt.Sprintf("tensor: AffinePacked wants matrices, got x %v wp %v", x.Shape, wp.Shape))
+	}
+	bsz, in := x.Shape[0], x.Shape[1]
+	out := wp.Shape[1]
+	if wp.Shape[0] != in || b.Size() != out {
+		panic(fmt.Sprintf("tensor: AffinePacked size mismatch: X is %v, packed W is %v, b has %d", x.Shape, wp.Shape, b.Size()))
+	}
+	if dst.Dims() != 2 || dst.Shape[0] != bsz || dst.Shape[1] != out {
+		panic(fmt.Sprintf("tensor: AffinePackedInto dst %v, want [%d %d]", dst.Shape, bsz, out))
+	}
+	dotCols(dst.Data, out, x.Data, in, 1, bsz, in, wp.Data, out, 0, out, b.Data[:out])
+}
+
+// PackInto writes W [out, in] into the columns [col, col+out) of dst
+// [in, n], dst[p][col+j] = W[j][p]: the layout AffinePackedInto reads, in
+// which the SIMD tile takes its panels in place.
+func PackInto(dst, w *Tensor, col int) {
+	if w.Dims() != 2 || dst.Dims() != 2 || dst.Shape[0] != w.Shape[1] || col < 0 || col+w.Shape[0] > dst.Shape[1] {
+		panic(fmt.Sprintf("tensor: PackInto W %v into %v at column %d", w.Shape, dst.Shape, col))
+	}
+	out, in, n := w.Shape[0], w.Shape[1], dst.Shape[1]
+	for j := 0; j < out; j++ {
+		for p, v := range w.Data[j*in : (j+1)*in] {
+			dst.Data[p*n+col+j] = v
+		}
+	}
+}
+
 // AffineBatchBackward accumulates the gradients of Y = X·Wᵀ + b, the forward
 // of AffineBatchInto, given dY: dW += dYᵀ·X, db += Σ_rows dY and dX += dY·W,
 // for X [B, in] and dY [B, out]. Any of dw, db and dx may be nil. Each
@@ -56,7 +92,8 @@ func AffineBatchInto(dst, x, w, b *Tensor) {
 // summed in a register in a fixed order (over the rows for dW and db, over
 // the outputs for dX) and that sum is then added, so the result depends on B
 // and the values alone — the determinism contract of internal/core's
-// training loop.
+// training loop. Every operand is read where it lies: dW reads dY
+// transposed and X's columns, dX reads W's columns (dotCols).
 func AffineBatchBackward(dw, db, dx, dy, x, w *Tensor) {
 	if w.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: AffineBatchBackward wants a matrix W, got %v", w.Shape))
@@ -78,62 +115,71 @@ func AffineBatchBackward(dw, db, dx, dy, x, w *Tensor) {
 			db.Data[i] += s
 		}
 	}
-	if dw == nil && dx == nil {
-		return
-	}
-	sp := scratchPool.Get().(*[]float64)
-	if need := max(out*in, bsz*(out+in)); cap(*sp) < need {
-		*sp = make([]float64, need)
-	}
-	buf := *sp
 	if dw != nil {
-		dyT, xT := buf[:out*bsz], buf[out*bsz:(out+in)*bsz]
-		transposeInto(dyT, dy.Data, bsz, out)
-		transposeInto(xT, x.Data, bsz, in)
-		dotRows(dw.Data, in, dyT, out, bsz, xT, 0, in, nil)
+		dotCols(dw.Data, in, dy.Data, 1, out, out, bsz, x.Data, in, 0, in, nil)
 	}
 	if dx != nil {
-		wT := buf[:in*out]
-		transposeInto(wT, w.Data, out, in)
-		dotRows(dx.Data, in, dy.Data, bsz, out, wT, 0, in, nil)
+		dotCols(dx.Data, in, dy.Data, out, 1, bsz, out, w.Data, in, 0, in, nil)
 	}
-	scratchPool.Put(sp)
 }
 
-// AddMatMulNT computes dst += A·Btᵀ for A [m, k], Bt [n, k] and dst [m, n]:
-// every dst element gains the dot product of a row of A and a row of Bt,
-// summed over k ascending and then added once. It is AffineBatchBackward's
-// dX = dY·W with Wᵀ supplied by a caller that reuses one transpose for
-// many products (the LSTM's backward through time).
-func AddMatMulNT(dst, a, bt *Tensor) {
-	if a.Dims() != 2 || bt.Dims() != 2 || a.Shape[1] != bt.Shape[1] {
-		panic(fmt.Sprintf("tensor: AddMatMulNT shape mismatch %v x %vᵀ", a.Shape, bt.Shape))
+// AddMatMul computes dst += A·B[:, col:col+n] for A [m, k], B [k, ldb] and
+// dst [m, n]: every dst element gains the dot product of a row of A and a
+// column of B, summed over k ascending and then added once. B's columns are
+// read where they lie, so a product against a block of columns of a weight
+// matrix (the LSTM's dY_t·W_h at every step of its backward through time)
+// copies nothing.
+func AddMatMul(dst, a, b *Tensor, col int) {
+	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 || a.Shape[1] != b.Shape[0] {
+		panic(fmt.Sprintf("tensor: AddMatMul shape mismatch %v x %v", a.Shape, b.Shape))
 	}
-	m, k, n := a.Shape[0], a.Shape[1], bt.Shape[0]
-	if dst.Size() != m*n {
-		panic(fmt.Sprintf("tensor: AddMatMulNT dst %v, want [%d %d]", dst.Shape, m, n))
+	m, k, n, ldb := a.Shape[0], a.Shape[1], dst.Shape[1], b.Shape[1]
+	if dst.Shape[0] != m || col < 0 || col+n > ldb {
+		panic(fmt.Sprintf("tensor: AddMatMul dst %v against columns [%d, %d) of %v", dst.Shape, col, col+n, b.Shape))
 	}
-	dotRows(dst.Data, n, a.Data, m, k, bt.Data, 0, n, nil)
+	dotCols(dst.Data, n, a.Data, k, 1, m, k, b.Data[col:], ldb, 0, n, nil)
 }
 
-// scratchPool recycles AffineBatchBackward's transpose buffers and the
-// packed panels of the SIMD dotRows.
+// scratchPool recycles the packed panels of the SIMD dotRows.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// transposeInto writes the [m, n] row-major matrix src into dst as [n, m],
-// tiled so both sides stay cache-resident on large matrices.
-func transposeInto(dst, src []float64, m, n int) {
-	const tile = 32
-	for ii := 0; ii < m; ii += tile {
-		iEnd := min(ii+tile, m)
-		for jj := 0; jj < n; jj += tile {
-			jEnd := min(jj+tile, n)
-			for i := ii; i < iEnd; i++ {
-				row := src[i*n : (i+1)*n]
-				for j := jj; j < jEnd; j++ {
-					dst[j*m+i] = row[j]
-				}
+// dotColsGo is the portable dotCols (dot_amd64.go, dot_other.go): for every
+// row i < m and column j ∈ [j0, j1), s = Σ_p A(i, p)·b[p*ldb+j] with
+// A(i, p) = a[i*ai+p*ap], summed over p ascending from zero. With bias nil
+// it adds s to c[i*ldc+j]; otherwise it stores s + bias[j] there. Four
+// columns of one row run at a time, four add chains sharing each A load.
+// Products are float64(a*b), never fused.
+func dotColsGo(c []float64, ldc int, a []float64, ai, ap, m, k int, b []float64, ldb, j0, j1 int, bias []float64) {
+	put := func(i, j int, s float64) {
+		if bias == nil {
+			c[i*ldc+j] += s
+		} else {
+			c[i*ldc+j] = s + bias[j]
+		}
+	}
+	for i := 0; i < m; i++ {
+		j := j0
+		for ; j+4 <= j1; j += 4 {
+			var s0, s1, s2, s3 float64
+			for p := 0; p < k; p++ {
+				x := a[i*ai+p*ap]
+				b4 := b[p*ldb+j : p*ldb+j+4 : p*ldb+j+4]
+				s0 += float64(x * b4[0])
+				s1 += float64(x * b4[1])
+				s2 += float64(x * b4[2])
+				s3 += float64(x * b4[3])
 			}
+			put(i, j, s0)
+			put(i, j+1, s1)
+			put(i, j+2, s2)
+			put(i, j+3, s3)
+		}
+		for ; j < j1; j++ {
+			var s float64
+			for p := 0; p < k; p++ {
+				s += float64(a[i*ai+p*ap] * b[p*ldb+j])
+			}
+			put(i, j, s)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // compared by Float64bits, across the kernel's 2-row, 2-output and 32-wide
 // tile boundaries. core.EstimateBatchFused's bitwise equality with the
 // training forward — and therefore flight-recorder replay — depends on
-// exactly this property.
+// exactly this property. AffinePackedInto, the same product against W
+// packed by PackInto, is held to the same reference.
 func TestAffineBatchMatchesMatVecAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -22,8 +23,10 @@ func TestAffineBatchMatchesMatVecAdd(t *testing.T) {
 		x := randTensor(rng, bsz, in)
 		w := randTensor(rng, out, in)
 		bias := randTensor(rng, out)
-		dst := New(bsz, out)
+		dst, packed, wp := New(bsz, out), New(bsz, out), New(in, out)
 		AffineBatchInto(dst, x, w, bias)
+		PackInto(wp, w, 0)
+		AffinePackedInto(packed, x, wp, bias)
 		one := New(1, out)
 		for r := 0; r < bsz; r++ {
 			AffineBatchInto(one, of(x.Data[r*in:(r+1)*in], 1, in), w, bias)
@@ -37,6 +40,10 @@ func TestAffineBatchMatchesMatVecAdd(t *testing.T) {
 					t.Fatalf("trial %d [B=%d in=%d out=%d] row %d elem %d: batched %v != sequential row %v",
 						trial, bsz, in, out, r, i, got, want)
 				}
+				if got := packed.Data[r*out+i]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d [B=%d in=%d out=%d] row %d elem %d: packed %v != sequential row %v",
+						trial, bsz, in, out, r, i, got, want)
+				}
 				if math.Float64bits(one.Data[i]) != math.Float64bits(want) {
 					t.Fatalf("trial %d [B=%d in=%d out=%d] row %d elem %d: batch of one %v != sequential row %v",
 						trial, bsz, in, out, r, i, one.Data[i], want)
@@ -46,22 +53,22 @@ func TestAffineBatchMatchesMatVecAdd(t *testing.T) {
 	}
 }
 
-// TestMatMulIntoMatchesMatMul: AddMatMulNT adds each product element to
-// dst once, so accumulating into a filled dst equals the product into a
-// zeroed one added afterwards, bit for bit, on non-square shapes crossing
-// the kernel's tile boundaries.
+// TestMatMulIntoMatchesMatMul: AddMatMul adds each product element to dst
+// once, so accumulating into a filled dst equals the product into a zeroed
+// one added afterwards, bit for bit, on non-square shapes crossing the
+// kernel's tile boundaries, against a column block of a wider B.
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 7, 3}, {64, 64, 64}, {65, 33, 70}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := randTensor(rng, m, k)
-		bt := randTensor(rng, n, k)
+		b := randTensor(rng, k, n+3)
 		prod := New(m, n)
-		AddMatMulNT(prod, a, bt)
+		AddMatMul(prod, a, b, 2)
 		dst := randTensor(rng, m, n)
 		want := clone(dst)
 		want.AddInPlace(prod)
-		AddMatMulNT(dst, a, bt)
+		AddMatMul(dst, a, b, 2)
 		for i := range want.Data {
 			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%v elem %d: %v != %v", dims, i, dst.Data[i], want.Data[i])
@@ -80,7 +87,7 @@ func TestBatchKernelEdgeCases(t *testing.T) {
 		x := &Tensor{Shape: []int{0, 3}}
 		dst := &Tensor{Shape: []int{0, 2}}
 		AffineBatchInto(dst, x, New(2, 3), New(2))
-		AddMatMulNT(&Tensor{Shape: []int{0, 4}}, x, New(4, 3))
+		AddMatMul(&Tensor{Shape: []int{0, 4}}, x, New(3, 4), 0)
 	})
 	t.Run("OneByOne", func(t *testing.T) {
 		x := of([]float64{3}, 1, 1)
@@ -90,7 +97,7 @@ func TestBatchKernelEdgeCases(t *testing.T) {
 		if dst.Data[0] != 4 {
 			t.Fatalf("1x1 affine = %v, want 4", dst.Data[0])
 		}
-		AddMatMulNT(dst, x, w)
+		AddMatMul(dst, x, w, 0)
 		if dst.Data[0] != -2 {
 			t.Fatalf("1x1 matmul added to 4 = %v, want -2", dst.Data[0])
 		}
@@ -100,8 +107,13 @@ func TestBatchKernelEdgeCases(t *testing.T) {
 		"AffineBatchInnerDim": func() { AffineBatchInto(New(2, 3), New(2, 5), New(3, 4), New(3)) },
 		"AffineBatchBiasSize": func() { AffineBatchInto(New(2, 3), New(2, 4), New(3, 4), New(2)) },
 		"AffineBatchDstShape": func() { AffineBatchInto(New(3, 3), New(2, 4), New(3, 4), New(3)) },
-		"MatMulIntoInnerDim":  func() { AddMatMulNT(New(2, 2), New(2, 3), New(2, 4)) },
-		"MatMulIntoDstShape":  func() { AddMatMulNT(New(3, 2), New(2, 3), New(2, 3)) },
+		"MatMulIntoInnerDim":  func() { AddMatMul(New(2, 2), New(2, 3), New(4, 2), 0) },
+		"MatMulIntoDstShape":  func() { AddMatMul(New(3, 2), New(2, 3), New(3, 2), 0) },
+		"MatMulIntoColumns":   func() { AddMatMul(New(2, 2), New(2, 3), New(3, 3), 2) },
+		"AffinePackedInner":   func() { AffinePackedInto(New(2, 3), New(2, 4), New(5, 3), New(3)) },
+		"AffinePackedDst":     func() { AffinePackedInto(New(3, 3), New(2, 4), New(4, 3), New(3)) },
+		"PackIntoColumns":     func() { PackInto(New(4, 5), New(3, 4), 3) },
+		"PackIntoRows":        func() { PackInto(New(3, 5), New(3, 4), 0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -203,7 +203,7 @@ func Conv2DBackwardInto(a *Arena, x, k, gradOut *Tensor, wantX bool, padH, padW,
 		if gxs != nil {
 			gxs.Data = gradX.Data[i*xsz : (i+1)*xsz]
 		}
-		conv2DBackward(gxs, gkt, &xs, kt, &gs, k.Shape[0], k.Shape[2], k.Shape[3], padH, padW, strideH, strideW)
+		conv2DBackward(gxs, gkt, &xs, kt, &gs, k.Shape[0], k.Shape[2], k.Shape[3], padH, padW, strideH, strideW, useAVX2)
 	}
 	tapsKernel(gradK, gkt)
 	return gradX, gradK
@@ -230,8 +230,11 @@ func tapsKernel(gradK *Tensor, gkt []float64) {
 // input gradient gains the tap's Σ_o g·k, summed over those channels
 // ascending and added once. So a kernel-gradient element accumulates over
 // (oy, ox) ascending and an input-gradient element over (oy, ox, ky, kx)
-// ascending. A nil gradX skips the input gradient.
-func conv2DBackward(gradX *Tensor, gkt []float64, x *Tensor, kt []float64, gradOut *Tensor, oc, kh, kw, padH, padW, strideH, strideW int) {
+// ascending. A nil gradX skips the input gradient. With lanes set (the
+// AVX2 build) and oc a multiple of 4, a position whose channels all have a
+// non-zero gradient runs in convTapsLanes, in the same order; every other
+// position runs the scalar loop.
+func conv2DBackward(gradX *Tensor, gkt []float64, x *Tensor, kt []float64, gradOut *Tensor, oc, kh, kw, padH, padW, strideH, strideW int, lanes bool) {
 	if kw == 1 && strideW == 1 && padW == 0 {
 		conv2DColumnBackward(gradX, gkt, x, kt, gradOut, oc, kh, padH, strideH)
 		return
@@ -239,6 +242,7 @@ func conv2DBackward(gradX *Tensor, gkt []float64, x *Tensor, kt []float64, gradO
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
 	plane := oh * ow
+	lanes = lanes && oc%4 == 0
 	var nzBuf [8]int
 	var gBuf [8]float64
 	nz, gs := nzBuf[:0], gBuf[:0]
@@ -260,6 +264,14 @@ func conv2DBackward(gradX *Tensor, gkt []float64, x *Tensor, kt []float64, gradO
 			}
 			ix0 := ox*strideW - padW
 			kxLo, kxHi := validTaps(ix0, kw, w)
+			if lanes && len(nz) == oc {
+				var gxd []float64
+				if gradX != nil {
+					gxd = gradX.Data
+				}
+				convTapsLanes(gxd, gkt, x.Data, kt, gs, oc, c, h, w, kh, kw, iy0, ix0, kyLo, kyHi, kxLo, kxHi)
+				continue
+			}
 			for ci := 0; ci < c; ci++ {
 				for ky := kyLo; ky < kyHi; ky++ {
 					xoff := (ci*h+iy0+ky)*w + ix0

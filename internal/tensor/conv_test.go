@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -340,7 +341,7 @@ func TestConv2DIntoBatchMatchesPerSample(t *testing.T) {
 			xi := of(x.Data[i*xsz:(i+1)*xsz], 1, tc.c, tc.h, tc.w)
 			yi := conv(xi, k, tc.padH, tc.padW, tc.str, tc.str)
 			gi := of(g.Data[i*ysz:(i+1)*ysz], yi.Shape...)
-			conv2DBackward(nil, gkt, of(xi.Data, xi.Shape[1:]...), kt, of(gi.Data, gi.Shape[1:]...), tc.oc, tc.kh, tc.kw, tc.padH, tc.padW, tc.str, tc.str)
+			conv2DBackward(nil, gkt, of(xi.Data, xi.Shape[1:]...), kt, of(gi.Data, gi.Shape[1:]...), tc.oc, tc.kh, tc.kw, tc.padH, tc.padW, tc.str, tc.str, false)
 			wantX, _ := convBackward(xi, k, gi, tc.padH, tc.padW, tc.str, tc.str)
 			for j := range yi.Data {
 				if math.Float64bits(y.Data[i*ysz+j]) != math.Float64bits(yi.Data[j]) {
@@ -400,6 +401,32 @@ func BenchmarkConv2DColumn(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DBackward runs the traffic CNN's three 3×3 stride-2 layers
+// backward over a training shard of 32 speed matrices, on a dense output
+// gradient (every position takes the lane kernel where there is one); the
+// first layer's input is the matrix, which has no gradient.
+func BenchmarkConv2DBackward(b *testing.B) {
+	const n = 32
+	for _, s := range []struct {
+		name        string
+		c, h, w, oc int
+		wantX       bool
+	}{{"ext1_1x36x32", 1, 36, 32, 4, false}, {"ext2_4x18x16", 4, 18, 16, 8, true}, {"ext3_8x9x8", 8, 9, 8, 8, true}} {
+		rng := rand.New(rand.NewSource(1))
+		x := randTensor(rng, n, s.c, s.h, s.w)
+		k := randTensor(rng, s.oc, s.c, 3, 3)
+		var a Arena
+		gradOut := randTensor(rng, Conv2DInto(&a, x, k, 1, 1, 2, 2).Shape...)
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.Reset()
+				Conv2DBackwardInto(&a, x, k, gradOut, s.wantX, 1, 1, 2, 2)
+			}
+		})
+	}
+}
+
 // BenchmarkConv2DInto runs the traffic CNN's three layer shapes on a batch
 // of one — the per-sample cost the fused serving path cannot batch away, and
 // the dominant term of an external-features estimate.
@@ -431,4 +458,143 @@ func BenchmarkConv2DInto(b *testing.B) {
 			}
 		})
 	}
+}
+
+// convBackwardScalar is Conv2DBackwardInto on the scalar loop alone: each
+// sample through conv2DBackward with lanes off, the kernel gradient
+// accumulated in sample order.
+func convBackwardScalar(x, k, gradOut *Tensor, wantX bool, pad, stride int) (gradX, gradK *Tensor) {
+	n := x.Shape[0]
+	kt, gkt := kernelTaps(make([]float64, k.Size()), k), make([]float64, k.Size())
+	xsz, gsz := x.Size()/n, gradOut.Size()/n
+	if wantX {
+		gradX = New(x.Shape...)
+	}
+	for i := 0; i < n; i++ {
+		var gx *Tensor
+		if wantX {
+			gx = of(gradX.Data[i*xsz:(i+1)*xsz], x.Shape[1:]...)
+		}
+		conv2DBackward(gx, gkt, of(x.Data[i*xsz:(i+1)*xsz], x.Shape[1:]...), kt,
+			of(gradOut.Data[i*gsz:(i+1)*gsz], gradOut.Shape[1:]...), k.Shape[0], k.Shape[2], k.Shape[3], pad, pad, stride, stride, false)
+	}
+	gradK = New(k.Shape...)
+	tapsKernel(gradK, gkt)
+	return gradX, gradK
+}
+
+// convCase is one 3×3 backward of FuzzConvBackward and
+// TestConvBackwardLanesMatchScalar.
+type convCase struct {
+	n, c, h, w, oc, pad, stride int
+	wantX                       bool
+	x, k, g                     []float64
+}
+
+// checkConvBackward runs Conv2DBackwardInto (the lane kernel where it
+// applies) and convBackwardScalar on tc and fails on any gradient element
+// whose bits differ (a NaN need only be NaN on both sides).
+func checkConvBackward(t testing.TB, tc convCase) {
+	x := of(tc.x, tc.n, tc.c, tc.h, tc.w)
+	k := of(tc.k, tc.oc, tc.c, 3, 3)
+	oh, ow := (tc.h+2*tc.pad-3)/tc.stride+1, (tc.w+2*tc.pad-3)/tc.stride+1
+	g := of(tc.g, tc.n, tc.oc, oh, ow)
+	var a Arena
+	gotX, gotK := Conv2DBackwardInto(&a, x, k, g, tc.wantX, tc.pad, tc.pad, tc.stride, tc.stride)
+	wantX, wantK := convBackwardScalar(x, k, g, tc.wantX, tc.pad, tc.stride)
+	same := func(p, q float64) bool {
+		return math.Float64bits(p) == math.Float64bits(q) || (math.IsNaN(p) && math.IsNaN(q))
+	}
+	shape := fmt.Sprintf("n=%d c=%d h=%d w=%d oc=%d pad=%d stride=%d wantX=%v", tc.n, tc.c, tc.h, tc.w, tc.oc, tc.pad, tc.stride, tc.wantX)
+	for i := range wantK.Data {
+		if !same(gotK.Data[i], wantK.Data[i]) {
+			t.Fatalf("%s: gradK[%d] = %v, scalar %v", shape, i, gotK.Data[i], wantK.Data[i])
+		}
+	}
+	if (gotX == nil) != !tc.wantX {
+		t.Fatalf("%s: input gradient computed %v", shape, gotX != nil)
+	}
+	if tc.wantX {
+		for i := range wantX.Data {
+			if !same(gotX.Data[i], wantX.Data[i]) {
+				t.Fatalf("%s: gradX[%d] = %v, scalar %v", shape, i, gotX.Data[i], wantX.Data[i])
+			}
+		}
+	}
+}
+
+// TestConvBackwardLanesMatchScalar holds the 3×3 backward, lane kernel
+// included, to its scalar loop at Float64bits on the traffic CNN's shapes
+// and around them: 4, 8 and 5 output channels (5 never takes the lanes),
+// stride 1 and 2, padding 0 and 1, with and without the input gradient, on
+// operands that include −0, ±Inf, subnormals and overflowing products, and
+// output gradients of which some positions are all non-zero and some hold
+// a zero.
+func TestConvBackwardLanesMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	fill := func(n int, zeros bool) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			if s[i] = dotValue(rng); zeros && rng.Intn(10) == 0 {
+				s[i] = 0
+			}
+		}
+		return s
+	}
+	for _, oc := range []int{4, 8, 5} {
+		for _, c := range []int{1, 4, 8} {
+			for _, hw := range [][2]int{{3, 3}, {5, 5}, {10, 10}, {18, 16}} {
+				for _, ps := range [][2]int{{1, 2}, {0, 1}, {1, 1}} {
+					for _, wantX := range []bool{true, false} {
+						tc := convCase{n: 2, c: c, h: hw[0], w: hw[1], oc: oc, pad: ps[0], stride: ps[1], wantX: wantX}
+						oh, ow := (tc.h+2*tc.pad-3)/tc.stride+1, (tc.w+2*tc.pad-3)/tc.stride+1
+						tc.x, tc.k, tc.g = fill(tc.n*c*tc.h*tc.w, true), fill(oc*c*9, false), fill(tc.n*oc*oh*ow, true)
+						checkConvBackward(t, tc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzConvBackward is TestConvBackwardLanesMatchScalar's property on any
+// bytes: the first five choose the output channels (4, 8 or 5), the input
+// channels, the height and width, padding and stride, and wantX; the rest
+// are x's, k's and the output gradient's bit patterns, 8 bytes a value
+// (zero once exhausted), so zero, ±0, ±Inf and NaN gradients and inputs all
+// occur.
+func FuzzConvBackward(f *testing.F) {
+	seed := []byte{1, 1, 0x55, 3, 1}
+	for _, v := range dotSpecials {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(seed)
+	f.Add([]byte{0, 0, 0, 0, 0})
+	nan := binary.LittleEndian.AppendUint64([]byte{2, 2, 0x33, 2, 0}, math.Float64bits(math.NaN()))
+	f.Add(nan)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		tc := convCase{n: 1, oc: []int{4, 8, 5}[data[0]%3], c: 1 + int(data[1]%4),
+			h: 3 + int(data[2]&7), w: 3 + int(data[2]>>4&7), pad: int(data[3] & 1), stride: 1 + int(data[3]>>1&1),
+			wantX: data[4]&1 == 1}
+		vals := data[5:]
+		fill := func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				if len(vals) < 8 {
+					break
+				}
+				s[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals))
+				vals = vals[8:]
+			}
+			return s
+		}
+		oh, ow := (tc.h+2*tc.pad-3)/tc.stride+1, (tc.w+2*tc.pad-3)/tc.stride+1
+		tc.g = fill(tc.oc * oh * ow)
+		tc.k = fill(tc.oc * tc.c * 9)
+		tc.x = fill(tc.c * tc.h * tc.w)
+		checkConvBackward(t, tc)
+	})
 }

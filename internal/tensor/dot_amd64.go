@@ -33,13 +33,20 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv returns XCR0 (dot_amd64.s).
 func xgetbv() (eax, edx uint32)
 
-// dotPanel4x8 is dotRows' SIMD tile (dot_amd64.s). For every row i < m of
-// A [m, k] (m a multiple of 4) and every column jj < 8 it sums
-// s = Σ_p A[i][p]·panel[p*8+jj] over p ascending from zero, one YMM lane per
-// output element — VMULPD then VADDPD, each rounding as MULSD and ADDSD do,
-// never fused — and then adds s to c[i*ldc+jj], or with bias non-nil stores
-// s + bias[jj] there: the same operations in the same order as dotRowsGo.
-func dotPanel4x8(c []float64, ldc int, a []float64, m, k int, panel, bias []float64)
+// dotPanel4x8 is the SIMD tile of dotRows and dotCols (dot_amd64.s). For
+// every row i < m (m a multiple of 4) and every column jj < 8 it sums
+// s = Σ_p A(i, p)·panel[p*ldp+jj] over p ascending from zero, where
+// A(i, p) = a[i*ai+p*ap], one YMM lane per output element — VMULPD then
+// VADDPD, each rounding as MULSD and ADDSD do, never fused — and then adds s
+// to c[i*ldc+jj], or with bias non-nil stores s + bias[jj] there: the same
+// operations in the same order as dotRowsGo and dotColsGo. The strides let
+// it read A transposed and B's columns where they lie.
+func dotPanel4x8(c []float64, ldc int, a []float64, ai, ap, m, k int, panel []float64, ldp int, bias []float64)
+
+// dotPanel1x8 is dotPanel4x8 for one row over n columns, n a multiple of 8
+// (dot_amd64.s): c[j] gains s = Σ_p a[p*ap]·panel[p*ldp+j], or with bias
+// non-nil becomes s + bias[j], in the same order.
+func dotPanel1x8(c, a []float64, ap, k int, panel []float64, ldp, n int, bias []float64)
 
 // dotRow is dotRows' single-row SIMD kernel (dot_amd64.s). For every
 // j < n (n a multiple of 8) it sums s = Σ_p a[p]·bt[j*k+p] over p ascending
@@ -89,7 +96,7 @@ func dotRows(c []float64, ldc int, a []float64, m, k int, bt []float64, j0, j1 i
 			if bias != nil {
 				bj = bias[j : j+8]
 			}
-			dotPanel4x8(c[j:], ldc, a, m4, k, panel, bj)
+			dotPanel4x8(c[j:], ldc, a, k, 1, m4, k, panel, 8, bj)
 		}
 		scratchPool.Put(sp)
 	}
@@ -108,5 +115,45 @@ func dotRows(c []float64, ldc int, a []float64, m, k int, bt []float64, j0, j1 i
 	}
 	if j0+n8 < j1 {
 		dotRowsGo(c, ldc, a, m, k, bt, j0+n8, j1, bias)
+	}
+}
+
+// dotCols computes, for every row i < m and every column j ∈ [j0, j1), the
+// dot product s = Σ_p A(i, p)·b[p*ldb+j] over p ascending from zero, where
+// A(i, p) = a[i*ai+p*ap]: A in place at any strides (transposed when ai = 1)
+// and B [k, ldb] row-major, read down its columns where they lie. With bias
+// nil it adds s to c[i*ldc+j]; otherwise it stores s + bias[j] there. On a
+// CPU with AVX2 the whole 8-column groups run in dotPanel4x8 (4-row tiles)
+// and dotPanel1x8 (the m % 4 rows), B's rows serving as the panel at row
+// stride ldb, so nothing is transposed or packed; the columns past the last
+// multiple of 8 run in dotColsGo. Each element is summed in one order on
+// every path, so which path computes it never changes a bit.
+func dotCols(c []float64, ldc int, a []float64, ai, ap, m, k int, b []float64, ldb, j0, j1 int, bias []float64) {
+	m4, n8 := m&^3, (j1-j0)&^7
+	if !useAVX2 || m == 0 || n8 == 0 || k == 0 {
+		dotColsGo(c, ldc, a, ai, ap, m, k, b, ldb, j0, j1, bias)
+		return
+	}
+	// The assembly does not check bounds: slice to what it reads and
+	// writes first, so a short operand panics here as dotColsGo would.
+	c, a, b = c[:(m-1)*ldc+j1], a[:(m-1)*ai+(k-1)*ap+1], b[:(k-1)*ldb+j1]
+	if bias != nil {
+		bias = bias[:j1]
+	}
+	// colBias is bias from column j on, nil without one.
+	colBias := func(j int) []float64 {
+		if bias == nil {
+			return nil
+		}
+		return bias[j:]
+	}
+	for j := j0; m4 > 0 && j < j0+n8; j += 8 {
+		dotPanel4x8(c[j:], ldc, a, ai, ap, m4, k, b[j:], ldb, colBias(j))
+	}
+	for i := m4; i < m; i++ {
+		dotPanel1x8(c[i*ldc+j0:i*ldc+j0+n8], a[i*ai:], ap, k, b[j0:], ldb, n8, colBias(j0))
+	}
+	if j0+n8 < j1 {
+		dotColsGo(c, ldc, a, ai, ap, m, k, b, ldb, j0+n8, j1, bias)
 	}
 }

@@ -27,27 +27,56 @@ func dotValue(rng *rand.Rand) float64 {
 	return rng.NormFloat64()
 }
 
-// dotCase is one call of dotRows: c's rows are ldc wide, its columns
-// [j0, j0+n) are computed against rows [j0, j0+n) of Bt.
+// dotCase is one call of dotRows or, with cols set, of dotCols: c's rows
+// are ldc wide and its columns [j0, j0+n) are computed against rows
+// [j0, j0+n) of Bt, or against columns [j0, j0+n) of bt read as B [k, ldb].
+// A is a[i*ai+p*ap] for dotCols (ai = 1 reads it transposed), [m, k]
+// row-major for dotRows.
 type dotCase struct {
 	m, k, n, j0, ldc int
 	a, bt, c, bias   []float64 // bias nil: c += s
+	cols             bool
+	ai, ap, ldb      int
 }
 
-// checkDotRows runs dotRows and dotRowsGo on copies of the same c and fails
-// on any element whose bits differ (a NaN need only be NaN on both sides).
+// checkDotRows runs the dispatched kernel and its portable body (dotRows
+// and dotRowsGo, or dotCols and dotColsGo) on copies of the same c and
+// fails on any element whose bits differ (a NaN need only be NaN on both
+// sides).
 func checkDotRows(t testing.TB, tc dotCase) {
 	got, want := append([]float64(nil), tc.c...), append([]float64(nil), tc.c...)
-	dotRows(got, tc.ldc, tc.a, tc.m, tc.k, tc.bt, tc.j0, tc.j0+tc.n, tc.bias)
-	dotRowsGo(want, tc.ldc, tc.a, tc.m, tc.k, tc.bt, tc.j0, tc.j0+tc.n, tc.bias)
+	if tc.cols {
+		dotCols(got, tc.ldc, tc.a, tc.ai, tc.ap, tc.m, tc.k, tc.bt, tc.ldb, tc.j0, tc.j0+tc.n, tc.bias)
+		dotColsGo(want, tc.ldc, tc.a, tc.ai, tc.ap, tc.m, tc.k, tc.bt, tc.ldb, tc.j0, tc.j0+tc.n, tc.bias)
+	} else {
+		dotRows(got, tc.ldc, tc.a, tc.m, tc.k, tc.bt, tc.j0, tc.j0+tc.n, tc.bias)
+		dotRowsGo(want, tc.ldc, tc.a, tc.m, tc.k, tc.bt, tc.j0, tc.j0+tc.n, tc.bias)
+	}
 	for i := range want {
 		g, w := got[i], want[i]
 		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-			t.Fatalf("m=%d k=%d n=%d j0=%d ldc=%d bias=%v: c[%d] (row %d col %d) = %v (%#x), portable %v (%#x)",
-				tc.m, tc.k, tc.n, tc.j0, tc.ldc, tc.bias != nil, i, i/tc.ldc, i%tc.ldc,
+			t.Fatalf("cols=%v ai=%d ap=%d ldb=%d m=%d k=%d n=%d j0=%d ldc=%d bias=%v: c[%d] (row %d col %d) = %v (%#x), portable %v (%#x)",
+				tc.cols, tc.ai, tc.ap, tc.ldb, tc.m, tc.k, tc.n, tc.j0, tc.ldc, tc.bias != nil, i, i/tc.ldc, i%tc.ldc,
 				g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
+}
+
+// colsCase lays out a dotCols case: A row-major ([m, k], ai = k + pad) or
+// transposed ([k, m], ap = m + pad), and B [k, ldb] with ldb past j0+n by
+// pad, so both the A strides and the panel's row stride differ from the
+// dense ones.
+func colsCase(tc dotCase, transposed bool, pad int, fill func(int) []float64) dotCase {
+	tc.cols = true
+	if transposed {
+		tc.ai, tc.ap = 1, tc.m+pad
+	} else {
+		tc.ai, tc.ap = tc.k+pad, 1
+	}
+	tc.ldb = tc.j0 + tc.n + pad
+	tc.a = fill(max(tc.m*tc.ai, tc.k*tc.ap))
+	tc.bt = fill(tc.k * tc.ldb)
+	return tc
 }
 
 // TestDotRowsSIMDMatchesPortable holds the dispatched dotRows to the
@@ -88,9 +117,48 @@ func TestDotRowsSIMDMatchesPortable(t *testing.T) {
 	}
 }
 
-// FuzzDotRows is TestDotRowsSIMDMatchesPortable's property on any bytes:
-// the first six choose m, n, k, j0, the row padding and the bias, the rest
-// are the operands' bit patterns, 8 bytes a value (zero once exhausted).
+// TestDotColsSIMDMatchesPortable is TestDotRowsSIMDMatchesPortable for
+// dotCols: A row-major and transposed, B's columns at a row stride past the
+// columns used, m in 0..9 and n in 0..40 (every m % 4 and n % 8 remainder),
+// k up to the LSTM dW's packed rows.
+func TestDotColsSIMDMatchesPortable(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("dotCols is the portable kernel here (no AVX2, not amd64, or the purego tag): nothing to compare")
+	}
+	rng := rand.New(rand.NewSource(52))
+	fill := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = dotValue(rng)
+		}
+		return s
+	}
+	for _, k := range []int{0, 1, 2, 3, 7, 20, 67, 180} {
+		for m := 0; m <= 9; m++ {
+			for n := 0; n <= 40; n++ {
+				for _, withBias := range []bool{false, true} {
+					for _, transposed := range []bool{false, true} {
+						j0 := rng.Intn(3)
+						tc := dotCase{m: m, k: k, n: n, j0: j0, ldc: j0 + n + rng.Intn(3)}
+						tc = colsCase(tc, transposed, rng.Intn(3), fill)
+						tc.c = fill(m * tc.ldc)
+						if withBias {
+							tc.bias = fill(j0 + n)
+						}
+						checkDotRows(t, tc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzDotRows is TestDotRowsSIMDMatchesPortable's and
+// TestDotColsSIMDMatchesPortable's property on any bytes: the first six
+// choose m, n, k, j0, the row padding and the bias, and the sixth's higher
+// bits the form — dotRows, dotCols with A row-major, or dotCols with A
+// transposed, both at a strided panel; the rest are the operands' bit
+// patterns, 8 bytes a value (zero once exhausted).
 func FuzzDotRows(f *testing.F) {
 	if !useAVX2 {
 		f.Skip("dotRows is the portable kernel here (no AVX2, not amd64, or the purego tag): nothing to compare")
@@ -102,6 +170,8 @@ func FuzzDotRows(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{4, 8, 0, 0, 0, 0})
 	f.Add([]byte{1, 40, 67, 1, 2, 1})
+	f.Add([]byte{7, 23, 9, 1, 2, 3})
+	f.Add([]byte{6, 17, 5, 2, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -125,7 +195,13 @@ func FuzzDotRows(f *testing.F) {
 			}
 			return s
 		}
-		tc.a, tc.bt, tc.c = fill(tc.m*tc.k), fill((tc.j0+tc.n)*tc.k), fill(tc.m*tc.ldc)
+		switch form := (data[5] >> 1) % 3; form {
+		case 0:
+			tc.a, tc.bt = fill(tc.m*tc.k), fill((tc.j0+tc.n)*tc.k)
+		default:
+			tc = colsCase(tc, form == 2, int(data[4]%3), fill)
+		}
+		tc.c = fill(tc.m * tc.ldc)
 		if withBias {
 			tc.bias = fill(tc.j0 + tc.n)
 		}

@@ -67,21 +67,21 @@ func TestMatVecAddIntoRowExact(t *testing.T) {
 	}
 }
 
-// TestMatMulMatchesReference checks the matrix product AddMatMulNT against
+// TestMatMulMatchesReference checks the matrix product AddMatMul against
 // a naive triple loop on asymmetric shapes crossing its tile boundaries.
 func TestMatMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 2}, {63, 64, 65}, {70, 130, 33}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := randTensor(rng, m, k)
-		bt := randTensor(rng, n, k)
+		b := randTensor(rng, k, n)
 		got := New(m, n)
-		AddMatMulNT(got, a, bt)
+		AddMatMul(got, a, b, 0)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var want float64
 				for p := 0; p < k; p++ {
-					want += a.Data[i*k+p] * bt.Data[j*k+p]
+					want += a.Data[i*k+p] * b.Data[p*n+j]
 				}
 				if math.Abs(got.Data[i*n+j]-want) > 1e-12*(1+math.Abs(want)) {
 					t.Fatalf("%v: out[%d,%d] = %v, want %v", dims, i, j, got.Data[i*n+j], want)
@@ -92,7 +92,7 @@ func TestMatMulMatchesReference(t *testing.T) {
 }
 
 // TestAddScaledAndAddMulInPlace covers the two accumulate-in-place kernels:
-// dst += s·o and dst += A·Btᵀ.
+// dst += s·o and dst += A·B.
 func TestAddScaledAndAddMulInPlace(t *testing.T) {
 	dst := of([]float64{1, 2, 3}, 1, 3)
 	dst.AddScaledInPlace(of([]float64{10, 20, 30}, 1, 3), -0.5)
@@ -102,10 +102,10 @@ func TestAddScaledAndAddMulInPlace(t *testing.T) {
 		}
 	}
 	dst = of([]float64{1, 1, 1}, 1, 3)
-	AddMatMulNT(dst, of([]float64{2}, 1, 1), of([]float64{5, 6, 7}, 3, 1))
+	AddMatMul(dst, of([]float64{2}, 1, 1), of([]float64{5, 6, 7}, 1, 3), 0)
 	for i, want := range []float64{11, 13, 15} {
 		if dst.Data[i] != want {
-			t.Fatalf("AddMatMulNT[%d] = %v, want %v", i, dst.Data[i], want)
+			t.Fatalf("AddMatMul[%d] = %v, want %v", i, dst.Data[i], want)
 		}
 	}
 }

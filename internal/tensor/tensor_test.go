@@ -82,12 +82,10 @@ func TestMatVecTMatchesTransposeTimesVec(t *testing.T) {
 	y := randTensor(rng, 1, 4)
 	got := New(1, 3)
 	AffineBatchBackward(nil, nil, got, y, New(1, 3), w)
-	wt := make([]float64, 12)
-	transposeInto(wt, w.Data, 4, 3)
 	for j := 0; j < 3; j++ {
 		var want float64
 		for i := 0; i < 4; i++ {
-			want += wt[j*4+i] * y.Data[i]
+			want += w.Data[i*3+j] * y.Data[i]
 		}
 		if !almostEqual(got.Data[j], want, 1e-12) {
 			t.Fatalf("Wᵀy mismatch at %d: %v vs %v", j, got.Data[j], want)
@@ -95,7 +93,7 @@ func TestMatVecTMatchesTransposeTimesVec(t *testing.T) {
 	}
 }
 
-// TestMatMulIdentity: A·Iᵀ = A through AddMatMulNT.
+// TestMatMulIdentity: A·I = A through AddMatMul.
 func TestMatMulIdentity(t *testing.T) {
 	id := New(3, 3)
 	for i := 0; i < 3; i++ {
@@ -103,7 +101,7 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 	a := of([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 3, 3)
 	got := New(3, 3)
-	AddMatMulNT(got, a, id)
+	AddMatMul(got, a, id, 0)
 	for i := range a.Data {
 		if got.Data[i] != a.Data[i] {
 			t.Fatalf("A·I != A at %d", i)
@@ -111,13 +109,12 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// TestMatMulAgainstManual: AddMatMulNT of a 2×2 product worked by hand
-// (Bt holds Bᵀ).
+// TestMatMulAgainstManual: AddMatMul of a 2×2 product worked by hand.
 func TestMatMulAgainstManual(t *testing.T) {
 	a := of([]float64{1, 2, 3, 4}, 2, 2)
-	bt := of([]float64{5, 7, 6, 8}, 2, 2) // B = [5 6; 7 8]
+	b := of([]float64{5, 6, 7, 8}, 2, 2)
 	got := New(2, 2)
-	AddMatMulNT(got, a, bt)
+	AddMatMul(got, a, b, 0)
 	want := []float64{19, 22, 43, 50}
 	for i := range want {
 		if got.Data[i] != want[i] {
@@ -139,16 +136,18 @@ func TestOuterShapeAndValues(t *testing.T) {
 	}
 }
 
+// TestTransposeInvolution: PackInto at column 0 is a transpose, so packing
+// the packed matrix returns the original.
 func TestTransposeInvolution(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r, c := 1+rng.Intn(70), 1+rng.Intn(70)
 		a := randTensor(rng, r, c)
-		at, b := make([]float64, r*c), make([]float64, r*c)
-		transposeInto(at, a.Data, r, c)
-		transposeInto(b, at, c, r)
+		at, b := New(c, r), New(r, c)
+		PackInto(at, a, 0)
+		PackInto(b, at, 0)
 		for i := range a.Data {
-			if a.Data[i] != b[i] || at[(i%c)*r+i/c] != a.Data[i] {
+			if a.Data[i] != b.Data[i] || at.Data[(i%c)*r+i/c] != a.Data[i] {
 				return false
 			}
 		}
@@ -195,16 +194,14 @@ func TestMapAndScaleAndArith(t *testing.T) {
 }
 
 // Property: (A B) x == A (B x) for random matrices — ties the matrix
-// product (AddMatMulNT) to the one-row affine.
+// product (AddMatMul) to the one-row affine.
 func TestMatMulMatVecAssociativity(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, k, n := 1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4)
 		a, b, x := randTensor(rng, m, k), randTensor(rng, k, n), randTensor(rng, 1, n)
-		bt := New(n, k)
-		transposeInto(bt.Data, b.Data, k, n)
 		ab := New(m, n)
-		AddMatMulNT(ab, a, bt)
+		AddMatMul(ab, a, b, 0)
 		lhs, bx, rhs := New(1, m), New(1, k), New(1, m)
 		AffineBatchInto(lhs, x, ab, New(m))
 		AffineBatchInto(bx, x, b, New(k))
@@ -224,7 +221,7 @@ func TestMatMulMatVecAssociativity(t *testing.T) {
 // TestPanicBranches: every shape check rejects what it must. A one-row
 // affine is the mat-vec W·x and its backward's input gradient is Wᵀ·y, so
 // the MatVec cases hold AffineBatchInto and AffineBatchBackward to their
-// rank and size checks; AddMatMulNT is the matrix product.
+// rank and size checks; AddMatMul is the matrix product.
 func TestPanicBranches(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Add shape":               func() { New(1, 1).AddScaledInPlace(New(1, 2), 2) },
@@ -233,7 +230,7 @@ func TestPanicBranches(t *testing.T) {
 		"MatVec size":             func() { AffineBatchInto(New(1, 2), New(1, 1), New(2, 3), New(2)) },
 		"MatVecT non-mat":         func() { AffineBatchBackward(nil, nil, New(1, 1), New(1, 1), New(1, 1), New(1)) },
 		"MatVecT size":            func() { AffineBatchBackward(nil, nil, New(1, 3), New(2), New(1, 3), New(2, 3)) },
-		"MatMul shape":            func() { AddMatMulNT(New(2, 2), New(2, 3), New(2, 2)) },
+		"MatMul shape":            func() { AddMatMul(New(2, 2), New(2, 3), New(2, 2), 0) },
 		"Row rank":                func() { New(2).Row(0) },
 		"AffineBackward dW shape": func() { AffineBatchBackward(New(2, 2), nil, nil, New(1, 2), New(1, 3), New(2, 3)) },
 		"AffineBackward dY size":  func() { AffineBatchBackward(nil, nil, nil, New(1, 3), New(1, 3), New(2, 3)) },

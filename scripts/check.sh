@@ -28,8 +28,8 @@ go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalVa
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 go test -race -run 'GoldenBits|Batch|Concurrent' ./internal/models/
 
-echo "== portable kernel (-tags purego: the golden bits, the batch kernels, fused ≡ per-sample, the traffic-code memo, the skip-gram kernel against its reference and the overflowing-LR error without the amd64 assembly)"
-go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|Fused|TrafficCode|LSTM' ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/models/
+echo "== portable kernel (-tags purego: the golden bits, the batch kernels, the 3×3 conv backward and Adam equivalence tests, fused ≡ per-sample, the traffic-code memo, the skip-gram kernel against its reference and the overflowing-LR error without the amd64 assembly)"
+go test -tags purego -run 'GoldenBits|AffineBatch|MatMul|ConvBackward|Adam|Fused|TrafficCode|LSTM' ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/models/
 go test -tags purego -run 'GoldenBits|MatchesReference|NonFinite' ./internal/embed/
 
 echo "== portable bits (no fused multiply-add in the model's or the serving path's packages on arm64, ppc64le, s390x, riscv64, nor in any assembly)"
@@ -38,10 +38,12 @@ echo "== portable bits (no fused multiply-add in the model's or the serving path
 echo "== dead code (every function of every package is linked into a binary)"
 ./scripts/deadcode.sh
 
-echo "== fuzz smoke (11 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD skip-gram pair update and the SIMD dot kernel against the portable ones; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files; OD endpoint and probe snapping at any query point against the ring walks)"
+echo "== fuzz smoke (13 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD skip-gram pair update, the SIMD dot kernels (dotRows, and dotCols with A transposed and a strided panel), the 3×3 conv backward's lane kernel and the four-lane Adam against their portable bodies; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files; OD endpoint and probe snapping at any query point against the ring walks)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzPairKernel -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDotRows -fuzztime 5s ./internal/tensor/
+go test -run '^$' -fuzz FuzzConvBackward -fuzztime 5s ./internal/tensor/
+go test -run '^$' -fuzz FuzzAdamStep -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz FuzzDecodeEstimate -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzDecodeProbes -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzEncodeEstimate -fuzztime 5s ./internal/serve/
@@ -74,7 +76,7 @@ go test -run '^$' -bench 'BenchmarkMatchOD' -benchtime=100ms .
 go test -run '^$' -bench 'BenchmarkTrackerAdvance' -benchtime=100ms -benchmem ./internal/mapmatch/
 go test -run '^$' -bench 'BenchmarkDecodeProbes' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkTrainSkipGram|BenchmarkNegSample|BenchmarkGenerateWalks' -benchtime=100ms -benchmem ./internal/embed/
-go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
+go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkConv2DBackward|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkMatrixAtFirstTouch|BenchmarkGenerate' -benchtime=100ms -benchmem ./internal/citysim/
 
 echo "== load harness smoke (go run ./bench, 2 s a workload: every HTTP answer bit-equal to the model's, zero failed operations; rates are bench -compare's job)"
