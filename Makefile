@@ -31,7 +31,7 @@ tracebench:
 	go test -run '^$$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' ./internal/obs/
 
 enginebench:
-	go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPredictionStampDisabledOverhead' -v ./internal/infer/
+	go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead' -v ./internal/infer/
 
 slobench:
 	go test -run '^$$' -bench 'BenchmarkEvaluatorObserve|BenchmarkManagerSet' ./internal/slo/

@@ -241,11 +241,10 @@ func smokeRecord(c *deepod.City, snap *infer.Snapshot,
 		trips = c.Records
 	}
 	// Fire the whole request set as one concurrent burst so the queue backs
-	// up and the workers drain multi-request batches through the snapshot's
-	// fused [B×d] forward — the replay below re-answers those same events
-	// per-sample (Workers 1, MaxBatch 1), so zero unexplained diffs proves
-	// the fused path is bit-identical to the per-sample path on a real
-	// checkpoint, not just in unit tests.
+	// up and the workers drain multi-request batches. The replay below
+	// re-answers those same events one at a time on one worker, so zero
+	// unexplained diffs proves on a real checkpoint that the batch a request
+	// was drained in never changes its answer.
 	var (
 		mu     sync.Mutex
 		wg     sync.WaitGroup

@@ -144,6 +144,10 @@ func TestRunServesCheckpoint(t *testing.T) {
 	if _, ok := est["travel_seconds"].(float64); !ok {
 		t.Fatalf("travel_seconds = %v", est["travel_seconds"])
 	}
+	// A departure whose slot overflows an int is a client error, not a panic.
+	if code, body := doJSON(t, http.MethodPost, base+"/estimate", strings.Replace(od, "36000", "1e300", 1)); code != http.StatusBadRequest {
+		t.Fatalf("POST /estimate at depart_sec 1e300 = %d %v, want 400", code, body)
+	}
 
 	// Concurrent clients through the engine: distinct ODs miss the cache,
 	// repeats hit it.

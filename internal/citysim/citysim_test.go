@@ -163,6 +163,53 @@ func TestSpeedGridder(t *testing.T) {
 	if _, err := NewSpeedGridder(tf, 300, 0); err == nil {
 		t.Fatal("zero period accepted")
 	}
+	if _, err := NewSpeedGridder(tf, 300, 1000); err == nil {
+		t.Fatal("period that does not divide a week accepted")
+	}
+}
+
+// TestSpeedGridderBoundedPastHorizon: past the weather horizon the field
+// repeats every week, so a departure there gets the matrix of its period of
+// the week after the horizon, with the values of the field at its own time,
+// and no stream of distinct far-future departures (a client's depart_sec)
+// grows the cache past one week of periods beyond the horizon.
+func TestSpeedGridderBoundedPastHorizon(t *testing.T) {
+	tf := testTraffic(t)
+	sg, err := NewSpeedGridder(tf, 300, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	week := float64(timeslot.SecondsPerWeek)
+	base := tf.Horizon() + 7.5*3600 + 100 // past the horizon's last weather hour
+	m := sg.MatrixAt(base)
+	for k := 1.0; k <= 3; k++ {
+		far := base + k*week
+		if got := sg.MatrixAt(far); &got[0] != &m[0] {
+			t.Fatalf("%v weeks on: a matrix of its own, want its period of the first week past the horizon", k)
+		}
+		start := math.Floor(far/sg.PeriodSec) * sg.PeriodSec
+		for ci, edges := range sg.cellEdges {
+			if len(edges) == 0 {
+				continue
+			}
+			var want float64
+			for _, e := range edges {
+				want += tf.Speed(e, start)
+			}
+			want /= float64(len(edges))
+			if math.Abs(m[ci]-want) > 1e-9*want {
+				t.Fatalf("%v weeks on, cell %d: %v, the field there gives %v", k, ci, m[ci], want)
+			}
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		sg.MatrixAt(base + 3163*float64(i)*week + 37*float64(i))
+	}
+	sg.MatrixAt(1e300)
+	horizon := int(math.Ceil(tf.Horizon()/sg.PeriodSec)) + int(math.Ceil(3600/sg.PeriodSec))
+	if n, bound := len(sg.cache), horizon+int(week/sg.PeriodSec); n > bound {
+		t.Fatalf("%d cached matrices after far-future departures, want at most %d", n, bound)
+	}
 }
 
 // TestSpeedGridderConcurrent is the -race test of MatrixAt: goroutines that

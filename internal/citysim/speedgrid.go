@@ -2,10 +2,12 @@ package citysim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"deepod/internal/geo"
 	"deepod/internal/roadnet"
+	"deepod/internal/timeslot"
 	"deepod/internal/traj"
 )
 
@@ -24,6 +26,11 @@ type SpeedGridder struct {
 	cellEdges [][]roadnet.EdgeID
 	// PeriodSec is how often a new matrix is produced (the paper's Δt).
 	PeriodSec float64
+	// foldPeriod is the first period from whose start on the weather is
+	// clamped to the horizon's last hour, and weekPeriods the periods in a
+	// week: from foldPeriod on the field repeats every weekPeriods periods,
+	// so MatrixAt folds later periods into the week starting there.
+	foldPeriod, weekPeriods float64
 
 	// cache holds one matrix per period index. Handed-out matrices are
 	// read-only and identify their period (see MatrixAt).
@@ -34,8 +41,8 @@ type SpeedGridder struct {
 // NewSpeedGridder builds a gridder with the given cell size (the paper uses
 // 200 m) and refresh period in seconds (the paper uses 5 min).
 func NewSpeedGridder(t *Traffic, cellMeters, periodSec float64) (*SpeedGridder, error) {
-	if periodSec <= 0 {
-		return nil, fmt.Errorf("citysim: grid period must be positive, got %v", periodSec)
+	if periodSec <= 0 || math.Mod(timeslot.SecondsPerWeek, periodSec) != 0 {
+		return nil, fmt.Errorf("citysim: grid period must be positive and evenly divide a week, got %v", periodSec)
 	}
 	g := t.Graph()
 	grid, err := geo.NewGrid(g.Bounds(), cellMeters)
@@ -47,7 +54,10 @@ func NewSpeedGridder(t *Traffic, cellMeters, periodSec float64) (*SpeedGridder, 
 		grid:      grid,
 		cellEdges: roadnet.CellEdges(g, grid),
 		PeriodSec: periodSec,
-		cache:     make(map[int][]float64),
+		// Weather answers its last hour from the start of that hour on.
+		foldPeriod:  math.Ceil(float64(len(t.weatherSeq)-1) * 3600 / periodSec),
+		weekPeriods: timeslot.SecondsPerWeek / periodSec,
+		cache:       make(map[int][]float64),
 	}
 	return sg, nil
 }
@@ -60,9 +70,15 @@ func NewSpeedGridder(t *Traffic, cellMeters, periodSec float64) (*SpeedGridder, 
 // store-if-absent semantics: every caller of a period, racing first touches
 // included, gets the same slice, which must not be written to — consumers
 // (traffic.FeatureSource, the traffic-code memo in internal/core) key on
-// its identity. Safe for concurrent use.
+// its identity. A period past the weather horizon shares the matrix of its
+// period of the week after the horizon, so the cache stays bounded whatever
+// departures clients ask for. Safe for concurrent use.
 func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
-	period := int(sec / sg.PeriodSec)
+	q := sec / sg.PeriodSec
+	if q >= sg.foldPeriod {
+		q = sg.foldPeriod + math.Mod(math.Floor(q)-sg.foldPeriod, sg.weekPeriods)
+	}
+	period := int(q)
 	sg.mu.RLock()
 	m, ok := sg.cache[period]
 	sg.mu.RUnlock()

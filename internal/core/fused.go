@@ -24,8 +24,6 @@ import (
 // Float64bits-identical to the same OD estimated alone and to the training
 // forward's row for it (encode.go; fused_test.go and batch_test.go hold that
 // reference).
-// Flight-recorder replay (internal/replay, which pins MaxBatch=1) therefore
-// reproduces batched-engine recordings with zero unexplained diffs.
 
 // fusedArenas recycles the arenas that hold one forward's [B×d] activation
 // matrices, so a steady-state estimate allocates nothing for them. Arenas

@@ -97,6 +97,25 @@ func BenchmarkEngineNoCache(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineOversubscribed is BenchmarkEngineNoCache with eight
+// callers per P, so callers outnumber Workers and misses queue: the drain is
+// what serves them, a batch to a slot hand-over.
+func BenchmarkEngineOversubscribed(b *testing.B) {
+	e := benchEngine(b, 0)
+	ods := benchWorkload(64)
+	var next atomic.Int64
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.SetParallelism(8)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := e.Do(ctx, ods[int(next.Add(1))%len(ods)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkEngineCached is the full engine on the repeated-OD workload:
 // after one cold pass the 64 distinct keys are resident, so nearly every
 // request is a cache hit.

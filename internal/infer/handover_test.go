@@ -31,21 +31,10 @@ func TestSlotsBoundExecutions(t *testing.T) {
 		time.Sleep(50 * time.Microsecond) // long enough for executions to overlap
 		inFlight.Add(-1)
 	}
-	snap := &Snapshot{
-		ID: "bounded",
-		Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
-			enter()
-			return m.DepartSec
-		},
-		EstimateBatch: func(_ context.Context, ods []traj.MatchedOD) []float64 {
-			enter()
-			out := make([]float64, len(ods))
-			for i := range ods {
-				out[i] = ods[i].DepartSec
-			}
-			return out
-		},
-	}
+	snap := &Snapshot{ID: "bounded", Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
+		enter()
+		return m.DepartSec
+	}}
 	cfg := testConfig(t, snap)
 	cfg.Workers = 2
 	cfg.CacheEntries = 0
@@ -101,8 +90,8 @@ func TestQueuedJobIsNotOvertaken(t *testing.T) {
 	e := newTestEngine(t, cfg)
 
 	_, qspan := e.reg.StartSpan(context.Background(), "infer.queue")
-	planted := &job{od: od(1, 1, 5, 5, 100), enqueued: e.now(), ctx: context.Background(),
-		qspan: qspan, done: make(chan ServeEvent, 1)}
+	planted := &job{pendingJob: pendingJob{od: od(1, 1, 5, 5, 100), ctx: context.Background()},
+		enqueued: e.now(), qspan: qspan, done: make(chan ServeEvent, 1)}
 	e.queue <- planted
 
 	r, err := e.Do(context.Background(), od(1, 1, 5, 5, 200))
@@ -250,37 +239,21 @@ const poison = 13
 
 // TestPanicIsContained: a panic out of the model while a drained batch of
 // 16 is being served fails the one request that caused it with ErrInternal;
-// the other 15 get exactly their answers, the panics are counted, the worker
-// serves the next request and Close returns. The batch is built behind a
-// request parked in the model, so the fused call and its member-by-member
-// fallback both run.
+// the other 15 get exactly their answers, the one panic is counted, the
+// worker serves the next request and Close returns. The batch is built
+// behind a request parked in the model.
 func TestPanicIsContained(t *testing.T) {
 	gate, started := make(chan struct{}), make(chan struct{}, 1)
-	var fusedCalls atomic.Int64
-	snap := &Snapshot{
-		ID: "poisoned",
-		Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
-			switch m.DepartSec {
-			case poison:
-				panic("model: poisoned OD")
-			case 0:
-				started <- struct{}{}
-				<-gate
-			}
-			return math.Sqrt(m.DepartSec)
-		},
-		EstimateBatch: func(_ context.Context, ods []traj.MatchedOD) []float64 {
-			fusedCalls.Add(1)
-			out := make([]float64, len(ods))
-			for i := range ods {
-				if ods[i].DepartSec == poison {
-					panic("model: poisoned OD in a batch")
-				}
-				out[i] = math.Sqrt(ods[i].DepartSec)
-			}
-			return out
-		},
-	}
+	snap := &Snapshot{ID: "poisoned", Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
+		switch m.DepartSec {
+		case poison:
+			panic("model: poisoned OD")
+		case 0:
+			started <- struct{}{}
+			<-gate
+		}
+		return math.Sqrt(m.DepartSec)
+	}}
 	cfg := testConfig(t, snap)
 	cfg.Workers = 1
 	cfg.MaxBatch = 16
@@ -291,6 +264,7 @@ func TestPanicIsContained(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	var exact atomic.Int64
 	serve := func(depart float64) {
 		defer wg.Done()
 		r, err := e.Do(context.Background(), od(1, 1, 5, 5, depart))
@@ -299,6 +273,8 @@ func TestPanicIsContained(t *testing.T) {
 			t.Errorf("poisoned request: %+v, %v, want ErrInternal", r, err)
 		case depart != poison && (err != nil || math.Float64bits(r.Seconds) != math.Float64bits(math.Sqrt(depart))):
 			t.Errorf("request %v beside the poisoned one: %+v, %v", depart, r, err)
+		case depart != poison:
+			exact.Add(1)
 		}
 	}
 	wg.Add(1)
@@ -311,11 +287,14 @@ func TestPanicIsContained(t *testing.T) {
 	waitFor(t, func() bool { return len(e.queue) == 16 })
 	close(gate)
 	wg.Wait()
-	if fusedCalls.Load() != 1 {
-		t.Fatalf("%d fused calls, want the one that panicked", fusedCalls.Load())
+	if got := exact.Load(); got != 16 {
+		t.Fatalf("%d exact answers, want the parked request's and 15 of the batch's 16", got)
 	}
-	if got := e.panics.Value(); got != 2 {
-		t.Fatalf("tte_infer_panics_total = %d, want 2: the fused forward and the poisoned member's own", got)
+	if got := e.batchSize.Sum(); got != 17 {
+		t.Fatalf("tte_infer_batch_size sums to %v, want the parked request and one drain of 16", got)
+	}
+	if got := e.panics.Value(); got != 1 {
+		t.Fatalf("tte_infer_panics_total = %d, want 1: the poisoned member's", got)
 	}
 	wg.Add(1)
 	serve(25)

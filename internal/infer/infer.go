@@ -5,16 +5,18 @@
 //
 //   - Admission control: Workers execution slots behind a bounded queue. A
 //     miss that finds a slot free and nothing queued is served on the
-//     caller's own goroutine as a batch of one; otherwise it queues for the
-//     worker pool. When the queue is full the request is shed immediately
-//     (ErrOverloaded → 429); when it waits longer than QueueTimeout it is
-//     abandoned (ErrQueueTimeout → 503). Requests never hang.
-//   - Micro-batching: each worker drains up to MaxBatch queued requests at
-//     once and serves the whole batch against a single snapshot load, so a
-//     hot reload can never split one batch across two models.
+//     caller's own goroutine; otherwise it queues for the worker pool. When
+//     the queue is full the request is shed immediately (ErrOverloaded →
+//     429); when it waits longer than QueueTimeout it is abandoned
+//     (ErrQueueTimeout → 503). Requests never hang.
+//   - Draining: a worker takes up to MaxBatch queued requests per slot
+//     hand-over and serves them one after another against a single
+//     snapshot load, so a backlog clears without a hand-over per request and
+//     a hot reload can never split one batch across two models. Every
+//     request, drained or caller-run, is served by the same function.
 //   - Containment: a panic out of map matching, the traffic source or the
 //     model fails the request it was serving (ErrInternal → 500) and
-//     nothing else; a poisoned batch is re-served member by member.
+//     nothing else.
 //   - Caching: a sharded LRU+TTL cache keyed by the request itself — the
 //     bits of its endpoints and departure, its external bundle's weather
 //     and speed matrix, and the traffic epoch — so a hit returns the bits
@@ -68,7 +70,8 @@ var (
 	// for a worker (serve → 503).
 	ErrQueueTimeout = errors.New("infer: timed out waiting for a worker")
 	// ErrInvalidInput means the OD input had non-finite coordinates or a
-	// negative departure time (serve → 400).
+	// departure time with no slot: negative or past the int range (serve →
+	// 400).
 	ErrInvalidInput = errors.New("infer: invalid OD input")
 	// ErrClosed means Do was called after Close.
 	ErrClosed = errors.New("infer: engine closed")
@@ -237,16 +240,11 @@ type installed struct {
 	gen  uint64
 }
 
+// job is one queued request: the execution state serve works on, and the
+// admission state the caller and the worker share.
 type job struct {
-	od traj.ODInput
-	// key is the request's cache key, computed once in Do (zero with
-	// caching off); finish files the answer under it at the execution's
-	// epoch.
-	key      cacheKey
+	pendingJob
 	enqueued time.Time
-	// ctx is the requesting caller's context; it carries the trace so the
-	// worker's batch/match/model spans join the request's tree.
-	ctx context.Context
 	// qspan is the request's "infer.queue" span, started at admission and
 	// ended by whichever side resolves the job first: the worker at pickup
 	// or the caller on shed/abandon (Span.End is first-wins).
@@ -503,15 +501,17 @@ func (e *Engine) Stats() Stats {
 }
 
 // validate rejects inputs that would poison downstream stages: non-finite
-// coordinates break map matching's distance math, and a negative departure
-// is before the dataset epoch (timeslot.Slotter panics on it by design).
-func validate(od traj.ODInput) error {
+// coordinates break map matching's distance math, a negative departure is
+// before the dataset epoch (timeslot.Slotter panics on it by design), and a
+// departure whose slot index overflows an int under the model's slotter
+// would make the model's week-slot lookup panic.
+func validate(od traj.ODInput, slots *timeslot.Slotter) error {
 	for _, v := range [5]float64{od.Origin.X, od.Origin.Y, od.Dest.X, od.Dest.Y, od.DepartSec} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return ErrInvalidInput
 		}
 	}
-	if od.DepartSec < 0 {
+	if od.DepartSec < 0 || slots != nil && !slots.Representable(od.DepartSec) {
 		return ErrInvalidInput
 	}
 	return nil
@@ -541,14 +541,14 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	if len(e.cfg.Observers) > 0 {
 		start = e.now()
 	}
-	ev := ServeEvent{OD: od, Err: validate(od)}
+	inst := e.cur.Load()
+	ev := ServeEvent{OD: od, Err: validate(od, inst.snap.Slotter)}
 	if ev.Err != nil {
 		return e.answer(ctx, start, &ev)
 	}
 	// The shed-rate SLO's denominator: tte_infer_shed_total / this ratio is
 	// the fraction of valid requests admission control turned away.
 	e.requests.Inc()
-	inst := e.cur.Load()
 	ev.Generation = inst.gen
 	var key cacheKey
 	if e.cache != nil {
@@ -591,7 +591,7 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 		<-e.slots
 	default:
 	}
-	j := &job{od: od, key: key, enqueued: e.now(), ctx: ctx, qspan: qspan, done: make(chan ServeEvent, 1)}
+	j := &job{pendingJob: pendingJob{od: od, key: key, ctx: ctx}, enqueued: e.now(), qspan: qspan, done: make(chan ServeEvent, 1)}
 	select {
 	case e.queue <- j:
 		select {
@@ -643,9 +643,14 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 
 // answer ends a Do call: each observer sees its final event, in order, and
 // the first prediction ID one returns is echoed to the caller. A caller that
-// gave up gets its context error here, so no observer ever stamps an answer
-// nobody received.
+// gave up, in the queue or during its own execution, gets its context error
+// here, so no observer ever stamps an answer nobody received.
 func (e *Engine) answer(ctx context.Context, start time.Time, ev *ServeEvent) (Result, error) {
+	if ev.Err == nil {
+		if err := ctx.Err(); err != nil {
+			ev.Err, ev.Seconds = err, 0
+		}
+	}
 	var id string
 	if len(e.cfg.Observers) > 0 {
 		ev.Latency = e.now().Sub(start)
@@ -681,37 +686,30 @@ func (e *Engine) quantize(ev *ServeEvent) {
 // pendingJob is one request in execution: on the caller's goroutine, or as
 // a member of a worker's batch.
 type pendingJob struct {
-	od  traj.ODInput
+	od traj.ODInput
+	// key is the request's cache key, computed once in Do (zero with
+	// caching off); serve files the answer under it at the execution's
+	// epoch.
 	key cacheKey
 	// ctx is the requesting caller's context; it carries the trace so the
 	// execution's batch/match/model spans join the request's tree.
-	ctx context.Context
-	// done delivers a queued job's event; nil when the caller executes.
-	done    chan<- ServeEvent
-	wait    time.Duration
+	ctx     context.Context
+	wait    time.Duration // admission to pickup; zero on the caller's goroutine
 	matched traj.MatchedOD
-	bctx    context.Context
-	bspan   *obs.Span
-	epoch   uint64
-	live    bool
+	live    bool // the traffic source merged live speeds into matched
 }
 
-// serveInline answers the caller's own request as a batch of one on the
-// caller's goroutine, under the slot Do took: the same snapshot load, spans
-// and observations as a worker picking it up after no wait at all.
+// serveInline answers the caller's own request on the caller's goroutine,
+// under the slot Do took: the same snapshot load, spans and observations as
+// a worker picking it up after no wait at all.
 func (e *Engine) serveInline(ctx context.Context, od traj.ODInput, key cacheKey, qspan *obs.Span) ServeEvent {
 	defer e.release()
 	qspan.SetFloat("wait_ms", 0)
 	qspan.End()
 	e.queueWait.Observe(0)
 	e.batchSize.Observe(1)
-	inst := e.cur.Load()
 	// On the heap: Snapshot.Estimate is handed a pointer into it.
-	p := &pendingJob{od: od, key: key, ctx: ctx}
-	if err := e.prepare(inst, p, 1); err != nil {
-		return p.end(inst, err)
-	}
-	return e.model(inst, p)
+	return e.serve(e.cur.Load(), &pendingJob{od: od, key: key, ctx: ctx}, 1)
 }
 
 // release returns a caller-run execution's slot and lets Close go.
@@ -726,8 +724,6 @@ func (e *Engine) release() {
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	batch := make([]*job, 0, e.cfg.MaxBatch)
-	pending := make([]pendingJob, 0, e.cfg.MaxBatch)
-	ods := make([]traj.MatchedOD, 0, e.cfg.MaxBatch)
 	for open := true; open; {
 		_, open = <-e.wake // closed by Close: one last drain, then out
 		for {
@@ -743,7 +739,7 @@ func (e *Engine) worker() {
 				}
 			}
 			if len(batch) > 0 {
-				e.serveBatch(batch, pending[:0], ods[:0])
+				e.serveBatch(batch)
 			}
 			<-e.slots
 			if len(batch) == 0 {
@@ -753,93 +749,66 @@ func (e *Engine) worker() {
 	}
 }
 
-// serveBatch answers one drained batch. The snapshot is loaded once: every
-// request in a batch is answered by the same model, and a concurrent SwapCtx
-// only affects subsequent batches.
-//
-// A batch runs in two phases: per-request map matching and traffic
-// overrides first, then one model call for every request that survived.
-// When the snapshot provides EstimateBatch and more than one request is
-// pending, that call is the fused [B×d] forward; its result is bit-identical
-// to per-request Estimate calls (see core.EstimateBatchFused), so batching
-// never changes an answer. pending and ods are the worker's scratch, with
-// room for MaxBatch.
-func (e *Engine) serveBatch(batch []*job, pending []pendingJob, ods []traj.MatchedOD) {
+// serveBatch answers one drained batch, member by member. The snapshot is
+// loaded once: every request in a batch is answered by the same model, and a
+// concurrent SwapCtx only affects subsequent batches. Every member is picked
+// up before the first is served, so its queue wait ends at the drain.
+func (e *Engine) serveBatch(batch []*job) {
 	e.depthGauge.Set(float64(len(e.queue)))
 	e.batchSize.Observe(float64(len(batch)))
 	inst := e.cur.Load()
 	now := e.now()
 	for _, j := range batch {
-		wait := now.Sub(j.enqueued)
-		e.queueWait.Observe(wait.Seconds())
-		j.qspan.SetFloat("wait_ms", float64(wait)/float64(time.Millisecond))
+		j.wait = now.Sub(j.enqueued)
+		e.queueWait.Observe(j.wait.Seconds())
+		j.qspan.SetFloat("wait_ms", float64(j.wait)/float64(time.Millisecond))
 		j.qspan.End()
 		j.picked.Store(true)
-		if j.abandoned.Load() {
-			continue // caller already answered 503/ctx error
-		}
-		pending = append(pending, pendingJob{od: j.od, key: j.key, ctx: j.ctx, done: j.done, wait: wait})
-		p := &pending[len(pending)-1]
-		if err := e.prepare(inst, p, len(batch)); err != nil {
-			j.done <- p.end(inst, err)
-			pending = pending[:len(pending)-1]
-		}
 	}
-	if len(pending) > 1 && inst.snap.EstimateBatch != nil {
-		// Fused path: one [B×d] forward answers the whole batch. The model
-		// span hangs off the first pending request's trace; every request's
-		// own infer.batch span records that it was answered fused and at
-		// what batch size.
-		for i := range pending {
-			ods = append(ods, pending[i].matched)
+	for _, j := range batch {
+		if !j.abandoned.Load() { // else the caller already answered 503/ctx error
+			j.done <- e.serve(inst, &j.pendingJob, len(batch))
 		}
-		if secs, err := e.estimateBatch(inst, pending[0].bctx, ods); err == nil {
-			for i := range pending {
-				pending[i].bspan.SetInt("fused", len(ods))
-				pending[i].done <- e.finish(&pending[i], secs[i], inst)
-			}
-			return
-		}
-		// The forward panicked on some member: serve each alone, so only
-		// the poisoned one fails.
-	}
-	for i := range pending {
-		pending[i].done <- e.model(inst, &pending[i])
 	}
 }
 
-// prepare runs the per-request half of an execution — map matching and the
-// traffic override — under the request's infer.batch span. A request it
-// returns an error for ends there (see end).
-func (e *Engine) prepare(inst *installed, p *pendingJob, batchSize int) error {
-	p.bctx, p.bspan = e.reg.StartSpan(p.ctx, "infer.batch")
-	p.bspan.SetInt("batch_size", batchSize)
-	p.bspan.SetStr("snapshot", inst.snap.ID)
-	return e.match(p)
-}
-
-// model answers one prepared request with a forward of its own.
-func (e *Engine) model(inst *installed, p *pendingJob) ServeEvent {
-	sec, err := e.estimate(inst, p)
-	if err != nil {
-		return p.end(inst, err)
+// serve is the one execution of a request: map matching and the traffic
+// override, the model's forward, and the cache fill, all under the
+// request's infer.batch span.
+func (e *Engine) serve(inst *installed, p *pendingJob, batchSize int) ServeEvent {
+	bctx, bspan := e.reg.StartSpan(p.ctx, "infer.batch")
+	defer bspan.End()
+	bspan.SetInt("batch_size", batchSize)
+	bspan.SetStr("snapshot", inst.snap.ID)
+	// Read beside the features: the answer is filed under this epoch, so a
+	// regime shift during the forward cannot put an old-features answer
+	// under the new epoch.
+	epoch := e.trafficEpoch()
+	ev := ServeEvent{OD: p.od, Generation: inst.gen, TrafficEpoch: epoch, QueueWait: p.wait}
+	if ev.Err = e.match(bctx, p); ev.Err == nil {
+		ev.Seconds, ev.Err = e.estimate(bctx, inst, p)
 	}
-	return e.finish(p, sec, inst)
+	ev.TrafficLive = p.live
+	if ev.Err != nil {
+		return ev
+	}
+	if e.cache != nil {
+		// Tagged with the execution's generation: if a SwapCtx landed since
+		// its snapshot load this entry is already stale and will never be
+		// served.
+		key := p.key
+		key.epoch = epoch
+		e.cache.put(key, gridOf(p.od.External), ev.Seconds, inst.gen, e.now())
+	}
+	ev.SnapshotID = inst.snap.ID
+	return ev
 }
 
-// end closes p's execution and returns its event: failed with err, or
-// awaiting finish's estimate when err is nil.
-func (p *pendingJob) end(inst *installed, err error) ServeEvent {
-	p.bspan.End()
-	return ServeEvent{OD: p.od, Generation: inst.gen, TrafficEpoch: p.epoch, TrafficLive: p.live, QueueWait: p.wait, Err: err}
-}
+// match and estimate are the two places an execution calls out of the
+// engine; each defers contained.
 
-// match, estimate and estimateBatch are the three places an execution
-// calls out of the engine; each defers contained.
-
-func (e *Engine) match(p *pendingJob) (err error) {
-	p.epoch = e.trafficEpoch()
-	mctx, mspan := e.reg.StartSpan(p.bctx, "infer.match")
+func (e *Engine) match(ctx context.Context, p *pendingJob) (err error) {
+	mctx, mspan := e.reg.StartSpan(ctx, "infer.match")
 	defer e.contained(&err, mspan)
 	p.matched, err = e.cfg.Match(mctx, p.od)
 	if err != nil {
@@ -857,21 +826,12 @@ func (e *Engine) match(p *pendingJob) (err error) {
 	return nil
 }
 
-func (e *Engine) estimate(inst *installed, p *pendingJob) (sec float64, err error) {
-	ectx, espan := e.reg.StartSpan(p.bctx, "infer.model")
+func (e *Engine) estimate(ctx context.Context, inst *installed, p *pendingJob) (sec float64, err error) {
+	ectx, espan := e.reg.StartSpan(ctx, "infer.model")
 	defer e.contained(&err, espan)
 	sec = inst.snap.Estimate(ectx, &p.matched)
 	espan.End()
 	return sec, nil
-}
-
-func (e *Engine) estimateBatch(inst *installed, ctx context.Context, ods []traj.MatchedOD) (secs []float64, err error) {
-	ectx, espan := e.reg.StartSpan(ctx, "infer.model")
-	espan.SetInt("fused", len(ods))
-	defer e.contained(&err, espan)
-	secs = inst.snap.EstimateBatch(ectx, ods)
-	espan.End()
-	return secs, nil
 }
 
 // contained is the execution guard, the process's only recover. Match, the
@@ -886,23 +846,6 @@ func (e *Engine) contained(err *error, span *obs.Span) {
 		span.Fail(*err)
 		span.End()
 	}
-}
-
-// finish caches one model answer and returns its event.
-func (e *Engine) finish(p *pendingJob, sec float64, inst *installed) ServeEvent {
-	if e.cache != nil {
-		// Tagged with the execution's generation: if a SwapCtx landed since its
-		// snapshot load this entry is already stale and will never be
-		// served. Filed under the epoch read beside the features, so a
-		// regime shift during the forward cannot put an old-features answer
-		// under the new epoch.
-		key := p.key
-		key.epoch = p.epoch
-		e.cache.put(key, gridOf(p.od.External), sec, inst.gen, e.now())
-	}
-	ev := p.end(inst, nil)
-	ev.Seconds, ev.SnapshotID = sec, inst.snap.ID
-	return ev
 }
 
 // Close stops admission, waits for every admitted request — queued, in a

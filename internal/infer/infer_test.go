@@ -190,12 +190,15 @@ func TestCacheHitIsUncachedBits(t *testing.T) {
 }
 
 func TestInvalidInputRejected(t *testing.T) {
-	e := newTestEngine(t, testConfig(t, constSnapshot("m1", 1)))
+	cfg := testConfig(t, constSnapshot("m1", 1))
+	cfg.Snapshot.Slotter = cfg.Slotter // the model's: 1e300 has no slot under it
+	e := newTestEngine(t, cfg)
 	cases := []traj.ODInput{
 		od(math.NaN(), 1, 5, 5, 600),
 		od(1, 1, math.Inf(1), 5, 600),
 		od(1, 1, 5, 5, math.NaN()),
 		od(1, 1, 5, 5, -10),
+		od(1, 1, 5, 5, 1e300),
 	}
 	for i, bad := range cases {
 		if _, err := e.Do(context.Background(), bad); !errors.Is(err, ErrInvalidInput) {

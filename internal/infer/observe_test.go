@@ -320,46 +320,36 @@ func TestFlightCapturesShed(t *testing.T) {
 	}
 }
 
-// TestPredictionStampDisabledOverhead gates what an answered estimate pays
-// for stamping when no observer is wired: the hand-off reads no clock,
-// copies the event to no one and hands back no prediction ID.
-func TestPredictionStampDisabledOverhead(t *testing.T) {
+// TestAnswerDisabledOverhead gates what answer costs when no observer is
+// wired, for an answered estimate and for a shed one: no clock read, no
+// event copy, no prediction ID, and the error (if any) straight back.
+func TestAnswerDisabledOverhead(t *testing.T) {
 	e := newTestEngine(t, testConfig(t, constSnapshot("m1", 42)))
-	ev := ServeEvent{OD: od(1, 1, 5, 5, 600), Seconds: 42, SnapshotID: "m1", Generation: 1}
-	if r, err := e.answer(context.Background(), time.Time{}, &ev); err != nil || r.Seconds != 42 || r.PredictionID != "" {
-		t.Fatalf("answer with no observer = %+v, %v; want 42 s and no ID", r, err)
-	}
-	var sink atomic.Uint64
-	gateDisabledPath(t, "stamp", 50*time.Nanosecond, func(n int) {
-		var unstamped uint64
-		for i := 0; i < n; i++ {
-			if r, _ := e.answer(context.Background(), time.Time{}, &ev); r.PredictionID == "" {
-				unstamped++
+	for _, c := range []struct {
+		name string
+		ev   ServeEvent
+	}{
+		{"answered", ServeEvent{OD: od(1, 1, 5, 5, 600), Seconds: 42, SnapshotID: "m1", Generation: 1}},
+		{"shed", ServeEvent{OD: od(1, 1, 5, 5, 600), Err: ErrOverloaded, Generation: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ev := c.ev
+			r, err := e.answer(context.Background(), time.Time{}, &ev)
+			if err != c.ev.Err || r.Seconds != c.ev.Seconds || r.PredictionID != "" {
+				t.Fatalf("answer with no observer = %+v, %v; want %v s, error %v and no ID", r, err, c.ev.Seconds, c.ev.Err)
 			}
-		}
-		sink.Store(unstamped)
-	})
-}
-
-// TestFlightDisabledOverhead gates what a shed or failed request pays for
-// capture when no observer (so no flight recorder) is wired: the error
-// goes straight back with no clock read and no event copy.
-func TestFlightDisabledOverhead(t *testing.T) {
-	e := newTestEngine(t, testConfig(t, constSnapshot("m1", 42)))
-	ev := ServeEvent{OD: od(1, 1, 5, 5, 600), Err: ErrOverloaded, Generation: 1}
-	if _, err := e.answer(context.Background(), time.Time{}, &ev); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("answer on a shed event = %v, want ErrOverloaded", err)
+			var sink atomic.Uint64
+			gateDisabledPath(t, c.name, 50*time.Nanosecond, func(n int) {
+				var unstamped uint64
+				for i := 0; i < n; i++ {
+					if r, _ := e.answer(context.Background(), time.Time{}, &ev); r.PredictionID == "" {
+						unstamped++
+					}
+				}
+				sink.Store(unstamped)
+			})
+		})
 	}
-	var sink atomic.Uint64
-	gateDisabledPath(t, "flight", 50*time.Nanosecond, func(n int) {
-		var shed uint64
-		for i := 0; i < n; i++ {
-			if _, err := e.answer(context.Background(), time.Time{}, &ev); err != nil {
-				shed++
-			}
-		}
-		sink.Store(shed)
-	})
 }
 
 // TestDisabledPathOverhead gates what the other optional serve-path hooks

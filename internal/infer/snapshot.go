@@ -19,22 +19,21 @@ import (
 
 // Snapshot is one immutable serving model. The engine holds the live
 // snapshot behind an atomic pointer; SwapCtx installs a new one without
-// blocking traffic, and in-flight batches keep the pointer they loaded, so
-// they finish on the model they started with.
+// blocking traffic, and in-flight executions keep the pointer they loaded,
+// so they finish on the model they started with.
 type Snapshot struct {
 	// ID names the snapshot to operators (/version, estimate responses).
 	// LoadCheckpoint uses a truncated SHA-256 of the checkpoint file.
 	ID string
 	// Estimate answers a matched OD on this snapshot's weights. It must be
 	// safe for concurrent callers (core.Model.Estimate is; see the -race
-	// test in internal/core): requests served on their callers' goroutines
-	// and batches of one reach it. The context carries the request's trace
+	// test in internal/core): callers serving their own requests and workers
+	// serving drained ones reach it. The context carries the request's trace
 	// so model-internal spans (encode, estimate) join the request tree.
 	Estimate func(ctx context.Context, od *traj.MatchedOD) float64
-	// EstimateBatch answers a drained admission batch of two or more in one
-	// [B×d] forward (core.EstimateBatchFusedCtx, the kernel Estimate runs at
-	// B = 1, so bit-identical to per-OD Estimate calls). With it nil every
-	// request goes through Estimate — stub snapshots in tests.
+	// EstimateBatch is read by no engine code: every request goes through
+	// Estimate. It stays only because the load harness (bench/trace.go)
+	// assigns it; ROADMAP item 4 deletes it with that harness edit.
 	EstimateBatch func(ctx context.Context, ods []traj.MatchedOD) []float64
 	// Meta carries operator-facing facts merged into /version output
 	// (weight count, checkpoint path, ...).
@@ -50,13 +49,11 @@ type Snapshot struct {
 	LoadedAt time.Time
 }
 
-// ModelSnapshot wraps a trained core model as a serving snapshot: the one
-// eval forward behind both Estimate and EstimateBatch.
+// ModelSnapshot wraps a trained core model as a serving snapshot.
 func ModelSnapshot(id string, m *core.Model) *Snapshot {
 	return &Snapshot{
-		ID:            id,
-		Estimate:      m.EstimateCtx,
-		EstimateBatch: m.EstimateBatchFusedCtx,
+		ID:       id,
+		Estimate: m.EstimateCtx,
 		Meta: map[string]any{
 			"weights": m.NumWeights(),
 			"edges":   m.Graph().NumEdges(),

@@ -40,69 +40,91 @@ func observed(t testing.TB, reg *obs.Registry) []infer.Observer {
 	return []infer.Observer{mon, rec}
 }
 
-// TestCanceledCallerIsNotStamped: a queued request whose caller gives up
-// after a worker picked it up answers the caller with context.Canceled, so
-// the quality monitor must not count it as a prediction nor leave a pending
-// entry to expire as an orphan; the flight recorder still sees one event
-// per Do. One worker, no cache: the first request parks in the model on
-// its caller's goroutine, the second queues behind it.
+// TestCanceledCallerIsNotStamped: a request whose caller gives up while
+// its forward runs answers the caller with context.Canceled, so the quality
+// monitor must not count it as a prediction nor leave a pending entry to
+// expire as an orphan; the flight recorder still sees one event per Do. One
+// worker, no cache. Caller-run, the canceled request is the first and runs
+// on its own goroutine; queued, a first request parks in the model on its
+// caller's goroutine and the canceled one is picked up by the worker behind
+// it.
 func TestCanceledCallerIsNotStamped(t *testing.T) {
-	reg := obs.NewRegistry()
-	gate, started := make(chan struct{}), make(chan struct{}, 2)
-	e, err := infer.New(infer.Config{
-		Match: matchAll,
-		Snapshot: &infer.Snapshot{ID: "blocking", Estimate: func(context.Context, *traj.MatchedOD) float64 {
-			started <- struct{}{}
-			<-gate
-			return 7
-		}},
-		Workers:   1,
-		MaxBatch:  1,
-		Observers: observed(t, reg),
-		Registry:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	defer close(gate) // runs first: a failed check must not leave a forward parked
+	for _, c := range []struct {
+		name   string
+		queued bool
+	}{{"caller-run", false}, {"queued", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			gate, started := make(chan struct{}), make(chan struct{}, 2)
+			e, err := infer.New(infer.Config{
+				Match: matchAll,
+				Snapshot: &infer.Snapshot{ID: "blocking", Estimate: func(context.Context, *traj.MatchedOD) float64 {
+					started <- struct{}{}
+					<-gate
+					return 7
+				}},
+				Workers:   1,
+				MaxBatch:  1,
+				Observers: observed(t, reg),
+				Registry:  reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			defer close(gate) // runs first: a failed check must not leave a forward parked
 
-	parked := make(chan error, 1)
-	go func() {
-		_, err := e.Do(context.Background(), traj.ODInput{DepartSec: 60})
-		parked <- err
-	}()
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
-	canceled := make(chan error, 1)
-	go func() {
-		_, err := e.Do(ctx, traj.ODInput{DepartSec: 120})
-		canceled <- err
-	}()
-	depth := reg.Gauge("tte_infer_queue_depth")
-	for depth.Value() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	gate <- struct{}{} // the parked request answers; the worker picks up the queued one
-	if err := <-parked; err != nil {
-		t.Fatalf("parked request: %v", err)
-	}
-	<-started
-	cancel()
-	if err := <-canceled; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled request: err = %v, want context.Canceled", err)
-	}
-	gate <- struct{}{}
-	e.Close() // the worker finishes the abandoned forward
+			delivered := 0
+			parked := make(chan error, 1)
+			if c.queued {
+				delivered = 1
+				go func() {
+					_, err := e.Do(context.Background(), traj.ODInput{DepartSec: 60})
+					parked <- err
+				}()
+				<-started
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			canceled := make(chan error, 1)
+			go func() {
+				_, err := e.Do(ctx, traj.ODInput{DepartSec: 120})
+				canceled <- err
+			}()
+			if c.queued {
+				depth := reg.Gauge("tte_infer_queue_depth")
+				for depth.Value() != 1 {
+					time.Sleep(time.Millisecond)
+				}
+				gate <- struct{}{} // the parked request answers; the worker picks up the queued one
+				if err := <-parked; err != nil {
+					t.Fatalf("parked request: %v", err)
+				}
+			}
+			<-started
+			cancel()
+			if c.queued {
+				if err := <-canceled; !errors.Is(err, context.Canceled) {
+					t.Fatalf("canceled request: err = %v, want context.Canceled", err)
+				}
+				gate <- struct{}{}
+			} else {
+				gate <- struct{}{} // the forward returns on the caller's goroutine after the cancel
+				if err := <-canceled; !errors.Is(err, context.Canceled) {
+					t.Fatalf("canceled request: err = %v, want context.Canceled", err)
+				}
+			}
+			e.Close() // the worker finishes the abandoned forward
 
-	if got := reg.Counter("tte_quality_predictions_total").Value(); got != 1 {
-		t.Fatalf("tte_quality_predictions_total = %d for 1 delivered answer", got)
-	}
-	if got := reg.Gauge("tte_quality_pending").Value(); got != 1 {
-		t.Fatalf("tte_quality_pending = %v, want the delivered answer's entry only", got)
-	}
-	if got := reg.Counter("tte_recorder_events_seen_total").Value(); got != 2 {
-		t.Fatalf("recorder saw %d events for 2 calls", got)
+			if got := reg.Counter("tte_quality_predictions_total").Value(); got != uint64(delivered) {
+				t.Fatalf("tte_quality_predictions_total = %d for %d delivered answers", got, delivered)
+			}
+			if got := reg.Gauge("tte_quality_pending").Value(); got != float64(delivered) {
+				t.Fatalf("tte_quality_pending = %v, want the delivered answers' %d entries only", got, delivered)
+			}
+			if got := reg.Counter("tte_recorder_events_seen_total").Value(); got != uint64(delivered+1) {
+				t.Fatalf("recorder saw %d events for %d calls", got, delivered+1)
+			}
+		})
 	}
 }
 

@@ -143,12 +143,10 @@ func Run(ctx context.Context, cfg Config, events []recorder.Event) (*Report, err
 	eng, err := infer.New(infer.Config{
 		Match:    cfg.Match,
 		Snapshot: cfg.Snapshot,
-		// The determinism pins: one worker, one request per batch, no
-		// traffic source (epoch 0 everywhere), no cache (every event a
-		// forward), generous queue timeout so machine load can never
-		// masquerade as a shed.
+		// The determinism pins: one worker, no traffic source (epoch 0
+		// everywhere), no cache (every event a forward), generous queue
+		// timeout so machine load can never masquerade as a shed.
 		Workers:      1,
-		MaxBatch:     1,
 		QueueDepth:   1,
 		QueueTimeout: time.Minute,
 		Registry:     cfg.Registry,

@@ -3,7 +3,6 @@ package replay
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,50 +221,35 @@ func TestReplaySkipsShed(t *testing.T) {
 	}
 }
 
-// TestReplayFusedRecordingBitForBit records through an engine whose snapshot
-// serves drained batches with a fused EstimateBatch (MaxBatch 16, concurrent
-// clients, a gated first request so multi-request drains provably form), then
-// replays the events through Run's pinned per-sample engine (Workers 1,
-// MaxBatch 1 — EstimateBatch never fires). Zero unexplained diffs means the
-// batch size a request happened to be served at never leaks into its answer —
-// the contract that keeps fused-engine recordings replayable.
+// TestReplayFusedRecordingBitForBit records through an engine that serves
+// drained batches (MaxBatch 16, concurrent clients, a gated first request so
+// multi-request drains provably form), then replays the events through Run's
+// one-worker engine, where every event is served alone. Zero unexplained
+// diffs means the batch a request happened to be drained in never leaks
+// into its answer.
 func TestReplayFusedRecordingBitForBit(t *testing.T) {
 	slotter, err := timeslot.New(5 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estimate := func(m *traj.MatchedOD) float64 { return 3 * (1 + m.DepartSec/7) }
 	gate := make(chan struct{})
-	var fusedBatches atomic.Int64
-	s := &infer.Snapshot{
-		ID: "fused",
-		Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
-			<-gate // recording: hold the worker until the queue fills; replay: closed, no-op
-			return estimate(m)
-		},
-		EstimateBatch: func(_ context.Context, ods []traj.MatchedOD) []float64 {
-			if len(ods) > 1 {
-				fusedBatches.Add(1)
-			}
-			out := make([]float64, len(ods))
-			for i := range ods {
-				out[i] = estimate(&ods[i])
-			}
-			return out
-		},
-	}
+	s := &infer.Snapshot{ID: "drained", Estimate: func(_ context.Context, m *traj.MatchedOD) float64 {
+		<-gate // recording: hold the first request until the queue fills; replay: closed, no-op
+		return 3 * (1 + m.DepartSec/7)
+	}}
 
 	rec, err := recorder.New(recorder.Config{SampleRate: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.Close()
+	reg := obs.NewRegistry()
 	eng, err := infer.New(infer.Config{
 		Match: match, Snapshot: s,
 		Workers: 1, MaxBatch: 16, QueueDepth: 64,
 		CacheEntries: 128, Cells: cells{}, Slotter: slotter,
 		Observers: []infer.Observer{rec},
-		Registry:  obs.NewRegistry(),
+		Registry:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +272,8 @@ func TestReplayFusedRecordingBitForBit(t *testing.T) {
 	close(gate)
 	wg.Wait()
 	eng.Close()
-	if fusedBatches.Load() == 0 {
-		t.Fatal("no fused batches formed during the recording")
+	if execs := reg.Histogram("tte_infer_batch_size", nil).Count(); execs >= n {
+		t.Fatalf("%d executions for %d requests: no drain took more than one", execs, n)
 	}
 
 	events := rec.Events(recorder.Filter{})

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"deepod/internal/geo"
@@ -296,5 +297,23 @@ func TestEngineEndToEndOverHTTP(t *testing.T) {
 	}
 	if resp.Cached || resp.TravelSeconds != 120 || resp.Model != "m2" {
 		t.Fatalf("post-reload response = %+v, want fresh 120 from m2", resp)
+	}
+}
+
+// TestEstimateUnslottableDepartureIs400: a finite departure so far out that
+// the model's slot index overflows an int is invalid input on the real
+// stack: 400, and the model never runs, so nothing panics.
+func TestEstimateUnslottableDepartureIs400(t *testing.T) {
+	s, _, body := newTracedEngineServer(t)
+	h := s.Handler()
+	if rec := postEstimate(t, h, body); rec.Code != http.StatusOK {
+		t.Fatalf("departure 600 = %d, body %s", rec.Code, rec.Body)
+	}
+	far := strings.Replace(body, `"depart_sec":600`, `"depart_sec":1e300`, 1)
+	if rec := postEstimate(t, h, far); rec.Code != http.StatusBadRequest {
+		t.Fatalf("departure 1e300 = %d, want 400 (body %s)", rec.Code, rec.Body)
+	}
+	if n := s.reg.Counter("tte_infer_panics_total").Value(); n != 0 {
+		t.Fatalf("tte_infer_panics_total = %d, want 0", n)
 	}
 }

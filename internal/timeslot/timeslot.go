@@ -7,6 +7,7 @@ package timeslot
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -51,6 +52,12 @@ func (s *Slotter) Slot(t float64) int {
 		panic(fmt.Sprintf("timeslot: timestamp %v is before the base timestamp", t))
 	}
 	return int(t / s.Delta)
+}
+
+// Representable reports whether t has a slot Slot can return: t is at or
+// after the base timestamp and ⌊t/Δt⌋ fits in an int. NaN has none.
+func (s *Slotter) Representable(t float64) bool {
+	return t >= 0 && t/s.Delta < math.MaxInt
 }
 
 // Remainder returns tr = t − t0 − tp·Δt ∈ [0, Δt) (Formula 3).

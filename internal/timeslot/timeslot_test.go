@@ -1,6 +1,7 @@
 package timeslot
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,14 @@ func TestSlotAndRemainder(t *testing.T) {
 	}
 	if nr := s.NormalizedRemainder(17 * 60); nr != 120.0/300.0 {
 		t.Fatalf("NormalizedRemainder = %v", nr)
+	}
+	for _, c := range []struct {
+		t    float64
+		want bool
+	}{{0, true}, {1e18, true}, {-1, false}, {math.NaN(), false}, {300 * (1 << 63), false}, {1e300, false}} {
+		if got := s.Representable(c.t); got != c.want {
+			t.Fatalf("Representable(%v) = %v, want %v", c.t, got, c.want)
+		}
 	}
 	defer func() {
 		if recover() == nil {

@@ -17,9 +17,9 @@
 # picks them, are what `go run ./bench -compare` reads.
 #
 # micro runs, at -cpu 1,2 and -count n, BenchmarkTrainStep/B32 (both worker
-# counts) and BenchmarkEstimate in internal/core, BenchmarkDirect and
-# BenchmarkEngineNoCache in internal/infer and BenchmarkNearestEdge in
-# internal/roadnet, and appends one line per result to BENCH_micro.json:
+# counts) and BenchmarkEstimate in internal/core, BenchmarkDirect,
+# BenchmarkEngineNoCache and BenchmarkEngineOversubscribed in internal/infer
+# and BenchmarkNearestEdge in internal/roadnet, and appends one line per result to BENCH_micro.json:
 # the stamp, the package, the benchmark, GOMAXPROCS and its ns/op, B/op and
 # allocs/op.
 #
@@ -50,7 +50,7 @@ if [ "$workload" = micro ]; then
     # with sub-benchmarks gets its own run.
     for spec in "./internal/core ^BenchmarkTrainStep\$/^B32\$" \
         "./internal/core ^BenchmarkEstimate\$" \
-        "./internal/infer ^(BenchmarkDirect|BenchmarkEngineNoCache)\$" \
+        "./internal/infer ^(BenchmarkDirect|BenchmarkEngineNoCache|BenchmarkEngineOversubscribed)\$" \
         "./internal/roadnet ^BenchmarkNearestEdge\$"; do
         pkg=${spec%% *}
         go test -run '^$' -bench "${spec#* }" -benchmem -cpu 1,2 -count "$n" "$pkg" |

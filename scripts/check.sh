@@ -57,7 +57,7 @@ echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
 
 echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, SLO request accounting; ns and 0 allocations each)"
-go test -run 'TestDisabledPathOverhead|TestFlightDisabledOverhead|TestPredictionStampDisabledOverhead' ./internal/infer/
+go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead' ./internal/infer/
 
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
