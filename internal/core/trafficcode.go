@@ -110,17 +110,28 @@ func (tm *trafficMemo) invalidate() {
 	tm.mu.Unlock()
 }
 
-// checkExternal is the one validation of an external-feature bundle,
-// shared by the training graph and the eval forward. It reports whether ext
-// carries a speed matrix; a bundle without one (weather only) encodes a
-// zero traffic code, like a nil bundle.
-func checkExternal(ext *traj.ExternalFeatures) bool {
+// ValidateExternal is the one validation of an external-feature bundle: a
+// weather id in [0, citysim.WeatherTypes) and a SpeedGrid of exactly
+// GridRows×GridCols cells (none: weather only). A serving layer rejects a
+// failing bundle as bad input before it reaches the model.
+func ValidateExternal(ext *traj.ExternalFeatures) error {
 	if ext.Weather < 0 || ext.Weather >= citysim.WeatherTypes {
-		panic(fmt.Sprintf("core: ExternalFeatures.Weather %d out of range [0,%d)", ext.Weather, citysim.WeatherTypes))
+		return fmt.Errorf("core: ExternalFeatures.Weather %d out of range [0,%d)", ext.Weather, citysim.WeatherTypes)
 	}
 	if ext.GridRows < 0 || ext.GridCols < 0 || len(ext.SpeedGrid) != ext.GridRows*ext.GridCols {
-		panic(fmt.Sprintf("core: ExternalFeatures.SpeedGrid has %d cells, GridRows×GridCols is %d×%d",
-			len(ext.SpeedGrid), ext.GridRows, ext.GridCols))
+		return fmt.Errorf("core: ExternalFeatures.SpeedGrid has %d cells, GridRows×GridCols is %d×%d",
+			len(ext.SpeedGrid), ext.GridRows, ext.GridCols)
+	}
+	return nil
+}
+
+// checkExternal is ValidateExternal as the training graph and the eval
+// forward need it: a bad bundle is a programming error there, so it panics.
+// It reports whether ext carries a speed matrix; a bundle without one
+// (weather only) encodes a zero traffic code, like a nil bundle.
+func checkExternal(ext *traj.ExternalFeatures) bool {
+	if err := ValidateExternal(ext); err != nil {
+		panic(err.Error())
 	}
 	return len(ext.SpeedGrid) > 0
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"deepod/internal/obs"
 	"deepod/internal/traj"
 )
 
@@ -70,6 +71,52 @@ func TestSlotsBoundExecutions(t *testing.T) {
 	}
 }
 
+// TestQueueSpanObservedOnce: every request that reaches admission records
+// its infer.queue span exactly once, whichever side ends it, on each of the
+// five ways out of the queue. A is served by its caller, B is drained by the
+// worker, C is abandoned by its cancelled caller, D times out in the queue
+// and E finds the queue full. The worker still picks up C's and D's jobs
+// and ends their spans a second time; only the first End may record.
+func TestQueueSpanObservedOnce(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	e, gate, started := blockingEngine(t, 3, timeout)
+	do := func(ctx context.Context, depart float64) chan error {
+		out := make(chan error, 1)
+		go func() {
+			_, err := e.Do(ctx, od(1, 1, 2, 2, depart))
+			out <- err
+		}()
+		return out
+	}
+	a := do(context.Background(), 1)
+	<-started // A holds the engine's one slot, inside the model
+	if err := <-do(context.Background(), 4); !errors.Is(err, ErrQueueTimeout) {
+		t.Fatalf("D: %v, want ErrQueueTimeout", err)
+	}
+	b := do(context.Background(), 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	c := do(ctx, 3)
+	waitFor(t, func() bool { return len(e.queue) == 3 }) // D's abandoned job, B and C
+	cancel()
+	if err := <-c; !errors.Is(err, context.Canceled) {
+		t.Fatalf("C: %v, want context.Canceled", err)
+	}
+	if err := <-do(context.Background(), 5); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("E: %v, want ErrOverloaded", err)
+	}
+	gate <- struct{}{}
+	gate <- struct{}{}
+	for name, ch := range map[string]chan error{"A": a, "B": b} {
+		if err := <-ch; err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	e.Close() // the worker has picked up every queued job
+	if got := e.reg.Histogram(obs.SpanFamily, obs.DefBuckets, "span", "infer.queue").Count(); got != 5 {
+		t.Fatalf(`tte_span_seconds_count{span="infer.queue"} = %d for 5 requests`, got)
+	}
+}
+
 // TestQueuedJobIsNotOvertaken: a caller that finds a slot free but a job
 // still queued must not serve itself ahead of it. The job is planted without
 // the wake token, so no worker stirs and the caller's own try gets the slot;
@@ -89,9 +136,9 @@ func TestQueuedJobIsNotOvertaken(t *testing.T) {
 	cfg.CacheEntries = 0
 	e := newTestEngine(t, cfg)
 
-	_, qspan := e.reg.StartSpan(context.Background(), "infer.queue")
 	planted := &job{pendingJob: pendingJob{od: od(1, 1, 5, 5, 100), ctx: context.Background()},
-		enqueued: e.now(), qspan: qspan, done: make(chan ServeEvent, 1)}
+		enqueued: e.now(), done: make(chan ServeEvent, 1)}
+	_, planted.qspan = e.reg.StartSpan(context.Background(), "infer.queue")
 	e.queue <- planted
 
 	r, err := e.Do(context.Background(), od(1, 1, 5, 5, 200))

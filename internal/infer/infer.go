@@ -56,6 +56,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"deepod/internal/core"
 	"deepod/internal/geo"
 	"deepod/internal/obs"
 	"deepod/internal/timeslot"
@@ -240,15 +241,18 @@ type installed struct {
 	gen  uint64
 }
 
-// job is one queued request: the execution state serve works on, and the
-// admission state the caller and the worker share.
+// job is one admitted request: the execution state serve works on, and the
+// admission state the caller and the worker share. Do allocates it on a
+// cache miss, the request's one allocation (Snapshot.Estimate is handed a
+// pointer into it); a caller-run execution serves it without queueing it.
 type job struct {
 	pendingJob
 	enqueued time.Time
-	// qspan is the request's "infer.queue" span, started at admission and
-	// ended by whichever side resolves the job first: the worker at pickup
-	// or the caller on shed/abandon (Span.End is first-wins).
-	qspan *obs.Span
+	// qspan is the request's "infer.queue" span, started at admission. It is
+	// the span's one copy, ended by whichever side resolves the job first:
+	// the execution at pickup, or the caller on shed or abandon (End is
+	// first-wins).
+	qspan obs.Span
 	// picked is set by the worker taking the job; abandoned by a caller
 	// that gave up. The pair resolves the shed-vs-serve race: a worker
 	// skips abandoned jobs, and a caller whose queue timer fires after
@@ -502,9 +506,10 @@ func (e *Engine) Stats() Stats {
 
 // validate rejects inputs that would poison downstream stages: non-finite
 // coordinates break map matching's distance math, a negative departure is
-// before the dataset epoch (timeslot.Slotter panics on it by design), and a
+// before the dataset epoch (timeslot.Slotter panics on it by design), a
 // departure whose slot index overflows an int under the model's slotter
-// would make the model's week-slot lookup panic.
+// would make the model's week-slot lookup panic, and so would an external
+// bundle core.ValidateExternal refuses.
 func validate(od traj.ODInput, slots *timeslot.Slotter) error {
 	for _, v := range [5]float64{od.Origin.X, od.Origin.Y, od.Dest.X, od.Dest.Y, od.DepartSec} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -512,6 +517,9 @@ func validate(od traj.ODInput, slots *timeslot.Slotter) error {
 		}
 	}
 	if od.DepartSec < 0 || slots != nil && !slots.Representable(od.DepartSec) {
+		return ErrInvalidInput
+	}
+	if od.External != nil && core.ValidateExternal(od.External) != nil {
 		return ErrInvalidInput
 	}
 	return nil
@@ -566,13 +574,14 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 		ev.TrafficEpoch = e.trafficEpoch()
 	}
 
-	_, qspan := e.reg.StartSpan(ctx, "infer.queue")
-	qspan.SetInt("queue_depth", len(e.queue))
+	j := &job{pendingJob: pendingJob{od: od, key: key, ctx: ctx}}
+	_, j.qspan = e.reg.StartSpan(ctx, "infer.queue")
+	j.qspan.SetInt("queue_depth", len(e.queue))
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		qspan.Fail(ErrClosed)
-		qspan.End()
+		j.qspan.Fail(ErrClosed)
+		j.qspan.End()
 		ev.Err = ErrClosed
 		return e.answer(ctx, start, &ev)
 	}
@@ -583,7 +592,7 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 			// a goroutine hand-over in front of the same work.
 			e.wg.Add(1)
 			e.mu.RUnlock()
-			ev = e.serveInline(ctx, od, key, qspan)
+			ev = e.serveInline(j)
 			return e.answer(ctx, start, &ev)
 		}
 		// Queued work goes first. The worker its enqueuer woke is waiting
@@ -591,7 +600,7 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 		<-e.slots
 	default:
 	}
-	j := &job{pendingJob: pendingJob{od: od, key: key, ctx: ctx}, enqueued: e.now(), qspan: qspan, done: make(chan ServeEvent, 1)}
+	j.enqueued, j.done = e.now(), make(chan ServeEvent, 1)
 	select {
 	case e.queue <- j:
 		select {
@@ -603,9 +612,9 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	default:
 		e.mu.RUnlock()
 		e.shedFull.Inc()
-		qspan.SetStr("shed", "queue_full")
-		qspan.Fail(ErrOverloaded)
-		qspan.End()
+		j.qspan.SetStr("shed", "queue_full")
+		j.qspan.Fail(ErrOverloaded)
+		j.qspan.End()
 		ev.Err = ErrOverloaded
 		return e.answer(ctx, start, &ev)
 	}
@@ -616,8 +625,8 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	case ev = <-j.done:
 	case <-ctx.Done():
 		j.abandoned.Store(true)
-		qspan.SetStr("shed", "abandoned")
-		qspan.End()
+		j.qspan.SetStr("shed", "abandoned")
+		j.qspan.End()
 		ev.Err = ctx.Err()
 	case <-timer.C:
 		if j.picked.Load() {
@@ -633,9 +642,9 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 		}
 		j.abandoned.Store(true)
 		e.shedTimeout.Inc()
-		qspan.SetStr("shed", "queue_timeout")
-		qspan.Fail(ErrQueueTimeout)
-		qspan.End()
+		j.qspan.SetStr("shed", "queue_timeout")
+		j.qspan.Fail(ErrQueueTimeout)
+		j.qspan.End()
 		ev.Err, ev.QueueWait = ErrQueueTimeout, e.cfg.QueueTimeout
 	}
 	return e.answer(ctx, start, &ev)
@@ -702,14 +711,13 @@ type pendingJob struct {
 // serveInline answers the caller's own request on the caller's goroutine,
 // under the slot Do took: the same snapshot load, spans and observations as
 // a worker picking it up after no wait at all.
-func (e *Engine) serveInline(ctx context.Context, od traj.ODInput, key cacheKey, qspan *obs.Span) ServeEvent {
+func (e *Engine) serveInline(j *job) ServeEvent {
 	defer e.release()
-	qspan.SetFloat("wait_ms", 0)
-	qspan.End()
+	j.qspan.SetFloat("wait_ms", 0)
+	j.qspan.End()
 	e.queueWait.Observe(0)
 	e.batchSize.Observe(1)
-	// On the heap: Snapshot.Estimate is handed a pointer into it.
-	return e.serve(e.cur.Load(), &pendingJob{od: od, key: key, ctx: ctx}, 1)
+	return e.serve(e.cur.Load(), &j.pendingJob, 1)
 }
 
 // release returns a caller-run execution's slot and lets Close go.
@@ -809,7 +817,7 @@ func (e *Engine) serve(inst *installed, p *pendingJob, batchSize int) ServeEvent
 
 func (e *Engine) match(ctx context.Context, p *pendingJob) (err error) {
 	mctx, mspan := e.reg.StartSpan(ctx, "infer.match")
-	defer e.contained(&err, mspan)
+	defer e.contained(&err, &mspan)
 	p.matched, err = e.cfg.Match(mctx, p.od)
 	if err != nil {
 		mspan.Fail(err)
@@ -828,7 +836,7 @@ func (e *Engine) match(ctx context.Context, p *pendingJob) (err error) {
 
 func (e *Engine) estimate(ctx context.Context, inst *installed, p *pendingJob) (sec float64, err error) {
 	ectx, espan := e.reg.StartSpan(ctx, "infer.model")
-	defer e.contained(&err, espan)
+	defer e.contained(&err, &espan)
 	sec = inst.snap.Estimate(ectx, &p.matched)
 	espan.End()
 	return sec, nil

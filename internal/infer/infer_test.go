@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"deepod/internal/core"
 	"deepod/internal/geo"
 	"deepod/internal/obs"
+	"deepod/internal/roadnet"
 	"deepod/internal/timeslot"
 	"deepod/internal/traj"
 )
@@ -204,6 +206,46 @@ func TestInvalidInputRejected(t *testing.T) {
 		if _, err := e.Do(context.Background(), bad); !errors.Is(err, ErrInvalidInput) {
 			t.Fatalf("case %d: err = %v, want ErrInvalidInput", i, err)
 		}
+	}
+}
+
+// TestBadExternalIsInvalidInput: an external bundle the model cannot
+// encode — a weather id out of range, a speed grid of the wrong length — is
+// the caller's bad input, refused before the model sees it, not a panic the
+// execution guard turns into ErrInternal.
+func TestBadExternalIsInvalidInput(t *testing.T) {
+	gcfg := roadnet.SmallCity("bad-external", 7)
+	gcfg.Rows, gcfg.Cols = 4, 4
+	g, err := roadnet.GenerateCity(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.New(core.SmallConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, ModelSnapshot("real", m))
+	cfg.Match = func(_ context.Context, in traj.ODInput) (traj.MatchedOD, error) {
+		return traj.MatchedOD{OriginEdge: 0, DestEdge: 1, RStart: 0.5, REnd: 0.5, DepartSec: in.DepartSec, External: in.External}, nil
+	}
+	e := newTestEngine(t, cfg)
+	for name, ext := range map[string]*traj.ExternalFeatures{
+		"weather": {Weather: 99},
+		"grid":    {SpeedGrid: make([]float64, 5), GridRows: 2, GridCols: 2},
+	} {
+		in := od(1, 1, 5, 5, 600)
+		in.External = ext
+		if _, err := e.Do(context.Background(), in); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: err = %v, want ErrInvalidInput", name, err)
+		}
+	}
+	if n := e.panics.Value(); n != 0 {
+		t.Fatalf("tte_infer_panics_total = %d, want 0", n)
+	}
+	in := od(1, 1, 5, 5, 600)
+	in.External = &traj.ExternalFeatures{Weather: 1, SpeedGrid: make([]float64, 4), GridRows: 2, GridCols: 2}
+	if _, err := e.Do(context.Background(), in); err != nil {
+		t.Fatalf("a well-formed bundle: %v", err)
 	}
 }
 

@@ -410,3 +410,38 @@ func gateDisabledPath(t *testing.T, name string, bound time.Duration, run func(n
 	}
 	t.Logf("disabled %s overhead: %v per request", name, best)
 }
+
+// TestEngineAllocs counts what one Do allocates with no observers wired. A
+// cache hit allocates nothing. A miss (stub match and model, cache off)
+// allocates its job alone: the heap home of the pendingJob whose matched OD
+// Estimate is handed a pointer to. The spans of an untraced request
+// allocate nothing on either path.
+func TestEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count, skipped under the race detector")
+	}
+	for _, c := range []struct {
+		name  string
+		cache int
+		want  float64
+	}{
+		{"hit", 256, 0},
+		{"miss", 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(t, constSnapshot("m1", 42))
+			cfg.CacheEntries = c.cache
+			e := newTestEngine(t, cfg)
+			ctx, in := context.Background(), od(1, 1, 5, 5, 600)
+			do := func() {
+				if _, err := e.Do(ctx, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			do() // fills the cache for the hit case
+			if got := testing.AllocsPerRun(1000, do); got != c.want {
+				t.Fatalf("%s: %v allocs per Do, want %v", c.name, got, c.want)
+			}
+		})
+	}
+}

@@ -51,7 +51,8 @@ type candState struct {
 
 // viterbi returns one candidate per GPS point.
 func (m *Matcher) viterbi(ctx context.Context, pts []traj.GPSPoint) ([]roadnet.Candidate, error) {
-	defer obs.TimeCtx(ctx, "mapmatch.viterbi")()
+	_, span := obs.StartSpan(ctx, "mapmatch.viterbi")
+	defer span.End()
 	sigma2 := 2 * m.cfg.SigmaMeters * m.cfg.SigmaMeters
 	prevStates := []candState{}
 	allStates := make([][]candState, len(pts))
@@ -144,7 +145,8 @@ func (m *Matcher) routeBetween(a, b roadnet.Candidate) ([]roadnet.EdgeID, float6
 // assemble stitches the chosen candidates into a connected edge sequence
 // with linearly interpolated per-segment time intervals.
 func (m *Matcher) assemble(ctx context.Context, pts []traj.GPSPoint, chosen []roadnet.Candidate) (traj.Trajectory, error) {
-	defer obs.TimeCtx(ctx, "mapmatch.assemble")()
+	_, aspan := obs.StartSpan(ctx, "mapmatch.assemble")
+	defer aspan.End()
 	// Build the full edge sequence with, for each edge, the (time, frac)
 	// anchor points we know from GPS samples.
 	type anchor struct {

@@ -75,7 +75,8 @@ func New(g *roadnet.Graph, cfg Config) (*Matcher, error) {
 // segment, returning the segment and the fraction along it. The
 // mapmatch.point span keeps its parent link inside a traced request.
 func (m *Matcher) MatchPointCtx(ctx context.Context, p geo.Point) (roadnet.EdgeID, float64, error) {
-	defer obs.TimeCtx(ctx, "mapmatch.point")()
+	_, span := obs.StartSpan(ctx, "mapmatch.point")
+	defer span.End()
 	c, err := m.idx.NearestEdge(p)
 	if err != nil {
 		return 0, 0, err

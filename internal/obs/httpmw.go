@@ -63,7 +63,7 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 
 		req := r
 		var tr *Trace
-		var root *Span
+		var root Span
 		if mw.Traces != nil {
 			id, ok := ParseTraceID(r.Header.Get(TraceHeader))
 			if !ok {
@@ -93,7 +93,7 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 			byClass[ci].Store(requests)
 		}
 		requests.Inc()
-		if root != nil {
+		if tr != nil {
 			root.SetInt("status", code)
 			root.SetInt("bytes", int(sw.bytes))
 			if code >= 500 {

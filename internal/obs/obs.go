@@ -17,11 +17,13 @@
 // StartSpan and the HTTP middleware keep their handles for that reason.
 //
 // Spans serve two layers at once: every End records into the aggregate
-// tte_span_seconds{span} histogram exactly as before, and when the context
-// carries a Trace (started by the HTTP middleware or StartTrace) the span
-// also joins that request's tree with its parent link, typed attributes
-// and error status. On untraced contexts the attribute setters are no-ops,
-// so instrumented code pays near-zero cost outside a traced request.
+// tte_span_seconds{span} histogram, and when the context carries a Trace
+// (started by the HTTP middleware or StartTrace) the span also joins that
+// request's tree with its parent link, typed attributes and error status.
+// On untraced contexts a Span is a value that allocates nothing and leaves
+// the context as it was, and the attribute setters are no-ops, so outside
+// a traced request a stage costs two clock reads, a name lookup and one
+// histogram observation.
 //
 // Metric naming follows the Prometheus conventions: `tte_` prefix,
 // `_total` suffix on counters, `_seconds` on duration histograms. The
@@ -64,31 +66,41 @@ type spanCtxKey struct{}
 // base is one monotonic clock read, time.Now reads the wall clock as well.
 var clockBase = time.Now()
 
-// Span measures one timed stage of a pipeline. A Span is started with
-// StartSpan and finished exactly once with End; End records the duration
-// into the registry histogram tte_span_seconds{span="<name>"} and, if a
-// span logger is installed, emits one structured log line.
+// Span measures one timed stage of a pipeline. StartSpan returns it by
+// value and End finishes it exactly once, recording the duration into the
+// registry histogram tte_span_seconds{span="<name>"}.
 //
-// When the context given to StartSpan carries a Trace, the span is also
-// recorded into that trace's tree: Set* attach typed attributes and Fail
-// marks the span (and trace) errored. On untraced spans those calls are
-// no-ops, so the same instrumentation runs on every request at negligible
-// cost and only traced requests pay for attribute storage.
+// When the context given to StartSpan carries a Trace, the span also joins
+// that trace's tree: Set* attach typed attributes and Fail marks the span
+// (and trace) errored. On untraced spans those calls are no-ops and the
+// span is only its start, its histogram and its done flag, so the same
+// instrumentation runs on every request without allocating and only
+// traced requests pay for the tree.
+//
+// A started Span is not copied: two copies would each record on End. Its
+// atomic done flag makes go vet's copylocks check report a copy, so a span
+// that outlives its starter's frame (the engine's queue span) lives in one
+// place, ended through a pointer by whichever side finishes it.
 type Span struct {
-	// Context is the context the span was started under. The span is itself
-	// the context StartSpan returns (see Value), so starting one allocates
-	// the span and nothing else.
+	start time.Duration // since clockBase
+	hist  *Histogram
+	done  atomic.Bool // set by the first End
+	trace *tracedSpan // nil unless the span joined a trace
+}
+
+// tracedSpan is the part of a span that only a traced request allocates.
+// It is the context StartSpan returns (see Value), so spans started under
+// it find it as their parent.
+type tracedSpan struct {
 	context.Context
 
 	name  string
-	start time.Duration // since clockBase
-	hist  *Histogram
-	done  atomic.Bool
+	start time.Duration
 
-	// Trace linkage. trace/index/parentIdx are written by Trace.register
-	// inside StartSpan, before the span is visible to other goroutines;
-	// the mutable fields below are guarded by mu.
-	trace     *Trace
+	// Trace linkage, written by Trace.register inside StartSpan before the
+	// span is visible to other goroutines; tr stays nil when the trace's
+	// span cap dropped the span. The mutable fields below are guarded by mu.
+	tr        *Trace
 	index     int
 	parentIdx int
 
@@ -99,33 +111,33 @@ type Span struct {
 }
 
 // Value makes the span the innermost span of every context derived from it.
-func (s *Span) Value(key any) any {
+func (t *tracedSpan) Value(key any) any {
 	if key == (spanCtxKey{}) {
-		return s
+		return t
 	}
-	return s.Context.Value(key)
+	return t.Context.Value(key)
 }
 
 // StartSpan begins a named span recording into reg's tte_span_seconds
-// family. The returned context carries the span so nested StartSpan calls
-// link to their parent, and — when ctx carries a Trace — the span joins
-// the trace's tree.
-func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+// family. On an untraced context it returns ctx itself and allocates
+// nothing. When ctx carries a Trace, the span joins the trace's tree and
+// the returned context carries it, so nested StartSpan calls link to it as
+// their parent.
+func (r *Registry) StartSpan(ctx context.Context, name string) (sctx context.Context, s Span) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &Span{
-		Context:   ctx,
-		name:      name,
-		start:     time.Since(clockBase),
-		hist:      r.spanHist(name),
-		parentIdx: -1,
-	}
+	sctx, s.start, s.hist = ctx, time.Since(clockBase), r.spanHist(name)
 	if t := TraceFrom(ctx); t != nil {
-		p, _ := ctx.Value(spanCtxKey{}).(*Span)
-		t.register(s, p)
+		ts := &tracedSpan{Context: ctx, name: name, start: s.start, parentIdx: -1}
+		p, _ := ctx.Value(spanCtxKey{}).(*tracedSpan)
+		t.register(ts, p)
+		if ts.tr != nil {
+			s.trace = ts
+		}
+		sctx = ts
 	}
-	return s, s
+	return // bare: returning a Span variable is a copy vet reports
 }
 
 // spanHist resolves a span name to its tte_span_seconds{span=name} histogram
@@ -141,7 +153,7 @@ func (r *Registry) spanHist(name string) *Histogram {
 }
 
 // StartSpan is Registry.StartSpan on the default registry.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 	return defaultRegistry.StartSpan(ctx, name)
 }
 
@@ -156,22 +168,19 @@ func (s *Span) End() time.Duration {
 		return d
 	}
 	s.hist.Observe(d.Seconds())
-	if s.trace != nil {
+	if t := s.trace; t != nil {
 		// Traced spans carry the trace ID into the histogram as an
 		// exemplar when recording is on; untraced spans (the common case)
 		// never reach this branch, so the disabled path stays a nil check.
 		if exemplarsOn.Load() {
-			s.hist.recordExemplar(d.Seconds(), s.trace.id)
+			s.hist.recordExemplar(d.Seconds(), t.tr.id)
 		}
-		s.mu.Lock()
-		s.dur = d
-		s.mu.Unlock()
+		t.mu.Lock()
+		t.dur = d
+		t.mu.Unlock()
 	}
 	return d
 }
-
-// Name returns the span's name.
-func (s *Span) Name() string { return s.name }
 
 // SetAttr attaches a typed attribute to the span. No-op on untraced spans,
 // so hot-path instrumentation can set attributes unconditionally.
@@ -179,9 +188,10 @@ func (s *Span) SetAttr(key string, value any) {
 	if s == nil || s.trace == nil {
 		return
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
+	t := s.trace
+	t.mu.Lock()
+	t.attrs = append(t.attrs, Attr{Key: key, Value: value})
+	t.mu.Unlock()
 }
 
 // setTyped is SetAttr for the typed setters: it asks whether the span is
@@ -210,20 +220,11 @@ func (s *Span) Fail(err error) {
 	if s == nil || err == nil || s.trace == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.errMsg == "" {
-		s.errMsg = err.Error()
+	t := s.trace
+	t.mu.Lock()
+	if t.errMsg == "" {
+		t.errMsg = err.Error()
 	}
-	s.mu.Unlock()
-	s.trace.noteError()
-}
-
-// TimeCtx starts a timer on the default registry's tte_span_seconds family
-// under ctx — preserving span parentage and trace membership — and returns
-// the function that stops it, for one-line instrumentation:
-//
-//	defer obs.TimeCtx(ctx, "mapmatch.viterbi")()
-func TimeCtx(ctx context.Context, name string) func() time.Duration {
-	_, s := defaultRegistry.StartSpan(ctx, name)
-	return s.End
+	t.mu.Unlock()
+	t.tr.noteError()
 }

@@ -125,17 +125,21 @@ func TestUntracedSpanNoops(t *testing.T) {
 	}
 }
 
-func TestTimeCtxKeepsParentage(t *testing.T) {
+// TestPackageSpanKeepsParentage: a span started and ended through the
+// package-level StartSpan, as mapmatch's stages are, is a child of the span
+// its context carries.
+func TestPackageSpanKeepsParentage(t *testing.T) {
 	ctx, tr := StartTrace(context.Background(), "tid-time", "/x")
 	rctx, root := StartSpan(ctx, "root")
-	TimeCtx(rctx, "stage")()
+	_, stage := StartSpan(rctx, "stage")
+	stage.End()
 	d := root.End()
 	rec := tr.snapshot(d, "sample")
 	if len(rec.Spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(rec.Spans))
 	}
 	if rec.Spans[1].Name != "stage" || rec.Spans[1].Parent != 0 {
-		t.Fatalf("TimeCtx span = %+v, want child of root", rec.Spans[1])
+		t.Fatalf("stage span = %+v, want child of root", rec.Spans[1])
 	}
 }
 

@@ -91,11 +91,11 @@ func TestUntracedSpanOverhead(t *testing.T) {
 	t.Logf("disabled-tracing overhead: %v per span", best)
 }
 
-// TestUntracedSpanAllocs bounds the whole untraced span — StartSpan, the
-// attribute setters, End — by what it allocates: the Span, which is also the
-// context it returns, and nothing else (no label strings, no context node,
-// no boxed attribute values). A count repeats on any machine; the
-// nanoseconds of BenchmarkSpanUntraced do not.
+// TestUntracedSpanAllocs counts what the whole untraced span — StartSpan,
+// the attribute setters, End — allocates: nothing. The span is a value, the
+// context comes back as it went in, and no label string or boxed attribute
+// value is built. A count repeats on any machine; the nanoseconds of
+// BenchmarkSpanUntraced do not.
 func TestUntracedSpanAllocs(t *testing.T) {
 	reg := NewRegistry()
 	type reqKey struct{}
@@ -111,8 +111,8 @@ func TestUntracedSpanAllocs(t *testing.T) {
 			s.SetBool("hit", false)
 			s.SetStr("snapshot", name)
 			s.End()
-		}); a > 1 {
-			t.Errorf("untraced span under a %s context allocates %v times, want <= 1", name, a)
+		}); a != 0 {
+			t.Errorf("untraced span under a %s context allocates %v times, want 0", name, a)
 		}
 	}
 }

@@ -8,12 +8,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,12 +54,18 @@ func tinyGraphModel(t testing.TB) (*roadnet.Graph, *core.Model) {
 // tracing on, so tests can follow one request's spans across every layer.
 func newTracedEngineServer(t testing.TB) (*Server, *obs.TraceStore, string) {
 	t.Helper()
+	return newEngineServer(t, obs.NewRegistry(), true)
+}
+
+// newEngineServer is newTracedEngineServer on reg, with tracing on or off
+// (a nil store).
+func newEngineServer(t testing.TB, reg *obs.Registry, traced bool) (*Server, *obs.TraceStore, string) {
+	t.Helper()
 	g, m := tinyGraphModel(t)
 	matcher, err := mapmatch.New(g, mapmatch.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
 	eng, err := infer.New(infer.Config{
 		Match: func(ctx context.Context, od traj.ODInput) (traj.MatchedOD, error) {
 			oe, of, err := matcher.MatchPointCtx(ctx, od.Origin)
@@ -85,7 +94,10 @@ func newTracedEngineServer(t testing.TB) (*Server, *obs.TraceStore, string) {
 	}
 	t.Cleanup(eng.Close)
 
-	ts := obs.NewTraceStore(reg, obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1})
+	var ts *obs.TraceStore
+	if traced {
+		ts = obs.NewTraceStore(reg, obs.TraceStoreConfig{SlowestN: -1, SampleRate: 1})
+	}
 	s, err := New(Config{
 		City:     "trace-city",
 		Infer:    eng.Do,
@@ -509,5 +521,59 @@ func TestCheckpointVersionSurface(t *testing.T) {
 	if rec.Code != http.StatusOK || body["model"] != plain.ID || body["checkpoint"] != path ||
 		body["weights"] != float64(m.NumWeights()) || body["edges"] != float64(g.NumEdges()) {
 		t.Fatalf("GET /version = %d %v", rec.Code, body)
+	}
+}
+
+// spanCounts scrapes h's /metrics for every tte_span_seconds_count series.
+func spanCounts(t *testing.T, h http.Handler) map[string]uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	out := map[string]uint64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, obs.SpanFamily+`_count{span="`)
+		if !ok {
+			continue
+		}
+		name, count, ok := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseUint(count, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("unparsable series %q", line)
+		}
+		out[name] = n
+	}
+	return out
+}
+
+// TestSpanCountsUntracedAndTraced: one cold /estimate through the real
+// stack observes the same tte_span_seconds series, each the same number of
+// times, whether it is traced or not; tracing adds only the route's root
+// span. The engine, the matcher and the model all record into the default
+// registry here, so one scrape sees every stage.
+func TestSpanCountsUntracedAndTraced(t *testing.T) {
+	stages := map[string]uint64{
+		"decode": 1, "infer.cache": 1, "infer.queue": 1, "infer.batch": 1, "infer.match": 1,
+		"mapmatch.point": 2, "infer.model": 1, "encode": 1, "estimate": 1,
+	}
+	for _, traced := range []bool{false, true} {
+		s, _, body := newEngineServer(t, obs.Default(), traced)
+		h := s.Handler()
+		before := spanCounts(t, h)
+		if rec := postEstimate(t, h, body); rec.Code != http.StatusOK {
+			t.Fatalf("traced=%v: estimate = %d, body %s", traced, rec.Code, rec.Body)
+		}
+		got := map[string]uint64{}
+		for name, n := range spanCounts(t, h) {
+			if d := n - before[name]; d != 0 {
+				got[name] = d
+			}
+		}
+		want := maps.Clone(stages)
+		if traced {
+			want["/estimate"] = 1
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("traced=%v: one request observed %v, want %v", traced, got, want)
+		}
 	}
 }

@@ -53,11 +53,11 @@ go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz FuzzLoadSLOConfig -fuzztime 5s ./internal/slo/
 go test -run '^$' -fuzz FuzzNearestEdge -fuzztime 5s ./internal/roadnet/
 
-echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End in allocations)"
+echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End 0 allocations)"
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
 
-echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, SLO request accounting; ns and 0 allocations each)"
-go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead' ./internal/infer/
+echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, SLO request accounting; ns and 0 allocations each; a whole Do: 0 allocations on a cache hit, 1 on a miss)"
+go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead|TestEngineAllocs' ./internal/infer/
 
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
