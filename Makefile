@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the PR gate (see scripts/check.sh).
 
-.PHONY: build test check race fmt bench tracebench enginebench slobench replaybench telemetrybench matchbench
+.PHONY: build test check race fmt bench tracebench enginebench replaybench telemetrybench matchbench
 
 build:
 	go build ./...
@@ -12,7 +12,7 @@ check:
 	./scripts/check.sh
 
 race:
-	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/citysim/... ./cmd/tteserve/
+	go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/citysim/... ./cmd/tteserve/
 	go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 	go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 	go test -race -run 'GoldenBits|Batch|Concurrent' ./internal/models/
@@ -33,9 +33,6 @@ tracebench:
 enginebench:
 	go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead|TestEngineAllocs' -v ./internal/infer/
 
-slobench:
-	go test -run '^$$' -bench 'BenchmarkEvaluatorObserve|BenchmarkManagerSet' ./internal/slo/
-
 matchbench:
 	go test -run '^$$' -bench 'BenchmarkNearestEdge|BenchmarkNearestInto' -benchmem ./internal/roadnet/
 
@@ -44,4 +41,3 @@ replaybench:
 
 telemetrybench:
 	go test -run 'TestTelemetryDisabledOverhead' -v ./internal/obs/
-	go test -run '^$$' -bench 'BenchmarkSamplerTick' -benchmem ./internal/serve/

@@ -17,14 +17,12 @@
 //	POST /reload       → re-read -model from disk and atomically swap it in
 //	GET  /metrics      → Prometheus text exposition (see README "Observability")
 //	GET  /debug/traces → tail-sampled request traces as JSON
-//	GET  /debug/slo    → SLO status: per-objective SLI, error budget, burn rates
-//	GET  /debug/alerts → firing alerts and transition history
 //	POST /probes       → NDJSON GPS probe firehose feeding the live traffic store (with -traffic)
 //	GET  /debug/traffic → live traffic pipeline state: probes, coverage, epoch (with -traffic)
 //	GET  /debug/recorder → flight-recorder wide events + segment downloads (with -recorder)
 //
-// Every -telemetry-interval one sampler refreshes the runtime gauges and,
-// with -slo, hands one registry snapshot to the SLO evaluator. With
+// /metrics reads the runtime gauges when it is scraped; no goroutine
+// samples the process between scrapes. With
 // -exemplars, histogram observations on traced requests carry their trace
 // ID: /metrics?exemplars=1 exposes them in OpenMetrics exemplar syntax,
 // resolvable at /debug/traces?trace=<id>.
@@ -49,11 +47,10 @@
 // staleness and the session TTL are internal/traffic's and
 // internal/mapmatch's defaults, and the live grid is the city's speed grid.
 //
-// With -slo (default on) the SLO engine evaluates burn-rate alert rules
-// over the built-in objectives (availability, latency, shed rate of
-// /estimate) on every sampler tick; -slo-config swaps in custom objectives
-// and rules. The quality monitor's drift alert routes through the same
-// manager.
+// The process evaluates no alert. The service-level objectives
+// (availability, latency and shed rate of /estimate) and the quality
+// monitor's drift are Prometheus rules over /metrics, committed in
+// deploy/alerts.rules.json.
 //
 // Every request is traced: the trace ID is taken from X-Trace-Id (or
 // generated), echoed in the response, stamped on every log line, and the
@@ -63,10 +60,10 @@
 //
 // A flag exists only where deployments differ: what is served and where
 // (-city -orders -seed -model -train-workers -addr -debug-addr
-// -recorder-dir -slo-config -log-json -grace), which subsystems run
-// (-traffic -quality -recorder -slo -exemplars), and the sizes
+// -recorder-dir -log-json -grace), which subsystems run
+// (-traffic -quality -recorder -exemplars), and the sizes
 // and rates fitted to the host or the traffic (-workers -cache
-// -traffic-workers -trace-sample -recorder-sample -telemetry-interval).
+// -traffic-workers -trace-sample -recorder-sample).
 // Every other setting is the default of the package that applies it.
 //
 // SIGHUP triggers the same reload as POST /reload. Errors are JSON:
@@ -99,7 +96,6 @@ import (
 	"deepod/internal/recorder"
 	"deepod/internal/roadnet"
 	"deepod/internal/serve"
-	"deepod/internal/slo"
 	"deepod/internal/traffic"
 	"deepod/internal/traj"
 )
@@ -132,15 +128,6 @@ type modelEstimator struct{ m *core.Model }
 
 func (e *modelEstimator) Name() string                          { return "DeepOD" }
 func (e *modelEstimator) Estimate(od *deepod.MatchedOD) float64 { return e.m.Estimate(od) }
-
-// alertSinkOrNil keeps a nil *slo.Manager from becoming a non-nil
-// AlertSink interface on the quality config.
-func alertSinkOrNil(m *slo.Manager) quality.AlertSink {
-	if m == nil {
-		return nil
-	}
-	return m
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -180,11 +167,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		recorderDir    = fs.String("recorder-dir", "", "mirror captured wide events to JSONL segment files in this directory (empty = in-memory only)")
 		recorderSample = fs.Float64("recorder-sample", 0.01, "probability of capturing a normal (non-error, non-slow) estimate; errors and shed requests are always captured")
 
-		telemetryInterval = fs.Duration("telemetry-interval", 10*time.Second, "sampling period of the one process sampler: runtime gauges and SLO evaluation")
-		exemplarsOn       = fs.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1)")
-
-		sloOn     = fs.Bool("slo", true, "SLO engine: burn-rate alerting over the built-in objectives, GET /debug/slo and /debug/alerts")
-		sloConfig = fs.String("slo-config", "", "JSON file with custom SLO objectives and burn rules (empty = built-in defaults)")
+		exemplarsOn = fs.Bool("exemplars", false, "attach trace-ID exemplars to histogram observations (exposed at /metrics?exemplars=1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -246,38 +229,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	// trace ID onto histogram observations.
 	obs.SetExemplars(*exemplarsOn)
 
-	// The SLO/alerting layer is assembled before the engine branch so the
-	// quality monitor can route its drift alert through the same manager.
-	// The evaluator observes the process sampler's snapshots of the default
-	// registry.
-	var (
-		alertMgr  *slo.Manager
-		sloEval   *slo.Evaluator
-		observers []func(time.Time, []obs.Sample)
-	)
-	if *sloOn {
-		alertMgr = slo.NewManager(slo.ManagerConfig{Logger: logger})
-		objectives, rules := slo.DefaultObjectives(), slo.DefaultRules()
-		if *sloConfig != "" {
-			objectives, rules, err = slo.LoadConfig(*sloConfig)
-			if err != nil {
-				return fail("loading SLO config", err)
-			}
-		}
-		sloEval, err = slo.New(slo.Config{
-			Objectives: objectives,
-			Rules:      rules,
-			Interval:   *telemetryInterval,
-			Manager:    alertMgr,
-		})
-		if err != nil {
-			return fail("building SLO evaluator", err)
-		}
-		observers = append(observers, sloEval.Observe)
-	}
-	stopSampler := obs.StartSampler(nil, *telemetryInterval, observers...)
-	defer stopSampler()
-
 	bounds := c.Graph.Bounds()
 	scfg := serve.Config{
 		City:   c.Name,
@@ -288,8 +239,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		},
 		Logger: logger,
 		Traces: traces,
-		SLO:    sloEval,
-		Alerts: alertMgr,
 	}
 
 	scfg.External = c.Grid.External
@@ -303,7 +252,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 			Reference:      snap.RefDist,
 			ReferenceModel: snap.ID,
 			Logger:         logger,
-			Alerts:         alertSinkOrNil(alertMgr),
 		})
 		if snap.RefDist == nil {
 			logger.Info("quality: no reference error distribution in the model; drift detection off until a reload provides one")
@@ -454,7 +402,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	}
 
 	hsrv := serve.NewHTTPServer(*addr, srv.Handler())
-	logger.Info("serving", "city", *city, "addr", *addr, "metrics", "/metrics", "traces", "/debug/traces", "sample_every", *telemetryInterval)
+	logger.Info("serving", "city", *city, "addr", *addr, "metrics", "/metrics", "traces", "/debug/traces")
 	logf := func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
 	if err := serve.ListenAndServe(ctx, hsrv, *grace, logf); err != nil {
 		return fail("server", err)

@@ -223,6 +223,9 @@ func TestRunRejectsRemovedFlags(t *testing.T) {
 		{"-log-spans"},
 		{"-burn-fast", "6"},
 		{"-traffic-cell", "200"},
+		{"-slo"},
+		{"-slo-config", "slo.json"},
+		{"-telemetry-interval", "10s"},
 	} {
 		var stderr bytes.Buffer
 		if code := run(context.Background(), args, &stderr); code != 2 {

@@ -97,6 +97,30 @@ func BenchmarkEngineNoCache(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineMiss is BenchmarkEngineNoCache with the default 8192-entry
+// cache on: a rotation through four times as many distinct ODs evicts every
+// key before it comes round again, so each request pays the lookup, the
+// miss and the insert on top of the full estimate. Minus NoCache, it is
+// what the cache costs a stream that never repeats.
+func BenchmarkEngineMiss(b *testing.B) {
+	e := benchEngine(b, 8192)
+	ods := benchWorkload(4 * 8192)
+	var next atomic.Int64
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			r, err := e.Do(ctx, ods[int(next.Add(1))%len(ods)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r.Cached {
+				b.Fatal("a lookup hit the cache")
+			}
+		}
+	})
+}
+
 // BenchmarkEngineOversubscribed is BenchmarkEngineNoCache with eight
 // callers per P, so callers outnumber Workers and misses queue: the drain is
 // what serves them, a batch to a slot hand-over.

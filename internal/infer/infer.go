@@ -40,7 +40,7 @@
 //	tte_infer_batch_size             histogram, requests per execution
 //	tte_infer_cache_events_total     counter {event=hit|miss|evict_lru|evict_ttl|evict_stale}
 //	tte_infer_cache_entries          gauge, live cache entries
-//	tte_infer_requests_total         counter, valid requests (shed-rate SLO denominator)
+//	tte_infer_requests_total         counter, valid requests (the shed rule's denominator)
 //	tte_infer_shed_total             counter {reason=queue_full|queue_timeout}
 //	tte_infer_reloads_total          counter, snapshot swaps
 //	tte_infer_panics_total           counter, panics contained by the execution guard
@@ -554,8 +554,9 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	if ev.Err != nil {
 		return e.answer(ctx, start, &ev)
 	}
-	// The shed-rate SLO's denominator: tte_infer_shed_total / this ratio is
-	// the fraction of valid requests admission control turned away.
+	// The shed rule's denominator (deploy/alerts.rules.json):
+	// tte_infer_shed_total over this is the fraction of valid requests
+	// admission control turned away.
 	e.requests.Inc()
 	ev.Generation = inst.gen
 	var key cacheKey

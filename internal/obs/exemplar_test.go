@@ -174,21 +174,15 @@ func TestTelemetryDisabledOverhead(t *testing.T) {
 	defer s.End()
 	h := r.Histogram("gate_seconds", DefBuckets)
 
-	best := time.Duration(1 << 62)
-	for attempt := 0; attempt < 5; attempt++ {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The exact guard Span.End and the HTTP middleware run on
-				// the disabled path.
-				if s.trace != nil && exemplarsOn.Load() {
-					h.recordExemplar(1, "unreachable")
-				}
+	best := bestPerCall(func(n int) {
+		for i := 0; i < n; i++ {
+			// The exact guard Span.End and the HTTP middleware run on the
+			// disabled path.
+			if s.trace != nil && exemplarsOn.Load() {
+				h.recordExemplar(1, "unreachable")
 			}
-		})
-		if d := time.Duration(res.NsPerOp()); d < best {
-			best = d
 		}
-	}
+	})
 	const bound = 100 * time.Nanosecond
 	if best > bound {
 		t.Fatalf("disabled-telemetry overhead = %v per observation, want <= %v", best, bound)

@@ -4,8 +4,8 @@
 // request-scoped diagnosis, a Prometheus-text exposition handler for
 // GET /metrics, HTTP middleware that accounts requests by route and status
 // class, a tail-sampling trace store served at GET /debug/traces, a
-// slog.Handler decorator that stamps log lines with the trace ID, and a
-// runtime stats sampler (goroutines, heap, GC) feeding registry gauges.
+// slog.Handler decorator that stamps log lines with the trace ID, and
+// runtime gauges (goroutines, heap, GC) read at scrape time.
 // Its TailSampler and Ring are the one tail-sampling policy and the one
 // bounded buffer the other observability packages build on.
 //

@@ -1,8 +1,7 @@
 package obs
 
 // Ring is a bounded circular buffer, oldest first: the one bounded history
-// in the repo. The trace store, the flight recorder's shards, the alert
-// manager's transition history and the SLO burn windows all keep their
+// in the repo. The trace store and the flight recorder's shards keep their
 // retained elements in it. Not safe for concurrent use; callers guard it
 // with their own lock.
 type Ring[T any] struct {

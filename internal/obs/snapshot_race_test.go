@@ -7,9 +7,9 @@ import (
 )
 
 // TestRegistryRegisterWhileSnapshot races brand-new family and child
-// registration against Snapshot readers. This is exactly the process
-// sampler's access pattern: its ticker calls Snapshot on a fixed
-// interval while request goroutines are still minting new (name, labels)
+// registration against Snapshot readers. This is exactly a scrape's
+// access pattern: /metrics calls Snapshot at any moment while request
+// goroutines are still minting new (name, labels)
 // identities — first requests on a cold route, a hot-reload registering
 // fresh families — so creation must never tear a snapshot. Run under -race
 // (scripts/check.sh does).

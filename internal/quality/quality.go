@@ -21,10 +21,9 @@
 //  4. A drift detector bins live absolute errors into the reference error
 //     distribution recorded at training time (metrics.RefDist, stored in
 //     the checkpoint by ttetrain) and computes the Population Stability
-//     Index. tte_quality_drift crossing Config.DriftThreshold raises the
-//     level-triggered "quality:drift" alert through Config.Alerts (one
-//     slog warning per window as fallback when no sink is wired) +
-//     tte_quality_drift_alerts_total.
+//     Index. tte_quality_drift crossing Config.DriftThreshold logs one
+//     slog warning per window and bumps tte_quality_drift_alerts_total;
+//     paging on it is a rule over the gauge (deploy/alerts.rules.json).
 //
 // Exported metric families (through the obs registry):
 //
@@ -92,24 +91,10 @@ type Config struct {
 	ReferenceModel string
 	// Registry receives the monitor's metrics (default obs.Default()).
 	Registry *obs.Registry
-	// Logger receives drift warnings (nil logs nowhere). When Alerts is
-	// set it takes over and the logger is only the fallback surface.
+	// Logger receives drift warnings (nil logs nowhere).
 	Logger *slog.Logger
-	// Alerts, when set, receives the drift condition as a level-triggered
-	// alert named "quality:drift" — firing while PSI exceeds the
-	// threshold, cleared when it recedes — so drift shares one alert
-	// surface with burn-rate and shed alerts instead of an ad-hoc log
-	// line. Typically *slo.Manager through its SetAlert method.
-	Alerts AlertSink
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
-}
-
-// AlertSink is the narrow alert surface the monitor reports drift through.
-// It is satisfied by slo.(*Manager).SetAlert; a local interface keeps this
-// package decoupled from the slo package's types.
-type AlertSink interface {
-	SetAlert(name string, firing bool, severity string, value float64, annotations map[string]any)
 }
 
 // absErrBuckets are the per-window quantile histogram bounds, finer than
@@ -428,22 +413,10 @@ func (m *Monitor) joinLocked(p *pendingPred, actual float64) {
 		if w.n >= m.cfg.MinDriftSamples {
 			psi := metrics.PSI(m.refProbs, w.driftCounts)
 			m.driftGauge.Set(psi)
-			firing := psi > m.cfg.DriftThreshold
-			if m.cfg.Alerts != nil {
-				// Level-triggered: the manager dedups repeats and turns
-				// edges into notifications, so report the current truth
-				// every time PSI is recomputed.
-				m.cfg.Alerts.SetAlert("quality:drift", firing, "ticket", psi, map[string]any{
-					"threshold":          m.cfg.DriftThreshold,
-					"window_samples":     w.n,
-					"reference_model":    m.refModel,
-					"window_mae_seconds": w.sumAbs / float64(w.n),
-				})
-			}
-			if firing && !m.alerted {
+			if psi > m.cfg.DriftThreshold && !m.alerted {
 				m.alerted = true
 				m.driftAlerts.Inc()
-				if m.cfg.Alerts == nil && m.logger != nil {
+				if m.logger != nil {
 					m.logger.Warn("quality drift: live error distribution diverged from the training-time reference",
 						"psi", psi,
 						"threshold", m.cfg.DriftThreshold,

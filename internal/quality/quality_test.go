@@ -503,42 +503,13 @@ func TestConcurrentRecordAndFeedback(t *testing.T) {
 	}
 }
 
-// fakeSink records AlertSink calls for assertions.
-type fakeSink struct {
-	mu    sync.Mutex
-	calls []fakeSinkCall
-}
-
-type fakeSinkCall struct {
-	name     string
-	firing   bool
-	severity string
-	value    float64
-}
-
-func (s *fakeSink) SetAlert(name string, firing bool, severity string, value float64, _ map[string]any) {
-	s.mu.Lock()
-	s.calls = append(s.calls, fakeSinkCall{name, firing, severity, value})
-	s.mu.Unlock()
-}
-
-func (s *fakeSink) last(t *testing.T) fakeSinkCall {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.calls) == 0 {
-		t.Fatal("alert sink never called")
-	}
-	return s.calls[len(s.calls)-1]
-}
-
-// TestDriftAlertSink covers the alert-manager routing: with a sink wired,
-// drift reports level-triggered through it (firing on divergence, cleared
-// on recovery) and the slog warning stays silent.
-func TestDriftAlertSink(t *testing.T) {
+// TestDriftAlerts covers what drift reports: the tte_quality_drift gauge
+// the drift rule tickets on, one counted and logged Warn line in the window
+// that diverges, and a gauge back under the threshold in the window that
+// recovers.
+func TestDriftAlerts(t *testing.T) {
 	clk := newFakeClock()
 	var logBuf bytes.Buffer
-	sink := &fakeSink{}
 	ref := metrics.NewRefDist(nil)
 	for _, v := range []float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25} {
 		ref.Observe(v)
@@ -549,31 +520,27 @@ func TestDriftAlertSink(t *testing.T) {
 		c.MinDriftSamples = 10
 		c.DriftThreshold = 0.2
 		c.Logger = slog.New(slog.NewTextHandler(&logBuf, nil))
-		c.Alerts = sink
 	})
 
-	// Divergent errors: the sink sees quality:drift firing.
+	// Divergent errors: the gauge crosses the threshold, once counted and
+	// once logged at Warn.
 	for i := 0; i < 15; i++ {
 		id := record(m, served(0, 0, 100, "m1", 1))
 		if _, err := m.Feedback(id, 500); err != nil {
 			t.Fatal(err)
 		}
 	}
-	call := sink.last(t)
-	if call.name != "quality:drift" || !call.firing || call.severity != "ticket" {
-		t.Fatalf("sink call = %+v, want quality:drift firing ticket", call)
-	}
-	if !(call.value > 0.2) {
-		t.Fatalf("sink PSI = %v, want > threshold", call.value)
+	if g := m.driftGauge.Value(); !(g > 0.2) {
+		t.Fatalf("drift gauge = %v, want > threshold", g)
 	}
 	if m.driftAlerts.Value() != 1 {
 		t.Fatalf("drift alert counter = %d, want 1", m.driftAlerts.Value())
 	}
-	if strings.Contains(logBuf.String(), "quality drift") {
-		t.Fatalf("drift logged despite sink: %q", logBuf.String())
+	if l := logBuf.String(); strings.Count(l, "quality drift") != 1 || !strings.Contains(l, "level=WARN") {
+		t.Fatalf("want one Warn drift line, logged %q", l)
 	}
 
-	// Next window with in-distribution errors: the condition clears.
+	// Next window with in-distribution errors: the gauge recedes.
 	clk.advance(time.Minute)
 	for _, e := range []float64{4, 4, 4, 4, 8, 8, 8, 8, 15, 15, 15, 15, 25, 25, 25, 25} {
 		id := record(m, served(0, 0, 100, "m1", 1))
@@ -581,11 +548,7 @@ func TestDriftAlertSink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	call = sink.last(t)
-	if call.firing {
-		t.Fatalf("sink still firing after recovery: %+v", call)
-	}
-	if !(call.value < 0.2) {
-		t.Fatalf("recovered PSI = %v, want < threshold", call.value)
+	if g := m.driftGauge.Value(); !(g < 0.2) {
+		t.Fatalf("recovered drift gauge = %v, want < threshold", g)
 	}
 }

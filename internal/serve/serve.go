@@ -14,11 +14,10 @@
 //	GET  /readyz        readiness: 503 until a snapshot serves (k8s-style)
 //	GET  /version       live model snapshot, engine config and build info
 //	POST /reload        hot-swap the model checkpoint (when wired)
-//	GET  /metrics       Prometheus text exposition of the obs registry
+//	GET  /metrics       Prometheus text exposition of the obs registry, the
+//	     runtime gauges (obs.CollectRuntime) read at scrape time
 //	GET  /debug/traces  tail-sampled request traces (when Config.Traces set)
 //	GET  /debug/quality model-quality state (when Config.Quality set)
-//	GET  /debug/slo     SLO status: per-objective SLI, budget, burn rates (when Config.SLO set)
-//	GET  /debug/alerts  firing alerts + transition history (when Config.Alerts set)
 //	GET  /debug/traffic live traffic-store state: probes, coverage, epoch
 //	     (when Config.TrafficStatus set)
 //	GET  /debug/recorder flight-recorder wide events (filters: generation,
@@ -63,7 +62,6 @@ import (
 	"deepod/internal/obs"
 	"deepod/internal/quality"
 	"deepod/internal/recorder"
-	"deepod/internal/slo"
 	"deepod/internal/traffic"
 	"deepod/internal/traj"
 )
@@ -120,13 +118,6 @@ type Config struct {
 	// The prediction IDs feedback joins against are stamped at the engine,
 	// where the monitor is one of infer.Config.Observers.
 	Quality *quality.Monitor
-	// SLO, when non-nil, serves the evaluator's objective status at GET
-	// /debug/slo. The caller feeds it registry snapshots (its Observe
-	// rides obs.StartSampler); the server only exposes it.
-	SLO *slo.Evaluator
-	// Alerts, when non-nil, serves the alert manager's firing set and
-	// transition history at GET /debug/alerts.
-	Alerts *slo.Manager
 	// Probes, when non-nil, accepts the GPS probe firehose at POST /probes
 	// (NDJSON, one probe per line). Implemented by traffic.Ingestor. A nil
 	// sink leaves the route answering 501 — ingestion disabled.
@@ -192,7 +183,13 @@ func New(cfg Config) (*Server, error) {
 	route("/readyz", s.handleReady)
 	route("/version", s.handleVersion)
 	route("/reload", s.handleReload)
-	s.mux.Handle("/metrics", s.reg.Handler())
+	// The runtime gauges are read when scraped, as Prometheus's own Go
+	// collector does: nothing refreshes them between scrapes.
+	metrics := s.reg.Handler()
+	s.mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		obs.CollectRuntime(s.reg)
+		metrics.ServeHTTP(w, r)
+	}))
 	// Debug routes are served outside the obs middleware — inspecting the
 	// process should not show up in request metrics or create traces — but
 	// wrapped in envelope() so every JSON response carries generated_at and
@@ -203,12 +200,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Quality != nil {
 		s.mux.Handle("/debug/quality", envelope(cfg.Quality.Handler()))
-	}
-	if cfg.SLO != nil {
-		s.mux.Handle("/debug/slo", envelope(cfg.SLO.Handler()))
-	}
-	if cfg.Alerts != nil {
-		s.mux.Handle("/debug/alerts", envelope(cfg.Alerts.Handler()))
 	}
 	if cfg.TrafficStatus != nil {
 		s.mux.Handle("/debug/traffic", envelope(http.HandlerFunc(s.handleTrafficDebug)))

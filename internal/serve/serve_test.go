@@ -179,6 +179,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsReadsRuntimeAtScrape: with no sampler running, a scrape of
+// /metrics still shows the runtime gauges, read when it is served.
+func TestMetricsReadsRuntimeAtScrape(t *testing.T) {
+	s, _ := newTestServer(t)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var goroutines float64
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "tte_go_goroutines "); ok {
+			if _, err := fmt.Sscan(v, &goroutines); err != nil {
+				t.Fatalf("tte_go_goroutines line %q: %v", line, err)
+			}
+		}
+	}
+	if goroutines < 1 {
+		t.Fatalf("tte_go_goroutines = %v in the scrape, want >= 1:\n%s", goroutines, rec.Body)
+	}
+}
+
 func TestNewRequiresCallbacks(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted an empty config")

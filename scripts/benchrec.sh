@@ -18,8 +18,8 @@
 #
 # micro runs, at -cpu 1,2 and -count n, BenchmarkTrainStep/B32 (both worker
 # counts) and BenchmarkEstimate in internal/core, BenchmarkDirect,
-# BenchmarkEngineNoCache, BenchmarkEngineOversubscribed and
-# BenchmarkEngineCached in internal/infer, BenchmarkSpanUntraced in
+# BenchmarkEngineNoCache, BenchmarkEngineMiss, BenchmarkEngineOversubscribed
+# and BenchmarkEngineCached in internal/infer, BenchmarkSpanUntraced in
 # internal/obs and BenchmarkNearestEdge in internal/roadnet, and appends one
 # line per result to BENCH_micro.json: the stamp, the package, the
 # benchmark, GOMAXPROCS and its ns/op, B/op and allocs/op.
@@ -70,7 +70,7 @@ micro() {
     # with sub-benchmarks gets its own run.
     for spec in "./internal/core ^BenchmarkTrainStep\$/^B32\$" \
         "./internal/core ^BenchmarkEstimate\$" \
-        "./internal/infer ^(BenchmarkDirect|BenchmarkEngineNoCache|BenchmarkEngineOversubscribed|BenchmarkEngineCached)\$" \
+        "./internal/infer ^(BenchmarkDirect|BenchmarkEngineNoCache|BenchmarkEngineMiss|BenchmarkEngineOversubscribed|BenchmarkEngineCached)\$" \
         "./internal/obs ^BenchmarkSpanUntraced\$" \
         "./internal/roadnet ^BenchmarkNearestEdge\$"; do
         pkg=${spec%% *}

@@ -23,7 +23,7 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/slo/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/citysim/... ./cmd/tteserve/
+go test -race ./internal/obs/... ./internal/serve/... ./internal/metrics/... ./internal/infer/... ./internal/mapmatch/... ./internal/quality/... ./internal/traffic/... ./internal/recorder/... ./internal/replay/... ./internal/citysim/... ./cmd/tteserve/
 go test -race -run 'ConcurrentSafe|Trace|Parallel|Batched|TrafficCode|ExternalValidation|GoldenBits' ./internal/core/
 go test -race -run 'Parallel|GoldenBits' ./internal/embed/
 go test -race -run 'GoldenBits|Batch|Concurrent' ./internal/models/
@@ -38,7 +38,7 @@ echo "== portable bits (no fused multiply-add in the model's or the serving path
 echo "== dead code (every function of every package is linked into a binary)"
 ./scripts/deadcode.sh
 
-echo "== fuzz smoke (13 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD skip-gram pair update, the SIMD dot kernels (dotRows, and dotCols with A transposed and a strided panel), the 3×3 conv backward's lane kernel and the four-lane Adam against their portable bodies; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; -slo-config files; OD endpoint and probe snapping at any query point against the ring walks)"
+echo "== fuzz smoke (12 targets, 5 s each: guided negative sampler against the binary search it replaced; the SIMD skip-gram pair update, the SIMD dot kernels (dotRows, and dotCols with A transposed and a strided panel), the 3×3 conv backward's lane kernel and the four-lane Adam against their portable bodies; the /estimate decoder and encoder and the /probes decoder against encoding/json; /feedback bodies against a real quality monitor; flight-recorder segment files; model checkpoints; OD endpoint and probe snapping at any query point against the ring walks)"
 go test -run '^$' -fuzz FuzzGuidedSampler -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzPairKernel -fuzztime 5s ./internal/embed/
 go test -run '^$' -fuzz FuzzDotRows -fuzztime 5s ./internal/tensor/
@@ -50,19 +50,18 @@ go test -run '^$' -fuzz FuzzEncodeEstimate -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzFeedback -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/recorder/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/core/
-go test -run '^$' -fuzz FuzzLoadSLOConfig -fuzztime 5s ./internal/slo/
 go test -run '^$' -fuzz FuzzNearestEdge -fuzztime 5s ./internal/roadnet/
 
 echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End 0 allocations)"
 go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
 
-echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, SLO request accounting; ns and 0 allocations each; a whole Do: 0 allocations on a cache hit, 1 on a miss)"
+echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, the request counter; ns and 0 allocations each; a whole Do: 0 allocations on a cache hit, 1 on a miss)"
 go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead|TestEngineAllocs' ./internal/infer/
 
 echo "== telemetry gate (disabled exemplar-path histogram overhead)"
 go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching and one probe's candidate query; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineMiss the default cache at a 100 % miss rate, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching and one probe's candidate query; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
