@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the PR gate (see scripts/check.sh).
 
-.PHONY: build test check race fmt bench tracebench enginebench replaybench telemetrybench matchbench
+.PHONY: build test check race fmt bench tracebench enginebench replaybench matchbench
 
 build:
 	go build ./...
@@ -27,7 +27,7 @@ bench:
 	go run ./bench -workload train
 
 tracebench:
-	go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' -v ./internal/obs/
+	go test -run 'TestUntracedStagesOverhead|TestUntracedSpanAllocs' -v ./internal/obs/
 	go test -run '^$$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' ./internal/obs/
 
 enginebench:
@@ -38,6 +38,3 @@ matchbench:
 
 replaybench:
 	go run ./cmd/ttereplay -smoke -gate-unexplained 0
-
-telemetrybench:
-	go test -run 'TestTelemetryDisabledOverhead' -v ./internal/obs/

@@ -324,6 +324,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	}
 	defer eng.Close()
 	scfg.Infer = eng.Do
+	scfg.Validate = eng.Validate
 	scfg.Version = eng.Version
 	scfg.Ready = eng.Readiness
 	scfg.Quality = mon

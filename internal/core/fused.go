@@ -66,7 +66,7 @@ func (m *Model) EstimateBatchFusedCtx(ctx context.Context, ods []traj.MatchedOD)
 	if len(ods) == 0 {
 		return out
 	}
-	bctx, span := obs.StartSpan(ctx, "estimate_batch")
+	bctx, span := obs.StartSpan(ctx, stageEstimateBatch)
 	span.SetInt("count", len(ods))
 	span.SetInt("fused", 1)
 	defer span.End()
@@ -82,15 +82,15 @@ func (m *Model) EstimateBatchFusedCtx(ctx context.Context, ods []traj.MatchedOD)
 }
 
 // forward is the eval forward over n ODs, at(i) being row i: the encode
-// stage builds Z⁹ and runs MLP1, the estimate stage runs MLP2. It returns
-// the estimator's [n×1] output in model units, carved out of ar.
+// stage builds Z⁹ and runs MLP1, the estimate stage runs MLP2, the second
+// starting where the first ends. It returns the estimator's [n×1] output
+// in model units, carved out of ar.
 func (m *Model) forward(ctx context.Context, ar *tensor.Arena, n int, at func(int) *traj.MatchedOD) *tensor.Tensor {
-	_, encSpan := obs.StartSpan(ctx, "encode")
+	_, span := obs.StartSpan(ctx, stageEncode)
 	code := m.odMLP.ForwardBatch(ar, m.odFeatureMatrix(ar, n, at)) // Formula 19
-	encSpan.End()
-	_, estSpan := obs.StartSpan(ctx, "estimate")
+	_, span = span.Next(ctx, stageEstimate)
 	y := m.estMLP.ForwardBatch(ar, code) // Formula 20
-	estSpan.End()
+	span.End()
 	return y
 }
 

@@ -23,6 +23,10 @@ var (
 	trafficCodeHits    = obs.Default().Counter("tte_core_traffic_code_total", "result", "hit")
 	trafficCodeMisses  = obs.Default().Counter("tte_core_traffic_code_total", "result", "miss")
 	trafficCodeEntries = obs.Default().Gauge("tte_core_traffic_code_entries")
+
+	stageEncode        = obs.NewStage("encode")
+	stageEstimate      = obs.NewStage("estimate")
+	stageEstimateBatch = obs.NewStage("estimate_batch")
 )
 
 func init() {

@@ -30,7 +30,7 @@ func TestEstimateSpansJoinTrace(t *testing.T) {
 	}
 
 	ctx, tr := obs.StartTrace(context.Background(), "core-estimate", "/test")
-	rctx, root := obs.StartSpan(ctx, "root")
+	rctx, root := obs.StartSpan(ctx, obs.NewStage("root"))
 	secs := append(m.EstimateBatchFusedCtx(rctx, ods), m.EstimateCtx(rctx, &ods[0]))
 	d := root.End()
 	if len(secs) != 3 {

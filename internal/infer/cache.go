@@ -196,31 +196,35 @@ func (c *estimateCache) get(k cacheKey, grid *float64, gen uint64, now time.Time
 }
 
 // put stores an estimate computed with speed matrix grid by model
-// generation gen, evicting the least recently used entry of the shard when
-// it is full.
+// generation gen. When the shard is full, its least recently used entry is
+// rewritten in place as this one and moved to the front: a fill allocates
+// nothing, and the size and the entries gauge stay as they are.
 func (c *estimateCache) put(k cacheKey, grid *float64, sec float64, gen uint64, now time.Time) {
 	s := c.shard(k)
 	s.mu.Lock()
+	e := cacheEntry{key: k, grid: grid, sec: sec, gen: gen, expire: now.Add(c.ttl)}
 	if el, ok := s.m[k]; ok {
-		e := el.Value.(*cacheEntry)
-		e.grid, e.sec, e.gen, e.expire = grid, sec, gen, now.Add(c.ttl)
+		*el.Value.(*cacheEntry) = e
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
 		return
 	}
-	el := s.lru.PushFront(&cacheEntry{key: k, grid: grid, sec: sec, gen: gen, expire: now.Add(c.ttl)})
-	s.m[k] = el
-	c.size.Add(1)
-	var evicted bool
-	if s.lru.Len() > c.perShard {
-		c.remove(s, s.lru.Back())
-		evicted = true
-	}
-	s.mu.Unlock()
-	if evicted {
+	if s.lru.Len() >= c.perShard {
+		el := s.lru.Back()
+		victim := el.Value.(*cacheEntry)
+		delete(s.m, victim.key)
+		*victim = e
+		s.m[k] = el
+		s.lru.MoveToFront(el)
+		s.mu.Unlock()
 		c.evictLRU.Inc()
+		return
 	}
-	c.entriesGauge.Set(float64(c.size.Load()))
+	fresh := new(cacheEntry)
+	*fresh = e
+	s.m[k] = s.lru.PushFront(fresh)
+	s.mu.Unlock()
+	c.entriesGauge.Set(float64(c.size.Add(1)))
 }
 
 // remove unlinks el from its shard. The shard lock must be held.

@@ -138,7 +138,7 @@ func TestQueuedJobIsNotOvertaken(t *testing.T) {
 
 	planted := &job{pendingJob: pendingJob{od: od(1, 1, 5, 5, 100), ctx: context.Background()},
 		enqueued: e.now(), done: make(chan ServeEvent, 1)}
-	_, planted.qspan = e.reg.StartSpan(context.Background(), "infer.queue")
+	_, planted.qspan = e.reg.StartSpan(context.Background(), stageQueue)
 	e.queue <- planted
 
 	r, err := e.Do(context.Background(), od(1, 1, 5, 5, 200))

@@ -64,6 +64,21 @@ import (
 )
 
 // Sentinel errors mapped to HTTP statuses by internal/serve.
+// The engine's stages. A miss runs infer.cache, infer.queue and
+// infer.batch back to back under the request, and infer.match then
+// infer.model back to back under infer.batch: each hands over to the next
+// with Span.Next where they abut.
+var (
+	stageCache  = obs.NewStage("infer.cache")
+	stageQueue  = obs.NewStage("infer.queue")
+	stageBatch  = obs.NewStage("infer.batch")
+	stageMatch  = obs.NewStage("infer.match")
+	stageModel  = obs.NewStage("infer.model")
+	stageReload = obs.NewStage("infer.reload")
+
+	stageSnapshotLoad = obs.NewStage("infer.snapshot_load")
+)
+
 var (
 	// ErrOverloaded means the admission queue was full (serve → 429).
 	ErrOverloaded = errors.New("infer: admission queue full")
@@ -391,7 +406,7 @@ func (e *Engine) install(snap *Snapshot) {
 // snapshot IDs. A successful swap clears any failed-reload state (see
 // RecordReloadFailure).
 func (e *Engine) SwapCtx(ctx context.Context, snap *Snapshot) (previous *Snapshot, err error) {
-	_, span := e.reg.StartSpan(ctx, "infer.reload")
+	_, span := e.reg.StartSpan(ctx, stageReload)
 	defer span.End()
 	if snap == nil || snap.Estimate == nil {
 		err = fmt.Errorf("infer: SwapCtx needs a snapshot with an Estimate func")
@@ -525,6 +540,14 @@ func validate(od traj.ODInput, slots *timeslot.Slotter) error {
 	return nil
 }
 
+// Validate is the check Do starts with, on the serving snapshot's slotter:
+// ErrInvalidInput for an OD Do would refuse, else nil. A caller that builds
+// part of the OD first (serve resolves its external bundle) calls it before
+// that work, so a refused request costs none of it.
+func (e *Engine) Validate(od traj.ODInput) error {
+	return validate(od, e.cur.Load().snap.Slotter)
+}
+
 // trafficEpoch is the cache key's traffic component: 0 without a traffic
 // source (keys identical to the pre-traffic engine), otherwise the source's
 // current epoch.
@@ -560,14 +583,15 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	e.requests.Inc()
 	ev.Generation = inst.gen
 	var key cacheKey
+	var cspan obs.Span
 	if e.cache != nil {
 		key = keyOf(od, e.trafficEpoch())
 		ev.TrafficEpoch = key.epoch
-		_, cspan := e.reg.StartSpan(ctx, "infer.cache")
+		_, cspan = e.reg.StartSpan(ctx, stageCache)
 		sec, ok := e.cache.get(key, gridOf(od.External), inst.gen, e.now())
 		cspan.SetBool("hit", ok)
-		cspan.End()
 		if ok {
+			cspan.End()
 			ev.Seconds, ev.Cached, ev.SnapshotID = sec, true, inst.snap.ID
 			return e.answer(ctx, start, &ev)
 		}
@@ -576,7 +600,11 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	}
 
 	j := &job{pendingJob: pendingJob{od: od, key: key, ctx: ctx}}
-	_, j.qspan = e.reg.StartSpan(ctx, "infer.queue")
+	if e.cache != nil {
+		_, j.qspan = cspan.Next(ctx, stageQueue)
+	} else {
+		_, j.qspan = e.reg.StartSpan(ctx, stageQueue)
+	}
 	j.qspan.SetInt("queue_depth", len(e.queue))
 	e.mu.RLock()
 	if e.closed {
@@ -711,14 +739,15 @@ type pendingJob struct {
 
 // serveInline answers the caller's own request on the caller's goroutine,
 // under the slot Do took: the same snapshot load, spans and observations as
-// a worker picking it up after no wait at all.
+// a worker picking it up after no wait at all. Its infer.batch starts where
+// infer.queue ends.
 func (e *Engine) serveInline(j *job) ServeEvent {
 	defer e.release()
 	j.qspan.SetFloat("wait_ms", 0)
-	j.qspan.End()
+	bctx, bspan := j.qspan.Next(j.ctx, stageBatch)
 	e.queueWait.Observe(0)
 	e.batchSize.Observe(1)
-	return e.serve(e.cur.Load(), &j.pendingJob, 1)
+	return e.serve(e.cur.Load(), &j.pendingJob, 1, bctx, &bspan)
 }
 
 // release returns a caller-run execution's slot and lets Close go.
@@ -776,16 +805,16 @@ func (e *Engine) serveBatch(batch []*job) {
 	}
 	for _, j := range batch {
 		if !j.abandoned.Load() { // else the caller already answered 503/ctx error
-			j.done <- e.serve(inst, &j.pendingJob, len(batch))
+			bctx, bspan := e.reg.StartSpan(j.ctx, stageBatch)
+			j.done <- e.serve(inst, &j.pendingJob, len(batch), bctx, &bspan)
 		}
 	}
 }
 
 // serve is the one execution of a request: map matching and the traffic
 // override, the model's forward, and the cache fill, all under the
-// request's infer.batch span.
-func (e *Engine) serve(inst *installed, p *pendingJob, batchSize int) ServeEvent {
-	bctx, bspan := e.reg.StartSpan(p.ctx, "infer.batch")
+// request's infer.batch span bspan, which serve ends; bctx carries it.
+func (e *Engine) serve(inst *installed, p *pendingJob, batchSize int, bctx context.Context, bspan *obs.Span) ServeEvent {
 	defer bspan.End()
 	bspan.SetInt("batch_size", batchSize)
 	bspan.SetStr("snapshot", inst.snap.ID)
@@ -794,9 +823,7 @@ func (e *Engine) serve(inst *installed, p *pendingJob, batchSize int) ServeEvent
 	// under the new epoch.
 	epoch := e.trafficEpoch()
 	ev := ServeEvent{OD: p.od, Generation: inst.gen, TrafficEpoch: epoch, QueueWait: p.wait}
-	if ev.Err = e.match(bctx, p); ev.Err == nil {
-		ev.Seconds, ev.Err = e.estimate(bctx, inst, p)
-	}
+	ev.Seconds, ev.Err = e.execute(bctx, inst, p)
 	ev.TrafficLive = p.live
 	if ev.Err != nil {
 		return ev
@@ -813,33 +840,28 @@ func (e *Engine) serve(inst *installed, p *pendingJob, batchSize int) ServeEvent
 	return ev
 }
 
-// match and estimate are the two places an execution calls out of the
-// engine; each defers contained.
-
-func (e *Engine) match(ctx context.Context, p *pendingJob) (err error) {
-	mctx, mspan := e.reg.StartSpan(ctx, "infer.match")
-	defer e.contained(&err, &mspan)
-	p.matched, err = e.cfg.Match(mctx, p.od)
-	if err != nil {
-		mspan.Fail(err)
-		mspan.End()
-		return &MatchError{Err: err}
+// execute runs the two stages that call out of the engine, back to back:
+// infer.match (map matching, then the traffic source's override of the
+// external features) and infer.model (the snapshot's forward). A panic in
+// either fails the stage it happened in.
+func (e *Engine) execute(ctx context.Context, inst *installed, p *pendingJob) (sec float64, err error) {
+	mctx, span := e.reg.StartSpan(ctx, stageMatch)
+	defer e.contained(&err, &span)
+	if p.matched, err = e.cfg.Match(mctx, p.od); err != nil {
+		span.Fail(err)
+		span.End()
+		return 0, &MatchError{Err: err}
 	}
-	mspan.End()
 	if e.cfg.Traffic != nil {
 		// The live view is authoritative at estimate time; it falls back to
 		// the training-time prior internally when cold or stale, so matched
 		// never loses its features entirely.
 		p.matched.External, p.live = e.cfg.Traffic.External(p.od.DepartSec)
 	}
-	return nil
-}
-
-func (e *Engine) estimate(ctx context.Context, inst *installed, p *pendingJob) (sec float64, err error) {
-	ectx, espan := e.reg.StartSpan(ctx, "infer.model")
-	defer e.contained(&err, &espan)
+	// span becomes infer.model: the span contained fails from here on.
+	ectx, span := span.Next(ctx, stageModel)
 	sec = inst.snap.Estimate(ectx, &p.matched)
-	espan.End()
+	span.End()
 	return sec, nil
 }
 

@@ -416,33 +416,50 @@ func gateDisabledPath(t *testing.T, name string, bound time.Duration, run func(n
 }
 
 // TestEngineAllocs counts what one Do allocates with no observers wired. A
-// cache hit allocates nothing. A miss (stub match and model, cache off)
-// allocates its job alone: the heap home of the pendingJob whose matched OD
-// Estimate is handed a pointer to. The spans of an untraced request
-// allocate nothing on either path.
+// cache hit allocates nothing. A miss (stub match and model) allocates its
+// job alone, the heap home of the pendingJob whose matched OD Estimate is
+// handed a pointer to: with the cache off, and with a full cache, whose
+// fill rewrites the evicted entry in place. The spans of an untraced
+// request allocate nothing on any path.
 func TestEngineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation count, skipped under the race detector")
 	}
 	for _, c := range []struct {
-		name  string
-		cache int
-		want  float64
+		name   string
+		cache  int
+		rotate bool // a new OD every call: every lookup misses
+		want   float64
 	}{
-		{"hit", 256, 0},
-		{"miss", 0, 1},
+		{"hit", 256, false, 0},
+		{"miss", 0, false, 1},
+		{"miss_full_cache", cacheShards, true, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig(t, constSnapshot("m1", 42))
 			cfg.CacheEntries = c.cache
 			e := newTestEngine(t, cfg)
-			ctx, in := context.Background(), od(1, 1, 5, 5, 600)
+			ctx, i := context.Background(), 0
 			do := func() {
-				if _, err := e.Do(ctx, in); err != nil {
+				if c.rotate {
+					i++
+				}
+				r, err := e.Do(ctx, od(1, 1, 5, 5, float64(600+i)))
+				if err != nil {
 					t.Fatal(err)
 				}
+				if c.rotate && r.Cached {
+					t.Fatal("a rotating OD hit the cache")
+				}
 			}
-			do() // fills the cache for the hit case
+			// Fills the cache: the hit case's one entry, or every shard of
+			// the rotating case's.
+			for range 64 * cacheShards {
+				do()
+			}
+			if c.rotate && e.cache.len() != c.cache {
+				t.Fatalf("cache holds %d entries, want it full at %d", e.cache.len(), c.cache)
+			}
 			if got := testing.AllocsPerRun(1000, do); got != c.want {
 				t.Fatalf("%s: %v allocs per Do, want %v", c.name, got, c.want)
 			}

@@ -77,7 +77,7 @@ func LoadCheckpoint(path string, g *roadnet.Graph) (*Snapshot, error) {
 // and resulting hash, so reload traces show how long the disk read and
 // weight validation took.
 func LoadCheckpointCtx(ctx context.Context, path string, g *roadnet.Graph) (*Snapshot, error) {
-	_, span := obs.StartSpan(ctx, "infer.snapshot_load")
+	_, span := obs.StartSpan(ctx, stageSnapshotLoad)
 	defer span.End()
 	span.SetStr("checkpoint", path)
 	b, err := os.ReadFile(path)

@@ -16,12 +16,20 @@ import (
 	"deepod/internal/traj"
 )
 
+// The offline matcher's stages: mapmatch.match with its viterbi and
+// assemble children.
+var (
+	stageMatch    = obs.NewStage("mapmatch.match")
+	stageViterbi  = obs.NewStage("mapmatch.viterbi")
+	stageAssemble = obs.NewStage("mapmatch.assemble")
+)
+
 // MatchCtx aligns a raw trajectory to the network and returns the paper's
 // trajectory representation (spatio-temporal path + position ratios). The
 // mapmatch.match span and its viterbi/assemble children join the caller's
 // trace.
 func (m *Matcher) MatchCtx(ctx context.Context, raw *traj.Raw) (traj.Trajectory, error) {
-	mctx, span := obs.StartSpan(ctx, "mapmatch.match")
+	mctx, span := obs.StartSpan(ctx, stageMatch)
 	defer span.End()
 	pts := raw.Points
 	if len(pts) < 2 {
@@ -51,7 +59,7 @@ type candState struct {
 
 // viterbi returns one candidate per GPS point.
 func (m *Matcher) viterbi(ctx context.Context, pts []traj.GPSPoint) ([]roadnet.Candidate, error) {
-	_, span := obs.StartSpan(ctx, "mapmatch.viterbi")
+	_, span := obs.StartSpan(ctx, stageViterbi)
 	defer span.End()
 	sigma2 := 2 * m.cfg.SigmaMeters * m.cfg.SigmaMeters
 	prevStates := []candState{}
@@ -145,7 +153,7 @@ func (m *Matcher) routeBetween(a, b roadnet.Candidate) ([]roadnet.EdgeID, float6
 // assemble stitches the chosen candidates into a connected edge sequence
 // with linearly interpolated per-segment time intervals.
 func (m *Matcher) assemble(ctx context.Context, pts []traj.GPSPoint, chosen []roadnet.Candidate) (traj.Trajectory, error) {
-	_, aspan := obs.StartSpan(ctx, "mapmatch.assemble")
+	_, aspan := obs.StartSpan(ctx, stageAssemble)
 	defer aspan.End()
 	// Build the full edge sequence with, for each edge, the (time, frac)
 	// anchor points we know from GPS samples.

@@ -25,6 +25,9 @@ import (
 	"deepod/internal/roadnet"
 )
 
+// stagePoint is one OD endpoint's snap (MatchPointCtx).
+var stagePoint = obs.NewStage("mapmatch.point")
+
 // Config tunes the HMM matcher.
 type Config struct {
 	// SigmaMeters is the GPS noise standard deviation (emission model).
@@ -75,7 +78,7 @@ func New(g *roadnet.Graph, cfg Config) (*Matcher, error) {
 // segment, returning the segment and the fraction along it. The
 // mapmatch.point span keeps its parent link inside a traced request.
 func (m *Matcher) MatchPointCtx(ctx context.Context, p geo.Point) (roadnet.EdgeID, float64, error) {
-	_, span := obs.StartSpan(ctx, "mapmatch.point")
+	_, span := obs.StartSpan(ctx, stagePoint)
 	defer span.End()
 	c, err := m.idx.NearestEdge(p)
 	if err != nil {

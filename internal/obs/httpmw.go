@@ -52,6 +52,7 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 	reg.Help("tte_http_in_flight", "HTTP requests currently being served.")
 	latency := reg.Histogram("tte_http_request_seconds", DefBuckets, "route", route)
 	inFlight := reg.Gauge("tte_http_in_flight")
+	stage := NewStage(route) // the traced request's root span
 	// One requests_total counter per status class, resolved when the class
 	// first occurs on this route, so a class that never did is not exported.
 	var byClass [len(statusClasses)]atomic.Pointer[Counter]
@@ -71,7 +72,7 @@ func (mw Middleware) Wrap(route string, h http.Handler) http.Handler {
 			}
 			w.Header().Set(TraceHeader, string(id))
 			ctx, t := StartTrace(r.Context(), id, route)
-			ctx, root = reg.StartSpan(ctx, route)
+			ctx, root = reg.StartSpan(ctx, stage)
 			tr = t
 			req = r.WithContext(ctx)
 		}

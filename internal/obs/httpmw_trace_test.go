@@ -15,7 +15,7 @@ func tracedMiddleware(t *testing.T) (*TraceStore, http.Handler) {
 	ts := NewTraceStore(reg, TraceStoreConfig{SlowestN: -1, SampleRate: 1})
 	h := Middleware{Registry: reg, Traces: ts}.Wrap("/estimate",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, s := StartSpan(r.Context(), "work")
+			_, s := StartSpan(r.Context(), NewStage("work"))
 			s.End()
 			if r.URL.Query().Get("fail") == "1" {
 				http.Error(w, "boom", http.StatusInternalServerError)

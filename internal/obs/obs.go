@@ -20,10 +20,13 @@
 // tte_span_seconds{span} histogram, and when the context carries a Trace
 // (started by the HTTP middleware or StartTrace) the span also joins that
 // request's tree with its parent link, typed attributes and error status.
-// On untraced contexts a Span is a value that allocates nothing and leaves
-// the context as it was, and the attribute setters are no-ops, so outside
-// a traced request a stage costs two clock reads, a name lookup and one
-// histogram observation.
+// A span starts from a Stage, a name declared once (NewStage) whose
+// histogram every Registry keeps in a slot at the stage's index. On
+// untraced contexts a Span is a value that allocates nothing and leaves the
+// context as it was, and the attribute setters are no-ops, so outside a
+// traced request a stage costs one slot load, two clock reads and one
+// histogram observation; Span.Next starts a stage that abuts the previous
+// one from the clock read that ends it.
 //
 // Metric naming follows the Prometheus conventions: `tte_` prefix,
 // `_total` suffix on counters, `_seconds` on duration histograms. The
@@ -33,8 +36,8 @@
 //	tte_http_request_seconds{route}       request latency histogram
 //	tte_http_in_flight                    requests currently being served
 //	tte_span_seconds{span}                pipeline stage durations
-//	                                      (decode, match, encode, estimate,
-//	                                      mapmatch.viterbi, ...)
+//	                                      (decode, infer.*, encode, estimate,
+//	                                      mapmatch.point, ...)
 //	tte_trace_completed_total             traces finished (kept or not)
 //	tte_trace_retained_total{reason}      traces kept by tail sampling
 //	tte_train_phase_seconds{phase}        offline-training phase durations
@@ -45,6 +48,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,8 +88,68 @@ var clockBase = time.Now()
 type Span struct {
 	start time.Duration // since clockBase
 	hist  *Histogram
+	reg   *Registry   // the next stage's registry (Next)
 	done  atomic.Bool // set by the first End
 	trace *tracedSpan // nil unless the span joined a trace
+}
+
+// A Stage is a span name declared once, as a package-level var:
+//
+//	var stageDecode = obs.NewStage("decode")
+//
+// Each Registry keeps the stage's tte_span_seconds{span} histogram in the
+// slot at the stage's index, filled by the stage's first span there, so a
+// later start is one atomic load from an array: no map, no lock. The zero
+// Stage is not declared, and no span may start from it.
+type Stage struct {
+	name string
+	idx  uint8 // slot index, 1 .. maxStages-1
+}
+
+// maxStages bounds the distinct stages one process declares: every Registry
+// holds a slot per stage. Stage names are code constants and mux routes.
+const maxStages = 256
+
+// stages is the process's stage table, by name.
+var stages struct {
+	mu     sync.Mutex
+	byName map[string]Stage
+}
+
+// NewStage declares the span name name. The same name returns the same
+// Stage, so a route's handle taken at mount time and a package var naming
+// the same stage share a slot. It panics past maxStages-1 names.
+func NewStage(name string) Stage {
+	stages.mu.Lock()
+	defer stages.mu.Unlock()
+	if st, ok := stages.byName[name]; ok {
+		return st
+	}
+	if stages.byName == nil {
+		stages.byName = make(map[string]Stage)
+	}
+	idx := len(stages.byName) + 1 // 0 is the zero Stage's
+	if idx >= maxStages {
+		panic(fmt.Sprintf("obs: stage %q: more than %d stages declared", name, maxStages-1))
+	}
+	st := Stage{name: name, idx: uint8(idx)}
+	stages.byName[name] = st
+	return st
+}
+
+// stageHist resolves st to its tte_span_seconds{span} histogram in r: one
+// atomic load once the stage's first span here filled the slot. Two first
+// spans racing both resolve the family's one child.
+func (r *Registry) stageHist(st Stage) *Histogram {
+	if h := r.stages[st.idx].Load(); h != nil {
+		return h
+	}
+	if st.idx == 0 {
+		panic("obs: span started from the zero Stage; declare it with NewStage")
+	}
+	h := r.Histogram(SpanFamily, DefBuckets, "span", st.name)
+	r.stages[st.idx].Store(h)
+	return h
 }
 
 // tracedSpan is the part of a span that only a traced request allocates.
@@ -118,18 +182,23 @@ func (t *tracedSpan) Value(key any) any {
 	return t.Context.Value(key)
 }
 
-// StartSpan begins a named span recording into reg's tte_span_seconds
-// family. On an untraced context it returns ctx itself and allocates
-// nothing. When ctx carries a Trace, the span joins the trace's tree and
-// the returned context carries it, so nested StartSpan calls link to it as
-// their parent.
-func (r *Registry) StartSpan(ctx context.Context, name string) (sctx context.Context, s Span) {
+// StartSpan begins a span of stage st recording into reg's
+// tte_span_seconds family. On an untraced context it returns ctx itself and
+// allocates nothing. When ctx carries a Trace, the span joins the trace's
+// tree and the returned context carries it, so nested StartSpan calls link
+// to it as their parent.
+func (r *Registry) StartSpan(ctx context.Context, st Stage) (context.Context, Span) {
+	return r.start(ctx, st, time.Since(clockBase))
+}
+
+// start is StartSpan with the start read: now, since clockBase.
+func (r *Registry) start(ctx context.Context, st Stage, now time.Duration) (sctx context.Context, s Span) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sctx, s.start, s.hist = ctx, time.Since(clockBase), r.spanHist(name)
+	sctx, s.start, s.hist, s.reg = ctx, now, r.stageHist(st), r
 	if t := TraceFrom(ctx); t != nil {
-		ts := &tracedSpan{Context: ctx, name: name, start: s.start, parentIdx: -1}
+		ts := &tracedSpan{Context: ctx, name: st.name, start: now, parentIdx: -1}
 		p, _ := ctx.Value(spanCtxKey{}).(*tracedSpan)
 		t.register(ts, p)
 		if ts.tr != nil {
@@ -140,21 +209,19 @@ func (r *Registry) StartSpan(ctx context.Context, name string) (sctx context.Con
 	return // bare: returning a Span variable is a copy vet reports
 }
 
-// spanHist resolves a span name to its tte_span_seconds{span=name} histogram
-// once per registry; after that a span costs one lock-free map load instead
-// of a label sort/join and three registry locks.
-func (r *Registry) spanHist(name string) *Histogram {
-	if h, ok := r.spanHists.Load(name); ok {
-		return h.(*Histogram)
-	}
-	h := r.Histogram(SpanFamily, DefBuckets, "span", name)
-	r.spanHists.Store(name, h)
-	return h
+// StartSpan is Registry.StartSpan on the default registry.
+func StartSpan(ctx context.Context, st Stage) (context.Context, Span) {
+	return defaultRegistry.StartSpan(ctx, st)
 }
 
-// StartSpan is Registry.StartSpan on the default registry.
-func StartSpan(ctx context.Context, name string) (context.Context, Span) {
-	return defaultRegistry.StartSpan(ctx, name)
+// Next ends s and starts stage st under ctx, in s's registry, from the one
+// clock read: the time between the two stages is charged to s alone, so
+// stages that run back to back tile the request. ctx is the next span's
+// parent, as for StartSpan; s must have been started.
+func (s *Span) Next(ctx context.Context, st Stage) (context.Context, Span) {
+	now := time.Since(clockBase)
+	s.end(now)
+	return s.reg.start(ctx, st, now)
 }
 
 // End finishes the span, records its duration and returns it. Only the
@@ -162,8 +229,11 @@ func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 // without recording again. Ending from a goroutine other than the starter
 // is fine (the infer queue span is ended by the worker that picks the job
 // up).
-func (s *Span) End() time.Duration {
-	d := time.Since(clockBase) - s.start
+func (s *Span) End() time.Duration { return s.end(time.Since(clockBase)) }
+
+// end is End at now, since clockBase.
+func (s *Span) end(now time.Duration) time.Duration {
+	d := now - s.start
 	if !s.done.CompareAndSwap(false, true) {
 		return d
 	}

@@ -88,8 +88,8 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 
 func TestSpanRecordsHistogram(t *testing.T) {
 	r := NewRegistry()
-	ctx, outer := r.StartSpan(context.Background(), "outer")
-	_, inner := r.StartSpan(ctx, "inner")
+	ctx, outer := r.StartSpan(context.Background(), NewStage("outer"))
+	_, inner := r.StartSpan(ctx, NewStage("inner"))
 	time.Sleep(time.Millisecond)
 	inner.End()
 	outer.End()
@@ -254,13 +254,13 @@ func TestSpanIsItsContext(t *testing.T) {
 	type key struct{}
 	deadline := time.Now().Add(time.Hour)
 	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, 42), deadline)
-	uctx, u := r.StartSpan(parent, "untraced")
+	uctx, u := r.StartSpan(parent, NewStage("untraced"))
 	u.End()
 	if uctx != parent {
 		t.Fatal("an untraced span wrapped its context")
 	}
 	tctx, _ := StartTrace(parent, "tid-ctx", "/x")
-	sctx, s := r.StartSpan(tctx, "outer")
+	sctx, s := r.StartSpan(tctx, NewStage("outer"))
 	defer s.End()
 	if sctx.Value(key{}) != 42 {
 		t.Fatal("span context lost its parent's value")

@@ -38,7 +38,7 @@ func TestConcurrentRegistry(t *testing.T) {
 				r.Histogram("stress_seconds", DefBuckets, "route", route).Observe(float64(i) / float64(iters))
 				g.Dec()
 				if i%64 == 0 {
-					_, s := r.StartSpan(nil, "stress")
+					_, s := r.StartSpan(nil, NewStage("stress"))
 					s.End()
 				}
 			}
@@ -113,7 +113,7 @@ func TestConcurrentTracing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				ctx, tr := StartTrace(context.Background(), TraceID(fmt.Sprintf("w%d-%d", w, i)), "/estimate")
-				rctx, root := r.StartSpan(ctx, "/estimate")
+				rctx, root := r.StartSpan(ctx, NewStage("/estimate"))
 				root.SetInt("iter", i)
 
 				// A "worker" goroutine contributes spans to the same trace,
@@ -121,9 +121,9 @@ func TestConcurrentTracing(t *testing.T) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					bctx, bspan := r.StartSpan(rctx, "infer.batch")
+					bctx, bspan := r.StartSpan(rctx, NewStage("infer.batch"))
 					bspan.SetInt("batch_size", 1)
-					_, mspan := r.StartSpan(bctx, "infer.model")
+					_, mspan := r.StartSpan(bctx, NewStage("infer.model"))
 					mspan.End()
 					bspan.End()
 				}()
@@ -172,31 +172,36 @@ func TestConcurrentTracing(t *testing.T) {
 	}
 }
 
-// TestSpanHandleCacheConcurrent races the span-name -> histogram cache the
-// way a cold server does: 64 goroutines starting spans under one shared name
-// and under names nobody has used yet, on one registry. Every span must land
-// in the family's own child — the one Registry.Histogram resolves — exactly
-// once, and a second registry must get its own handles. Run with -race.
+// TestSpanHandleCacheConcurrent races stage declaration and the stage slots
+// the way a cold server does: 64 goroutines starting spans of one shared
+// stage, and of stages nobody has declared yet, on one registry. Both racers
+// of a new name must get the same Stage, every span must land in the
+// family's own child — the one Registry.Histogram resolves — exactly once,
+// and a second registry must get its own slots. Run with -race.
 func TestSpanHandleCacheConcurrent(t *testing.T) {
 	r, other := NewRegistry(), NewRegistry()
 	const (
 		workers = 64
 		iters   = 200
+		fresh   = 4 // stages each worker pair declares
 	)
+	shared := NewStage("shared")
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_, s := r.StartSpan(context.Background(), "shared")
+				_, s := r.StartSpan(context.Background(), shared)
 				s.End()
-				// A name per (worker pair, iteration): two goroutines race
-				// to create each one.
-				_, s = r.StartSpan(context.Background(), fmt.Sprintf("new-%d-%d", w/2, i))
-				s.End()
+				if i < fresh {
+					// A name per (worker pair, iteration): two goroutines
+					// race to declare it and to fill its slot.
+					_, s = r.StartSpan(context.Background(), NewStage(fmt.Sprintf("new-%d-%d", w/2, i)))
+					s.End()
+				}
 			}
-			_, s := other.StartSpan(context.Background(), "shared")
+			_, s := other.StartSpan(context.Background(), NewStage("shared"))
 			s.End()
 		}(w)
 	}
@@ -206,7 +211,7 @@ func TestSpanHandleCacheConcurrent(t *testing.T) {
 		t.Fatalf("shared span observations = %d, want %d", got, workers*iters)
 	}
 	for w := 0; w < workers/2; w++ {
-		for i := 0; i < iters; i++ {
+		for i := 0; i < fresh; i++ {
 			name := fmt.Sprintf("new-%d-%d", w, i)
 			if got := r.Histogram(SpanFamily, DefBuckets, "span", name).Count(); got != 2 {
 				t.Fatalf("span %s observations = %d, want 2", name, got)
@@ -216,10 +221,13 @@ func TestSpanHandleCacheConcurrent(t *testing.T) {
 	if got := other.Histogram(SpanFamily, DefBuckets, "span", "shared").Count(); got != workers {
 		t.Fatalf("second registry's shared span observations = %d, want %d", got, workers)
 	}
-	if r.spanHist("shared") == other.spanHist("shared") {
+	if NewStage("shared") != shared {
+		t.Fatal("a name declared twice got two stages")
+	}
+	if r.stageHist(shared) == other.stageHist(shared) {
 		t.Fatal("two registries share a span histogram handle")
 	}
-	if r.spanHist("shared") != r.Histogram(SpanFamily, DefBuckets, "span", "shared") {
-		t.Fatal("cached span handle is not the family's child")
+	if r.stageHist(shared) != r.Histogram(SpanFamily, DefBuckets, "span", "shared") {
+		t.Fatal("a stage's slot is not the family's child")
 	}
 }

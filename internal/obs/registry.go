@@ -17,8 +17,9 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	// spanHists caches span name -> *Histogram for StartSpan (see spanHist).
-	spanHists sync.Map
+	// stages holds each declared Stage's span histogram at the stage's
+	// index (see stageHist).
+	stages [maxStages]atomic.Pointer[Histogram]
 }
 
 type family struct {

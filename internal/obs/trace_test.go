@@ -46,16 +46,16 @@ func TestNewTraceIDShape(t *testing.T) {
 func TestTraceSpanTree(t *testing.T) {
 	reg := NewRegistry()
 	ctx, tr := StartTrace(context.Background(), "tid-1", "/estimate")
-	rctx, root := reg.StartSpan(ctx, "/estimate")
+	rctx, root := reg.StartSpan(ctx, NewStage("/estimate"))
 
-	cctx, child := reg.StartSpan(rctx, "match")
+	cctx, child := reg.StartSpan(rctx, NewStage("match"))
 	child.SetInt("candidates", 7)
 	child.SetBool("hit", false)
-	_, grand := reg.StartSpan(cctx, "viterbi")
+	_, grand := reg.StartSpan(cctx, NewStage("viterbi"))
 	grand.End()
 	child.End()
 
-	_, sib := reg.StartSpan(rctx, "estimate")
+	_, sib := reg.StartSpan(rctx, NewStage("estimate"))
 	sib.Fail(fmt.Errorf("model exploded"))
 	sib.Fail(fmt.Errorf("second error ignored"))
 	sib.End()
@@ -112,7 +112,7 @@ func TestTraceSpanTree(t *testing.T) {
 // TestUntracedSpanNoops checks Set*/Fail are safe no-ops without a trace.
 func TestUntracedSpanNoops(t *testing.T) {
 	reg := NewRegistry()
-	_, s := reg.StartSpan(context.Background(), "lonely")
+	_, s := reg.StartSpan(context.Background(), NewStage("lonely"))
 	s.SetInt("k", 1)
 	s.SetStr("s", "v")
 	s.Fail(fmt.Errorf("boom"))
@@ -130,8 +130,8 @@ func TestUntracedSpanNoops(t *testing.T) {
 // its context carries.
 func TestPackageSpanKeepsParentage(t *testing.T) {
 	ctx, tr := StartTrace(context.Background(), "tid-time", "/x")
-	rctx, root := StartSpan(ctx, "root")
-	_, stage := StartSpan(rctx, "stage")
+	rctx, root := StartSpan(ctx, NewStage("root"))
+	_, stage := StartSpan(rctx, NewStage("stage"))
 	stage.End()
 	d := root.End()
 	rec := tr.snapshot(d, "sample")
@@ -147,7 +147,7 @@ func TestTraceSpanCap(t *testing.T) {
 	reg := NewRegistry()
 	ctx, tr := StartTrace(context.Background(), "tid-cap", "/batch")
 	for i := 0; i < maxTraceSpans+10; i++ {
-		_, s := reg.StartSpan(ctx, "stage")
+		_, s := reg.StartSpan(ctx, NewStage("stage"))
 		s.End()
 	}
 	rec := tr.snapshot(time.Millisecond, "sample")

@@ -66,6 +66,13 @@ import (
 	"deepod/internal/traj"
 )
 
+// The handlers' stages, beside the engine's under each route's root span.
+var (
+	stageDecode = obs.NewStage("decode")
+	stageIngest = obs.NewStage("ingest")
+	stageJoin   = obs.NewStage("quality.join")
+)
+
 // DefaultMaxBodyBytes caps /estimate request bodies (1 MiB; a valid OD
 // request is under 200 bytes).
 const DefaultMaxBodyBytes = 1 << 20
@@ -98,6 +105,10 @@ type Config struct {
 	// External resolves the external features (weather, speed grid) for a
 	// departure time. Optional; nil means no external features.
 	External func(departSec float64) *traj.ExternalFeatures
+	// Validate checks an OD before External resolves its features
+	// (infer.Engine.Validate): an OD it refuses answers as Infer's error
+	// would, and builds or looks up no speed matrix. Optional.
+	Validate func(od traj.ODInput) error
 	// Health adds static fields to the /healthz payload (edge count,
 	// weight count, ...). Optional.
 	Health map[string]any
@@ -282,7 +293,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	scratch := codecBufs.Get().(*[]byte)
 	defer codecBufs.Put(scratch)
-	_, decodeSpan := s.reg.StartSpan(ctx, "decode")
+	_, decodeSpan := s.reg.StartSpan(ctx, stageDecode)
 	var req EstimateRequest
 	err := decodeEstimate(r.Body, *scratch, &req)
 	decodeSpan.End()
@@ -305,6 +316,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Origin:    req.Origin,
 		Dest:      req.Dest,
 		DepartSec: req.DepartSec,
+	}
+	if s.cfg.Validate != nil {
+		if err := s.cfg.Validate(od); err != nil {
+			writeInferError(w, err)
+			return
+		}
 	}
 	if s.cfg.External != nil {
 		od.External = s.cfg.External(req.DepartSec)
@@ -351,7 +368,7 @@ func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.ProbeMaxBodyBytes)
 
 	ctx := r.Context()
-	_, decodeSpan := s.reg.StartSpan(ctx, "decode")
+	_, decodeSpan := s.reg.StartSpan(ctx, stageDecode)
 	ps := probeScratches.Get().(*probeScratch)
 	defer ps.release()
 	var err error
@@ -373,7 +390,7 @@ func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	_, ingestSpan := s.reg.StartSpan(ctx, "ingest")
+	_, ingestSpan := s.reg.StartSpan(ctx, stageIngest)
 	accepted, shed := s.cfg.Probes.Ingest(ps.batch)
 	ingestSpan.SetBool("shed", shed > 0)
 	ingestSpan.End()
@@ -436,7 +453,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 
 	ctx := r.Context()
-	_, decodeSpan := s.reg.StartSpan(ctx, "decode")
+	_, decodeSpan := s.reg.StartSpan(ctx, stageDecode)
 	var req FeedbackRequest
 	err := json.NewDecoder(r.Body).Decode(&req)
 	decodeSpan.End()
@@ -459,7 +476,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	_, joinSpan := s.reg.StartSpan(ctx, "quality.join")
+	_, joinSpan := s.reg.StartSpan(ctx, stageJoin)
 	res, err := s.cfg.Quality.Feedback(id, req.ActualSeconds)
 	if err != nil {
 		joinSpan.Fail(err)

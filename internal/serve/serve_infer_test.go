@@ -317,3 +317,29 @@ func TestEstimateUnslottableDepartureIs400(t *testing.T) {
 		t.Fatalf("tte_infer_panics_total = %d, want 0", n)
 	}
 }
+
+// TestEstimateValidatesBeforeExternal: a request the engine refuses never
+// reaches Config.External. A departure of 1e300 answers 400 and builds or
+// looks up no speed matrix; a valid request resolves its features once.
+func TestEstimateValidatesBeforeExternal(t *testing.T) {
+	s, _, body := newEngineServer(t, obs.NewRegistry(), false)
+	calls := 0
+	s.cfg.External = func(float64) *traj.ExternalFeatures {
+		calls++
+		return nil
+	}
+	h := s.Handler()
+	far := strings.Replace(body, `"depart_sec":600`, `"depart_sec":1e300`, 1)
+	if rec := postEstimate(t, h, far); rec.Code != http.StatusBadRequest {
+		t.Fatalf("departure 1e300 = %d, want 400 (body %s)", rec.Code, rec.Body)
+	}
+	if calls != 0 {
+		t.Fatalf("a refused request called External %d times, want 0", calls)
+	}
+	if rec := postEstimate(t, h, body); rec.Code != http.StatusOK {
+		t.Fatalf("departure 600 = %d, body %s", rec.Code, rec.Body)
+	}
+	if calls != 1 {
+		t.Fatalf("a valid request called External %d times, want 1", calls)
+	}
+}

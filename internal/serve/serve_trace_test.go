@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -101,6 +102,7 @@ func newEngineServer(t testing.TB, reg *obs.Registry, traced bool) (*Server, *ob
 	s, err := New(Config{
 		City:     "trace-city",
 		Infer:    eng.Do,
+		Validate: eng.Validate,
 		Ready:    eng.Readiness,
 		Registry: reg,
 		Traces:   ts,
@@ -576,4 +578,78 @@ func TestSpanCountsUntracedAndTraced(t *testing.T) {
 			t.Fatalf("traced=%v: one request observed %v, want %v", traced, got, want)
 		}
 	}
+}
+
+// TestLiveBudgetSums is the live system's layer budget: cold /estimates
+// sent untraced through the real stack, each read back per stage from the
+// tte_span_seconds sums, must nest as the stages do and tile the request.
+// In every request the engine's stages under infer.batch, the matcher's two
+// points under infer.match and the model's encode and estimate under
+// infer.model add up to no more than their parent; decode, infer.cache,
+// infer.queue and infer.batch, which run one after the other inside the
+// handler, add up to no more than its tte_http_request_seconds and, in the
+// median request, cover at least minShare of it (72 % measured on a
+// 2-vCPU Xeon; the rest is the middleware, validation and writing the
+// response). Everything records into the default registry here, so each
+// request's share is a difference of sums around it.
+func TestLiveBudgetSums(t *testing.T) {
+	const (
+		requests = 500
+		minShare = 0.5
+	)
+	reg := obs.Default()
+	s, _, body := newEngineServer(t, reg, false)
+	h := s.Handler()
+	hists := map[string]*obs.Histogram{
+		"http": reg.Histogram("tte_http_request_seconds", obs.DefBuckets, "route", "/estimate"),
+	}
+	for _, n := range []string{"decode", "infer.cache", "infer.queue", "infer.batch", "infer.match",
+		"mapmatch.point", "infer.model", "encode", "estimate"} {
+		hists[n] = reg.Histogram(obs.SpanFamily, obs.DefBuckets, "span", n)
+	}
+	budget := []struct {
+		parent string
+		parts  []string
+	}{
+		{"infer.batch", []string{"infer.match", "infer.model"}},
+		{"infer.match", []string{"mapmatch.point"}},
+		{"infer.model", []string{"encode", "estimate"}},
+		{"http", []string{"decode", "infer.cache", "infer.queue", "infer.batch"}},
+	}
+	last := map[string]float64{}
+	for n, h := range hists {
+		last[n] = h.Sum()
+	}
+	shares := make([]float64, requests)
+	for i := range requests {
+		// A departure per request: every one misses the cache.
+		cold := strings.Replace(body, `"depart_sec":600`, fmt.Sprintf(`"depart_sec":%d`, 600+i), 1)
+		if rec := postEstimate(t, h, cold); rec.Code != http.StatusOK {
+			t.Fatalf("request %d = %d, body %s", i, rec.Code, rec.Body)
+		}
+		d := map[string]float64{}
+		for n, h := range hists {
+			sum := h.Sum()
+			d[n], last[n] = sum-last[n], sum
+		}
+		for _, b := range budget {
+			var parts float64
+			for _, p := range b.parts {
+				parts += d[p]
+			}
+			if parts > d[b.parent] {
+				t.Fatalf("request %d: %v take %.9fs, more than %s's %.9fs", i, b.parts, parts, b.parent, d[b.parent])
+			}
+			if b.parent == "http" {
+				shares[i] = parts / d["http"]
+			}
+		}
+	}
+	slices.Sort(shares)
+	if share := shares[requests/2]; share < minShare {
+		t.Fatalf("the request's stages cover %.1f%% of tte_http_request_seconds in the median request, want >= %.0f%%",
+			100*share, 100*minShare)
+	}
+	t.Logf("stages cover %.1f%% of the median request (quartiles %.1f%%, %.1f%%)",
+		100*shares[requests/2], 100*shares[requests/4], 100*shares[3*requests/4])
 }

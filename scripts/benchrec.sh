@@ -19,10 +19,11 @@
 # micro runs, at -cpu 1,2 and -count n, BenchmarkTrainStep/B32 (both worker
 # counts) and BenchmarkEstimate in internal/core, BenchmarkDirect,
 # BenchmarkEngineNoCache, BenchmarkEngineMiss, BenchmarkEngineOversubscribed
-# and BenchmarkEngineCached in internal/infer, BenchmarkSpanUntraced in
-# internal/obs and BenchmarkNearestEdge in internal/roadnet, and appends one
-# line per result to BENCH_micro.json: the stamp, the package, the
-# benchmark, GOMAXPROCS and its ns/op, B/op and allocs/op.
+# and BenchmarkEngineCached in internal/infer, BenchmarkSpanUntraced and
+# BenchmarkSpanStages in internal/obs and BenchmarkNearestEdge in
+# internal/roadnet, and appends one line per result to BENCH_micro.json:
+# the stamp, the package, the benchmark, GOMAXPROCS and its ns/op, B/op and
+# allocs/op.
 #
 # parent-tree is a checkout of another commit, normally the parent (made
 # with `git worktree add` or `git clone`). With it, each of the n rounds
@@ -71,7 +72,7 @@ micro() {
     for spec in "./internal/core ^BenchmarkTrainStep\$/^B32\$" \
         "./internal/core ^BenchmarkEstimate\$" \
         "./internal/infer ^(BenchmarkDirect|BenchmarkEngineNoCache|BenchmarkEngineMiss|BenchmarkEngineOversubscribed|BenchmarkEngineCached)\$" \
-        "./internal/obs ^BenchmarkSpanUntraced\$" \
+        "./internal/obs ^(BenchmarkSpanUntraced|BenchmarkSpanStages)\$" \
         "./internal/roadnet ^BenchmarkNearestEdge\$"; do
         pkg=${spec%% *}
         (cd "$1" && go test -run '^$' -bench "${spec#* }" -benchmem -cpu 1,2 -count "$2" "$pkg") |

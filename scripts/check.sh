@@ -52,14 +52,11 @@ go test -run '^$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/recorder/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz FuzzNearestEdge -fuzztime 5s ./internal/roadnet/
 
-echo "== tracebench gate (untraced span: setter overhead in ns, whole StartSpan+End 0 allocations)"
-go test -run 'TestUntracedSpanOverhead|TestUntracedSpanAllocs' ./internal/obs/
+echo "== tracebench gate (untraced stages: a cold request's ten stages against their clock-and-atomics floor, exemplars off; a span and the whole sequence 0 allocations)"
+go test -run 'TestUntracedStagesOverhead|TestUntracedSpanAllocs' ./internal/obs/
 
 echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, the request counter; ns and 0 allocations each; a whole Do: 0 allocations on a cache hit, 1 on a miss)"
 go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead|TestEngineAllocs' ./internal/infer/
-
-echo "== telemetry gate (disabled exemplar-path histogram overhead)"
-go test -run 'TestTelemetryDisabledOverhead' ./internal/obs/
 
 echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineMiss the default cache at a 100 % miss rate, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching and one probe's candidate query; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
