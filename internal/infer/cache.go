@@ -90,11 +90,15 @@ type cacheEntry struct {
 	expire time.Time
 }
 
-// cacheShard is one lock domain of the cache: a map for lookup plus an LRU
-// list (front = most recently used) for eviction order.
+// cacheShard is one lock domain of the cache: a map from a key's hash to
+// its entry's element, plus an LRU list (front = most recently used) for
+// eviction order. An 8-byte map key keeps the table a quarter the size of
+// one keyed by the whole cacheKey; a hit still needs the entry's key to
+// equal the request's, so two keys whose hashes collide share one slot,
+// the later fill replacing the earlier.
 type cacheShard struct {
 	mu  sync.Mutex
-	m   map[cacheKey]*list.Element
+	m   map[uint64]*list.Element
 	lru list.List
 }
 
@@ -145,13 +149,14 @@ func newEstimateCache(capacity, shards int, ttl time.Duration, reg *obs.Registry
 		evictStale:   reg.Counter("tte_infer_cache_events_total", "event", "evict_stale"),
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]*list.Element, c.perShard)
+		c.shards[i].m = make(map[uint64]*list.Element, c.perShard)
 	}
 	return c
 }
 
-func (c *estimateCache) shard(k cacheKey) *cacheShard {
-	return &c.shards[k.hash()&uint64(len(c.shards)-1)]
+// shard is the lock domain of a key whose hash is h.
+func (c *estimateCache) shard(h uint64) *cacheShard {
+	return &c.shards[h&uint64(len(c.shards)-1)]
 }
 
 // get returns the cached estimate for k if it exists, was computed with
@@ -160,15 +165,19 @@ func (c *estimateCache) shard(k cacheKey) *cacheShard {
 // evict_stale / evict_ttl) and reported as misses; one computed with
 // another matrix is a miss its fill replaces.
 func (c *estimateCache) get(k cacheKey, grid *float64, gen uint64, now time.Time) (float64, bool) {
-	s := c.shard(k)
+	h := k.hash()
+	s := c.shard(h)
 	s.mu.Lock()
-	el, ok := s.m[k]
-	if !ok {
+	el, ok := s.m[h]
+	var e *cacheEntry
+	if ok {
+		e = el.Value.(*cacheEntry)
+	}
+	if !ok || e.key != k { // absent, or another key with the same hash
 		s.mu.Unlock()
 		c.missTotal.Inc()
 		return 0, false
 	}
-	e := el.Value.(*cacheEntry)
 	if e.gen != gen {
 		c.remove(s, el)
 		s.mu.Unlock()
@@ -200,10 +209,11 @@ func (c *estimateCache) get(k cacheKey, grid *float64, gen uint64, now time.Time
 // rewritten in place as this one and moved to the front: a fill allocates
 // nothing, and the size and the entries gauge stay as they are.
 func (c *estimateCache) put(k cacheKey, grid *float64, sec float64, gen uint64, now time.Time) {
-	s := c.shard(k)
+	h := k.hash()
+	s := c.shard(h)
 	s.mu.Lock()
 	e := cacheEntry{key: k, grid: grid, sec: sec, gen: gen, expire: now.Add(c.ttl)}
-	if el, ok := s.m[k]; ok {
+	if el, ok := s.m[h]; ok {
 		*el.Value.(*cacheEntry) = e
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
@@ -212,9 +222,9 @@ func (c *estimateCache) put(k cacheKey, grid *float64, sec float64, gen uint64, 
 	if s.lru.Len() >= c.perShard {
 		el := s.lru.Back()
 		victim := el.Value.(*cacheEntry)
-		delete(s.m, victim.key)
+		delete(s.m, victim.key.hash())
 		*victim = e
-		s.m[k] = el
+		s.m[h] = el
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
 		c.evictLRU.Inc()
@@ -222,18 +232,16 @@ func (c *estimateCache) put(k cacheKey, grid *float64, sec float64, gen uint64, 
 	}
 	fresh := new(cacheEntry)
 	*fresh = e
-	s.m[k] = s.lru.PushFront(fresh)
+	s.m[h] = s.lru.PushFront(fresh)
 	s.mu.Unlock()
 	c.entriesGauge.Set(float64(c.size.Add(1)))
 }
 
 // remove unlinks el from its shard. The shard lock must be held.
 func (c *estimateCache) remove(s *cacheShard, el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	delete(s.m, e.key)
+	delete(s.m, el.Value.(*cacheEntry).key.hash())
 	s.lru.Remove(el)
-	c.size.Add(-1)
-	c.entriesGauge.Set(float64(c.size.Load()))
+	c.entriesGauge.Set(float64(c.size.Add(-1)))
 }
 
 // len returns the total number of live entries (including any not yet

@@ -135,6 +135,34 @@ func TestCachePutUpdatesExisting(t *testing.T) {
 	}
 }
 
+// TestCacheHashCollision: the shard map is keyed by a key's 64-bit hash,
+// so two keys can meet in one slot. A key whose slot holds another key's
+// entry misses, and its fill replaces that entry; neither key is ever
+// answered with the other's estimate. A real collision is planted by
+// filing a's element under b's hash.
+func TestCacheHashCollision(t *testing.T) {
+	c, _ := newTestCache(4, time.Minute)
+	now := cacheEpoch
+	a, b := k(1, 2, 3), k(4, 5, 6)
+	c.put(a, nil, 42, 1, now)
+	s := c.shard(a.hash())
+	s.m[b.hash()] = s.m[a.hash()]
+	delete(s.m, a.hash())
+	if sec, ok := c.get(b, nil, 1, now); ok {
+		t.Fatalf("b got a's estimate %v", sec)
+	}
+	c.put(b, nil, 7, 1, now)
+	if sec, ok := c.get(b, nil, 1, now); !ok || sec != 7 {
+		t.Fatalf("b after its fill = %v, %v; want 7, true", sec, ok)
+	}
+	if _, ok := c.get(a, nil, 1, now); ok {
+		t.Fatal("a still hits after b replaced it")
+	}
+	if c.len() != 1 {
+		t.Fatalf("cache holds %d entries, want 1", c.len())
+	}
+}
+
 func TestCacheSharding(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newEstimateCache(1024, 5, time.Minute, reg) // rounds up to 8 shards

@@ -583,12 +583,14 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 	e.requests.Inc()
 	ev.Generation = inst.gen
 	var key cacheKey
+	var looked time.Time
 	var cspan obs.Span
 	if e.cache != nil {
 		key = keyOf(od, e.trafficEpoch())
 		ev.TrafficEpoch = key.epoch
 		_, cspan = e.reg.StartSpan(ctx, stageCache)
-		sec, ok := e.cache.get(key, gridOf(od.External), inst.gen, e.now())
+		looked = e.now()
+		sec, ok := e.cache.get(key, gridOf(od.External), inst.gen, looked)
 		cspan.SetBool("hit", ok)
 		if ok {
 			cspan.End()
@@ -599,7 +601,7 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 		ev.TrafficEpoch = e.trafficEpoch()
 	}
 
-	j := &job{pendingJob: pendingJob{od: od, key: key, ctx: ctx}}
+	j := &job{pendingJob: pendingJob{od: od, key: key, looked: looked, ctx: ctx}}
 	if e.cache != nil {
 		_, j.qspan = cspan.Next(ctx, stageQueue)
 	} else {
@@ -727,8 +729,9 @@ type pendingJob struct {
 	od traj.ODInput
 	// key is the request's cache key, computed once in Do (zero with
 	// caching off); serve files the answer under it at the execution's
-	// epoch.
-	key cacheKey
+	// epoch, its TTL counted from looked, when Do missed it.
+	key    cacheKey
+	looked time.Time
 	// ctx is the requesting caller's context; it carries the trace so the
 	// execution's batch/match/model spans join the request's tree.
 	ctx     context.Context
@@ -834,7 +837,7 @@ func (e *Engine) serve(inst *installed, p *pendingJob, batchSize int, bctx conte
 		// served.
 		key := p.key
 		key.epoch = epoch
-		e.cache.put(key, gridOf(p.od.External), ev.Seconds, inst.gen, e.now())
+		e.cache.put(key, gridOf(p.od.External), ev.Seconds, inst.gen, p.looked)
 	}
 	ev.SnapshotID = inst.snap.ID
 	return ev

@@ -67,7 +67,9 @@ func (r *Registry) Snapshot() []Sample {
 				s.Value = m.Value()
 			case *Histogram:
 				s.BucketUppers, s.BucketCounts = m.Buckets()
-				s.Count = m.Count()
+				for _, n := range s.BucketCounts {
+					s.Count += n
+				}
 				s.Sum = m.Sum()
 				for i, e := range m.Exemplars() {
 					if e != nil {

@@ -184,14 +184,14 @@ var DefBuckets = []float64{
 }
 
 // A Histogram counts observations into fixed buckets and tracks their sum,
-// like a Prometheus histogram. Observe is lock-free; a concurrent reader
-// may see a bucket increment before the matching sum update, which the
-// exposition format tolerates (scrapes are not atomic snapshots).
+// like a Prometheus histogram; the count is the buckets' total, so it never
+// disagrees with them. Observe is lock-free; a concurrent reader may see a
+// bucket increment before the matching sum update, which the exposition
+// format tolerates (scrapes are not atomic snapshots).
 type Histogram struct {
 	uppers  []float64 // ascending bucket upper bounds, excluding +Inf
 	buckets []atomic.Uint64
 	inf     atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 	// exemplars holds the latest exemplar per bucket (+Inf last), written
 	// only when exemplar recording is enabled (see exemplar.go). One atomic
@@ -241,7 +241,6 @@ func (h *Histogram) Observe(v float64) {
 	} else {
 		h.inf.Add(1)
 	}
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -252,7 +251,13 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	n := h.inf.Load()
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -273,7 +278,7 @@ func (h *Histogram) Buckets() (uppers []float64, counts []uint64) {
 // within the bucket containing it. Values in the +Inf bucket clamp to the
 // largest finite bound. Returns NaN on an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
