@@ -63,7 +63,6 @@ import (
 	"deepod/internal/traj"
 )
 
-// Sentinel errors mapped to HTTP statuses by internal/serve.
 // The engine's stages. A miss runs infer.cache, infer.queue and
 // infer.batch back to back under the request, and infer.match then
 // infer.model back to back under infer.batch: each hands over to the next
@@ -79,6 +78,7 @@ var (
 	stageSnapshotLoad = obs.NewStage("infer.snapshot_load")
 )
 
+// Sentinel errors mapped to HTTP statuses by internal/serve.
 var (
 	// ErrOverloaded means the admission queue was full (serve → 429).
 	ErrOverloaded = errors.New("infer: admission queue full")
@@ -728,8 +728,9 @@ func (e *Engine) quantize(ev *ServeEvent) {
 type pendingJob struct {
 	od traj.ODInput
 	// key is the request's cache key, computed once in Do (zero with
-	// caching off); serve files the answer under it at the execution's
-	// epoch, its TTL counted from looked, when Do missed it.
+	// caching off), and looked the clock reading its lookup missed at;
+	// serve files the answer under key at the execution's epoch, its TTL
+	// counted from looked.
 	key    cacheKey
 	looked time.Time
 	// ctx is the requesting caller's context; it carries the trace so the
