@@ -229,7 +229,9 @@ type Config struct {
 
 	// Registry receives engine metrics (default obs.Default()).
 	Registry *obs.Registry
-	// Now overrides the clock (tests); defaults to time.Now.
+	// Now overrides the clock of snapshot loads, latencies and queue
+	// waits (tests); defaults to time.Now. The cache's TTL runs from its
+	// lookup's infer.cache span start.
 	Now func() time.Time
 }
 
@@ -589,7 +591,7 @@ func (e *Engine) Do(ctx context.Context, od traj.ODInput) (Result, error) {
 		key = keyOf(od, e.trafficEpoch())
 		ev.TrafficEpoch = key.epoch
 		_, cspan = e.reg.StartSpan(ctx, stageCache)
-		looked = e.now()
+		looked = cspan.Start()
 		sec, ok := e.cache.get(key, gridOf(od.External), inst.gen, looked)
 		cspan.SetBool("hit", ok)
 		if ok {

@@ -224,6 +224,11 @@ func (s *Span) Next(ctx context.Context, st Stage) (context.Context, Span) {
 	return s.reg.start(ctx, st, now)
 }
 
+// Start is the clock reading the span started at: a time.Time with a
+// monotonic reading, so a caller that needs the time a stage began (the
+// engine's cache, for its TTL) reads no clock of its own.
+func (s *Span) Start() time.Time { return clockBase.Add(s.start) }
+
 // End finishes the span, records its duration and returns it. Only the
 // first End takes effect; later calls return the duration since start
 // without recording again. Ending from a goroutine other than the starter
