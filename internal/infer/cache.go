@@ -206,8 +206,8 @@ func (c *estimateCache) get(k cacheKey, grid *float64, gen uint64, now time.Time
 
 // put stores an estimate computed with speed matrix grid by model
 // generation gen. When the shard is full, its least recently used entry is
-// rewritten in place as this one and moved to the front: a fill allocates
-// nothing, and the size and the entries gauge stay as they are.
+// rewritten in place as this one and moved to the front: such a fill
+// allocates nothing, and the size and the entries gauge stay as they are.
 func (c *estimateCache) put(k cacheKey, grid *float64, sec float64, gen uint64, now time.Time) {
 	h := k.hash()
 	s := c.shard(h)
