@@ -27,7 +27,7 @@ bench:
 	go run ./bench -workload train
 
 tracebench:
-	go test -run 'TestUntracedStagesOverhead|TestUntracedSpanAllocs' -v ./internal/obs/
+	go test -run 'TestUntracedSpanOverhead|TestTelemetryDisabledOverhead|TestUntracedSpanAllocs' -v ./internal/obs/
 	go test -run '^$$' -bench 'BenchmarkSpan|BenchmarkTraceStoreOffer' ./internal/obs/
 
 enginebench:

@@ -52,8 +52,8 @@ go test -run '^$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/recorder/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz FuzzNearestEdge -fuzztime 5s ./internal/roadnet/
 
-echo "== tracebench gate (untraced stages: a cold request's ten stages against their clock-and-atomics floor, exemplars off; a span and the whole sequence 0 allocations)"
-go test -run 'TestUntracedStagesOverhead|TestUntracedSpanAllocs' ./internal/obs/
+echo "== tracebench gate (untraced span: setter overhead in ns; untraced stages: a cold request's ten stages against their clock-and-atomics floor, exemplars off; a span and the whole sequence 0 allocations)"
+go test -run 'TestUntracedSpanOverhead|TestTelemetryDisabledOverhead|TestUntracedSpanAllocs' ./internal/obs/
 
 echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, the request counter; ns and 0 allocations each; a whole Do: 0 allocations on a cache hit, 1 on a miss)"
 go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead|TestEngineAllocs' ./internal/infer/
