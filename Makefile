@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the PR gate (see scripts/check.sh).
 
-.PHONY: build test check race fmt bench tracebench enginebench replaybench matchbench
+.PHONY: build test check race fmt bench tracebench enginebench replaybench matchbench experiments
 
 build:
 	go build ./...
@@ -38,3 +38,11 @@ matchbench:
 
 replaybench:
 	go run ./cmd/ttereplay -smoke -gate-unexplained 0
+
+# The shape-scale record EXPERIMENTS.md quotes, stamped with the commit it ran
+# at (commit on a clean tree first). The run writes outside the tree and the
+# file moves in after it: a redirect straight into the tracked file would
+# dirty the tree before the build reads its VCS state, stamping "+modified".
+experiments:
+	go run -buildvcs=true ./cmd/ttebench -scale shape > $${TMPDIR:-/tmp}/shape.golden
+	mv $${TMPDIR:-/tmp}/shape.golden internal/experiments/testdata/shape.golden

@@ -11,17 +11,61 @@
 //
 // -exp takes names from experiments.Experiments (table3 prints Figure 10
 // as well); an unknown name fails with the valid ones listed.
+//
+// The first line of the output names the scale, seed and cities, the
+// commit the binary was built from and the runner. `go run` stamps the
+// commit only with -buildvcs=true; `make experiments` runs
+//
+//	go run -buildvcs=true ./cmd/ttebench -scale shape
+//
+// at a committed tree into internal/experiments/testdata/shape.golden,
+// the record EXPERIMENTS.md quotes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime/debug"
 	"strings"
 	"time"
 
+	"deepod/internal/benchmeta"
 	"deepod/internal/experiments"
 )
+
+// header is the output's first line: what ran (scale, seed, cities), from
+// which commit (see commit) and on what runner.
+func header(bi *debug.BuildInfo, env benchmeta.Env, sc experiments.Scale) string {
+	return fmt.Sprintf("ttebench scale=%s seed=%d cities=%s commit=%s go=%s cpus=%d gomaxprocs=%d",
+		sc.Name, sc.Seed, strings.Join(sc.CityList(), ","), commit(bi),
+		env.GoVersion, env.CPUs, env.GOMAXPROCS)
+}
+
+// commit is the VCS revision bi was stamped with, suffixed "+modified" when
+// the tree had uncommitted changes, or "unknown" when the build carries no
+// stamp (go run or go test without -buildvcs=true, a build outside git).
+func commit(bi *debug.BuildInfo) string {
+	var rev string
+	modified := false
+	if bi != nil {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value == "true"
+			}
+		}
+	}
+	switch {
+	case rev == "":
+		return "unknown"
+	case modified:
+		return rev + "+modified"
+	}
+	return rev
+}
 
 // names returns the experiments' names, space separated.
 func names(es []experiments.Experiment) string {
@@ -89,6 +133,8 @@ func main() {
 		log.Fatal(err)
 	}
 
+	bi, _ := debug.ReadBuildInfo()
+	fmt.Printf("%s\n\n", header(bi, benchmeta.Capture(), sc))
 	suite := experiments.NewSuite(sc)
 	for _, e := range selected {
 		start := time.Now()

@@ -1,11 +1,38 @@
 package main
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"deepod/internal/benchmeta"
 	"deepod/internal/experiments"
 )
+
+func TestHeader(t *testing.T) {
+	stamped := func(modified string) *debug.BuildInfo {
+		return &debug.BuildInfo{Settings: []debug.BuildSetting{
+			{Key: "vcs", Value: "git"},
+			{Key: "vcs.revision", Value: "0123abcd"},
+			{Key: "vcs.modified", Value: modified},
+		}}
+	}
+	env := benchmeta.Env{CPUs: 4, GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	const rest = " go=go1.24.0 cpus=4 gomaxprocs=2"
+	for _, tc := range []struct {
+		name string
+		bi   *debug.BuildInfo
+		want string
+	}{
+		{"clean", stamped("false"), "ttebench scale=shape seed=1 cities=chengdu-s commit=0123abcd" + rest},
+		{"modified", stamped("true"), "ttebench scale=shape seed=1 cities=chengdu-s commit=0123abcd+modified" + rest},
+		{"unstamped", &debug.BuildInfo{}, "ttebench scale=shape seed=1 cities=chengdu-s commit=unknown" + rest},
+	} {
+		if got := header(tc.bi, env, experiments.ShapeScale()); got != tc.want {
+			t.Errorf("%s build:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestSelectExperiments(t *testing.T) {
 	all, err := selectExperiments("all")

@@ -20,8 +20,7 @@
 //
 // The report is written to -out (default BENCH_replay.json) with a
 // throughput figure (replayed events/s). -gate-unexplained N exits
-// non-zero when unexplained diffs exceed N; -gate-throughput M when the
-// replay rate falls below M events/s.
+// non-zero when unexplained diffs exceed N.
 //
 // -smoke runs the whole loop self-contained for CI: build a synthetic
 // city, train a small model, save + reload it as a checkpoint (so the
@@ -63,7 +62,6 @@ func main() {
 		out       = flag.String("out", "BENCH_replay.json", "JSON report path")
 
 		gateUnexplained = flag.Int("gate-unexplained", -1, "fail when unexplained diffs exceed this (-1 disables; 0 = require bit-for-bit)")
-		gateThroughput  = flag.Float64("gate-throughput", 0, "fail when replay throughput falls below this many events/s (0 disables)")
 
 		smoke         = flag.Bool("smoke", false, "self-contained record+replay loop: train, record a session, replay it against the same checkpoint")
 		smokeOrders   = flag.Int("smoke-orders", 200, "orders for the -smoke city build")
@@ -168,7 +166,7 @@ func main() {
 		"cpus":          env.CPUs,
 		"gomaxprocs":    env.GOMAXPROCS,
 		"go_version":    env.GoVersion,
-		"gate_enforced": *gateUnexplained >= 0 || *gateThroughput > 0,
+		"gate_enforced": *gateUnexplained >= 0,
 		"replay":        rep,
 	}
 	if len(headers) > 0 {
@@ -195,10 +193,6 @@ func main() {
 	if *smoke && rep.ExplainedDiffs > 0 {
 		log.Printf("GATE FAILED: %d explained diffs %v — the smoke replays its own checkpoint without live traffic, so none has a reason",
 			rep.ExplainedDiffs, rep.Explanations)
-		failed = true
-	}
-	if *gateThroughput > 0 && rep.EventsPerSec < *gateThroughput {
-		log.Printf("GATE FAILED: replay throughput %.0f events/s < %.0f", rep.EventsPerSec, *gateThroughput)
 		failed = true
 	}
 	if failed {

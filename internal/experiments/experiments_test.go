@@ -74,18 +74,8 @@ func TestTinyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Fatalf("line %d differs from testdata/tiny.golden:\n got: %q\nwant: %q", i+1, g, w)
-		}
+	if diff := firstDiff(strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")); diff != "" {
+		t.Fatalf("differs from testdata/tiny.golden at %s", diff)
 	}
 }
 

@@ -53,7 +53,8 @@ type Config struct {
 	Match func(ctx context.Context, od traj.ODInput) (traj.MatchedOD, error)
 	// External resolves the training-time prior features for a departure
 	// (optional; the recording's serve path used the same function for
-	// every estimate it answered without live traffic).
+	// every estimate it answered without live traffic). It is called only
+	// for events the engine's Validate accepts.
 	External func(departSec float64) *traj.ExternalFeatures
 	// ToleranceSec is the regression threshold: replayed answers that
 	// moved more than this count as changed in the report (default 1s).
@@ -178,11 +179,17 @@ func Run(ctx context.Context, cfg Config, events []recorder.Event) (*Report, err
 			rep.Skipped[ev.Err]++
 			continue
 		}
+		// Validate first, as serve does: a recorded rejection resolves no
+		// external bundle, and its error is the one Do would return.
 		od := traj.ODInput{Origin: ev.Origin, Dest: ev.Dest, DepartSec: ev.DepartSec}
-		if cfg.External != nil {
-			od.External = cfg.External(ev.DepartSec)
+		var res infer.Result
+		doErr := eng.Validate(od)
+		if doErr == nil {
+			if cfg.External != nil {
+				od.External = cfg.External(ev.DepartSec)
+			}
+			res, doErr = eng.Do(ctx, od)
 		}
-		res, doErr := eng.Do(ctx, od)
 		rep.Replayed++
 		sameSnapshot := ev.Snapshot == "" || ev.Snapshot == cfg.Snapshot.ID
 

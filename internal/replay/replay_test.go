@@ -117,6 +117,29 @@ func TestReplaySameCheckpointBitForBit(t *testing.T) {
 	}
 }
 
+// TestReplayValidatesBeforeExternal: a recorded rejection is refused by
+// the engine's Validate before its external bundle is resolved, so it costs
+// no External call, and its error still reproduces.
+func TestReplayValidatesBeforeExternal(t *testing.T) {
+	s := snap("m1", 40)
+	events := record(t, s, reqStream())
+	calls := 0
+	rep, err := Run(context.Background(), Config{
+		Snapshot: s, Match: match,
+		External: func(float64) *traj.ExternalFeatures { calls++; return nil },
+	}, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ErrorsReproduced != 2 || rep.Matched != 13 || rep.UnexplainedDiffs != 0 {
+		t.Fatalf("report = %+v, want 13 matched + 2 errors reproduced", rep)
+	}
+	if calls != rep.Matched {
+		t.Fatalf("External called %d times for %d served and %d rejected events, want %d",
+			calls, rep.Matched, rep.ErrorsReproduced, rep.Matched)
+	}
+}
+
 // TestReplayDifferentCheckpointExplains: against another checkpoint every
 // diff is explained as a snapshot regression and quantified — the MAE and
 // changed-count a release gate reads.
