@@ -90,9 +90,8 @@ func textBlocks(md []string) [][]string {
 // EXPERIMENTS.md is a run of consecutive lines of it.
 func TestShapeRecordQuoted(t *testing.T) {
 	record := readLines(t, shapeRecord)
-	head := strings.Fields(record[0])
 	var scale, commit string
-	for _, f := range head {
+	for _, f := range strings.Fields(record[0]) {
 		if v, ok := strings.CutPrefix(f, "scale="); ok {
 			scale = v
 		}
@@ -105,8 +104,9 @@ func TestShapeRecordQuoted(t *testing.T) {
 	}
 
 	md := readLines(t, "../../EXPERIMENTS.md")
+	text := strings.Join(md, "\n")
 	for _, stale := range []string{"Note (PR", "ttebench_shape.txt"} {
-		if s := strings.Join(md, "\n"); strings.Contains(s, stale) {
+		if strings.Contains(text, stale) {
 			t.Errorf("EXPERIMENTS.md still contains %q", stale)
 		}
 	}
@@ -119,7 +119,8 @@ func TestShapeRecordQuoted(t *testing.T) {
 			t.Error("EXPERIMENTS.md has an empty ```text block")
 			continue
 		}
-		// The record's lines that open the block; report the nearest miss.
+		// Try each record line equal to the block's first; report the
+		// last attempt's first differing line.
 		diff := fmt.Sprintf("its first line %q is not in %s", block[0], shapeRecord)
 		quoted := false
 		for i := range record {
