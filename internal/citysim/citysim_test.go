@@ -7,6 +7,7 @@ import (
 
 	"deepod/internal/roadnet"
 	"deepod/internal/timeslot"
+	"deepod/internal/traj"
 )
 
 func testCity(t testing.TB) *roadnet.Graph {
@@ -207,16 +208,100 @@ func TestSpeedGridderBoundedPastHorizon(t *testing.T) {
 	}
 	sg.MatrixAt(1e300)
 	horizon := int(math.Ceil(tf.Horizon()/sg.PeriodSec)) + int(math.Ceil(3600/sg.PeriodSec))
-	if n, bound := len(sg.cache), horizon+int(week/sg.PeriodSec); n > bound {
-		t.Fatalf("%d cached matrices after far-future departures, want at most %d", n, bound)
+	n := 0
+	for i := range sg.periods {
+		if sg.periods[i].Load() != nil {
+			n++
+		}
+	}
+	if bound := horizon + int(week/sg.PeriodSec); n > bound {
+		t.Fatalf("%d filled period slots after far-future departures, want at most %d", n, bound)
 	}
 }
 
-// TestSpeedGridderConcurrent is the -race test of MatrixAt: goroutines that
-// start on distinct departures and walk every period race on first touches
-// (serve's External hook does this from every connection goroutine), and
-// must all converge on one slice per period — the identity the traffic-code
-// memo and traffic.mergedEntry key on — with the sequential values.
+// TestSpeedGridderOddInputs: a negative or non-finite departure takes
+// period slot 0 instead of indexing outside the table.
+func TestSpeedGridderOddInputs(t *testing.T) {
+	tf := testTraffic(t)
+	sg, err := NewSpeedGridder(tf, 300, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := sg.External(0)
+	for _, sec := range []float64{-1, -1e300, math.Inf(-1), math.Inf(1), math.NaN()} {
+		if got := sg.MatrixAt(sec); &got[0] != &zero.SpeedGrid[0] {
+			t.Errorf("depart %v: a matrix other than period 0's", sec)
+		}
+		if got := sg.External(sec); got.Weather != tf.Weather(sec) {
+			t.Errorf("depart %v: weather %d, Traffic.Weather gives %d", sec, got.Weather, tf.Weather(sec))
+		}
+	}
+}
+
+// TestSpeedGridderStraddlingPeriod: a 90 min period spans an hour
+// boundary, so its departures on either side of it can see different
+// weather. Each gets Traffic.Weather at its own time, and both share the
+// period's one matrix; the departure whose weather is the period start's
+// gets the period's shared bundle.
+func TestSpeedGridderStraddlingPeriod(t *testing.T) {
+	tf := testTraffic(t)
+	sg, err := NewSpeedGridder(tf, 300, 5400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for h := 1; float64(h)*3600 < tf.Horizon(); h++ {
+		edge := float64(h) * 3600
+		before, after := edge-1, edge
+		if math.Mod(edge, sg.PeriodSec) == 0 || tf.Weather(before) == tf.Weather(after) {
+			continue // no period straddles this hour, or its weather holds
+		}
+		start := math.Floor(edge/sg.PeriodSec) * sg.PeriodSec
+		shared := sg.External(start)
+		for _, sec := range []float64{before, after} {
+			got := sg.External(sec)
+			if got.Weather != tf.Weather(sec) {
+				t.Fatalf("depart %v: weather %d, Traffic.Weather gives %d", sec, got.Weather, tf.Weather(sec))
+			}
+			if &got.SpeedGrid[0] != &shared.SpeedGrid[0] || got.GridRows != shared.GridRows || got.GridCols != shared.GridCols {
+				t.Fatalf("depart %v: not the matrix of its period starting at %v", sec, start)
+			}
+			if (got == shared) != (got.Weather == shared.Weather) {
+				t.Fatalf("depart %v: shared bundle %v, weather %d against the period's %d", sec, got == shared, got.Weather, shared.Weather)
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no period straddles a change of weather; the test proves nothing")
+	}
+}
+
+// TestExternalAllocs: once its period is touched, External hands out the
+// period's bundle without allocating.
+func TestExternalAllocs(t *testing.T) {
+	tf := testTraffic(t)
+	sg, err := NewSpeedGridder(tf, 300, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := 10*3600 + 17.5
+	first := sg.External(sec)
+	if a := testing.AllocsPerRun(1000, func() {
+		if sg.External(sec) != first {
+			t.Fatal("a touched period answered another bundle")
+		}
+	}); a != 0 {
+		t.Fatalf("External on a touched period: %v allocs, want 0", a)
+	}
+}
+
+// TestSpeedGridderConcurrent is the -race test of MatrixAt and External:
+// goroutines that start on distinct departures and walk every period race
+// on first touches (serve's External hook does this from every connection
+// goroutine), and must all converge on one bundle per period, and so one
+// matrix — the identity the traffic-code memo and traffic.mergedEntry key
+// on — with the sequential values.
 func TestSpeedGridderConcurrent(t *testing.T) {
 	tf := testTraffic(t)
 	sg, err := NewSpeedGridder(tf, 300, 900)
@@ -228,30 +313,37 @@ func TestSpeedGridderConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	const goroutines, periods = 8, 96
-	got := make([][]*float64, goroutines)
+	got := make([][]*traj.ExternalFeatures, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		got[g] = make([]*float64, periods)
+		got[g] = make([]*traj.ExternalFeatures, periods)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < periods; i++ {
 				p := (i + g*periods/goroutines) % periods
-				got[g][p] = &sg.External(float64(p)*sg.PeriodSec + float64(g)).SpeedGrid[0]
+				sec := float64(p)*sg.PeriodSec + float64(g)
+				if g%2 == 1 {
+					sg.MatrixAt(sec) // half the first touches come through MatrixAt
+				}
+				got[g][p] = sg.External(sec)
 			}
 		}(g)
 	}
 	wg.Wait()
 	for p := 0; p < periods; p++ {
-		m := sg.MatrixAt(float64(p) * sg.PeriodSec)
+		b := sg.External(float64(p) * sg.PeriodSec)
+		if m := sg.MatrixAt(float64(p) * sg.PeriodSec); &m[0] != &b.SpeedGrid[0] {
+			t.Fatalf("period %d: MatrixAt and External disagree on the matrix", p)
+		}
 		for g := range got {
-			if got[g][p] != &m[0] {
-				t.Fatalf("period %d: goroutine %d got a different slice", p, g)
+			if got[g][p] != b {
+				t.Fatalf("period %d: goroutine %d got a different bundle", p, g)
 			}
 		}
 		for i, v := range ref.MatrixAt(float64(p) * sg.PeriodSec) {
-			if math.Float64bits(v) != math.Float64bits(m[i]) {
-				t.Fatalf("period %d cell %d: %v under contention, %v alone", p, i, m[i], v)
+			if math.Float64bits(v) != math.Float64bits(b.SpeedGrid[i]) {
+				t.Fatalf("period %d cell %d: %v under contention, %v alone", p, i, b.SpeedGrid[i], v)
 			}
 		}
 	}

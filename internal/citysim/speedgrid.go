@@ -3,7 +3,7 @@ package citysim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"deepod/internal/geo"
 	"deepod/internal/roadnet"
@@ -29,13 +29,12 @@ type SpeedGridder struct {
 	// foldPeriod is the first period from whose start on the weather is
 	// clamped to the horizon's last hour, and weekPeriods the periods in a
 	// week: from foldPeriod on the field repeats every weekPeriods periods,
-	// so MatrixAt folds later periods into the week starting there.
+	// so later periods fold into the week starting there.
 	foldPeriod, weekPeriods float64
 
-	// cache holds one matrix per period index. Handed-out matrices are
-	// read-only and identify their period (see MatrixAt).
-	mu    sync.RWMutex
-	cache map[int][]float64
+	// periods holds one bundle per period slot, nil until the slot's first
+	// touch. A published bundle is read-only and identifies its period.
+	periods []atomic.Pointer[traj.ExternalFeatures]
 }
 
 // NewSpeedGridder builds a gridder with the given cell size (the paper uses
@@ -49,49 +48,63 @@ func NewSpeedGridder(t *Traffic, cellMeters, periodSec float64) (*SpeedGridder, 
 	if err != nil {
 		return nil, fmt.Errorf("citysim: speed grid: %w", err)
 	}
-	sg := &SpeedGridder{
-		traffic:   t,
-		grid:      grid,
-		cellEdges: roadnet.CellEdges(g, grid),
-		PeriodSec: periodSec,
+	sg := &SpeedGridder{traffic: t, grid: grid, cellEdges: roadnet.CellEdges(g, grid), PeriodSec: periodSec,
 		// Weather answers its last hour from the start of that hour on.
-		foldPeriod:  math.Ceil(float64(len(t.weatherSeq)-1) * 3600 / periodSec),
-		weekPeriods: timeslot.SecondsPerWeek / periodSec,
-		cache:       make(map[int][]float64),
-	}
+		foldPeriod: math.Ceil(float64(len(t.weatherSeq)-1) * 3600 / periodSec), weekPeriods: timeslot.SecondsPerWeek / periodSec}
+	sg.periods = make([]atomic.Pointer[traj.ExternalFeatures], int(sg.foldPeriod+sg.weekPeriods))
 	return sg, nil
 }
 
 // MatrixAt returns the speed matrix (row-major rows×cols, m/s, 0 for empty
-// cells) nearest before time sec. A period's first touch evaluates the
-// field's time terms once at the period's start, every edge's speed once
-// into a scratch slice of its own, and then each cell's mean over its edges
-// in cellEdges order. Matrices are cached per period index with
-// store-if-absent semantics: every caller of a period, racing first touches
-// included, gets the same slice, which must not be written to — consumers
-// (traffic.FeatureSource, the traffic-code memo in internal/core) key on
-// its identity. A period past the weather horizon shares the matrix of its
-// period of the week after the horizon, so the cache stays bounded whatever
-// departures clients ask for. Safe for concurrent use.
-func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
+// cells) nearest before time sec: its period's bundle's SpeedGrid, one slice
+// per period that consumers (traffic.FeatureSource, the traffic-code memo in
+// internal/core) key on by identity and must not write to. Safe for
+// concurrent use, like External.
+func (sg *SpeedGridder) MatrixAt(sec float64) []float64 { return sg.bundle(sec).SpeedGrid }
+
+// External returns the external-feature bundle (weather + traffic
+// condition) for a departure time: once its period is touched, the
+// period's shared, read-only bundle, without allocating. Only a departure
+// whose weather differs from its period's start's (a period straddling an
+// hour) gets a copy with its own weather and the same matrix.
+func (sg *SpeedGridder) External(sec float64) *traj.ExternalFeatures {
+	b := sg.bundle(sec)
+	if w := sg.traffic.Weather(sec); w != b.Weather {
+		c := *b
+		c.Weather = w
+		return &c
+	}
+	return b
+}
+
+// bundle returns sec's period's bundle, lock-free. A period past the weather
+// horizon shares the slot of its period of the week after the horizon, so
+// the table is bounded whatever departures clients ask for; a negative or
+// non-finite sec takes slot 0, as Traffic.Weather clamps its hour. A slot's
+// first touch evaluates the field once at the period's start (time terms,
+// every edge's speed, each cell's mean over its edges in cellEdges order)
+// and publishes the bundle with the weather there; of racing first touches,
+// which compute the same values, the first to publish wins for every caller.
+func (sg *SpeedGridder) bundle(sec float64) *traj.ExternalFeatures {
 	q := sec / sg.PeriodSec
 	if q >= sg.foldPeriod {
 		q = sg.foldPeriod + math.Mod(math.Floor(q)-sg.foldPeriod, sg.weekPeriods)
 	}
-	period := int(q)
-	sg.mu.RLock()
-	m, ok := sg.cache[period]
-	sg.mu.RUnlock()
-	if ok {
-		return m
+	if !(q >= 0) { // negative, NaN, or +Inf (which folds to NaN)
+		q = 0
 	}
-	t := sg.traffic
-	in := t.at(float64(period) * sg.PeriodSec)
+	period := int(q)
+	slot := &sg.periods[period]
+	if b := slot.Load(); b != nil {
+		return b
+	}
+	t, start := sg.traffic, float64(period)*sg.PeriodSec
+	in := t.at(start)
 	speed := make([]float64, len(t.freeSpeed))
 	for e := range speed {
 		speed[e] = t.speed(roadnet.EdgeID(e), in)
 	}
-	m = make([]float64, sg.grid.NumCells())
+	m := make([]float64, sg.grid.NumCells())
 	for ci, edges := range sg.cellEdges {
 		if len(edges) == 0 {
 			continue
@@ -102,22 +115,9 @@ func (sg *SpeedGridder) MatrixAt(sec float64) []float64 {
 		}
 		m[ci] = s / float64(len(edges))
 	}
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	if first, ok := sg.cache[period]; ok {
-		return first // a racing first touch won; both computed the same values
+	b := &traj.ExternalFeatures{Weather: t.Weather(start), SpeedGrid: m, GridRows: sg.grid.Rows, GridCols: sg.grid.Cols}
+	if slot.CompareAndSwap(nil, b) {
+		return b
 	}
-	sg.cache[period] = m
-	return m
-}
-
-// External builds the full external-feature bundle (weather + traffic
-// condition) for a departure time.
-func (sg *SpeedGridder) External(sec float64) *traj.ExternalFeatures {
-	return &traj.ExternalFeatures{
-		Weather:   sg.traffic.Weather(sec),
-		SpeedGrid: sg.MatrixAt(sec),
-		GridRows:  sg.grid.Rows,
-		GridCols:  sg.grid.Cols,
-	}
+	return slot.Load()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"deepod/internal/citysim"
 	"deepod/internal/nn"
@@ -42,20 +43,41 @@ const (
 
 // trafficKey identifies a bundle by the identity of its speed matrix's
 // backing array, the same data-pointer identity traffic.mergedEntry relies
-// on (traj.ExternalFeatures.SpeedGrid is read-only once handed out), and by
-// its weather id, the other input of Formula 18. The pointer keeps the array
-// alive, so its address cannot be reused while the entry lives.
+// on (traj.ExternalFeatures.SpeedGrid is read-only once handed out, and
+// citysim.SpeedGridder hands out one bundle per period), and by its weather
+// id, the other input of Formula 18. An entry holding the key keeps the
+// array alive, so its address cannot be reused while the entry lives.
 // len(SpeedGrid) is rows*cols by checkExternal, so the shape carries it.
 type trafficKey struct {
 	grid                *float64
 	rows, cols, weather int32
 }
 
-// trafficMemo maps bundles to their ocode rows: an index into a chunked
-// arena of D6m-wide rows. The zero value is an empty memo.
+// hash folds the key into the memo's 8-byte index key: the matrix's address
+// and a word of the shape and weather, a multiply each, then the murmur3
+// finalizer. Go's collector does not move heap objects, so the address is
+// stable while the key pins it.
+func (k trafficKey) hash() uint64 {
+	h := uint64(uintptr(unsafe.Pointer(k.grid)))
+	for _, w := range [...]uint64{uint64(uint32(k.rows))<<32 | uint64(uint32(k.cols)), uint64(uint32(k.weather))} {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// trafficMemo maps bundles to their ocode rows: an index from a key's hash
+// to an entry number, keys[n] being entry n's whole key and its row lying
+// in a chunked arena of D6m-wide rows. The pointer-free 8-byte index key is
+// the fast map path, and the collector never scans the index; a lookup
+// still needs the entry's key to equal the request's. The zero value is an
+// empty memo.
 type trafficMemo struct {
 	mu     sync.RWMutex
-	index  map[trafficKey]int32
+	index  map[uint64]int32
+	keys   []trafficKey
 	chunks [][]float64
 	bytes  int
 }
@@ -63,8 +85,10 @@ type trafficMemo struct {
 // load copies the row of k into dst, reporting whether it was there. It
 // takes the read lock only and allocates nothing.
 func (tm *trafficMemo) load(k trafficKey, dst []float64) bool {
+	h := k.hash()
 	tm.mu.RLock()
-	i, ok := tm.index[k]
+	i, ok := tm.index[h]
+	ok = ok && tm.keys[i] == k
 	if ok {
 		off := int(i) % trafficMemoChunk * len(dst)
 		copy(dst, tm.chunks[int(i)/trafficMemoChunk][off:off+len(dst)])
@@ -74,19 +98,22 @@ func (tm *trafficMemo) load(k trafficKey, dst []float64) bool {
 }
 
 // store records row under k unless a racing miss already did (both
-// computed the same floats). A full memo is dropped whole first.
+// computed the same floats), or another key holds k's hash: that entry
+// keeps the slot, and k is computed on every lookup. A full memo is
+// dropped whole first.
 func (tm *trafficMemo) store(k trafficKey, row []float64) {
+	h := k.hash()
 	cost := 8 * (int(k.rows)*int(k.cols) + len(row)) // the pinned matrix plus the row
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	if _, ok := tm.index[k]; ok {
+	if _, ok := tm.index[h]; ok {
 		return
 	}
 	if len(tm.index) >= trafficMemoMaxEntries || tm.bytes+cost > trafficMemoMaxBytes {
-		tm.index, tm.chunks, tm.bytes = nil, nil, 0
+		tm.index, tm.keys, tm.chunks, tm.bytes = nil, nil, nil, 0
 	}
 	if tm.index == nil {
-		tm.index = make(map[trafficKey]int32)
+		tm.index = make(map[uint64]int32)
 	}
 	n := len(tm.index)
 	if n%trafficMemoChunk == 0 {
@@ -94,7 +121,8 @@ func (tm *trafficMemo) store(k trafficKey, row []float64) {
 	}
 	off := n % trafficMemoChunk * len(row)
 	copy(tm.chunks[n/trafficMemoChunk][off:off+len(row)], row)
-	tm.index[k] = int32(n)
+	tm.index[h] = int32(n)
+	tm.keys = append(tm.keys, k)
 	tm.bytes += cost
 	trafficCodeEntries.Set(float64(n + 1))
 }
@@ -104,7 +132,7 @@ func (tm *trafficMemo) store(k trafficKey, row []float64) {
 func (tm *trafficMemo) invalidate() {
 	tm.mu.Lock()
 	if len(tm.index) > 0 {
-		tm.index, tm.chunks, tm.bytes = nil, nil, 0
+		tm.index, tm.keys, tm.chunks, tm.bytes = nil, nil, nil, 0
 		trafficCodeEntries.Set(0)
 	}
 	tm.mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -274,6 +275,66 @@ func TestTrafficCodeWeatherKey(t *testing.T) {
 	if got := trafficCodeHits.Value() - hits; got != 4 {
 		t.Fatalf("%d hits on a warm memo, want 4", got)
 	}
+}
+
+// TestTrafficCodeMemoKeys: the memo's index holds a key's 8-byte hash, and
+// the entry its whole key. One matrix under two weather ids is two entries
+// with two rows; a lookup whose hash lands on another key's entry misses,
+// and its store leaves that entry in place.
+func TestTrafficCodeMemoKeys(t *testing.T) {
+	ext := gridOf(3, 4, 0)
+	keyOf := func(weather int32) trafficKey {
+		return trafficKey{grid: &ext.SpeedGrid[0], rows: 3, cols: 4, weather: weather}
+	}
+	var tm trafficMemo
+	rows := map[int32][]float64{1: {1, 2, 3}, 6: {4, 5, 6}}
+	for w, row := range rows {
+		tm.store(keyOf(w), row)
+	}
+	if len(tm.index) != 2 || len(tm.keys) != 2 {
+		t.Fatalf("%d index entries, %d keys for one matrix under two weather ids, want 2 and 2", len(tm.index), len(tm.keys))
+	}
+	dst := make([]float64, 3)
+	for w, row := range rows {
+		if !tm.load(keyOf(w), dst) || !reflect.DeepEqual(dst, row) {
+			t.Fatalf("weather %d: loaded %v, stored %v", w, dst, row)
+		}
+	}
+
+	// A third key whose hash the index maps to weather 1's entry.
+	other := keyOf(9)
+	tm.index[other.hash()] = tm.index[keyOf(1).hash()]
+	if tm.load(other, dst) {
+		t.Fatal("a key whose hash names another key's entry hit")
+	}
+	tm.store(other, []float64{7, 8, 9})
+	if len(tm.keys) != 2 || !tm.load(keyOf(1), dst) || !reflect.DeepEqual(dst, rows[1]) {
+		t.Fatalf("a colliding store replaced an entry: %d keys, weather 1 loads %v", len(tm.keys), dst)
+	}
+}
+
+// TestTrafficCodeHitAllocs: a memo hit of externalCode allocates nothing.
+func TestTrafficCodeHitAllocs(t *testing.T) {
+	g, _ := testWorld(t, 20)
+	m, err := New(tinyConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := gridOf(12, 10, 0)
+	want := ocode(m, ext) // the miss that fills the memo
+	var ar tensor.Arena
+	row := make([]float64, m.cfg.D6m)
+	hits := trafficCodeHits.Value()
+	if a := testing.AllocsPerRun(1000, func() {
+		ar.Reset()
+		m.externalCode(&ar, ext, row)
+	}); a != 0 {
+		t.Fatalf("a memo hit: %v allocs, want 0", a)
+	}
+	if got := trafficCodeHits.Value() - hits; got != 1001 {
+		t.Fatalf("%v hits, want 1001 (AllocsPerRun's warm-up run and its 1000)", got)
+	}
+	wantBits(t, "hit", row, want)
 }
 
 // TestTrafficCodeTrainCurveExact: every validation MAE a tiny Train reports

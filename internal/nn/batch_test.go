@@ -132,6 +132,37 @@ func TestPackedLSTMMatchesEachSequence(t *testing.T) {
 	}
 }
 
+// TestPackedLSTMPoisonedArena: the LSTM's [x, h] rows and gate
+// activations skip the arena's zeroing, so the forward must write every
+// element itself: on a tape whose arena holds NaN, the forward and the
+// gradients are the bits of a fresh tape.
+func TestPackedLSTMPoisonedArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	ps := NewParamSet()
+	lstm := NewLSTM(ps, rng, "lstm", 3, 4)
+	sizes, _ := packedBatchSizes(packedLengths)
+	x := ps.NewNormal("x", rng, 1, 11, 3)
+	run := func(tp *Tape) []float64 {
+		ps.ZeroGrad()
+		h := lstm.ForwardPacked(tp, tp.Leaf(x), sizes)
+		tp.Backward(weighted(tp, h))
+		out := append([]float64(nil), h.Value.Data...)
+		for _, p := range ps.All() {
+			out = append(out, p.Grad.Data...)
+		}
+		return out
+	}
+	want := run(NewTape())
+	dirty := NewTape()
+	dirty.arena.New(1 << 14).Fill(math.NaN())
+	dirty.Reset()
+	for i, v := range run(dirty) {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("value %d: %v on a poisoned arena, %v on a fresh one", i, v, want[i])
+		}
+	}
+}
+
 // TestBatchedConvChannelNormGradients checks conv + per-sample ChannelNorm
 // over a batch [N, C, H, W] against finite differences: the
 // time-interval encoder's 3×1 column conv at Δd = 1 and Δd = 2, and the

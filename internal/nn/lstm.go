@@ -85,17 +85,21 @@ func (l *LSTM) ForwardPacked(tp *Tape, x *Node, batchSizes []int) *Node {
 		tensor.PackInto(wp, leaves[k].Value, k*hd)
 		copy(b.Data[k*hd:(k+1)*hd], leaves[4+k].Value.Data)
 	}
-	xh := tp.arena.New(rows, wd)    // [x_t, h_{t-1}] per packed row
-	act := tp.arena.New(rows, 4*hd) // gate pre-activations, then f, i, o, g
-	cs := tp.arena.New(rows, hd)    // c_t
-	tc := tp.arena.New(rows, hd)    // tanh(c_t)
+	// xh and act are written in full below (h_{-1} = 0 explicitly), so they
+	// skip the arena's zeroing.
+	xh := tp.arena.NewUninit(rows, wd)    // [x_t, h_{t-1}] per packed row
+	act := tp.arena.NewUninit(rows, 4*hd) // gate pre-activations, then f, i, o, g
+	cs := tp.arena.New(rows, hd)          // c_t
+	tc := tp.arena.New(rows, hd)          // tanh(c_t)
 	out := tp.arena.New(batchSizes[0], hd)
 	for t, bt := range batchSizes {
 		o0 := offs[t]
 		for r := 0; r < bt; r++ {
 			row := xh.Data[(o0+r)*wd : (o0+r+1)*wd]
 			copy(row[:in], xv.Data[(o0+r)*in:(o0+r+1)*in])
-			if t > 0 {
+			if t == 0 {
+				clear(row[in:]) // h_{-1} is the constant 0
+			} else {
 				prev := offs[t-1] + r
 				for j := 0; j < hd; j++ { // h_{t-1} = o ⊗ tanh(c_{t-1}), Formula 16
 					row[in+j] = act.Data[prev*4*hd+2*hd+j] * tc.Data[prev*hd+j]

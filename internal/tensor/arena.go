@@ -40,6 +40,16 @@ func (a *Arena) Reset() {
 
 // New carves a zeroed tensor of the given shape out of the arena.
 func (a *Arena) New(shape ...int) *Tensor {
+	t := a.NewUninit(shape...)
+	clear(t.Data)
+	return t
+}
+
+// NewUninit is New without the zeroing: the tensor holds whatever an
+// earlier tensor of the arena left there. It is for an output a kernel
+// overwrites in full before anything reads it (Conv2DInto's, the LSTM's
+// gate activations), whose zeroing would be a wasted pass over memory.
+func (a *Arena) NewUninit(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
@@ -49,7 +59,7 @@ func (a *Arena) New(shape ...int) *Tensor {
 	}
 	t := a.hdr()
 	t.Shape = a.shape(shape)
-	t.Data = a.floats(n)
+	t.Data = a.uninit(n)
 	return t
 }
 
@@ -120,19 +130,24 @@ func (a *Arena) shape(dims []int) []int {
 	}
 }
 
-// floats returns a zeroed slice of n floats from the data slabs. Requests
-// larger than a slab get a dedicated slab of exactly that size, which is
-// reused on later passes because tape allocation sequences repeat.
+// floats returns a zeroed slice of n floats from the data slabs.
 func (a *Arena) floats(n int) []float64 {
+	s := a.uninit(n)
+	clear(s)
+	return s
+}
+
+// uninit returns a slice of n floats from the data slabs as an earlier
+// tensor left them. Requests larger than a slab get a dedicated slab of
+// exactly that size, which is reused on later passes because tape
+// allocation sequences repeat.
+func (a *Arena) uninit(n int) []float64 {
 	for {
 		if a.dataIdx < len(a.data) {
 			slab := a.data[a.dataIdx]
 			if a.dataOff+n <= len(slab) {
 				s := slab[a.dataOff : a.dataOff+n : a.dataOff+n]
 				a.dataOff += n
-				for i := range s {
-					s[i] = 0
-				}
 				return s
 			}
 			a.dataIdx++

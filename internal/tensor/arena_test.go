@@ -1,6 +1,10 @@
 package tensor
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func TestArenaNewZeroedAndShaped(t *testing.T) {
 	var a Arena
@@ -29,6 +33,61 @@ func TestArenaResetReusesAndZeroes(t *testing.T) {
 	for i, v := range y.Data {
 		if v != 0 {
 			t.Fatalf("reused element %d not re-zeroed: %v", i, v)
+		}
+	}
+}
+
+// TestArenaNewUninit: NewUninit hands out the slab as an earlier tensor
+// left it, shaped like New's, and New after it still zeroes.
+func TestArenaNewUninit(t *testing.T) {
+	var a Arena
+	x := a.New(2, 4)
+	x.Fill(7)
+	a.Reset()
+	y := a.NewUninit(2, 4)
+	if &x.Data[0] != &y.Data[0] || y.Size() != 8 || y.Shape[0] != 2 || y.Shape[1] != 4 {
+		t.Fatalf("NewUninit after Reset: shape %v, reused %v", y.Shape, &x.Data[0] == &y.Data[0])
+	}
+	for i, v := range y.Data {
+		if v != 7 {
+			t.Fatalf("element %d: %v, want the 7 left there", i, v)
+		}
+	}
+	a.Reset()
+	for i, v := range a.New(2, 4).Data {
+		if v != 0 {
+			t.Fatalf("New after NewUninit: element %d not zeroed: %v", i, v)
+		}
+	}
+}
+
+// poisoned returns an arena whose first slab holds NaN: a kernel that
+// reads an element of a NewUninit output before writing it shows NaN.
+func poisoned() *Arena {
+	a := new(Arena)
+	a.New(arenaDataSlab).Fill(math.NaN())
+	a.Reset()
+	return a
+}
+
+// TestConv2DIntoPoisonedArena: Conv2DInto's output and kernel taps skip
+// the arena's zeroing, so the conv must write every element itself: on an
+// arena full of NaN it computes the bits it computes on a fresh one.
+func TestConv2DIntoPoisonedArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, tc := range []struct{ n, c, h, w, oc, kh, kw, padH, padW, str int }{
+		{3, 1, 12, 10, 4, 3, 3, 1, 1, 2}, // ext.conv1
+		{2, 4, 6, 5, 5, 3, 3, 1, 1, 2},   // a channel count that is not a multiple of 4
+		{5, 1, 2, 16, 4, 3, 1, 1, 0, 1},  // tie.conv1, the column kernel
+	} {
+		x := randTensor(rng, tc.n, tc.c, tc.h, tc.w)
+		k := randTensor(rng, tc.oc, tc.c, tc.kh, tc.kw)
+		want := conv(x, k, tc.padH, tc.padW, tc.str, tc.str)
+		got := Conv2DInto(poisoned(), x, k, tc.padH, tc.padW, tc.str, tc.str)
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%+v: output %d is %v on a poisoned arena, %v on a fresh one", tc, i, got.Data[i], v)
+			}
 		}
 	}
 }

@@ -16,8 +16,8 @@ import "fmt"
 func Conv2DInto(a *Arena, x, k *Tensor, padH, padW, strideH, strideW int) *Tensor {
 	n, xs := convSample(x, k)
 	oc, oh, ow := conv2DOutShape(&xs, k, padH, padW, strideH, strideW)
-	out := a.New(n, oc, oh, ow)
-	kt := kernelTaps(a.floats(k.Size()), k)
+	out := a.NewUninit(n, oc, oh, ow) // conv2DForward writes every element
+	kt := kernelTaps(a.uninit(k.Size()), k)
 	osz := oc * oh * ow
 	os := Tensor{Shape: out.Shape[1:]}
 	for i := 0; i < n; i++ {

@@ -49,15 +49,16 @@ func (c *FeatureConfig) fill() {
 // checkpoint-loaded equivalent.
 type PriorFunc func(departSec float64) *traj.ExternalFeatures
 
-// mergedEntry caches one merged matrix, keyed by the identity of its
-// inputs: snapshots are immutable and the prior gridder returns one cached
-// matrix per period, so data-pointer equality is exact. Only the matrix is
-// cached — the wrapper (whose Weather may change between grid periods) is
-// rebuilt per request.
+// mergedEntry caches the live bundle of one (snapshot, prior matrix) pair,
+// keyed by the identity of its inputs: snapshots are immutable and the
+// prior gridder returns one matrix per period, so data-pointer equality is
+// exact. The bundle is handed to every request of the pair, read-only, so a
+// live answer on an unchanged snapshot allocates nothing; a request whose
+// prior carries another weather gets a copy with that weather.
 type mergedEntry struct {
 	snap      *Snapshot
 	priorGrid *float64 // &prior.SpeedGrid[0]
-	grid      []float64
+	ext       *traj.ExternalFeatures
 }
 
 // FeatureSource feeds live traffic into the model's traffic-condition
@@ -154,19 +155,20 @@ func (fs *FeatureSource) External(departSec float64) (*traj.ExternalFeatures, bo
 		fs.mPrior.Inc()
 		return p, false
 	}
-	grid := fs.mergedGrid(sn, p)
 	fs.mLive.Inc()
-	return &traj.ExternalFeatures{
-		Weather:   p.Weather,
-		SpeedGrid: grid,
-		GridRows:  p.GridRows,
-		GridCols:  p.GridCols,
-	}, true
+	return fs.merged(sn, p), true
 }
 
-func (fs *FeatureSource) mergedGrid(sn *Snapshot, p *traj.ExternalFeatures) []float64 {
+// merged returns the live bundle of snapshot sn over the prior p: p's
+// weather and p's matrix with the cells sn covers overwritten.
+func (fs *FeatureSource) merged(sn *Snapshot, p *traj.ExternalFeatures) *traj.ExternalFeatures {
 	if e := fs.cached.Load(); e != nil && e.snap == sn && e.priorGrid == &p.SpeedGrid[0] {
-		return e.grid
+		if e.ext.Weather == p.Weather {
+			return e.ext
+		}
+		c := *e.ext
+		c.Weather = p.Weather
+		return &c
 	}
 	grid := make([]float64, len(p.SpeedGrid))
 	copy(grid, p.SpeedGrid)
@@ -183,7 +185,8 @@ func (fs *FeatureSource) mergedGrid(sn *Snapshot, p *traj.ExternalFeatures) []fl
 			grid[ci] = sum / float64(n)
 		}
 	}
-	fs.cached.Store(&mergedEntry{snap: sn, priorGrid: &p.SpeedGrid[0], grid: grid})
+	ext := &traj.ExternalFeatures{Weather: p.Weather, SpeedGrid: grid, GridRows: p.GridRows, GridCols: p.GridCols}
+	fs.cached.Store(&mergedEntry{snap: sn, priorGrid: &p.SpeedGrid[0], ext: ext})
 	fs.mMerges.Inc()
-	return grid
+	return ext
 }

@@ -179,6 +179,44 @@ func TestFeatureSourceMergeCached(t *testing.T) {
 	}
 }
 
+// TestFeatureSourceLiveAllocs: on an unchanged snapshot and prior matrix,
+// a live answer is the cached bundle itself, so it allocates nothing; a
+// prior with another weather gets its own weather on the same matrix.
+func TestFeatureSourceLiveAllocs(t *testing.T) {
+	g := testGraph(t)
+	s, err := NewStore(g, StoreConfig{WindowSec: 60, Windows: 4, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSec, _ := testPrior(g, cellMeters, 8)
+	prior := perSec(0) // one bundle for every departure, like a touched gridder period
+	fs, err := NewFeatureSource(g, s, func(float64) *traj.ExternalFeatures { return prior }, FeatureConfig{MinCoverage: 1e-9, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Record(0, 120, 60, 100)
+	s.Publish(100)
+	first, live := fs.External(100)
+	if !live {
+		t.Fatal("merged features not reported as live")
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		if ext, _ := fs.External(101); ext != first {
+			t.Fatal("an unchanged snapshot answered another bundle")
+		}
+	}); a != 0 {
+		t.Fatalf("live External on an unchanged snapshot: %v allocs, want 0", a)
+	}
+	other := *prior
+	other.Weather = prior.Weather + 1
+	fs.prior = func(float64) *traj.ExternalFeatures { return &other }
+	ext, _ := fs.External(102)
+	if ext.Weather != other.Weather || &ext.SpeedGrid[0] != &first.SpeedGrid[0] || first.Weather != prior.Weather {
+		t.Fatalf("weather %d on matrix %p, want %d on the cached %p (the cached bundle's weather %d)",
+			ext.Weather, &ext.SpeedGrid[0], other.Weather, &first.SpeedGrid[0], first.Weather)
+	}
+}
+
 // TestNewFeatureSourceRejectsMismatchedPrior: a prior built on another
 // speed-grid cell would make every estimate fall back to it, so building
 // the source over it must fail instead of serving the prior in silence.

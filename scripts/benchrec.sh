@@ -20,10 +20,10 @@
 # counts) and BenchmarkEstimate in internal/core, BenchmarkDirect,
 # BenchmarkEngineNoCache, BenchmarkEngineMiss, BenchmarkEngineOversubscribed
 # and BenchmarkEngineCached in internal/infer, BenchmarkSpanUntraced and
-# BenchmarkSpanStages in internal/obs and BenchmarkNearestEdge in
-# internal/roadnet, and appends one line per result to BENCH_micro.json:
-# the stamp, the package, the benchmark, GOMAXPROCS and its ns/op, B/op and
-# allocs/op.
+# BenchmarkSpanStages in internal/obs, BenchmarkNearestEdge in
+# internal/roadnet and BenchmarkExternal in internal/citysim, and appends
+# one line per result to BENCH_micro.json: the stamp, the package, the
+# benchmark, GOMAXPROCS and its ns/op, B/op and allocs/op.
 #
 # parent-tree is a checkout of another commit, normally the parent (made
 # with `git worktree add` or `git clone`). With it, each of the n rounds
@@ -73,7 +73,8 @@ micro() {
         "./internal/core ^BenchmarkEstimate\$" \
         "./internal/infer ^(BenchmarkDirect|BenchmarkEngineNoCache|BenchmarkEngineMiss|BenchmarkEngineOversubscribed|BenchmarkEngineCached)\$" \
         "./internal/obs ^(BenchmarkSpanUntraced|BenchmarkSpanStages)\$" \
-        "./internal/roadnet ^BenchmarkNearestEdge\$"; do
+        "./internal/roadnet ^BenchmarkNearestEdge\$" \
+        "./internal/citysim ^BenchmarkExternal\$"; do
         pkg=${spec%% *}
         (cd "$1" && go test -run '^$' -bench "${spec#* }" -benchmem -cpu 1,2 -count "$2" "$pkg") |
             awk -v stamp="$st" -v pkg="$pkg" '

@@ -58,7 +58,7 @@ go test -run 'TestUntracedSpanOverhead|TestTelemetryDisabledOverhead|TestUntrace
 echo "== engine gate (disabled serve-path hooks: no observer, no traffic source, the request counter; ns and 0 allocations each; a whole Do: 0 allocations on a cache hit, 1 on a miss)"
 go test -run 'TestDisabledPathOverhead|TestAnswerDisabledOverhead|TestEngineAllocs' ./internal/infer/
 
-echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineMiss the default cache at a 100 % miss rate, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching and one probe's candidate query; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch and order synthesis)"
+echo "== bench smoke (internal/infer: BenchmarkDirect is the floor under BenchmarkEngineNoCache, BenchmarkEngineMiss the default cache at a 100 % miss rate, BenchmarkEngineCachedObserved a cache hit with the quality monitor and the flight recorder wired; the /estimate codec; internal/obs spans; internal/core estimates at B = 1 and batched: traffic-code memo hit/miss; one optimizer step at B = 1, 8, 32 on 1 and 2 workers; embedding pre-training on the line and temporal graphs; one ST-NN and MURAT estimate and one whole Train of each; the affine kernel; the dot kernel, portable and dispatched; OD endpoint matching and one probe's candidate query; a probe fleet through one Tracker and the /probes decoder; the pre-training and training kernels; a speed matrix's first touch, a warm period's External and order synthesis)"
 go test -run '^$' -bench=. -benchtime=200ms -benchmem ./internal/infer/
 go test -run '^$' -bench 'BenchmarkEstimateCodec' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkEstimate' -benchtime=100ms -benchmem ./internal/core/
@@ -73,7 +73,7 @@ go test -run '^$' -bench 'BenchmarkTrackerAdvance' -benchtime=100ms -benchmem ./
 go test -run '^$' -bench 'BenchmarkDecodeProbes' -benchtime=100ms -benchmem ./internal/serve/
 go test -run '^$' -bench 'BenchmarkTrainSkipGram|BenchmarkNegSample|BenchmarkGenerateWalks' -benchtime=100ms -benchmem ./internal/embed/
 go test -run '^$' -bench 'BenchmarkConv2DColumn|BenchmarkConv2DBackward|BenchmarkAffineBatchBackward' -benchtime=100ms ./internal/tensor/
-go test -run '^$' -bench 'BenchmarkMatrixAtFirstTouch|BenchmarkGenerate' -benchtime=100ms -benchmem ./internal/citysim/
+go test -run '^$' -bench 'BenchmarkMatrixAtFirstTouch|BenchmarkExternal|BenchmarkGenerate' -benchtime=100ms -benchmem ./internal/citysim/
 
 echo "== load harness smoke (go run ./bench, 2 s a workload: every HTTP answer bit-equal to the model's, zero failed operations; rates are bench -compare's job)"
 for w in estimate-cold estimate-hot estimate-live train; do
